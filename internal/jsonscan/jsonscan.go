@@ -1,0 +1,329 @@
+// Package jsonscan holds the byte-level JSON scanning primitives the
+// hand-written decoders share (the stream request envelope in
+// internal/stream, the plan wire format in internal/plan, the batch
+// plans array in internal/serve).
+//
+// Those decoders all follow one contract: walk the canonical shape in a
+// single pass and decline — report ok=false, never an error — on
+// anything else, so the caller reruns encoding/json and every slow or
+// ambiguous input keeps stdlib's semantics and error text. The
+// primitives here are therefore exactly as strict as stdlib's validity
+// scan: an extent they accept is an extent json.Valid accepts.
+package jsonscan
+
+import "unicode/utf8"
+
+// MaxDepth bounds the nesting the recursive scanners follow,
+// comfortably under stdlib's 10000-deep limit; deeper inputs decline.
+const MaxDepth = 512
+
+// SkipWS returns the index of the first non-whitespace byte at or
+// after i.
+func SkipWS(b []byte, i int) int {
+	for i < len(b) {
+		switch b[i] {
+		case ' ', '\t', '\n', '\r':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
+}
+
+// Key scans an object member's `"name" :` at i and returns the name
+// (aliasing b; a name with an escape declines, as it cannot equal a
+// known key byte for byte) and the index of the value that follows.
+func Key(b []byte, i int) (name []byte, valueAt int, ok bool) {
+	name, end, ok := PlainString(b, i)
+	if !ok {
+		return nil, 0, false
+	}
+	i = SkipWS(b, end)
+	if i >= len(b) || b[i] != ':' {
+		return nil, 0, false
+	}
+	return name, SkipWS(b, i+1), true
+}
+
+// Next steps over the separator after an object member or array
+// element ending at i: a comma (more follow, the next one starting at
+// after) or the closing delimiter (last; after is one past it).
+func Next(b []byte, i int, closing byte) (after int, last, ok bool) {
+	i = SkipWS(b, i)
+	if i >= len(b) {
+		return 0, false, false
+	}
+	switch b[i] {
+	case ',':
+		return SkipWS(b, i+1), false, true
+	case closing:
+		return i + 1, true, true
+	}
+	return 0, false, false
+}
+
+// ValidValueEnd returns the index one past the JSON value starting at
+// i, fully validating it — interior strings, numbers, and structure
+// included. depth is the nesting already entered.
+func ValidValueEnd(b []byte, i, depth int) (int, bool) {
+	if i >= len(b) || depth > MaxDepth {
+		return 0, false
+	}
+	switch c := b[i]; {
+	case c == '"':
+		return StringEnd(b, i)
+	case c == '{':
+		i = SkipWS(b, i+1)
+		if i < len(b) && b[i] == '}' {
+			return i + 1, true
+		}
+		for {
+			if i >= len(b) || b[i] != '"' {
+				return 0, false
+			}
+			j, ok := StringEnd(b, i)
+			if !ok {
+				return 0, false
+			}
+			i = SkipWS(b, j)
+			if i >= len(b) || b[i] != ':' {
+				return 0, false
+			}
+			i, ok = ValidValueEnd(b, SkipWS(b, i+1), depth+1)
+			if !ok {
+				return 0, false
+			}
+			i = SkipWS(b, i)
+			if i >= len(b) {
+				return 0, false
+			}
+			switch b[i] {
+			case ',':
+				i = SkipWS(b, i+1)
+			case '}':
+				return i + 1, true
+			default:
+				return 0, false
+			}
+		}
+	case c == '[':
+		i = SkipWS(b, i+1)
+		if i < len(b) && b[i] == ']' {
+			return i + 1, true
+		}
+		for {
+			var ok bool
+			i, ok = ValidValueEnd(b, i, depth+1)
+			if !ok {
+				return 0, false
+			}
+			i = SkipWS(b, i)
+			if i >= len(b) {
+				return 0, false
+			}
+			switch b[i] {
+			case ',':
+				i = SkipWS(b, i+1)
+			case ']':
+				return i + 1, true
+			default:
+				return 0, false
+			}
+		}
+	case c == 't':
+		return litEnd(b, i, "true")
+	case c == 'f':
+		return litEnd(b, i, "false")
+	case c == 'n':
+		return litEnd(b, i, "null")
+	default:
+		return NumberEnd(b, i)
+	}
+}
+
+func litEnd(b []byte, i int, lit string) (int, bool) {
+	if i+len(lit) > len(b) || string(b[i:i+len(lit)]) != lit {
+		return 0, false
+	}
+	return i + len(lit), true
+}
+
+// SkipValue returns the index one past the value starting at i in
+// bytes encoding/json has already scanned: it balances brackets and
+// steps over strings, validating nothing and following any depth
+// without recursion. On bytes that are not valid JSON it may return a
+// wrong extent or ok=false, never an index outside b.
+func SkipValue(b []byte, i int) (int, bool) {
+	start, depth := i, 0
+	for i < len(b) {
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+			if i >= len(b) {
+				return 0, false
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			depth--
+		default:
+			if depth == 0 { // number or literal: runs to the next delimiter
+				for i < len(b) && !isDelim(b[i]) {
+					i++
+				}
+				return i, i > start
+			}
+		}
+		i++
+		if depth <= 0 {
+			return i, depth == 0
+		}
+	}
+	return 0, false
+}
+
+func isDelim(c byte) bool {
+	switch c {
+	case ',', ']', '}', ' ', '\t', '\n', '\r':
+		return true
+	}
+	return false
+}
+
+// NumberEnd validates a JSON number per the grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func NumberEnd(b []byte, i int) (int, bool) {
+	j := i
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	switch {
+	case j < len(b) && b[j] == '0':
+		j++
+	case j < len(b) && b[j] >= '1' && b[j] <= '9':
+		for j < len(b) && isDigit(b[j]) {
+			j++
+		}
+	default:
+		return 0, false
+	}
+	if j < len(b) && b[j] == '.' {
+		j++
+		if j >= len(b) || !isDigit(b[j]) {
+			return 0, false
+		}
+		for j < len(b) && isDigit(b[j]) {
+			j++
+		}
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		j++
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		if j >= len(b) || !isDigit(b[j]) {
+			return 0, false
+		}
+		for j < len(b) && isDigit(b[j]) {
+			j++
+		}
+	}
+	return j, true
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// StringEnd returns the index one past the closing quote of the
+// string starting at b[i] == '"', validating escapes and rejecting
+// raw control characters exactly as stdlib's scanner does. (Invalid
+// UTF-8 is not a validity error in stdlib either; PlainString handles
+// its value semantics.)
+func StringEnd(b []byte, i int) (int, bool) {
+	if i >= len(b) || b[i] != '"' {
+		return 0, false
+	}
+	for i++; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1, true
+		case c == '\\':
+			i++
+			if i >= len(b) {
+				return 0, false
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if i+4 >= len(b) || !isHex(b[i+1]) || !isHex(b[i+2]) ||
+					!isHex(b[i+3]) || !isHex(b[i+4]) {
+					return 0, false
+				}
+				i += 4
+			default:
+				return 0, false
+			}
+		case c < 0x20:
+			return 0, false
+		}
+	}
+	return 0, false
+}
+
+func isHex(c byte) bool {
+	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+}
+
+// PlainString scans the string starting at b[i] == '"' and returns its
+// contents (aliasing b) and the index one past the closing quote,
+// declining any content stdlib would not pass through verbatim:
+// escapes, raw control characters, and invalid UTF-8 (stdlib
+// substitutes U+FFFD for the latter).
+func PlainString(b []byte, i int) (inner []byte, end int, ok bool) {
+	if i >= len(b) || b[i] != '"' {
+		return nil, 0, false
+	}
+	ascii := true
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			inner = b[i+1 : j]
+			return inner, j + 1, ascii || utf8.Valid(inner)
+		case c == '\\' || c < 0x20:
+			return nil, 0, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, 0, false
+}
+
+// Int parses a plain base-10 integer from a number extent (no
+// exponent, no fraction — those are errors for an int field, which
+// stdlib reports better) of at most 18 digits.
+func Int(val []byte) (int, bool) {
+	i, neg := 0, false
+	if i < len(val) && val[i] == '-' {
+		neg = true
+		i++
+	}
+	if i >= len(val) || len(val)-i > 18 {
+		return 0, false
+	}
+	n := 0
+	for ; i < len(val); i++ {
+		c := val[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	if neg {
+		n = -n
+	}
+	return n, true
+}

@@ -24,11 +24,9 @@ var ErrUnknownOp = errors.New("plan: unknown operator kind")
 // WireVersion is the current plan wire-format version.
 const WireVersion = 1
 
-// Wire is the decoded JSON structure of a plan — the wire format's
-// direct Go shape. Exporting it lets batch endpoints embed plans in a
-// larger request envelope and parse everything in a single
-// json.Unmarshal pass (no per-plan RawMessage re-scan); ToPlan finishes
-// the conversion. DecodeJSON is the one-plan convenience wrapper.
+// Wire is the wire format's direct Go shape: what EncodeJSON marshals
+// and what DecodeJSON's encoding/json fallback unmarshals into. The
+// fast path (decode.go) never builds one.
 type Wire struct {
 	Version int       `json:"version"`
 	Tag     string    `json:"tag,omitempty"`
@@ -120,6 +118,9 @@ func toWire(n *Node) *WireNode {
 }
 
 func fromWire(w *WireNode) (*Node, error) {
+	if w == nil { // "children":[null]
+		return nil, errors.New("null node in children")
+	}
 	kind, err := ParseOpKind(w.Kind)
 	if err != nil {
 		return nil, err
@@ -175,21 +176,23 @@ func WriteJSON(w io.Writer, p *Plan) error {
 
 // DecodeJSON parses a wire-format plan, re-numbers its nodes in preorder
 // and validates the structural invariants (child counts, leaf table
-// stats, non-negative cardinalities).
+// stats, non-negative cardinalities). Canonically shaped input — what
+// EncodeJSON writes, in any key order and with any whitespace — takes
+// the single-pass decoder; everything else, every failure included, is
+// encoding/json's to decode and report.
 func DecodeJSON(data []byte) (*Plan, error) {
+	if p, ok := fastDecode(data); ok {
+		return p, nil
+	}
+	return decodeStd(data)
+}
+
+// decodeStd is the encoding/json decode: the fallback for input the
+// fast path declines, and the reference it is tested against.
+func decodeStd(data []byte) (*Plan, error) {
 	var wp Wire
 	if err := json.Unmarshal(data, &wp); err != nil {
 		return nil, fmt.Errorf("plan: decode: %w", err)
-	}
-	return wp.ToPlan()
-}
-
-// ToPlan converts a decoded wire structure into a validated plan:
-// operator-kind resolution, preorder renumbering and the structural
-// invariant checks of Validate.
-func (wp *Wire) ToPlan() (*Plan, error) {
-	if wp == nil {
-		return nil, fmt.Errorf("plan: decode: missing plan")
 	}
 	if wp.Version != WireVersion {
 		return nil, fmt.Errorf("plan: decode: unsupported wire version %d", wp.Version)

@@ -16,7 +16,7 @@ import (
 
 // genPlans builds a varied plan corpus: every schema family, executed so
 // Actual resources are populated too.
-func genPlans(t *testing.T) []*plan.Plan {
+func genPlans(t testing.TB) []*plan.Plan {
 	t.Helper()
 	var out []*plan.Plan
 	eng := engine.New(nil)
@@ -102,6 +102,7 @@ func TestCodecValidatesOnDecode(t *testing.T) {
 		{"unknown kind", `{"version":1,"root":{"kind":"Exchange"}}`},
 		{"leaf missing stats", `{"version":1,"root":{"kind":"TableScan","table":"t"}}`},
 		{"wrong arity", `{"version":1,"root":{"kind":"Sort"}}`},
+		{"null child", `{"version":1,"root":{"kind":"Sort","children":[null]}}`},
 	}
 	for _, c := range cases {
 		if _, err := plan.DecodeJSON([]byte(c.data)); err == nil {

@@ -8,6 +8,11 @@ package plan_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -72,4 +77,70 @@ func FuzzPlanCodec(f *testing.F) {
 			t.Fatalf("actual totals drifted in round trip: %+v vs %+v", a, b)
 		}
 	})
+}
+
+// FuzzPlanDecode pins the single-pass decoder to encoding/json: for
+// every input, either the fast path declines — and DecodeJSON then
+// fails with stdlib's error text or returns stdlib's plan — or its plan
+// is reflect.DeepEqual to stdlib's and re-encodes byte-identically.
+// Seeds: the FuzzPlanCodec corpus plus the edge cases of decode_test.go.
+func FuzzPlanDecode(f *testing.F) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzPlanCodec/*")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("FuzzPlanCodec corpus: %d files, %v", len(files), err)
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// "go test fuzz v1\n[]byte(<quoted>)\n"
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		seed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		f.Add([]byte(seed))
+	}
+	for _, c := range decodeEdgeCases() {
+		f.Add([]byte(c.data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecodeAgainstStd(t, data) })
+}
+
+// checkDecodeAgainstStd runs one input through both decoders, asserts
+// the differential contract and reports whether the fast path took it.
+func checkDecodeAgainstStd(t *testing.T, data []byte) (fastTook bool) {
+	t.Helper()
+	ref, refErr := plan.DecodeStd(data)
+	fast, ok := plan.FastDecode(data)
+	if !ok {
+		// Declined: DecodeJSON must be the stdlib path, errors and all.
+		fast, err := plan.DecodeJSON(data)
+		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("DecodeJSON error %v, stdlib %v, on %q", err, refErr, data)
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("fallback plan differs from stdlib's on %q", data)
+		}
+		return false
+	}
+	if refErr != nil {
+		t.Fatalf("fast path accepted input stdlib rejects: %q (%v)", data, refErr)
+	}
+	if !reflect.DeepEqual(fast, ref) {
+		t.Fatalf("fast path diverges on %q:\nfast\n%v\nstdlib\n%v", data, fast, ref)
+	}
+	encFast, err := plan.EncodeJSON(fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encRef, err := plan.EncodeJSON(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encFast, encRef) {
+		t.Fatalf("re-encodings differ on %q:\n%s\nvs\n%s", data, encFast, encRef)
+	}
+	return true
 }

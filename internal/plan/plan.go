@@ -321,33 +321,34 @@ func (p *Plan) TotalActual() Resources {
 func (p *Plan) Validate() error {
 	var err error
 	p.Walk(func(n *Node) {
-		if err != nil {
-			return
-		}
-		if want, got := n.Kind.NumChildren(), len(n.Children); want != got {
-			err = fmt.Errorf("plan: node %d (%s) has %d children, want %d", n.ID, n.Kind, got, want)
-			return
-		}
-		if n.Kind.IsLeaf() {
-			if n.Table == "" {
-				err = fmt.Errorf("plan: leaf node %d (%s) missing table", n.ID, n.Kind)
-				return
-			}
-			if n.TableRows <= 0 || n.TablePages <= 0 {
-				err = fmt.Errorf("plan: leaf node %d (%s %s) missing table stats", n.ID, n.Kind, n.Table)
-				return
-			}
-		}
-		if n.Out.Rows < 0 || n.Out.Width < 0 {
-			err = fmt.Errorf("plan: node %d (%s) negative cardinality", n.ID, n.Kind)
-			return
-		}
-		if n.Kind == NestedLoopJoin && n.Children[1].Kind != IndexSeek {
-			err = fmt.Errorf("plan: node %d nested loop inner must be IndexSeek, got %s", n.ID, n.Children[1].Kind)
-			return
+		if err == nil {
+			err = n.validate()
 		}
 	})
 	return err
+}
+
+// validate checks one node's invariants (its children's kinds
+// included, their subtrees not).
+func (n *Node) validate() error {
+	if want, got := n.Kind.NumChildren(), len(n.Children); want != got {
+		return fmt.Errorf("plan: node %d (%s) has %d children, want %d", n.ID, n.Kind, got, want)
+	}
+	if n.Kind.IsLeaf() {
+		if n.Table == "" {
+			return fmt.Errorf("plan: leaf node %d (%s) missing table", n.ID, n.Kind)
+		}
+		if n.TableRows <= 0 || n.TablePages <= 0 {
+			return fmt.Errorf("plan: leaf node %d (%s %s) missing table stats", n.ID, n.Kind, n.Table)
+		}
+	}
+	if n.Out.Rows < 0 || n.Out.Width < 0 {
+		return fmt.Errorf("plan: node %d (%s) negative cardinality", n.ID, n.Kind)
+	}
+	if n.Kind == NestedLoopJoin && n.Children[1].Kind != IndexSeek {
+		return fmt.Errorf("plan: node %d nested loop inner must be IndexSeek, got %s", n.ID, n.Children[1].Kind)
+	}
+	return nil
 }
 
 // String renders the plan as an indented tree with cardinalities, e.g.

@@ -284,6 +284,75 @@ func TestHTTPErrorShapes(t *testing.T) {
 
 func intp(i int) *int { return &i }
 
+// TestHTTPBatchDecodeErrors pins what the batch decoder answers for a
+// plans value that is not an array of plans, to the byte: which
+// failures reject the whole body, which name a plan, and which wins
+// when a batch has several.
+func TestHTTPBatchDecodeErrors(t *testing.T) {
+	svc := newService(t, serve.Options{})
+	svc.Registry().Publish("tpch", cpuEst)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	enc, err := plan.EncodeJSON(testPlans[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := string(enc)
+	const (
+		badOp    = `{"version":1,"root":{"kind":"QuantumScan","table":"t","table_rows":1,"table_pages":1}}`
+		badArity = `{"version":1,"root":{"kind":"Sort"}}`
+		typeErr  = "bad request body: json: cannot unmarshal number into Go struct field batchEstimateRequestJSON.plans"
+	)
+	cases := []struct {
+		name, plans string
+		status      int
+		code, error string
+		planIdx     int // -1: no plan index
+	}{
+		{"not an array", `{"0":` + good + `}`, 400, "bad_request", "bad request body: plans must be an array", -1},
+		{"a number", `5`, 400, "bad_request", "bad request body: plans must be an array", -1},
+		{"null", `null`, 400, "bad_request", "missing plans", -1},
+		{"empty", `[ ]`, 400, "bad_request", "missing plans", -1},
+		{"syntax error", `[` + good + `,]`, 400, "bad_request",
+			"bad request body: invalid character ']' looking for beginning of value", -1},
+		{"element of the wrong type", `[` + good + `,5]`, 400, "bad_request", typeErr + " of type plan.Wire", -1},
+		{"field of the wrong type", `[{"version":1,"root":{"kind":7}}]`, 400, "bad_request",
+			typeErr + ".root.kind of type string", -1},
+		{"type error after a bad plan", `[` + badArity + `,{"version":1,"root":{"kind":7}}]`, 400, "bad_request",
+			typeErr + ".root.kind of type string", -1},
+		{"null element", `[` + good + `,null]`, 400, "bad_plan", "plan 1: plan: decode: unsupported wire version 0", 1},
+		{"first bad plan is named", `[` + good + `, ` + badArity + ` ,` + badOp + `]`, 400, "bad_plan",
+			"plan 1: plan: decode: plan: node 0 (Sort) has 0 children, want 1", 1},
+		{"cap before a bad plan", `[` + badOp + strings.Repeat(`,`+good, 1024) + `]`, 413, "batch_too_large",
+			"serve: batch exceeds the 1024-plan limit", -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/estimate/batch", "application/json",
+				strings.NewReader(`{"schema":"tpch","plans":`+tc.plans+`}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e wireErrorJSON
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status || e.Code != tc.code || e.Error != tc.error {
+				t.Fatalf("answered %d %s %q\nwant     %d %s %q", resp.StatusCode, e.Code, e.Error, tc.status, tc.code, tc.error)
+			}
+			got := -1
+			if e.Plan != nil {
+				got = *e.Plan
+			}
+			if got != tc.planIdx {
+				t.Fatalf("plan index %d, want %d (-1: none)", got, tc.planIdx)
+			}
+		})
+	}
+}
+
 // TestConcurrentBatchDuringHotSwap hammers EstimateBatch from many
 // goroutines while the model is republished and sequential traffic runs
 // alongside — the -race equivalence target: every batch response must

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/feedback"
+	"repro/internal/jsonscan"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -385,7 +386,7 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, status, body)
 		return
 	}
-	if len(req.Plan) == 0 {
+	if PlanMissing(req.Plan) {
 		writeError(w, r, http.StatusBadRequest, jsonError("missing plan", errCodeBadRequest, -1))
 		return
 	}
@@ -426,10 +427,7 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 // batchEstimateRequestJSON is the wire form of POST /estimate/batch:
 // the single-plan request with plans (an array of wire-encoded plans)
-// in place of plan. Plans decode as plan.Wire structures directly, so
-// the whole envelope — plan payloads included — parses in one
-// json.Decode pass instead of buffering RawMessages and re-parsing
-// each (JSON parsing is a quarter of a large batch's serving cost).
+// in place of plan.
 type batchEstimateRequestJSON struct {
 	Schema    string          `json:"schema,omitempty"`
 	Resource  string          `json:"resource,omitempty"`
@@ -438,41 +436,73 @@ type batchEstimateRequestJSON struct {
 	Plans     batchPlans      `json:"plans"`
 }
 
-// errTooManyPlans aborts a batch decode at the plan cap.
-var errTooManyPlans = fmt.Errorf("serve: batch exceeds the %d-plan limit", maxBatchPlans)
+var (
+	// errTooManyPlans aborts a batch decode at the plan cap.
+	errTooManyPlans = fmt.Errorf("serve: batch exceeds the %d-plan limit", maxBatchPlans)
+	// errSplitPlans cannot happen on the scanned bytes encoding/json
+	// hands an Unmarshaler.
+	errSplitPlans = errors.New("plans: malformed array")
+)
 
-// batchPlans decodes a plans array with the count cap enforced *during*
-// decoding. A flat []*plan.Wire would materialize every element of a
-// maxBatchBody-sized request (millions of tiny entries, ~10-15x memory
-// amplification) before the handler could count them; this stops at
-// maxBatchPlans+1 with the rest of the array unparsed.
-type batchPlans []*plan.Wire
+// batchPlans decodes a plans array as the envelope decode reaches it:
+// it splits the array and hands each element to plan.DecodeJSON, with
+// the count cap enforced *during* decoding — a flat []json.RawMessage
+// would materialize every element of a maxBatchBody-sized request
+// (millions of tiny entries) before the handler could count them; this
+// stops at maxBatchPlans+1 with the rest of the array unparsed.
+type batchPlans struct {
+	plans []*plan.Plan
+	// The first plan that failed to decode, reported — with its index —
+	// only after the rest of the envelope has been checked.
+	badIndex int
+	badErr   error
+}
 
 func (b *batchPlans) UnmarshalJSON(data []byte) error {
-	*b = nil
+	*b = batchPlans{}
 	if string(data) == "null" {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
+	// encoding/json has scanned data before calling here, so the split
+	// needs extents, not a second validation.
+	if len(data) == 0 || data[0] != '[' {
 		return fmt.Errorf("plans must be an array")
 	}
-	for dec.More() {
-		if len(*b) >= maxBatchPlans {
+	i := jsonscan.SkipWS(data, 1)
+	if i < len(data) && data[i] == ']' {
+		return nil
+	}
+	for {
+		if len(b.plans) >= maxBatchPlans {
 			return errTooManyPlans
 		}
-		var wp plan.Wire
-		if err := dec.Decode(&wp); err != nil {
-			return err
+		end, ok := jsonscan.SkipValue(data, i)
+		if !ok {
+			return errSplitPlans
 		}
-		*b = append(*b, &wp)
+		p, err := plan.DecodeJSON(data[i:end])
+		if err != nil {
+			// A value of the wrong JSON type fails the whole body, as
+			// it does anywhere else in the envelope (returned bare,
+			// encoding/json names the envelope field in it); a plan
+			// that parses but does not hold up is a per-plan error.
+			var typeErr *json.UnmarshalTypeError
+			if errors.As(err, &typeErr) {
+				return typeErr
+			}
+			if b.badErr == nil {
+				b.badIndex, b.badErr = len(b.plans), err
+			}
+		}
+		b.plans = append(b.plans, p)
+		var last bool
+		if i, last, ok = jsonscan.Next(data, end, ']'); !ok {
+			return errSplitPlans
+		}
+		if last {
+			return nil
+		}
 	}
-	_, err = dec.Token() // closing ]
-	return err
 }
 
 func (s *Service) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
@@ -493,19 +523,16 @@ func (s *Service) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, status, body)
 		return
 	}
-	if len(req.Plans) == 0 {
+	plans := req.Plans.plans
+	if len(plans) == 0 {
 		writeError(w, r, http.StatusBadRequest, jsonError("missing plans", errCodeBadRequest, -1))
 		return
 	}
-	plans := make([]*plan.Plan, len(req.Plans))
-	for i, wp := range req.Plans {
-		p, err := wp.ToPlan()
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest,
-				jsonError(fmt.Sprintf("plan %d: %v", i, err), planErrCode(err), i))
-			return
-		}
-		plans[i] = p
+	if err := req.Plans.badErr; err != nil {
+		i := req.Plans.badIndex
+		writeError(w, r, http.StatusBadRequest,
+			jsonError(fmt.Sprintf("plan %d: %v", i, err), planErrCode(err), i))
+		return
 	}
 	ctx := r.Context()
 	if tel != nil {
@@ -535,6 +562,13 @@ func (s *Service) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 	tel.rec(epBatch, obs.StageEncode, time.Since(encodeStart), tr)
 	tr.LogSlow(tel.logger, tel.slow, slog.Int("plans", len(plans)))
+}
+
+// PlanMissing reports whether a request envelope carried no plan: the
+// key absent, or present as null. Every transport answers it "missing
+// plan" / bad_request rather than a decode error about wire version 0.
+func PlanMissing(raw json.RawMessage) bool {
+	return len(raw) == 0 || string(raw) == "null"
 }
 
 // planErrCode classifies a plan.DecodeJSON failure: a plan naming an
@@ -613,7 +647,7 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, status, body)
 		return
 	}
-	if len(req.Plan) == 0 {
+	if PlanMissing(req.Plan) {
 		writeError(w, r, http.StatusBadRequest, jsonError("missing plan", errCodeBadRequest, -1))
 		return
 	}

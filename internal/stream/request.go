@@ -2,23 +2,25 @@ package stream
 
 import (
 	"encoding/json"
-	"unicode/utf8"
+
+	"repro/internal/jsonscan"
 )
 
 // The streaming transport's request envelope is a flat JSON object
 // with a handful of known keys, decoded once per frame on the hot
 // path. encoding/json charges two full passes over the body for that
 // (validity scan + decode) and copies the embedded plan into a fresh
-// RawMessage — together they cost more than a third of the whole
-// per-request decode budget. decodeRequest walks the envelope once,
-// aliasing the plan's bytes out of the frame body (which this side
-// owns and never reuses), and bails out to encoding/json on anything
-// that strays from the expected shape — unknown or folded keys,
-// escaped strings, nulls, unexpected types, over-deep nesting — so
-// every slow or ambiguous case keeps stdlib semantics, including its
-// error text. The one rule: whenever the fast path says it decoded,
-// the result must be byte-for-byte what stdlib would have produced. A
-// differential fuzz target (FuzzRequestDecode) pins exactly that.
+// RawMessage. decodeRequest walks the envelope once over the shared
+// scanning primitives of internal/jsonscan, aliasing the plan's bytes
+// out of the frame body (which this side owns and never reuses), and
+// bails out to encoding/json on anything that strays from the expected
+// shape — unknown or folded keys, escaped strings, nulls, unexpected
+// types, over-deep nesting — so every slow or ambiguous case keeps
+// stdlib semantics, including its error text. The one rule: whenever
+// the fast path says it decoded, the result must be byte-for-byte what
+// stdlib would have produced. A differential fuzz target
+// (FuzzRequestDecode) pins exactly that. plan.DecodeJSON decodes the
+// aliased plan bytes under the same contract.
 
 // DecodeRequest decodes one request envelope into req — the routing
 // tier peeks the schema for affinity placement with the same fast
@@ -35,57 +37,41 @@ func decodeRequest(body []byte, req *Request) error {
 	return json.Unmarshal(body, req)
 }
 
-// maxFastDepth bounds validValueEnd's recursion, comfortably under
-// stdlib's 10000-deep limit; deeper inputs fall back.
-const maxFastDepth = 512
-
 // fastDecodeRequest reports whether it fully decoded body on the fast
 // path. false means "retry with encoding/json", not "invalid".
 func fastDecodeRequest(b []byte, req *Request) bool {
-	i := skipWS(b, 0)
+	i := jsonscan.SkipWS(b, 0)
 	if i >= len(b) || b[i] != '{' {
 		return false
 	}
-	i = skipWS(b, i+1)
+	i = jsonscan.SkipWS(b, i+1)
 	if i < len(b) && b[i] == '}' {
-		return skipWS(b, i+1) == len(b)
+		return jsonscan.SkipWS(b, i+1) == len(b)
 	}
 	for {
-		if i >= len(b) || b[i] != '"' {
-			return false
-		}
-		keyEnd, ok := stringEnd(b, i)
+		key, at, ok := jsonscan.Key(b, i)
 		if !ok {
 			return false
 		}
-		key := b[i+1 : keyEnd-1]
-		i = skipWS(b, keyEnd)
-		if i >= len(b) || b[i] != ':' {
-			return false
-		}
-		i = skipWS(b, i+1)
+		i = at
 		// Only exactly-known keys stay on the fast path: stdlib
 		// matches field names case-insensitively and skips unknown
 		// fields after validating their values, and reproducing either
 		// is not worth it.
 		switch string(key) { // compiler avoids the []byte->string alloc here
 		case "schema", "resource":
-			end, ok := stringEnd(b, i)
-			if !ok {
-				return false
-			}
-			s, ok := fastString(b[i:end])
+			s, end, ok := jsonscan.PlainString(b, i)
 			if !ok {
 				return false
 			}
 			if key[0] == 's' {
-				req.Schema = s
+				req.Schema = string(s)
 			} else {
-				req.Resource = s
+				req.Resource = string(s)
 			}
 			i = end
 		case "resources":
-			end, ok := validValueEnd(b, i, 0)
+			end, ok := jsonscan.ValidValueEnd(b, i, 0)
 			if !ok {
 				return false
 			}
@@ -96,18 +82,18 @@ func fastDecodeRequest(b []byte, req *Request) bool {
 			req.Resources = arr
 			i = end
 		case "plan":
-			end, ok := validValueEnd(b, i, 0)
+			end, ok := jsonscan.ValidValueEnd(b, i, 0)
 			if !ok {
 				return false
 			}
 			req.Plan = json.RawMessage(b[i:end])
 			i = end
 		case "timeout_ms":
-			end, ok := validValueEnd(b, i, 0)
+			end, ok := jsonscan.ValidValueEnd(b, i, 0)
 			if !ok {
 				return false
 			}
-			n, ok := fastInt(b[i:end])
+			n, ok := jsonscan.Int(b[i:end])
 			if !ok {
 				return false
 			}
@@ -116,289 +102,41 @@ func fastDecodeRequest(b []byte, req *Request) bool {
 		default:
 			return false
 		}
-		i = skipWS(b, i)
-		if i >= len(b) {
+		var last bool
+		if i, last, ok = jsonscan.Next(b, i, '}'); !ok {
 			return false
 		}
-		switch b[i] {
-		case ',':
-			i = skipWS(b, i+1)
-		case '}':
-			return skipWS(b, i+1) == len(b)
-		default:
-			return false
+		if last {
+			return jsonscan.SkipWS(b, i) == len(b)
 		}
 	}
-}
-
-func skipWS(b []byte, i int) int {
-	for i < len(b) {
-		switch b[i] {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return i
-		}
-	}
-	return i
-}
-
-// validValueEnd returns the index one past the JSON value starting at
-// i, fully validating it — interior strings, numbers, and structure
-// included — so an extent it accepts is an extent stdlib's validity
-// scan accepts.
-func validValueEnd(b []byte, i, depth int) (int, bool) {
-	if i >= len(b) || depth > maxFastDepth {
-		return 0, false
-	}
-	switch c := b[i]; {
-	case c == '"':
-		return stringEnd(b, i)
-	case c == '{':
-		i = skipWS(b, i+1)
-		if i < len(b) && b[i] == '}' {
-			return i + 1, true
-		}
-		for {
-			if i >= len(b) || b[i] != '"' {
-				return 0, false
-			}
-			j, ok := stringEnd(b, i)
-			if !ok {
-				return 0, false
-			}
-			i = skipWS(b, j)
-			if i >= len(b) || b[i] != ':' {
-				return 0, false
-			}
-			i, ok = validValueEnd(b, skipWS(b, i+1), depth+1)
-			if !ok {
-				return 0, false
-			}
-			i = skipWS(b, i)
-			if i >= len(b) {
-				return 0, false
-			}
-			switch b[i] {
-			case ',':
-				i = skipWS(b, i+1)
-			case '}':
-				return i + 1, true
-			default:
-				return 0, false
-			}
-		}
-	case c == '[':
-		i = skipWS(b, i+1)
-		if i < len(b) && b[i] == ']' {
-			return i + 1, true
-		}
-		for {
-			var ok bool
-			i, ok = validValueEnd(b, i, depth+1)
-			if !ok {
-				return 0, false
-			}
-			i = skipWS(b, i)
-			if i >= len(b) {
-				return 0, false
-			}
-			switch b[i] {
-			case ',':
-				i = skipWS(b, i+1)
-			case ']':
-				return i + 1, true
-			default:
-				return 0, false
-			}
-		}
-	case c == 't':
-		return litEnd(b, i, "true")
-	case c == 'f':
-		return litEnd(b, i, "false")
-	case c == 'n':
-		return litEnd(b, i, "null")
-	default:
-		return numberEnd(b, i)
-	}
-}
-
-func litEnd(b []byte, i int, lit string) (int, bool) {
-	if i+len(lit) > len(b) || string(b[i:i+len(lit)]) != lit {
-		return 0, false
-	}
-	return i + len(lit), true
-}
-
-// numberEnd validates a JSON number per the grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func numberEnd(b []byte, i int) (int, bool) {
-	j := i
-	if j < len(b) && b[j] == '-' {
-		j++
-	}
-	switch {
-	case j < len(b) && b[j] == '0':
-		j++
-	case j < len(b) && b[j] >= '1' && b[j] <= '9':
-		for j < len(b) && isDigit(b[j]) {
-			j++
-		}
-	default:
-		return 0, false
-	}
-	if j < len(b) && b[j] == '.' {
-		j++
-		if j >= len(b) || !isDigit(b[j]) {
-			return 0, false
-		}
-		for j < len(b) && isDigit(b[j]) {
-			j++
-		}
-	}
-	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
-		j++
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
-			j++
-		}
-		if j >= len(b) || !isDigit(b[j]) {
-			return 0, false
-		}
-		for j < len(b) && isDigit(b[j]) {
-			j++
-		}
-	}
-	return j, true
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-// stringEnd returns the index one past the closing quote of the
-// string starting at b[i] == '"', validating escapes and rejecting
-// raw control characters exactly as stdlib's scanner does. (Invalid
-// UTF-8 is not a validity error in stdlib either; fastString handles
-// its value semantics.)
-func stringEnd(b []byte, i int) (int, bool) {
-	if i >= len(b) || b[i] != '"' {
-		return 0, false
-	}
-	for i++; i < len(b); i++ {
-		switch c := b[i]; {
-		case c == '"':
-			return i + 1, true
-		case c == '\\':
-			i++
-			if i >= len(b) {
-				return 0, false
-			}
-			switch b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if i+4 >= len(b) || !isHex(b[i+1]) || !isHex(b[i+2]) ||
-					!isHex(b[i+3]) || !isHex(b[i+4]) {
-					return 0, false
-				}
-				i += 4
-			default:
-				return 0, false
-			}
-		case c < 0x20:
-			return 0, false
-		}
-	}
-	return 0, false
-}
-
-func isHex(c byte) bool {
-	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-}
-
-// fastString unquotes a validated JSON string, declining any content
-// stdlib would not pass through verbatim (escapes, invalid UTF-8 —
-// stdlib substitutes U+FFFD for the latter).
-func fastString(val []byte) (string, bool) {
-	if len(val) < 2 || val[0] != '"' || val[len(val)-1] != '"' {
-		return "", false
-	}
-	inner := val[1 : len(val)-1]
-	ascii := true
-	for _, c := range inner {
-		if c == '\\' || c < 0x20 {
-			return "", false
-		}
-		if c >= utf8.RuneSelf {
-			ascii = false
-		}
-	}
-	if !ascii && !utf8.Valid(inner) {
-		return "", false
-	}
-	return string(inner), true
 }
 
 // fastStringArray decodes a flat array of escape-free strings from an
 // already-validated extent.
 func fastStringArray(val []byte) ([]string, bool) {
-	i := skipWS(val, 0)
+	i := jsonscan.SkipWS(val, 0)
 	if i >= len(val) || val[i] != '[' {
 		return nil, false
 	}
-	i = skipWS(val, i+1)
+	i = jsonscan.SkipWS(val, i+1)
 	if i < len(val) && val[i] == ']' {
 		// stdlib decodes [] into an empty non-nil slice.
-		return []string{}, skipWS(val, i+1) == len(val)
+		return []string{}, jsonscan.SkipWS(val, i+1) == len(val)
 	}
 	var out []string
 	for {
-		if i >= len(val) || val[i] != '"' {
-			return nil, false
-		}
-		end, ok := stringEnd(val, i)
+		s, end, ok := jsonscan.PlainString(val, i)
 		if !ok {
 			return nil, false
 		}
-		s, ok := fastString(val[i:end])
-		if !ok {
+		out = append(out, string(s))
+		var last bool
+		if i, last, ok = jsonscan.Next(val, end, ']'); !ok {
 			return nil, false
 		}
-		out = append(out, s)
-		i = skipWS(val, end)
-		if i >= len(val) {
-			return nil, false
-		}
-		switch val[i] {
-		case ',':
-			i = skipWS(val, i+1)
-		case ']':
-			return out, skipWS(val, i+1) == len(val)
-		default:
-			return nil, false
+		if last {
+			return out, jsonscan.SkipWS(val, i) == len(val)
 		}
 	}
-}
-
-// fastInt parses a plain base-10 integer from a validated number
-// extent (no exponent, no fraction — those are errors for an int
-// field, which stdlib reports better).
-func fastInt(val []byte) (int, bool) {
-	i, neg := 0, false
-	if i < len(val) && val[i] == '-' {
-		neg = true
-		i++
-	}
-	if i >= len(val) || len(val)-i > 18 {
-		return 0, false
-	}
-	n := 0
-	for ; i < len(val); i++ {
-		c := val[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	if neg {
-		n = -n
-	}
-	return n, true
 }

@@ -315,16 +315,12 @@ func (c *serverConn) handleEstimate(f *Frame) {
 		c.sendError(f.Seq, err.Error(), code)
 		return
 	}
-	if len(req.Plan) == 0 || string(req.Plan) == "null" {
+	if serve.PlanMissing(req.Plan) {
 		c.sendError(f.Seq, "missing plan", "bad_request")
 		return
 	}
-	p, err := plan.DecodeJSON(req.Plan)
+	p, err := plan.DecodeJSON(req.Plan) // validates
 	if err != nil {
-		c.sendError(f.Seq, err.Error(), serve.PlanErrorCode(err))
-		return
-	}
-	if err := p.Validate(); err != nil {
 		c.sendError(f.Seq, err.Error(), serve.PlanErrorCode(err))
 		return
 	}

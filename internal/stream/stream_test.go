@@ -16,12 +16,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/feedback"
 	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -213,6 +215,62 @@ func TestStreamErrorEnvelopes(t *testing.T) {
 		// The connection must still serve valid requests.
 		if _, err := cl.EstimateRaw(ctx, &stream.Request{Resource: "cpu", Plan: planJSON(t, testPlans[0])}); err != nil {
 			t.Fatalf("%s: connection dead after per-request error: %v", tc.name, err)
+		}
+	}
+}
+
+// TestPlanErrorsAcrossEntryPoints drives the three entry points that
+// take a wire plan — the stream, POST /estimate and POST /observe —
+// with the same plan value and requires one answer from all of them:
+// a null plan is a missing plan, and a plan DecodeJSON rejects answers
+// its decode error as bad_plan (the stream handler relies on that
+// decode being the validation; it does not validate again).
+func TestPlanErrorsAcrossEntryPoints(t *testing.T) {
+	setup(t)
+	loop, err := feedback.New(feedback.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loop.Close() })
+	svc, srv := newStream(t, serve.Options{Feedback: loop}, stream.Options{})
+	httpSrv := httptest.NewServer(svc.Handler())
+	t.Cleanup(httpSrv.Close)
+	cl := dial(t, srv)
+
+	cases := []struct {
+		name, plan, message, code string
+	}{
+		{"null plan", `null`, "missing plan", "bad_request"},
+		{"invalid plan", `{"version":1,"root":{"kind":"Sort"}}`,
+			"plan: decode: plan: node 0 (Sort) has 0 children, want 1", "bad_plan"},
+		{"unknown operator", `{"version":1,"root":{"kind":"Exchange"}}`,
+			`plan: decode: plan: unknown operator kind "Exchange"`, "unknown_operator"},
+	}
+	for _, tc := range cases {
+		_, err := cl.EstimateRaw(context.Background(), &stream.Request{Resource: "cpu", Plan: json.RawMessage(tc.plan)})
+		var se *stream.Error
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: stream err = %v, want *stream.Error", tc.name, err)
+		}
+		if se.Message != tc.message || se.Code != tc.code {
+			t.Errorf("%s: stream answered %q / %s, want %q / %s", tc.name, se.Message, se.Code, tc.message, tc.code)
+		}
+		for _, path := range []string{"/estimate", "/observe"} {
+			resp, err := http.Post(httpSrv.URL+path, "application/json",
+				strings.NewReader(`{"resource":"cpu","plan":`+tc.plan+`}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var he stream.Error // the HTTP envelope has the same two fields
+			err = json.NewDecoder(resp.Body).Decode(&he)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || he.Message != tc.message || he.Code != tc.code {
+				t.Errorf("%s: %s answered %d %q / %s, want 400 %q / %s",
+					tc.name, path, resp.StatusCode, he.Message, he.Code, tc.message, tc.code)
+			}
 		}
 	}
 }
