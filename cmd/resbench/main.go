@@ -8,28 +8,15 @@
 //	resbench -size 0.25 -iters 200    # smaller/faster run
 //
 // Experiments: table4..table13, fig1, fig2, fig3, fig6, fig7, fig8,
-// predcost, memsize, trainbench, servebench, streambench, accuracybench,
-// coldstartbench.
+// predcost, memsize, trainbench, accuracybench, clusterbench,
+// coldstartbench. Serving and stream-transport performance is measured
+// by the repository's benchmark (go run ./bench; bench/README.md maps
+// the former servebench and streambench figures to its metrics).
 //
 // trainbench times the parallel training pipeline (bootstrap-shaped
 // CPU+I/O sweep at 1 worker and at GOMAXPROCS) and writes the
 // samples/sec baseline to -train-out (default BENCH_train.json) so the
 // training-performance trajectory is tracked across PRs.
-//
-// servebench drives the estimation service (single-plan requests
-// uncached and cached, one warm batch) and writes p50/p99 latency and
-// plans/s to -serve-out (default BENCH_serve.json). The same run is the
-// telemetry overhead guard: the cached request loop is timed with
-// telemetry on and off and the difference must stay within
-// -serve-overhead-max percent (exit 1 otherwise; set <= 0 to only
-// report).
-//
-// streambench compares the streaming estimate transport against
-// keep-alive HTTP at several connection counts — same warm service,
-// same plans, one sequential client per connection — and writes
-// estimates/s, speedup and realized batch fill to -stream-out (default
-// BENCH_stream.json). -stream-speedup-min turns the top level's
-// speedup into a hard guard.
 //
 // accuracybench trains CPU and I/O models on one workload and replays a
 // held-out workload (disjoint seed) through the simulator, writing
@@ -74,21 +61,9 @@ func main() {
 		t13iters = flag.Int("t13iters", 1000, "boosting iterations for Table 13 timing")
 		trainN   = flag.Int("train-n", 128, "trainbench workload size (queries)")
 		trainOut = flag.String("train-out", "BENCH_train.json", "trainbench baseline output path (empty = stdout only)")
-		serveN   = flag.Int("serve-n", 128, "servebench workload size (queries)")
-		serveIt  = flag.Int("serve-iters", 60, "servebench benchmark-model MART iterations")
-		serveRnd = flag.Int("serve-rounds", 7, "servebench measurement rounds per mode (median taken)")
-		serveOut = flag.String("serve-out", "BENCH_serve.json", "servebench baseline output path (empty = stdout only)")
-		serveMax = flag.Float64("serve-overhead-max", 3, "fail when telemetry overhead exceeds this percent (<= 0 disables the guard)")
 		accN     = flag.Int("accuracy-n", 128, "accuracybench workload size (queries, train and held-out each)")
 		accIt    = flag.Int("accuracy-iters", 60, "accuracybench model MART iterations")
 		accOut   = flag.String("accuracy-out", "BENCH_accuracy.json", "accuracybench baseline output path (empty = stdout only)")
-		strN     = flag.Int("stream-n", 64, "streambench workload size (queries)")
-		strIt    = flag.Int("stream-iters", 60, "streambench benchmark-model MART iterations")
-		strReqs  = flag.Int("stream-reqs", 50, "streambench estimates issued per connection")
-		strDepth = flag.Int("stream-depth", 5, "streambench in-flight estimates per streaming connection (HTTP stays sequential)")
-		strConns = flag.String("stream-conns", "1,64,1024", "streambench comma-separated connection counts")
-		strOut   = flag.String("stream-out", "BENCH_stream.json", "streambench baseline output path (empty = stdout only)")
-		strMin   = flag.Float64("stream-speedup-min", 0, "fail when the highest-concurrency streaming speedup vs HTTP falls below this (<= 0 disables the guard)")
 		coldN    = flag.Int("coldstart-n", 96, "coldstartbench workload size (queries)")
 		coldIt   = flag.Int("coldstart-iters", 100, "coldstartbench model MART iterations")
 		coldRnd  = flag.Int("coldstart-rounds", 7, "coldstartbench restore rounds per mode (median taken)")
@@ -232,75 +207,6 @@ func main() {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote training baseline to %s\n", *trainOut)
-		}
-	}
-	if sel("servebench") {
-		fmt.Fprintln(os.Stderr, "running servebench (serving latency + telemetry overhead)...")
-		sb, err := experiments.RunServeBench(*serveN, *serveIt, *serveRnd)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("Serving latency (%d plans, %d operators, %d workers):\n",
-			sb.Queries, sb.Operators, sb.Workers)
-		fmt.Printf("  uncached  p50 %8.1f µs  p99 %8.1f µs  %8.0f req/s\n",
-			sb.Uncached.P50Micros, sb.Uncached.P99Micros, sb.Uncached.RequestsPerSec)
-		fmt.Printf("  cached    p50 %8.1f µs  p99 %8.1f µs  %8.0f req/s\n",
-			sb.Cached.P50Micros, sb.Cached.P99Micros, sb.Cached.RequestsPerSec)
-		fmt.Printf("  batch     %8.0f plans/s\n", sb.BatchPlansPerSec)
-		fmt.Printf("  telemetry overhead: %+.2f%% (cached request loop, on vs off)\n",
-			sb.TelemetryOverheadPct)
-		if *serveOut != "" {
-			data, err := json.MarshalIndent(sb, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*serveOut, append(data, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote serving baseline to %s\n", *serveOut)
-		}
-		if *serveMax > 0 && sb.TelemetryOverheadPct > *serveMax {
-			fatal(fmt.Errorf("telemetry overhead %.2f%% exceeds the %.2f%% guard",
-				sb.TelemetryOverheadPct, *serveMax))
-		}
-	}
-	if sel("streambench") {
-		var conns []int
-		for _, part := range strings.Split(*strConns, ",") {
-			var c int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &c); err != nil || c <= 0 {
-				fatal(fmt.Errorf("bad -stream-conns entry %q", part))
-			}
-			conns = append(conns, c)
-		}
-		fmt.Fprintln(os.Stderr, "running streambench (streaming vs HTTP estimate throughput)...")
-		sb, err := experiments.RunStreamBench(*strN, *strIt, *strReqs, *strDepth, conns)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("Streaming transport (%d plans, %d operators, %d requests/conn):\n",
-			sb.Queries, sb.Operators, sb.RequestsPerConn)
-		for _, lvl := range sb.Levels {
-			fmt.Printf("  conns=%-5d stream %9.0f est/s  http %9.0f est/s  %5.2fx  (fill %.1f, p50 %.0f µs, p99 %.0f µs)\n",
-				lvl.Conns, lvl.StreamPerSec, lvl.HTTPPerSec, lvl.Speedup,
-				lvl.AvgBatchFill, lvl.StreamP50Micros, lvl.StreamP99Micros)
-		}
-		if *strOut != "" {
-			data, err := json.MarshalIndent(sb, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*strOut, append(data, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote streaming baseline to %s\n", *strOut)
-		}
-		if *strMin > 0 && len(sb.Levels) > 0 {
-			top := sb.Levels[len(sb.Levels)-1]
-			if top.Speedup < *strMin {
-				fatal(fmt.Errorf("streaming speedup %.2fx at %d conns below the %.2fx guard",
-					top.Speedup, top.Conns, *strMin))
-			}
 		}
 	}
 	if sel("accuracybench") {

@@ -12,9 +12,12 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/stream"
+	"repro/internal/workload"
 )
 
 // The replica-scaling baseline behind cmd/resbench -exp clusterbench:
@@ -170,7 +173,7 @@ func RunClusterBench(n, iters, schemasPer, conns, depth, reqs int, fleets []int,
 	if maxWait <= 0 {
 		maxWait = 4 * time.Millisecond
 	}
-	est, plans, err := serveBenchWorkload(n, iters)
+	est, plans, err := clusterBenchWorkload(n, iters)
 	if err != nil {
 		return nil, err
 	}
@@ -277,8 +280,7 @@ func runClusterFleet(reg *serve.Registry, encoded []json.RawMessage, size, schem
 	}
 
 	// One streaming connection to the router per conns slot, shared by
-	// depth workers — the same shape streambench drives a single
-	// replica with.
+	// depth workers.
 	clients := make([]*stream.Client, size*conns)
 	for i := range clients {
 		if clients[i], err = stream.Dial(streamAddr); err != nil {
@@ -357,4 +359,22 @@ func runClusterFleet(reg *serve.Registry, encoded []json.RawMessage, size, schem
 		fleet.P99Micros = float64(lat[len(lat)*99/100].Microseconds())
 	}
 	return fleet, nil
+}
+
+// clusterBenchWorkload trains one quick CPU model over a TPC-H-shaped
+// workload and returns it with the executed plans.
+func clusterBenchWorkload(n, iters int) (*core.Estimator, []*plan.Plan, error) {
+	qs := workload.GenTPCH(workload.Config{Seed: 1, N: n, SFs: []float64{1, 2, 4, 8}, Z: 2, Corr: 0.85})
+	eng := engine.New(nil)
+	for _, q := range qs {
+		eng.Run(q.Plan)
+	}
+	plans := Plans(qs)
+	cfg := core.DefaultConfig()
+	cfg.Mart.Iterations = iters
+	est, err := core.Train(plans, plan.CPUTime, core.NewScaleTable(), cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return est, plans, nil
 }

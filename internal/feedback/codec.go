@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/plan"
 )
@@ -84,24 +85,28 @@ func EncodeObservation(dst []byte, obs *Observation) ([]byte, error) {
 	if payloadLen > maxRecordSize {
 		return nil, fmt.Errorf("feedback: observation record %d bytes exceeds limit", payloadLen)
 	}
-	payload := make([]byte, 0, payloadLen)
-	payload = append(payload, version, byte(obs.Resource))
-	payload = binary.LittleEndian.AppendUint64(payload, obs.ModelVersion)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(obs.UnixNanos))
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(obs.Predicted))
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(obs.Schema)))
-	payload = append(payload, obs.Schema...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(planBytes)))
-	payload = append(payload, planBytes...)
+	// The payload is written straight behind a reserved header, which is
+	// filled in once the bytes its CRC covers exist.
+	dst = slices.Grow(dst, recordHeader+payloadLen)
+	header := len(dst)
+	dst = append(dst, make([]byte, recordHeader)...)
+	dst = append(dst, version, byte(obs.Resource))
+	dst = binary.LittleEndian.AppendUint64(dst, obs.ModelVersion)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(obs.UnixNanos))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(obs.Predicted))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(obs.Schema)))
+	dst = append(dst, obs.Schema...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(planBytes)))
+	dst = append(dst, planBytes...)
 	if version == codecVersionV2 {
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(obs.RequestID)))
-		payload = append(payload, obs.RequestID...)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(obs.RequestID)))
+		dst = append(dst, obs.RequestID...)
 	}
-
-	dst = binary.LittleEndian.AppendUint32(dst, recordMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...), nil
+	payload := dst[header+recordHeader:]
+	binary.LittleEndian.PutUint32(dst[header:], recordMagic)
+	binary.LittleEndian.PutUint32(dst[header+4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[header+8:], crc32.ChecksumIEEE(payload))
+	return dst, nil
 }
 
 // DecodeObservation parses a record payload (CRC already verified).

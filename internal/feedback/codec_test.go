@@ -71,6 +71,12 @@ func TestObservationRoundTripProperty(t *testing.T) {
 		if size != int64(len(rec)) {
 			t.Fatalf("iter %d: decoded %d of %d bytes", i, size, len(rec))
 		}
+		// Behind an earlier record the same bytes follow: the header is
+		// patched where the record starts, not at the front of dst.
+		two, err := EncodeObservation(bytes.Clone(rec), in)
+		if err != nil || !bytes.Equal(two, append(bytes.Clone(rec), rec...)) {
+			t.Fatalf("iter %d: appending behind a record wrote different bytes (%v)", i, err)
+		}
 		if out.Schema != in.Schema || out.Resource != in.Resource ||
 			out.ModelVersion != in.ModelVersion || out.UnixNanos != in.UnixNanos ||
 			out.Predicted != in.Predicted {

@@ -169,12 +169,24 @@ func (s *logShard) open() error {
 	return nil
 }
 
+// recordPool recycles Append's encode buffers: a record is written
+// through to the OS before Append returns, so nothing outlives the call.
+// A buffer an outsized record grew is not kept.
+var recordPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledRecord = 64 << 10
+
 // Append encodes obs and writes it to the next shard in round-robin
 // order, rotating that shard's segment when full.
 func (l *Log) Append(obs *Observation) error {
-	rec, err := EncodeObservation(nil, obs)
+	buf := recordPool.Get().(*[]byte)
+	defer recordPool.Put(buf)
+	rec, err := EncodeObservation((*buf)[:0], obs)
 	if err != nil {
 		return err
+	}
+	if cap(rec) <= maxPooledRecord {
+		*buf = rec
 	}
 	s := l.shards[l.next.Add(1)%uint64(len(l.shards))]
 	s.mu.Lock()

@@ -84,7 +84,7 @@ func New(opts Options) (*Loop, error) {
 				return replayed[i].UnixNanos < replayed[j].UnixNanos
 			})
 			for _, obs := range replayed {
-				l.ingest(obs, false)
+				l.ingest(obs, Served{}, false)
 			}
 			if n > 0 {
 				l.opts.logf("feedback: replayed %d observations from %s", n, l.opts.Dir)
@@ -94,14 +94,32 @@ func New(opts Options) (*Loop, error) {
 	return l, nil
 }
 
+// Served carries the serving layer's own per-operator predictions for
+// an observed plan, so ingest need not walk the model for values the
+// prediction cache already holds.
+type Served struct {
+	// Version is the registry version of the model that produced
+	// Operators. Ingest uses them only while that version is still the
+	// route's current one and recomputes otherwise (a hot-swap between
+	// the serving layer's lookup and ingest). Zero means none served.
+	Version uint64
+	// Operators are the predictions for the plan's nodes in preorder,
+	// bit-identical to the model's Estimator.PredictVector.
+	Operators []float64
+}
+
 // Observe ingests one observation: validate, persist, update error
 // windows, and run the drift check. Invalid observations are rejected
 // before they can reach the log or the retrainer. The observation
 // struct is copied (the caller's is never written to); the Plan it
 // points at becomes loop-owned — see Observation.Plan.
-func (l *Loop) Observe(obs *Observation) error {
+func (l *Loop) Observe(obs *Observation) error { return l.ObserveServed(obs, Served{}) }
+
+// ObserveServed is Observe for a caller that already holds the current
+// model's per-operator predictions for the plan.
+func (l *Loop) ObserveServed(obs *Observation, served Served) error {
 	start := time.Now()
-	err := l.observe(obs)
+	err := l.observe(obs, served)
 	if err == nil {
 		l.ingestHist.Observe(time.Since(start))
 	} else if errors.Is(err, ErrInvalid) {
@@ -118,7 +136,7 @@ func (l *Loop) IngestLatency() obs.HistogramSnapshot { return l.ingestHist.Snaps
 // new schema past the route limit).
 func (l *Loop) Rejected() uint64 { return l.rejected.Load() }
 
-func (l *Loop) observe(obs *Observation) error {
+func (l *Loop) observe(obs *Observation, served Served) error {
 	if err := obs.validate(); err != nil {
 		return err
 	}
@@ -151,7 +169,7 @@ func (l *Loop) observe(obs *Observation) error {
 			return err
 		}
 	}
-	l.ingest(&o, true)
+	l.ingest(&o, served, true)
 	return nil
 }
 
@@ -160,7 +178,7 @@ func (l *Loop) observe(obs *Observation) error {
 // retrains (the stored predictions came from models that may since have
 // been replaced; fresh traffic re-confirms drift within CheckEvery
 // observations).
-func (l *Loop) ingest(obs *Observation, check bool) {
+func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 	key := routeKey{schema: obs.Schema, resource: obs.Resource}
 	actual := obs.Actual()
 
@@ -186,11 +204,20 @@ func (l *Loop) ingest(obs *Observation, check bool) {
 	var vecs []features.Vector
 	if est != nil {
 		var sum float64
-		vecs = features.ExtractPlan(obs.Plan, est.Mode)
 		nodes := obs.Plan.Nodes()
+		preds := served.Operators
+		if served.Version != version || len(preds) != len(nodes) {
+			vecs = features.ExtractPlan(obs.Plan, est.Mode)
+			preds = nil
+		}
 		opErrs = make([]opSample, 0, len(nodes))
 		for i, n := range nodes {
-			pred := est.PredictVector(n.Kind, &vecs[i])
+			var pred float64
+			if preds != nil {
+				pred = preds[i]
+			} else {
+				pred = est.PredictVector(n.Kind, &vecs[i])
+			}
 			act := n.Actual.Get(obs.Resource)
 			sum += pred
 			opErrs = append(opErrs, opSample{kind: n.Kind, err: stats.L1RelErr(pred, act), pred: pred, act: act})
@@ -301,9 +328,11 @@ func (l *Loop) ingest(obs *Observation, check bool) {
 				e.Plan = wire
 			}
 			if est != nil {
-				nodes := obs.Plan.Nodes()
-				e.Nodes = make([]ExemplarNode, 0, len(nodes))
-				for i := range nodes {
+				if vecs == nil { // scored from served predictions
+					vecs = features.ExtractPlan(obs.Plan, est.Mode)
+				}
+				e.Nodes = make([]ExemplarNode, 0, len(opErrs))
+				for i := range opErrs {
 					e.Nodes = append(e.Nodes, ExemplarNode{
 						Op:        opErrs[i].kind.String(),
 						Features:  append([]float64(nil), vecs[i][:]...),

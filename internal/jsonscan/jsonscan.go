@@ -1,17 +1,23 @@
-// Package jsonscan holds the byte-level JSON scanning primitives the
-// hand-written decoders share (the stream request envelope in
-// internal/stream, the plan wire format in internal/plan, the batch
-// plans array in internal/serve).
+// Package jsonscan holds the byte-level JSON primitives the
+// hand-written codecs share (the request envelope in internal/serve,
+// the plan wire format in internal/plan, the response encoder in
+// internal/serve).
 //
-// Those decoders all follow one contract: walk the canonical shape in a
+// Those codecs all follow one contract: handle the canonical shape in a
 // single pass and decline — report ok=false, never an error — on
 // anything else, so the caller reruns encoding/json and every slow or
-// ambiguous input keeps stdlib's semantics and error text. The
-// primitives here are therefore exactly as strict as stdlib's validity
-// scan: an extent they accept is an extent json.Valid accepts.
+// ambiguous input keeps stdlib's semantics, error text and bytes. The
+// scanning primitives here are therefore exactly as strict as stdlib's
+// validity scan — an extent they accept is an extent json.Valid
+// accepts — and the append primitives write exactly what json.Marshal
+// writes for the values they accept.
 package jsonscan
 
-import "unicode/utf8"
+import (
+	"math"
+	"strconv"
+	"unicode/utf8"
+)
 
 // MaxDepth bounds the nesting the recursive scanners follow,
 // comfortably under stdlib's 10000-deep limit; deeper inputs decline.
@@ -326,4 +332,40 @@ func Int(val []byte) (int, bool) {
 		n = -n
 	}
 	return n, true
+}
+
+// AppendString appends s as a JSON string, declining any content
+// encoding/json would not copy through verbatim with or without HTML
+// escaping: quotes, backslashes, control characters, <, > and &, and
+// everything outside printable ASCII.
+func AppendString(dst []byte, s string) ([]byte, bool) {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return dst, false
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"'), true
+}
+
+// AppendFloat appends f in encoding/json's float64 format: the
+// shortest representation that round-trips, exponent form below 1e-6
+// and from 1e21 with a negative exponent's leading zero dropped. NaN
+// and the infinities, which stdlib reports as errors, decline.
+func AppendFloat(dst []byte, f float64) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, true
 }

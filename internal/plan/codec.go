@@ -20,13 +20,18 @@ var ErrUnknownOp = errors.New("plan: unknown operator kind")
 //
 // Node IDs are not part of the wire format: plans are encoded in tree
 // form and re-numbered in preorder on decode, exactly as New does.
+//
+// Both directions run hand-written single-pass code for the canonical
+// shape (encode.go, decode.go) and hand anything else to encoding/json
+// wholesale through the Wire structs below, which define the format;
+// the bytes written and the plans built are the same either way.
 
 // WireVersion is the current plan wire-format version.
 const WireVersion = 1
 
-// Wire is the wire format's direct Go shape: what EncodeJSON marshals
-// and what DecodeJSON's encoding/json fallback unmarshals into. The
-// fast path (decode.go) never builds one.
+// Wire is the wire format's direct Go shape: what the encoding/json
+// fallbacks of EncodeJSON and DecodeJSON marshal and unmarshal. The
+// fast paths (encode.go, decode.go) never build one.
 type Wire struct {
 	Version int       `json:"version"`
 	Tag     string    `json:"tag,omitempty"`
@@ -155,11 +160,25 @@ func fromWire(w *WireNode) (*Node, error) {
 	return n, nil
 }
 
-// EncodeJSON renders the plan in the wire format.
+// EncodeJSON renders the plan in the wire format. A plan of finite
+// numbers and names that need no escaping — every plan DecodeJSON's
+// fast path accepts — is appended directly; anything else is
+// encoding/json's to encode or refuse. The bytes are the same either
+// way.
 func EncodeJSON(p *Plan) ([]byte, error) {
 	if p == nil || p.Root == nil {
 		return nil, fmt.Errorf("plan: encode nil plan")
 	}
+	// A generated operator encodes to 150-250 bytes.
+	if b, ok := appendPlan(make([]byte, 0, 64+256*p.NumNodes()), p); ok {
+		return b, nil
+	}
+	return encodeStd(p)
+}
+
+// encodeStd is the encoding/json encode: the fallback for plans the
+// fast path declines, and the reference it is tested against.
+func encodeStd(p *Plan) ([]byte, error) {
 	return json.Marshal(&Wire{Version: WireVersion, Tag: p.Tag, Root: toWire(p.Root)})
 }
 

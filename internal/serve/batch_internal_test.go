@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/plan"
@@ -10,8 +9,10 @@ import (
 )
 
 // BenchmarkBatchPlansDecode decodes a 64-plan POST /estimate/batch
-// body the way the handler does: encoding/json for the envelope,
-// batchPlans splitting the array into plan.DecodeJSON calls.
+// body the way the handler does — decodeRequest: the envelope walker
+// handing each plans element to plan.DecodeJSON — and, beside it, the
+// way it does for a body the walker declines: encoding/json for the
+// envelope, batchPlans splitting the array.
 func BenchmarkBatchPlansDecode(b *testing.B) {
 	cfg := workload.DefaultConfig()
 	cfg.N = 64
@@ -30,16 +31,22 @@ func BenchmarkBatchPlansDecode(b *testing.B) {
 	}
 	body.WriteString(`]}`)
 
-	b.ReportAllocs()
-	b.SetBytes(int64(body.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var req batchEstimateRequestJSON
-		if err := json.NewDecoder(bytes.NewReader(body.Bytes())).Decode(&req); err != nil {
-			b.Fatal(err)
-		}
-		if len(req.Plans.plans) != cfg.N || req.Plans.badErr != nil {
-			b.Fatalf("decoded %d plans, error %v", len(req.Plans.plans), req.Plans.badErr)
-		}
+	for _, bc := range []struct {
+		name   string
+		decode func([]byte, EnvelopeKeys) (Envelope, error)
+	}{{"fast", decodeRequest}, {"stdlib", decodeRequestStd}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(body.Len()))
+			for i := 0; i < b.N; i++ {
+				env, err := bc.decode(body.Bytes(), batchKeys)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(env.Plans) != cfg.N || env.badPlanErr != nil {
+					b.Fatalf("decoded %d plans, error %v", len(env.Plans), env.badPlanErr)
+				}
+			}
+		})
 	}
 }

@@ -6,88 +6,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/feedback"
-	"repro/internal/jsonscan"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
-
-// HTTP wire types for the /estimate endpoint. The plan payload is the
-// plan package's wire codec, embedded verbatim.
-
-type estimateRequestJSON struct {
-	// Schema routes to a published model; empty uses the wildcard.
-	Schema string `json:"schema,omitempty"`
-	// Resource is "cpu" (default) or "io". Ignored when Resources is
-	// present.
-	Resource string `json:"resource,omitempty"`
-	// Resources selects several resources in one request: an array of
-	// resource names (["cpu","io"]) or the string "all". The plan's
-	// features are extracted once and fanned out across every named
-	// resource's model.
-	Resources resourceSetJSON `json:"resources,omitempty"`
-	// TimeoutMS overrides the service's default deadline when > 0.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Plan is the wire-encoded physical plan (plan.EncodeJSON).
-	Plan json.RawMessage `json:"plan"`
-}
-
-// resourceSetJSON decodes the wire forms of a resource set: the string
-// "all", a single resource name, or an array of resource names.
-type resourceSetJSON struct {
-	names []string
-	all   bool
-	// empty records a decoded "[]": an explicit empty set, which must
-	// error like any other invalid set rather than silently falling
-	// back to the single-resource default the way an absent field does.
-	empty bool
-}
-
-func (r *resourceSetJSON) UnmarshalJSON(data []byte) error {
-	r.names, r.all, r.empty = nil, false, false
-	if string(data) == "null" {
-		return nil
-	}
-	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		if s == "all" {
-			r.all = true
-			return nil
-		}
-		r.names = []string{s}
-		return nil
-	}
-	var names []string
-	if err := json.Unmarshal(data, &names); err != nil {
-		return fmt.Errorf(`resources must be "all", a resource name, or an array of resource names`)
-	}
-	r.names = names
-	r.empty = len(names) == 0
-	return nil
-}
-
-// kinds resolves the wire selection against the single-resource
-// fallback field. Unknown names yield ErrUnknownResource (the
-// structured unknown_resource envelope on the wire, never a bare 400).
-func (r *resourceSetJSON) kinds(single string) ([]plan.ResourceKind, error) {
-	if r.all {
-		return plan.ResourceKinds(), nil
-	}
-	if len(r.names) == 0 && !r.empty {
-		k, err := ParseResource(single)
-		if err != nil {
-			return nil, err
-		}
-		return []plan.ResourceKind{k}, nil
-	}
-	return ParseResourceSet(r.names)
-}
 
 // errorJSON is the structured error envelope every endpoint returns on
 // failure: a human-readable message plus a stable machine-readable code
@@ -373,26 +303,78 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
+// bodyPool recycles the buffers request bodies are read into. Nothing
+// decoded from a body aliases it — strings are copied out, the plan is
+// rebuilt — so a handler returns its buffer when it returns. A buffer a
+// large batch grew is not kept.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// readRequest reads an endpoint's request body — all of it, refusing
+// one over limit — into a pooled buffer and decodes the envelope,
+// answering the request itself when either fails. The caller hands the
+// buffer back with releaseBody once the envelope's plan is decoded.
+func readRequest(w http.ResponseWriter, r *http.Request, limit int64, keys EnvelopeKeys) (Envelope, *bytes.Buffer, bool) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	var env Envelope
+	if err == nil {
+		env, err = decodeRequest(buf.Bytes(), keys)
+	}
+	if err != nil {
+		releaseBody(buf)
+		if errors.Is(err, errTooManyPlans) {
+			writeError(w, r, http.StatusRequestEntityTooLarge,
+				jsonError(err.Error(), errCodeBatchTooLarge, -1))
+		} else {
+			writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
+		}
+		return Envelope{}, nil, false
+	}
+	return env, buf, true
+}
+
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
+// wirePlan decodes an envelope's plan, answering the request itself
+// when there is none or it does not decode.
+func wirePlan(w http.ResponseWriter, r *http.Request, raw json.RawMessage) (*plan.Plan, bool) {
+	if PlanMissing(raw) {
+		writeError(w, r, http.StatusBadRequest, jsonError("missing plan", errCodeBadRequest, -1))
+		return nil, false
+	}
+	p, err := plan.DecodeJSON(raw)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, jsonError(err.Error(), planErrCode(err), -1))
+		return nil, false
+	}
+	return p, true
+}
+
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	tel, tr, decodeStart := s.beginTrace(r, endpointNames[epEstimate])
-	var req estimateRequestJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEstimateBody)).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
+	env, buf, ok := readRequest(w, r, maxEstimateBody, EstimateKeys)
+	if !ok {
 		return
 	}
-	kinds, err := req.Resources.kinds(req.Resource)
+	defer releaseBody(buf)
+	kinds, err := env.Resources.Kinds(env.Resource)
 	if err != nil {
 		status, body := errorFor(err)
 		writeError(w, r, status, body)
 		return
 	}
-	if PlanMissing(req.Plan) {
-		writeError(w, r, http.StatusBadRequest, jsonError("missing plan", errCodeBadRequest, -1))
-		return
-	}
-	p, err := plan.DecodeJSON(req.Plan)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, jsonError(err.Error(), planErrCode(err), -1))
+	p, ok := wirePlan(w, r, env.Plan)
+	if !ok {
 		return
 	}
 	ctx := r.Context()
@@ -401,10 +383,10 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		ctx = obs.WithTrace(ctx, tr)
 	}
 	resp, err := s.Estimate(ctx, Request{
-		Schema:    req.Schema,
+		Schema:    env.Schema,
 		Resources: kinds,
 		Plan:      p,
-		Timeout:   time.Duration(req.TimeoutMS) * time.Millisecond,
+		Timeout:   time.Duration(env.TimeoutMS) * time.Millisecond,
 		Explain:   wantsExplain(r),
 	})
 	if err != nil {
@@ -425,111 +407,26 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	tr.LogSlow(tel.logger, tel.slow)
 }
 
-// batchEstimateRequestJSON is the wire form of POST /estimate/batch:
-// the single-plan request with plans (an array of wire-encoded plans)
-// in place of plan.
-type batchEstimateRequestJSON struct {
-	Schema    string          `json:"schema,omitempty"`
-	Resource  string          `json:"resource,omitempty"`
-	Resources resourceSetJSON `json:"resources,omitempty"`
-	TimeoutMS int             `json:"timeout_ms,omitempty"`
-	Plans     batchPlans      `json:"plans"`
-}
-
-var (
-	// errTooManyPlans aborts a batch decode at the plan cap.
-	errTooManyPlans = fmt.Errorf("serve: batch exceeds the %d-plan limit", maxBatchPlans)
-	// errSplitPlans cannot happen on the scanned bytes encoding/json
-	// hands an Unmarshaler.
-	errSplitPlans = errors.New("plans: malformed array")
-)
-
-// batchPlans decodes a plans array as the envelope decode reaches it:
-// it splits the array and hands each element to plan.DecodeJSON, with
-// the count cap enforced *during* decoding — a flat []json.RawMessage
-// would materialize every element of a maxBatchBody-sized request
-// (millions of tiny entries) before the handler could count them; this
-// stops at maxBatchPlans+1 with the rest of the array unparsed.
-type batchPlans struct {
-	plans []*plan.Plan
-	// The first plan that failed to decode, reported — with its index —
-	// only after the rest of the envelope has been checked.
-	badIndex int
-	badErr   error
-}
-
-func (b *batchPlans) UnmarshalJSON(data []byte) error {
-	*b = batchPlans{}
-	if string(data) == "null" {
-		return nil
-	}
-	// encoding/json has scanned data before calling here, so the split
-	// needs extents, not a second validation.
-	if len(data) == 0 || data[0] != '[' {
-		return fmt.Errorf("plans must be an array")
-	}
-	i := jsonscan.SkipWS(data, 1)
-	if i < len(data) && data[i] == ']' {
-		return nil
-	}
-	for {
-		if len(b.plans) >= maxBatchPlans {
-			return errTooManyPlans
-		}
-		end, ok := jsonscan.SkipValue(data, i)
-		if !ok {
-			return errSplitPlans
-		}
-		p, err := plan.DecodeJSON(data[i:end])
-		if err != nil {
-			// A value of the wrong JSON type fails the whole body, as
-			// it does anywhere else in the envelope (returned bare,
-			// encoding/json names the envelope field in it); a plan
-			// that parses but does not hold up is a per-plan error.
-			var typeErr *json.UnmarshalTypeError
-			if errors.As(err, &typeErr) {
-				return typeErr
-			}
-			if b.badErr == nil {
-				b.badIndex, b.badErr = len(b.plans), err
-			}
-		}
-		b.plans = append(b.plans, p)
-		var last bool
-		if i, last, ok = jsonscan.Next(data, end, ']'); !ok {
-			return errSplitPlans
-		}
-		if last {
-			return nil
-		}
-	}
-}
-
 func (s *Service) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	tel, tr, decodeStart := s.beginTrace(r, endpointNames[epBatch])
-	var req batchEstimateRequestJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
-		if errors.Is(err, errTooManyPlans) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				jsonError(err.Error(), errCodeBatchTooLarge, -1))
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
+	env, buf, ok := readRequest(w, r, maxBatchBody, batchKeys)
+	if !ok {
 		return
 	}
-	kinds, err := req.Resources.kinds(req.Resource)
+	defer releaseBody(buf)
+	kinds, err := env.Resources.Kinds(env.Resource)
 	if err != nil {
 		status, body := errorFor(err)
 		writeError(w, r, status, body)
 		return
 	}
-	plans := req.Plans.plans
+	plans := env.Plans
 	if len(plans) == 0 {
 		writeError(w, r, http.StatusBadRequest, jsonError("missing plans", errCodeBadRequest, -1))
 		return
 	}
-	if err := req.Plans.badErr; err != nil {
-		i := req.Plans.badIndex
+	if err := env.badPlanErr; err != nil {
+		i := env.badPlan
 		writeError(w, r, http.StatusBadRequest,
 			jsonError(fmt.Sprintf("plan %d: %v", i, err), planErrCode(err), i))
 		return
@@ -540,10 +437,10 @@ func (s *Service) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		ctx = obs.WithTrace(ctx, tr)
 	}
 	resp, err := s.EstimateBatch(ctx, BatchRequest{
-		Schema:    req.Schema,
+		Schema:    env.Schema,
 		Resources: kinds,
 		Plans:     plans,
-		Timeout:   time.Duration(req.TimeoutMS) * time.Millisecond,
+		Timeout:   time.Duration(env.TimeoutMS) * time.Millisecond,
 	})
 	if err != nil {
 		status, body := errorFor(err)
@@ -614,18 +511,6 @@ func (s *Service) handlePublish(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// observeRequestJSON reports an executed plan back to the service: the
-// wire plan carries per-operator actual_cpu/actual_io measurements, and
-// predicted echoes the total the service served earlier (optional —
-// when omitted the loop recomputes it against the current model).
-type observeRequestJSON struct {
-	Schema       string          `json:"schema,omitempty"`
-	Resource     string          `json:"resource,omitempty"`
-	ModelVersion uint64          `json:"model_version,omitempty"`
-	Predicted    float64         `json:"predicted,omitempty"`
-	Plan         json.RawMessage `json:"plan"`
-}
-
 // handleObserve ingests one (plan, predicted, actual) observation into
 // the feedback loop — the entry point of the serve → observe → retrain
 // → hot-swap cycle.
@@ -636,37 +521,35 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 			jsonError("observation ingest disabled (no feedback loop attached)", errCodeForbidden, -1))
 		return
 	}
-	var req observeRequestJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEstimateBody)).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
+	env, buf, ok := readRequest(w, r, maxEstimateBody, observeKeys)
+	if !ok {
 		return
 	}
-	resource, err := ParseResource(req.Resource)
+	defer releaseBody(buf)
+	resource, err := ParseResource(env.Resource)
 	if err != nil {
 		status, body := errorFor(err)
 		writeError(w, r, status, body)
 		return
 	}
-	if PlanMissing(req.Plan) {
-		writeError(w, r, http.StatusBadRequest, jsonError("missing plan", errCodeBadRequest, -1))
+	p, ok := wirePlan(w, r, env.Plan)
+	if !ok {
 		return
 	}
-	p, err := plan.DecodeJSON(req.Plan)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, jsonError(err.Error(), planErrCode(err), -1))
-		return
-	}
-	err = loop.Observe(&feedback.Observation{
-		Schema:       req.Schema,
+	// The estimate this observation reports on left the plan's
+	// per-operator predictions in the cache; the loop scores against
+	// those instead of walking the model again.
+	err = loop.ObserveServed(&feedback.Observation{
+		Schema:       env.Schema,
 		Resource:     resource,
-		ModelVersion: req.ModelVersion,
-		Predicted:    req.Predicted,
+		ModelVersion: env.ModelVersion,
+		Predicted:    env.Predicted,
 		Plan:         p,
 		// The request ID (client-supplied or minted by the middleware)
 		// rides into the observation record and any worst-prediction
 		// exemplar it becomes, joining them to traces and request logs.
 		RequestID: RequestIDFrom(r.Context()),
-	})
+	}, s.servedPredictions(env.Schema, resource, p))
 	if err != nil {
 		// Malformed observations are the client's fault; anything else
 		// (log I/O, shutdown) is a server-side failure — never a 4xx
@@ -681,7 +564,9 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, status, jsonError(err.Error(), code, -1))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "accepted"})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	_, _ = io.WriteString(w, "{\"status\":\"accepted\"}\n") // the client went away; nothing to report it to
 }
 
 // handleObserveSegment bulk-ingests observations framed with the
@@ -823,20 +708,6 @@ func StatusForCode(code string) int {
 	return http.StatusInternalServerError
 }
 
-// MarshalWire encodes v exactly as the HTTP endpoints do: no HTML
-// escaping, a trailing newline. Stream response payloads go through
-// this so they are byte-identical to the corresponding /estimate
-// response body — pinned by test.
-func MarshalWire(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // beginTrace starts a request trace on the estimation endpoints when
 // telemetry is on. The returned start instant anchors the decode stage.
 func (s *Service) beginTrace(r *http.Request, endpoint string) (*telemetry, *obs.Trace, time.Time) {
@@ -852,12 +723,4 @@ func (s *Service) beginTrace(r *http.Request, endpoint string) (*telemetry, *obs
 func writeError(w http.ResponseWriter, r *http.Request, status int, e errorJSON) {
 	e.RequestID = RequestIDFrom(r.Context())
 	writeJSON(w, status, e)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
 }

@@ -1,0 +1,310 @@
+package serve_test
+
+// Tests that POST /observe, which scores against the prediction cache,
+// leaves the feedback loop exactly where a direct Loop.Observe — which
+// walks the model — leaves it, and benchmarks of the three handlers.
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+
+	"repro/internal/features"
+	"repro/internal/feedback"
+	"repro/internal/plan"
+	"repro/internal/serve"
+)
+
+// observeBody is the POST /observe body for one executed plan.
+func observeBody(t testing.TB, version uint64, predicted float64, p *plan.Plan) []byte {
+	t.Helper()
+	enc, err := plan.EncodeJSON(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{
+		"schema": "tpch", "resource": "cpu", "model_version": version,
+		"predicted": predicted, "plan": json.RawMessage(enc),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// loopState is everything a loop exposes about what it has ingested,
+// with the ingest timestamps — the one thing two runs cannot share —
+// cleared. reflect.DeepEqual on it compares every number by value;
+// the JSON beside it catches a NaN that would compare unequal to
+// itself.
+func loopState(t *testing.T, l *feedback.Loop) (any, []byte) {
+	t.Helper()
+	exemplars := l.Exemplars()
+	for i := range exemplars {
+		exemplars[i].UnixNanos = 0
+	}
+	state := struct {
+		Routes    []feedback.RouteStats
+		Exemplars []feedback.Exemplar
+	}{l.Snapshot(), exemplars}
+	enc, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state, enc
+}
+
+// TestObserveMatchesDirectLoop feeds one observation sequence (a)
+// through POST /observe, which hands the loop per-operator predictions
+// resolved through the prediction cache, and (b) straight into
+// Loop.Observe, which computes them from the model, and requires the
+// two loops to end in the same state: route stats, per-operator
+// windows, error-histogram summaries and exemplars, bit for bit. The
+// sequence crosses a hot-swap and reports some predictions under the
+// replaced version.
+func TestObserveMatchesDirectLoop(t *testing.T) {
+	altSetup(t)
+	reg := serve.NewRegistry()
+	newLoop := func() *feedback.Loop {
+		l, err := feedback.New(feedback.Options{Publisher: reg, DriftThreshold: 1e9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	viaHTTP, direct := newLoop(), newLoop()
+	svc := newService(t, serve.Options{Registry: reg, Feedback: viaHTTP})
+	h := svc.Handler()
+	first := reg.Publish("tpch", cpuEst)
+
+	plans := driftedWorkload(t, 91, 48, 1.7)
+	observe := func(i int, version uint64, predicted float64) {
+		t.Helper()
+		p := plans[i]
+		id := "req-" + string(rune('a'+i%26))
+		req := httptest.NewRequest(http.MethodPost, "/observe", bytes.NewReader(observeBody(t, version, predicted, p)))
+		req.Header.Set("X-Request-ID", id)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted || rec.Body.String() != "{\"status\":\"accepted\"}\n" {
+			t.Fatalf("observe %d: %d %q", i, rec.Code, rec.Body)
+		}
+		// The HTTP path decoded its own copy of the plan; the direct path
+		// gets one too, so neither loop sees the other's.
+		enc, err := plan.EncodeJSON(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := plan.DecodeJSON(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := direct.Observe(&feedback.Observation{Schema: "tpch", Resource: plan.CPUTime,
+			ModelVersion: version, Predicted: predicted, Plan: own, RequestID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 24; i++ {
+		switch i % 3 {
+		case 0:
+			observe(i, first.Version, cpuEst.PredictPlan(plans[i]))
+		case 1:
+			observe(i, 0, 0) // the loop predicts
+		default:
+			observe(i, first.Version, 0.5*cpuEst.PredictPlan(plans[i]))
+		}
+	}
+	second := reg.Publish("tpch", cpuEst2)
+	for i := 24; i < 48; i++ {
+		switch i % 3 {
+		case 0:
+			observe(i, second.Version, cpuEst2.PredictPlan(plans[i]))
+		case 1:
+			observe(i, first.Version, cpuEst.PredictPlan(plans[i])) // reported under the replaced version
+		default:
+			observe(i, 0, 0)
+		}
+	}
+
+	got, gotJSON := loopState(t, viaHTTP)
+	want, wantJSON := loopState(t, direct)
+	if !reflect.DeepEqual(got, want) || !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("POST /observe left the loop at\n%s\na direct Observe at\n%s", gotJSON, wantJSON)
+	}
+	routes := viaHTTP.Snapshot()
+	if len(routes) != 1 || routes[0].Observations != 48 || len(routes[0].PerOperator) == 0 || len(viaHTTP.Exemplars()) == 0 {
+		t.Fatalf("the sequence did not exercise the loop: %s", gotJSON)
+	}
+}
+
+// TestObserveIgnoresStaleServedPredictions hands the loop per-operator
+// predictions stamped with a version a Publish has since replaced —
+// the hot-swap between the handler's lookup and ingest — and requires
+// it to ignore them and recompute against the current model.
+func TestObserveIgnoresStaleServedPredictions(t *testing.T) {
+	altSetup(t)
+	reg := serve.NewRegistry()
+	newLoop := func() *feedback.Loop {
+		l, err := feedback.New(feedback.Options{Publisher: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	served, plain := newLoop(), newLoop()
+	first := reg.Publish("tpch", cpuEst)
+	second := reg.Publish("tpch", cpuEst2)
+	for _, p := range driftedWorkload(t, 92, 8, 1.3) {
+		garbage := make([]float64, p.NumNodes())
+		for i := range garbage {
+			garbage[i] = 1e9
+		}
+		obs := feedback.Observation{Schema: "tpch", Resource: plan.CPUTime, UnixNanos: 1, Plan: p}
+		for _, s := range []feedback.Served{
+			{Version: first.Version, Operators: garbage},      // replaced version
+			{Version: second.Version, Operators: garbage[:1]}, // current version, wrong plan
+			{Version: 0, Operators: garbage},                  // no version
+		} {
+			if err := served.ObserveServed(&obs, s); err != nil {
+				t.Fatal(err)
+			}
+			if err := plain.Observe(&obs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, gotJSON := loopState(t, served)
+	want, wantJSON := loopState(t, plain)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stale served predictions were used:\n%s\nwant\n%s", gotJSON, wantJSON)
+	}
+	// And the current version's are used: the same garbage now shows.
+	p := driftedWorkload(t, 93, 1, 1)[0]
+	garbage := make([]float64, p.NumNodes())
+	for i := range garbage {
+		garbage[i] = 1e9
+	}
+	if err := served.ObserveServed(&feedback.Observation{Schema: "tpch", Resource: plan.CPUTime, Plan: p},
+		feedback.Served{Version: second.Version, Operators: garbage}); err != nil {
+		t.Fatal(err)
+	}
+	if ex := served.Exemplars(); len(ex) == 0 || ex[0].Predicted != 1e9*float64(p.NumNodes()) {
+		t.Fatalf("current-version served predictions were not used: %+v", ex)
+	}
+}
+
+// TestObserveScoresFromCache pins where POST /observe gets its
+// per-operator predictions: estimating a plan and then observing it
+// adds prediction-cache hits and not one miss — no model walk — and
+// the values are bit-identical to the model's own.
+func TestObserveScoresFromCache(t *testing.T) {
+	reg := serve.NewRegistry()
+	loop, err := feedback.New(feedback.Options{Publisher: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loop.Close() })
+	svc := newService(t, serve.Options{Registry: reg, Feedback: loop})
+	info := reg.Publish("tpch", cpuEst)
+	reg.Publish("tpch", ioEst)
+	h := svc.Handler()
+	post := func(path string, body []byte, want int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	estimate, _, _ := benchBodies(t, testPlans)
+	operators := 0
+	for i, p := range testPlans {
+		post("/estimate", estimate[i], http.StatusOK)
+		before := svc.Metrics().Cache
+		post("/observe", observeBody(t, info.Version, cpuEst.PredictPlan(p), p), http.StatusAccepted)
+		after := svc.Metrics().Cache
+		if n := uint64(p.NumNodes()); after.Misses != before.Misses || after.Hits != before.Hits+n {
+			t.Fatalf("plan %d (%d operators): observe moved the cache from %+v to %+v", i, n, before, after)
+		}
+		operators += p.NumNodes()
+	}
+	// Scored against the cache, the loop's per-operator errors are the
+	// model's: an exemplar's per-node predictions carry them.
+	exemplars := loop.Exemplars()
+	if len(exemplars) == 0 {
+		t.Fatal("no exemplar captured")
+	}
+	for _, ex := range exemplars {
+		p, err := plan.DecodeJSON(ex.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs := features.ExtractPlan(p, cpuEst.Mode)
+		for i, n := range p.Nodes() {
+			want := cpuEst.PredictVector(n.Kind, &vecs[i])
+			if math.Float64bits(ex.Nodes[i].Predicted) != math.Float64bits(want) {
+				t.Fatalf("exemplar node %d predicted %v, the model %v", i, ex.Nodes[i].Predicted, want)
+			}
+		}
+	}
+	t.Logf("%d plans, %d operators: every observe scored from the cache", len(testPlans), operators)
+}
+
+// BenchmarkHandleEstimate, BenchmarkHandleObserve and
+// BenchmarkHandleBatch64 drive the handlers on a recorder, no socket —
+// the shapes the benchmark's serve.handler_*_ns layer metrics measure.
+func benchHandler(b *testing.B, path string, bodies [][]byte, want int) {
+	reg := serve.NewRegistry()
+	loop, err := feedback.New(feedback.Options{Publisher: reg, DriftThreshold: 1e9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { loop.Close() })
+	svc := newService(b, serve.Options{Registry: reg, Feedback: loop})
+	reg.Publish("tpch", cpuEst)
+	reg.Publish("tpch", ioEst)
+	h := svc.Handler()
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != want {
+			b.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	for _, body := range bodies { // warm the prediction cache
+		post(body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(bodies[i%len(bodies)])
+	}
+}
+
+func BenchmarkHandleEstimate(b *testing.B) {
+	setup(b)
+	estimate, _, _ := benchBodies(b, testPlans)
+	benchHandler(b, "/estimate", estimate, http.StatusOK)
+}
+
+func BenchmarkHandleObserve(b *testing.B) {
+	setup(b)
+	_, observe, _ := benchBodies(b, testPlans)
+	benchHandler(b, "/observe", observe, http.StatusAccepted)
+}
+
+func BenchmarkHandleBatch64(b *testing.B) {
+	setup(b)
+	plans := make([]*plan.Plan, 64)
+	for i := range plans {
+		plans[i] = testPlans[i%len(testPlans)]
+	}
+	_, _, batch := benchBodies(b, plans)
+	benchHandler(b, "/estimate/batch", [][]byte{batch}, http.StatusOK)
+}

@@ -78,9 +78,9 @@ type Options struct {
 	// request traces, removing their clock reads and atomic adds from
 	// the hot path. Counters (requests, failures, cache, models) remain;
 	// they predate the telemetry layer and cost one atomic add each.
-	// Exists for the overhead-guard benchmark and for callers that want
-	// the last fraction of a percent; the default (telemetry on) is
-	// within 3% of disabled on the servebench workload.
+	// Exists for the benchmark's overhead figure
+	// (obs.telemetry_overhead_pct) and for callers that want the last
+	// fraction of a percent.
 	DisableTelemetry bool
 }
 
@@ -1086,6 +1086,34 @@ func (s *Service) predict(ms *modelSet, p *plan.Plan) *Response {
 		resp.Pipelines = append(resp.Pipelines, pe)
 	}
 	return resp
+}
+
+// servedPredictions resolves p's per-operator predictions for one
+// resource through the prediction cache — the probes, and on a miss the
+// model call and the fill, of a single-resource Estimate of the same
+// plan, so observing a plan that was just estimated finds every
+// operator cached — and returns them with the version of the model they
+// belong to. The zero Served means the route has no model.
+func (s *Service) servedPredictions(schema string, resource plan.ResourceKind, p *plan.Plan) feedback.Served {
+	m, ok := s.reg.Lookup(schema, resource)
+	if !ok {
+		return feedback.Served{}
+	}
+	var versions versionVector
+	versions[resource] = m.Info.Version
+	vecs := features.ExtractPlan(p, m.Est.Mode)
+	preds := make([]float64, 0, len(vecs))
+	p.Walk(func(n *plan.Node) {
+		i := len(preds)
+		key := cacheKey{versions: versions, op: n.Kind, vec: vecs[i]}
+		v, ok := s.cache.Get(key)
+		if !ok {
+			v.Set(resource, m.Est.PredictVector(n.Kind, &vecs[i]))
+			s.cache.Put(key, v)
+		}
+		preds = append(preds, v.Get(resource))
+	})
+	return feedback.Served{Version: m.Info.Version, Operators: preds}
 }
 
 // Metrics snapshots the service counters.

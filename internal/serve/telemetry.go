@@ -17,8 +17,7 @@ import (
 // through the obs registry; the per-stage latency histograms and slow
 // traces add a handful of clock reads and atomic adds per request and
 // can be switched off wholesale with Options.DisableTelemetry — the
-// overhead-guard benchmark (resbench -exp servebench) pins the
-// difference under 3%.
+// benchmark reports the difference as obs.telemetry_overhead_pct.
 
 // Endpoint indexes for per-endpoint telemetry arrays.
 const (

@@ -1,0 +1,290 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"strconv"
+	"sync"
+
+	"repro/internal/jsonscan"
+)
+
+// Every estimate ends in one Response or BatchResponse on the wire, and
+// the reflective encoder pays for each with a walk of the type's field
+// table per operator. appendResponse and appendBatchResponse write the
+// same bytes directly, under the envelope walker's contract in the
+// other direction (envelope.go): the struct's field order, omitempty
+// lists dropped when empty, nil slices as null, jsonscan.AppendFloat's
+// number format — and they decline, returning false, on anything
+// encoding/json would treat specially: a NaN or infinite number
+// (stdlib's error to report), a string that needs escaping, an attached
+// Explain. MarshalWire and writeJSON then run the stdlib encoder
+// wholesale. The one rule: whenever the append encoder says it encoded,
+// the bytes are the stdlib encoder's. The response differential test
+// pins exactly that.
+
+// MarshalWire encodes v exactly as the HTTP endpoints do: no HTML
+// escaping, a trailing newline. Stream response payloads go through
+// this so they are byte-identical to the corresponding /estimate
+// response body — pinned by test.
+func MarshalWire(v any) ([]byte, error) {
+	buf := wirePool.Get().(*[]byte)
+	defer wirePool.Put(buf)
+	b, ok := appendWire((*buf)[:0], v)
+	if !ok {
+		return marshalStd(v)
+	}
+	if cap(b) <= maxPooledWire {
+		*buf = b
+	}
+	return bytes.Clone(b), nil
+}
+
+// marshalStd is the encoding/json encode: the fallback for values the
+// append encoders decline, and the reference they are tested against.
+func marshalStd(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// appendWire appends v's wire encoding when v is a response the append
+// encoders take.
+func appendWire(dst []byte, v any) ([]byte, bool) {
+	switch v := v.(type) {
+	case *Response:
+		if v != nil {
+			return appendResponse(dst, v)
+		}
+	case *BatchResponse:
+		if v != nil {
+			return appendBatchResponse(dst, v)
+		}
+	}
+	return dst, false
+}
+
+// wirePool recycles the buffers responses are encoded into — written
+// to the client from, or copied out of at their final size. A buffer a
+// large batch response grew is not kept.
+var wirePool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledWire = 1 << 20
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	buf := wirePool.Get().(*[]byte)
+	defer wirePool.Put(buf)
+	b, ok := appendWire((*buf)[:0], v)
+	if !ok {
+		enc := json.NewEncoder(w)
+		enc.SetEscapeHTML(false)
+		_ = enc.Encode(v)
+		return
+	}
+	if cap(b) <= maxPooledWire {
+		*buf = b
+	}
+	_, _ = w.Write(b) // the client went away; nothing to report it to
+}
+
+// wireEncoder is the state of one append encode: the output and
+// whether every value so far was one the encoder takes.
+type wireEncoder struct {
+	b  []byte
+	ok bool
+}
+
+func (e *wireEncoder) raw(s string) { e.b = append(e.b, s...) }
+
+func (e *wireEncoder) int(key string, v int) {
+	e.b = strconv.AppendInt(append(e.b, key...), int64(v), 10)
+}
+
+func (e *wireEncoder) float(key string, f float64) {
+	var finite bool
+	e.b, finite = jsonscan.AppendFloat(append(e.b, key...), f)
+	e.ok = e.ok && finite
+}
+
+func (e *wireEncoder) string(key, s string) {
+	var plain bool
+	e.b, plain = jsonscan.AppendString(append(e.b, key...), s)
+	e.ok = e.ok && plain
+}
+
+// floats appends `key` and the list unless it is omitempty's empty.
+func (e *wireEncoder) floats(key string, fs []float64) {
+	if len(fs) == 0 {
+		return
+	}
+	e.raw(key)
+	for i, f := range fs {
+		sep := ","
+		if i == 0 {
+			sep = "["
+		}
+		e.float(sep, f)
+	}
+	e.raw("]")
+}
+
+// header appends the fields a Response and a BatchResponse open with.
+func (e *wireEncoder) header(model *ModelInfo, models []ModelInfo, resources []string) {
+	e.raw(`{"model":`)
+	e.modelInfo(model)
+	if len(models) > 0 {
+		for i := range models {
+			if i == 0 {
+				e.raw(`,"models":[`)
+			} else {
+				e.raw(",")
+			}
+			e.modelInfo(&models[i])
+		}
+		e.raw("]")
+	}
+	if len(resources) > 0 {
+		for i, r := range resources {
+			sep := ","
+			if i == 0 {
+				sep = `,"resources":[`
+			}
+			e.string(sep, r)
+		}
+		e.raw("]")
+	}
+}
+
+// estimates appends the operators and pipelines lists a Response and a
+// PlanEstimate close with.
+func (e *wireEncoder) estimates(ops []OperatorEstimate, pipes []PipelineEstimate) {
+	e.raw(`,"operators":`)
+	if ops == nil {
+		e.raw("null")
+	} else {
+		e.raw("[")
+		for i := range ops {
+			op := &ops[i]
+			if i > 0 {
+				e.raw(",")
+			}
+			e.int(`{"id":`, op.ID)
+			e.string(`,"kind":`, op.Kind)
+			e.float(`,"estimate":`, op.Estimate)
+			e.floats(`,"estimates":`, op.Estimates)
+			e.raw("}")
+		}
+		e.raw("]")
+	}
+	e.raw(`,"pipelines":`)
+	if pipes == nil {
+		e.raw("null")
+		return
+	}
+	e.raw("[")
+	for i := range pipes {
+		pl := &pipes[i]
+		if i > 0 {
+			e.raw(",")
+		}
+		e.int(`{"id":`, pl.ID)
+		e.float(`,"estimate":`, pl.Estimate)
+		e.floats(`,"estimates":`, pl.Estimates)
+		e.raw(`,"operators":`)
+		if pl.Operators == nil {
+			e.raw("null")
+		} else {
+			e.raw("[")
+			for k, id := range pl.Operators {
+				if k > 0 {
+					e.raw(",")
+				}
+				e.b = strconv.AppendInt(e.b, int64(id), 10)
+			}
+			e.raw("]")
+		}
+		e.raw("}")
+	}
+	e.raw("]")
+}
+
+func appendResponse(dst []byte, r *Response) ([]byte, bool) {
+	if r.Explain != nil {
+		return dst, false
+	}
+	e := wireEncoder{b: dst, ok: true}
+	e.header(&r.Model, r.Models, r.Resources)
+	e.float(`,"total":`, r.Total)
+	e.floats(`,"totals":`, r.Totals)
+	e.estimates(r.Operators, r.Pipelines)
+	e.int(`,"cache_hits":`, r.CacheHits)
+	e.int(`,"cache_misses":`, r.CacheMisses)
+	e.raw("}\n")
+	return e.b, e.ok
+}
+
+func appendBatchResponse(dst []byte, r *BatchResponse) ([]byte, bool) {
+	e := wireEncoder{b: dst, ok: true}
+	e.header(&r.Model, r.Models, r.Resources)
+	e.raw(`,"plans":`)
+	if r.Plans == nil {
+		e.raw("null")
+	} else {
+		e.raw("[")
+		for i := range r.Plans {
+			pe := &r.Plans[i]
+			if i > 0 {
+				e.raw(",")
+			}
+			e.float(`{"total":`, pe.Total)
+			e.floats(`,"totals":`, pe.Totals)
+			e.estimates(pe.Operators, pe.Pipelines)
+			e.raw("}")
+		}
+		e.raw("]")
+	}
+	e.int(`,"cache_hits":`, r.CacheHits)
+	e.int(`,"cache_misses":`, r.CacheMisses)
+	e.raw("}\n")
+	return e.b, e.ok
+}
+
+// A response opens with the ModelInfo of the version that served it,
+// the same value for every response until the next publish, so its
+// encoding — encoding/json's, timestamp and all — is kept per value.
+// The bound only matters to a process that outlives thousands of
+// hot-swaps.
+var modelInfoJSON struct {
+	sync.RWMutex
+	m map[ModelInfo][]byte
+}
+
+const maxModelInfoJSON = 256
+
+func (e *wireEncoder) modelInfo(info *ModelInfo) {
+	modelInfoJSON.RLock()
+	b, ok := modelInfoJSON.m[*info]
+	modelInfoJSON.RUnlock()
+	if !ok {
+		var err error
+		if b, err = marshalStd(info); err != nil {
+			e.ok = false
+			return
+		}
+		b = b[:len(b)-1] // Encode's newline
+		modelInfoJSON.Lock()
+		if modelInfoJSON.m == nil || len(modelInfoJSON.m) >= maxModelInfoJSON {
+			modelInfoJSON.m = make(map[ModelInfo][]byte)
+		}
+		modelInfoJSON.m[*info] = b
+		modelInfoJSON.Unlock()
+	}
+	e.b = append(e.b, b...)
+}

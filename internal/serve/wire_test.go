@@ -1,0 +1,245 @@
+package serve_test
+
+// Tests for the append encoders under MarshalWire and writeJSON: the
+// differential contract against the encoding/json encoder, the guard
+// that real responses take the fast path, and its allocation budget.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"repro/internal/plan"
+	"repro/internal/serve"
+)
+
+// checkWireAgainstStd runs one value through the append encoder and
+// the encoding/json encoder, asserts the differential contract — the
+// append encoder declines, or its bytes are stdlib's; either way
+// MarshalWire answers what stdlib answers — and reports whether the
+// fast path took it.
+func checkWireAgainstStd(t *testing.T, v any) (fastTook bool) {
+	t.Helper()
+	ref, refErr := serve.MarshalStd(v)
+	got, err := serve.MarshalWire(v)
+	if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+		t.Fatalf("MarshalWire error %v, stdlib %v", err, refErr)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Fatalf("MarshalWire wrote\n%s\nstdlib\n%s", got, ref)
+	}
+	fast, ok := serve.AppendWire(nil, v)
+	if !ok {
+		return false
+	}
+	if refErr != nil {
+		t.Fatalf("fast path encoded a value stdlib refuses (%v):\n%s", refErr, fast)
+	}
+	if !bytes.Equal(fast, ref) {
+		t.Fatalf("fast path wrote\n%s\nstdlib\n%s", fast, ref)
+	}
+	return true
+}
+
+// servedResponses estimates every test plan three ways — single
+// resource, both resources, one batch of both — on a store-less
+// service and returns the responses.
+func servedResponses(t testing.TB) (single, multi []*serve.Response, batch *serve.BatchResponse) {
+	t.Helper()
+	svc := newService(t, serve.Options{})
+	svc.Registry().Publish("tpch", cpuEst)
+	svc.Registry().PublishAs("tpch", ioEst, "upload")
+	both := []plan.ResourceKind{plan.LogicalIO, plan.CPUTime}
+	ctx := context.Background()
+	for _, p := range testPlans {
+		r, err := svc.Estimate(ctx, serve.Request{Schema: "tpch", Resource: plan.CPUTime, Plan: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		single = append(single, r)
+		if r, err = svc.Estimate(ctx, serve.Request{Schema: "tpch", Resources: both, Plan: p}); err != nil {
+			t.Fatal(err)
+		}
+		multi = append(multi, r)
+	}
+	batch, err := svc.EstimateBatch(ctx, serve.BatchRequest{Schema: "tpch", Resources: both, Plans: testPlans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return single, multi, batch
+}
+
+// TestWireEncoderTakesServedResponses is the differential over real
+// responses and the guard on the gain itself: an encoder that declined
+// them would pass every byte-identity test at stdlib speed. The
+// decoded copies are what a client-side re-encode sees (empty lists in
+// place of absent ones, a timestamp without its monotonic reading).
+func TestWireEncoderTakesServedResponses(t *testing.T) {
+	single, multi, batch := servedResponses(t)
+	var values []any
+	for i := range single {
+		values = append(values, single[i], multi[i])
+	}
+	values = append(values, batch)
+	for _, v := range values[:len(values):len(values)] {
+		enc, err := serve.MarshalStd(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded any = new(serve.Response)
+		if _, ok := v.(*serve.BatchResponse); ok {
+			decoded = new(serve.BatchResponse)
+		}
+		if err := json.Unmarshal(enc, decoded); err != nil {
+			t.Fatal(err)
+		}
+		values = append(values, decoded)
+	}
+	for _, v := range values {
+		if !checkWireAgainstStd(t, v) {
+			t.Fatalf("fast path declined a served response: %+v", v)
+		}
+	}
+	t.Logf("fast path took %d of %d responses", len(values), len(values))
+}
+
+func TestWireEncoderEdgeCases(t *testing.T) {
+	single, multi, batch := servedResponses(t)
+	edit := func(mutate func(r *serve.Response)) *serve.Response {
+		r := *multi[0]
+		r.Operators = append([]serve.OperatorEstimate(nil), r.Operators...)
+		r.Pipelines = append([]serve.PipelineEstimate(nil), r.Pipelines...)
+		mutate(&r)
+		return &r
+	}
+	editBatch := func(mutate func(r *serve.BatchResponse)) *serve.BatchResponse {
+		r := *batch
+		r.Plans = append([]serve.PlanEstimate(nil), r.Plans...)
+		mutate(&r)
+		return &r
+	}
+	var nilResponse *serve.Response
+	for _, c := range []struct {
+		name string
+		v    any
+		fast bool
+	}{
+		{"number formats", edit(func(r *serve.Response) {
+			r.Total = 1e21
+			r.Totals = []float64{1e-7, 5e-324, math.Copysign(0, -1), 999999999999999868928, 1e-6, 123456.789}
+			r.Operators[0].Estimate = -2.5e-10
+		}), true},
+		{"nil lists", edit(func(r *serve.Response) {
+			r.Operators, r.Pipelines, r.Models, r.Resources, r.Totals = nil, nil, nil, nil, nil
+		}), true},
+		{"empty lists", edit(func(r *serve.Response) {
+			r.Operators, r.Pipelines = []serve.OperatorEstimate{}, []serve.PipelineEstimate{}
+			r.Models, r.Resources, r.Totals = []serve.ModelInfo{}, []string{}, []float64{}
+		}), true},
+		{"nil pipeline operators", edit(func(r *serve.Response) { r.Pipelines[0].Operators = nil }), true},
+		{"zero response", &serve.Response{}, true},
+		{"zero batch", &serve.BatchResponse{}, true},
+		{"empty batch", editBatch(func(r *serve.BatchResponse) { r.Plans = []serve.PlanEstimate{} }), true},
+		{"NaN total", edit(func(r *serve.Response) { r.Total = math.NaN() }), false},
+		{"Inf operator estimate", edit(func(r *serve.Response) { r.Operators[0].Estimates = []float64{1, math.Inf(1)} }), false},
+		{"NaN in a batch", editBatch(func(r *serve.BatchResponse) { r.Plans[1].Total = math.NaN() }), false},
+		// ModelInfo is encoding/json's own encoding, kept per value.
+		{"html in the schema", edit(func(r *serve.Response) { r.Model.Schema = "<a&b>" }), true},
+		{"quote in a models entry", edit(func(r *serve.Response) {
+			r.Models = append([]serve.ModelInfo(nil), r.Models...)
+			r.Models[1].Source = `up"load`
+		}), true},
+		{"non-ASCII operator kind", edit(func(r *serve.Response) { r.Operators[0].Kind = "Sört" }), false},
+		{"escape in a resource name", edit(func(r *serve.Response) { r.Resources = []string{"cpu", "i\to"} }), false},
+		{"explain attached", edit(func(r *serve.Response) { r.Explain = &serve.ExplainInfo{} }), false},
+		{"response by value", *single[0], false},
+		{"nil response", nilResponse, false},
+		{"another type", map[string]string{"status": "<ok>"}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if took := checkWireAgainstStd(t, c.v); took != c.fast {
+				t.Fatalf("fast path took it = %v, want %v", took, c.fast)
+			}
+		})
+	}
+}
+
+// TestWireEncoderAllocs pins the append encoder to its output buffer:
+// into one that is large enough it allocates nothing (MarshalWire and
+// writeJSON hand it a pooled one, whose reuse the race detector makes
+// random, so their own counts are only logged).
+func TestWireEncoderAllocs(t *testing.T) {
+	single, _, batch := servedResponses(t)
+	buf := make([]byte, 0, 1<<20)
+	for _, c := range []struct {
+		name string
+		v    any
+	}{{"single", single[0]}, {"batch", batch}} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, ok := serve.AppendWire(buf[:0], c.v); !ok {
+				t.Fatal("fast path declined")
+			}
+		})
+		pooled := testing.AllocsPerRun(100, func() {
+			if _, err := serve.MarshalWire(c.v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		std := testing.AllocsPerRun(100, func() {
+			if _, err := serve.MarshalStd(c.v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: append encoder %.0f allocs, MarshalWire %.0f, encoding/json %.0f", c.name, got, pooled, std)
+		if got > 0 {
+			t.Errorf("%s: append encoder allocates %.0f times into a large enough buffer, want 0", c.name, got)
+		}
+	}
+}
+
+var sinkWire []byte
+
+// BenchmarkMarshalWire encodes one single-resource response and one
+// two-resource batch of 64, the shapes serve.encode_ns measures.
+func BenchmarkMarshalWire(b *testing.B) {
+	setup(b)
+	svc := newService(b, serve.Options{})
+	svc.Registry().Publish("tpch", cpuEst)
+	svc.Registry().Publish("tpch", ioEst)
+	ctx := context.Background()
+	single, err := svc.Estimate(ctx, serve.Request{Schema: "tpch", Resource: plan.CPUTime, Plan: testPlans[0]})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plans := make([]*plan.Plan, 64)
+	for i := range plans {
+		plans[i] = testPlans[i%len(testPlans)]
+	}
+	batch, err := svc.EstimateBatch(ctx, serve.BatchRequest{Schema: "tpch",
+		Resources: []plan.ResourceKind{plan.CPUTime, plan.LogicalIO}, Plans: plans})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		v      any
+		encode func(any) ([]byte, error)
+	}{
+		{"single", single, serve.MarshalWire},
+		{"single_stdlib", single, serve.MarshalStd},
+		{"batch64", batch, serve.MarshalWire},
+		{"batch64_stdlib", batch, serve.MarshalStd},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if sinkWire, err = bc.encode(bc.v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(sinkWire)))
+		})
+	}
+}

@@ -42,6 +42,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"repro/internal/serve"
 )
 
 // Frame types.
@@ -113,8 +115,10 @@ type Request struct {
 	// present.
 	Resource string `json:"resource,omitempty"`
 	// Resources selects several resources at once: resource names, or
-	// "all" anywhere in the list for every kind.
-	Resources []string `json:"resources,omitempty"`
+	// "all" anywhere in the list for every kind. Decoding also takes the
+	// endpoint's string forms ("all", a single name); an explicit []
+	// is an error, not the absent field.
+	Resources serve.ResourceSet `json:"resources,omitempty"`
 	// TimeoutMS overrides the service's default deadline when > 0.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Plan is the wire-encoded physical plan (plan.EncodeJSON).

@@ -68,10 +68,12 @@ func FuzzStreamFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzRequestDecode pins the hand-rolled envelope fast path to
-// encoding/json: for every input, either the fast path declines (and
-// the stdlib fallback defines the behavior anyway), or its decoded
-// Request must match stdlib's field for field.
+// FuzzRequestDecode pins the envelope walker, as this transport adapts
+// it, to encoding/json: for every input, either the fast path declines
+// (and the stdlib fallback defines the behavior anyway), or its decoded
+// Request must match stdlib's field for field. The reference decodes
+// resources the way POST /estimate does — a string or an array, with
+// [] distinct from absent.
 func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"schema":"tpch","resource":"cpu","plan":{"op":"scan"},"timeout_ms":250}`))
 	f.Add([]byte(`{"resources":["cpu","mem"],"plan":[1,[2,"]"],{}]}`))
@@ -80,6 +82,9 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"timeout_ms":007}`))
 	f.Add([]byte(`{"schema":"a","schema":"b"}`))
 	f.Add([]byte(`[]`))
+	f.Add([]byte(`{"resources":"all","plan":{}}`))
+	f.Add([]byte(`{"resources":[],"resource":"io","plan":{}}`))
+	f.Add([]byte(`{"resources":null,"plan":{}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var fast Request
 		if !fastDecodeRequest(body, &fast) {

@@ -297,19 +297,11 @@ func (c *serverConn) readLoop() {
 func (c *serverConn) handleEstimate(f *Frame) {
 	start := time.Now()
 	var req Request
-	if err := decodeRequest(f.Body, &req); err != nil {
+	if err := DecodeRequest(f.Body, &req); err != nil {
 		c.sendError(f.Seq, "bad request body: "+err.Error(), "bad_request")
 		return
 	}
-	var kinds []plan.ResourceKind
-	var err error
-	if len(req.Resources) > 0 {
-		kinds, err = serve.ParseResourceSet(req.Resources)
-	} else {
-		var k plan.ResourceKind
-		k, err = serve.ParseResource(req.Resource)
-		kinds = []plan.ResourceKind{k}
-	}
+	kinds, err := req.Resources.Kinds(req.Resource)
 	if err != nil {
 		_, code := serve.ErrorCode(err)
 		c.sendError(f.Seq, err.Error(), code)

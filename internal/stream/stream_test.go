@@ -224,7 +224,9 @@ func TestStreamErrorEnvelopes(t *testing.T) {
 // with the same plan value and requires one answer from all of them:
 // a null plan is a missing plan, and a plan DecodeJSON rejects answers
 // its decode error as bad_plan (the stream handler relies on that
-// decode being the validation; it does not validate again).
+// decode being the validation; it does not validate again). Then the
+// same for the resources field over the three entry points that take
+// one: the stream, POST /estimate and POST /estimate/batch.
 func TestPlanErrorsAcrossEntryPoints(t *testing.T) {
 	setup(t)
 	loop, err := feedback.New(feedback.Options{})
@@ -270,6 +272,64 @@ func TestPlanErrorsAcrossEntryPoints(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest || he.Message != tc.message || he.Code != tc.code {
 				t.Errorf("%s: %s answered %d %q / %s, want 400 %q / %s",
 					tc.name, path, resp.StatusCode, he.Message, he.Code, tc.message, tc.code)
+			}
+		}
+	}
+
+	// The resources field is one type on every entry point that takes
+	// it: the string forms select what the array forms select, and an
+	// explicit empty set is an error, never the absent field's default.
+	good := string(planJSON(t, testPlans[0]))
+	for _, tc := range []struct {
+		name, resources string
+		want            string // "resources" in the answer; "" for a single-resource one
+		message, code   string // of the refusal, when one is expected
+	}{
+		{"string all", `"all"`, `"resources":["cpu","io"]`, "", ""},
+		{"string name", `"io"`, "", "", ""},
+		{"array", `["io","cpu"]`, `"resources":["io","cpu"]`, "", ""},
+		{"explicit empty set", `[]`, "", "serve: unknown resource: empty resource set", "unknown_resource"},
+	} {
+		single := `{"resources":` + tc.resources + `,"plan":` + good + `}`
+		answers := map[string][]byte{}
+		body, err := cl.EstimateBytes(context.Background(), []byte(single))
+		var se *stream.Error
+		switch {
+		case errors.As(err, &se):
+			answers["stream"], _ = json.Marshal(se)
+		case err != nil:
+			t.Fatalf("%s: stream: %v", tc.name, err)
+		default:
+			answers["stream"] = body
+		}
+		for path, body := range map[string]string{
+			"/estimate":       single,
+			"/estimate/batch": `{"resources":` + tc.resources + `,"plans":[` + good + `]}`,
+		} {
+			resp, err := http.Post(httpSrv.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[path], err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tc.code == ""; (resp.StatusCode == http.StatusOK) != want {
+				t.Errorf("%s: %s answered %d: %s", tc.name, path, resp.StatusCode, answers[path])
+			}
+		}
+		for entry, got := range answers {
+			var e stream.Error
+			if err := json.Unmarshal(got, &e); err != nil {
+				t.Fatalf("%s: %s answered %q: %v", tc.name, entry, got, err)
+			}
+			if e.Message != tc.message || e.Code != tc.code {
+				t.Errorf("%s: %s answered %q / %s, want %q / %s", tc.name, entry, e.Message, e.Code, tc.message, tc.code)
+			}
+			multi := bytes.Contains(got, []byte(`"resources":`))
+			if tc.code == "" && (multi != (tc.want != "") || !bytes.Contains(got, []byte(tc.want))) {
+				t.Errorf("%s: %s answered %s, want %q in it", tc.name, entry, got, tc.want)
 			}
 		}
 	}
