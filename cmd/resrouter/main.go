@@ -41,9 +41,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -54,29 +57,39 @@ import (
 	"repro"
 )
 
-func main() {
-	var (
-		addr         = flag.String("addr", ":8090", "HTTP listen address")
-		streamAddr   = flag.String("stream-addr", "", "streaming listen address: accepts the resserve frame protocol and routes each frame by schema; empty disables")
-		replicas     = flag.String("replicas", "", "comma-separated resserve base addresses (host:port or URL); required")
-		poll         = flag.Duration("poll", time.Second, "replica health/version poll interval")
-		pool         = flag.Int("pool", 2, "pooled streaming connections per replica")
-		cacheSize    = flag.Int("cache", 4096, "router response-cache entries, keyed on request body and model-version token (negative disables)")
-		maxInflight  = flag.Int("max-inflight", 1024, "fleet-wide in-flight request bound; past it the router sheds with 503 + Retry-After")
-		maxPerClient = flag.Int("max-per-client", 256, "per-client in-flight bound, keyed by X-Client-ID (falling back to remote host)")
-		maxReplica   = flag.Int("max-replica-inflight", 512, "per-replica overload bound; a primary past it spills its schemas to the next same-version replica on the ring")
-		reqTimeout   = flag.Duration("timeout", 30*time.Second, "per-forwarded-request deadline")
-	)
-	flag.Parse()
+// config is the parsed command line.
+type config struct {
+	addr, streamAddr string
+	router           repro.RouterOptions
+}
 
+// parseFlags parses args (without the program name). Usage and errors
+// go to stderr.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
+	fs := flag.NewFlagSet("resrouter", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr         = fs.String("addr", ":8090", "HTTP listen address")
+		streamAddr   = fs.String("stream-addr", "", "streaming listen address: accepts the resserve frame protocol and routes each frame by schema; empty disables")
+		replicas     = fs.String("replicas", "", "comma-separated resserve base addresses (host:port or URL); required")
+		poll         = fs.Duration("poll", time.Second, "replica health/version poll interval")
+		pool         = fs.Int("pool", 2, "pooled streaming connections per replica")
+		cacheSize    = fs.Int("cache", 4096, "router response-cache entries, keyed on request body and model-version token (negative disables)")
+		maxInflight  = fs.Int("max-inflight", 1024, "fleet-wide in-flight request bound; past it the router sheds with 503 + Retry-After")
+		maxPerClient = fs.Int("max-per-client", 256, "per-client in-flight bound, keyed by X-Client-ID (falling back to remote host)")
+		maxReplica   = fs.Int("max-replica-inflight", 512, "per-replica overload bound; a primary past it spills its schemas to the next same-version replica on the ring")
+		reqTimeout   = fs.Duration("timeout", 30*time.Second, "per-forwarded-request deadline")
+	)
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
 	fleet := splitList(*replicas)
 	if len(fleet) == 0 {
-		fmt.Fprintln(os.Stderr, "resrouter: -replicas is required (comma-separated resserve addresses)")
-		os.Exit(2)
+		err := errors.New("-replicas is required (comma-separated resserve addresses)")
+		fmt.Fprintln(stderr, "resrouter:", err)
+		return config{}, err
 	}
-
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	rt, err := repro.NewRouter(repro.RouterOptions{
+	return config{addr: *addr, streamAddr: *streamAddr, router: repro.RouterOptions{
 		Replicas:           fleet,
 		PoolSize:           *pool,
 		PollInterval:       *poll,
@@ -85,23 +98,53 @@ func main() {
 		MaxPerClient:       *maxPerClient,
 		MaxReplicaInflight: *maxReplica,
 		CacheEntries:       *cacheSize,
-		Logger:             logger,
-	})
-	if err != nil {
-		fatal(err)
+	}}, nil
+}
+
+func main() {
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(2)
 	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if err := run(cfg, sig, nil); err != nil {
+		fmt.Fprintln(os.Stderr, "resrouter:", err)
+		os.Exit(1)
+	}
+}
+
+// run serves until a signal arrives on stop, then drains and tears
+// down. ready, when non-nil, is told the bound HTTP and stream
+// addresses once both listeners are up.
+func run(cfg config, stop <-chan os.Signal, ready func(httpAddr, streamAddr string)) error {
+	cfg.router.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	rt, err := repro.NewRouter(cfg.router)
+	if err != nil {
+		return err
+	}
+	// Tears down the stream listener, the health poller and the
+	// per-replica connection pools; idempotent, so the error returns
+	// below share it with the orderly close after HTTP drains.
+	defer rt.Close()
+	fleet := cfg.router.Replicas
 	fmt.Fprintf(os.Stderr, "resrouter: fronting %d replicas: %s\n", len(fleet), strings.Join(fleet, ", "))
 
-	if *streamAddr != "" {
-		got, err := rt.StartStream(*streamAddr)
-		if err != nil {
-			fatal(err)
+	streamAddr := ""
+	if cfg.streamAddr != "" {
+		if streamAddr, err = rt.StartStream(cfg.streamAddr); err != nil {
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "resrouter: streaming listener on %s\n", got)
+		fmt.Fprintf(os.Stderr, "resrouter: streaming listener on %s\n", streamAddr)
 	}
 
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           rt.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -111,24 +154,24 @@ func main() {
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		s := <-sig
+		s := <-stop
 		fmt.Fprintf(os.Stderr, "resrouter: %s received, draining\n", s)
 		if err := drainHTTP(srv, 10*time.Second); err != nil {
 			fmt.Fprintf(os.Stderr, "resrouter: drain deadline expired (%v); connections force-closed\n", err)
 		}
 	}()
 
-	fmt.Fprintf(os.Stderr, "resrouter: listening on %s\n", *addr)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fatal(err)
+	fmt.Fprintf(os.Stderr, "resrouter: listening on %s\n", ln.Addr())
+	if ready != nil {
+		ready(ln.Addr().String(), streamAddr)
+	}
+	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+		return err
 	}
 	<-drained
-	// Close after HTTP drains: tears down the stream listener, the
-	// health poller and the per-replica connection pools.
 	rt.Close()
 	fmt.Fprintln(os.Stderr, "resrouter: shutdown complete")
+	return nil
 }
 
 func splitList(s string) []string {
@@ -139,9 +182,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "resrouter:", err)
-	os.Exit(1)
 }

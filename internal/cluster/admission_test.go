@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"net"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 func newBareRouter(opts Options) *Router {
@@ -51,23 +54,30 @@ func TestAdmissionBounds(t *testing.T) {
 
 // TestResponseCacheTokenAndLRU pins the cache's two eviction rules:
 // token mismatch is a miss (stale model entries never serve), and
-// capacity evicts least-recently-used.
+// capacity evicts least-recently-used. Entries are keyed by request
+// body alone and carry the schema whose current token decides whether
+// they are live.
 func TestResponseCacheTokenAndLRU(t *testing.T) {
 	c := newResponseCache(2)
-	c.put("a", "v1", []byte("ra"))
-	if got, ok := c.get("a", "v1"); !ok || string(got) != "ra" {
-		t.Fatalf("get(a,v1) = %q,%v", got, ok)
+	tokens := map[string]string{"s1": "v1", "s2": "v1"}
+	current := func(schema string) string { return tokens[schema] }
+
+	c.put("a", "s1", "v1", []byte("ra"))
+	if got, ok := c.get([]byte("a"), current); !ok || string(got) != "ra" {
+		t.Fatalf("get(a) under v1 = %q,%v", got, ok)
 	}
-	if _, ok := c.get("a", "v2"); ok {
+	tokens["s1"] = "v2" // a's schema rolled; s2 did not
+	if _, ok := c.get([]byte("a"), current); ok {
 		t.Fatal("stale-token entry served")
 	}
-	c.put("b", "v1", []byte("rb"))
-	c.get("a", "v1")               // a is now most recent
-	c.put("c", "v1", []byte("rc")) // evicts b
-	if _, ok := c.get("b", "v1"); ok {
+	tokens["s1"] = "v1"
+	c.put("b", "s2", "v1", []byte("rb"))
+	c.get([]byte("a"), current)          // a is now most recent
+	c.put("c", "s2", "v1", []byte("rc")) // evicts b
+	if _, ok := c.get([]byte("b"), current); ok {
 		t.Fatal("LRU victim still cached")
 	}
-	if _, ok := c.get("a", "v1"); !ok {
+	if _, ok := c.get([]byte("a"), current); !ok {
 		t.Fatal("recently used entry evicted")
 	}
 	hits, misses := c.stats()
@@ -75,9 +85,60 @@ func TestResponseCacheTokenAndLRU(t *testing.T) {
 		t.Fatalf("stats = %d hits %d misses, want 3/2", hits, misses)
 	}
 
+	// A replica never polled reports the token "": nothing is stored
+	// under it, and an entry whose schema's primary reports it is dead.
+	c.put("d", "s3", "", []byte("rd"))
+	if _, ok := c.get([]byte("d"), current); ok {
+		t.Fatal("entry stored under the empty token served")
+	}
+	delete(tokens, "s1")
+	if _, ok := c.get([]byte("a"), current); ok {
+		t.Fatal("entry served while its schema's primary has no token")
+	}
+
 	var disabled *responseCache
-	disabled.put("x", "v1", []byte("r"))
-	if _, ok := disabled.get("x", "v1"); ok {
+	disabled.put("x", "s1", "v1", []byte("r"))
+	if _, ok := disabled.get([]byte("x"), current); ok {
 		t.Fatal("disabled cache served an entry")
+	}
+}
+
+// discardConn is a peer that takes every write at once.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestHitPathAllocatesNothing pins the cost of a router cache hit on
+// the stream listener's read loop to a lookup and a copy: probing the
+// cache with the frame's bytes, checking the entry's token against its
+// schema's ring-primary, and appending the answer frame to the
+// connection's writer allocate nothing. So does Ring.Pick by itself.
+func TestHitPathAllocatesNothing(t *testing.T) {
+	rt := newBareRouter(Options{})
+	rt.ring = NewRing([]string{"r1", "r2"}, 0)
+	rt.replicas = map[string]*replica{"r1": {healthy: true, token: "v1"}, "r2": {healthy: true, token: "v1"}}
+	rt.cache = newResponseCache(16)
+	body := []byte(`{"schema":"tpch","resource":"cpu","plan":{}}`)
+	rt.cache.put(string(body), "tpch", "v1", []byte(`{"total":1.5}`))
+
+	w := stream.NewFrameWriter(discardConn{}, 0, nil)
+	go func() { _ = w.Run() }()
+	defer w.Close()
+
+	var seq uint64
+	if n := testing.AllocsPerRun(2000, func() {
+		resp, ok := rt.cached(body)
+		if !ok {
+			t.Fatal("cached entry missed")
+		}
+		seq++
+		if err := w.Queue(&stream.Frame{Type: stream.FrameResponse, Seq: seq, Body: resp}); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a cache hit allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { ringSink = rt.ring.Pick("tpch") }); n != 0 {
+		t.Errorf("Ring.Pick allocates %v times, want 0", n)
 	}
 }

@@ -7,13 +7,16 @@ import (
 )
 
 // responseCache is the router-side prediction cache: full response
-// bodies keyed by the exact request body, each entry stamped with the
-// version token (store checksum) of the replica set that produced it.
-// A lookup must present the current token for the route — an entry
-// filled under a superseded model set can never serve, which is the
-// "never serves a stale model's entry" guarantee. Entries are not
-// proactively purged on rollout: the token mismatch makes them dead,
-// and LRU eviction reclaims them.
+// bodies keyed by the exact request body. Each entry carries the
+// schema its body routes by and the version token (store checksum) of
+// the replica that produced it. A lookup serves an entry only while
+// that token is still the current one for the entry's schema — an
+// entry filled under a superseded model set can never serve, which is
+// the "never serves a stale model's entry" guarantee — and needs
+// nothing parsed out of the request: the schema is a function of the
+// key bytes, so it was worked out once, when the entry was filled.
+// Entries are not proactively purged on rollout: the token mismatch
+// makes them dead, and LRU eviction reclaims them.
 type responseCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -27,7 +30,8 @@ type responseCache struct {
 
 type cacheEntry struct {
 	key        string
-	token      string
+	schema     string
+	token      string // never ""
 	body       []byte
 	prev, next *cacheEntry
 }
@@ -39,16 +43,18 @@ func newResponseCache(capacity int) *responseCache {
 	return &responseCache{entries: make(map[string]*cacheEntry, capacity), cap: capacity}
 }
 
-// get returns the cached response for key if it was produced under
-// token. A present-but-stale entry counts as a miss (and is left for
-// LRU to evict — the slot may become valid again only via put).
-func (c *responseCache) get(key, token string) ([]byte, bool) {
+// get returns the response cached for the request body reqBody if its
+// entry was filled under the token current reports for the entry's
+// schema now. A present-but-stale entry counts as a miss (and is left
+// for LRU to evict — the slot may become valid again only via put).
+// reqBody is only read, and only during the call.
+func (c *responseCache) get(reqBody []byte, current func(schema string) string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok || e.token != token {
+	e, ok := c.entries[string(reqBody)] // no copy: the compiler keys the probe off the bytes
+	if !ok || e.token != current(e.schema) {
 		c.mu.Unlock()
 		c.misses.Inc()
 		return nil, false
@@ -60,10 +66,12 @@ func (c *responseCache) get(key, token string) ([]byte, bool) {
 	return body, true
 }
 
-// put stores a response produced under token, evicting the least
-// recently used entry past capacity.
-func (c *responseCache) put(key, token string, body []byte) {
-	if c == nil {
+// put stores the response to request body key, which routes by schema,
+// as produced under token, evicting the least recently used entry past
+// capacity. An empty token marks a replica never polled: nothing
+// produced under it can be checked later, so it is not stored.
+func (c *responseCache) put(key, schema, token string, body []byte) {
+	if c == nil || token == "" {
 		return
 	}
 	c.mu.Lock()
@@ -73,7 +81,7 @@ func (c *responseCache) put(key, token string, body []byte) {
 		c.mu.Unlock()
 		return
 	}
-	e := &cacheEntry{key: key, token: token, body: body}
+	e := &cacheEntry{key: key, schema: schema, token: token, body: body}
 	c.entries[key] = e
 	c.pushFront(e)
 	if len(c.entries) > c.cap {

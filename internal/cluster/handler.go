@@ -88,10 +88,12 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// peekSchema extracts the routing key from a request body without a
-// second full parse (stream's fast envelope walk). A body the router
-// cannot parse routes by the empty schema — the replica owning that
-// slot produces the canonical error.
+// peekSchema extracts the routing key from a request body. This is a
+// full validating walk of the envelope, plan included (the shared
+// serve.DecodeEnvelope), so it runs only for bodies that have to be
+// forwarded — a cache hit never gets here. A body the router cannot
+// parse routes by the empty schema — the replica owning that slot
+// produces the canonical error.
 func peekSchema(body []byte) string {
 	var req stream.Request
 	if err := stream.DecodeRequest(body, &req); err != nil {
@@ -120,15 +122,14 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, r, rerr)
 		return
 	}
-	schema := peekSchema(body)
 	if r.URL.RawQuery != "" {
 		// Explain (and any future query switch) changes the response
 		// shape, so it bypasses the body-keyed cache and the stream
 		// transport: proxy it to the affinity replica verbatim.
-		rt.proxyRouted(w, r, schema, body)
+		rt.proxyRouted(w, r, peekSchema(body), body)
 		return
 	}
-	resp, rerr := rt.estimate(r.Context(), schema, body)
+	resp, rerr := rt.estimate(r.Context(), body)
 	if rerr != nil {
 		rt.writeError(w, r, rerr)
 		return

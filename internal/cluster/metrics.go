@@ -108,6 +108,9 @@ func (rt *Router) Collector() obs.Collector {
 			"Router response cache hit ratio since start.", "", m.Cache.HitRatio)
 		e.Gauge("resrouter_inflight",
 			"Requests currently in flight through the router.", "", float64(m.Inflight))
+		perWrite := rt.framesPerWrite.Snapshot()
+		e.IntHistogram("resrouter_stream_frames_per_write",
+			"Answer frames per socket write on the stream listener.", "", &perWrite)
 		consistent := 0.0
 		if m.FleetConsistent {
 			consistent = 1

@@ -18,6 +18,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -123,11 +124,9 @@ func (r *Ring) PickN(key string, n int) []string {
 		n = len(r.names)
 	}
 	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	for i, start := 0, r.search(key); len(out) < n && i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.name] {
-			seen[p.name] = true
+		// out holds at most one entry per replica, so a scan beats a map.
+		if p := r.points[(start+i)%len(r.points)]; !slices.Contains(out, p.name) {
 			out = append(out, p.name)
 		}
 	}

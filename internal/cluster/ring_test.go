@@ -150,3 +150,23 @@ func TestRingPickN(t *testing.T) {
 		t.Fatalf("empty ring PickN = %v, want nil", empty)
 	}
 }
+
+var ringSink string
+
+func BenchmarkRingPick(b *testing.B) {
+	ring := NewRing(ringNames(8), 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ringSink = ring.Pick("tpch")
+	}
+}
+
+func BenchmarkRingPickN(b *testing.B) {
+	ring := NewRing(ringNames(8), 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ringSink = ring.PickN("tpch", 8)[7]
+	}
+}

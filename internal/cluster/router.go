@@ -108,6 +108,8 @@ type Router struct {
 	decSpillover obs.Counter
 	decShed      obs.Counter
 
+	framesPerWrite obs.IntHistogram // answer frames per stream-listener write
+
 	obsReg *obs.Registry
 
 	pollStop chan struct{}
@@ -291,11 +293,7 @@ func (rt *Router) admit(client string) (release func(), ok bool) {
 // carry. Known even while the primary is down (last poll's value), ""
 // when never observed.
 func (rt *Router) primaryToken(schema string) string {
-	prefs := rt.ring.PickN(schema, 1)
-	if len(prefs) == 0 {
-		return ""
-	}
-	_, tok := rt.replicas[prefs[0]].state()
+	_, tok := rt.replicas[rt.ring.Pick(schema)].state()
 	return tok
 }
 
@@ -335,20 +333,31 @@ func (rt *Router) pick(schema string, skipped map[string]bool) (rp *replica, spi
 	return nil, false
 }
 
-// estimate routes and forwards one single-estimate request body,
-// returning the replica's response bytes — byte-identical to what the
-// replica's own HTTP endpoint would have written. The router cache
-// absorbs repeats; a replica that fails mid-request is marked down
-// and the request retried on a version-consistent successor.
-func (rt *Router) estimate(ctx context.Context, schema string, body []byte) ([]byte, *routeError) {
-	primTok := rt.primaryToken(schema)
-	key := string(body)
-	if primTok != "" {
-		if resp, ok := rt.cache.get(key, primTok); ok {
-			return resp, nil
-		}
+// estimate answers one single-estimate request body with the replica's
+// response bytes — byte-identical to what the replica's own HTTP
+// endpoint would have written — from the router cache when it can,
+// else by forwarding.
+func (rt *Router) estimate(ctx context.Context, body []byte) ([]byte, *routeError) {
+	if resp, ok := rt.cached(body); ok {
+		return resp, nil
 	}
+	return rt.forward(ctx, body)
+}
 
+// cached looks body up in the router cache. Nothing is parsed: the
+// entry knows its schema, and is served only while its token is that
+// schema's ring-primary's current one. A primary never polled has the
+// token "", which no entry carries.
+func (rt *Router) cached(body []byte) ([]byte, bool) {
+	return rt.cache.get(body, rt.primaryToken)
+}
+
+// forward routes body by its schema to a replica and caches the
+// answer. A replica that fails mid-request is marked down and the
+// request retried on a version-consistent successor. body is retained
+// past the call only as a copy.
+func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *routeError) {
+	schema := peekSchema(body)
 	var skipped map[string]bool
 	for attempt := 0; attempt < 2; attempt++ {
 		rp, spill := rt.pick(schema, skipped)
@@ -380,19 +389,11 @@ func (rt *Router) estimate(ctx context.Context, schema string, body []byte) ([]b
 			return nil, rerr
 		}
 		_, tok := rp.state()
-		if tok != "" {
-			rt.cache.put(key, tok, resp)
-		}
+		rt.cache.put(string(body), schema, tok, resp)
 		return resp, nil
 	}
-	// No forwardable replica. Degrade to the version-keyed cache once
-	// more (the guard above requires a known primary token), then
-	// refuse with Retry-After.
-	if primTok != "" {
-		if resp, ok := rt.cache.get(key, primTok); ok {
-			return resp, nil
-		}
-	}
+	// No forwardable replica, and the cache — consulted before anything
+	// was forwarded — had no live entry: refuse with Retry-After.
 	rt.decShed.Inc()
 	return nil, errNoReplica
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -14,7 +13,8 @@ import (
 )
 
 // streamWriteTimeout bounds one outbound write burst on the router's
-// stream surface, mirroring the replica stream server's default.
+// stream surface, mirroring the replica stream server's default. It is
+// what tears down a client that stopped reading.
 const streamWriteTimeout = 30 * time.Second
 
 // streamProxy is the router's streaming listener: it speaks the same
@@ -81,12 +81,12 @@ func (sp *streamProxy) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		w := stream.NewFrameWriter(nc, streamWriteTimeout, &sp.rt.framesPerWrite)
 		c := &proxyConn{
-			sp:   sp,
-			c:    nc,
-			br:   bufio.NewReader(nc),
-			out:  make(chan []byte, 256),
-			done: make(chan struct{}),
+			sp: sp,
+			c:  nc,
+			br: bufio.NewReaderSize(flushBeforeRead{nc, w}, stream.ReadBufferSize),
+			w:  w,
 		}
 		if host, _, err := net.SplitHostPort(nc.RemoteAddr().String()); err == nil {
 			c.client = host
@@ -103,27 +103,46 @@ func (sp *streamProxy) acceptLoop() {
 		sp.mu.Unlock()
 		sp.wg.Add(2)
 		go c.readLoop()
-		go c.writeLoop()
+		go func() {
+			defer sp.wg.Done()
+			defer c.shutdown()
+			_ = c.w.Run() // whatever stopped it, shutdown is the answer
+		}()
 	}
 }
 
-// proxyConn is one accepted streaming connection: a read loop spawning
-// one forwarding goroutine per estimate frame (bounded by the
-// router's admission counters) and a writer draining the outbound
-// queue, same shape as the replica's server side.
+// flushBeforeRead is the reader under a proxyConn's bufio.Reader. The
+// read loop queues its cache-hit answers without waking the writer;
+// bufio comes here only when the loop has used every whole frame the
+// last read returned, so flushing first sends the answers to that burst
+// in one write — and before the loop can block, so no answer ever waits
+// on a later request.
+type flushBeforeRead struct {
+	r io.Reader
+	w *stream.FrameWriter
+}
+
+func (f flushBeforeRead) Read(p []byte) (int, error) {
+	f.w.Flush()
+	return f.r.Read(p)
+}
+
+// proxyConn is one accepted streaming connection: a read loop that
+// answers cache hits itself and spawns one forwarding goroutine per
+// miss (bounded by the router's admission counters), and a FrameWriter
+// draining the answers, same shape as the replica's server side.
 type proxyConn struct {
 	sp     *streamProxy
 	c      net.Conn
 	br     *bufio.Reader
-	out    chan []byte
-	done   chan struct{}
+	w      *stream.FrameWriter
 	once   sync.Once
 	client string // admission key: the remote host
 }
 
 func (c *proxyConn) shutdown() {
 	c.once.Do(func() {
-		close(c.done)
+		c.w.Close()
 		c.c.Close()
 		c.sp.mu.Lock()
 		delete(c.sp.conns, c)
@@ -134,92 +153,63 @@ func (c *proxyConn) shutdown() {
 func (c *proxyConn) readLoop() {
 	defer c.sp.wg.Done()
 	defer c.shutdown()
+	rt := c.sp.rt
+	var f stream.Frame
 	for {
-		f, err := stream.ReadFrame(c.br)
-		if err != nil {
+		// f.Body lies in the read buffer (CRC already verified) and is
+		// gone at the next iteration.
+		if err := stream.ReadFrameInPlace(c.br, &f); err != nil {
 			if !errors.Is(err, io.EOF) {
-				c.sp.rt.logger.Debug("stream proxy: connection read failed",
+				rt.logger.Debug("stream proxy: connection read failed",
 					"remote", c.c.RemoteAddr().String(), "error", err)
 			}
 			return
 		}
 		if f.Type != stream.FrameEstimate {
-			c.sp.rt.logger.Warn("stream proxy: unexpected frame type from client",
+			rt.logger.Warn("stream proxy: unexpected frame type from client",
 				"type", int(f.Type))
 			return
 		}
-		release, ok := c.sp.rt.admit(c.client)
+		// Answers from this loop are queued, not sent: flushBeforeRead
+		// sends them. A queue error means the writer is gone and the
+		// connection with it.
+		release, ok := rt.admit(c.client)
 		if !ok {
-			c.sendError(f.Seq, errShed.msg, errShed.code)
+			if c.w.Queue(stream.ErrorFrame(f.Seq, errShed.msg, errShed.code)) != nil {
+				return
+			}
+			continue
+		}
+		if resp, ok := rt.cached(f.Body); ok {
+			err := c.w.Queue(&stream.Frame{Type: stream.FrameResponse, Seq: f.Seq, Body: resp})
+			release()
+			if err != nil {
+				return
+			}
 			continue
 		}
 		// Forward concurrently: streams pipeline, and a frame parked on
-		// a slow replica must not stall the frames behind it.
+		// a slow replica must not stall the frames behind it. The
+		// goroutine outlives this iteration, so it gets its own copy.
+		seq, body := f.Seq, append([]byte(nil), f.Body...)
 		c.sp.wg.Add(1)
-		go func(f *stream.Frame) {
+		go func() {
 			defer c.sp.wg.Done()
 			defer release()
-			c.forward(f)
-		}(f)
+			c.forward(seq, body)
+		}()
 	}
 }
 
-func (c *proxyConn) forward(f *stream.Frame) {
-	schema := peekSchema(f.Body)
-	resp, rerr := c.sp.rt.estimate(context.Background(), schema, f.Body)
+// forward answers one cache miss through the replicas.
+func (c *proxyConn) forward(seq uint64, body []byte) {
+	ctx := context.Background() // answered or shed by the router's own deadlines, not the client's
+	resp, rerr := c.sp.rt.forward(ctx, body)
+	answer := &stream.Frame{Type: stream.FrameResponse, Seq: seq, Body: resp}
 	if rerr != nil {
-		c.sendError(f.Seq, rerr.msg, rerr.code)
-		return
+		answer = stream.ErrorFrame(seq, rerr.msg, rerr.code)
 	}
-	buf, err := stream.AppendFrame(nil, &stream.Frame{Type: stream.FrameResponse, Seq: f.Seq, Body: resp})
-	if err != nil {
-		c.sendError(f.Seq, "frame response: "+err.Error(), "internal")
-		return
-	}
-	c.send(buf)
-}
-
-func (c *proxyConn) sendError(seq uint64, msg, code string) {
-	body, err := json.Marshal(stream.Error{Message: msg, Code: code})
-	if err != nil {
-		return
-	}
-	buf, err := stream.AppendFrame(nil, &stream.Frame{Type: stream.FrameError, Seq: seq, Body: body})
-	if err != nil {
-		return
-	}
-	c.send(buf)
-}
-
-func (c *proxyConn) send(buf []byte) {
-	select {
-	case c.out <- buf:
-	case <-c.done:
-	}
-}
-
-func (c *proxyConn) writeLoop() {
-	defer c.sp.wg.Done()
-	defer c.shutdown()
-	for {
-		select {
-		case buf := <-c.out:
-			bufs := net.Buffers{buf}
-			for len(bufs) < 64 {
-				select {
-				case more := <-c.out:
-					bufs = append(bufs, more)
-					continue
-				default:
-				}
-				break
-			}
-			_ = c.c.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-			if _, err := bufs.WriteTo(c.c); err != nil {
-				return
-			}
-		case <-c.done:
-			return
-		}
+	if err := c.w.Send(ctx, answer); err != nil && !errors.Is(err, stream.ErrConnLost) {
+		_ = c.w.Send(ctx, stream.ErrorFrame(seq, "frame response: "+err.Error(), "internal"))
 	}
 }

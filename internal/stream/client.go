@@ -65,10 +65,9 @@ func (o *DialOptions) withDefaults() DialOptions {
 // concurrent use: requests from many goroutines interleave on the one
 // connection, each tagged with a sequence ID, and a reader goroutine
 // demultiplexes responses back to their callers — out-of-order
-// completion included. Outbound frames funnel through a writer
-// goroutine that coalesces concurrently submitted frames into one
-// writev, so pipelined callers share syscalls instead of serializing
-// on a write lock.
+// completion included. Outbound frames funnel through a FrameWriter,
+// so pipelined callers share one write per burst instead of
+// serializing on a syscall each.
 //
 // A client opened with DialOptions.Reconnect survives connection
 // loss: the underlying TCP connection is redialed in the background
@@ -140,8 +139,7 @@ func (cl *Client) install(nc net.Conn, gen uint64) bool {
 		cl:      cl,
 		gen:     cl.gen,
 		c:       nc,
-		out:     make(chan []byte, 256),
-		done:    make(chan struct{}),
+		w:       NewFrameWriter(nc, clientWriteTimeout, nil),
 		waiters: make(map[uint64]chan result),
 	}
 	cl.conn = cc
@@ -152,7 +150,7 @@ func (cl *Client) install(nc net.Conn, gen uint64) bool {
 	}
 	cl.mu.Unlock()
 	go cc.readLoop()
-	go cc.writeLoop()
+	go func() { cc.fail(cc.w.Run()) }()
 	return true
 }
 
@@ -315,55 +313,31 @@ func (cl *Client) Estimate(ctx context.Context, req *Request) (*serve.Response, 
 	return &resp, nil
 }
 
-// clientConn is one TCP connection generation: the read/write loops,
-// the in-flight waiter table, and the per-connection failure state.
+// clientWriteTimeout bounds one write burst to the server — the
+// server's own default for the opposite direction. A server that stops
+// reading fails the connection when it fires, which releases callers
+// blocked on the full queue.
+const clientWriteTimeout = 30 * time.Second
+
+// clientConn is one TCP connection generation: the read loop and the
+// writer, the in-flight waiter table, and the per-connection failure
+// state.
 type clientConn struct {
 	cl  *Client
 	gen uint64
 	c   net.Conn
-
-	out  chan []byte
-	done chan struct{}
+	w   *FrameWriter
 
 	mu      sync.Mutex
 	waiters map[uint64]chan result
 	err     error // first loop failure; wrapped with ErrConnLost
 }
 
-// writeLoop drains queued frames onto the connection, coalescing
-// whatever is already queued into a single writev — the mirror of the
-// server's writer. One slow syscall absorbs every frame that arrived
-// while the previous one was in flight.
-func (cc *clientConn) writeLoop() {
-	bufs := make(net.Buffers, 0, 64)
-	for {
-		select {
-		case b := <-cc.out:
-			bufs = append(bufs[:0], b)
-		drain:
-			for len(bufs) < cap(bufs) {
-				select {
-				case nb := <-cc.out:
-					bufs = append(bufs, nb)
-				default:
-					break drain
-				}
-			}
-			if _, err := bufs.WriteTo(cc.c); err != nil {
-				cc.fail(err)
-				return
-			}
-		case <-cc.done:
-			return
-		}
-	}
-}
-
 // readLoop demultiplexes response frames to their waiters. On any read
 // failure every in-flight call on this connection fails with the same
 // error — a broken stream cannot be resynchronized, only redialed.
 func (cc *clientConn) readLoop() {
-	br := bufio.NewReader(cc.c)
+	br := bufio.NewReaderSize(cc.c, ReadBufferSize)
 	for {
 		f, err := ReadFrame(br)
 		if err != nil {
@@ -403,7 +377,7 @@ func (cc *clientConn) fail(err error) {
 	cc.waiters = make(map[uint64]chan result)
 	cc.mu.Unlock()
 	if first {
-		close(cc.done)
+		cc.w.Close()
 		_ = cc.c.Close()
 		cc.cl.lost(cc.gen, cause)
 	}
@@ -425,12 +399,6 @@ func (cc *clientConn) connErr() error {
 
 // estimate runs one request on this connection generation.
 func (cc *clientConn) estimate(ctx context.Context, seq uint64, body []byte) ([]byte, error) {
-	buf, err := AppendFrame(make([]byte, 0, frameHeader+framePrefix+len(body)),
-		&Frame{Type: FrameEstimate, Seq: seq, Body: body})
-	if err != nil {
-		return nil, err
-	}
-
 	ch := resultChan()
 	cc.mu.Lock()
 	if cc.err != nil {
@@ -441,18 +409,14 @@ func (cc *clientConn) estimate(ctx context.Context, seq uint64, body []byte) ([]
 	cc.waiters[seq] = ch
 	cc.mu.Unlock()
 
-	select {
-	case cc.out <- buf:
-	case <-cc.done:
+	if err := cc.w.Send(ctx, &Frame{Type: FrameEstimate, Seq: seq, Body: body}); err != nil {
 		cc.mu.Lock()
 		delete(cc.waiters, seq)
 		cc.mu.Unlock()
-		return nil, cc.connErr()
-	case <-ctx.Done():
-		cc.mu.Lock()
-		delete(cc.waiters, seq)
-		cc.mu.Unlock()
-		return nil, ctx.Err()
+		if errors.Is(err, ErrConnLost) {
+			return nil, cc.connErr() // the connection's first failure, not the writer's echo of it
+		}
+		return nil, err // ctx done while the queue was full, or body over the frame limit
 	}
 
 	select {

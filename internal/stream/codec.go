@@ -94,16 +94,14 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	// CRC over the payload without materializing it separately: the
-	// payload is prefix ++ body, so chain the checksum.
-	var prefix [framePrefix]byte
-	prefix[0] = f.Type
-	binary.LittleEndian.PutUint64(prefix[1:], f.Seq)
-	sum := crc32.ChecksumIEEE(prefix[:])
-	sum = crc32.Update(sum, crc32.IEEETable, f.Body)
-	dst = binary.LittleEndian.AppendUint32(dst, sum)
-	dst = append(dst, prefix[:]...)
-	return append(dst, f.Body...), nil
+	// The payload is assembled in place behind a checksum slot filled
+	// in last, so nothing is staged outside dst.
+	payload := len(dst) + 4
+	dst = append(dst, 0, 0, 0, 0, f.Type)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
+	dst = append(dst, f.Body...)
+	binary.LittleEndian.PutUint32(dst[payload-4:], crc32.ChecksumIEEE(dst[payload:]))
+	return dst, nil
 }
 
 // Request is the wire body of a FrameEstimate — the same JSON the
@@ -136,42 +134,97 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("stream: server error (%s): %s", e.Code, e.Message)
 }
 
+// ErrorFrame builds the FrameError that answers seq.
+func ErrorFrame(seq uint64, msg, code string) *Frame {
+	body, _ := json.Marshal(Error{Message: msg, Code: code}) // two strings: cannot fail
+	return &Frame{Type: FrameError, Seq: seq, Body: body}
+}
+
 // ReadFrame reads one framed record from br. io.EOF marks a clean
 // frame boundary (the peer closed between frames); ErrCorrupt
 // (possibly wrapped) marks garbage, a torn frame, or a CRC mismatch.
 func ReadFrame(br *bufio.Reader) (*Frame, error) {
-	var header [frameHeader]byte
-	if _, err := io.ReadFull(br, header[:1]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF // clean end between frames
-		}
-		// Double-wrap so callers can still see the transport cause
-		// (net.ErrClosed, deadline) behind the corruption marker.
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	n, sum, err := peekHeader(br)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := io.ReadFull(br, header[1:]); err != nil {
-		return nil, fmt.Errorf("%w: torn header: %w", ErrCorrupt, err)
-	}
-	if magic := binary.LittleEndian.Uint32(header[0:]); magic != frameMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
-	}
-	n := binary.LittleEndian.Uint32(header[4:])
-	if n < framePrefix || n > maxFrameSize {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
-	}
+	_, _ = br.Discard(frameHeader) // just peeked: cannot fail
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, fmt.Errorf("%w: torn payload: %w", ErrCorrupt, err)
 	}
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(header[8:]) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	f := new(Frame)
+	if err := f.setPayload(sum, payload); err != nil {
+		return nil, err
 	}
-	f := &Frame{Type: payload[0], Seq: binary.LittleEndian.Uint64(payload[1:])}
-	switch f.Type {
+	return f, nil
+}
+
+// ReadFrameInPlace is ReadFrame without the copy: a frame that fits
+// br's buffer is checked where it lies and f.Body aliases the buffer,
+// valid only until the next read from br. A frame larger than the
+// buffer goes through ReadFrame, so both accept and reject exactly the
+// same byte streams, with the same io.EOF / ErrCorrupt classes.
+func ReadFrameInPlace(br *bufio.Reader, f *Frame) error {
+	n, sum, err := peekHeader(br)
+	if err != nil {
+		return err
+	}
+	if frameHeader+n > br.Size() {
+		big, err := ReadFrame(br)
+		if err != nil {
+			return err
+		}
+		*f = *big
+		return nil
+	}
+	whole, err := br.Peek(frameHeader + n)
+	if err != nil {
+		return fmt.Errorf("%w: torn payload: %w", ErrCorrupt, err)
+	}
+	if err := f.setPayload(sum, whole[frameHeader:]); err != nil {
+		return err
+	}
+	_, _ = br.Discard(len(whole)) // just peeked: cannot fail
+	return nil
+}
+
+// peekHeader validates the header of the frame at the head of br and
+// returns its payload length and checksum, consuming nothing.
+func peekHeader(br *bufio.Reader) (n int, sum uint32, err error) {
+	header, err := br.Peek(frameHeader)
+	if err != nil {
+		switch {
+		case len(header) > 0:
+			return 0, 0, fmt.Errorf("%w: torn header: %w", ErrCorrupt, err)
+		case errors.Is(err, io.EOF):
+			return 0, 0, io.EOF // clean end between frames
+		}
+		// Double-wrap so callers can still see the transport cause
+		// (net.ErrClosed, deadline) behind the corruption marker.
+		return 0, 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	if magic := binary.LittleEndian.Uint32(header[0:]); magic != frameMagic {
+		return 0, 0, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
+	}
+	length := binary.LittleEndian.Uint32(header[4:])
+	if length < framePrefix || length > maxFrameSize {
+		return 0, 0, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, length)
+	}
+	return int(length), binary.LittleEndian.Uint32(header[8:]), nil
+}
+
+// setPayload checks payload against its header's checksum and points f
+// at it. Nothing of the payload is trusted before the checksum matches.
+func (f *Frame) setPayload(sum uint32, payload []byte) error {
+	if crc32.ChecksumIEEE(payload) != sum {
+		return fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	}
+	switch payload[0] {
 	case FrameEstimate, FrameResponse, FrameError:
 	default:
-		return nil, fmt.Errorf("%w: unknown frame type %d", ErrCorrupt, f.Type)
+		return fmt.Errorf("%w: unknown frame type %d", ErrCorrupt, payload[0])
 	}
-	f.Body = payload[framePrefix:]
-	return f, nil
+	*f = Frame{Type: payload[0], Seq: binary.LittleEndian.Uint64(payload[1:]), Body: payload[framePrefix:]}
+	return nil
 }

@@ -2,7 +2,7 @@ package stream
 
 import (
 	"bufio"
-	"encoding/json"
+	"context"
 	"errors"
 	"io"
 	"log/slog"
@@ -42,7 +42,7 @@ type Options struct {
 	// design, so this is a liveness bound, not a request deadline —
 	// per-request deadlines ride in each frame's timeout_ms.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one outbound frame write (default 30s). A
+	// WriteTimeout bounds one outbound write burst (default 30s). A
 	// peer that stops reading stalls its writer goroutine until this
 	// fires, then the connection is torn down.
 	WriteTimeout time.Duration
@@ -109,8 +109,9 @@ type Server struct {
 	dispatches atomic.Uint64
 	holds      atomic.Uint64
 
-	batchFill    obs.IntHistogram
-	coalesceWait obs.Histogram
+	batchFill      obs.IntHistogram
+	framesPerWrite obs.IntHistogram
+	coalesceWait   obs.Histogram
 }
 
 // Start binds addr and serves streaming connections in the background
@@ -172,6 +173,8 @@ func (s *Server) Collector() obs.Collector {
 			float64(s.dispatches.Load()))
 		fill := s.batchFill.Snapshot()
 		e.IntHistogram("resserve_stream_batch_fill", "Plans per coalesced dispatch.", "", &fill)
+		perWrite := s.framesPerWrite.Snapshot()
+		e.IntHistogram("resserve_stream_frames_per_write", "Answer frames per socket write.", "", &perWrite)
 		wait := s.coalesceWait.Snapshot()
 		e.Summary("resserve_stream_coalesce_wait_seconds",
 			"Time a dispatch's oldest request waited in the micro-batcher.", "", &wait)
@@ -209,11 +212,10 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		c := &serverConn{
-			srv:  s,
-			c:    nc,
-			br:   bufio.NewReader(nc),
-			out:  make(chan []byte, 256),
-			done: make(chan struct{}),
+			srv: s,
+			c:   nc,
+			br:  bufio.NewReaderSize(nc, ReadBufferSize),
+			w:   NewFrameWriter(nc, s.opts.WriteTimeout, &s.framesPerWrite),
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -227,26 +229,35 @@ func (s *Server) acceptLoop() {
 		s.open.Add(1)
 		s.wg.Add(2)
 		go c.readLoop()
-		go c.writeLoop()
+		go func() {
+			defer s.wg.Done()
+			defer c.shutdown()
+			_ = c.w.Run() // whatever stopped it, shutdown is the answer
+		}()
 	}
 }
 
+// ReadBufferSize is the read buffer of every stream endpoint — this
+// server, the client, the router's listener: forty of the benchmark's
+// 1.6 KB requests per read, where bufio's 4 KB default holds two and a
+// half.
+const ReadBufferSize = 64 << 10
+
 // serverConn is one accepted streaming connection: a read loop feeding
-// the batcher and a writer goroutine draining the outbound queue, so a
-// slow write never stops the inbound coalescing flow.
+// the batcher and a FrameWriter draining the answers, so a slow write
+// never stops the inbound coalescing flow.
 type serverConn struct {
 	srv  *Server
 	c    net.Conn
 	br   *bufio.Reader
-	out  chan []byte
-	done chan struct{}
+	w    *FrameWriter
 	once sync.Once
 }
 
 // shutdown closes the connection once; both loops exit on it.
 func (c *serverConn) shutdown() {
 	c.once.Do(func() {
-		close(c.done)
+		c.w.Close()
 		c.c.Close()
 		c.srv.mu.Lock()
 		delete(c.srv.conns, c)
@@ -329,70 +340,25 @@ func (c *serverConn) sendResponse(seq uint64, resp *serve.Response) {
 		c.sendError(seq, "encode response: "+err.Error(), "internal")
 		return
 	}
-	buf, err := AppendFrame(make([]byte, 0, frameHeader+framePrefix+len(body)),
-		&Frame{Type: FrameResponse, Seq: seq, Body: body})
-	if err != nil {
+	// Counted before the frame can reach the peer, so a client holding
+	// its answer never reads a count that lacks it.
+	c.srv.responses.Add(1)
+	err = c.w.Send(context.Background(), &Frame{Type: FrameResponse, Seq: seq, Body: body})
+	if err != nil && !errors.Is(err, ErrConnLost) { // body over the frame limit
+		c.srv.responses.Add(^uint64(0))
 		c.sendError(seq, "frame response: "+err.Error(), "internal")
 		return
 	}
 	c.srv.opts.Service.RecordStreamStage(obs.StageEncode, time.Since(start))
-	c.srv.responses.Add(1)
-	c.send(buf)
 }
 
 // sendError answers one sequence ID with the structured error
-// envelope.
+// envelope. Like sendResponse it blocks while the writer's queue is
+// full; the queue bound plus WriteTimeout limit how long a non-reading
+// peer can stall a dispatch goroutine.
 func (c *serverConn) sendError(seq uint64, msg, code string) {
-	body, err := json.Marshal(Error{Message: msg, Code: code})
-	if err != nil {
-		return
-	}
-	buf, err := AppendFrame(make([]byte, 0, frameHeader+framePrefix+len(body)),
-		&Frame{Type: FrameError, Seq: seq, Body: body})
-	if err != nil {
-		return
-	}
 	c.srv.sendErrors.Add(1)
-	c.send(buf)
-}
-
-// send queues one encoded frame, blocking until the writer has space
-// or the connection dies. The queue plus WriteTimeout bound how long a
-// non-reading peer can stall a dispatch goroutine.
-func (c *serverConn) send(buf []byte) {
-	select {
-	case c.out <- buf:
-	case <-c.done:
-	}
-}
-
-func (c *serverConn) writeLoop() {
-	defer c.srv.wg.Done()
-	defer c.shutdown()
-	for {
-		select {
-		case buf := <-c.out:
-			// Coalesce whatever else is already queued into one writev:
-			// a connection with several requests in flight gets its whole
-			// answer burst in one syscall instead of one per frame.
-			bufs := net.Buffers{buf}
-			for len(bufs) < 64 {
-				select {
-				case more := <-c.out:
-					bufs = append(bufs, more)
-					continue
-				default:
-				}
-				break
-			}
-			_ = c.c.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
-			if _, err := bufs.WriteTo(c.c); err != nil {
-				return
-			}
-		case <-c.done:
-			return
-		}
-	}
+	_ = c.w.Send(context.Background(), ErrorFrame(seq, msg, code)) // fails only on a dead connection
 }
 
 // routineDisconnect reports read failures that are lifecycle, not

@@ -458,7 +458,9 @@ func TestStreamIdleReap(t *testing.T) {
 	_, srv := newStream(t, serve.Options{}, stream.Options{IdleTimeout: 100 * time.Millisecond})
 	cl := dial(t, srv)
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Open != 0 {
+	// Open is 0 both before the accept loop has registered the
+	// connection and after the reap; Accepted tells the two apart.
+	for st := srv.Stats(); st.Accepted != 1 || st.Open != 0; st = srv.Stats() {
 		if time.Now().After(deadline) {
 			t.Fatalf("idle connection not reaped: %+v", srv.Stats())
 		}
