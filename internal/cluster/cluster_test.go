@@ -178,13 +178,38 @@ func postOK(t testing.TB, url, path string, body []byte) []byte {
 	return out
 }
 
+// selfJoinPlan is a five-operator plan whose two scans are one
+// (operator, feature vector) pair: the same table read twice under one
+// join — the one input shape where how a path counts cache probes
+// shows. rows sizes the table, so each value is a plan no cache holds
+// an operator of.
+func selfJoinPlan(rows float64) *plan.Plan {
+	scan := func() *plan.Node {
+		n := plan.NewLeaf(plan.TableScan, "orders")
+		n.TableRows, n.TablePages, n.TableCols = rows, rows/50, 9
+		n.Out = plan.Cardinality{Rows: rows, Width: 64}
+		n.EstOut = n.Out
+		return n
+	}
+	join := plan.NewJoin(plan.MergeJoin, scan(), scan())
+	join.Out = plan.Cardinality{Rows: rows, Width: 128}
+	agg := plan.NewUnary(plan.HashAggregate, join)
+	agg.Out = plan.Cardinality{Rows: rows / 100, Width: 32}
+	top := plan.NewUnary(plan.Sort, agg)
+	top.Out = agg.Out
+	join.EstOut, agg.EstOut, top.EstOut = join.Out, agg.Out, top.Out
+	return plan.New(top, "self-join")
+}
+
 // TestRouterByteIdenticalToSingleNode pins the tier's core contract:
 // a client moved from one resserve to the router sees byte-identical
 // responses — single-resource, multi-resource, batch, and the
-// streaming transport. Both sides are warmed first (cold cache
-// counters legitimately differ between a first and second serving of
-// the same plan) and the router cache is disabled so the forwarding
-// path itself is what's measured.
+// streaming transport. Both sides are warmed first (a first and a
+// second serving of the same plan differ in their cache counters) and
+// the router cache is disabled so the forwarding path itself is what's
+// measured. A self-join is compared on its first serving too: its
+// counters are where HTTP and the stream the router forwards over
+// could count differently.
 func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 	setup(t)
 	// One registry behind every node: model metadata (version,
@@ -220,6 +245,15 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 		got := postOK(t, rhs.URL, "/estimate", c.body)
 		if !bytes.Equal(want, got) {
 			t.Errorf("%s: router response differs from single-node\nsingle: %s\nrouter: %s", c.name, want, got)
+		}
+	}
+
+	for _, serving := range []string{"cold", "warm"} {
+		body := estimateBody(t, "alpha", selfJoinPlan(1.5e6), "cpu", "io")
+		want := postOK(t, single.hs.URL, "/estimate", body)
+		got := postOK(t, rhs.URL, "/estimate", body)
+		if !bytes.Equal(want, got) {
+			t.Errorf("%s self-join: router response differs from single-node\nsingle: %s\nrouter: %s", serving, want, got)
 		}
 	}
 
@@ -263,6 +297,18 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 		}
 		if !bytes.Equal(want, got) {
 			t.Errorf("%s: stream response differs from single-node HTTP\nhttp:   %s\nstream: %s", c.name, want, got)
+		}
+	}
+
+	for _, serving := range []string{"cold", "warm"} {
+		body := estimateBody(t, "beta", selfJoinPlan(3e6), "cpu")
+		want := postOK(t, single.hs.URL, "/estimate", body)
+		got, err := cl.EstimateBytes(context.Background(), body)
+		if err != nil {
+			t.Fatalf("%s self-join: stream estimate: %v", serving, err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Errorf("%s self-join: stream response differs from single-node HTTP\nhttp:   %s\nstream: %s", serving, want, got)
 		}
 	}
 

@@ -35,11 +35,12 @@ const (
 	// StageQueue is the wait between enqueueing on the worker pool and
 	// a worker picking the job up.
 	StageQueue
-	// StageCacheProbe is the prediction-cache lookup (batch path: the
-	// one multi-get; the single path folds probes into StagePredict).
+	// StageCacheProbe is the prediction-cache lookup: one multi-get
+	// over every operator of the request's plans.
 	StageCacheProbe
-	// StagePredict is model evaluation (including, on the single path,
-	// the interleaved per-node cache probes).
+	// StagePredict is the rest of the worker's time on the request:
+	// feature extraction, model evaluation of the misses, the cache
+	// fill and response assembly.
 	StagePredict
 	// StageEncode is response serialization (HTTP layer).
 	StageEncode

@@ -1,22 +1,26 @@
 package serve_test
 
-// Tests for the batched estimation path: bit-exact equivalence with
-// sequential /estimate, cache sharing between the two paths, the HTTP
-// endpoint (including its structured error shapes), and concurrent
-// batches under hot-swap (run with -race).
+// Tests for batched estimation: bit-exact equivalence with sequential
+// /estimate, cache sharing between the two entry points, the HTTP
+// endpoint (including its structured error shapes), and every way into
+// the pipeline at once under hot-swap (run with -race).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/feedback"
 	"repro/internal/plan"
 	"repro/internal/serve"
 )
@@ -71,8 +75,9 @@ func TestEstimateBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEstimateBatchCacheSharing proves the two paths share one cache: a
-// batch warms it for sequential requests and vice versa.
+// TestEstimateBatchCacheSharing proves the two entry points share one
+// cache — a batch warms it for sequential requests and vice versa — and
+// one way of counting probes.
 func TestEstimateBatchCacheSharing(t *testing.T) {
 	svc := newService(t, serve.Options{CacheEntries: 1 << 14})
 	svc.Registry().Publish("tpch", cpuEst)
@@ -104,6 +109,39 @@ func TestEstimateBatchCacheSharing(t *testing.T) {
 	m := svc.Metrics()
 	if m.BatchRequests != 2 || m.BatchPlans != uint64(2*len(testPlans)) {
 		t.Fatalf("batch counters: %d requests, %d plans", m.BatchRequests, m.BatchPlans)
+	}
+
+	// A plan that repeats an operator, as a single estimate and as a
+	// batch of one, each on a service that has never seen it and then
+	// again: the same fields and the same counters. Cold, the twin scans
+	// are probed together — two misses, one cache entry.
+	sj := selfJoinPlan()
+	one := newService(t, serve.Options{Registry: svc.Registry()})
+	for _, serving := range []struct {
+		name         string
+		hits, misses int
+	}{{"cold", 0, 5}, {"warm", 5, 0}} {
+		single, err := svc.Estimate(ctx, serve.Request{Schema: "tpch", Plan: sj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := one.EstimateBatch(ctx, serve.BatchRequest{Schema: "tpch", Plans: []*plan.Plan{sj}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if single.CacheHits != serving.hits || single.CacheMisses != serving.misses ||
+			batch.CacheHits != serving.hits || batch.CacheMisses != serving.misses {
+			t.Fatalf("%s self-join: single %d/%d, batch of one %d/%d, want %d/%d", serving.name,
+				single.CacheHits, single.CacheMisses, batch.CacheHits, batch.CacheMisses, serving.hits, serving.misses)
+		}
+		pe := batch.Plans[0]
+		if math.Float64bits(pe.Total) != math.Float64bits(single.Total) ||
+			!reflect.DeepEqual(pe.Operators, single.Operators) || !reflect.DeepEqual(pe.Pipelines, single.Pipelines) {
+			t.Fatalf("%s self-join: batch of one %+v differs from the single estimate %+v", serving.name, pe, single)
+		}
+	}
+	if got := one.Metrics().Cache.Entries; got != 4 {
+		t.Fatalf("self-join left %d cache entries, want 4 (the scans share one)", got)
 	}
 }
 
@@ -353,13 +391,23 @@ func TestHTTPBatchDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchDuringHotSwap hammers EstimateBatch from many
-// goroutines while the model is republished and sequential traffic runs
-// alongside — the -race equivalence target: every batch response must
-// be internally consistent and match the immutable estimator exactly.
+// TestConcurrentBatchDuringHotSwap hammers the one pipeline through
+// every way in — EstimateBatch, Estimate, EstimateStream and POST
+// /observe's scoring, over the same plans, from many goroutines — while
+// the model is republished: the -race equivalence target. Every
+// response must be internally consistent and match the immutable
+// estimator exactly.
 func TestConcurrentBatchDuringHotSwap(t *testing.T) {
-	svc := newService(t, serve.Options{Workers: 8})
-	first := svc.Registry().Publish("tpch", cpuEst)
+	reg := serve.NewRegistry()
+	// No retrain may publish a different model under the comparison.
+	loop, err := feedback.New(feedback.Options{Publisher: reg, DriftThreshold: 1e9, ExemplarK: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loop.Close() })
+	svc := newService(t, serve.Options{Registry: reg, Workers: 8, Feedback: loop})
+	h := svc.Handler()
+	first := reg.Publish("tpch", cpuEst)
 
 	want := make([]float64, len(testPlans))
 	for i, p := range testPlans {
@@ -377,12 +425,12 @@ func TestConcurrentBatchDuringHotSwap(t *testing.T) {
 				return
 			default:
 			}
-			svc.Registry().Publish("tpch", cpuEst)
+			reg.Publish("tpch", cpuEst)
 			time.Sleep(time.Millisecond)
 		}
 	}()
 
-	const clients = 6
+	const clients = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
@@ -391,7 +439,9 @@ func TestConcurrentBatchDuringHotSwap(t *testing.T) {
 			defer wg.Done()
 			ctx := context.Background()
 			for r := 0; r < 25; r++ {
-				if c%2 == 0 {
+				one := (c + r) % len(testPlans)
+				switch c % 4 {
+				case 0:
 					resp, err := svc.EstimateBatch(ctx, serve.BatchRequest{Schema: "tpch", Plans: testPlans})
 					if err != nil {
 						errs <- err
@@ -416,15 +466,39 @@ func TestConcurrentBatchDuringHotSwap(t *testing.T) {
 							return
 						}
 					}
-				} else {
-					p := testPlans[(c+r)%len(testPlans)]
-					resp, err := svc.Estimate(ctx, serve.Request{Schema: "tpch", Plan: p})
+				case 1:
+					resp, err := svc.Estimate(ctx, serve.Request{Schema: "tpch", Plan: testPlans[one]})
 					if err != nil {
 						errs <- err
 						return
 					}
-					if math.Float64bits(resp.Total) != math.Float64bits(want[(c+r)%len(testPlans)]) {
+					if math.Float64bits(resp.Total) != math.Float64bits(want[one]) {
 						errs <- fmt.Errorf("sequential total diverged under swap")
+						return
+					}
+				case 2:
+					resps, err := svc.EstimateStream(ctx, serve.BatchRequest{Schema: "tpch", Plans: testPlans}, 0)
+					if err != nil {
+						errs <- err
+						return
+					}
+					for i, resp := range resps {
+						if math.Float64bits(resp.Total) != math.Float64bits(want[i]) {
+							errs <- fmt.Errorf("stream plan %d: %v != reference %v", i, resp.Total, want[i])
+							return
+						}
+					}
+				default:
+					// No reported prediction: the loop's is the sum of what
+					// the handler resolved through the cache, and lands —
+					// under the plan's index — on the exemplar checked below.
+					req := httptest.NewRequest(http.MethodPost, "/observe",
+						bytes.NewReader(observeBody(t, 0, 0, testPlans[one])))
+					req.Header.Set("X-Request-ID", strconv.Itoa(one))
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, req)
+					if rec.Code != http.StatusAccepted {
+						errs <- fmt.Errorf("observe: %d %s", rec.Code, rec.Body)
 						return
 					}
 				}
@@ -437,5 +511,18 @@ func TestConcurrentBatchDuringHotSwap(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	scored := loop.Exemplars()
+	if len(scored) == 0 {
+		t.Fatal("no observation was scored")
+	}
+	for _, ex := range scored {
+		i, err := strconv.Atoi(ex.RequestID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(ex.Predicted) != math.Float64bits(want[i]) {
+			t.Fatalf("observe scored plan %d at %v under swap, reference %v", i, ex.Predicted, want[i])
+		}
 	}
 }

@@ -118,74 +118,36 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-func (c *Cache) shard(k *cacheKey) *cacheShard {
-	return &c.shards[k.hash()%cacheShards]
+// probe is one slot of a batched lookup: the key going in; the
+// memoized value, the outcome and the key's shard coming out. node and
+// slot are the caller's (the estimate pipeline keeps the operator the
+// key was extracted from, and parks each miss's index into its
+// deduplicated prediction batch), so one slice of these is a request's
+// whole per-operator state.
+type probe struct {
+	key   cacheKey
+	val   plan.Resources
+	node  *plan.Node
+	slot  int32
+	shard uint8
+	hit   bool
 }
 
-// Get returns the memoized prediction for k, updating recency and the
-// hit/miss counters.
-func (c *Cache) Get(k cacheKey) (plan.Resources, bool) {
-	if c == nil {
-		return plan.Resources{}, false
-	}
-	s := c.shard(&k)
-	s.mu.Lock()
-	el, ok := s.m[k]
-	var v plan.Resources
-	if ok {
-		s.lru.MoveToFront(el)
-		v = el.Value.(*cacheEntry).val
-		s.hits++
-	} else {
-		s.misses++
-	}
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		return v, true
-	}
-	c.misses.Add(1)
-	return plan.Resources{}, false
-}
-
-// Put memoizes a prediction, evicting the least recently used entry of
-// the shard when it is full.
-func (c *Cache) Put(k cacheKey, v plan.Resources) {
-	if c == nil {
-		return
-	}
-	s := c.shard(&k)
-	s.mu.Lock()
-	if el, ok := s.m[k]; ok {
-		el.Value.(*cacheEntry).val = v
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
-		return
-	}
-	s.m[k] = s.lru.PushFront(&cacheEntry{key: k, val: v})
-	if s.lru.Len() > s.cap {
-		old := s.lru.Back()
-		s.lru.Remove(old)
-		delete(s.m, old.Value.(*cacheEntry).key)
-	}
-	s.mu.Unlock()
-}
-
-// shardPlan groups a key batch by shard in one pass: a counting sort
-// producing, per shard s, the key indexes order[starts[s]:starts[s+1]].
-// Hashing each key once here is what GetMulti and PutMulti share.
+// shardPlan groups a probe batch by shard: per shard s, the probe
+// indexes order[starts[s]:starts[s+1]]. GetMulti builds it — hashing
+// each key once — and hands it to the PutMulti that follows.
 type shardPlan struct {
 	order  []int32
 	starts [cacheShards + 1]int32
 }
 
-func planShards(keys []cacheKey) *shardPlan {
-	sp := &shardPlan{order: make([]int32, len(keys))}
-	shardOf := make([]uint8, len(keys))
+// planShards is a counting sort of the batch by shard.
+func planShards(ps []probe) shardPlan {
+	sp := shardPlan{order: make([]int32, len(ps))}
 	var counts [cacheShards]int32
-	for i := range keys {
-		s := uint8(keys[i].hash() % cacheShards)
-		shardOf[i] = s
+	for i := range ps {
+		s := uint8(ps[i].key.hash() % cacheShards)
+		ps[i].shard = s
 		counts[s]++
 	}
 	var sum int32
@@ -195,28 +157,28 @@ func planShards(keys []cacheKey) *shardPlan {
 	}
 	sp.starts[cacheShards] = sum
 	next := sp.starts
-	for i := range keys {
-		s := shardOf[i]
+	for i := range ps {
+		s := ps[i].shard
 		sp.order[next[s]] = int32(i)
 		next[s]++
 	}
 	return sp
 }
 
-// GetMulti looks up a whole batch of keys, writing memoized values into
-// vals and lookup outcomes into hit (all three slices parallel), and
-// returns the hit count plus the shard grouping for a follow-up
-// PutMulti (nil when the cache is disabled). Keys are grouped by shard
-// so each shard lock is taken at most once per batch instead of once
-// per key; the counters are bumped once with the batch totals.
-func (c *Cache) GetMulti(keys []cacheKey, vals []plan.Resources, hit []bool) (int, *shardPlan) {
+// GetMulti looks up a whole batch of keys, writing each probe's
+// memoized value and outcome, and returns the hit count plus the shard
+// grouping for a follow-up PutMulti (zero when the cache is disabled,
+// which never hits). Keys are grouped by shard so each shard lock is
+// taken at most once per batch instead of once per key; the counters
+// are bumped once with the batch totals.
+func (c *Cache) GetMulti(ps []probe) (int, shardPlan) {
 	if c == nil {
-		for i := range hit {
-			hit[i] = false
+		for i := range ps {
+			ps[i].hit = false
 		}
-		return 0, nil
+		return 0, shardPlan{}
 	}
-	sp := planShards(keys)
+	sp := planShards(ps)
 	hits := 0
 	for si := 0; si < cacheShards; si++ {
 		group := sp.order[sp.starts[si]:sp.starts[si+1]]
@@ -227,13 +189,13 @@ func (c *Cache) GetMulti(keys []cacheKey, vals []plan.Resources, hit []bool) (in
 		shardHits := 0
 		s.mu.Lock()
 		for _, i := range group {
-			if el, ok := s.m[keys[i]]; ok {
+			p := &ps[i]
+			el, ok := s.m[p.key]
+			p.hit = ok
+			if ok {
 				s.lru.MoveToFront(el)
-				vals[i] = el.Value.(*cacheEntry).val
-				hit[i] = true
+				p.val = el.Value.(*cacheEntry).val
 				shardHits++
-			} else {
-				hit[i] = false
 			}
 		}
 		s.hits += uint64(shardHits)
@@ -242,38 +204,35 @@ func (c *Cache) GetMulti(keys []cacheKey, vals []plan.Resources, hit []bool) (in
 		hits += shardHits
 	}
 	c.hits.Add(uint64(hits))
-	c.misses.Add(uint64(len(keys) - hits))
+	c.misses.Add(uint64(len(ps) - hits))
 	return hits, sp
 }
 
-// PutMulti memoizes the batch entries whose skip flag is false (the
-// misses of a preceding GetMulti), reusing that GetMulti's shard
-// grouping so key hashes are computed once per batch.
-func (c *Cache) PutMulti(keys []cacheKey, vals []plan.Resources, skip []bool, sp *shardPlan) {
+// PutMulti memoizes the misses of the GetMulti that returned sp,
+// evicting the least recently used entry of a shard when it is full.
+func (c *Cache) PutMulti(ps []probe, sp shardPlan) {
 	if c == nil {
 		return
-	}
-	if sp == nil {
-		sp = planShards(keys)
 	}
 	for si := 0; si < cacheShards; si++ {
 		group := sp.order[sp.starts[si]:sp.starts[si+1]]
 		locked := false
 		s := &c.shards[si]
 		for _, i := range group {
-			if skip[i] {
+			p := &ps[i]
+			if p.hit {
 				continue
 			}
 			if !locked {
 				s.mu.Lock()
 				locked = true
 			}
-			if el, ok := s.m[keys[i]]; ok {
-				el.Value.(*cacheEntry).val = vals[i]
+			if el, ok := s.m[p.key]; ok {
+				el.Value.(*cacheEntry).val = p.val
 				s.lru.MoveToFront(el)
 				continue
 			}
-			s.m[keys[i]] = s.lru.PushFront(&cacheEntry{key: keys[i], val: vals[i]})
+			s.m[p.key] = s.lru.PushFront(&cacheEntry{key: p.key, val: p.val})
 			if s.lru.Len() > s.cap {
 				old := s.lru.Back()
 				s.lru.Remove(old)

@@ -345,127 +345,151 @@ func releaseBody(buf *bytes.Buffer) {
 	}
 }
 
-// wirePlan decodes an envelope's plan, answering the request itself
-// when there is none or it does not decode.
-func wirePlan(w http.ResponseWriter, r *http.Request, raw json.RawMessage) (*plan.Plan, bool) {
-	if PlanMissing(raw) {
-		writeError(w, r, http.StatusBadRequest, jsonError("missing plan", errCodeBadRequest, -1))
-		return nil, false
+// ResolveEstimate turns the decoded fields of a single-plan envelope —
+// the resources selection, its single-resource fallback and the plan's
+// wire bytes — into what Estimate takes: the resource kinds and the
+// decoded, validated plan. Every transport that takes the envelope
+// (POST /estimate, POST /observe, the stream's estimate frame) resolves
+// it here, so they refuse the same requests in the same words: on
+// failure, err is the message and code the stable wire code to answer
+// with — an unknown resource, a missing plan (the key absent, or null:
+// bad_request rather than a decode error about wire version 0), a plan
+// that does not decode (unknown_operator told apart from bad_plan). All
+// are the client's fault, HTTP status 400.
+func ResolveEstimate(resources ResourceSet, resource string, rawPlan json.RawMessage) (kinds []plan.ResourceKind, p *plan.Plan, code string, err error) {
+	if kinds, err = resources.Kinds(resource); err != nil {
+		_, code = ErrorCode(err)
+		return nil, nil, code, err
 	}
-	p, err := plan.DecodeJSON(raw)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, jsonError(err.Error(), planErrCode(err), -1))
-		return nil, false
+	if len(rawPlan) == 0 || string(rawPlan) == "null" {
+		return nil, nil, errCodeBadRequest, errors.New("missing plan")
 	}
-	return p, true
+	if p, err = plan.DecodeJSON(rawPlan); err != nil {
+		return nil, nil, planErrCode(err), err
+	}
+	return kinds, p, "", nil
+}
+
+// estimateCall is what POST /estimate and POST /estimate/batch share
+// around their own middle (which plans, which service call): open reads
+// and decodes the body under a trace, reject answers a request the
+// envelope already condemns, decoded closes the decode stage, and
+// finish writes the service's answer — the response under an encode
+// stage, or the mapped error — and the slow-trace record.
+type estimateCall struct {
+	w   http.ResponseWriter
+	r   *http.Request
+	ep  int
+	tel *telemetry // nil when telemetry is off, and tr with it
+	tr  *obs.Trace
+	// start anchors the decode stage.
+	start time.Time
+	env   Envelope
+	buf   *bytes.Buffer
+	// plans, when > 0, is stamped on the slow-trace record.
+	plans int
+}
+
+// open answers the request itself, and returns false, when the body
+// cannot be read or decoded. The caller releases c.buf otherwise.
+func (s *Service) open(w http.ResponseWriter, r *http.Request, ep int, limit int64, keys EnvelopeKeys) (c estimateCall, ok bool) {
+	c = estimateCall{w: w, r: r, ep: ep, tel: s.tel}
+	if c.tel != nil {
+		c.tr, c.start = obs.NewTrace(endpointNames[ep], RequestIDFrom(r.Context())), time.Now()
+	}
+	c.env, c.buf, ok = readRequest(w, r, limit, keys)
+	return c, ok
+}
+
+// reject answers 400 with the structured envelope; planIdx < 0 omits
+// the plan index.
+func (c *estimateCall) reject(msg, code string, planIdx int) {
+	writeError(c.w, c.r, http.StatusBadRequest, jsonError(msg, code, planIdx))
+}
+
+// decoded records the decode stage and returns the context the service
+// call runs under, carrying the trace.
+func (c *estimateCall) decoded() context.Context {
+	ctx := c.r.Context()
+	if c.tel != nil {
+		c.tel.rec(c.ep, obs.StageDecode, time.Since(c.start), c.tr)
+		ctx = obs.WithTrace(ctx, c.tr)
+	}
+	return ctx
+}
+
+func (c *estimateCall) finish(resp any, err error) {
+	tel := c.tel
+	var buf [2]slog.Attr // the slow-trace extras, without a heap slice per request
+	attrs := buf[:0]
+	switch {
+	case err != nil:
+		status, body := errorFor(err)
+		writeError(c.w, c.r, status, body)
+		attrs = append(attrs, slog.String("error", err.Error()))
+	case tel == nil:
+		writeJSON(c.w, http.StatusOK, resp)
+	default:
+		encodeStart := time.Now()
+		writeJSON(c.w, http.StatusOK, resp)
+		tel.rec(c.ep, obs.StageEncode, time.Since(encodeStart), c.tr)
+	}
+	if tel == nil {
+		return
+	}
+	if c.plans > 0 {
+		attrs = append(attrs, slog.Int("plans", c.plans))
+	}
+	c.tr.LogSlow(tel.logger, tel.slow, attrs...)
 }
 
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	tel, tr, decodeStart := s.beginTrace(r, endpointNames[epEstimate])
-	env, buf, ok := readRequest(w, r, maxEstimateBody, EstimateKeys)
+	c, ok := s.open(w, r, epEstimate, maxEstimateBody, EstimateKeys)
 	if !ok {
 		return
 	}
-	defer releaseBody(buf)
-	kinds, err := env.Resources.Kinds(env.Resource)
+	defer releaseBody(c.buf)
+	kinds, p, code, err := ResolveEstimate(c.env.Resources, c.env.Resource, c.env.Plan)
 	if err != nil {
-		status, body := errorFor(err)
-		writeError(w, r, status, body)
+		c.reject(err.Error(), code, -1)
 		return
 	}
-	p, ok := wirePlan(w, r, env.Plan)
-	if !ok {
-		return
-	}
-	ctx := r.Context()
-	if tel != nil {
-		tel.rec(epEstimate, obs.StageDecode, time.Since(decodeStart), tr)
-		ctx = obs.WithTrace(ctx, tr)
-	}
-	resp, err := s.Estimate(ctx, Request{
-		Schema:    env.Schema,
+	c.finish(s.Estimate(c.decoded(), Request{
+		Schema:    c.env.Schema,
 		Resources: kinds,
 		Plan:      p,
-		Timeout:   time.Duration(env.TimeoutMS) * time.Millisecond,
+		Timeout:   time.Duration(c.env.TimeoutMS) * time.Millisecond,
 		Explain:   wantsExplain(r),
-	})
-	if err != nil {
-		status, body := errorFor(err)
-		writeError(w, r, status, body)
-		if tel != nil {
-			tr.LogSlow(tel.logger, tel.slow, slog.String("error", err.Error()))
-		}
-		return
-	}
-	if tel == nil {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	encodeStart := time.Now()
-	writeJSON(w, http.StatusOK, resp)
-	tel.rec(epEstimate, obs.StageEncode, time.Since(encodeStart), tr)
-	tr.LogSlow(tel.logger, tel.slow)
+	}))
 }
 
 func (s *Service) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	tel, tr, decodeStart := s.beginTrace(r, endpointNames[epBatch])
-	env, buf, ok := readRequest(w, r, maxBatchBody, batchKeys)
+	c, ok := s.open(w, r, epBatch, maxBatchBody, batchKeys)
 	if !ok {
 		return
 	}
-	defer releaseBody(buf)
-	kinds, err := env.Resources.Kinds(env.Resource)
+	defer releaseBody(c.buf)
+	kinds, err := c.env.Resources.Kinds(c.env.Resource)
 	if err != nil {
-		status, body := errorFor(err)
-		writeError(w, r, status, body)
+		_, code := ErrorCode(err)
+		c.reject(err.Error(), code, -1)
 		return
 	}
-	plans := env.Plans
-	if len(plans) == 0 {
-		writeError(w, r, http.StatusBadRequest, jsonError("missing plans", errCodeBadRequest, -1))
+	if len(c.env.Plans) == 0 {
+		c.reject("missing plans", errCodeBadRequest, -1)
 		return
 	}
-	if err := env.badPlanErr; err != nil {
-		i := env.badPlan
-		writeError(w, r, http.StatusBadRequest,
-			jsonError(fmt.Sprintf("plan %d: %v", i, err), planErrCode(err), i))
+	if err := c.env.badPlanErr; err != nil {
+		c.reject(fmt.Sprintf("plan %d: %v", c.env.badPlan, err), planErrCode(err), c.env.badPlan)
 		return
 	}
-	ctx := r.Context()
-	if tel != nil {
-		tel.rec(epBatch, obs.StageDecode, time.Since(decodeStart), tr)
-		ctx = obs.WithTrace(ctx, tr)
-	}
-	resp, err := s.EstimateBatch(ctx, BatchRequest{
-		Schema:    env.Schema,
+	c.plans = len(c.env.Plans)
+	c.finish(s.EstimateBatch(c.decoded(), BatchRequest{
+		Schema:    c.env.Schema,
 		Resources: kinds,
-		Plans:     plans,
-		Timeout:   time.Duration(env.TimeoutMS) * time.Millisecond,
-	})
-	if err != nil {
-		status, body := errorFor(err)
-		writeError(w, r, status, body)
-		if tel != nil {
-			tr.LogSlow(tel.logger, tel.slow,
-				slog.String("error", err.Error()), slog.Int("plans", len(plans)))
-		}
-		return
-	}
-	if tel == nil {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	encodeStart := time.Now()
-	writeJSON(w, http.StatusOK, resp)
-	tel.rec(epBatch, obs.StageEncode, time.Since(encodeStart), tr)
-	tr.LogSlow(tel.logger, tel.slow, slog.Int("plans", len(plans)))
-}
-
-// PlanMissing reports whether a request envelope carried no plan: the
-// key absent, or present as null. Every transport answers it "missing
-// plan" / bad_request rather than a decode error about wire version 0.
-func PlanMissing(raw json.RawMessage) bool {
-	return len(raw) == 0 || string(raw) == "null"
+		Plans:     c.env.Plans,
+		Timeout:   time.Duration(c.env.TimeoutMS) * time.Millisecond,
+	}))
 }
 
 // planErrCode classifies a plan.DecodeJSON failure: a plan naming an
@@ -526,14 +550,9 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseBody(buf)
-	resource, err := ParseResource(env.Resource)
+	kinds, p, code, err := ResolveEstimate(env.Resources, env.Resource, env.Plan)
 	if err != nil {
-		status, body := errorFor(err)
-		writeError(w, r, status, body)
-		return
-	}
-	p, ok := wirePlan(w, r, env.Plan)
-	if !ok {
+		writeError(w, r, http.StatusBadRequest, jsonError(err.Error(), code, -1))
 		return
 	}
 	// The estimate this observation reports on left the plan's
@@ -541,7 +560,7 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// those instead of walking the model again.
 	err = loop.ObserveServed(&feedback.Observation{
 		Schema:       env.Schema,
-		Resource:     resource,
+		Resource:     kinds[0],
 		ModelVersion: env.ModelVersion,
 		Predicted:    env.Predicted,
 		Plan:         p,
@@ -549,7 +568,7 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 		// rides into the observation record and any worst-prediction
 		// exemplar it becomes, joining them to traces and request logs.
 		RequestID: RequestIDFrom(r.Context()),
-	}, s.servedPredictions(env.Schema, resource, p))
+	}, s.servedPredictions(env.Schema, kinds, p))
 	if err != nil {
 		// Malformed observations are the client's fault; anything else
 		// (log I/O, shutdown) is a server-side failure — never a 4xx
@@ -663,11 +682,6 @@ func errorFor(err error) (int, errorJSON) {
 	return status, jsonError(err.Error(), code, -1)
 }
 
-// PlanErrorCode classifies a plan decode/validate failure the way the
-// HTTP handlers do ("unknown_operator" vs "bad_plan"), for transports
-// that decode plans themselves.
-func PlanErrorCode(err error) string { return planErrCode(err) }
-
 // ErrorCode maps a service-layer error to its HTTP status and stable
 // machine-readable wire code — the exact mapping the HTTP handlers
 // use. The streaming transport reuses it so both transports speak
@@ -706,16 +720,6 @@ func StatusForCode(code string) int {
 		return http.StatusGatewayTimeout
 	}
 	return http.StatusInternalServerError
-}
-
-// beginTrace starts a request trace on the estimation endpoints when
-// telemetry is on. The returned start instant anchors the decode stage.
-func (s *Service) beginTrace(r *http.Request, endpoint string) (*telemetry, *obs.Trace, time.Time) {
-	tel := s.tel
-	if tel == nil {
-		return nil, nil, time.Time{}
-	}
-	return tel, obs.NewTrace(endpoint, RequestIDFrom(r.Context())), time.Now()
 }
 
 // writeError stamps the request's ID into the error envelope before

@@ -75,6 +75,28 @@ func newService(t testing.TB, opts serve.Options) *serve.Service {
 	return s
 }
 
+// selfJoinPlan is a five-operator plan whose two scans are one
+// (operator, feature vector) pair: the same table read twice under one
+// join — the one input shape where how a path counts cache probes
+// shows.
+func selfJoinPlan() *plan.Plan {
+	scan := func() *plan.Node {
+		n := plan.NewLeaf(plan.TableScan, "orders")
+		n.TableRows, n.TablePages, n.TableCols = 1.5e6, 3e4, 9
+		n.Out = plan.Cardinality{Rows: 1.5e6, Width: 64}
+		n.EstOut = n.Out
+		return n
+	}
+	join := plan.NewJoin(plan.MergeJoin, scan(), scan())
+	join.Out = plan.Cardinality{Rows: 1.5e6, Width: 128}
+	agg := plan.NewUnary(plan.HashAggregate, join)
+	agg.Out = plan.Cardinality{Rows: 1.5e4, Width: 32}
+	top := plan.NewUnary(plan.Sort, agg)
+	top.Out = agg.Out
+	join.EstOut, agg.EstOut, top.EstOut = join.Out, agg.Out, top.Out
+	return plan.New(top, "self-join")
+}
+
 func TestRegistryRoutingAndFallback(t *testing.T) {
 	setup(t)
 	reg := serve.NewRegistry()

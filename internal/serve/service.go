@@ -165,15 +165,18 @@ type PipelineEstimate struct {
 // Estimates list in the response); Model and Total then describe the
 // primary (first-requested) resource.
 type Response struct {
-	Model       ModelInfo          `json:"model"`
-	Models      []ModelInfo        `json:"models,omitempty"`
-	Resources   []string           `json:"resources,omitempty"`
-	Total       float64            `json:"total"`
-	Totals      []float64          `json:"totals,omitempty"`
-	Operators   []OperatorEstimate `json:"operators"`
-	Pipelines   []PipelineEstimate `json:"pipelines"`
-	CacheHits   int                `json:"cache_hits"`
-	CacheMisses int                `json:"cache_misses"`
+	Model     ModelInfo   `json:"model"`
+	Models    []ModelInfo `json:"models,omitempty"`
+	Resources []string    `json:"resources,omitempty"`
+	// PlanEstimate is the plan's Total, Totals, Operators and Pipelines,
+	// at this position on the wire.
+	PlanEstimate
+	// CacheHits and CacheMisses count the plan's operators the
+	// prediction cache did and did not answer. Operators that repeat
+	// within one request are probed together, so on a cold cache every
+	// copy counts as a miss (and the model is asked once).
+	CacheHits   int `json:"cache_hits"`
+	CacheMisses int `json:"cache_misses"`
 	// Explain carries the per-operator prediction decomposition when the
 	// request asked for it (Request.Explain); omitted otherwise, keeping
 	// the default wire shape unchanged.
@@ -249,8 +252,9 @@ type BatchRequest struct {
 	Timeout time.Duration
 }
 
-// PlanEstimate is one plan's predictions within a batch response — the
-// same three granularities as Response, minus the shared model header.
+// PlanEstimate is one plan's predictions at all three granularities:
+// an entry of a batch response, and the body of a Response, which adds
+// the model header and the plan's cache counters.
 type PlanEstimate struct {
 	Total     float64            `json:"total"`
 	Totals    []float64          `json:"totals,omitempty"`
@@ -271,13 +275,19 @@ type BatchResponse struct {
 }
 
 // modelSet is a request's resolved routing: one model per requested
-// resource, the cache's version vector, and the multi-resource
-// estimator fan-out built over the models' (shared-mode) estimators.
+// resource, the cache's version vector, the multi-resource estimator
+// fan-out built over the models' (shared-mode) estimators, and — on
+// multi-resource requests only — the per-resource response header
+// every plan of the request shares: the models in request order and
+// their wire names, the Resources list every Estimates/Totals list is
+// parallel to.
 type modelSet struct {
 	kinds    []plan.ResourceKind
 	models   [plan.NumResources]*Model
 	versions versionVector
 	est      *core.EstimatorSet
+	infos    []ModelInfo
+	names    []string
 }
 
 // primary returns the model the response's top-level fields describe.
@@ -286,34 +296,21 @@ func (ms *modelSet) primary() *Model { return ms.models[ms.kinds[0]] }
 // multi reports whether the response should carry per-resource fields.
 func (ms *modelSet) multi() bool { return len(ms.kinds) > 1 }
 
-// infos lists the models in request order.
-func (ms *modelSet) infos() []ModelInfo {
-	out := make([]ModelInfo, len(ms.kinds))
-	for i, k := range ms.kinds {
-		out[i] = ms.models[k].Info
-	}
-	return out
-}
-
-// wireNames lists the requested resources' wire names, request order —
-// the Resources field every Estimates/Totals list is parallel to.
-func (ms *modelSet) wireNames() []string {
-	out := make([]string, len(ms.kinds))
-	for i, k := range ms.kinds {
-		out[i] = k.WireName()
-	}
-	return out
-}
-
 // appendValues appends v's components for the requested resources, in
-// request order. Responses carve their per-operator Estimates lists out
-// of one pre-sized backing slice via this, so a multi-resource response
-// costs one float allocation per plan, not one map per operator.
-func (ms *modelSet) appendValues(dst []float64, v plan.Resources) []float64 {
+// request order, and returns the grown slice and the list just
+// appended — nil on a single-resource request, whose estimates carry
+// no per-resource lists. Estimates carve their Estimates and Totals
+// lists out of one pre-sized backing slice via this, so a
+// multi-resource estimate costs one float allocation per plan, not one
+// per operator.
+func (ms *modelSet) appendValues(dst []float64, v plan.Resources) (grown, list []float64) {
+	if !ms.multi() {
+		return dst, nil
+	}
 	for _, k := range ms.kinds {
 		dst = append(dst, v.Get(k))
 	}
-	return dst
+	return dst, dst[len(dst)-len(ms.kinds) : len(dst) : len(dst)]
 }
 
 // normalizeResources resolves a request's resource selection into a
@@ -360,21 +357,25 @@ func (s *Service) lookupModels(schema string, kinds []plan.ResourceKind) (*model
 		return nil, err
 	}
 	ms.est = set
+	if ms.multi() {
+		ms.infos = make([]ModelInfo, len(kinds))
+		ms.names = make([]string, len(kinds))
+		for i, k := range kinds {
+			ms.infos[i] = ms.models[k].Info
+			ms.names[i] = k.WireName()
+		}
+	}
 	return ms, nil
 }
 
+// job is one trip through the pool: N validated plans against one
+// resolved model set, answered on out with one Response per plan. A
+// single estimate is a job of one plan.
 type job struct {
 	ctx    context.Context
 	models *modelSet
-	plan   *plan.Plan
-	out    chan *Response
-	// Batch jobs carry plans and deliver on bout instead; plan is nil.
-	plans []*plan.Plan
-	bout  chan *BatchResponse
-	// Stream jobs carry plans and deliver per-plan Responses on sout:
-	// the batch compute path, unbundled back into single-estimate wire
-	// shapes for the coalescing transport.
-	sout chan []*Response
+	plans  []*plan.Plan
+	out    chan []Response
 	// Telemetry: the endpoint index, the enqueue instant (zero when
 	// telemetry is disabled) and the request's trace, if any. tr is
 	// written by the worker and read by the HTTP handler, possibly
@@ -406,9 +407,10 @@ type Service struct {
 	batchRequests atomic.Uint64
 	batchPlans    atomic.Uint64
 
-	// Per-endpoint counters (indexes epEstimate/epBatch). Separate from
-	// the lifetime totals above so /metrics can report honest averages
-	// per endpoint instead of blending single and batch populations.
+	// Per-endpoint counters (indexes epEstimate/epBatch/epStream).
+	// Separate from the lifetime totals above so /metrics can report
+	// honest averages per endpoint instead of blending single, batch
+	// and stream-dispatch populations.
 	epRequests  [numEndpoints]atomic.Uint64
 	epFailures  [numEndpoints]atomic.Uint64
 	epLatencyNS [numEndpoints]atomic.Int64
@@ -485,89 +487,43 @@ func (s *Service) runJob(j *job) {
 		return
 	}
 	tel := s.tel
-	if tel != nil && !j.enq.IsZero() {
-		tel.rec(j.ep, obs.StageQueue, time.Since(j.enq), j.tr)
+	var start time.Time
+	if tel != nil {
+		start = time.Now()
+		tel.rec(j.ep, obs.StageQueue, start.Sub(j.enq), j.tr)
 	}
-	if j.plan != nil {
-		if tel == nil {
-			j.out <- s.predict(j.models, j.plan)
-			return
-		}
-		start := time.Now()
-		resp := s.predict(j.models, j.plan)
-		// The single path interleaves per-node cache probes with model
-		// evaluation, so predict covers both; timing each probe would
-		// double the hot path's clock reads for sub-microsecond spans.
-		tel.rec(j.ep, obs.StagePredict, time.Since(start), j.tr)
-		j.out <- resp
-		return
-	}
-	if j.sout != nil {
-		if tel == nil {
-			resp, _ := s.predictStream(j.models, j.plans)
-			j.sout <- resp
-			return
-		}
-		start := time.Now()
-		resp, probe := s.predictStream(j.models, j.plans)
-		total := time.Since(start)
+	res, probe := s.estimatePlans(j.models, j.plans)
+	if tel != nil {
 		tel.rec(j.ep, obs.StageCacheProbe, probe, j.tr)
-		tel.rec(j.ep, obs.StagePredict, total-probe, j.tr)
-		j.sout <- resp
-		return
+		tel.rec(j.ep, obs.StagePredict, time.Since(start)-probe, j.tr)
 	}
-	if tel == nil {
-		resp, _ := s.predictBatch(j.models, j.plans)
-		j.bout <- resp
-		return
-	}
-	start := time.Now()
-	resp, probe := s.predictBatch(j.models, j.plans)
-	total := time.Since(start)
-	tel.rec(j.ep, obs.StageCacheProbe, probe, j.tr)
-	tel.rec(j.ep, obs.StagePredict, total-probe, j.tr)
-	j.bout <- resp
+	j.out <- res
 }
 
-// Estimate runs one request through the pool and returns predictions at
-// query, pipeline and operator granularity — for one resource or, when
-// the request names several, for all of them from a single
-// feature-extraction pass.
-func (s *Service) Estimate(ctx context.Context, req Request) (*Response, error) {
-	start := time.Now()
-	s.requests.Add(1)
-	s.epRequests[epEstimate].Add(1)
-	resp, err := s.estimate(ctx, req)
-	if err != nil {
-		s.failures.Add(1)
-		s.epFailures[epEstimate].Add(1)
-		return nil, err
+// run is the one way onto the pool: validate the plans, resolve the
+// request's models, bound everything after with the request's
+// deadline, queue one job and wait for its per-plan responses. The
+// model set comes back with them for Explain, which must decompose
+// against the version that served.
+func (s *Service) run(ctx context.Context, ep int, req BatchRequest) (*modelSet, []Response, error) {
+	if len(req.Plans) == 0 {
+		return nil, nil, fmt.Errorf("serve: request without plans")
 	}
-	d := time.Since(start)
-	s.latencyNS.Add(int64(d))
-	s.completed.Add(1)
-	s.epLatencyNS[epEstimate].Add(int64(d))
-	s.epCompleted[epEstimate].Add(1)
-	if s.tel != nil {
-		s.tel.total[epEstimate].Observe(d)
-	}
-	return resp, nil
-}
-
-func (s *Service) estimate(ctx context.Context, req Request) (*Response, error) {
-	if req.Plan == nil || req.Plan.Root == nil {
-		return nil, fmt.Errorf("serve: request without plan")
-	}
-	if err := req.Plan.Validate(); err != nil {
-		return nil, err
+	for i, p := range req.Plans {
+		if p == nil || p.Root == nil {
+			return nil, nil, fmt.Errorf("serve: plan %d missing", i)
+		}
+		if err := p.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("serve: plan %d: %w", i, err)
+		}
 	}
 	kinds, err := normalizeResources(req.Resource, req.Resources)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	models, err := s.lookupModels(req.Schema, kinds)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	timeout := req.Timeout
@@ -582,11 +538,11 @@ func (s *Service) estimate(ctx context.Context, req Request) (*Response, error) 
 	// request deadline bound what happens to stragglers.
 	select {
 	case <-s.quit:
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	default:
 	}
 
-	j := &job{ctx: ctx, models: models, plan: req.Plan, out: make(chan *Response, 1), ep: epEstimate}
+	j := &job{ctx: ctx, models: models, plans: req.Plans, out: make(chan []Response, 1), ep: ep}
 	if s.tel != nil {
 		j.tr = obs.TraceFrom(ctx)
 		j.enq = time.Now()
@@ -594,186 +550,106 @@ func (s *Service) estimate(ctx context.Context, req Request) (*Response, error) 
 	select {
 	case s.jobs <- j:
 	case <-s.quit:
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	case <-ctx.Done():
-		return nil, fmt.Errorf("serve: queue wait: %w", ctx.Err())
+		return nil, nil, fmt.Errorf("serve: queue wait: %w", ctx.Err())
 	}
-	var resp *Response
 	select {
-	case resp = <-j.out:
+	case res := <-j.out:
+		return models, res, nil
 	case <-s.quit:
 		// Shutdown raced with a completed or draining prediction;
 		// prefer delivering the result over reporting ErrClosed.
 		select {
-		case resp = <-j.out:
+		case res := <-j.out:
+			return models, res, nil
 		case <-ctx.Done():
-			return nil, ErrClosed
+			return nil, nil, ErrClosed
 		}
 	case <-ctx.Done():
-		return nil, fmt.Errorf("serve: estimation: %w", ctx.Err())
+		return nil, nil, fmt.Errorf("serve: estimation: %w", ctx.Err())
 	}
-	if req.Explain {
-		// Decompose against the same model version the pool served.
-		// core's Explain replays the exact PredictVector accumulation, so
-		// the explain total and the served total agree bit for bit.
-		resp.Explain = explainInfo(models.primary().Est.Explain(req.Plan))
-	}
-	return resp, nil
 }
 
-// EstimateBatch runs a whole plan batch through the pool as one job and
-// returns per-plan predictions, parallel to req.Plans. Per-operator
-// values are exactly what sequential Estimate calls against the same
-// model versions would produce (the batched tree layout is bit-identical
-// to the pointer walk, and cached values are shared between the two
-// paths); only the throughput differs.
-func (s *Service) EstimateBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
-	start := time.Now()
+// begin counts one request arriving on ep and starts its latency
+// clock; finish closes it as a failure or as one more latency sample.
+// Every entry point brackets its work with the pair.
+func (s *Service) begin(ep int) time.Time {
 	s.requests.Add(1)
-	s.batchRequests.Add(1)
-	s.epRequests[epBatch].Add(1)
-	resp, err := s.estimateBatch(ctx, req)
+	s.epRequests[ep].Add(1)
+	return time.Now()
+}
+
+func (s *Service) finish(ep int, start time.Time, err error) {
 	if err != nil {
 		s.failures.Add(1)
-		s.epFailures[epBatch].Add(1)
-		return nil, err
+		s.epFailures[ep].Add(1)
+		return
 	}
-	s.batchPlans.Add(uint64(len(req.Plans)))
 	d := time.Since(start)
 	s.latencyNS.Add(int64(d))
 	s.completed.Add(1)
-	s.epLatencyNS[epBatch].Add(int64(d))
-	s.epCompleted[epBatch].Add(1)
+	s.epLatencyNS[ep].Add(int64(d))
+	s.epCompleted[ep].Add(1)
 	if s.tel != nil {
-		s.tel.total[epBatch].Observe(d)
+		s.tel.total[ep].Observe(d)
+	}
+}
+
+// Estimate runs one request through the pool and returns predictions at
+// query, pipeline and operator granularity — for one resource or, when
+// the request names several, for all of them from a single
+// feature-extraction pass.
+func (s *Service) Estimate(ctx context.Context, req Request) (*Response, error) {
+	start := s.begin(epEstimate)
+	ms, resps, err := s.run(ctx, epEstimate, BatchRequest{
+		Schema:    req.Schema,
+		Resource:  req.Resource,
+		Resources: req.Resources,
+		Plans:     []*plan.Plan{req.Plan},
+		Timeout:   req.Timeout,
+	})
+	var resp *Response
+	if err == nil {
+		resp = &resps[0]
+		if req.Explain {
+			// Decompose against the same model version the pool served.
+			// core's Explain replays the exact PredictVector accumulation, so
+			// the explain total and the served total agree bit for bit.
+			resp.Explain = explainInfo(ms.primary().Est.Explain(req.Plan))
+		}
+	}
+	s.finish(epEstimate, start, err)
+	return resp, err
+}
+
+// EstimateBatch runs a whole plan batch through the pool as one job and
+// returns per-plan predictions, parallel to req.Plans. Per-plan values
+// are exactly what sequential Estimate calls against the same model
+// versions would produce — it is the same job, with more plans in it;
+// only the throughput differs.
+func (s *Service) EstimateBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
+	start := s.begin(epBatch)
+	s.batchRequests.Add(1)
+	_, resps, err := s.run(ctx, epBatch, req)
+	s.finish(epBatch, start, err)
+	if err != nil {
+		return nil, err
+	}
+	s.batchPlans.Add(uint64(len(req.Plans)))
+	first := &resps[0]
+	resp := &BatchResponse{
+		Model:     first.Model,
+		Models:    first.Models,
+		Resources: first.Resources,
+		Plans:     make([]PlanEstimate, len(resps)),
+	}
+	for pi := range resps {
+		resp.Plans[pi] = resps[pi].PlanEstimate
+		resp.CacheHits += resps[pi].CacheHits
+		resp.CacheMisses += resps[pi].CacheMisses
 	}
 	return resp, nil
-}
-
-func (s *Service) estimateBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
-	if len(req.Plans) == 0 {
-		return nil, fmt.Errorf("serve: batch request without plans")
-	}
-	for i, p := range req.Plans {
-		if p == nil || p.Root == nil {
-			return nil, fmt.Errorf("serve: batch plan %d missing", i)
-		}
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: batch plan %d: %w", i, err)
-		}
-	}
-	kinds, err := normalizeResources(req.Resource, req.Resources)
-	if err != nil {
-		return nil, err
-	}
-	models, err := s.lookupModels(req.Schema, kinds)
-	if err != nil {
-		return nil, err
-	}
-
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.opts.DefaultTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	select {
-	case <-s.quit:
-		return nil, ErrClosed
-	default:
-	}
-
-	j := &job{ctx: ctx, models: models, plans: req.Plans, bout: make(chan *BatchResponse, 1), ep: epBatch}
-	if s.tel != nil {
-		j.tr = obs.TraceFrom(ctx)
-		j.enq = time.Now()
-	}
-	select {
-	case s.jobs <- j:
-	case <-s.quit:
-		return nil, ErrClosed
-	case <-ctx.Done():
-		return nil, fmt.Errorf("serve: queue wait: %w", ctx.Err())
-	}
-	select {
-	case resp := <-j.bout:
-		return resp, nil
-	case <-s.quit:
-		select {
-		case resp := <-j.bout:
-			return resp, nil
-		case <-ctx.Done():
-			return nil, ErrClosed
-		}
-	case <-ctx.Done():
-		return nil, fmt.Errorf("serve: estimation: %w", ctx.Err())
-	}
-}
-
-// batchPredictions is the shared batched compute both multi-plan entry
-// points ride: one flat feature extraction over every node of every
-// plan, one multi-get against the sharded cache, one
-// EstimatorSet.PredictAllBatch over the misses (grouped by operator
-// onto the compiled tree slabs, fanned out across the requested
-// resources), one multi-put back. Returns the per-node predictions
-// (flat, plan pi's nodes at vals[offs[pi]:offs[pi+1]]), the per-node
-// hit flags, the total hit count, and the time spent in the cache
-// multi-get — the batch path's cache_probe stage (two clock reads per
-// whole batch, negligible even with telemetry disabled).
-func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (vals []plan.Resources, offs []int, hit []bool, hits int, probe time.Duration) {
-	set := ms.est
-	vecs, offs := features.ExtractPlans(plans, set.Mode)
-	kinds := make([]plan.OpKind, len(vecs))
-	keys := make([]cacheKey, len(vecs))
-	for pi, p := range plans {
-		j := offs[pi]
-		p.Walk(func(n *plan.Node) {
-			kinds[j] = n.Kind
-			keys[j] = cacheKey{versions: ms.versions, op: n.Kind, vec: vecs[j]}
-			j++
-		})
-	}
-
-	vals = make([]plan.Resources, len(vecs))
-	hit = make([]bool, len(vecs))
-	probeStart := time.Now()
-	hits, shards := s.cache.GetMulti(keys, vals, hit)
-	probe = time.Since(probeStart)
-
-	if miss := len(vecs) - hits; miss > 0 {
-		// Deduplicate identical (versions, op, vector) misses before
-		// predicting: production batches repeat operator shapes (the
-		// same scans under different queries), and with caching
-		// disabled this is the only thing collapsing them. Predictions
-		// are pure functions of the key, so scattering one result to
-		// every duplicate is exact.
-		uniq := make(map[cacheKey]int, miss)
-		missKinds := make([]plan.OpKind, 0, miss)
-		missVecs := make([]features.Vector, 0, miss)
-		slot := make([]int, 0, miss) // per input index: unique slot
-		idxOf := make([]int, 0, miss)
-		for i := range vecs {
-			if hit[i] {
-				continue
-			}
-			u, ok := uniq[keys[i]]
-			if !ok {
-				u = len(missKinds)
-				uniq[keys[i]] = u
-				missKinds = append(missKinds, kinds[i])
-				missVecs = append(missVecs, vecs[i])
-			}
-			slot = append(slot, u)
-			idxOf = append(idxOf, i)
-		}
-		missVals := set.PredictAllBatch(missKinds, missVecs, nil)
-		for k, i := range idxOf {
-			vals[i] = missVals[slot[k]]
-		}
-		s.cache.PutMulti(keys, vals, hit, shards)
-	}
-	return vals, offs, hit, hits, probe
 }
 
 // EstimateStream runs one coalesced micro-batch from the streaming
@@ -789,331 +665,173 @@ func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (vals []pla
 // endpoint's coalesce_wait stage so the time bound's cost is visible
 // next to the latency it buys.
 func (s *Service) EstimateStream(ctx context.Context, req BatchRequest, coalesceWait time.Duration) ([]*Response, error) {
-	start := time.Now()
-	s.requests.Add(1)
-	s.epRequests[epStream].Add(1)
+	start := s.begin(epStream)
 	if s.tel != nil && coalesceWait > 0 {
 		s.tel.rec(epStream, obs.StageCoalesce, coalesceWait, nil)
 	}
-	resp, err := s.estimateStream(ctx, req)
+	_, resps, err := s.run(ctx, epStream, req)
+	s.finish(epStream, start, err)
 	if err != nil {
-		s.failures.Add(1)
-		s.epFailures[epStream].Add(1)
 		return nil, err
 	}
-	d := time.Since(start)
-	s.latencyNS.Add(int64(d))
-	s.completed.Add(1)
-	s.epLatencyNS[epStream].Add(int64(d))
-	s.epCompleted[epStream].Add(1)
-	if s.tel != nil {
-		s.tel.total[epStream].Observe(d)
+	out := make([]*Response, len(resps))
+	for pi := range resps {
+		out[pi] = &resps[pi]
 	}
-	return resp, nil
+	return out, nil
 }
 
-func (s *Service) estimateStream(ctx context.Context, req BatchRequest) ([]*Response, error) {
-	if len(req.Plans) == 0 {
-		return nil, fmt.Errorf("serve: batch request without plans")
-	}
-	for i, p := range req.Plans {
-		if p == nil || p.Root == nil {
-			return nil, fmt.Errorf("serve: batch plan %d missing", i)
-		}
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: batch plan %d: %w", i, err)
-		}
-	}
-	kinds, err := normalizeResources(req.Resource, req.Resources)
-	if err != nil {
-		return nil, err
-	}
-	models, err := s.lookupModels(req.Schema, kinds)
-	if err != nil {
-		return nil, err
-	}
-
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.opts.DefaultTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	select {
-	case <-s.quit:
-		return nil, ErrClosed
-	default:
-	}
-
-	j := &job{ctx: ctx, models: models, plans: req.Plans, sout: make(chan []*Response, 1), ep: epStream}
-	if s.tel != nil {
-		j.enq = time.Now()
-	}
-	select {
-	case s.jobs <- j:
-	case <-s.quit:
-		return nil, ErrClosed
-	case <-ctx.Done():
-		return nil, fmt.Errorf("serve: queue wait: %w", ctx.Err())
-	}
-	select {
-	case resp := <-j.sout:
-		return resp, nil
-	case <-s.quit:
-		select {
-		case resp := <-j.sout:
-			return resp, nil
-		case <-ctx.Done():
-			return nil, ErrClosed
-		}
-	case <-ctx.Done():
-		return nil, fmt.Errorf("serve: estimation: %w", ctx.Err())
-	}
-}
-
-// predictBatch is the batched analogue of predict: the shared
-// batchPredictions compute assembled into one BatchResponse with
-// batch-level cache counters.
-func (s *Service) predictBatch(ms *modelSet, plans []*plan.Plan) (*BatchResponse, time.Duration) {
-	vals, offs, _, hits, probe := s.batchPredictions(ms, plans)
-	nFlat := offs[len(plans)]
-	primary := ms.kinds[0]
-	multi := ms.multi()
-	nk := len(ms.kinds)
-	resp := &BatchResponse{
-		Model:       ms.primary().Info,
-		Plans:       make([]PlanEstimate, len(plans)),
-		CacheHits:   hits,
-		CacheMisses: nFlat - hits,
-	}
-	if multi {
-		resp.Models = ms.infos()
-		resp.Resources = ms.wireNames()
-	}
+// estimatePlans is what a worker does with a job: the batched compute,
+// then per plan the assembly of its estimate under the shared model
+// header, with the count of its operators the cache answered. Also
+// returns the time spent in the cache multi-get, the job's cache_probe
+// stage.
+func (s *Service) estimatePlans(ms *modelSet, plans []*plan.Plan) ([]Response, time.Duration) {
+	ps, offs, probeTime := s.batchPredictions(ms, plans)
+	out := make([]Response, len(plans))
 	for pi, p := range plans {
-		nodes := p.Nodes()
-		pipes := p.Pipelines()
-		pe := PlanEstimate{Operators: make([]OperatorEstimate, len(nodes))}
-		// One backing slice per plan holds every per-resource list of
-		// the response (operators, pipelines, totals); sub-slicing it is
-		// what keeps the multi-resource fan-out allocation-flat. Sized
-		// exactly, so appends never reallocate out from under the
-		// sub-slices already handed out.
-		var backing []float64
-		if multi {
-			backing = make([]float64, 0, (len(nodes)+len(pipes)+1)*nk)
-		}
-		perNode := make(map[*plan.Node]plan.Resources, len(nodes))
-		var total plan.Resources
-		for i, n := range nodes {
-			v := vals[offs[pi]+i]
-			perNode[n] = v
-			pe.Operators[i] = OperatorEstimate{ID: n.ID, Kind: n.Kind.String(), Estimate: v.Get(primary)}
-			if multi {
-				backing = ms.appendValues(backing, v)
-				pe.Operators[i].Estimates = backing[len(backing)-nk : len(backing) : len(backing)]
+		own := ps[offs[pi]:offs[pi+1]]
+		hits := 0
+		for i := range own {
+			if own[i].hit {
+				hits++
 			}
-			total.Add(v)
 		}
-		pe.Total = total.Get(primary)
-		if multi {
-			backing = ms.appendValues(backing, total)
-			pe.Totals = backing[len(backing)-nk : len(backing) : len(backing)]
+		out[pi] = Response{
+			Model:        ms.primary().Info,
+			Models:       ms.infos,
+			Resources:    ms.names,
+			PlanEstimate: ms.assemble(p, own),
+			CacheHits:    hits,
+			CacheMisses:  len(own) - hits,
 		}
-		for _, pl := range pipes {
-			ppe := PipelineEstimate{ID: pl.ID, Operators: make([]int, 0, len(pl.Nodes))}
-			var ptotal plan.Resources
-			for _, n := range pl.Nodes {
-				ptotal.Add(perNode[n])
-				ppe.Operators = append(ppe.Operators, n.ID)
-			}
-			ppe.Estimate = ptotal.Get(primary)
-			if multi {
-				backing = ms.appendValues(backing, ptotal)
-				ppe.Estimates = backing[len(backing)-nk : len(backing) : len(backing)]
-			}
-			pe.Pipelines = append(pe.Pipelines, ppe)
-		}
-		resp.Plans[pi] = pe
 	}
-	return resp, probe
+	return out, probeTime
 }
 
-// predictStream is the streaming transport's fan-in: the shared
-// batchPredictions compute, unbundled into one *Response per plan —
-// each carrying the full single-estimate wire shape (model header,
-// per-plan cache counters) so the transport can answer every coalesced
-// client exactly as POST /estimate would have.
-func (s *Service) predictStream(ms *modelSet, plans []*plan.Plan) ([]*Response, time.Duration) {
-	vals, offs, hit, _, probe := s.batchPredictions(ms, plans)
-	out := make([]*Response, len(plans))
-	for pi, p := range plans {
-		planHits := 0
-		for _, h := range hit[offs[pi]:offs[pi+1]] {
-			if h {
-				planHits++
-			}
-		}
-		out[pi] = ms.assembleResponse(p, vals[offs[pi]:offs[pi+1]], planHits)
-	}
-	return out, probe
-}
-
-// assembleResponse builds one plan's Response from its per-node
-// predictions — the assembly half of predict, identical field for
-// field. vals is the plan's nodes in Walk order; hits is the plan's
-// cache-hit count (misses are the remainder). Per-operator values are
-// bit-identical to the single path's: both read the same cached or
-// batch-predicted plan.Resources, and the batched tree layout is
-// bit-identical to the pointer walk.
-func (ms *modelSet) assembleResponse(p *plan.Plan, vals []plan.Resources, hits int) *Response {
-	nodes := p.Nodes()
-	pipes := p.Pipelines()
-	primary := ms.kinds[0]
-	multi := ms.multi()
-	nk := len(ms.kinds)
-	resp := &Response{
-		Model:       ms.primary().Info,
-		Operators:   make([]OperatorEstimate, len(nodes)),
-		CacheHits:   hits,
-		CacheMisses: len(nodes) - hits,
-	}
-	// See predictBatch for the backing-slice scheme.
-	var backing []float64
-	if multi {
-		resp.Models = ms.infos()
-		resp.Resources = ms.wireNames()
-		backing = make([]float64, 0, (len(nodes)+len(pipes)+1)*nk)
-	}
-	perNode := make(map[*plan.Node]plan.Resources, len(nodes))
-	var total plan.Resources
-	for i, n := range nodes {
-		v := vals[i]
-		perNode[n] = v
-		resp.Operators[i] = OperatorEstimate{ID: n.ID, Kind: n.Kind.String(), Estimate: v.Get(primary)}
-		if multi {
-			backing = ms.appendValues(backing, v)
-			resp.Operators[i].Estimates = backing[len(backing)-nk : len(backing) : len(backing)]
-		}
-		total.Add(v)
-	}
-	resp.Total = total.Get(primary)
-	if multi {
-		backing = ms.appendValues(backing, total)
-		resp.Totals = backing[len(backing)-nk : len(backing) : len(backing)]
-	}
-	for _, pl := range pipes {
-		pe := PipelineEstimate{ID: pl.ID, Operators: make([]int, 0, len(pl.Nodes))}
-		var ptotal plan.Resources
-		for _, n := range pl.Nodes {
-			ptotal.Add(perNode[n])
-			pe.Operators = append(pe.Operators, n.ID)
-		}
-		pe.Estimate = ptotal.Get(primary)
-		if multi {
-			backing = ms.appendValues(backing, ptotal)
-			pe.Estimates = backing[len(backing)-nk : len(backing) : len(backing)]
-		}
-		resp.Pipelines = append(resp.Pipelines, pe)
-	}
-	return resp
-}
-
-// predict computes per-operator predictions (through the cache) and
-// aggregates them into pipeline and query totals. Aggregating from the
-// same per-node values guarantees the three granularities are mutually
-// consistent. On multi-resource requests the plan's features are
-// extracted once and fanned out across every requested resource's
-// model — the per-resource values are bit-identical to single-resource
-// requests against the same model versions.
-func (s *Service) predict(ms *modelSet, p *plan.Plan) *Response {
+// batchPredictions is the one compute under every estimate and under
+// /observe's scoring: one flat feature extraction over every node of
+// every plan, one multi-get against the sharded cache, one
+// EstimatorSet.PredictAllBatch over the misses (grouped by operator
+// onto the compiled tree slabs, fanned out across the requested
+// resources), one multi-put back. Returns the per-node probes (flat,
+// plan pi's nodes at ps[offs[pi]:offs[pi+1]], each holding its
+// prediction and whether the cache supplied it) and the time spent in
+// the cache multi-get (two clock reads per call, negligible even with
+// telemetry disabled).
+func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (ps []probe, offs []int, probeTime time.Duration) {
 	set := ms.est
-	nodes := p.Nodes()
+	vecs, offs := features.ExtractPlans(plans, set.Mode)
+	ps = make([]probe, len(vecs))
+	for pi, p := range plans {
+		j := offs[pi]
+		p.Walk(func(n *plan.Node) {
+			ps[j].node = n
+			ps[j].key = cacheKey{versions: ms.versions, op: n.Kind, vec: vecs[j]}
+			j++
+		})
+	}
+
+	probeStart := time.Now()
+	hits, shards := s.cache.GetMulti(ps)
+	probeTime = time.Since(probeStart)
+
+	if miss := len(ps) - hits; miss > 0 {
+		// Deduplicate identical (versions, op, vector) misses before
+		// predicting: production batches repeat operator shapes (the
+		// same scans under different queries), and with caching
+		// disabled this is the only thing collapsing them. Predictions
+		// are pure functions of the key, so scattering one result to
+		// every duplicate is exact.
+		uniq := make(map[cacheKey]int32, miss)
+		missKinds := make([]plan.OpKind, 0, miss)
+		missVecs := make([]features.Vector, 0, miss)
+		for i := range ps {
+			if ps[i].hit {
+				continue
+			}
+			u, ok := uniq[ps[i].key]
+			if !ok {
+				u = int32(len(missKinds))
+				uniq[ps[i].key] = u
+				missKinds = append(missKinds, ps[i].key.op)
+				missVecs = append(missVecs, vecs[i])
+			}
+			ps[i].slot = u
+		}
+		missVals := set.PredictAllBatch(missKinds, missVecs, nil)
+		for i := range ps {
+			if !ps[i].hit {
+				ps[i].val = missVals[ps[i].slot]
+			}
+		}
+		s.cache.PutMulti(ps, shards)
+	}
+	return ps, offs, probeTime
+}
+
+// assemble builds one plan's estimate from its per-node predictions
+// (own, in preorder): operators, then pipeline and query totals
+// aggregated from the same per-node values, which is what keeps the
+// three granularities mutually consistent.
+func (ms *modelSet) assemble(p *plan.Plan, own []probe) PlanEstimate {
 	pipes := p.Pipelines()
-	vecs := features.ExtractPlan(p, set.Mode)
 	primary := ms.kinds[0]
-	multi := ms.multi()
-	nk := len(ms.kinds)
-	resp := &Response{
-		Model:     ms.primary().Info,
-		Operators: make([]OperatorEstimate, len(nodes)),
-	}
-	// See predictBatch for the backing-slice scheme.
+	pe := PlanEstimate{Operators: make([]OperatorEstimate, len(own))}
+	// One backing slice per plan holds every per-resource list of the
+	// estimate (operators, pipelines, totals); sub-slicing it is what
+	// keeps the multi-resource fan-out allocation-flat. Sized exactly,
+	// so appends never reallocate out from under the sub-slices already
+	// handed out.
 	var backing []float64
-	if multi {
-		resp.Models = ms.infos()
-		resp.Resources = ms.wireNames()
-		backing = make([]float64, 0, (len(nodes)+len(pipes)+1)*nk)
+	if ms.multi() {
+		backing = make([]float64, 0, (len(own)+len(pipes)+1)*len(ms.kinds))
 	}
-	perNode := make(map[*plan.Node]plan.Resources, len(nodes))
+	perNode := make(map[*plan.Node]plan.Resources, len(own))
 	var total plan.Resources
-	for i, n := range nodes {
-		key := cacheKey{versions: ms.versions, op: n.Kind, vec: vecs[i]}
-		v, ok := s.cache.Get(key)
-		if ok {
-			resp.CacheHits++
-		} else {
-			resp.CacheMisses++
-			v = set.PredictAll(n.Kind, &vecs[i])
-			s.cache.Put(key, v)
-		}
+	for i := range own {
+		n, v := own[i].node, own[i].val
 		perNode[n] = v
-		resp.Operators[i] = OperatorEstimate{ID: n.ID, Kind: n.Kind.String(), Estimate: v.Get(primary)}
-		if multi {
-			backing = ms.appendValues(backing, v)
-			resp.Operators[i].Estimates = backing[len(backing)-nk : len(backing) : len(backing)]
-		}
+		op := &pe.Operators[i]
+		*op = OperatorEstimate{ID: n.ID, Kind: n.Kind.String(), Estimate: v.Get(primary)}
+		backing, op.Estimates = ms.appendValues(backing, v)
 		total.Add(v)
 	}
-	resp.Total = total.Get(primary)
-	if multi {
-		backing = ms.appendValues(backing, total)
-		resp.Totals = backing[len(backing)-nk : len(backing) : len(backing)]
-	}
+	pe.Total = total.Get(primary)
+	backing, pe.Totals = ms.appendValues(backing, total)
 	for _, pl := range pipes {
-		pe := PipelineEstimate{ID: pl.ID, Operators: make([]int, 0, len(pl.Nodes))}
+		ppe := PipelineEstimate{ID: pl.ID, Operators: make([]int, 0, len(pl.Nodes))}
 		var ptotal plan.Resources
 		for _, n := range pl.Nodes {
 			ptotal.Add(perNode[n])
-			pe.Operators = append(pe.Operators, n.ID)
+			ppe.Operators = append(ppe.Operators, n.ID)
 		}
-		pe.Estimate = ptotal.Get(primary)
-		if multi {
-			backing = ms.appendValues(backing, ptotal)
-			pe.Estimates = backing[len(backing)-nk : len(backing) : len(backing)]
-		}
-		resp.Pipelines = append(resp.Pipelines, pe)
+		ppe.Estimate = ptotal.Get(primary)
+		backing, ppe.Estimates = ms.appendValues(backing, ptotal)
+		pe.Pipelines = append(pe.Pipelines, ppe)
 	}
-	return resp
+	return pe
 }
 
 // servedPredictions resolves p's per-operator predictions for one
-// resource through the prediction cache — the probes, and on a miss the
-// model call and the fill, of a single-resource Estimate of the same
-// plan, so observing a plan that was just estimated finds every
-// operator cached — and returns them with the version of the model they
-// belong to. The zero Served means the route has no model.
-func (s *Service) servedPredictions(schema string, resource plan.ResourceKind, p *plan.Plan) feedback.Served {
-	m, ok := s.reg.Lookup(schema, resource)
-	if !ok {
+// resource (kinds is a list of one, as ResolveEstimate returns it)
+// through the prediction cache — the compute of a single-resource
+// Estimate of the same plan, so observing a plan that was just
+// estimated finds every operator cached — and returns them with the
+// version of the model they belong to. It runs on the calling
+// goroutine, not the pool. The zero Served means the route has no
+// model.
+func (s *Service) servedPredictions(schema string, kinds []plan.ResourceKind, p *plan.Plan) feedback.Served {
+	ms, err := s.lookupModels(schema, kinds)
+	if err != nil {
 		return feedback.Served{}
 	}
-	var versions versionVector
-	versions[resource] = m.Info.Version
-	vecs := features.ExtractPlan(p, m.Est.Mode)
-	preds := make([]float64, 0, len(vecs))
-	p.Walk(func(n *plan.Node) {
-		i := len(preds)
-		key := cacheKey{versions: versions, op: n.Kind, vec: vecs[i]}
-		v, ok := s.cache.Get(key)
-		if !ok {
-			v.Set(resource, m.Est.PredictVector(n.Kind, &vecs[i]))
-			s.cache.Put(key, v)
-		}
-		preds = append(preds, v.Get(resource))
-	})
-	return feedback.Served{Version: m.Info.Version, Operators: preds}
+	ps, _, _ := s.batchPredictions(ms, []*plan.Plan{p})
+	preds := make([]float64, len(ps))
+	for i := range ps {
+		preds[i] = ps[i].val.Get(kinds[0])
+	}
+	return feedback.Served{Version: ms.primary().Info.Version, Operators: preds}
 }
 
 // Metrics snapshots the service counters.

@@ -73,8 +73,10 @@ func (s *Service) Obs() *obs.Registry { return s.obsReg }
 func (s *Service) Workers() int { return s.opts.Workers }
 
 // StageLatencies returns the latency summary of one request stage for
-// an endpoint ("estimate" or "estimate_batch"). Zero summary when
-// telemetry is disabled or the endpoint is unknown.
+// an endpoint ("estimate", "estimate_batch" or "estimate_stream"); the
+// pool stages (queue_wait, cache_probe, predict) mean the same on all
+// three. Zero summary when telemetry is disabled or the endpoint is
+// unknown.
 func (s *Service) StageLatencies(endpoint string, stage obs.Stage) obs.Summary {
 	ep, ok := endpointIndex(endpoint)
 	if !ok || s.tel == nil || stage >= obs.NumStages {

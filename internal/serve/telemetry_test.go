@@ -89,7 +89,7 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 
-	// Drive both endpoints so every per-endpoint family has samples.
+	// Drive all three endpoints so every per-endpoint family has samples.
 	for _, p := range testPlans[:4] {
 		resp := postEstimate(t, ts.URL, p, nil)
 		resp.Body.Close()
@@ -115,6 +115,10 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 	bresp.Body.Close()
 	if bresp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %s", bresp.Status)
+	}
+	if _, err := svc.EstimateStream(context.Background(),
+		serve.BatchRequest{Schema: "tpch", Plans: testPlans[:4]}, time.Millisecond); err != nil {
+		t.Fatalf("stream dispatch: %v", err)
 	}
 
 	get := func(path string, accept string) (*http.Response, string) {
@@ -161,17 +165,17 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 			t.Fatalf("prometheus exposition missing %q in:\n%s", want, text)
 		}
 	}
-	// Every stage of both endpoints is exposed, and the stages that
-	// collected samples carry the full quantile ladder. The single-plan
-	// path folds per-node cache probes into predict (two clock reads per
-	// request, not two per operator), so its cache_probe series has a
-	// _count of 0 and no quantiles; the batch path times its one
-	// multi-get.
+	// Every stage of every endpoint is exposed, and the stages that
+	// collected samples carry the full quantile ladder. The pool stages
+	// — queue_wait, cache_probe, predict — are one pipeline's, so all
+	// three endpoints sample all three; decode and encode belong to the
+	// transport (the stream listener records its own).
 	sampled := map[string][]obs.Stage{
-		"estimate":       {obs.StageDecode, obs.StageQueue, obs.StagePredict, obs.StageEncode},
-		"estimate_batch": {obs.StageDecode, obs.StageQueue, obs.StageCacheProbe, obs.StagePredict, obs.StageEncode},
+		"estimate":        {obs.StageDecode, obs.StageQueue, obs.StageCacheProbe, obs.StagePredict, obs.StageEncode},
+		"estimate_batch":  {obs.StageDecode, obs.StageQueue, obs.StageCacheProbe, obs.StagePredict, obs.StageEncode},
+		"estimate_stream": {obs.StageCoalesce, obs.StageQueue, obs.StageCacheProbe, obs.StagePredict},
 	}
-	for _, ep := range []string{"estimate", "estimate_batch"} {
+	for _, ep := range []string{"estimate", "estimate_batch", "estimate_stream"} {
 		for _, st := range obs.Stages() {
 			want := fmt.Sprintf(
 				`resserve_stage_duration_seconds_count{endpoint=%q,stage=%q}`,

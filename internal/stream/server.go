@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/serve"
 )
 
@@ -312,19 +311,9 @@ func (c *serverConn) handleEstimate(f *Frame) {
 		c.sendError(f.Seq, "bad request body: "+err.Error(), "bad_request")
 		return
 	}
-	kinds, err := req.Resources.Kinds(req.Resource)
+	kinds, p, code, err := serve.ResolveEstimate(req.Resources, req.Resource, req.Plan)
 	if err != nil {
-		_, code := serve.ErrorCode(err)
 		c.sendError(f.Seq, err.Error(), code)
-		return
-	}
-	if serve.PlanMissing(req.Plan) {
-		c.sendError(f.Seq, "missing plan", "bad_request")
-		return
-	}
-	p, err := plan.DecodeJSON(req.Plan) // validates
-	if err != nil {
-		c.sendError(f.Seq, err.Error(), serve.PlanErrorCode(err))
 		return
 	}
 	c.srv.opts.Service.RecordStreamStage(obs.StageDecode, time.Since(start))

@@ -106,14 +106,34 @@ func planJSON(t testing.TB, p *plan.Plan) json.RawMessage {
 	return b
 }
 
+// selfJoinPlan is a five-operator plan whose two scans are one
+// (operator, feature vector) pair: the same table read twice under one
+// join — the one input shape where how a path counts cache probes
+// shows.
+func selfJoinPlan() *plan.Plan {
+	scan := func() *plan.Node {
+		n := plan.NewLeaf(plan.TableScan, "orders")
+		n.TableRows, n.TablePages, n.TableCols = 1.5e6, 3e4, 9
+		n.Out = plan.Cardinality{Rows: 1.5e6, Width: 64}
+		n.EstOut = n.Out
+		return n
+	}
+	join := plan.NewJoin(plan.MergeJoin, scan(), scan())
+	join.Out = plan.Cardinality{Rows: 1.5e6, Width: 128}
+	agg := plan.NewUnary(plan.HashAggregate, join)
+	agg.Out = plan.Cardinality{Rows: 1.5e4, Width: 32}
+	top := plan.NewUnary(plan.Sort, agg)
+	top.Out = agg.Out
+	join.EstOut, agg.EstOut, top.EstOut = join.Out, agg.Out, top.Out
+	return plan.New(top, "self-join")
+}
+
 // TestStreamMatchesHTTPBitIdentical pins the transport's core
 // contract: the stream response payload is byte-for-byte the POST
 // /estimate response body for the same request — single- and
-// multi-resource, across several plans. The cache is warmed first so
-// both paths report identical cache counters (cold counters can
-// legitimately differ: the single path's interleaved probes see
-// intra-plan duplicate operators as hits, the batch multi-get does
-// not).
+// multi-resource, across several plans, cache counters included: on a
+// warm cache, and for a plan that repeats an operator on a cold one
+// too.
 func TestStreamMatchesHTTPBitIdentical(t *testing.T) {
 	svc, srv := newStream(t, serve.Options{}, stream.Options{})
 	httpSrv := httptest.NewServer(svc.Handler())
@@ -154,6 +174,39 @@ func TestStreamMatchesHTTPBitIdentical(t *testing.T) {
 		if !bytes.Equal(got, httpBody) {
 			t.Fatalf("request %d: stream response differs from /estimate body\nstream: %s\nhttp:   %s",
 				i, got, httpBody)
+		}
+	}
+
+	// The self-join, first cold — a service per transport, neither has
+	// seen the plan, one registry so the model header agrees — then warm.
+	reg := serve.NewRegistry()
+	coldHTTP, _ := newStream(t, serve.Options{Registry: reg}, stream.Options{})
+	_, coldStream := newStream(t, serve.Options{Registry: reg}, stream.Options{})
+	coldSrv := httptest.NewServer(coldHTTP.Handler())
+	t.Cleanup(coldSrv.Close)
+	coldCl := dial(t, coldStream)
+	req := &stream.Request{Resources: []string{"all"}, Plan: planJSON(t, selfJoinPlan())}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, serving := range []string{"cold", "warm"} {
+		resp, err := http.Post(coldSrv.URL+"/estimate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		httpBody, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s self-join: HTTP status %d: %s (%v)", serving, resp.StatusCode, httpBody, err)
+		}
+		got, err := coldCl.EstimateRaw(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s self-join: stream estimate: %v", serving, err)
+		}
+		if !bytes.Equal(got, httpBody) {
+			t.Fatalf("%s self-join: stream response differs from /estimate body\nstream: %s\nhttp:   %s",
+				serving, got, httpBody)
 		}
 	}
 }
