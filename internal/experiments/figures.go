@@ -250,11 +250,11 @@ func (r *Runner) PredictionCost() (float64, error) {
 	if calls == 0 {
 		return 0, nil
 	}
-	start := nowSeconds()
+	start := time.Now()
 	for _, p := range test {
 		est.PredictPlan(p)
 	}
-	return (nowSeconds() - start) / float64(calls), nil
+	return time.Since(start).Seconds() / float64(calls), nil
 }
 
 // ModelSizeBytes trains the full SCALING model set and returns its
@@ -278,9 +278,4 @@ func (r *Runner) ModelSizeBytes() (int, error) {
 		}
 	}
 	return total, nil
-}
-
-// nowSeconds wraps the monotonic clock for timing.
-func nowSeconds() float64 {
-	return float64(time.Now().UnixNano()) / 1e9
 }

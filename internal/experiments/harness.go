@@ -27,11 +27,6 @@ type Setup struct {
 	Noise float64
 }
 
-// DefaultSetup returns the paper-sized configuration.
-func DefaultSetup() Setup {
-	return Setup{Seed: 1, SizeFactor: 1, MartIterations: 1000, Noise: -1}
-}
-
 // Runner owns the executed workloads and the §6.2 scale table, shared
 // across all experiments of one run.
 type Runner struct {
