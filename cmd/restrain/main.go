@@ -9,45 +9,63 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args (without the program name), writes
+// the result line to stdout and progress and errors to stderr, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("restrain", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		schema   = flag.String("schema", "tpch", "workload schema: tpch, tpcds, real1, real2")
-		n        = flag.Int("n", 512, "number of training queries")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		resource = flag.String("resource", "cpu", "resource to model: cpu or io")
-		iters    = flag.Int("iters", 300, "MART boosting iterations")
-		estFeat  = flag.Bool("estimated-features", false, "train on optimizer-estimated features")
-		out      = flag.String("out", "model.json", "output model path")
-		workers  = flag.Int("train-workers", 0, "training worker pool size (0 = GOMAXPROCS); the trained model is bit-identical at any worker count")
+		schema   = fs.String("schema", "tpch", "workload schema: tpch, tpcds, real1, real2")
+		n        = fs.Int("n", 512, "number of training queries")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		resource = fs.String("resource", "cpu", "resource to model: cpu or io")
+		iters    = fs.Int("iters", 300, "MART boosting iterations")
+		estFeat  = fs.Bool("estimated-features", false, "train on optimizer-estimated features")
+		out      = fs.String("out", "model.json", "output model path")
+		workers  = fs.Int("train-workers", 0, "training worker pool size (0 = GOMAXPROCS); the trained model is bit-identical at any worker count")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "restrain:", err)
+		return 1
+	}
 
 	res := repro.CPUTime
 	if *resource == "io" {
 		res = repro.LogicalIO
 	} else if *resource != "cpu" {
-		fatal(fmt.Errorf("unknown resource %q", *resource))
+		return fail(fmt.Errorf("unknown resource %q", *resource))
 	}
 
-	fmt.Fprintf(os.Stderr, "generating %d %s queries...\n", *n, *schema)
+	fmt.Fprintf(stderr, "generating %d %s queries...\n", *n, *schema)
 	qs, err := repro.GenerateWorkload(repro.WorkloadOptions{
 		Schema: *schema, N: *n, Seed: *seed,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Fprintln(os.Stderr, "executing workload on the engine simulator...")
+	fmt.Fprintln(stderr, "executing workload on the engine simulator...")
 	repro.Execute(qs)
 
-	fmt.Fprintln(os.Stderr, "training estimator (incl. scaling-function selection)...")
+	fmt.Fprintln(stderr, "training estimator (incl. scaling-function selection)...")
 	start := time.Now()
 	est, err := repro.Train(qs, repro.TrainOptions{
 		Resource:             res,
@@ -56,21 +74,17 @@ func main() {
 		Workers:              *workers,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "trained in %.2fs\n", time.Since(start).Seconds())
+	fmt.Fprintf(stderr, "trained in %.2fs\n", time.Since(start).Seconds())
 
 	if err := est.SaveFile(*out); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	info, err := os.Stat(*out)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("saved %s estimator to %s (%.1f KB)\n", *resource, *out, float64(info.Size())/1024)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "restrain:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "saved %s estimator to %s (%.1f KB)\n", *resource, *out, float64(info.Size())/1024)
+	return 0
 }

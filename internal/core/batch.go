@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/features"
 	"repro/internal/mart"
 	"repro/internal/plan"
@@ -113,17 +111,6 @@ func (m *CombinedModel) predictBatch(vecs []features.Vector, idxs []int, out []f
 		c.PredictBatch(rows, us)
 	}
 	for j, i := range idxs {
-		u := us[j]
-		if u < m.YLow {
-			u = m.YLow
-		}
-		if u > m.YHigh {
-			u = m.YHigh
-		}
-		p := u * m.divisor(&vecs[i])
-		if p < 0 || math.IsNaN(p) {
-			p = 0
-		}
-		out[i] = p
+		out[i] = m.scaleBack(us[j], &vecs[i])
 	}
 }

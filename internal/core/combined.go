@@ -221,17 +221,18 @@ func TrainCombined(op plan.OpKind, resource plan.ResourceKind, scales []ScaleFn,
 			m.YHigh = y
 		}
 	}
-	mm, err := mart.Train(xs, ys, cfg.Mart)
+	mm, fitted, err := mart.TrainFitted(xs, ys, cfg.Mart)
 	if err != nil {
 		return nil, fmt.Errorf("core: training %s/%s %v: %w", op, resource, scales, err)
 	}
 	m.Mart = mm
 	m.compiled = mart.Compile(mm)
 
+	// fitted[i] is bit for bit what rawPredict(xs[i]) would return, so
+	// the training error needs no second walk of the ensemble.
 	var errSum float64
 	for i := range samples {
-		p := m.PredictVector(&samples[i].X)
-		errSum += relErr(p, samples[i].Y)
+		errSum += relErr(m.scaleBack(fitted[i], &samples[i].X), samples[i].Y)
 	}
 	m.TrainErr = errSum / float64(len(samples))
 	return m, nil
@@ -256,14 +257,14 @@ func (m *CombinedModel) rawPredict(x []float64) float64 {
 // feature vector: MART on the transformed inputs times the scaling
 // functions. Estimates are clamped at 0 (resources are non-negative).
 func (m *CombinedModel) PredictVector(v *features.Vector) float64 {
-	u := m.rawPredict(m.transform(v))
-	if u < m.YLow {
-		u = m.YLow
-	}
-	if u > m.YHigh {
-		u = m.YHigh
-	}
-	p := u * m.divisor(v)
+	return m.scaleBack(m.rawPredict(m.transform(v)), v)
+}
+
+// scaleBack turns the ensemble's per-unit output u for vector v into
+// the estimate: clamped into the training target range, multiplied by
+// the scaling functions, and floored at 0.
+func (m *CombinedModel) scaleBack(u float64, v *features.Vector) float64 {
+	p := clampY(u, m.YLow, m.YHigh) * m.divisor(v)
 	if p < 0 || math.IsNaN(p) {
 		return 0
 	}

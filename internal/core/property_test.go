@@ -147,8 +147,17 @@ func TestOutRatioGrowsWithDistance(t *testing.T) {
 }
 
 func TestDefaultHasMinTrainErr(t *testing.T) {
-	om, _ := operatorModelsFixture(t)
+	om, samples := operatorModelsFixture(t)
 	for _, c := range om.Candidates {
+		// TrainErr comes from the fit's own predictions; it must be the
+		// bits a PredictVector pass over the training samples yields.
+		var errSum float64
+		for i := range samples {
+			errSum += relErr(c.PredictVector(&samples[i].X), samples[i].Y)
+		}
+		if want := errSum / float64(len(samples)); math.Float64bits(c.TrainErr) != math.Float64bits(want) {
+			t.Errorf("candidate %s: TrainErr %v, PredictVector over the samples gives %v", c.Name(), c.TrainErr, want)
+		}
 		if c.TrainErr < om.Default.TrainErr-1e-12 {
 			t.Fatalf("candidate %s has lower training error (%v) than the default %s (%v)",
 				c.Name(), c.TrainErr, om.Default.Name(), om.Default.TrainErr)

@@ -28,7 +28,7 @@ func BenchmarkPointerWalk(b *testing.B) {
 }
 
 // BenchmarkCompiledBatch is the compiled flat layout, tree-outer with
-// four interleaved branchless walks.
+// eight interleaved branchless walks.
 func BenchmarkCompiledBatch(b *testing.B) {
 	m, xs := benchModel(b)
 	c := Compile(m)

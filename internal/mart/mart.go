@@ -2,6 +2,7 @@ package mart
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/par"
@@ -53,18 +54,36 @@ type Model struct {
 // Train fits a MART model. x is row-major with one feature vector per
 // example. Training is deterministic given cfg.Seed.
 func Train(x [][]float64, y []float64, cfg Config) (*Model, error) {
+	m, _, err := TrainFitted(x, y, cfg)
+	return m, err
+}
+
+// TrainFitted is Train that also returns the fit's own predictions on
+// the training rows: the i-th is bit-identical to Predict(x[i]), because
+// training maintains it by the same base, += rate·leaf sequence.
+func TrainFitted(x [][]float64, y []float64, cfg Config) (*Model, []float64, error) {
 	n := len(x)
 	if n == 0 || len(y) != n {
-		return nil, errors.New("mart: empty or mismatched training data")
+		return nil, nil, errors.New("mart: empty or mismatched training data")
 	}
 	nFeatures := len(x[0])
 	for i := range x {
 		if len(x[i]) != nFeatures {
-			return nil, errors.New("mart: ragged feature matrix")
+			return nil, nil, errors.New("mart: ragged feature matrix")
+		}
+		// A NaN feature would bin left but route right at prediction,
+		// and a non-finite target poisons the base mean.
+		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
+			return nil, nil, fmt.Errorf("mart: row %d: target is %v", i, y[i])
+		}
+		for f, v := range x[i] {
+			if math.IsNaN(v) {
+				return nil, nil, fmt.Errorf("mart: row %d: feature %d is NaN", i, f)
+			}
 		}
 	}
 	if cfg.Iterations <= 0 || cfg.MaxLeaves < 2 {
-		return nil, errors.New("mart: invalid config")
+		return nil, nil, errors.New("mart: invalid config")
 	}
 	if cfg.MinLeafSize < 1 {
 		cfg.MinLeafSize = 1
@@ -100,7 +119,7 @@ func Train(x [][]float64, y []float64, cfg Config) (*Model, error) {
 	for i := range perm {
 		perm[i] = i
 	}
-	sc := newTrainScratch(pool.Workers(), n, cfg.MaxLeaves, nFeatures)
+	sc := newTrainScratch(n, cfg.MaxLeaves, len(b.feat))
 
 	for it := 0; it < cfg.Iterations; it++ {
 		for i := range resid {
@@ -114,11 +133,12 @@ func Train(x [][]float64, y []float64, cfg Config) (*Model, error) {
 		t := growTree(binned, resid, rows, b, cfg.MaxLeaves, cfg.MinLeafSize, pool, sc)
 		if len(t.nodes) <= 1 {
 			// Residuals are flat (or leaf constraints block splits):
-			// absorb the remaining mean and stop early.
-			shift := t.nodes[0].Value * cfg.LearningRate
-			m.Base += shift
+			// absorb the remaining mean and stop early. The base moved
+			// under the trees already added, so the fitted values are
+			// re-derived in Predict's order.
+			m.Base += t.nodes[0].Value * cfg.LearningRate
 			for i := range pred {
-				pred[i] += shift
+				pred[i] = m.Predict(x[i])
 			}
 			break
 		}
@@ -147,7 +167,7 @@ func Train(x [][]float64, y []float64, cfg Config) (*Model, error) {
 			}
 		})
 	}
-	return m, nil
+	return m, pred, nil
 }
 
 // Predict returns the ensemble prediction for a feature vector.

@@ -104,7 +104,7 @@ func TestGrowTreeLeavesSubsampleUntouched(t *testing.T) {
 		rows[i] = len(rows) - 1 - i // distinctive order
 	}
 	before := append([]int(nil), rows...)
-	sc := newTrainScratch(pool.Workers(), len(xs), 10, 5)
+	sc := newTrainScratch(len(xs), 10, 5)
 	tr := growTree(binned, ys, rows, b, 10, 3, pool, sc)
 	if tr.NumLeaves() < 2 {
 		t.Fatal("tree did not split; partition path not exercised")

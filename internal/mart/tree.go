@@ -3,14 +3,14 @@
 // Friedman [14] and Wu et al. [21], the paper's base learning method.
 //
 // Trees are grown leaf-wise with histogram-based split finding (feature
-// values are pre-bucketed into ≤ 255 quantile bins), which keeps training
+// values are pre-bucketed into ≤ 64 quantile bins), which keeps training
 // linear in rows × features per tree. Each boosting iteration fits the
 // residual error of the current ensemble on a random subsample, matching
 // the paper's setup of M = 1K iterations and ≤ 10 leaves per tree.
 //
 // Training parallelizes inside each boosting iteration — row binning,
-// per-node histogram accumulation (one feature per worker, merged in
-// fixed feature order) and the ensemble-prediction update — while the
+// per-node histogram accumulation (one feature range per worker, merged
+// in fixed feature order) and the ensemble-prediction update — while the
 // iterations themselves stay sequential, as boosting demands. Every
 // parallel region writes to disjoint slots and merges deterministically,
 // so the trained model is bit-identical at any worker count.
@@ -73,52 +73,67 @@ func (t *Tree) NumLeaves() int {
 }
 
 // binner maps raw feature values to quantile bin indexes. Bin boundaries
-// (upper edges) are computed once from the training matrix.
+// (upper edges) are computed once from the training matrix, and only for
+// the live columns: a feature with fewer than two distinct edges can
+// never split, so it never enters the bin matrix.
 type binner struct {
-	// edges[f] holds ascending upper edges; value v falls in the first
-	// bin whose edge >= v. len(edges[f]) <= maxBins.
+	// feat[c] is the feature index behind bin-matrix column c, ascending.
+	feat []int32
+	// edges[c] holds column c's ascending upper edges; value v falls in
+	// the first bin whose edge >= v. 2 <= len(edges[c]) <= maxBins.
 	edges [][]float64
 }
 
+// maxBins is a power of two: the histogram kernel indexes its fixed-size
+// arrays with bin & (maxBins-1), which needs no bounds check.
 const maxBins = 64
 
-// newBinner computes quantile-based bin edges for each feature column,
-// one feature per worker (columns are independent).
-func newBinner(x [][]float64, nFeatures int, pool *par.Pool) *binner {
-	b := &binner{edges: make([][]float64, nFeatures)}
-	buildFeature := func(f int) {
-		sorted := make([]float64, len(x))
-		for i := range x {
-			sorted[i] = x[i][f]
-		}
-		sort.Float64s(sorted)
-		// Distinct quantile edges.
-		var edges []float64
-		for k := 1; k <= maxBins; k++ {
-			idx := k*len(sorted)/maxBins - 1
-			if idx < 0 {
-				idx = 0
-			}
-			v := sorted[idx]
-			if len(edges) == 0 || v > edges[len(edges)-1] {
-				edges = append(edges, v)
-			}
-		}
-		b.edges[f] = edges
+// quantileEdges computes the distinct quantile-based bin edges of
+// feature column f.
+func quantileEdges(x [][]float64, f int) []float64 {
+	sorted := make([]float64, len(x))
+	for i := range x {
+		sorted[i] = x[i][f]
 	}
+	sort.Float64s(sorted)
+	var edges []float64
+	for k := 1; k <= maxBins; k++ {
+		idx := k*len(sorted)/maxBins - 1
+		if idx < 0 {
+			idx = 0
+		}
+		v := sorted[idx]
+		if len(edges) == 0 || v > edges[len(edges)-1] {
+			edges = append(edges, v)
+		}
+	}
+	return edges
+}
+
+// newBinner computes the bin edges of each feature column, one feature
+// per worker (columns are independent), and keeps the live ones.
+func newBinner(x [][]float64, nFeatures int, pool *par.Pool) *binner {
+	all := make([][]float64, nFeatures)
 	if pool.Workers() > 1 && len(x) >= rowParMin && nFeatures > 1 {
-		pool.For(nFeatures, func(_, f int) { buildFeature(f) })
+		pool.For(nFeatures, func(_, f int) { all[f] = quantileEdges(x, f) })
 	} else {
-		for f := 0; f < nFeatures; f++ {
-			buildFeature(f)
+		for f := range all {
+			all[f] = quantileEdges(x, f)
+		}
+	}
+	b := &binner{}
+	for f, edges := range all {
+		if len(edges) >= 2 {
+			b.feat = append(b.feat, int32(f))
+			b.edges = append(b.edges, edges)
 		}
 	}
 	return b
 }
 
-// binOf returns the bin index of value v for feature f.
-func (b *binner) binOf(f int, v float64) int {
-	e := b.edges[f]
+// binOf returns the bin index of value v in column c.
+func (b *binner) binOf(c int, v float64) int {
+	e := b.edges[c]
 	lo, hi := 0, len(e)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -131,19 +146,18 @@ func (b *binner) binOf(f int, v float64) int {
 	return lo
 }
 
-// binMatrix converts the raw matrix into per-row bin indexes, row chunks
-// in parallel, all rows backed by one flat allocation.
-func (b *binner) binMatrix(x [][]float64, pool *par.Pool) [][]uint8 {
-	nF := len(b.edges)
-	out := make([][]uint8, len(x))
-	flat := make([]uint8, len(x)*nF)
+// binMatrix converts the raw matrix's live columns into bin indexes,
+// row chunks in parallel: row i's bins are out[i*nc : (i+1)*nc] for
+// nc = len(b.feat).
+func (b *binner) binMatrix(x [][]float64, pool *par.Pool) []uint8 {
+	nc := len(b.feat)
+	out := make([]uint8, len(x)*nc)
 	pool.ForChunks(len(x), rowParMin, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			r := flat[i*nF : (i+1)*nF : (i+1)*nF]
-			for f, v := range x[i] {
-				r[f] = uint8(b.binOf(f, v))
+			r := out[i*nc : (i+1)*nc]
+			for c, f := range b.feat {
+				r[c] = uint8(b.binOf(c, x[i][f]))
 			}
-			out[i] = r
 		}
 	})
 	return out
@@ -155,100 +169,110 @@ type leaf struct {
 	sum      float64
 	nodeIdx  int32
 	bestGain float64
-	bestFeat int
+	bestCol  int // bin-matrix column; -1 when no split is possible
 	bestBin  int
 }
 
-// splitCand is one feature's best split of a leaf: the result slot the
-// per-feature histogram scans write into before the fixed-order merge.
+// splitCand is one column's best split of a leaf: the result slot the
+// histogram kernel writes into before the fixed-order merge.
 type splitCand struct {
 	gain float64
 	bin  int
 	ok   bool
 }
 
+// featHist is one column's residual histogram over a leaf's rows.
+type featHist struct {
+	sum [maxBins]float64
+	cnt [maxBins]int32
+}
+
 // trainScratch holds every buffer growTree reuses across boosting
-// stages: per-worker histograms, per-feature split candidates, the row
-// arena the leaves partition in place, and the leaf table itself. One
-// allocation per Train call instead of several per stage.
+// stages: per-column histograms and split candidates, the row arena the
+// leaves partition in place, and the leaf table itself. One allocation
+// per Train call instead of several per stage.
 type trainScratch struct {
-	histSum  [][]float64 // per worker, maxBins wide
-	histCnt  [][]int
-	cands    []splitCand // per feature
+	hist     []featHist  // per column
+	cands    []splitCand // per column
 	rowArena []int       // the tree's private copy of the sampled rows
 	rowTmp   []int       // staging for the right side of a partition
 	leaves   []leaf
 }
 
-func newTrainScratch(workers, n, maxLeaves, nFeatures int) *trainScratch {
-	sc := &trainScratch{
-		histSum:  make([][]float64, workers),
-		histCnt:  make([][]int, workers),
-		cands:    make([]splitCand, nFeatures),
+func newTrainScratch(n, maxLeaves, nCols int) *trainScratch {
+	return &trainScratch{
+		hist:     make([]featHist, nCols),
+		cands:    make([]splitCand, nCols),
 		rowArena: make([]int, n),
 		rowTmp:   make([]int, 0, n),
 		leaves:   make([]leaf, 0, maxLeaves),
 	}
-	for w := range sc.histSum {
-		sc.histSum[w] = make([]float64, maxBins)
-		sc.histCnt[w] = make([]int, maxBins)
-	}
-	return sc
 }
 
-// bestSplitForFeature scans one feature's histogram for the best split
-// of a leaf — the unit of parallelism in split finding. Bin order is
-// ascending and ties keep the lower bin (strict >), exactly like the
-// sequential scan.
-func bestSplitForFeature(binned [][]uint8, resid []float64, rows []int,
-	edges []float64, f int, total, parentScore float64, n, minLeaf int,
-	histSum []float64, histCnt []int) splitCand {
+// leafSplits is the histogram kernel, the unit of parallelism in split
+// finding: one pass over the leaf's rows fills the histograms of columns
+// [clo, chi), then each is scanned for its best split into cands. Every
+// (column, bin) slot accumulates in row order and bins are scanned in
+// ascending order with ties keeping the lower bin (strict >), so the
+// candidates are the same floats for any partition of the columns into
+// ranges.
+func leafSplits(binned []uint8, resid []float64, rows []int, edges [][]float64,
+	clo, chi int, total float64, minLeaf int, hist []featHist, cands []splitCand) {
 
-	nb := len(edges)
-	if nb < 2 {
-		return splitCand{}
-	}
-	for k := 0; k < nb; k++ {
-		histSum[k] = 0
-		histCnt[k] = 0
+	nc := len(edges)
+	hs := hist[clo:chi]
+	for c := range hs {
+		nb := len(edges[clo+c])
+		clear(hs[c].sum[:nb])
+		clear(hs[c].cnt[:nb])
 	}
 	for _, r := range rows {
-		bin := binned[r][f]
-		histSum[bin] += resid[r]
-		histCnt[bin]++
-	}
-	var cand splitCand
-	var leftSum float64
-	leftCnt := 0
-	for k := 0; k < nb-1; k++ {
-		leftSum += histSum[k]
-		leftCnt += histCnt[k]
-		rightCnt := n - leftCnt
-		if leftCnt < minLeaf || rightCnt < minLeaf {
-			continue
-		}
-		rightSum := total - leftSum
-		gain := leftSum*leftSum/float64(leftCnt) +
-			rightSum*rightSum/float64(rightCnt) - parentScore
-		// Strict > against a zero baseline: the same accept rule the
-		// sequential scan applied, so per-feature bests then a fixed-order
-		// merge reproduce its choice bit for bit.
-		if gain > cand.gain {
-			cand = splitCand{gain: gain, bin: k, ok: true}
+		g := resid[r]
+		bins := binned[r*nc+clo : r*nc+chi]
+		bins = bins[:len(hs)] // same length, stated so bins[c] needs no bounds check
+		for c := range hs {
+			k := bins[c] & (maxBins - 1)
+			hs[c].sum[k] += g
+			hs[c].cnt[k]++
 		}
 	}
-	return cand
+	n := len(rows)
+	parentScore := total * total / float64(n)
+	for c := range hs {
+		h := &hs[c]
+		var cand splitCand
+		var leftSum float64
+		leftCnt := 0
+		for k, nb := 0, len(edges[clo+c]); k < nb-1; k++ {
+			leftSum += h.sum[k]
+			leftCnt += int(h.cnt[k])
+			rightCnt := n - leftCnt
+			if leftCnt < minLeaf || rightCnt < minLeaf {
+				continue
+			}
+			rightSum := total - leftSum
+			gain := leftSum*leftSum/float64(leftCnt) +
+				rightSum*rightSum/float64(rightCnt) - parentScore
+			// Strict > against a zero baseline, so per-column bests then
+			// a fixed-order merge pick the lowest column and bin on ties.
+			if gain > cand.gain {
+				cand = splitCand{gain: gain, bin: k, ok: true}
+			}
+		}
+		cands[clo+c] = cand
+	}
 }
 
 // growTree fits one regression tree to the residuals of the sampled rows
 // using histogram split finding. rows are indexes into binned/resid; the
 // caller's slice is copied into the scratch arena and never mutated (the
 // subsample permutation must survive untouched for the next iteration's
-// shuffle).
-func growTree(binned [][]uint8, resid []float64, rows []int, b *binner,
+// shuffle). Splits are found over the binner's columns and stored under
+// the feature index behind each.
+func growTree(binned []uint8, resid []float64, rows []int, b *binner,
 	maxLeaves, minLeaf int, pool *par.Pool, sc *trainScratch) Tree {
 
-	nFeatures := len(b.edges)
+	nc := len(b.edges)
 	var t Tree
 	t.nodes = make([]treeNode, 0, 2*maxLeaves-1)
 	mkLeafValue := func(sum float64, n int) float64 {
@@ -269,35 +293,29 @@ func growTree(binned [][]uint8, resid []float64, rows []int, b *binner,
 	leaves := sc.leaves[:0] // cap maxLeaves: appends never reallocate, &leaves[i] stays valid
 	leaves = append(leaves, leaf{rows: arena, sum: rootSum, nodeIdx: 0})
 
-	// findBest computes the best split of a leaf: one feature per worker
-	// into per-worker histograms, candidates merged in ascending feature
-	// order so ties resolve exactly as the sequential feature loop did
-	// (lowest feature, then lowest bin, wins).
+	// findBest computes the best split of a leaf: the kernel over all
+	// columns, or over one column range per worker, then candidates
+	// merged in ascending column order so ties resolve to the lowest
+	// feature, then the lowest bin.
 	findBest := func(lf *leaf) {
 		lf.bestGain = 0
-		lf.bestFeat = -1
+		lf.bestCol = -1
 		n := len(lf.rows)
 		if n < 2*minLeaf {
 			return
 		}
-		total := lf.sum
-		parentScore := total * total / float64(n)
-		scan := func(worker, f int) {
-			sc.cands[f] = bestSplitForFeature(binned, resid, lf.rows, b.edges[f], f,
-				total, parentScore, n, minLeaf, sc.histSum[worker], sc.histCnt[worker])
-		}
-		if pool.Workers() > 1 && n*nFeatures >= histParMin {
-			pool.For(nFeatures, scan)
+		if pool.Workers() > 1 && n*nc >= histParMin {
+			pool.ForChunks(nc, 2, func(_, clo, chi int) {
+				leafSplits(binned, resid, lf.rows, b.edges, clo, chi, lf.sum, minLeaf, sc.hist, sc.cands)
+			})
 		} else {
-			for f := 0; f < nFeatures; f++ {
-				scan(0, f)
-			}
+			leafSplits(binned, resid, lf.rows, b.edges, 0, nc, lf.sum, minLeaf, sc.hist, sc.cands)
 		}
-		for f := 0; f < nFeatures; f++ {
-			if c := sc.cands[f]; c.ok && c.gain > lf.bestGain {
-				lf.bestGain = c.gain
-				lf.bestFeat = f
-				lf.bestBin = c.bin
+		for c := range sc.cands {
+			if cand := sc.cands[c]; cand.ok && cand.gain > lf.bestGain {
+				lf.bestGain = cand.gain
+				lf.bestCol = c
+				lf.bestBin = cand.bin
 			}
 		}
 	}
@@ -307,15 +325,15 @@ func growTree(binned [][]uint8, resid []float64, rows []int, b *binner,
 		// Split the leaf with the highest gain.
 		bi := -1
 		for i := range leaves {
-			if leaves[i].bestFeat >= 0 && (bi < 0 || leaves[i].bestGain > leaves[bi].bestGain) {
+			if leaves[i].bestCol >= 0 && (bi < 0 || leaves[i].bestGain > leaves[bi].bestGain) {
 				bi = i
 			}
 		}
 		if bi < 0 {
 			break
 		}
-		f, bin := leaves[bi].bestFeat, leaves[bi].bestBin
-		thr := b.edges[f][bin]
+		c, bin := leaves[bi].bestCol, leaves[bi].bestBin
+		thr := b.edges[c][bin]
 		// Stable in-place partition of the leaf's arena segment: left
 		// rows compact to the front, right rows stage in the scratch
 		// buffer and copy back — same contents and order as an
@@ -325,7 +343,7 @@ func growTree(binned [][]uint8, resid []float64, rows []int, b *binner,
 		var lsum, rsum float64
 		li := 0
 		for _, r := range rows {
-			if int(binned[r][f]) <= bin {
+			if int(binned[r*nc+c]) <= bin {
 				rows[li] = r
 				li++
 				lsum += resid[r]
@@ -335,7 +353,7 @@ func growTree(binned [][]uint8, resid []float64, rows []int, b *binner,
 			}
 		}
 		if li == 0 || li == len(rows) {
-			leaves[bi].bestFeat = -1 // degenerate; stop splitting this leaf
+			leaves[bi].bestCol = -1 // degenerate; stop splitting this leaf
 			continue
 		}
 		copy(rows[li:], tmp)
@@ -345,14 +363,16 @@ func growTree(binned [][]uint8, resid []float64, rows []int, b *binner,
 		riIdx := int32(len(t.nodes))
 		t.nodes = append(t.nodes, treeNode{Feature: -1, Value: mkLeafValue(rsum, len(rows)-li)})
 		nd := &t.nodes[leaves[bi].nodeIdx]
-		nd.Feature = int32(f)
+		nd.Feature = b.feat[c]
 		nd.Threshold = thr
 		nd.Left, nd.Right = liIdx, riIdx
 
 		leaves[bi] = leaf{rows: rows[:li], sum: lsum, nodeIdx: liIdx}
 		leaves = append(leaves, leaf{rows: rows[li:], sum: rsum, nodeIdx: riIdx})
-		findBest(&leaves[bi])
-		findBest(&leaves[len(leaves)-1])
+		if len(leaves) < maxLeaves { // a full tree never reads its children's splits
+			findBest(&leaves[bi])
+			findBest(&leaves[len(leaves)-1])
+		}
 	}
 	return t
 }

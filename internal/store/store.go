@@ -232,56 +232,90 @@ func (s *Store) Publish(snap Snapshot) (*Manifest, error) {
 		Parent:        s.parentVersion(snap.Schema, version),
 		CreatedAt:     time.Now().UTC(),
 	}
+	// The resources' encodes are independent, so they run side by side;
+	// assembly in resource-kind order keeps manifests, file order and
+	// which error is reported deterministic regardless of map iteration
+	// or completion order.
+	kinds := plan.ResourceKinds()
+	encoded := make([]encodedModel, len(kinds))
+	var wg sync.WaitGroup
+	for i, r := range kinds {
+		if est, ok := snap.Models[r]; ok {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				encoded[i] = s.encodeModel(r, est)
+			}()
+		}
+	}
+	wg.Wait()
 	var files []namedBlob
-	// Resource-kind order keeps manifests deterministic regardless of
-	// map iteration.
-	for _, r := range plan.ResourceKinds() {
-		est, ok := snap.Models[r]
-		if !ok {
-			continue
+	for i, r := range kinds {
+		e := &encoded[i]
+		if e.err != nil {
+			return nil, e.err
 		}
-		if est == nil {
-			return nil, fmt.Errorf("store: publish with nil %s model", r)
+		if e.slabErr != nil {
+			s.logf("store: %s slab encode skipped: %v", r, e.slabErr)
 		}
-		if est.Resource != r {
-			return nil, fmt.Errorf("store: %s model keyed as %s", est.Resource, r)
+		if e.files != nil {
+			man.Models = append(man.Models, e.entry)
+			files = append(files, e.files...)
 		}
-		var buf strings.Builder
-		if err := est.Save(&buf); err != nil {
-			return nil, fmt.Errorf("store: encode %s model: %w", r, err)
-		}
-		blob := []byte(buf.String())
-		sum := sha256.Sum256(blob)
-		entry := ModelEntry{
-			Resource:     r.WireName(),
-			File:         r.WireName() + ".model.json",
-			SHA256:       hex.EncodeToString(sum[:]),
-			Mode:         modeName(est),
-			NumModels:    est.NumModels(),
-			Baseline:     est.Baseline,
-			TrainSamples: est.TrainSamples(),
-		}
-		// The slab is an accelerator, never a publish failure: an encode
-		// error just means this snapshot restores via JSON decode.
-		if s.slab != SlabDisabled {
-			if slab, quantized, err := est.EncodeSlab(); err != nil {
-				s.logf("store: %s slab encode skipped: %v", r, err)
-			} else {
-				slabSum := sha256.Sum256(slab)
-				entry.SlabFile = r.WireName() + ".model.slab"
-				entry.SlabSHA256 = hex.EncodeToString(slabSum[:])
-				entry.SlabQuantized = quantized
-				files = append(files, namedBlob{name: entry.SlabFile, data: slab})
-			}
-		}
-		man.Models = append(man.Models, entry)
-		files = append(files, namedBlob{name: entry.File, data: blob})
 	}
 	out, err := s.write(man, files)
 	if err == nil {
 		s.pubHist.Observe(time.Since(start))
 	}
 	return out, err
+}
+
+// encodedModel is one resource's share of a snapshot: its manifest
+// entry and files, or the reason it cannot be published.
+type encodedModel struct {
+	entry   ModelEntry
+	files   []namedBlob
+	slabErr error
+	err     error
+}
+
+func (s *Store) encodeModel(r plan.ResourceKind, est *core.Estimator) encodedModel {
+	if est == nil {
+		return encodedModel{err: fmt.Errorf("store: publish with nil %s model", r)}
+	}
+	if est.Resource != r {
+		return encodedModel{err: fmt.Errorf("store: %s model keyed as %s", est.Resource, r)}
+	}
+	var buf strings.Builder
+	if err := est.Save(&buf); err != nil {
+		return encodedModel{err: fmt.Errorf("store: encode %s model: %w", r, err)}
+	}
+	blob := []byte(buf.String())
+	sum := sha256.Sum256(blob)
+	m := encodedModel{entry: ModelEntry{
+		Resource:     r.WireName(),
+		File:         r.WireName() + ".model.json",
+		SHA256:       hex.EncodeToString(sum[:]),
+		Mode:         modeName(est),
+		NumModels:    est.NumModels(),
+		Baseline:     est.Baseline,
+		TrainSamples: est.TrainSamples(),
+	}}
+	// The slab is an accelerator, never a publish failure: an encode
+	// error just means this snapshot restores via JSON decode.
+	if s.slab != SlabDisabled {
+		if slab, quantized, err := est.EncodeSlab(); err != nil {
+			m.slabErr = err
+		} else {
+			slabSum := sha256.Sum256(slab)
+			m.entry.SlabFile = r.WireName() + ".model.slab"
+			m.entry.SlabSHA256 = hex.EncodeToString(slabSum[:])
+			m.entry.SlabQuantized = quantized
+			m.files = append(m.files, namedBlob{name: m.entry.SlabFile, data: slab})
+		}
+	}
+	m.files = append(m.files, namedBlob{name: m.entry.File, data: blob})
+	return m
 }
 
 // parentVersion returns schema's newest snapshot version below v — the

@@ -118,6 +118,25 @@ func TestPublishLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPublishReportsLowestResourceFirst: the resources encode side by
+// side, but with both unpublishable the error is always the lower
+// resource kind's, and nothing is written.
+func TestPublishReportsLowestResourceFirst(t *testing.T) {
+	setup(t)
+	st := openStore(t, t.TempDir(), Options{})
+	for i := 0; i < 20; i++ {
+		_, err := st.Publish(Snapshot{Schema: "tpch", Models: map[plan.ResourceKind]*core.Estimator{
+			plan.CPUTime: nil, plan.LogicalIO: cpuEst,
+		}})
+		if err == nil || !strings.Contains(err.Error(), "nil CPU model") {
+			t.Fatalf("publish %d: error %v, want the nil CPU model's", i, err)
+		}
+	}
+	if _, err := st.LoadLatest("tpch"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("a refused publish left a snapshot behind: %v", err)
+	}
+}
+
 // TestManifestGolden pins the manifest wire format: a fixed manifest
 // must encode byte-identically to the checked-in golden file, and the
 // golden must decode and re-encode to itself (round-trip fixed point).
