@@ -172,3 +172,26 @@ func execPlans(seed uint64, n int) []*plan.Plan {
 	}
 	return plans
 }
+
+// TestPredictBatchAllocatesPerCallOnly pins the grouping's scratch
+// reuse: with out supplied, a call allocates nothing per group or per
+// item — groups are small and many, so anything per group is per plan.
+// The bound leaves room for one fresh scratch (7 buffers), which the
+// race detector's sync.Pool hands out at random.
+func TestPredictBatchAllocatesPerCallOnly(t *testing.T) {
+	est, test := trainedEstimator(t)
+	vecs, offs := features.ExtractPlans(test, est.Mode)
+	kinds := make([]plan.OpKind, len(vecs))
+	for i, p := range test {
+		j := offs[i]
+		p.Walk(func(n *plan.Node) {
+			kinds[j] = n.Kind
+			j++
+		})
+	}
+	out := make([]float64, len(kinds))
+	est.PredictBatch(kinds, vecs, out) // sizes the pooled scratch
+	if n := testing.AllocsPerRun(20, func() { est.PredictBatch(kinds, vecs, out) }); n > 8 {
+		t.Fatalf("PredictBatch over %d operators allocates %.0f times a call", len(kinds), n)
+	}
+}

@@ -56,11 +56,11 @@ type CombinedModel struct {
 	// TrainErr is the mean relative training error, used to pick the
 	// operator's default model.
 	TrainErr float64
-	// compiled is the flattened serving layout of Mart, built once at
-	// train/load time and used by every prediction path. It is
-	// bit-identical to the pointer walk (see mart.Compile); nil only on
-	// hand-assembled models, for which prediction falls back to Mart
-	// (and the batch path compiles on the fly).
+	// compiled is the serving layout of Mart, built once at train/load
+	// time and used by every prediction path. It is bit-identical to
+	// the pointer walk (see mart.Compile); nil only on hand-assembled
+	// models, for which prediction falls back to Mart (and the batch
+	// path compiles on the fly).
 	compiled *mart.Compiled
 	// qcompiled, when non-nil, is the float32-quantized serving layout
 	// and takes over every prediction path. Only slab restore with the
@@ -240,9 +240,10 @@ func TrainCombined(op plan.OpKind, resource plan.ResourceKind, scales []ScaleFn,
 
 // rawPredict evaluates the underlying ensemble on a transformed input
 // row, routing to the quantized layout when restored with it, the
-// compiled slab otherwise, and the pointer walk only for hand-assembled
-// models that were never compiled. The compiled walk is bit-identical
-// to the pointer walk, so which of the two serves is unobservable.
+// compiled layout otherwise, and the pointer walk only for
+// hand-assembled models that were never compiled. Compiled scoring is
+// bit-identical to the pointer walk, so which of the two serves is
+// unobservable.
 func (m *CombinedModel) rawPredict(x []float64) float64 {
 	if m.qcompiled != nil {
 		return m.qcompiled.Predict(x)
@@ -276,7 +277,7 @@ func (m *CombinedModel) scaleBack(u float64, v *features.Vector) float64 {
 // per-unit prediction after base and the first t+1 trees, in the
 // model's transformed target space (before the YLow/YHigh clamp and
 // the scale multiplication that PredictVector applies on top). Margins
-// are appended to dst and the slice returned. The slab walk is
+// are appended to dst and the slice returned. Compiled scoring is
 // bit-identical to the pointer walk Predict uses, so the last margin
 // is exactly the raw ensemble output behind PredictVector.
 func (m *CombinedModel) ExplainMargins(v *features.Vector, dst []float64) []float64 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/features"
@@ -151,14 +152,18 @@ func TrainOperator(op plan.OpKind, r plan.ResourceKind, samples []Sample,
 // features and then by the second-largest out-ratio.
 func (om *OperatorModels) Select(v *features.Vector) *CombinedModel {
 	var scratch []float64
-	return om.selectWith(v, &scratch)
+	if i := om.selectWith(v, &scratch); i >= 0 {
+		return om.Candidates[i]
+	}
+	return om.Default
 }
 
 // selectWith is Select with a caller-owned scratch buffer for the
 // candidate transforms, letting the batch path select thousands of
-// vectors without a per-candidate allocation. The decision is identical
-// to Select (same candidate order, same scores).
-func (om *OperatorModels) selectWith(v *features.Vector, scratch *[]float64) *CombinedModel {
+// vectors without a per-candidate allocation. It returns the chosen
+// model's index in Candidates, which is what the batch path groups by;
+// -1 stands for a Default that is not among them.
+func (om *OperatorModels) selectWith(v *features.Vector, scratch *[]float64) int {
 	transformed := func(c *CombinedModel) []float64 {
 		if cap(*scratch) < len(c.Inputs) {
 			*scratch = make([]float64, len(c.Inputs)+8)
@@ -172,18 +177,19 @@ func (om *OperatorModels) selectWith(v *features.Vector, scratch *[]float64) *Co
 	// its scaled-by features within their validated range.
 	if first, _ := om.Default.outRatiosOf(transformed(om.Default)); first == 0 &&
 		om.Default.belowScalePenalty(v) == 0 {
-		return om.Default
+		return slices.Index(om.Candidates, om.Default)
 	}
 	type scored struct {
+		i             int
 		m             *CombinedModel
 		first, second float64
 	}
-	best := scored{m: nil, first: -1}
+	best := scored{i: -1}
 	const eps = 1e-12
-	for _, c := range om.Candidates {
+	for i, c := range om.Candidates {
 		f, s := c.outRatiosOf(transformed(c))
 		f += c.belowScalePenalty(v)
-		cand := scored{m: c, first: f, second: s}
+		cand := scored{i: i, m: c, first: f, second: s}
 		if best.m == nil {
 			best = cand
 			continue
@@ -199,7 +205,7 @@ func (om *OperatorModels) selectWith(v *features.Vector, scratch *[]float64) *Co
 			best = cand
 		}
 	}
-	return best.m
+	return best.i
 }
 
 // PredictVector estimates the operator's resource usage, selecting the

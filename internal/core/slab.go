@@ -14,19 +14,20 @@ import (
 )
 
 // Estimator slab: the whole estimator — every candidate model's
-// compiled tree layout plus the metadata around it — serialized as one
-// relocatable binary file the store mmaps at restore. The node slabs in
-// the file are byte-identical to their in-memory layout (see
+// compiled layout plus the metadata around it — serialized as one
+// relocatable binary file the store mmaps at restore. The mart slabs in
+// the file are byte-identical to their in-memory arrays (see
 // internal/mart/slab.go), so LoadEstimatorSlab reconstructs Compiled
 // views directly over the mapped pages: no JSON decode, no recompile,
-// restore cost independent of model size, pages shared across
-// co-resident processes.
+// nothing built, pages shared across co-resident processes.
 //
 // File layout (little-endian):
 //
 //	header (24 bytes)
 //	  off  0  u32  magic "RESL"
-//	  off  4  u16  format version (1)
+//	  off  4  u16  format version (2; 1 held the root-to-leaf node slabs
+//	               "MCS1"/"MCQ1" and now declines into the JSON fallback,
+//	               as a version-2 file does under a version-1 binary)
 //	  off  6  u16  flags (bit 0: quantized section present)
 //	  off  8  u32  section count
 //	  off 12  u32  reserved (0)
@@ -35,8 +36,8 @@ import (
 //	  u32 kind · u32 CRC-32C of the section bytes · u64 offset · u64 length
 //	sections, each 8-byte aligned, zero padding between
 //	  META    candidate metadata + per-candidate offsets into the others
-//	  MARTS   exact mart slabs ("MCS1"), back to back, 8-byte aligned
-//	  QMARTS  quantized mart slabs ("MCQ1"), only when the gate passed
+//	  MARTS   exact mart slabs ("MCS2"), back to back, 8-byte aligned
+//	  QMARTS  quantized mart slabs ("MCQ2"), only when the gate passed
 //	  BLOBS   compact §7.3 binary encodings, so Save on a slab-restored
 //	          estimator re-emits byte-identical model files
 //
@@ -45,11 +46,11 @@ import (
 // length), each section carries a CRC-32C verified when the section is
 // read (sections the restore mode never touches are not checksummed —
 // or even faulted in), and the mart slab decoders re-validate every
-// structural invariant the unchecked batch walks rely on — so even
-// bytes that fake all checksums cannot make a walk read out of bounds.
+// structural invariant scoring indexes by — so even bytes that fake all
+// checksums cannot make a prediction read out of bounds.
 const (
 	estSlabMagic      = 0x4C534552 // "RESL"
-	estSlabFormat     = 1
+	estSlabFormat     = 2
 	estSlabHeaderSize = 24
 	estSlabSectSize   = 24
 
@@ -77,7 +78,7 @@ var slabCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Quantization gate: the quantized layout ships only when, on
 // deterministic probe rows spanning each candidate's training range,
-// its per-unit predictions stay within these bounds of the exact walk
+// its per-unit predictions stay within these bounds of the exact ones
 // — the same reject-if-worse discipline the feedback validator applies
 // to retrained models. Training already stores float32-exact
 // thresholds and leaf values, so a healthy model passes with margin;
@@ -308,7 +309,7 @@ func pad8(b []byte) []byte {
 }
 
 // LoadEstimatorSlab reconstructs an estimator over slab bytes. On a
-// little-endian host the compiled node arrays and binary blobs alias
+// little-endian host the compiled arrays and binary blobs alias
 // data directly — zero copy, so data must stay alive and unmodified for
 // the estimator's lifetime (the store mmaps the file read-only and
 // keeps the mapping for the life of the process). wantQuantized asks
@@ -318,7 +319,7 @@ func pad8(b []byte) []byte {
 //
 // The decoder never panics on arbitrary bytes: section offsets, CRCs,
 // every count and every cross-section reference are validated, and the
-// mart slab decoders re-check the walk invariants underneath.
+// mart slab decoders re-check the scoring invariants underneath.
 func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQuantized bool, err error) {
 	if len(data) < estSlabHeaderSize {
 		return nil, false, fmt.Errorf("%w: %d bytes", ErrSlab, len(data))
@@ -511,8 +512,7 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 // validateSlabCandidate checks the invariants prediction relies on but
 // decode alone cannot guarantee on adversarial bytes: every feature ID
 // is a real features.ID (Vector.Get indexes a fixed-size array), and
-// the compiled walks never read past the transformed row the metadata
-// sizes. A candidate passing here can serve any vector without
+// scoring never reads past the transformed row the metadata sizes. A candidate passing here can serve any vector without
 // panicking, whatever the file contained.
 func validateSlabCandidate(c *CombinedModel) error {
 	validID := func(id features.ID) bool { return id >= 0 && id < features.NumFeatures }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -238,6 +239,22 @@ func slabGoldenEstimator(t *testing.T) *Estimator {
 		t.Fatal(err)
 	}
 	return est
+}
+
+// TestSlabFormat1Declines pins the rollout contract of a format bump:
+// the bytes the previous format wrote for the golden estimator
+// (cpu.v1.slab, today's cpu.slab before estSlabFormat became 2) are not
+// a usable slab, so the store demotes such a snapshot to its JSON blob.
+func TestSlabFormat1Declines(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden", "cpu.v1.slab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, quant := range []bool{false, true} {
+		if _, _, err := LoadEstimatorSlab(v1, quant); !errors.Is(err, ErrSlab) {
+			t.Fatalf("format-1 slab (quantized=%v): LoadEstimatorSlab returned %v, want ErrSlab", quant, err)
+		}
+	}
 }
 
 func TestSlabGolden(t *testing.T) {

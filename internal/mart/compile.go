@@ -2,66 +2,70 @@ package mart
 
 import (
 	"math"
-	"unsafe"
+	"math/bits"
 )
 
-// Compiled is the batch-serving layout of a trained ensemble: every
-// tree's nodes flattened into one contiguous slab of 16-byte nodes,
-// visited tree-outer / sample-inner so a tree's handful of nodes stays
-// in cache while an entire batch routes through it.
+// Compiled is the serving layout of a trained ensemble, scored one row
+// at a time without descending a tree (QuickScorer, Lucchese et al.,
+// SIGIR 2015). The leaves of every tree are numbered left to right;
+// every inner node becomes a record {threshold key, tree, mask} whose
+// mask clears the leaves of the node's left subtree; and the records of
+// the whole ensemble are grouped by split feature and sorted by key
+// within a feature. A row starts one all-ones uint32 per tree, and for
+// each feature ANDs in the masks of the run's records while its own key
+// exceeds theirs — exactly the nodes where the pointer walk's
+// "x <= threshold" is false. The lowest bit left in a tree's word is the
+// leaf the walk would have reached.
 //
-// Three structural tricks make the walk fast:
+// Why sample-at-a-time and not tree-outer over a batch: the service
+// splits a request's cache misses by resource, operator kind and
+// selected candidate before anything is scored, so half of all groups
+// hold eight rows or fewer and one in seven holds a single row. A
+// kernel that keeps several rows in flight per tree has nothing to
+// overlap there; this one costs the same per row in a group of one as
+// in a group of 256, and its inner loop is a sequential scan with one
+// mispredicted exit per feature.
 //
-//   - Children are laid out as adjacent pairs (right = left + 1), so
-//     routing is "i = left + goRight".
-//   - Thresholds are stored as order-preserving integer keys (see
-//     floatKey), so goRight is an integer comparison the compiler turns
-//     into a flag-set instruction instead of a floating-point branch.
-//     The data-dependent branch mispredictions of the pointer walk —
-//     its dominant cost, and one a pipeline flush makes impossible to
-//     hide with instruction-level parallelism — disappear entirely.
-//   - Leaves route to themselves (their key is the maximum, which no
-//     sample key strictly exceeds), so a walk can run for the tree's
-//     full depth with no per-node exit test, and PredictBatch keeps
-//     eight independent walks in flight per tree to overlap the
-//     node-load/compare latency chains.
-//
-// The layout is built once at model load/publish time and is immutable
-// afterwards; predictions are bit-identical to the pointer walk of
-// Model.Predict: the integer key comparison routes exactly like the
-// float comparison (NaN features route right in both, matching IEEE
-// "x <= t is false"), and the per-sample accumulation order (base, then
-// each tree's shrunken leaf value, in tree order) is the same float
-// operations.
-type Compiled struct {
-	base    float64
-	rate    float64
-	maxFeat int32   // highest feature index any node reads
-	roots   []int32 // per-tree root index into nodes
-	depth   []int32 // per-tree max root→leaf step count
-	nodes   []cnode // all trees' nodes, tree by tree
-	leaf    []float64
+// Predictions are bit-identical to Model.Predict: the integer key
+// comparison decides like the float comparison (a NaN feature exceeds
+// every threshold, matching IEEE "x <= t is false"), and a row's sum is
+// base, then rate·leaf tree by tree — the same float operations in the
+// same order. The layout is immutable once built.
+type Compiled struct{ ensemble[uint64, float64] }
+
+// ensemble is the layout itself, shared by the exact form (uint64 keys,
+// float64 leaves) and the quantized one (uint32, float32; see slabq.go).
+// These four arrays are also what the slab stores, byte for byte.
+type ensemble[K uint32 | uint64, V float32 | float64] struct {
+	base, rate float64
+	// featOff[f]:featOff[f+1] is feature f's run in nodes, keys
+	// ascending; len = features read + 1.
+	featOff []uint32
+	// leafOff[t]:leafOff[t+1] is tree t's leaves in leaf, left to right;
+	// len = trees + 1.
+	leafOff []uint32
+	nodes   []node[K]
+	leaf    []V
 }
 
-// cnode is one flattened tree node: the split feature, the left child's
-// absolute index (right child = left+1) and the split threshold as an
-// order-preserving key. A leaf has left = its own index and the maximum
-// key, so a walk that reaches it stays; its prediction lives in
-// Compiled.leaf at the same index.
-type cnode struct {
-	feat int32
-	left int32
-	key  uint64
+// node is one inner tree node: AND mask into tree's word when the row's
+// key for the run's feature exceeds key. Every mask keeps its tree's
+// last leaf (no left subtree holds it) and no bit beyond it.
+type node[K uint32 | uint64] struct {
+	key  K
+	tree uint32
+	mask uint32
 }
+
+// maxLeaves is the width of a tree's word.
+const maxLeaves = 32
 
 // floatKey maps a float64 to an integer key such that for all non-NaN
-// x, v: x > v ⟺ floatKey(x) > floatKey(v) (the usual sign-fold: negative
-// floats flip all bits, positives set the sign bit). NaN maps to the
-// maximum key, which exceeds every threshold key — so a NaN feature
-// routes right, exactly like the float comparison "x <= t" being false
-// in the pointer walk. (Unreachable corner: a tree threshold of -0
-// would order strictly below a +0 feature; trained thresholds come from
-// observed non-negative feature values and are never -0.)
+// x, v: x > v ⟺ floatKey(x) > floatKey(v), given v is not -0 (the usual
+// sign-fold: negative floats flip all bits, positives set the sign
+// bit). NaN maps to the maximum key, which exceeds every threshold key —
+// so a NaN feature routes right, exactly like the float comparison
+// "x <= t" being false in the pointer walk.
 func floatKey(f float64) uint64 {
 	b := math.Float64bits(f)
 	key := b ^ (uint64(int64(b)>>63) | 0x8000000000000000)
@@ -71,238 +75,222 @@ func floatKey(f float64) uint64 {
 	return key
 }
 
-// leafKey never satisfies "sample key > leafKey": the self-loop trap.
-const leafKey = ^uint64(0)
+// wide reports whether K is the exact layout's 64-bit key; it folds to
+// a constant in each instantiation.
+func wide[K uint32 | uint64]() bool { return uint64(^K(0)) > math.MaxUint32 }
 
-// Compile flattens the model into the contiguous serving layout,
-// re-laying each tree so sibling children are adjacent.
-func Compile(m *Model) *Compiled {
-	c := &Compiled{base: m.Base, rate: m.Rate, roots: make([]int32, 0, len(m.Trees))}
-	total := 0
-	for i := range m.Trees {
-		total += len(m.Trees[i].nodes)
+// keyOf is the row-side key at the layout's width: floatKey, or for the
+// quantized layout the float32 key of x narrowed toward +Inf.
+func keyOf[K uint32 | uint64](x float64) K {
+	if wide[K]() {
+		return K(floatKey(x))
 	}
-	c.nodes = make([]cnode, 0, total)
-	c.leaf = make([]float64, 0, total)
+	return K(featureKey32(x))
+}
+
+// Compile builds the serving layout: one counting pass buckets the
+// inner nodes by feature, one in-order pass per tree numbers its leaves
+// and drops each record into its bucket, and each bucket is sorted by
+// key. Trees come from Train or DecodeBinary, both of which bound a tree
+// at 32 leaves.
+func Compile(m *Model) *Compiled {
+	c := &Compiled{}
+	c.base, c.rate = m.Base, m.Rate
+	c.leafOff = make([]uint32, 1, len(m.Trees)+1)
+	var perFeat []uint32
+	inner := 0
 	for ti := range m.Trees {
-		root, depth := c.compileTree(&m.Trees[ti])
-		c.roots = append(c.roots, root)
-		c.depth = append(c.depth, depth)
+		leaves := uint32(0)
+		for i := range m.Trees[ti].nodes {
+			f := int(m.Trees[ti].nodes[i].Feature)
+			if f < 0 {
+				leaves++
+				continue
+			}
+			if f >= len(perFeat) {
+				perFeat = append(perFeat, make([]uint32, f+1-len(perFeat))...)
+			}
+			perFeat[f]++
+			inner++
+		}
+		if leaves > maxLeaves {
+			panic("mart: Compile: tree has more than 32 leaves")
+		}
+		c.leafOff = append(c.leafOff, c.leafOff[ti]+leaves)
+	}
+	c.featOff = make([]uint32, len(perFeat)+1)
+	for f, n := range perFeat {
+		c.featOff[f+1] = c.featOff[f] + n
+	}
+	c.nodes = make([]node[uint64], inner)
+	c.leaf = make([]float64, c.leafOff[len(m.Trees)])
+
+	next := perFeat // next[f] = where feature f's next record goes
+	copy(next, c.featOff)
+	for ti := range m.Trees {
+		lo, hi := c.leafOff[ti], c.leafOff[ti+1]
+		c.placeTree(&m.Trees[ti], 0, 0, uint32(ti), ^uint32(0)>>(maxLeaves-(hi-lo)), c.leaf[lo:hi], next)
+	}
+	tmp := make([]node[uint64], inner)
+	for f := range perFeat {
+		lo, hi := c.featOff[f], c.featOff[f+1]
+		sortByKey(c.nodes[lo:hi], tmp[lo:hi])
 	}
 	return c
 }
 
-// compileTree appends one tree to the slab, allocating child pairs
-// adjacently, and returns its root index and maximum depth.
-func (c *Compiled) compileTree(t *Tree) (root, maxDepth int32) {
-	root = int32(len(c.nodes))
-	c.nodes = append(c.nodes, cnode{})
-	c.leaf = append(c.leaf, 0)
-	type item struct{ old, new, depth int32 }
-	stack := []item{{0, root, 0}}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := &t.nodes[it.old]
-		if n.Feature < 0 {
-			c.nodes[it.new] = cnode{feat: 0, left: it.new, key: leafKey}
-			c.leaf[it.new] = n.Value
-			if it.depth > maxDepth {
-				maxDepth = it.depth
-			}
+// sortByKey sorts one feature's run by key, ties left in tree order: a
+// byte-wise radix sort through tmp (same length), which at a few
+// hundred records per run is several times cheaper than a comparison
+// sort — a set-up compiles some 80 models. Bytes every key shares, most
+// of them for thresholds of one feature, cost a count and no move.
+func sortByKey(run, tmp []node[uint64]) {
+	if len(run) < 2 {
+		return
+	}
+	src, dst := run, tmp
+	for shift := 0; shift < 64; shift += 8 {
+		var start [257]int // start[d] = records with a smaller byte, once summed
+		for i := range src {
+			start[int(byte(src[i].key>>shift))+1]++
+		}
+		if start[int(byte(src[0].key>>shift))+1] == len(src) {
 			continue
 		}
-		li := int32(len(c.nodes))
-		c.nodes = append(c.nodes, cnode{}, cnode{})
-		c.leaf = append(c.leaf, 0, 0)
-		c.nodes[it.new] = cnode{feat: n.Feature, left: li, key: floatKey(n.Threshold)}
-		if n.Feature > c.maxFeat {
-			c.maxFeat = n.Feature
+		for d := 1; d < 256; d++ {
+			start[d+1] += start[d]
 		}
-		stack = append(stack, item{n.Left, li, it.depth + 1}, item{n.Right, li + 1, it.depth + 1})
+		for _, n := range src {
+			d := byte(n.key >> shift)
+			dst[start[d]] = n
+			start[d]++
+		}
+		src, dst = dst, src
 	}
-	return root, maxDepth
+	if &src[0] != &run[0] {
+		copy(run, src)
+	}
+}
+
+// placeTree visits the subtree at node i in order, numbering leaves from
+// first, and returns the number after its last leaf. all has one bit per
+// leaf of the tree.
+func (c *Compiled) placeTree(t *Tree, i int32, first, tree, all uint32, leaf []float64, next []uint32) uint32 {
+	n := &t.nodes[i]
+	if n.Feature < 0 {
+		leaf[first] = n.Value
+		return first + 1
+	}
+	mid := c.placeTree(t, n.Left, first, tree, all, leaf, next)
+	thr := n.Threshold
+	if thr == 0 {
+		thr = 0 // x <= -0 ⟺ x <= +0, and only +0 keys in float order
+	}
+	left := uint32(1)<<mid - uint32(1)<<first
+	c.nodes[next[n.Feature]] = node[uint64]{key: floatKey(thr), tree: tree, mask: all &^ left}
+	next[n.Feature]++
+	return c.placeTree(t, n.Right, mid, tree, all, leaf, next)
 }
 
 // NumTrees returns the number of compiled trees.
-func (c *Compiled) NumTrees() int { return len(c.roots) }
+func (e *ensemble[K, V]) NumTrees() int { return len(e.leafOff) - 1 }
 
-// FeatureKeys converts a feature row into walk keys (floatKey per
-// feature), appending to dst. Converting once per row instead of once
-// per node visit takes the bit-fold off the walk's critical path: a
-// sample visits ~trees×depth nodes but has only a handful of features.
-func FeatureKeys(dst []uint64, x []float64) []uint64 {
-	for _, f := range x {
-		dst = append(dst, floatKey(f))
+// InputsNeeded returns how many features a row must have for scoring to
+// stay in bounds: the highest feature any node reads plus one, 0 for a
+// model with no inner nodes. Loaders validate this against the metadata
+// that sizes prediction rows.
+func (e *ensemble[K, V]) InputsNeeded() int { return len(e.featOff) - 1 }
+
+// route leaves in v[t] the leaves of tree t that row x can still reach;
+// the lowest set bit is the one it does reach. len(v) must be NumTrees.
+func (e *ensemble[K, V]) route(x []float64, v []uint32) {
+	for t := range v {
+		v[t] = ^uint32(0)
 	}
-	return dst
+	lo := e.featOff[0]
+	for f, hi := range e.featOff[1:] {
+		k := keyOf[K](x[f])
+		for _, n := range e.nodes[lo:hi] {
+			if k <= n.key {
+				break
+			}
+			v[n.tree] &= n.mask
+		}
+		lo = hi
+	}
 }
 
-// walk routes one pre-keyed sample for at most depth steps and returns
-// its leaf index. A leaf routes to itself, so "the index stopped
-// moving" is the settled condition.
-func (c *Compiled) walk(root, depth int32, k []uint64) int32 {
-	i := root
-	nodes := c.nodes
-	for d := int32(0); d < depth; d++ {
-		n := nodes[i]
-		l := n.left
-		if k[n.feat] > n.key {
-			l++
-		}
-		if l == i {
-			break
-		}
-		i = l
+// reached is the value of the leaf tree t's routed word w selects.
+func (e *ensemble[K, V]) reached(t int, w uint32) float64 {
+	return float64(e.leaf[e.leafOff[t]+uint32(bits.TrailingZeros32(w))])
+}
+
+// score routes x and sums base, then rate·leaf tree by tree.
+func (e *ensemble[K, V]) score(x []float64, v []uint32) float64 {
+	e.route(x, v)
+	y := e.base
+	for t, w := range v {
+		y += e.rate * e.reached(t, w)
 	}
-	return i
+	return y
+}
+
+// treeWords is the per-call scratch score routes through: on the stack
+// up to the paper's M = 1K trees.
+type treeWords [1024]uint32
+
+func (w *treeWords) forTrees(n int) []uint32 {
+	if n > len(w) {
+		return make([]uint32, n)
+	}
+	return w[:n]
 }
 
 // Predict evaluates one feature vector, bit-identical to Model.Predict
 // on the source model.
-func (c *Compiled) Predict(x []float64) float64 {
-	var buf [32]uint64
-	k := FeatureKeys(buf[:0], x)
-	y := c.base
-	for t, root := range c.roots {
-		y += c.rate * c.leaf[c.walk(root, c.depth[t], k)]
-	}
-	return y
+func (e *ensemble[K, V]) Predict(x []float64) float64 {
+	var words treeWords
+	return e.score(x, words.forTrees(e.NumTrees()))
 }
 
 // PredictMargins evaluates one feature vector like Predict while
 // recording the cumulative ensemble output after each boosting stage:
 // margins[t] is the prediction of the first t+1 trees (base included),
-// so margins[len-1] is the final prediction. The walk and the
-// accumulation are exactly Predict's float operations, so the final
-// margin is bit-identical to Predict — the per-stage trajectory is the
-// explain surface, not an approximation of it. Margins are appended to
-// dst (pass dst[:0] to reuse a buffer); the final prediction is also
-// returned directly so a model with zero trees still reports its base.
-func (c *Compiled) PredictMargins(x []float64, dst []float64) ([]float64, float64) {
-	var buf [32]uint64
-	k := FeatureKeys(buf[:0], x)
-	y := c.base
-	for t, root := range c.roots {
-		y += c.rate * c.leaf[c.walk(root, c.depth[t], k)]
+// so margins[len-1] is the final prediction. Routing and accumulation
+// are exactly Predict's, so the final margin is bit-identical to
+// Predict — the per-stage trajectory is the explain surface, not an
+// approximation of it. Margins are appended to dst (pass dst[:0] to
+// reuse a buffer); the final prediction is also returned directly so a
+// model with zero trees still reports its base.
+func (e *ensemble[K, V]) PredictMargins(x []float64, dst []float64) ([]float64, float64) {
+	var words treeWords
+	v := words.forTrees(e.NumTrees())
+	e.route(x, v)
+	y := e.base
+	for t, w := range v {
+		y += e.rate * e.reached(t, w)
 		dst = append(dst, y)
 	}
 	return dst, y
 }
 
-// PredictBatch evaluates every row of xs into out (parallel slices,
-// len(out) must equal len(xs); every row must have more than
-// Compiled.maxFeat features, which is checked up front). Rows are
-// converted to walk keys once (FeatureKeys), trees are the outer loop
-// so each tree's nodes stay hot across the whole batch, and eight
-// samples walk each tree concurrently with branchless routing; per
-// sample the accumulation order is identical to Predict, so results
-// are bit-identical to calling Predict row by row.
-//
-// The inner walk reads nodes and keys through unsafe pointer
-// arithmetic: the row lengths are validated once above the loop, node
-// child indexes are in range by construction (Compile lays them out),
-// and removing the per-access bounds checks is what lets the compiler
-// turn the routing comparison into flag-based selection instead of a
-// mispredicting branch — the branch mispredictions of the pointer walk
-// were its dominant cost, and a pipeline flush cannot be hidden by
-// instruction-level parallelism.
-func (c *Compiled) PredictBatch(xs [][]float64, out []float64) {
-	for i := range out {
-		out[i] = c.base
-	}
-	if len(c.nodes) == 0 || len(xs) == 0 {
-		return
-	}
-	need := int(c.maxFeat)
-	total := 0
-	for _, x := range xs {
-		if len(x) <= need {
-			_ = x[need] // panic with the standard bounds-check error
-		}
-		total += len(x)
-	}
-	keySlab := make([]uint64, 0, total)
-	keys := make([][]uint64, len(xs))
+// PredictBatch evaluates every row of xs into out (parallel slices;
+// every row must have at least InputsNeeded features). Each result is
+// bit-identical to Predict on that row.
+func (e *ensemble[K, V]) PredictBatch(xs [][]float64, out []float64) {
+	var words treeWords
+	v := words.forTrees(e.NumTrees())
 	for j, x := range xs {
-		off := len(keySlab)
-		keySlab = FeatureKeys(keySlab, x)
-		keys[j] = keySlab[off:len(keySlab):len(keySlab)]
+		out[j] = e.score(x, v)
 	}
+}
 
-	const nodeSize = unsafe.Sizeof(cnode{})
-	np := unsafe.Pointer(unsafe.SliceData(c.nodes))
-	rate := c.rate
-	for t, root := range c.roots {
-		depth := c.depth[t]
-		j := 0
-		for ; j+8 <= len(keys); j += 8 {
-			p0 := unsafe.Pointer(unsafe.SliceData(keys[j]))
-			p1 := unsafe.Pointer(unsafe.SliceData(keys[j+1]))
-			p2 := unsafe.Pointer(unsafe.SliceData(keys[j+2]))
-			p3 := unsafe.Pointer(unsafe.SliceData(keys[j+3]))
-			p4 := unsafe.Pointer(unsafe.SliceData(keys[j+4]))
-			p5 := unsafe.Pointer(unsafe.SliceData(keys[j+5]))
-			p6 := unsafe.Pointer(unsafe.SliceData(keys[j+6]))
-			p7 := unsafe.Pointer(unsafe.SliceData(keys[j+7]))
-			i0, i1, i2, i3 := root, root, root, root
-			i4, i5, i6, i7 := root, root, root, root
-			for d := int32(0); d < depth; d++ {
-				n0 := (*cnode)(unsafe.Add(np, uintptr(i0)*nodeSize))
-				n1 := (*cnode)(unsafe.Add(np, uintptr(i1)*nodeSize))
-				n2 := (*cnode)(unsafe.Add(np, uintptr(i2)*nodeSize))
-				n3 := (*cnode)(unsafe.Add(np, uintptr(i3)*nodeSize))
-				n4 := (*cnode)(unsafe.Add(np, uintptr(i4)*nodeSize))
-				n5 := (*cnode)(unsafe.Add(np, uintptr(i5)*nodeSize))
-				n6 := (*cnode)(unsafe.Add(np, uintptr(i6)*nodeSize))
-				n7 := (*cnode)(unsafe.Add(np, uintptr(i7)*nodeSize))
-				var d0, d1, d2, d3, d4, d5, d6, d7 int32
-				if *(*uint64)(unsafe.Add(p0, uintptr(n0.feat)*8)) > n0.key {
-					d0 = 1
-				}
-				if *(*uint64)(unsafe.Add(p1, uintptr(n1.feat)*8)) > n1.key {
-					d1 = 1
-				}
-				if *(*uint64)(unsafe.Add(p2, uintptr(n2.feat)*8)) > n2.key {
-					d2 = 1
-				}
-				if *(*uint64)(unsafe.Add(p3, uintptr(n3.feat)*8)) > n3.key {
-					d3 = 1
-				}
-				if *(*uint64)(unsafe.Add(p4, uintptr(n4.feat)*8)) > n4.key {
-					d4 = 1
-				}
-				if *(*uint64)(unsafe.Add(p5, uintptr(n5.feat)*8)) > n5.key {
-					d5 = 1
-				}
-				if *(*uint64)(unsafe.Add(p6, uintptr(n6.feat)*8)) > n6.key {
-					d6 = 1
-				}
-				if *(*uint64)(unsafe.Add(p7, uintptr(n7.feat)*8)) > n7.key {
-					d7 = 1
-				}
-				l0, l1, l2, l3 := n0.left+d0, n1.left+d1, n2.left+d2, n3.left+d3
-				l4, l5, l6, l7 := n4.left+d4, n5.left+d5, n6.left+d6, n7.left+d7
-				// All settled on leaves (self-loops): done early, so a
-				// deep outlier leaf doesn't pad every walk.
-				if l0 == i0 && l1 == i1 && l2 == i2 && l3 == i3 &&
-					l4 == i4 && l5 == i5 && l6 == i6 && l7 == i7 {
-					break
-				}
-				i0, i1, i2, i3 = l0, l1, l2, l3
-				i4, i5, i6, i7 = l4, l5, l6, l7
-			}
-			out[j] += rate * c.leaf[i0]
-			out[j+1] += rate * c.leaf[i1]
-			out[j+2] += rate * c.leaf[i2]
-			out[j+3] += rate * c.leaf[i3]
-			out[j+4] += rate * c.leaf[i4]
-			out[j+5] += rate * c.leaf[i5]
-			out[j+6] += rate * c.leaf[i6]
-			out[j+7] += rate * c.leaf[i7]
-		}
-		for ; j < len(keys); j++ {
-			out[j] += rate * c.leaf[c.walk(root, depth, keys[j])]
-		}
+// PredictRows is PredictBatch over rows laid back to back: row j is
+// flat[j*stride:(j+1)*stride], and len(flat) must be len(out)*stride.
+func (e *ensemble[K, V]) PredictRows(flat []float64, stride int, out []float64) {
+	var words treeWords
+	v := words.forTrees(e.NumTrees())
+	for j := range out {
+		out[j] = e.score(flat[j*stride:(j+1)*stride], v)
 	}
 }

@@ -27,8 +27,7 @@ func BenchmarkPointerWalk(b *testing.B) {
 	b.ReportMetric(float64(len(xs)), "preds/op")
 }
 
-// BenchmarkCompiledBatch is the compiled flat layout, tree-outer with
-// eight interleaved branchless walks.
+// BenchmarkCompiledBatch is the compiled layout over one 256-row batch.
 func BenchmarkCompiledBatch(b *testing.B) {
 	m, xs := benchModel(b)
 	c := Compile(m)
@@ -39,3 +38,32 @@ func BenchmarkCompiledBatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(xs)), "preds/op")
 }
+
+// BenchmarkCompiledSmallGroups is the same 256 rows in groups of 5 — the
+// group size the service produces once a batch's misses are split by
+// resource, operator and candidate. Per-row cost must not depend on it.
+func BenchmarkCompiledSmallGroups(b *testing.B) {
+	m, xs := benchModel(b)
+	c := Compile(m)
+	out := make([]float64, len(xs))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < len(xs); lo += 5 {
+			hi := min(lo+5, len(xs))
+			c.PredictBatch(xs[lo:hi], out[lo:hi])
+		}
+	}
+	b.ReportMetric(float64(len(xs)), "preds/op")
+}
+
+// BenchmarkCompile builds the layout of one 200-tree model; a service
+// set-up compiles about 80 of them.
+func BenchmarkCompile(b *testing.B) {
+	m, _ := benchModel(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCompiled = Compile(m)
+	}
+}
+
+var benchCompiled *Compiled

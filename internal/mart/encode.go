@@ -20,7 +20,9 @@ import (
 //	        inner: u8(feature) f32(threshold) u8(rightOffset)
 //
 // Offsets are relative to the current node index (left = i + leftOffset),
-// which keeps them within one byte for 19-node trees.
+// which keeps them within one byte for 19-node trees. A decoder accepts
+// only trees: every node but the first is the child of exactly one
+// earlier node, at most 32 are leaves, and no threshold is NaN.
 
 var magic = [4]byte{'M', 'A', 'R', 'T'}
 
@@ -110,7 +112,13 @@ func DecodeBinary(src []byte) (*Model, error) {
 		if !ok || nNodes == 0 {
 			return nil, ErrBadEncoding
 		}
+		// Forward offsets rule out cycles; one parent each rules out
+		// shared children, which Compile would unfold exponentially.
+		if nNodes >= 2*maxLeaves {
+			return nil, ErrBadEncoding
+		}
 		t := Tree{nodes: make([]treeNode, nNodes)}
+		var parents [2 * maxLeaves]uint8
 		for i := 0; i < int(nNodes); i++ {
 			lo, ok := r.u8()
 			if !ok {
@@ -127,7 +135,7 @@ func DecodeBinary(src []byte) (*Model, error) {
 			feat, ok1 := r.u8()
 			thr, ok2 := r.f32()
 			ro, ok3 := r.u8()
-			if !ok1 || !ok2 || !ok3 || ro == 0 {
+			if !ok1 || !ok2 || !ok3 || ro == 0 || math.IsNaN(float64(thr)) {
 				return nil, ErrBadEncoding
 			}
 			left := i + int(lo)
@@ -135,11 +143,18 @@ func DecodeBinary(src []byte) (*Model, error) {
 			if left >= int(nNodes) || right >= int(nNodes) {
 				return nil, ErrBadEncoding
 			}
+			parents[left]++
+			parents[right]++
 			t.nodes[i] = treeNode{
 				Feature:   int32(feat),
 				Threshold: float64(thr),
 				Left:      int32(left),
 				Right:     int32(right),
+			}
+		}
+		for _, n := range parents[1:nNodes] {
+			if n != 1 {
+				return nil, ErrBadEncoding
 			}
 		}
 		m.Trees = append(m.Trees, t)

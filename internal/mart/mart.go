@@ -13,7 +13,7 @@ import (
 // from DefaultConfig.
 type Config struct {
 	Iterations    int     // number of boosting iterations (M)
-	MaxLeaves     int     // leaves per tree (≤ 10 in the paper)
+	MaxLeaves     int     // leaves per tree (≤ 10 in the paper; at most 32)
 	LearningRate  float64 // shrinkage applied to each tree
 	SubsampleFrac float64 // stochastic-GB row subsample per iteration
 	MinLeafSize   int     // minimum rows per leaf
@@ -82,7 +82,7 @@ func TrainFitted(x [][]float64, y []float64, cfg Config) (*Model, []float64, err
 			}
 		}
 	}
-	if cfg.Iterations <= 0 || cfg.MaxLeaves < 2 {
+	if cfg.Iterations <= 0 || cfg.MaxLeaves < 2 || cfg.MaxLeaves > maxLeaves {
 		return nil, nil, errors.New("mart: invalid config")
 	}
 	if cfg.MinLeafSize < 1 {

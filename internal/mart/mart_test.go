@@ -1,6 +1,8 @@
 package mart
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -117,6 +119,11 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train([][]float64{{1}}, []float64{1}, bad); err == nil {
 		t.Fatal("zero iterations accepted")
 	}
+	wide := testConfig()
+	wide.MaxLeaves = maxLeaves + 1
+	if _, err := Train([][]float64{{1}}, []float64{1}, wide); err == nil {
+		t.Fatal("33 leaves per tree accepted: a tree's routed word has 32 bits")
+	}
 }
 
 func TestConstantTarget(t *testing.T) {
@@ -222,6 +229,77 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeBinary(append(buf, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestDecodeAcceptsOnlyTrees covers what forward child offsets alone
+// let through: shared children (a DAG, which Compile would unfold
+// exponentially — the 23-node chain below to 8,388,607 nodes), orphans,
+// NaN thresholds (the pointer walk and the key order disagree on them)
+// and trees wider than a routed word.
+func TestDecodeAcceptsOnlyTrees(t *testing.T) {
+	header := func(nTrees uint32) []byte {
+		b := append([]byte(nil), magic[:]...)
+		b = append(b, encVersion)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.1))
+		return binary.LittleEndian.AppendUint32(b, nTrees)
+	}
+	inner := func(lo, feat uint8, thr float32, ro uint8) []byte {
+		b := []byte{lo, feat}
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(thr))
+		return append(b, ro)
+	}
+	leaf := binary.LittleEndian.AppendUint32([]byte{0}, math.Float32bits(2))
+	tree := func(nodes ...[]byte) []byte {
+		b := append(header(1), uint8(len(nodes)))
+		for _, n := range nodes {
+			b = append(b, n...)
+		}
+		return b
+	}
+	if _, err := DecodeBinary(tree(inner(1, 0, 5, 2), leaf, leaf)); err != nil {
+		t.Fatalf("plain stump rejected: %v", err)
+	}
+	chain := [][]byte{}
+	for i := 0; i < 22; i++ {
+		chain = append(chain, inner(1, 0, 5, 1))
+	}
+	nan := float32(math.NaN())
+	for name, blob := range map[string][]byte{
+		"shared child":        tree(inner(1, 0, 5, 1), leaf, leaf),
+		"23-node DAG chain":   tree(append(chain, leaf)...),
+		"orphan node":         tree(inner(1, 0, 5, 2), leaf, leaf, leaf),
+		"child with two uses": tree(inner(1, 0, 5, 2), inner(1, 0, 5, 2), leaf, leaf),
+		"NaN threshold":       tree(inner(1, 0, nan, 2), leaf, leaf),
+	} {
+		if _, err := DecodeBinary(blob); !errors.Is(err, ErrBadEncoding) {
+			t.Fatalf("%s: DecodeBinary returned %v, want ErrBadEncoding", name, err)
+		}
+	}
+
+	rng := xrand.New(3)
+	grow := func(leaves int) []byte {
+		m := &Model{Rate: 1, Trees: []Tree{randomTree(rng, leaves, shapeRightChain,
+			func() int32 { return 0 }, func() float64 { return float64(rng.Intn(9)) }, rng.Float64)}}
+		blob, err := m.EncodeBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	if _, err := DecodeBinary(grow(maxLeaves + 1)); !errors.Is(err, ErrBadEncoding) {
+		t.Fatalf("33-leaf tree: DecodeBinary returned %v, want ErrBadEncoding", err)
+	}
+	m, err := DecodeBinary(grow(maxLeaves))
+	if err != nil {
+		t.Fatalf("32-leaf tree rejected: %v", err)
+	}
+	c := Compile(m)
+	for x := -1.0; x < 10; x += 0.5 {
+		if got, want := c.Predict([]float64{x}), m.Predict([]float64{x}); got != want {
+			t.Fatalf("32-leaf chain at %v: compiled %v, pointer walk %v", x, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package mart
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -87,42 +89,88 @@ func TestSlabRoundTripEncodeStable(t *testing.T) {
 
 // TestSlabRejectsCorruption checks the validation surface: every
 // mutation that breaks a structural invariant must fail decode with
-// ErrSlab, never panic — the batch walk runs without bounds checks and
-// relies on these rejections.
+// ErrSlab, never panic — scoring indexes by what these checks admit.
 func TestSlabRejectsCorruption(t *testing.T) {
 	c, _ := trainedCompiled(t, 600, 13)
 	blob := c.AppendSlab(nil)
+	le := binary.LittleEndian
+	featOffAt := slabHeaderSize
+	leafOffAt := featOffAt + 4*len(c.featOff)
+	nodesAt, _, _ := slabOffsets(c.InputsNeeded(), c.NumTrees(), len(c.nodes), len(c.leaf), 8)
+	// A record with a predecessor in its feature's run, so "descending"
+	// is a statement about two keys of one feature.
+	second := -1
+	for f := 0; f < c.InputsNeeded() && second < 0; f++ {
+		if c.featOff[f+1]-c.featOff[f] >= 2 {
+			second = int(c.featOff[f]) + 1
+		}
+	}
+	if second < 0 {
+		t.Fatal("no feature with two records")
+	}
 
 	mutate := func(name string, fn func(b []byte) []byte) {
 		t.Helper()
 		b := fn(append([]byte(nil), blob...))
-		if _, err := CompiledFromSlab(b); err == nil {
-			t.Fatalf("%s: decode accepted corrupt slab", name)
+		for _, forceCopy := range []bool{false, true} {
+			slabForceCopy = forceCopy
+			_, err := CompiledFromSlab(b)
+			slabForceCopy = false
+			if !errors.Is(err, ErrSlab) {
+				t.Fatalf("%s (forceCopy=%v): decode of corrupt slab returned %v", name, forceCopy, err)
+			}
 		}
 	}
 	mutate("bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b })
+	mutate("quantized magic", func(b []byte) []byte { le.PutUint32(b, slabQMagic); return b })
 	mutate("truncated", func(b []byte) []byte { return b[:len(b)-8] })
 	mutate("extended", func(b []byte) []byte { return append(b, 0) })
 	mutate("empty", func(b []byte) []byte { return nil })
 	mutate("header only", func(b []byte) []byte { return b[:slabHeaderSize] })
 	mutate("tree count lies", func(b []byte) []byte { b[4]++; return b })
-	mutate("node count lies", func(b []byte) []byte { b[8]++; return b })
-	mutate("root out of range", func(b []byte) []byte {
-		b[slabHeaderSize] = 0xFF
-		b[slabHeaderSize+1] = 0xFF
-		b[slabHeaderSize+2] = 0xFF
-		b[slabHeaderSize+3] = 0x7F
+	mutate("feature count lies", func(b []byte) []byte { b[8]++; return b })
+	mutate("node count lies", func(b []byte) []byte { b[12]++; return b })
+	mutate("leaf count lies", func(b []byte) []byte { b[16]++; return b })
+	mutate("non-finite rate", func(b []byte) []byte {
+		le.PutUint64(b[32:], math.Float64bits(math.NaN()))
 		return b
 	})
-	mutate("depth negative", func(b []byte) []byte {
-		off := slabHeaderSize + 4*len(c.roots)
-		b[off+3] = 0x80
+	mutate("feature offsets past the array", func(b []byte) []byte {
+		le.PutUint32(b[featOffAt+4:], uint32(len(c.nodes))+1)
 		return b
 	})
-	mutate("feature out of range", func(b []byte) []byte {
-		off := slabHeaderSize + 8*len(c.roots)
-		b[off] = 0xFF
-		b[off+1] = 0xFF
+	mutate("feature offsets do not start at 0", func(b []byte) []byte {
+		le.PutUint32(b[featOffAt:], 1)
+		return b
+	})
+	mutate("leaf offsets past the array", func(b []byte) []byte {
+		le.PutUint32(b[leafOffAt+4*c.NumTrees():], uint32(len(c.leaf))+1)
+		return b
+	})
+	mutate("tree with no leaves", func(b []byte) []byte {
+		le.PutUint32(b[leafOffAt+4:], 0)
+		return b
+	})
+	mutate("tree with 33 leaves", func(b []byte) []byte {
+		le.PutUint32(b[leafOffAt+4:], 33)
+		return b
+	})
+	mutate("tree id out of range", func(b []byte) []byte {
+		le.PutUint32(b[nodesAt+8:], uint32(c.NumTrees()))
+		return b
+	})
+	mutate("mask without its last leaf", func(b []byte) []byte {
+		n := c.nodes[0]
+		last := uint32(1) << (c.leafOff[n.tree+1] - c.leafOff[n.tree] - 1)
+		le.PutUint32(b[nodesAt+12:], n.mask&^last)
+		return b
+	})
+	mutate("mask beyond its last leaf", func(b []byte) []byte {
+		le.PutUint32(b[nodesAt+12:], ^uint32(0))
+		return b
+	})
+	mutate("descending keys", func(b []byte) []byte {
+		le.PutUint64(b[nodesAt+16*second:], c.nodes[second-1].key-1)
 		return b
 	})
 }

@@ -1,48 +1,23 @@
 package mart
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-	"unsafe"
-)
+import "math"
 
-// CompiledQ is the quantized sibling of Compiled: thresholds stored as
-// order-preserving float32 keys (4 bytes) and leaf values as float32,
-// shrinking each node from 16 to 12 bytes and each leaf from 8 to 4.
-// Training already quantizes leaf values to float32 precision and
-// rounds thresholds up to the nearest float32 (see growTree), so the
-// stored values are exact, and feature values are narrowed toward +Inf
-// (see FeatureKeys32), which preserves every "x <= t" routing decision
-// against a float32-exact threshold. For models trained here the
-// quantized walk therefore reproduces the exact walk; the layout is
-// still treated as approximate — publish gates it on probe predictions
-// staying within tolerance of the exact walk (reject-if-worse), and
-// serving only uses it when explicitly opted in.
-type CompiledQ struct {
-	base    float64
-	rate    float64
-	maxFeat int32
-	roots   []int32
-	depth   []int32
-	nodes   []qnode
-	leaf    []float32
-}
-
-// qnode mirrors cnode at 12 bytes: float32 threshold key, left child
-// index, split feature. A leaf has left = its own index and key
-// leafKey32.
-type qnode struct {
-	key  uint32
-	left int32
-	feat int32
-}
-
-const leafKey32 = ^uint32(0)
+// CompiledQ is the quantized sibling of Compiled: the same layout and
+// the same scoring loop at float32 keys (12-byte records) and float32
+// leaves. Training already quantizes leaf values to float32 precision
+// and rounds thresholds up to the nearest float32 (see growTree), so
+// the stored values are exact, and feature values are narrowed toward
+// +Inf (see featureKey32), which preserves every "x <= t" decision
+// against a float32-exact threshold. For models trained here quantized
+// scoring therefore reproduces exact scoring; the layout is still
+// treated as approximate — publish gates it on probe predictions staying
+// within tolerance of the exact ones (reject-if-worse), and serving only
+// uses it when explicitly opted in.
+type CompiledQ struct{ ensemble[uint32, float32] }
 
 // floatKey32 is floatKey for float32: order-preserving sign-fold with
 // NaN mapped to the maximum key so NaN features route right, matching
-// the float64 walk and IEEE "x <= t is false".
+// the float64 keys and IEEE "x <= t is false".
 func floatKey32(f float32) uint32 {
 	b := math.Float32bits(f)
 	key := b ^ (uint32(int32(b)>>31) | 0x80000000)
@@ -52,9 +27,9 @@ func floatKey32(f float32) uint32 {
 	return key
 }
 
-// keyToFloat recovers the float64 threshold from its walk key
-// (inverse of floatKey; the NaN fold is not invertible but thresholds
-// are never NaN — leafKey marks leaves before this is consulted).
+// keyToFloat recovers the float64 threshold from its key (inverse of
+// floatKey; the NaN fold is not invertible but thresholds are never
+// NaN).
 func keyToFloat(key uint64) float64 {
 	b := key
 	if b&0x8000000000000000 != 0 {
@@ -65,357 +40,55 @@ func keyToFloat(key uint64) float64 {
 	return math.Float64frombits(b)
 }
 
-// Quantize derives the float32 layout from the exact compiled model.
-// Thresholds are rounded up to the nearest float32 so "x <= t" keeps
-// its meaning for every float32-representable x (trained thresholds
-// are already exact float32 values, making the rounding a no-op in
-// practice); out-of-range magnitudes saturate to ±Inf, which preserves
-// ordering against every finite feature value.
+// roundUp32 is the smallest float32 >= f (±Inf beyond float32's range,
+// NaN for NaN).
+func roundUp32(f float64) float32 {
+	f32 := float32(f)
+	if float64(f32) < f {
+		f32 = math.Nextafter32(f32, float32(math.Inf(1)))
+	}
+	return f32
+}
+
+// featureKey32 is the row-side key of the quantized layout: x narrowed
+// toward +Inf, then keyed. With a float32-representable threshold t
+// this makes "x32 <= t" agree with the exact "x <= t" for every float64
+// x — if x ≤ t the round-up lands at or below t, and if x > t it stays
+// above — whereas round-to-nearest would misroute any x within half an
+// ulp above a threshold. Trained thresholds are always float32-exact
+// (see growTree), so quantized routing matches exact routing outright;
+// the narrowing is its only potential divergence and the encode-time
+// gate bounds it for any other model source.
+func featureKey32(x float64) uint32 { return floatKey32(roundUp32(x)) }
+
+// Quantize derives the float32 layout from the exact one. Thresholds
+// are rounded up to the nearest float32 so "x <= t" keeps its meaning
+// for every float32-representable x (trained thresholds are already
+// exact float32 values, making the rounding a no-op in practice);
+// out-of-range magnitudes saturate to ±Inf, which preserves ordering
+// against every finite feature value. Rounding up is monotone, so each
+// feature's run stays sorted.
 func (c *Compiled) Quantize() *CompiledQ {
-	q := &CompiledQ{
-		base:    c.base,
-		rate:    c.rate,
-		maxFeat: c.maxFeat,
-		roots:   append([]int32(nil), c.roots...),
-		depth:   append([]int32(nil), c.depth...),
-		nodes:   make([]qnode, len(c.nodes)),
-		leaf:    make([]float32, len(c.leaf)),
+	q := &CompiledQ{}
+	q.base, q.rate = c.base, c.rate
+	q.featOff, q.leafOff = c.featOff, c.leafOff
+	q.nodes = make([]node[uint32], len(c.nodes))
+	for i, n := range c.nodes {
+		q.nodes[i] = node[uint32]{key: floatKey32(roundUp32(keyToFloat(n.key))), tree: n.tree, mask: n.mask}
 	}
-	for i := range c.nodes {
-		n := &c.nodes[i]
-		qn := qnode{left: n.left, feat: n.feat}
-		if n.key == leafKey {
-			qn.key = leafKey32
-		} else {
-			t := keyToFloat(n.key)
-			t32 := float32(t)
-			if float64(t32) < t {
-				t32 = math.Nextafter32(t32, float32(math.Inf(1)))
-			}
-			qn.key = floatKey32(t32)
-		}
-		q.nodes[i] = qn
-	}
+	q.leaf = make([]float32, len(c.leaf))
 	for i, v := range c.leaf {
 		q.leaf[i] = float32(v)
 	}
 	return q
 }
 
-// NumTrees returns the number of compiled trees.
-func (q *CompiledQ) NumTrees() int { return len(q.roots) }
-
-// InputsNeeded mirrors Compiled.InputsNeeded for the quantized layout.
-func (q *CompiledQ) InputsNeeded() int {
-	if len(q.nodes) == 0 {
-		return 0
-	}
-	return int(q.maxFeat) + 1
-}
-
-// FeatureKeys32 converts a float64 feature row into float32 walk keys,
-// appending to dst. Values are narrowed toward +Inf (the smallest
-// float32 ≥ x): with a float32-representable threshold t this makes
-// "x32 <= t" agree with the exact "x <= t" for every float64 x — if
-// x ≤ t the round-up lands at or below t, and if x > t it stays above —
-// whereas round-to-nearest would misroute any x within half an ulp
-// above a threshold. Trained thresholds are always float32-exact (see
-// growTree), so quantized routing matches the exact walk outright; the
-// narrowing is the quantized walk's only potential divergence and the
-// encode-time gate bounds it for any other model source.
-func FeatureKeys32(dst []uint32, x []float64) []uint32 {
-	inf := float32(math.Inf(1))
-	for _, f := range x {
-		f32 := float32(f)
-		if float64(f32) < f {
-			f32 = math.Nextafter32(f32, inf)
-		}
-		dst = append(dst, floatKey32(f32))
-	}
-	return dst
-}
-
-func (q *CompiledQ) walk(root, depth int32, k []uint32) int32 {
-	i := root
-	nodes := q.nodes
-	for d := int32(0); d < depth; d++ {
-		n := nodes[i]
-		l := n.left
-		if k[n.feat] > n.key {
-			l++
-		}
-		if l == i {
-			break
-		}
-		i = l
-	}
-	return i
-}
-
-// Predict evaluates one feature vector through the quantized layout.
-// Accumulation is float64 (base, then each tree's shrunken float32 leaf
-// widened back), so the only precision loss is the stored values and
-// routing resolution, not the sum.
-func (q *CompiledQ) Predict(x []float64) float64 {
-	var buf [32]uint32
-	k := FeatureKeys32(buf[:0], x)
-	y := q.base
-	for t, root := range q.roots {
-		y += q.rate * float64(q.leaf[q.walk(root, q.depth[t], k)])
-	}
-	return y
-}
-
-// PredictMargins mirrors Compiled.PredictMargins over the quantized
-// walk: margins[t] is the cumulative prediction after t+1 trees.
-func (q *CompiledQ) PredictMargins(x []float64, dst []float64) ([]float64, float64) {
-	var buf [32]uint32
-	k := FeatureKeys32(buf[:0], x)
-	y := q.base
-	for t, root := range q.roots {
-		y += q.rate * float64(q.leaf[q.walk(root, q.depth[t], k)])
-		dst = append(dst, y)
-	}
-	return dst, y
-}
-
-// PredictBatch is Compiled.PredictBatch over the 12-byte node layout:
-// tree-outer, eight interleaved branchless walks, results identical to
-// calling CompiledQ.Predict row by row. Row lengths are validated up
-// front exactly like the exact-mode batch walk.
-func (q *CompiledQ) PredictBatch(xs [][]float64, out []float64) {
-	for i := range out {
-		out[i] = q.base
-	}
-	if len(q.nodes) == 0 || len(xs) == 0 {
-		return
-	}
-	need := int(q.maxFeat)
-	total := 0
-	for _, x := range xs {
-		if len(x) <= need {
-			_ = x[need] // panic with the standard bounds-check error
-		}
-		total += len(x)
-	}
-	keySlab := make([]uint32, 0, total)
-	keys := make([][]uint32, len(xs))
-	for j, x := range xs {
-		off := len(keySlab)
-		keySlab = FeatureKeys32(keySlab, x)
-		keys[j] = keySlab[off:len(keySlab):len(keySlab)]
-	}
-
-	const nodeSize = unsafe.Sizeof(qnode{})
-	np := unsafe.Pointer(unsafe.SliceData(q.nodes))
-	rate := q.rate
-	for t, root := range q.roots {
-		depth := q.depth[t]
-		j := 0
-		for ; j+8 <= len(keys); j += 8 {
-			p0 := unsafe.Pointer(unsafe.SliceData(keys[j]))
-			p1 := unsafe.Pointer(unsafe.SliceData(keys[j+1]))
-			p2 := unsafe.Pointer(unsafe.SliceData(keys[j+2]))
-			p3 := unsafe.Pointer(unsafe.SliceData(keys[j+3]))
-			p4 := unsafe.Pointer(unsafe.SliceData(keys[j+4]))
-			p5 := unsafe.Pointer(unsafe.SliceData(keys[j+5]))
-			p6 := unsafe.Pointer(unsafe.SliceData(keys[j+6]))
-			p7 := unsafe.Pointer(unsafe.SliceData(keys[j+7]))
-			i0, i1, i2, i3 := root, root, root, root
-			i4, i5, i6, i7 := root, root, root, root
-			for d := int32(0); d < depth; d++ {
-				n0 := (*qnode)(unsafe.Add(np, uintptr(i0)*nodeSize))
-				n1 := (*qnode)(unsafe.Add(np, uintptr(i1)*nodeSize))
-				n2 := (*qnode)(unsafe.Add(np, uintptr(i2)*nodeSize))
-				n3 := (*qnode)(unsafe.Add(np, uintptr(i3)*nodeSize))
-				n4 := (*qnode)(unsafe.Add(np, uintptr(i4)*nodeSize))
-				n5 := (*qnode)(unsafe.Add(np, uintptr(i5)*nodeSize))
-				n6 := (*qnode)(unsafe.Add(np, uintptr(i6)*nodeSize))
-				n7 := (*qnode)(unsafe.Add(np, uintptr(i7)*nodeSize))
-				var d0, d1, d2, d3, d4, d5, d6, d7 int32
-				if *(*uint32)(unsafe.Add(p0, uintptr(n0.feat)*4)) > n0.key {
-					d0 = 1
-				}
-				if *(*uint32)(unsafe.Add(p1, uintptr(n1.feat)*4)) > n1.key {
-					d1 = 1
-				}
-				if *(*uint32)(unsafe.Add(p2, uintptr(n2.feat)*4)) > n2.key {
-					d2 = 1
-				}
-				if *(*uint32)(unsafe.Add(p3, uintptr(n3.feat)*4)) > n3.key {
-					d3 = 1
-				}
-				if *(*uint32)(unsafe.Add(p4, uintptr(n4.feat)*4)) > n4.key {
-					d4 = 1
-				}
-				if *(*uint32)(unsafe.Add(p5, uintptr(n5.feat)*4)) > n5.key {
-					d5 = 1
-				}
-				if *(*uint32)(unsafe.Add(p6, uintptr(n6.feat)*4)) > n6.key {
-					d6 = 1
-				}
-				if *(*uint32)(unsafe.Add(p7, uintptr(n7.feat)*4)) > n7.key {
-					d7 = 1
-				}
-				l0, l1, l2, l3 := n0.left+d0, n1.left+d1, n2.left+d2, n3.left+d3
-				l4, l5, l6, l7 := n4.left+d4, n5.left+d5, n6.left+d6, n7.left+d7
-				if l0 == i0 && l1 == i1 && l2 == i2 && l3 == i3 &&
-					l4 == i4 && l5 == i5 && l6 == i6 && l7 == i7 {
-					break
-				}
-				i0, i1, i2, i3 = l0, l1, l2, l3
-				i4, i5, i6, i7 = l4, l5, l6, l7
-			}
-			out[j] += rate * float64(q.leaf[i0])
-			out[j+1] += rate * float64(q.leaf[i1])
-			out[j+2] += rate * float64(q.leaf[i2])
-			out[j+3] += rate * float64(q.leaf[i3])
-			out[j+4] += rate * float64(q.leaf[i4])
-			out[j+5] += rate * float64(q.leaf[i5])
-			out[j+6] += rate * float64(q.leaf[i6])
-			out[j+7] += rate * float64(q.leaf[i7])
-		}
-		for ; j < len(keys); j++ {
-			out[j] += rate * float64(q.leaf[q.walk(root, depth, keys[j])])
-		}
-	}
-}
-
-// Quantized slab layout "MCQ1": identical header and roots/depth tables
-// to the exact slab, then 12-byte nodes and float32 leaves. The node
-// region lands 4-byte aligned (header 40 + 8·nTrees), which is all the
-// 12-byte records and float32 leaves need for aliasing.
-const slabQMagic = 0x3151434D // "MCQ1"
-
-// SlabSize returns the exact encoded size of the quantized model.
-func (q *CompiledQ) SlabSize() int {
-	return slabHeaderSize + 8*len(q.roots) + 16*len(q.nodes)
-}
-
-// AppendSlab appends the quantized slab encoding of q to dst.
-func (q *CompiledQ) AppendSlab(dst []byte) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, q.SlabSize())...)
-	b := dst[off:]
-	binary.LittleEndian.PutUint32(b[0:], slabQMagic)
-	binary.LittleEndian.PutUint32(b[4:], uint32(len(q.roots)))
-	binary.LittleEndian.PutUint64(b[8:], uint64(len(q.nodes)))
-	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(q.base))
-	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(q.rate))
-	binary.LittleEndian.PutUint32(b[32:], uint32(q.maxFeat))
-	binary.LittleEndian.PutUint32(b[36:], 0)
-	p := slabHeaderSize
-	for _, r := range q.roots {
-		binary.LittleEndian.PutUint32(b[p:], uint32(r))
-		p += 4
-	}
-	for _, d := range q.depth {
-		binary.LittleEndian.PutUint32(b[p:], uint32(d))
-		p += 4
-	}
-	for i := range q.nodes {
-		n := &q.nodes[i]
-		binary.LittleEndian.PutUint32(b[p:], n.key)
-		binary.LittleEndian.PutUint32(b[p+4:], uint32(n.left))
-		binary.LittleEndian.PutUint32(b[p+8:], uint32(n.feat))
-		p += 12
-	}
-	for _, v := range q.leaf {
-		binary.LittleEndian.PutUint32(b[p:], math.Float32bits(v))
-		p += 4
-	}
-	return dst
-}
-
-// CompiledQFromSlab reconstructs a CompiledQ view over quantized slab
-// bytes, aliasing the node and leaf regions on a little-endian host
-// (b must then outlive the returned model, e.g. an mmap'd file) and
-// copy-decoding otherwise. Validation mirrors CompiledFromSlab.
+// CompiledQFromSlab is CompiledFromSlab for the quantized layout
+// (magic "MCQ2": 12-byte records, float32 leaves, 4-byte aligned).
 func CompiledQFromSlab(b []byte) (*CompiledQ, error) {
-	if len(b) < slabHeaderSize {
-		return nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrSlab, len(b), slabHeaderSize)
-	}
-	if m := binary.LittleEndian.Uint32(b[0:]); m != slabQMagic {
-		return nil, fmt.Errorf("%w: quantized magic %#x", ErrSlab, m)
-	}
-	nTrees := int(binary.LittleEndian.Uint32(b[4:]))
-	nNodes64 := binary.LittleEndian.Uint64(b[8:])
-	if nTrees > maxSlabTrees || nNodes64 > maxSlabNodes {
-		return nil, fmt.Errorf("%w: %d trees / %d nodes exceed caps", ErrSlab, nTrees, nNodes64)
-	}
-	nNodes := int(nNodes64)
-	want := slabHeaderSize + 8*nTrees + 16*nNodes
-	if len(b) != want {
-		return nil, fmt.Errorf("%w: %d bytes, want %d", ErrSlab, len(b), want)
-	}
-	q := &CompiledQ{
-		base:    math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
-		rate:    math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
-		maxFeat: int32(binary.LittleEndian.Uint32(b[32:])),
-	}
-	if math.IsNaN(q.base) || math.IsInf(q.base, 0) || math.IsNaN(q.rate) || math.IsInf(q.rate, 0) {
-		return nil, fmt.Errorf("%w: non-finite base/rate", ErrSlab)
-	}
-	if q.maxFeat < 0 || q.maxFeat >= maxSlabFeat {
-		return nil, fmt.Errorf("%w: maxFeat %d", ErrSlab, q.maxFeat)
-	}
-	p := slabHeaderSize
-	q.roots = make([]int32, nTrees)
-	for i := range q.roots {
-		q.roots[i] = int32(binary.LittleEndian.Uint32(b[p:]))
-		p += 4
-	}
-	q.depth = make([]int32, nTrees)
-	for i := range q.depth {
-		q.depth[i] = int32(binary.LittleEndian.Uint32(b[p:]))
-		p += 4
-	}
-	nodesOff, leafOff := p, p+12*nNodes
-	nb, lb := b[nodesOff:leafOff], b[leafOff:]
-	if hostLittleEndian && !slabForceCopy && nNodes > 0 &&
-		uintptr(unsafe.Pointer(unsafe.SliceData(nb)))%4 == 0 {
-		q.nodes = unsafe.Slice((*qnode)(unsafe.Pointer(unsafe.SliceData(nb))), nNodes)
-		q.leaf = unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(lb))), nNodes)
-	} else {
-		q.nodes = make([]qnode, nNodes)
-		q.leaf = make([]float32, nNodes)
-		for i := range q.nodes {
-			q.nodes[i] = qnode{
-				key:  binary.LittleEndian.Uint32(nb[12*i:]),
-				left: int32(binary.LittleEndian.Uint32(nb[12*i+4:])),
-				feat: int32(binary.LittleEndian.Uint32(nb[12*i+8:])),
-			}
-			q.leaf[i] = math.Float32frombits(binary.LittleEndian.Uint32(lb[4*i:]))
-		}
-	}
-	if err := q.validateSlab(); err != nil {
+	q := &CompiledQ{}
+	if err := q.fromSlab(b); err != nil {
 		return nil, err
 	}
 	return q, nil
-}
-
-func (q *CompiledQ) validateSlab() error {
-	n := int32(len(q.nodes))
-	for t, r := range q.roots {
-		if r < 0 || r >= n {
-			return fmt.Errorf("%w: tree %d root %d out of range [0,%d)", ErrSlab, t, r, n)
-		}
-		if d := q.depth[t]; d < 0 || d > maxSlabDepth {
-			return fmt.Errorf("%w: tree %d depth %d", ErrSlab, t, d)
-		}
-	}
-	for i := range q.nodes {
-		nd := &q.nodes[i]
-		if nd.feat < 0 || nd.feat > q.maxFeat {
-			return fmt.Errorf("%w: node %d feat %d > maxFeat %d", ErrSlab, i, nd.feat, q.maxFeat)
-		}
-		if nd.key == leafKey32 {
-			if nd.left != int32(i) {
-				return fmt.Errorf("%w: leaf %d left %d not self", ErrSlab, i, nd.left)
-			}
-		} else if nd.left < 0 || nd.left+1 >= n || nd.left+1 < 0 {
-			return fmt.Errorf("%w: node %d child pair %d out of range [0,%d)", ErrSlab, i, nd.left, n)
-		}
-	}
-	return nil
 }

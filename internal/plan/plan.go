@@ -36,9 +36,12 @@ const (
 	numKinds
 )
 
+// NumKinds is the number of operator kinds; valid kinds are [0, NumKinds).
+const NumKinds = int(numKinds)
+
 // Kinds lists every operator kind, in declaration order.
 func Kinds() []OpKind {
-	ks := make([]OpKind, numKinds)
+	ks := make([]OpKind, NumKinds)
 	for i := range ks {
 		ks[i] = OpKind(i)
 	}
