@@ -90,7 +90,8 @@ func clientKey(r *http.Request) string {
 
 // peekSchema extracts the routing key from a request body. This is a
 // full validating walk of the envelope, plan included (the shared
-// serve.DecodeEnvelope), so it runs only for bodies that have to be
+// serve.DecodeEnvelope, building nothing: the plan is the replica's to
+// decode), so it runs only for bodies that have to be
 // forwarded — a cache hit never gets here. A body the router cannot
 // parse routes by the empty schema — the replica owning that slot
 // produces the canonical error.

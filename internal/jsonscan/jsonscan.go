@@ -227,6 +227,12 @@ func NumberEnd(b []byte, i int) (int, bool) {
 			j++
 		}
 	}
+	return exponentEnd(b, j)
+}
+
+// exponentEnd steps over the number grammar's optional last part,
+// ([eE][+-]?[0-9]+)?, at j.
+func exponentEnd(b []byte, j int) (int, bool) {
 	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
 		j++
 		if j < len(b) && (b[j] == '+' || b[j] == '-') {
@@ -243,6 +249,63 @@ func NumberEnd(b []byte, i int) (int, bool) {
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// Float scans the JSON number at i — NumberEnd's grammar — and returns
+// its float64 value and the index one past it, accumulating the decimal
+// mantissa in the loop that checks the digits. A literal without an
+// exponent whose digits fit 2^53 over at most 22 fraction digits is
+// float64(m) / 10^k: both operands exact, so the one IEEE division
+// rounds the true value correctly (Clinger 1990; strconv's own exact
+// path) and equals strconv.ParseFloat bit for bit. Every other literal
+// is ParseFloat's to convert, and an out-of-range one declines.
+func Float(b []byte, i int) (f float64, end int, ok bool) {
+	j := i
+	neg := j < len(b) && b[j] == '-'
+	if neg {
+		j++
+	}
+	var m uint64 // wraps past 19 digits, which the count below hands to ParseFloat
+	first := j
+	switch {
+	case j < len(b) && b[j] == '0':
+		j++
+	case j < len(b) && b[j] >= '1' && b[j] <= '9':
+		for ; j < len(b) && isDigit(b[j]); j++ {
+			m = m*10 + uint64(b[j]-'0')
+		}
+	default:
+		return 0, 0, false
+	}
+	digits, frac := j-first, 0
+	if j < len(b) && b[j] == '.' {
+		for j++; j < len(b) && isDigit(b[j]); j++ {
+			m = m*10 + uint64(b[j]-'0')
+			frac++
+		}
+		if frac == 0 {
+			return 0, 0, false
+		}
+	}
+	if end, ok = exponentEnd(b, j); !ok {
+		return 0, 0, false
+	}
+	if end > j || digits+frac > 19 || m > 1<<53 || frac >= len(pow10) {
+		f, err := strconv.ParseFloat(string(b[i:end]), 64)
+		return f, end, err == nil
+	}
+	f = float64(m)
+	if frac > 0 {
+		f /= pow10[frac]
+	}
+	if neg {
+		f = -f
+	}
+	return f, end, true
+}
 
 // StringEnd returns the index one past the closing quote of the
 // string starting at b[i] == '"', validating escapes and rejecting

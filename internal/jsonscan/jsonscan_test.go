@@ -2,6 +2,8 @@ package jsonscan
 
 import (
 	"encoding/json"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -142,4 +144,80 @@ func TestKeyAndNext(t *testing.T) {
 			t.Errorf("Next accepted %q before a '}'", bad)
 		}
 	}
+}
+
+// checkFloat holds Float to the two steps it fuses: NumberEnd's extent
+// and accept/decline, strconv.ParseFloat's bits.
+func checkFloat(t *testing.T, b []byte, i int) {
+	t.Helper()
+	f, end, ok := Float(b, i)
+	refEnd, refOK := NumberEnd(b, i)
+	var ref float64
+	if refOK {
+		var err error
+		ref, err = strconv.ParseFloat(string(b[i:refEnd]), 64)
+		refOK = err == nil
+	}
+	if ok != refOK {
+		t.Fatalf("Float(%q, %d) ok = %v, NumberEnd + ParseFloat %v", b, i, ok, refOK)
+	}
+	if ok && (end != refEnd || math.Float64bits(f) != math.Float64bits(ref)) {
+		t.Fatalf("Float(%q, %d) = %v (%#x) to %d, want %v (%#x) to %d", b, i,
+			f, math.Float64bits(f), end, ref, math.Float64bits(ref), refEnd)
+	}
+}
+
+var floatSeeds = []string{
+	`0`, `-0`, `0.10`, `-12.5`, `9007199254740991`, `9007199254740992`, `9007199254740993`,
+	`900719925474099.2`, `12345678901234567`, `1234567890123456789`, `0.1234567890123456789`,
+	`12345678901234567890`, `0.00000000000000000000001`, `1.0000000000000000000001`,
+	`8.41e21`, `1e5`, `1E-5`, `1e+400`, `1e400`, `-1e400`, `4.9e-324`, `2.2250738585072011e-308`,
+	`01`, `1.`, `1.e1`, `1e`, `1e+`, `-`, `.5`, `+1`, ``, `1,2`, `1]`, `1.5 `, `-a`,
+}
+
+// TestFloatAgreesWithStrconv walks the seeds, every integer mantissa
+// around the exact path's 2^53 limit over every fraction length around
+// its 10^22 limit, and a deterministic spread of digit strings.
+func TestFloatAgreesWithStrconv(t *testing.T) {
+	for _, s := range floatSeeds {
+		checkFloat(t, []byte(s), 0)
+		checkFloat(t, []byte(`{"x":`+s+`}`), 5)
+	}
+	for m := uint64(1<<53 - 3); m <= 1<<53+3; m++ {
+		digits := strconv.FormatUint(m, 10)
+		for frac := 0; frac <= 25; frac++ {
+			lit := digits
+			if pad := frac - len(digits) + 1; pad > 0 {
+				lit = strings.Repeat("0", pad) + lit
+			}
+			if frac > 0 {
+				lit = lit[:len(lit)-frac] + "." + lit[len(lit)-frac:]
+			}
+			checkFloat(t, []byte(lit), 0)
+			checkFloat(t, []byte("-"+lit), 0)
+		}
+	}
+	x := uint64(0x9e3779b97f4a7c15)
+	for n := 0; n < 200000; n++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		lit := strconv.FormatUint(x>>(x%64), 10)
+		if cut := int(x>>8) % (len(lit) + 1); cut < len(lit) {
+			lit = lit[:cut] + "." + lit[cut:]
+			if cut == 0 {
+				lit = "0" + lit
+			}
+		}
+		checkFloat(t, []byte(lit), 0)
+	}
+}
+
+// FuzzScanFloat pins Float to NumberEnd + strconv.ParseFloat on
+// arbitrary bytes: same accept/decline, same end, same bits.
+func FuzzScanFloat(f *testing.F) {
+	for _, s := range floatSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) { checkFloat(t, b, 0) })
 }

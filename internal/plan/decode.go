@@ -1,11 +1,6 @@
 package plan
 
-import (
-	"bytes"
-	"strconv"
-
-	"repro/internal/jsonscan"
-)
+import "repro/internal/jsonscan"
 
 // The service decodes one plan per estimate, so DecodeJSON is the hot
 // path of every transport. encoding/json pays for that with a validity
@@ -24,96 +19,113 @@ import (
 // plan is reflect.DeepEqual to what the stdlib path builds.
 // FuzzPlanDecode pins exactly that.
 
-// planDecoder is the state of one fastDecode call: the input, the
-// per-plan node chunk and the backing array the child slices are
-// carved from.
-type planDecoder struct {
+// Decoder is the single-pass decoder and the arena its plans' nodes are
+// carved from. The arena grows a chunk at a time as nodes are actually
+// parsed, so what a body costs in memory follows the operators it
+// really holds, and the plans of one batch share chunks. The zero
+// Decoder is ready to use.
+type Decoder struct {
 	b     []byte
-	nodes []Node
-	used  int     // nodes handed out; doubles as the next preorder ID
-	kids  []*Node // unclaimed rest of the child backing array
+	next  int    // the next preorder ID of the plan being decoded
+	slots []slot // unclaimed rest of the current chunk
+}
+
+// slot is one arena element: a node and the backing array of its
+// Children (no operator takes more than two inputs).
+type slot struct {
+	Node
+	kids [2]*Node
 }
 
 // fastDecode reports whether it fully decoded b on the fast path.
 // false means "retry with encoding/json", not "invalid".
 func fastDecode(b []byte) (*Plan, bool) {
-	// Canonical input has one '{' per node plus the envelope's, so one
-	// vectorized count sizes the node chunk and the child backing array
-	// exactly. A brace inside a tag or table name only wastes a slot;
-	// a body with more braces than the shortest node (`{"kind":"Top"}`)
-	// leaves room for is left to stdlib rather than turned into an
-	// allocation many times its size.
-	const minNodeBytes = 14
-	count := bytes.Count(b, []byte{'{'}) - 1
-	if count < 1 || count > len(b)/minNodeBytes {
+	var d Decoder
+	p, end, ok := d.DecodeAt(b, jsonscan.SkipWS(b, 0))
+	if !ok || jsonscan.SkipWS(b, end) != len(b) {
 		return nil, false
 	}
-	d := planDecoder{b: b, nodes: make([]Node, count), kids: make([]*Node, count-1)}
+	return p, true
+}
 
-	i := jsonscan.SkipWS(b, 0)
+// DecodeAt decodes the canonically shaped plan that starts at b[i],
+// inside a larger buffer or not, and returns it with the index one past
+// its closing brace. ok=false means the fast path declines the value —
+// it may be a valid plan, another JSON value or no JSON at all — and
+// leaves it to DecodeJSON over its validated extent.
+func (d *Decoder) DecodeAt(b []byte, i int) (p *Plan, end int, ok bool) {
+	d.b, d.next = b, 0
 	if i >= len(b) || b[i] != '{' {
-		return nil, false
+		return nil, 0, false
 	}
-	p := &Plan{}
+	p = &Plan{}
 	var seenVersion, seenTag bool
 	for i = jsonscan.SkipWS(b, i+1); ; {
-		key, end, ok := jsonscan.Key(b, i)
+		key, at, ok := jsonscan.Key(b, i)
 		if !ok {
-			return nil, false
+			return nil, 0, false
 		}
-		i = end
+		i = at
 		switch string(key) {
 		case "version":
 			end, ok := jsonscan.NumberEnd(b, i)
 			if !ok || seenVersion {
-				return nil, false
+				return nil, 0, false
 			}
 			if v, ok := jsonscan.Int(b[i:end]); !ok || v != WireVersion {
-				return nil, false
+				return nil, 0, false
 			}
 			seenVersion, i = true, end
 		case "tag":
 			s, end, ok := jsonscan.PlainString(b, i)
 			if !ok || seenTag {
-				return nil, false
+				return nil, 0, false
 			}
 			p.Tag, seenTag, i = string(s), true, end
 		case "root":
 			if p.Root != nil {
-				return nil, false
+				return nil, 0, false
 			}
 			if p.Root, i, ok = d.node(i, 1); !ok {
-				return nil, false
+				return nil, 0, false
 			}
 		default:
-			return nil, false
+			return nil, 0, false
 		}
 		var last bool
 		if i, last, ok = jsonscan.Next(b, i, '}'); !ok {
-			return nil, false
+			return nil, 0, false
 		}
 		if last {
 			break
 		}
 	}
-	if !seenVersion || p.Root == nil || jsonscan.SkipWS(b, i) != len(b) {
-		return nil, false
+	if !seenVersion || p.Root == nil {
+		return nil, 0, false
 	}
-	return p, true
+	return p, i, true
 }
 
 // node decodes the operator object at i, nested depth JSON levels
 // deep, and returns the index one past it. The node takes its
 // preorder ID as its object opens — before any child is parsed,
 // whichever order the keys come in.
-func (d *planDecoder) node(i, depth int) (*Node, int, bool) {
+func (d *Decoder) node(i, depth int) (*Node, int, bool) {
 	b := d.b
-	if i >= len(b) || b[i] != '{' || depth > jsonscan.MaxDepth || d.used == len(d.nodes) {
+	if i >= len(b) || b[i] != '{' || depth > jsonscan.MaxDepth {
 		return nil, 0, false
 	}
-	n := &d.nodes[d.used]
-	n.ID = d.used
-	d.used++
+	if len(d.slots) == 0 {
+		// What the rest of the body holds at a generated operator's 200
+		// to 300 bytes, so a lone plan takes one chunk — capped, which
+		// keeps a batch's chunks few and a crafted body's small.
+		d.slots = make([]slot, min((len(b)-i)/192+1, 64))
+	}
+	s := &d.slots[0]
+	d.slots = d.slots[1:]
+	n := &s.Node
+	n.ID = d.next
+	d.next++
 
 	const kindBit, tableBit, childrenBit = 0, 1, 2
 	var seen uint32
@@ -185,19 +197,15 @@ func (d *planDecoder) node(i, depth int) (*Node, int, bool) {
 
 		switch {
 		case fp != nil || ip != nil:
-			end, ok := jsonscan.NumberEnd(b, i)
-			if !ok {
-				return nil, 0, false
-			}
-			if ip != nil {
+			if fp != nil {
+				*fp, i, ok = jsonscan.Float(b, i)
+			} else if end, ok = jsonscan.NumberEnd(b, i); ok {
 				*ip, ok = jsonscan.Int(b[i:end])
-			} else {
-				*fp, ok = parseFloat(b[i:end])
+				i = end
 			}
 			if !ok {
 				return nil, 0, false
 			}
-			i = end
 		case bit == kindBit:
 			s, end, ok := jsonscan.PlainString(b, i)
 			if !ok {
@@ -214,7 +222,7 @@ func (d *planDecoder) node(i, depth int) (*Node, int, bool) {
 			}
 			n.Table, i = string(s), end
 		default:
-			if i, ok = d.children(n, i, depth+1); !ok {
+			if i, ok = d.children(s, i, depth+1); !ok {
 				return nil, 0, false
 			}
 		}
@@ -233,41 +241,22 @@ func (d *planDecoder) node(i, depth int) (*Node, int, bool) {
 	return n, i, true
 }
 
-// parseFloat converts a validated number literal the way stdlib does —
-// strconv.ParseFloat on the literal — so every value is bit-identical;
-// an out-of-range literal is stdlib's error to report. A short run of
-// plain digits is below 2^53, hence exact as a float64 and the value
-// the correctly rounding ParseFloat returns, without the call.
-func parseFloat(lit []byte) (float64, bool) {
-	n, digits := 0, len(lit) <= 15
-	for k := 0; digits && k < len(lit); k++ {
-		digits = lit[k] >= '0' && lit[k] <= '9'
-		n = n*10 + int(lit[k]-'0')
-	}
-	if digits {
-		return float64(n), true
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	return f, err == nil
-}
-
-// children decodes the non-empty children array at i into n.Children,
-// carved from the shared backing array.
-func (d *planDecoder) children(n *Node, i, depth int) (int, bool) {
+// children decodes the non-empty children array at i into s's node
+// and returns the index one past it.
+func (d *Decoder) children(s *slot, i, depth int) (int, bool) {
 	b := d.b
 	if i >= len(b) || b[i] != '[' {
 		return 0, false
 	}
-	// No operator takes more than two inputs, so a longer array is a
-	// Validate failure and the walk can stop at the third element.
-	var kids [2]*Node
+	// A longer array is a Validate failure, so the walk can stop at the
+	// third element.
 	k := 0
 	for i = jsonscan.SkipWS(b, i+1); ; {
-		if k == len(kids) {
+		if k == len(s.kids) {
 			return 0, false
 		}
 		var ok bool
-		if kids[k], i, ok = d.node(i, depth+1); !ok {
+		if s.kids[k], i, ok = d.node(i, depth+1); !ok {
 			return 0, false
 		}
 		k++
@@ -276,12 +265,8 @@ func (d *planDecoder) children(n *Node, i, depth int) (int, bool) {
 			return 0, false
 		}
 		if last {
-			break
+			s.Children = s.kids[:k:k]
+			return i, true
 		}
 	}
-	// Every child took a node slot and the root is nobody's child, so
-	// the carves total at most count-1 = the backing array's length.
-	n.Children, d.kids = d.kids[:k:k], d.kids[k:]
-	copy(n.Children, kids[:k])
-	return i, true
 }

@@ -123,11 +123,11 @@ func smallPlan(t testing.TB, plans []*plan.Plan) (*plan.Plan, []byte) {
 }
 
 // TestFastDecodeAllocs pins the fast path's allocations to what the
-// plan holds: the Plan, the node chunk, the child backing array and
-// one string per tag and table name.
+// plan holds: the Plan, the node chunk (child slots included) and one
+// string per tag and table name.
 func TestFastDecodeAllocs(t *testing.T) {
 	p, enc := smallPlan(t, genPlans(t))
-	want := 3.0
+	want := 2.0
 	if p.Tag != "" {
 		want++
 	}

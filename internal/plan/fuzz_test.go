@@ -108,12 +108,45 @@ func FuzzPlanDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkDecodeAgainstStd(t, data) })
 }
 
+// checkDecodeAt decodes data where the envelope walker meets a plan:
+// at an offset, between other bytes of a larger body. Whatever the
+// decoder takes there is the plan stdlib decodes from the extent it
+// reports, and a plan the fast path took alone (want) it takes again,
+// ending where the plan ends.
+func checkDecodeAt(t *testing.T, data []byte, want *plan.Plan) {
+	t.Helper()
+	const before, after = `{"schema":"s","plan":`, `,"timeout_ms":5}`
+	body := append(append([]byte(before), data...), after...)
+	// The arena is a batch's: a plan cut short has used it before, and
+	// what it wrote must not show in the next one.
+	var d plan.Decoder
+	cut := `{"version":1,"root":{"kind":"Sort","sort_cols":3,"children":[{"kind":"TableScan","table":"x","table_rows":9,"table_pages":9,"out_rows":9}`
+	if _, _, ok := d.DecodeAt([]byte(cut+strings.Repeat(" ", 2048)), 0); ok {
+		t.Fatal("fast path took a truncated plan")
+	}
+	at := len(before) + len(data) - len(bytes.TrimLeft(data, " \t\r\n"))
+	got, end, ok := d.DecodeAt(body, at)
+	if !ok {
+		if want != nil {
+			t.Fatalf("fast path took %q alone and declined it at offset %d", data, at)
+		}
+		return
+	}
+	if ref, err := plan.DecodeStd(body[at:end]); err != nil || !reflect.DeepEqual(got, ref) {
+		t.Fatalf("at offset %d the fast path took %q, stdlib: %v\nfast\n%v\nstdlib\n%v", at, body[at:end], err, got, ref)
+	}
+	if want != nil && (!reflect.DeepEqual(got, want) || end != len(before)+len(bytes.TrimRight(data, " \t\r\n"))) {
+		t.Fatalf("at offset %d the fast path read %q to %d:\n%v\nalone:\n%v", at, data, end, got, want)
+	}
+}
+
 // checkDecodeAgainstStd runs one input through both decoders, asserts
 // the differential contract and reports whether the fast path took it.
 func checkDecodeAgainstStd(t *testing.T, data []byte) (fastTook bool) {
 	t.Helper()
 	ref, refErr := plan.DecodeStd(data)
 	fast, ok := plan.FastDecode(data)
+	checkDecodeAt(t, data, fast)
 	if !ok {
 		// Declined: DecodeJSON must be the stdlib path, errors and all.
 		fast, err := plan.DecodeJSON(data)

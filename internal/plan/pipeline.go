@@ -26,54 +26,54 @@ func (pl *Pipeline) TotalActual() Resources {
 // feeding a blocking input completes before the consumer's pipeline, so
 // children-first ordering is a valid schedule.
 func (p *Plan) Pipelines() []*Pipeline {
-	var out []*Pipeline
-	// newPipeline allocates in discovery order; we re-number afterwards
-	// in execution order.
-	byNode := make(map[*Node]int)
-	var rec func(n *Node, cur int)
-	makePipe := func() int {
-		out = append(out, &Pipeline{})
-		return len(out) - 1
-	}
-	// A child starts a new pipeline when the edge from its parent is a
-	// materialization boundary: either the child is itself a full
-	// blocking operator (Sort, HashAggregate — it consumes its whole
-	// input before the parent sees a row, so the operator executes with
-	// its input pipeline), or the child feeds a blocking *input* of the
-	// parent (the build side of a hash join).
-	startsNew := func(parent *Node, childIdx int, child *Node) bool {
-		switch child.Kind {
-		case Sort, HashAggregate:
-			// The blocking operator runs with its input pipeline; its
-			// parent reads the materialized result.
-			return true
-		}
-		// The hash join's build input is drained before probing starts.
-		return parent.Kind == HashJoin && childIdx == 0
-	}
-	rec = func(n *Node, cur int) {
-		byNode[n] = cur
-		out[cur].Nodes = append(out[cur].Nodes, n)
-		for i, c := range n.Children {
-			if startsNew(n, i, c) {
-				rec(c, makePipe())
-			} else {
-				rec(c, cur)
-			}
-		}
-	}
-	if p.Root == nil {
+	ids, count := p.PipelineIDs(nil)
+	if count == 0 {
 		return nil
 	}
-	rec(p.Root, makePipe())
-	// Execution order: a pipeline runs after every pipeline it blocks
-	// on. Since children were discovered after parents, reversing the
-	// discovery order yields leaves-to-root execution order.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	out := make([]*Pipeline, count)
 	for i := range out {
-		out[i].ID = i
+		out[i] = &Pipeline{ID: i}
 	}
+	j := 0
+	p.Walk(func(n *Node) {
+		out[ids[j]].Nodes = append(out[ids[j]].Nodes, n)
+		j++
+	})
 	return out
+}
+
+// PipelineIDs appends to dst the ID of each node's pipeline — the index
+// into Pipelines() — in preorder, and returns it with the pipeline
+// count: the decomposition itself, for callers that hold per-node
+// values by preorder position and need no *Pipeline.
+func (p *Plan) PipelineIDs(dst []int) (ids []int, count int) {
+	if p.Root == nil {
+		return dst, 0
+	}
+	ids, count = appendPipelines(dst, p.Root, 0, 1)
+	// Pipelines were numbered as discovered, parents before the children
+	// they block on; reversing that is leaves-to-root execution order.
+	for j := len(dst); j < len(ids); j++ {
+		ids[j] = count - 1 - ids[j]
+	}
+	return ids, count
+}
+
+// appendPipelines appends the discovery-order pipeline of every node of
+// n's subtree, n being in pipeline cur with count pipelines known.
+func appendPipelines(ids []int, n *Node, cur, count int) ([]int, int) {
+	ids = append(ids, cur)
+	for i, c := range n.Children {
+		at := cur
+		// The edge is a materialization boundary when the child is a full
+		// blocking operator (Sort, HashAggregate: it consumes its whole
+		// input before the parent sees a row, so it executes with its
+		// input pipeline) or feeds the parent's blocking input (a hash
+		// join's build side, drained before probing starts).
+		if c.Kind == Sort || c.Kind == HashAggregate || (n.Kind == HashJoin && i == 0) {
+			at, count = count, count+1
+		}
+		ids, count = appendPipelines(ids, c, at, count)
+	}
+	return ids, count
 }

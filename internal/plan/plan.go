@@ -11,6 +11,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -319,8 +320,8 @@ func (p *Plan) TotalActual() Resources {
 }
 
 // Validate checks structural invariants: child counts per kind, leaves
-// carrying table metadata, and positive cardinalities. It returns the
-// first violation found.
+// carrying table metadata, and cardinalities that are numbers and not
+// negative. It returns the first violation found.
 func (p *Plan) Validate() error {
 	var err error
 	p.Walk(func(n *Node) {
@@ -341,12 +342,15 @@ func (n *Node) validate() error {
 		if n.Table == "" {
 			return fmt.Errorf("plan: leaf node %d (%s) missing table", n.ID, n.Kind)
 		}
-		if n.TableRows <= 0 || n.TablePages <= 0 {
+		if !(n.TableRows > 0 && n.TablePages > 0) { // NaN is no statistic either
 			return fmt.Errorf("plan: leaf node %d (%s %s) missing table stats", n.ID, n.Kind, n.Table)
 		}
 	}
 	if n.Out.Rows < 0 || n.Out.Width < 0 {
 		return fmt.Errorf("plan: node %d (%s) negative cardinality", n.ID, n.Kind)
+	}
+	if math.IsNaN(n.Out.Rows) || math.IsNaN(n.Out.Width) {
+		return fmt.Errorf("plan: node %d (%s) NaN cardinality", n.ID, n.Kind)
 	}
 	if n.Kind == NestedLoopJoin && n.Children[1].Kind != IndexSeek {
 		return fmt.Errorf("plan: node %d nested loop inner must be IndexSeek, got %s", n.ID, n.Children[1].Kind)

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,32 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	nl := NewJoin(NestedLoopJoin, outer, inner)
 	if err := New(nl, "").Validate(); err == nil {
 		t.Fatal("nested loop with scan inner passed validation")
+	}
+}
+
+// TestValidateRejectsNaN: a NaN compares false with everything, so it
+// passes a "< 0" check; it must not reach the features, where it would
+// key a prediction-cache entry nothing can find again.
+func TestValidateRejectsNaN(t *testing.T) {
+	for name, set := range map[string]func(*Node){
+		"out rows":    func(n *Node) { n.Out.Rows = math.NaN() },
+		"out width":   func(n *Node) { n.Out.Width = math.NaN() },
+		"table rows":  func(n *Node) { n.TableRows = math.NaN() },
+		"table pages": func(n *Node) { n.TablePages = math.NaN() },
+	} {
+		p := buildTestPlan()
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range p.Nodes() {
+			if n.Kind.IsLeaf() {
+				set(n)
+				break
+			}
+		}
+		if err := p.Validate(); err == nil {
+			t.Errorf("NaN %s passed validation", name)
+		}
 	}
 }
 

@@ -63,6 +63,19 @@ func (k *cacheKey) hash() uint64 {
 	return h ^ (h >> 32)
 }
 
+// memoizable reports whether the key can be looked up again: a NaN
+// never equals itself, so a map entry keyed by one is found by no later
+// probe and removed by no eviction. JSON carries no NaN; an in-process
+// plan can, and Inf x 0 in feature extraction makes one.
+func (k *cacheKey) memoizable() bool {
+	for _, f := range k.vec {
+		if math.IsNaN(f) {
+			return false
+		}
+	}
+	return true
+}
+
 const cacheShards = 32
 
 type cacheEntry struct {
@@ -208,8 +221,9 @@ func (c *Cache) GetMulti(ps []probe) (int, shardPlan) {
 	return hits, sp
 }
 
-// PutMulti memoizes the misses of the GetMulti that returned sp,
-// evicting the least recently used entry of a shard when it is full.
+// PutMulti memoizes the misses of the GetMulti that returned sp — those
+// a later probe can find — evicting the least recently used entry of a
+// shard when it is full.
 func (c *Cache) PutMulti(ps []probe, sp shardPlan) {
 	if c == nil {
 		return
@@ -220,7 +234,7 @@ func (c *Cache) PutMulti(ps []probe, sp shardPlan) {
 		s := &c.shards[si]
 		for _, i := range group {
 			p := &ps[i]
-			if p.hit {
+			if p.hit || !p.key.memoizable() {
 				continue
 			}
 			if !locked {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 
 	"repro/internal/jsonscan"
 	"repro/internal/plan"
@@ -18,14 +17,16 @@ import (
 // over the body for it (validity scan + decode) and copies the embedded
 // plan into a fresh RawMessage. DecodeEnvelope walks the envelope once
 // over the shared primitives of internal/jsonscan, aliasing a single
-// plan's bytes out of the body and handing each element of a plans
-// array to plan.DecodeJSON, and declines — returns false, never an
-// error — on anything off the canonical shape: a key the endpoint does
-// not take, a case-folded or repeated key, an escape or invalid UTF-8
-// in a string, null in place of a scalar, a fraction, exponent or more
-// than 18 digits in an integer, an out-of-range number, nesting past
-// jsonscan.MaxDepth, trailing bytes, and — in a batch — an empty plans
-// array, a plan that does not decode or one plan more than the cap.
+// plan's bytes out of the body. Where the caller estimates, the plan
+// decoder (plan.Decoder) builds the plan — each element of a plans
+// array — in that same pass; a value it declines is validated and left
+// to plan.DecodeJSON. The walker itself declines — returns false, never
+// an error — on anything off the canonical shape: a key the endpoint
+// does not take, a case-folded or repeated key, an escape or invalid
+// UTF-8 in a string, null in place of a scalar, a fraction, exponent or
+// more than 18 digits in an integer, an out-of-range number, nesting
+// past jsonscan.MaxDepth, trailing bytes, and — in a batch — an empty
+// plans array, a plan that does not decode or one plan over the cap.
 // The caller then reruns the body through its encoding/json struct
 // wholesale, so every slow or ambiguous case keeps stdlib semantics and
 // error text. The one rule: whenever the walker says it decoded, the
@@ -73,7 +74,7 @@ func (r ResourceSet) Kinds(single string) ([]plan.ResourceKind, error) {
 }
 
 // EnvelopeKeys is a set of envelope keys: which ones an endpoint takes.
-type EnvelopeKeys uint8
+type EnvelopeKeys uint16
 
 const (
 	keySchema EnvelopeKeys = 1 << iota
@@ -82,14 +83,18 @@ const (
 	keyTimeoutMS
 	keyModelVersion
 	keyPredicted
-	keyPlan
+	keyPlan // "plan", decoded where it lies when the plan decoder takes it
 	keyPlans
+	keyRawPlan // "plan", validated only: its bytes are all the caller wants
 
 	// EstimateKeys is the single-estimate envelope: POST /estimate and
 	// the stream transport's estimate frame.
 	EstimateKeys = keySchema | keyResource | keyResources | keyTimeoutMS | keyPlan
-	batchKeys    = keySchema | keyResource | keyResources | keyTimeoutMS | keyPlans
-	observeKeys  = keySchema | keyResource | keyModelVersion | keyPredicted | keyPlan
+	// ForwardKeys is the same envelope to a caller that passes the plan
+	// on undecoded: the router's schema peek.
+	ForwardKeys = EstimateKeys&^keyPlan | keyRawPlan
+	batchKeys   = keySchema | keyResource | keyResources | keyTimeoutMS | keyPlans
+	observeKeys = keySchema | keyResource | keyModelVersion | keyPredicted | keyPlan
 )
 
 // Envelope is a decoded request envelope: the union of the fields the
@@ -104,6 +109,10 @@ type Envelope struct {
 	// Plan is the single plan's wire bytes, validated as JSON and
 	// aliasing the body; nil when the key was absent.
 	Plan json.RawMessage
+	// Built is Plan decoded, when the key set asked for that and the
+	// plan decoder took the bytes in the walker's own pass; nil leaves
+	// Plan to plan.DecodeJSON.
+	Built *plan.Plan
 	// Plans are a batch's decoded plans.
 	Plans []*plan.Plan
 	// badPlan and badPlanErr are the first batch plan the encoding/json
@@ -189,7 +198,7 @@ func DecodeEnvelope(b []byte, allow EnvelopeKeys, env *Envelope) bool {
 		case "predicted":
 			key = keyPredicted
 		case "plan":
-			key = keyPlan
+			key = allow & (keyPlan | keyRawPlan)
 		case "plans":
 			key = keyPlans
 		}
@@ -230,19 +239,20 @@ func DecodeEnvelope(b []byte, allow EnvelopeKeys, env *Envelope) bool {
 			}
 			i = end
 		case keyPredicted:
-			end, ok := jsonscan.NumberEnd(b, i)
-			if !ok {
+			// Out of range is stdlib's error to report.
+			if env.Predicted, i, ok = jsonscan.Float(b, i); !ok {
 				return false
 			}
-			f, err := strconv.ParseFloat(string(b[i:end]), 64)
-			if err != nil { // out of range: stdlib's error to report
-				return false
+		case keyPlan, keyRawPlan:
+			end, built := 0, false
+			if key == keyPlan {
+				var d plan.Decoder
+				env.Built, end, built = d.DecodeAt(b, i)
 			}
-			env.Predicted, i = f, end
-		case keyPlan:
-			end, ok := jsonscan.ValidValueEnd(b, i, 0)
-			if !ok {
-				return false
+			if !built {
+				if end, ok = jsonscan.ValidValueEnd(b, i, 0); !ok {
+					return false
+				}
 			}
 			env.Plan, i = json.RawMessage(b[i:end]), end
 		case keyPlans:
@@ -372,11 +382,13 @@ func (bp *batchPlans) UnmarshalJSON(data []byte) error {
 }
 
 // decode decodes the plans array at b[i] and returns the index one past
-// it. One unvalidating scan finds each element's extent — all the
-// bytes encoding/json hands an Unmarshaler need, and enough for the
-// walker's, because plan.DecodeJSON validates what it decodes: an
-// extent it accepts is one complete JSON object, hence the whole
-// element, and the walker declines the body over any it does not.
+// it. The plan decoder takes each canonical element where it lies, one
+// node arena under the whole batch; for an element it declines, one
+// unvalidating scan finds the extent — all the bytes encoding/json
+// hands an Unmarshaler need, and enough for the walker's, because
+// plan.DecodeJSON validates what it decodes: an extent it accepts is
+// one complete JSON object, hence the whole element, and the walker
+// declines the body over any it does not.
 func (bp *batchPlans) decode(b []byte, i int) (int, error) {
 	if i >= len(b) || b[i] != '[' {
 		return 0, fmt.Errorf("plans must be an array")
@@ -385,26 +397,29 @@ func (bp *batchPlans) decode(b []byte, i int) (int, error) {
 	if i < len(b) && b[i] == ']' {
 		return i + 1, nil
 	}
+	var d plan.Decoder
 	for {
 		if len(bp.plans) >= maxBatchPlans {
 			return 0, errTooManyPlans
 		}
-		end, ok := jsonscan.SkipValue(b, i)
+		p, end, ok := d.DecodeAt(b, i)
 		if !ok {
-			return 0, errSplitPlans
-		}
-		p, err := plan.DecodeJSON(b[i:end])
-		if err != nil {
-			// A value of the wrong JSON type fails the whole body, as
-			// it does anywhere else in the envelope (returned bare,
-			// encoding/json names the envelope field in it); a plan
-			// that parses but does not hold up is a per-plan error.
-			var typeErr *json.UnmarshalTypeError
-			if errors.As(err, &typeErr) {
-				return 0, typeErr
+			if end, ok = jsonscan.SkipValue(b, i); !ok {
+				return 0, errSplitPlans
 			}
-			if bp.badErr == nil {
-				bp.badIndex, bp.badErr = len(bp.plans), err
+			var err error
+			if p, err = plan.DecodeJSON(b[i:end]); err != nil {
+				// A value of the wrong JSON type fails the whole body, as
+				// it does anywhere else in the envelope (returned bare,
+				// encoding/json names the envelope field in it); a plan
+				// that parses but does not hold up is a per-plan error.
+				var typeErr *json.UnmarshalTypeError
+				if errors.As(err, &typeErr) {
+					return 0, typeErr
+				}
+				if bp.badErr == nil {
+					bp.badIndex, bp.badErr = len(bp.plans), err
+				}
 			}
 		}
 		if bp.plans == nil {

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/feedback"
+	"repro/internal/jsonscan"
 	"repro/internal/plan"
 	"repro/internal/serve"
 )
@@ -31,17 +32,42 @@ var endpointKeys = []struct {
 	{"estimate", serve.EstimateKeys},
 	{"batch", serve.BatchKeys},
 	{"observe", serve.ObserveKeys},
+	{"forward", serve.ForwardKeys},
+}
+
+// decodePlanStd decodes a canonically shaped plan through
+// plan.DecodeJSON's encoding/json path: a key the format does not know
+// makes the single-pass decoder decline, and stdlib skips it.
+func decodePlanStd(raw []byte) (*plan.Plan, error) {
+	return plan.DecodeJSON(append([]byte(`{"":0,`), raw[1:]...))
 }
 
 // checkEnvelopeAgainstStd runs one body through the walker and the
 // endpoint's encoding/json struct, asserts the differential contract —
-// the walker declines, or both yield equal fields and DeepEqual plans —
-// and reports whether the walker took it.
+// the walker declines, or both yield equal fields and DeepEqual plans,
+// a plan the walker built on the way being the plan stdlib decodes from
+// the extent stdlib's scan finds — and reports whether the walker took
+// it.
 func checkEnvelopeAgainstStd(t *testing.T, body []byte, keys serve.EnvelopeKeys) (fastTook bool) {
 	t.Helper()
 	var fast serve.Envelope
 	if !serve.DecodeEnvelope(body, keys, &fast) {
 		return false // the stdlib fallback owns this input by construction
+	}
+	if fast.Built != nil {
+		if keys == serve.ForwardKeys {
+			t.Fatalf("walker built a plan its caller only forwards: %q", body)
+		}
+		at := cap(body) - cap(fast.Plan) // Plan aliases body
+		if end, ok := jsonscan.ValidValueEnd(body, at, 0); !ok || end != at+len(fast.Plan) {
+			t.Fatalf("walker built a plan from body[%d:%d], the value ends at %d (%v): %q",
+				at, at+len(fast.Plan), end, ok, body)
+		}
+		want, err := decodePlanStd(fast.Plan)
+		if err != nil || !reflect.DeepEqual(fast.Built, want) {
+			t.Fatalf("walker built a plan stdlib does not (%v): %q\nfast %v\nstd  %v", err, fast.Plan, fast.Built, want)
+		}
+		fast.Built = nil // stdlib leaves the plan in Plan
 	}
 	ref, err := serve.DecodeRequestStd(body, keys)
 	if err != nil {
@@ -185,6 +211,10 @@ func TestEnvelopeWalkerTakesClientBodies(t *testing.T) {
 		} else {
 			t.Errorf("walker declined a client body: %.200s", body)
 		}
+		var env serve.Envelope
+		if serve.DecodeEnvelope(body, keys, &env); keys != serve.BatchKeys && env.Built == nil {
+			t.Errorf("walker left a client's plan for a second pass: %.200s", body)
+		}
 	}
 	for i := range estimate {
 		check(estimate[i], serve.EstimateKeys)
@@ -194,25 +224,38 @@ func TestEnvelopeWalkerTakesClientBodies(t *testing.T) {
 	t.Logf("walker took %d of %d client bodies", took, total)
 }
 
-// TestEnvelopeWalkerAllocs pins the walker's own allocations: the
-// strings it copies out, and for a batch the plans slice. The plan
-// aliases the body; decoding it is plan.DecodeJSON's budget.
+// TestEnvelopeWalkerAllocs pins the walker's allocations. Forwarding,
+// it copies out the routing strings and aliases the plan. Estimating,
+// it builds the plan in the same pass, for what the plan holds: the
+// Plan, one node chunk, the tag and a string per table — one fewer than
+// the walk followed by plan.DecodeJSON took, and no more than 8 on a
+// body the benchmark sends.
 func TestEnvelopeWalkerAllocs(t *testing.T) {
 	setup(t)
 	estimate, observe, _ := benchBodies(t, testPlans[:1])
+	build := 5.0 // schema, resource, Plan, node chunk, tag
+	for _, n := range testPlans[0].Nodes() {
+		if n.Table != "" {
+			build++
+		}
+	}
+	if build > 8 {
+		t.Fatalf("the first test plan wants %.0f allocations; pick a benchmark-shaped one", build)
+	}
 	for _, c := range []struct {
 		name string
 		body []byte
 		keys serve.EnvelopeKeys
 		want float64
 	}{
-		{"estimate", estimate[0], serve.EstimateKeys, 2}, // schema, resource
-		{"observe", observe[0], serve.ObserveKeys, 3},    // + ParseFloat's argument, when it escapes
+		{"forward", estimate[0], serve.ForwardKeys, 2}, // schema, resource
+		{"estimate", estimate[0], serve.EstimateKeys, build},
+		{"observe", observe[0], serve.ObserveKeys, build},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			var env serve.Envelope
-			if !serve.DecodeEnvelope(c.body, c.keys, &env) {
-				t.Fatal("walker declined")
+			if !serve.DecodeEnvelope(c.body, c.keys, &env) || (env.Built == nil) != (c.keys == serve.ForwardKeys) {
+				t.Fatal("walker declined, or did not build the plan where it should")
 			}
 		})
 		std := testing.AllocsPerRun(100, func() {
@@ -220,10 +263,53 @@ func TestEnvelopeWalkerAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: walker %.0f allocs, encoding/json %.0f", c.name, got, std)
+		t.Logf("%s: walker %.0f allocs, encoding/json (plan undecoded) %.0f", c.name, got, std)
 		if got > c.want {
 			t.Errorf("%s: walker allocates %.0f times, want at most %.0f", c.name, got, c.want)
 		}
+	}
+}
+
+// BenchmarkDecodeEnvelope times the walker on the bodies the benchmark
+// sends, one estimate and a 64-plan batch, building the plans — and,
+// beside it, the validating scan alone: what the router's peek pays for
+// a single estimate, jsonscan's scan of the whole body for the batch.
+// The difference is what building a plan costs on top of reading it.
+func BenchmarkDecodeEnvelope(b *testing.B) {
+	setup(b)
+	plans := make([]*plan.Plan, 64)
+	for i := range plans {
+		plans[i] = testPlans[i%len(testPlans)]
+	}
+	estimate, _, batch := benchBodies(b, plans)
+	walk := func(keys serve.EnvelopeKeys) func([]byte) bool {
+		return func(body []byte) bool {
+			var env serve.Envelope
+			return serve.DecodeEnvelope(body, keys, &env)
+		}
+	}
+	for _, bc := range []struct {
+		name   string
+		body   []byte
+		decode func([]byte) bool
+	}{
+		{"single/build", estimate[0], walk(serve.EstimateKeys)},
+		{"single/validate", estimate[0], walk(serve.ForwardKeys)},
+		{"batch64/build", batch, walk(serve.BatchKeys)},
+		{"batch64/validate", batch, func(body []byte) bool {
+			end, ok := jsonscan.ValidValueEnd(body, 0, 0)
+			return ok && end == len(body)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bc.body)))
+			for i := 0; i < b.N; i++ {
+				if !bc.decode(bc.body) {
+					b.Fatal("declined")
+				}
+			}
+		})
 	}
 }
 

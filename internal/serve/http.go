@@ -345,26 +345,29 @@ func releaseBody(buf *bytes.Buffer) {
 	}
 }
 
-// ResolveEstimate turns the decoded fields of a single-plan envelope —
-// the resources selection, its single-resource fallback and the plan's
-// wire bytes — into what Estimate takes: the resource kinds and the
-// decoded, validated plan. Every transport that takes the envelope
-// (POST /estimate, POST /observe, the stream's estimate frame) resolves
-// it here, so they refuse the same requests in the same words: on
-// failure, err is the message and code the stable wire code to answer
-// with — an unknown resource, a missing plan (the key absent, or null:
-// bad_request rather than a decode error about wire version 0), a plan
-// that does not decode (unknown_operator told apart from bad_plan). All
-// are the client's fault, HTTP status 400.
-func ResolveEstimate(resources ResourceSet, resource string, rawPlan json.RawMessage) (kinds []plan.ResourceKind, p *plan.Plan, code string, err error) {
-	if kinds, err = resources.Kinds(resource); err != nil {
+// ResolveEstimate turns a decoded single-plan envelope — the resources
+// selection, its single-resource fallback and the plan, built by the
+// walker or still wire bytes — into what Estimate takes: the resource
+// kinds and the decoded, validated plan. Every transport that takes the
+// envelope (POST /estimate, POST /observe, the stream's estimate frame)
+// resolves it here, so they refuse the same requests in the same words:
+// on failure, err is the message and code the stable wire code to
+// answer with — an unknown resource, a missing plan (the key absent, or
+// null: bad_request rather than a decode error about wire version 0), a
+// plan that does not decode (unknown_operator told apart from
+// bad_plan). All are the client's fault, HTTP status 400.
+func ResolveEstimate(env *Envelope) (kinds []plan.ResourceKind, p *plan.Plan, code string, err error) {
+	if kinds, err = env.Resources.Kinds(env.Resource); err != nil {
 		_, code = ErrorCode(err)
 		return nil, nil, code, err
 	}
-	if len(rawPlan) == 0 || string(rawPlan) == "null" {
+	if env.Built != nil {
+		return kinds, env.Built, "", nil
+	}
+	if len(env.Plan) == 0 || string(env.Plan) == "null" {
 		return nil, nil, errCodeBadRequest, errors.New("missing plan")
 	}
-	if p, err = plan.DecodeJSON(rawPlan); err != nil {
+	if p, err = plan.DecodeJSON(env.Plan); err != nil {
 		return nil, nil, planErrCode(err), err
 	}
 	return kinds, p, "", nil
@@ -449,7 +452,7 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseBody(c.buf)
-	kinds, p, code, err := ResolveEstimate(c.env.Resources, c.env.Resource, c.env.Plan)
+	kinds, p, code, err := ResolveEstimate(&c.env)
 	if err != nil {
 		c.reject(err.Error(), code, -1)
 		return
@@ -550,7 +553,7 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseBody(buf)
-	kinds, p, code, err := ResolveEstimate(env.Resources, env.Resource, env.Plan)
+	kinds, p, code, err := ResolveEstimate(&env)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, jsonError(err.Error(), code, -1))
 		return

@@ -775,9 +775,25 @@ func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (ps []probe
 // aggregated from the same per-node values, which is what keeps the
 // three granularities mutually consistent.
 func (ms *modelSet) assemble(p *plan.Plan, own []probe) PlanEstimate {
-	pipes := p.Pipelines()
+	// One int slice per plan: each node's pipeline, then the pipelines'
+	// operator lists back to back, then where each list ends.
+	n := len(own)
+	ints := make([]int, 3*n)
+	of, np := p.PipelineIDs(ints[:0:n])
+	lists, ends := ints[n:2*n], ints[2*n:2*n+np]
+	for _, k := range of {
+		ends[k]++
+	}
+	for k, sum := 0, 0; k < np; k++ {
+		sum, ends[k] = sum+ends[k], sum
+	}
+	for j, k := range of { // preorder positions for now, in preorder
+		lists[ends[k]] = j
+		ends[k]++
+	}
+
 	primary := ms.kinds[0]
-	pe := PlanEstimate{Operators: make([]OperatorEstimate, len(own))}
+	pe := PlanEstimate{Operators: make([]OperatorEstimate, n), Pipelines: make([]PipelineEstimate, np)}
 	// One backing slice per plan holds every per-resource list of the
 	// estimate (operators, pipelines, totals); sub-slicing it is what
 	// keeps the multi-resource fan-out allocation-flat. Sized exactly,
@@ -785,30 +801,30 @@ func (ms *modelSet) assemble(p *plan.Plan, own []probe) PlanEstimate {
 	// handed out.
 	var backing []float64
 	if ms.multi() {
-		backing = make([]float64, 0, (len(own)+len(pipes)+1)*len(ms.kinds))
+		backing = make([]float64, 0, (n+np+1)*len(ms.kinds))
 	}
-	perNode := make(map[*plan.Node]plan.Resources, len(own))
 	var total plan.Resources
 	for i := range own {
-		n, v := own[i].node, own[i].val
-		perNode[n] = v
+		nd, v := own[i].node, own[i].val
 		op := &pe.Operators[i]
-		*op = OperatorEstimate{ID: n.ID, Kind: n.Kind.String(), Estimate: v.Get(primary)}
+		*op = OperatorEstimate{ID: nd.ID, Kind: nd.Kind.String(), Estimate: v.Get(primary)}
 		backing, op.Estimates = ms.appendValues(backing, v)
 		total.Add(v)
 	}
 	pe.Total = total.Get(primary)
 	backing, pe.Totals = ms.appendValues(backing, total)
-	for _, pl := range pipes {
-		ppe := PipelineEstimate{ID: pl.ID, Operators: make([]int, 0, len(pl.Nodes))}
+	start := 0
+	for k := range pe.Pipelines {
+		list := lists[start:ends[k]:ends[k]]
+		start = ends[k]
 		var ptotal plan.Resources
-		for _, n := range pl.Nodes {
-			ptotal.Add(perNode[n])
-			ppe.Operators = append(ppe.Operators, n.ID)
+		for x, j := range list {
+			ptotal.Add(own[j].val)
+			list[x] = own[j].node.ID
 		}
-		ppe.Estimate = ptotal.Get(primary)
+		ppe := &pe.Pipelines[k]
+		*ppe = PipelineEstimate{ID: k, Operators: list, Estimate: ptotal.Get(primary)}
 		backing, ppe.Estimates = ms.appendValues(backing, ptotal)
-		pe.Pipelines = append(pe.Pipelines, ppe)
 	}
 	return pe
 }

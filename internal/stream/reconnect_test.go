@@ -9,6 +9,7 @@ package stream_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,6 +25,30 @@ func dialWith(t testing.TB, srv *stream.Server, opts stream.DialOptions) *stream
 	}
 	t.Cleanup(func() { cl.Close() })
 	return cl
+}
+
+// waitFor polls cond until it holds, failing the test with what after
+// five seconds.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// parkSignal is a context that tells when a caller starts to wait on
+// it: Done is what a select evaluates on its way to parking.
+type parkSignal struct {
+	context.Context
+	once    sync.Once
+	parking chan struct{}
+}
+
+func (p *parkSignal) Done() <-chan struct{} {
+	p.once.Do(func() { close(p.parking) })
+	return p.Context.Done()
 }
 
 // TestClientReconnectAfterIdleReap: a reconnecting client whose
@@ -47,7 +72,12 @@ func TestClientReconnectAfterIdleReap(t *testing.T) {
 		}
 	}
 
-	time.Sleep(250 * time.Millisecond) // well past IdleTimeout and its lazy re-arm
+	// Reaped: some connection the server accepted is no longer open
+	// (the client may already have redialed, and be counted again).
+	waitFor(t, "the server reaps the idle connection", func() bool {
+		st := srv.Stats()
+		return int64(st.Accepted) > st.Open
+	})
 
 	second, err := cl.EstimateRaw(ctx, req)
 	if err != nil {
@@ -106,8 +136,8 @@ func TestClientRequestContextBoundsRedialWait(t *testing.T) {
 		t.Fatalf("estimate: %v", err)
 	}
 	srv.Close()
-	// Let the loss land so the next call parks on the redial.
-	time.Sleep(50 * time.Millisecond)
+	// The next call is to park on the redial, not find out on a write.
+	waitFor(t, "the loss lands", func() bool { return !cl.Connected() })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -141,14 +171,22 @@ func TestClientCloseStopsRedial(t *testing.T) {
 		t.Fatalf("estimate: %v", err)
 	}
 	srv.Close()
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, "the loss lands", func() bool { return !cl.Connected() })
 
+	// Close once the request has picked up the redial's ready channel
+	// and is on its way to waiting on it — not before, when it would
+	// only find the client closed.
+	ctx := &parkSignal{Context: context.Background(), parking: make(chan struct{})}
 	done := make(chan error, 1)
 	go func() {
-		_, err := cl.EstimateRaw(context.Background(), req)
+		_, err := cl.EstimateRaw(ctx, req)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-ctx.parking:
+	case <-time.After(2 * time.Second):
+		t.Fatal("request never waited for the redial")
+	}
 	cl.Close()
 	select {
 	case err := <-done:

@@ -19,10 +19,12 @@ import (
 // must be field for field what stdlib would have produced. A
 // differential fuzz target (FuzzRequestDecode) pins exactly that here,
 // FuzzEnvelopeDecode in internal/serve for the other endpoints' keys.
-// plan.DecodeJSON decodes the aliased plan bytes under the same
-// contract.
+// The plan decodes under the same contract: in the walker's own pass
+// for the server, not at all for the routing tier.
 
-// DecodeRequest decodes one request envelope into req.
+// DecodeRequest decodes one request envelope into req, its plan left as
+// validated wire bytes: what the routing tier needs, which forwards the
+// body. The server decodes with decodeEstimate.
 func DecodeRequest(body []byte, req *Request) error {
 	if fastDecodeRequest(body, req) {
 		return nil
@@ -35,10 +37,24 @@ func DecodeRequest(body []byte, req *Request) error {
 // body. false means "retry with encoding/json", not "invalid".
 func fastDecodeRequest(body []byte, req *Request) bool {
 	var env serve.Envelope
-	if !serve.DecodeEnvelope(body, serve.EstimateKeys, &env) {
+	if !serve.DecodeEnvelope(body, serve.ForwardKeys, &env) {
 		return false
 	}
 	*req = Request{Schema: env.Schema, Resource: env.Resource, Resources: env.Resources,
 		TimeoutMS: env.TimeoutMS, Plan: env.Plan}
 	return true
+}
+
+// decodeEstimate is DecodeRequest for the side that estimates: the
+// walker builds the plan in the pass that finds it, and a body it
+// declines decodes as DecodeRequest's does.
+func decodeEstimate(body []byte, env *serve.Envelope) error {
+	if serve.DecodeEnvelope(body, serve.EstimateKeys, env) {
+		return nil
+	}
+	var req Request
+	err := json.Unmarshal(body, &req)
+	*env = serve.Envelope{Schema: req.Schema, Resource: req.Resource, Resources: req.Resources,
+		TimeoutMS: req.TimeoutMS, Plan: req.Plan}
+	return err
 }

@@ -306,12 +306,12 @@ func (c *serverConn) readLoop() {
 // request would have joined.
 func (c *serverConn) handleEstimate(f *Frame) {
 	start := time.Now()
-	var req Request
-	if err := DecodeRequest(f.Body, &req); err != nil {
+	var req serve.Envelope
+	if err := decodeEstimate(f.Body, &req); err != nil {
 		c.sendError(f.Seq, "bad request body: "+err.Error(), "bad_request")
 		return
 	}
-	kinds, p, code, err := serve.ResolveEstimate(req.Resources, req.Resource, req.Plan)
+	kinds, p, code, err := serve.ResolveEstimate(&req)
 	if err != nil {
 		c.sendError(f.Seq, err.Error(), code)
 		return
