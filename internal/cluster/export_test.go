@@ -1,5 +1,11 @@
 package cluster
 
+import (
+	"time"
+
+	"repro/internal/stream"
+)
+
 // Hooks for the external tests (package cluster_test), which own the
 // in-process replica fixtures.
 
@@ -9,13 +15,12 @@ func (rt *Router) Admit(client string) (release func(), ok bool) { return rt.adm
 // StreamQueued returns, for every open connection of the stream
 // listener, the answer bytes queued for it and not yet handed to the
 // socket.
-func (rt *Router) StreamQueued() []int {
-	sp := rt.streamSrv
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	out := make([]int, 0, len(sp.conns))
-	for c := range sp.conns {
-		out = append(out, c.w.Buffered())
-	}
-	return out
+func (rt *Router) StreamQueued() []int { return rt.streamSrv.Queued() }
+
+// StreamOpen returns the stream listener's open-connection count.
+func (rt *Router) StreamOpen() int64 { return rt.streamSrv.Open() }
+
+// StartStreamIdle is StartStream with the listener's idle timeout set.
+func (rt *Router) StartStreamIdle(addr string, idle time.Duration) (string, error) {
+	return rt.startStream(addr, stream.Options{IdleTimeout: idle})
 }

@@ -116,7 +116,7 @@ type Router struct {
 	pollWG   sync.WaitGroup
 	closed   atomic.Bool
 
-	streamSrv *streamProxy // nil until StartStream
+	streamSrv *stream.Listener // nil until StartStream
 }
 
 // New builds a router over opts.Replicas and performs one synchronous
@@ -206,7 +206,7 @@ func (rt *Router) Close() {
 	close(rt.pollStop)
 	rt.pollWG.Wait()
 	if rt.streamSrv != nil {
-		rt.streamSrv.close()
+		_ = rt.streamSrv.Close()
 	}
 	for _, rp := range rt.replicas {
 		rp.close()

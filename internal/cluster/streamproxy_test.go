@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"runtime/pprof"
 	"strings"
@@ -188,14 +189,17 @@ func TestProxyRefusesDamagedFrame(t *testing.T) {
 	}
 }
 
-// proxyGoroutines counts the goroutines serving the stream listener's
-// connections: a read loop and a writer each.
+// proxyGoroutines counts the goroutines serving stream listeners'
+// connections: a read loop and a writer each. The router's listener is
+// the replica's, and the fixture's replica runs in this process, so the
+// connections of the router's pool are in the count — a constant a test
+// measures before it dials and subtracts.
 func proxyGoroutines() int {
 	var buf bytes.Buffer
 	_ = pprof.Lookup("goroutine").WriteTo(&buf, 2)
 	n := 0
 	for _, g := range strings.Split(buf.String(), "\n\n") {
-		if strings.Contains(g, "cluster.(*proxyConn).readLoop") || strings.Contains(g, "cluster.(*streamProxy).acceptLoop.func") {
+		if strings.Contains(g, "stream.(*Conn).readLoop") || strings.Contains(g, "stream.(*Listener).acceptLoop.func") {
 			n++
 		}
 	}
@@ -210,9 +214,10 @@ func proxyGoroutines() int {
 // 30 s write timeout, which this test must not have to wait out.
 func TestProxyStalledReader(t *testing.T) {
 	rt, addr, hot, hotResp, _, _ := streamRouter(t, nil)
+	pool := proxyGoroutines()
 	stalled, live := dialRaw(t, addr), dialRaw(t, addr)
 	live.roundTrip(0, hot)
-	if n := proxyGoroutines(); n != 4 {
+	if n := proxyGoroutines() - pool; n != 4 {
 		t.Fatalf("%d proxy goroutines for two connections, want 4", n)
 	}
 
@@ -257,13 +262,49 @@ func TestProxyStalledReader(t *testing.T) {
 
 	stalled.c.Close()
 	wg.Wait()
-	for deadline := time.Now().Add(5 * time.Second); proxyGoroutines() != 2; time.Sleep(10 * time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); proxyGoroutines()-pool != 2; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d proxy goroutines 5 s after the stalled client closed, want 2", proxyGoroutines())
+			t.Fatalf("%d proxy goroutines 5 s after the stalled client closed, want 2", proxyGoroutines()-pool)
 		}
 	}
 	if f := live.roundTrip(8, hot); !bytes.Equal(f.Body, hotResp) {
 		t.Fatalf("second connection after the close: %s", f.Body)
+	}
+}
+
+// TestProxyIdleReap: the router's listener reaps a connection that
+// sends nothing, as a replica's does — no sooner than IdleTimeout, no
+// later than 1.5× it (plus scheduling slack) — and a connection that
+// keeps sending outlives that.
+func TestProxyIdleReap(t *testing.T) {
+	rep := newTestReplica(t)
+	rt, rhs := newRouter(t, []*testReplica{rep}, nil)
+	const idle = 200 * time.Millisecond
+	addr, err := rt.StartStreamIdle("127.0.0.1:0", idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := estimateBody(t, "tpch", testPlans[0], "cpu")
+	hotResp := postOK(t, rhs.URL, "/estimate", hot) // fills the router cache
+
+	quiet, busy := dialRaw(t, addr), dialRaw(t, addr)
+	start := time.Now()
+	quiet.roundTrip(1, hot)
+	for rt.StreamOpen() != 1 {
+		if f := busy.roundTrip(2, hot); !bytes.Equal(f.Body, hotResp) {
+			t.Fatalf("busy connection answered %s", f.Body)
+		}
+		if time.Since(start) > 10*idle {
+			t.Fatalf("%d connections open %v after the quiet one's last frame, want 1", rt.StreamOpen(), time.Since(start))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if held := time.Since(start); held < idle {
+		t.Fatalf("quiet connection reaped after %v, under the %v idle timeout", held, idle)
+	}
+	_ = quiet.c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if f, err := stream.ReadFrame(quiet.br); err != io.EOF {
+		t.Fatalf("reaped connection read frame %v, error %v, want a clean close", f, err)
 	}
 }
 

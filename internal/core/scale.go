@@ -29,7 +29,6 @@ const (
 	ScaleSum2  // g(F1,F2) = F1 + F2
 	ScaleProd2 // g(F1,F2) = F1·F2
 	ScaleXLogY // g(F1,F2) = F1·log2(F2+2)
-	numScaleKind
 )
 
 // String names the form the way the figures label it.

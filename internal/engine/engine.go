@@ -23,9 +23,6 @@ func New(prof *Profile) *Engine {
 	return &Engine{prof: prof, rng: xrand.New(prof.Seed)}
 }
 
-// Profile returns the engine's calibration constants.
-func (e *Engine) Profile() *Profile { return e.prof }
-
 // Run simulates the execution of p, filling n.Actual for every node and
 // returning the plan-level totals. The measurement noise is deterministic
 // in (profile seed, plan tag, node id), so re-running the same plan
@@ -41,14 +38,6 @@ func (e *Engine) Run(p *plan.Plan) plan.Resources {
 		n.Actual = res
 	})
 	return p.TotalActual()
-}
-
-// executions returns how many times the operator is invoked.
-func executions(n *plan.Node) float64 {
-	if n.Executions > 1 {
-		return n.Executions
-	}
-	return 1
 }
 
 // inputCard returns the output cardinality of child i, or a zero value.

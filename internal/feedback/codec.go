@@ -5,22 +5,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"slices"
 
+	"repro/internal/frame"
 	"repro/internal/plan"
 )
 
-// Observation-log record framing. Each record is
-//
-//	uint32 magic "FBL1"
-//	uint32 payload length
-//	uint32 CRC-32 (IEEE) of the payload
-//	payload
-//
-// with a fixed-layout little-endian payload:
+// Observation-log record framing. Each record is the {magic "FBL1",
+// payload length, CRC-32} header of internal/frame — the one the stream
+// protocol also writes — in front of a fixed-layout little-endian
+// payload:
 //
 //	byte    codec version (1 or 2)
 //	byte    resource kind
@@ -43,10 +38,9 @@ import (
 // crash-safety contract of the observation log.
 
 const (
-	recordMagic     = 0x46424C31 // "FBL1"
 	codecVersion    = 1
 	codecVersionV2  = 2
-	recordHeader    = 12
+	recordHeader    = frame.HeaderSize
 	maxSchemaLen    = 1 << 16
 	maxRequestIDLen = 1 << 10
 	maxRecordSize   = 16 << 20
@@ -56,6 +50,8 @@ const (
 // It is deliberately distinct from decode errors inside a CRC-valid
 // payload, which indicate a writer bug rather than a crash.
 var errCorrupt = errors.New("feedback: corrupt log record")
+
+var format = frame.Format{Magic: 0x46424C31 /* "FBL1" */, Min: 1, Max: maxRecordSize, Corrupt: errCorrupt}
 
 // EncodeObservation appends the framed binary record for obs to dst and
 // returns the extended slice.
@@ -87,9 +83,8 @@ func EncodeObservation(dst []byte, obs *Observation) ([]byte, error) {
 	}
 	// The payload is written straight behind a reserved header, which is
 	// filled in once the bytes its CRC covers exist.
-	dst = slices.Grow(dst, recordHeader+payloadLen)
-	header := len(dst)
-	dst = append(dst, make([]byte, recordHeader)...)
+	at := len(dst)
+	dst = frame.Reserve(slices.Grow(dst, recordHeader+payloadLen))
 	dst = append(dst, version, byte(obs.Resource))
 	dst = binary.LittleEndian.AppendUint64(dst, obs.ModelVersion)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(obs.UnixNanos))
@@ -102,10 +97,7 @@ func EncodeObservation(dst []byte, obs *Observation) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(obs.RequestID)))
 		dst = append(dst, obs.RequestID...)
 	}
-	payload := dst[header+recordHeader:]
-	binary.LittleEndian.PutUint32(dst[header:], recordMagic)
-	binary.LittleEndian.PutUint32(dst[header+4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[header+8:], crc32.ChecksumIEEE(payload))
+	format.Seal(dst, at)
 	return dst, nil
 }
 
@@ -163,29 +155,8 @@ func DecodeObservation(payload []byte) (*Observation, error) {
 // total encoded size. io.EOF marks a clean record boundary; errCorrupt
 // (possibly wrapped) marks a torn or damaged tail.
 func readRecord(br *bufio.Reader) (payload []byte, size int64, err error) {
-	var header [recordHeader]byte
-	if _, err := io.ReadFull(br, header[:1]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, 0, io.EOF // clean end
-		}
-		return nil, 0, fmt.Errorf("%w: %v", errCorrupt, err)
+	if payload, err = format.Read(br); err != nil {
+		return nil, 0, err
 	}
-	if _, err := io.ReadFull(br, header[1:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: torn header: %v", errCorrupt, err)
-	}
-	if magic := binary.LittleEndian.Uint32(header[0:]); magic != recordMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic %#x", errCorrupt, magic)
-	}
-	n := binary.LittleEndian.Uint32(header[4:])
-	if n == 0 || n > maxRecordSize {
-		return nil, 0, fmt.Errorf("%w: implausible payload length %d", errCorrupt, n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, 0, fmt.Errorf("%w: torn payload: %v", errCorrupt, err)
-	}
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(header[8:]) {
-		return nil, 0, fmt.Errorf("%w: CRC mismatch", errCorrupt)
-	}
-	return payload, recordHeader + int64(n), nil
+	return payload, recordHeader + int64(len(payload)), nil
 }

@@ -226,26 +226,9 @@ func (s *logShard) rotate() error {
 
 // Flush is a no-op for durability against process crashes — Append
 // writes through to the OS — and is kept for callers that flush before
-// replaying. Sync fsyncs for durability against power loss.
+// replaying. Nothing here fsyncs: a power loss can cost the tail the OS
+// had not written back, which replay then truncates like any torn tail.
 func (l *Log) Flush() error { return nil }
-
-// Sync fsyncs every shard's current segment.
-func (l *Log) Sync() error {
-	var first error
-	for _, s := range l.shards {
-		if s == nil {
-			continue
-		}
-		s.mu.Lock()
-		if s.f != nil {
-			if err := s.f.Sync(); err != nil && first == nil {
-				first = err
-			}
-		}
-		s.mu.Unlock()
-	}
-	return first
-}
 
 // Close closes every shard. Appends after Close fail with ErrClosed.
 func (l *Log) Close() error {

@@ -98,21 +98,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Reset zeroes the histogram. Not atomic with respect to concurrent
-// Observe calls (stragglers may land in either epoch); intended for
-// tests and benchmarks, not the serving path.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumNS.Store(0)
-	h.maxNS.Store(0)
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram's counters:
 // a plain value that can be merged, diffed against an earlier snapshot,
 // and queried for quantiles without further synchronization.

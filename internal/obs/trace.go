@@ -140,14 +140,6 @@ func (t *Trace) Span(s Stage) time.Duration {
 	return time.Duration(t.spans[s].Load())
 }
 
-// Elapsed is the wall time since the trace started; 0 on nil.
-func (t *Trace) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
-
 // LogSlow emits one structured slow-request record through logger when
 // the trace's elapsed time is at or past threshold. It reports whether
 // a record was emitted. threshold <= 0 disables slow tracing; a nil

@@ -887,6 +887,3 @@ func (s *Service) endpointMetrics(ep int) EndpointMetrics {
 	}
 	return em
 }
-
-// Feedback returns the attached feedback loop, or nil.
-func (s *Service) Feedback() *feedback.Loop { return s.opts.Feedback }

@@ -38,7 +38,7 @@ type groupKey struct {
 
 // pending is one request waiting in a group.
 type pending struct {
-	conn *serverConn
+	conn *Conn
 	seq  uint64
 	plan *plan.Plan
 	enq  time.Time
@@ -108,7 +108,7 @@ func canonicalResources(kinds []plan.ResourceKind) string {
 // immediately. Never blocks on the pool — dispatch runs on its own
 // goroutine so the caller (a connection's read loop) keeps draining
 // frames, which is what keeps cross-connection batches full.
-func (b *batcher) enqueue(conn *serverConn, seq uint64, kinds []plan.ResourceKind, p *plan.Plan, timeoutMS int, schema string) {
+func (b *batcher) enqueue(conn *Conn, seq uint64, kinds []plan.ResourceKind, p *plan.Plan, timeoutMS int, schema string) {
 	key := groupKey{schema: schema, resources: canonicalResources(kinds), timeoutMS: timeoutMS}
 	b.mu.Lock()
 	g, ok := b.groups[key]
@@ -207,11 +207,11 @@ func (b *batcher) dispatch(g *group) {
 		// envelope — HTTP status codes and all — to each.
 		_, code := serve.ErrorCode(err)
 		for _, m := range g.members {
-			m.conn.sendError(m.seq, err.Error(), code)
+			srv.sendError(m.conn, m.seq, err.Error(), code)
 		}
 		return
 	}
 	for i, m := range g.members {
-		m.conn.sendResponse(m.seq, resps[i])
+		srv.sendResponse(m.conn, m.seq, resps[i])
 	}
 }

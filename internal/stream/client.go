@@ -106,11 +106,6 @@ func Dial(addr string) (*Client, error) {
 	return DialWith(addr, DialOptions{})
 }
 
-// DialTimeout is Dial with a connect timeout.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	return DialWith(addr, DialOptions{ConnectTimeout: timeout})
-}
-
 // DialWith opens a streaming connection with explicit options. The
 // initial dial is synchronous even in reconnect mode: a router that
 // cannot reach a replica at startup should learn immediately.
@@ -139,7 +134,7 @@ func (cl *Client) install(nc net.Conn, gen uint64) bool {
 		cl:      cl,
 		gen:     cl.gen,
 		c:       nc,
-		w:       NewFrameWriter(nc, clientWriteTimeout, nil),
+		w:       NewFrameWriter(nc, defaultWriteTimeout, nil),
 		waiters: make(map[uint64]chan result),
 	}
 	cl.conn = cc
@@ -312,12 +307,6 @@ func (cl *Client) Estimate(ctx context.Context, req *Request) (*serve.Response, 
 	}
 	return &resp, nil
 }
-
-// clientWriteTimeout bounds one write burst to the server — the
-// server's own default for the opposite direction. A server that stops
-// reading fails the connection when it fires, which releases callers
-// blocked on the full queue.
-const clientWriteTimeout = 30 * time.Second
 
 // clientConn is one TCP connection generation: the read loop and the
 // writer, the in-flight waiter table, and the per-connection failure

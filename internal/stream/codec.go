@@ -14,16 +14,13 @@
 // call pattern, and the server's micro-batcher assembles the batch
 // across connections instead.
 //
-// Frame layout (all integers little-endian), mirroring the
-// observation-log framing in internal/feedback:
+// Frame layout: the {magic "RST1", payload length, CRC-32} header of
+// internal/frame — the one the observation log also writes — in front
+// of a payload of (integers little-endian)
 //
-//	uint32 magic "RST1"
-//	uint32 payload length
-//	uint32 CRC-32 (IEEE) of the payload
-//	payload:
-//	  byte   frame type (FrameEstimate, FrameResponse, FrameError)
-//	  uint64 sequence ID (echoed verbatim on the response)
-//	  body   JSON
+//	byte   frame type (FrameEstimate, FrameResponse, FrameError)
+//	uint64 sequence ID (echoed verbatim on the response)
+//	body   JSON
 //
 // Request bodies carry the same JSON the POST /estimate endpoint
 // accepts ({schema, resource|resources, timeout_ms, plan}); response
@@ -40,9 +37,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 
+	"repro/internal/frame"
 	"repro/internal/serve"
 )
 
@@ -59,8 +55,7 @@ const (
 )
 
 const (
-	frameMagic  = 0x52535431 // "RST1"
-	frameHeader = 12
+	frameHeader = frame.HeaderSize
 	// payload = type byte + sequence ID + body.
 	framePrefix = 1 + 8
 	// maxFrameSize bounds a frame payload — same budget as the HTTP
@@ -72,6 +67,8 @@ const (
 // mismatch, or a torn read mid-frame. The connection cannot be
 // resynchronized past it and must be closed.
 var ErrCorrupt = errors.New("stream: corrupt frame")
+
+var format = frame.Format{Magic: 0x52535431 /* "RST1" */, Min: framePrefix, Max: maxFrameSize, Corrupt: ErrCorrupt}
 
 // Frame is one decoded protocol frame.
 type Frame struct {
@@ -92,15 +89,13 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	if n > maxFrameSize {
 		return nil, fmt.Errorf("stream: frame payload %d bytes exceeds limit", n)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	// The payload is assembled in place behind a checksum slot filled
-	// in last, so nothing is staged outside dst.
-	payload := len(dst) + 4
-	dst = append(dst, 0, 0, 0, 0, f.Type)
+	// The payload is assembled in place behind a header filled in last,
+	// so nothing is staged outside dst.
+	at := len(dst)
+	dst = append(frame.Reserve(dst), f.Type)
 	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
 	dst = append(dst, f.Body...)
-	binary.LittleEndian.PutUint32(dst[payload-4:], crc32.ChecksumIEEE(dst[payload:]))
+	format.Seal(dst, at)
 	return dst, nil
 }
 
@@ -144,17 +139,12 @@ func ErrorFrame(seq uint64, msg, code string) *Frame {
 // frame boundary (the peer closed between frames); ErrCorrupt
 // (possibly wrapped) marks garbage, a torn frame, or a CRC mismatch.
 func ReadFrame(br *bufio.Reader) (*Frame, error) {
-	n, sum, err := peekHeader(br)
+	payload, err := format.Read(br)
 	if err != nil {
 		return nil, err
 	}
-	_, _ = br.Discard(frameHeader) // just peeked: cannot fail
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("%w: torn payload: %w", ErrCorrupt, err)
-	}
 	f := new(Frame)
-	if err := f.setPayload(sum, payload); err != nil {
+	if err := f.setPayload(payload); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -163,63 +153,19 @@ func ReadFrame(br *bufio.Reader) (*Frame, error) {
 // ReadFrameInPlace is ReadFrame without the copy: a frame that fits
 // br's buffer is checked where it lies and f.Body aliases the buffer,
 // valid only until the next read from br. A frame larger than the
-// buffer goes through ReadFrame, so both accept and reject exactly the
-// same byte streams, with the same io.EOF / ErrCorrupt classes.
+// buffer is read as ReadFrame reads it, so both accept and reject
+// exactly the same byte streams, with the same io.EOF / ErrCorrupt
+// classes.
 func ReadFrameInPlace(br *bufio.Reader, f *Frame) error {
-	n, sum, err := peekHeader(br)
+	payload, err := format.ReadInPlace(br)
 	if err != nil {
 		return err
 	}
-	if frameHeader+n > br.Size() {
-		big, err := ReadFrame(br)
-		if err != nil {
-			return err
-		}
-		*f = *big
-		return nil
-	}
-	whole, err := br.Peek(frameHeader + n)
-	if err != nil {
-		return fmt.Errorf("%w: torn payload: %w", ErrCorrupt, err)
-	}
-	if err := f.setPayload(sum, whole[frameHeader:]); err != nil {
-		return err
-	}
-	_, _ = br.Discard(len(whole)) // just peeked: cannot fail
-	return nil
+	return f.setPayload(payload)
 }
 
-// peekHeader validates the header of the frame at the head of br and
-// returns its payload length and checksum, consuming nothing.
-func peekHeader(br *bufio.Reader) (n int, sum uint32, err error) {
-	header, err := br.Peek(frameHeader)
-	if err != nil {
-		switch {
-		case len(header) > 0:
-			return 0, 0, fmt.Errorf("%w: torn header: %w", ErrCorrupt, err)
-		case errors.Is(err, io.EOF):
-			return 0, 0, io.EOF // clean end between frames
-		}
-		// Double-wrap so callers can still see the transport cause
-		// (net.ErrClosed, deadline) behind the corruption marker.
-		return 0, 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	if magic := binary.LittleEndian.Uint32(header[0:]); magic != frameMagic {
-		return 0, 0, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
-	}
-	length := binary.LittleEndian.Uint32(header[4:])
-	if length < framePrefix || length > maxFrameSize {
-		return 0, 0, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, length)
-	}
-	return int(length), binary.LittleEndian.Uint32(header[8:]), nil
-}
-
-// setPayload checks payload against its header's checksum and points f
-// at it. Nothing of the payload is trusted before the checksum matches.
-func (f *Frame) setPayload(sum uint32, payload []byte) error {
-	if crc32.ChecksumIEEE(payload) != sum {
-		return fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
-	}
+// setPayload points f at a payload whose checksum has matched.
+func (f *Frame) setPayload(payload []byte) error {
 	switch payload[0] {
 	case FrameEstimate, FrameResponse, FrameError:
 	default:

@@ -11,9 +11,10 @@ import (
 // tier, which peeks the schema for affinity placement. Both go through
 // the one envelope walker every endpoint shares (serve.DecodeEnvelope:
 // a single pass aliasing the plan's bytes out of the frame body, which
-// this side owns and never reuses), and a body the walker declines —
-// unknown or folded keys, escaped strings, nulls, unexpected types,
-// over-deep nesting — is rerun through encoding/json wholesale, so every
+// nothing reads once the plan is built — so the body may lie in a read
+// buffer that is reused), and a body the walker declines — unknown or
+// folded keys, escaped strings, nulls, unexpected types, over-deep
+// nesting — is rerun through encoding/json wholesale, so every
 // slow or ambiguous case keeps stdlib semantics, including its error
 // text. The one rule: whenever the walker says it decoded, the result
 // must be field for field what stdlib would have produced. A

@@ -1,14 +1,9 @@
 package stream
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"io"
 	"log/slog"
-	"net"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,9 +11,10 @@ import (
 	"repro/internal/serve"
 )
 
-// Options configures the streaming listener.
+// Options configures a streaming Server. A bare Listener reads only
+// IdleTimeout, WriteTimeout and Logger.
 type Options struct {
-	// Service handles the coalesced dispatches. Required.
+	// Service handles the coalesced dispatches. Required by Start.
 	Service *serve.Service
 	// MaxBatch bounds a coalesced dispatch's plan count. 0 selects 64 —
 	// past that the batch path's per-plan amortization has flattened
@@ -50,6 +46,12 @@ type Options struct {
 	Logger *slog.Logger
 }
 
+// defaultWriteTimeout bounds one write burst in either direction: a
+// listener's default, and what the client applies to its requests. A
+// peer that stops reading fails the connection when it fires, which
+// releases whoever was blocked on the full queue.
+const defaultWriteTimeout = 30 * time.Second
+
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
@@ -61,7 +63,7 @@ func (o Options) withDefaults() Options {
 		o.IdleTimeout = 5 * time.Minute
 	}
 	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
+		o.WriteTimeout = defaultWriteTimeout
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -88,20 +90,13 @@ type Stats struct {
 	Holds      uint64 `json:"holds"`
 }
 
-// Server accepts streaming connections and coalesces their in-flight
-// requests across connections into batched dispatches.
+// Server is a Listener whose handler coalesces the in-flight requests
+// of all its connections into batched dispatches.
 type Server struct {
+	*Listener
 	opts    Options
-	ln      net.Listener
 	batcher *batcher
 
-	mu     sync.Mutex
-	conns  map[*serverConn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-
-	accepted   atomic.Uint64
-	open       atomic.Int64
 	requests   atomic.Uint64
 	responses  atomic.Uint64
 	sendErrors atomic.Uint64
@@ -120,11 +115,7 @@ func Start(addr string, opts Options) (*Server, error) {
 	if opts.Service == nil {
 		return nil, errors.New("stream: Options.Service is required")
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{opts: opts.withDefaults(), ln: ln, conns: make(map[*serverConn]struct{})}
+	s := &Server{opts: opts.withDefaults()}
 	maxDispatches := s.opts.MaxDispatches
 	if maxDispatches <= 0 {
 		if maxDispatches = opts.Service.Workers(); maxDispatches <= 0 {
@@ -132,19 +123,19 @@ func Start(addr string, opts Options) (*Server, error) {
 		}
 	}
 	s.batcher = newBatcher(s, maxDispatches)
-	s.wg.Add(1)
-	go s.acceptLoop()
+	l, err := Listen(addr, s.opts, &s.framesPerWrite, s.handleEstimate)
+	if err != nil {
+		return nil, err
+	}
+	s.Listener = l // the handler never reads it, so it may already be running
 	return s, nil
 }
-
-// Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Stats snapshots the listener's counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Accepted:   s.accepted.Load(),
-		Open:       s.open.Load(),
+		Accepted:   s.Accepted(),
+		Open:       s.Open(),
 		Requests:   s.requests.Load(),
 		Responses:  s.responses.Load(),
 		Errors:     s.sendErrors.Load(),
@@ -159,9 +150,9 @@ func (s *Server) Stats() Stats {
 func (s *Server) Collector() obs.Collector {
 	return func(e *obs.Expo) {
 		e.Gauge("resserve_stream_connections", "Open streaming connections.", "",
-			float64(s.open.Load()))
+			float64(s.Open()))
 		e.Counter("resserve_stream_connections_total", "Streaming connections accepted.", "",
-			float64(s.accepted.Load()))
+			float64(s.Accepted()))
 		e.Counter("resserve_stream_requests_total", "Estimate frames received.", "",
 			float64(s.requests.Load()))
 		e.Counter("resserve_stream_responses_total", "Response frames sent.", "",
@@ -180,179 +171,55 @@ func (s *Server) Collector() obs.Collector {
 	}
 }
 
-// Close stops accepting, tears down every open connection, and waits
-// for the connection goroutines to exit. In-flight dispatches already
-// in the pool still complete; their responses go nowhere.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	conns := make([]*serverConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	for _, c := range conns {
-		c.shutdown()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		nc, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		c := &serverConn{
-			srv: s,
-			c:   nc,
-			br:  bufio.NewReaderSize(nc, ReadBufferSize),
-			w:   NewFrameWriter(nc, s.opts.WriteTimeout, &s.framesPerWrite),
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			nc.Close()
-			return
-		}
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		s.accepted.Add(1)
-		s.open.Add(1)
-		s.wg.Add(2)
-		go c.readLoop()
-		go func() {
-			defer s.wg.Done()
-			defer c.shutdown()
-			_ = c.w.Run() // whatever stopped it, shutdown is the answer
-		}()
-	}
-}
-
-// ReadBufferSize is the read buffer of every stream endpoint — this
-// server, the client, the router's listener: forty of the benchmark's
-// 1.6 KB requests per read, where bufio's 4 KB default holds two and a
-// half.
-const ReadBufferSize = 64 << 10
-
-// serverConn is one accepted streaming connection: a read loop feeding
-// the batcher and a FrameWriter draining the answers, so a slow write
-// never stops the inbound coalescing flow.
-type serverConn struct {
-	srv  *Server
-	c    net.Conn
-	br   *bufio.Reader
-	w    *FrameWriter
-	once sync.Once
-}
-
-// shutdown closes the connection once; both loops exit on it.
-func (c *serverConn) shutdown() {
-	c.once.Do(func() {
-		c.w.Close()
-		c.c.Close()
-		c.srv.mu.Lock()
-		delete(c.srv.conns, c)
-		c.srv.mu.Unlock()
-		c.srv.open.Add(-1)
-	})
-}
-
-func (c *serverConn) readLoop() {
-	defer c.srv.wg.Done()
-	defer c.shutdown()
-	// The idle deadline is re-armed lazily: resetting it on every frame
-	// would cost a runtime timer update per request, and the reap only
-	// needs IdleTimeout-ish precision. Arming 1.5× out and re-arming
-	// once the previous arm is half-stale guarantees a connection is
-	// never reaped under IdleTimeout of idleness and always reaped by
-	// 1.5× it.
-	var armed time.Time
-	for {
-		if now := time.Now(); now.Sub(armed) > c.srv.opts.IdleTimeout/2 {
-			armed = now
-			_ = c.c.SetReadDeadline(now.Add(c.srv.opts.IdleTimeout * 3 / 2))
-		}
-		f, err := ReadFrame(c.br)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !routineDisconnect(err) {
-				c.srv.opts.Logger.Warn("stream: connection read failed",
-					slog.String("remote", c.c.RemoteAddr().String()), slog.String("error", err.Error()))
-			}
-			return
-		}
-		if f.Type != FrameEstimate {
-			// A peer sending server-side frame types has lost protocol
-			// state; nothing it sends after can be trusted.
-			c.srv.opts.Logger.Warn("stream: unexpected frame type from client",
-				slog.Int("type", int(f.Type)))
-			return
-		}
-		c.srv.requests.Add(1)
-		c.handleEstimate(f)
-	}
-}
-
 // handleEstimate decodes one request frame and hands it to the
 // batcher. Per-request failures (bad JSON, unknown resource, bad plan)
 // answer only this sequence ID — they never poison the batch the
-// request would have joined.
-func (c *serverConn) handleEstimate(f *Frame) {
+// request would have joined. Nothing decoded from f.Body aliases it
+// (strings are copied out, the plan is rebuilt), so the read buffer it
+// lies in is free again on return.
+func (s *Server) handleEstimate(c *Conn, f *Frame) {
 	start := time.Now()
+	s.requests.Add(1)
 	var req serve.Envelope
 	if err := decodeEstimate(f.Body, &req); err != nil {
-		c.sendError(f.Seq, "bad request body: "+err.Error(), "bad_request")
+		s.sendError(c, f.Seq, "bad request body: "+err.Error(), "bad_request")
 		return
 	}
 	kinds, p, code, err := serve.ResolveEstimate(&req)
 	if err != nil {
-		c.sendError(f.Seq, err.Error(), code)
+		s.sendError(c, f.Seq, err.Error(), code)
 		return
 	}
-	c.srv.opts.Service.RecordStreamStage(obs.StageDecode, time.Since(start))
-	c.srv.batcher.enqueue(c, f.Seq, kinds, p, req.TimeoutMS, req.Schema)
+	s.opts.Service.RecordStreamStage(obs.StageDecode, time.Since(start))
+	s.batcher.enqueue(c, f.Seq, kinds, p, req.TimeoutMS, req.Schema)
 }
 
 // sendResponse encodes one plan's Response — byte-identical to the
 // /estimate body — and queues it for the writer.
-func (c *serverConn) sendResponse(seq uint64, resp *serve.Response) {
+func (s *Server) sendResponse(c *Conn, seq uint64, resp *serve.Response) {
 	start := time.Now()
 	body, err := serve.MarshalWire(resp)
 	if err != nil {
-		c.sendError(seq, "encode response: "+err.Error(), "internal")
+		s.sendError(c, seq, "encode response: "+err.Error(), "internal")
 		return
 	}
 	// Counted before the frame can reach the peer, so a client holding
 	// its answer never reads a count that lacks it.
-	c.srv.responses.Add(1)
-	err = c.w.Send(context.Background(), &Frame{Type: FrameResponse, Seq: seq, Body: body})
+	s.responses.Add(1)
+	err = c.Send(context.Background(), &Frame{Type: FrameResponse, Seq: seq, Body: body})
 	if err != nil && !errors.Is(err, ErrConnLost) { // body over the frame limit
-		c.srv.responses.Add(^uint64(0))
-		c.sendError(seq, "frame response: "+err.Error(), "internal")
+		s.responses.Add(^uint64(0))
+		s.sendError(c, seq, "frame response: "+err.Error(), "internal")
 		return
 	}
-	c.srv.opts.Service.RecordStreamStage(obs.StageEncode, time.Since(start))
+	s.opts.Service.RecordStreamStage(obs.StageEncode, time.Since(start))
 }
 
 // sendError answers one sequence ID with the structured error
 // envelope. Like sendResponse it blocks while the writer's queue is
 // full; the queue bound plus WriteTimeout limit how long a non-reading
 // peer can stall a dispatch goroutine.
-func (c *serverConn) sendError(seq uint64, msg, code string) {
-	c.srv.sendErrors.Add(1)
-	_ = c.w.Send(context.Background(), ErrorFrame(seq, msg, code)) // fails only on a dead connection
-}
-
-// routineDisconnect reports read failures that are lifecycle, not
-// protocol: our own shutdown closing the socket, or the idle reaper's
-// deadline firing. Neither is log-worthy.
-func routineDisconnect(err error) bool {
-	return errors.Is(err, net.ErrClosed) || errors.Is(err, os.ErrDeadlineExceeded)
+func (s *Server) sendError(c *Conn, seq uint64, msg, code string) {
+	s.sendErrors.Add(1)
+	_ = c.Send(context.Background(), ErrorFrame(seq, msg, code)) // fails only on a dead connection
 }

@@ -211,6 +211,75 @@ func TestStreamMatchesHTTPBitIdentical(t *testing.T) {
 	}
 }
 
+// TestStreamHandlerKeepsNothingOfBody: the listener reads frames in
+// place, so a request's bytes are overwritten by the next read while
+// its plan may still be waiting in the micro-batcher. With every body
+// scribbled over the moment the handler returns, eight callers
+// pipelining on one connection — several frames per read, dispatches
+// long after their frames are gone — still get the /estimate bytes,
+// and a request the server refuses still gets its own error.
+func TestStreamHandlerKeepsNothingOfBody(t *testing.T) {
+	t.Cleanup(stream.ScribbleAfterHandle())
+	svc, srv := newStream(t, serve.Options{}, stream.Options{MaxWait: 2 * time.Millisecond})
+	httpSrv := httptest.NewServer(svc.Handler())
+	t.Cleanup(httpSrv.Close)
+	cl := dial(t, srv)
+
+	reqs := []*stream.Request{
+		{Schema: "tpch", Resource: "cpu", Plan: planJSON(t, testPlans[0])},
+		{Resource: "io", Plan: planJSON(t, testPlans[1])},
+		{Resources: []string{"cpu", "io"}, Plan: planJSON(t, testPlans[2])},
+		{Resources: []string{"all"}, Plan: planJSON(t, selfJoinPlan()), TimeoutMS: 5000},
+	}
+	bodies, want := make([][]byte, len(reqs)), make([][]byte, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if bodies[i], err = json.Marshal(req); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2; k++ { // the second answer is the warm one
+			resp, err := http.Post(httpSrv.URL+"/estimate", "application/json", bytes.NewReader(bodies[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i], err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("request %d: HTTP status %d: %s (%v)", i, resp.StatusCode, want[i], err)
+			}
+		}
+	}
+
+	const callers, rounds = 8, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				i := (g + k) % len(reqs)
+				got, err := cl.EstimateBytes(context.Background(), bodies[i])
+				if err != nil || !bytes.Equal(got, want[i]) {
+					errs <- fmt.Errorf("caller %d round %d request %d: %v\nstream: %s\nhttp:   %s", g, k, i, err, got, want[i])
+					return
+				}
+				_, err = cl.EstimateBytes(context.Background(), []byte(`{"resource":"gpu","plan":{}}`))
+				var se *stream.Error
+				if !errors.As(err, &se) || se.Code != "unknown_resource" {
+					errs <- fmt.Errorf("caller %d round %d: refused request answered %v", g, k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
 // TestStreamDecodedResponse checks the convenience decoder: totals are
 // positive, finite, and exactly the sum of operator estimates.
 func TestStreamDecodedResponse(t *testing.T) {

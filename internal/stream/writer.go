@@ -24,8 +24,8 @@ const maxPending = 256 << 10
 // a yield, not a wait: with nothing else runnable it returns at once.
 const yieldBelow = 2 << 10
 
-// FrameWriter is the write half of a stream connection; the server,
-// the client and the router's stream listener all send through one.
+// FrameWriter is the write half of a stream connection; every
+// Listener connection and the client send through one.
 // Producers encode frames straight into a pending buffer under a
 // mutex. One goroutine (Run) swaps that buffer for a spare and hands
 // everything queued since its last write to the socket in a single

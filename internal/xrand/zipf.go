@@ -85,12 +85,6 @@ func (z *Zipf) hInv(x float64) float64 {
 	return math.Pow(-(1-z.s)*x, 1/(1-z.s))
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int64 { return z.n }
-
-// S returns the skew exponent.
-func (z *Zipf) S() float64 { return z.s }
-
 // Rank draws a rank in [1, n]. Rank 1 is the most frequent value.
 func (z *Zipf) Rank(r *Rand) int64 {
 	if z.cdf != nil {

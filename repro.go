@@ -29,7 +29,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/features"
 	"repro/internal/feedback"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -46,8 +45,6 @@ type (
 	Node = plan.Node
 	// Resources is a (CPU ms, logical I/O) pair.
 	Resources = plan.Resources
-	// Pipeline is a maximal set of concurrently executing operators.
-	Pipeline = plan.Pipeline
 	// Query is a generated workload entry.
 	Query = workload.Query
 )
@@ -284,18 +281,12 @@ func (e *Estimator) EstimatePipelines(p *Plan) []float64 {
 	return e.inner.PredictPipelines(p)
 }
 
-// EstimatePlans predicts the total resource usage of a whole plan batch
-// in one pass over the batched hot path: features are extracted into a
-// flat buffer, nodes are grouped by operator and evaluated on the
-// compiled (cache-friendly, flattened) tree layout. The result is
-// parallel to plans, and every total is bit-identical to EstimatePlan
-// on the same plan — batching changes throughput, never predictions.
-func (e *Estimator) EstimatePlans(plans []*Plan) []float64 {
-	return e.inner.PredictPlans(plans)
-}
-
 // EstimateQueries predicts the total resource usage of workload
-// queries through the same batched pass as EstimatePlans.
+// queries in one pass over the batched hot path: features are extracted
+// into a flat buffer, nodes are grouped by operator and evaluated on
+// the compiled (cache-friendly, flattened) tree layout. The result is
+// parallel to qs, and every total is bit-identical to EstimateQuery on
+// the same query — batching changes throughput, never predictions.
 func (e *Estimator) EstimateQueries(qs []*Query) []float64 {
 	plans := make([]*Plan, len(qs))
 	for i, q := range qs {
@@ -353,16 +344,9 @@ func (s *EstimatorSet) EstimatePlanAll(p *Plan) Resources {
 	return s.inner.PredictPlanAll(p)
 }
 
-// EstimatePlansAll predicts plan-level usage for a whole batch across
-// every resource in the set: one batched feature extraction, one
-// fan-out over the compiled tree layouts. The result is parallel to
-// plans.
-func (s *EstimatorSet) EstimatePlansAll(plans []*Plan) []Resources {
-	return s.inner.PredictPlansAll(plans)
-}
-
-// EstimateQueriesAll predicts workload queries through the same
-// batched multi-resource pass as EstimatePlansAll.
+// EstimateQueriesAll predicts workload queries across every resource
+// in the set: one batched feature extraction, one fan-out over the
+// compiled tree layouts. The result is parallel to qs.
 func (s *EstimatorSet) EstimateQueriesAll(qs []*Query) []Resources {
 	plans := make([]*Plan, len(qs))
 	for i, q := range qs {
@@ -407,18 +391,6 @@ func LoadFile(path string) (*Estimator, error) {
 	return Load(f)
 }
 
-// --- Plan wire codec -------------------------------------------------
-//
-// External clients submit plans to the estimation service as JSON
-// rather than constructing Go structs. The encoding is deterministic
-// and versioned; see internal/plan's codec for the format.
-
-// EncodePlanJSON renders a plan in the wire format.
-func EncodePlanJSON(p *Plan) ([]byte, error) { return plan.EncodeJSON(p) }
-
-// DecodePlanJSON parses and validates a wire-format plan.
-func DecodePlanJSON(data []byte) (*Plan, error) { return plan.DecodeJSON(data) }
-
 // --- Serving ---------------------------------------------------------
 //
 // The serving API turns trained estimators into a concurrent service:
@@ -435,28 +407,8 @@ type (
 	ServeOptions = serve.Options
 	// EstimateRequest selects a model and carries the plan to estimate.
 	EstimateRequest = serve.Request
-	// EstimateResponse carries query/pipeline/operator predictions.
-	EstimateResponse = serve.Response
-	// BatchEstimateRequest carries a whole plan batch for one model; the
-	// service runs it as a single worker-pool job with one cache
-	// multi-get and the batched prediction hot path (Service.
-	// EstimateBatch, POST /estimate/batch on the HTTP surface).
-	BatchEstimateRequest = serve.BatchRequest
-	// BatchEstimateResponse carries per-plan predictions, parallel to
-	// the request's Plans, plus batch-level cache counters.
-	BatchEstimateResponse = serve.BatchResponse
-	// PlanEstimate is one plan's predictions within a batch response.
-	PlanEstimate = serve.PlanEstimate
 	// ModelInfo describes a published model version.
 	ModelInfo = serve.ModelInfo
-	// LatencySummary is a latency distribution snapshot (count, mean,
-	// p50/p90/p99, max) from the service's telemetry histograms —
-	// returned by Service.RequestLatencies and Service.StageLatencies.
-	LatencySummary = obs.Summary
-	// MetricsRegistry is the Prometheus-text metrics registry behind a
-	// service's GET /metrics (Service.Obs); additional collectors — e.g.
-	// runtime gauges on a debug listener — can be registered on it.
-	MetricsRegistry = obs.Registry
 )
 
 // NewService starts an estimation service and its worker pool. Callers
@@ -487,30 +439,15 @@ type (
 	// StreamServerOptions bounds micro-batching (MaxBatch, MaxWait) and
 	// the per-connection idle/write deadlines.
 	StreamServerOptions = stream.Options
-	// StreamClient is one persistent streaming connection, safe for
-	// concurrent use; responses demultiplex by sequence ID.
-	StreamClient = stream.Client
-	// StreamRequest is the estimate request carried in one frame. It
-	// mirrors the POST /estimate body field for field.
-	StreamRequest = stream.Request
-	// StreamStats is a snapshot of a stream server's counters.
-	StreamStats = stream.Stats
-	// StreamError is a per-request server-side failure carrying the
-	// same stable error code the HTTP endpoint would have returned.
-	StreamError = stream.Error
 )
 
 // StartStreamServer binds addr and serves the streaming estimate
 // protocol for opts.Service in the background until Close. Register
-// the server's Collector on the service's MetricsRegistry to surface
-// the stream series on GET /metrics.
+// the server's Collector on the service's metrics registry
+// (Service.Obs) to surface the stream series on GET /metrics.
 func StartStreamServer(addr string, opts StreamServerOptions) (*StreamServer, error) {
 	return stream.Start(addr, opts)
 }
-
-// DialStream opens a streaming client connection to a stream listener
-// (resserve -stream-addr).
-func DialStream(addr string) (*StreamClient, error) { return stream.Dial(addr) }
 
 // --- Versioned model store -------------------------------------------
 //
@@ -528,13 +465,10 @@ type (
 	ModelStoreOptions = store.Options
 	// ModelManifest describes one persisted snapshot.
 	ModelManifest = store.Manifest
-	// SlabMode selects the store's compiled-slab policy: publish-time
-	// slab siblings next to each model blob, restored zero-copy via
-	// mmap.
-	SlabMode = store.SlabMode
 )
 
-// Slab policy values for ModelStoreOptions.Slab.
+// Slab policy values for ModelStoreOptions.Slab: publish-time slab
+// siblings next to each model blob, restored zero-copy via mmap.
 const (
 	// SlabExact (default): restore from the slab's exact float64 layout,
 	// bit-identical to the JSON decode path.
@@ -542,8 +476,6 @@ const (
 	// SlabQuantized: prefer the slab's float32-quantized section when
 	// the publish-time accuracy gate admitted one.
 	SlabQuantized = store.SlabQuantized
-	// SlabDisabled: write no slabs, restore via JSON only.
-	SlabDisabled = store.SlabDisabled
 )
 
 // OpenModelStore opens (creating if needed) the model store rooted at
@@ -647,9 +579,6 @@ type (
 	// Observation is one (plan, predicted, actual) triple reported by
 	// the serving path.
 	Observation = feedback.Observation
-	// FeedbackStats is the per-route error gauge snapshot exposed
-	// through Metrics.
-	FeedbackStats = feedback.RouteStats
 )
 
 // NewServiceWithFeedback starts an estimation service with the online
@@ -691,8 +620,6 @@ type (
 	// RouterOptions configures placement, pooling, polling, caching
 	// and admission bounds.
 	RouterOptions = cluster.Options
-	// RouterMetrics is the router's JSON metrics snapshot.
-	RouterMetrics = cluster.Metrics
 	// ObservationForwarder tails a replica's observation log and ships
 	// segments to the fleet's designated retrainer.
 	ObservationForwarder = cluster.Forwarder
