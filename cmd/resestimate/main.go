@@ -8,9 +8,8 @@
 // in one multi-resource pass that extracts each plan's features once
 // and fans them out across the per-resource models.
 //
-// By default the whole query set is estimated in one batched pass over
-// the compiled tree layout (bit-identical to per-query estimation, just
-// faster); -batch=false falls back to one EstimateQuery call per query.
+// The whole query set is estimated in one batched pass over the compiled
+// tree layout, bit-identical to estimating query by query.
 //
 // -explain prints, under each query, how its estimate was assembled:
 // which MART model scored each operator (or that the fallback mean
@@ -22,13 +21,14 @@
 //	resestimate -model cpu-model.json -schema tpch -n 20
 //	resestimate -model cpu-model.json -schema tpcds -n 20 -pipelines
 //	resestimate -model cpu-model.json -schema tpch -n 3 -explain
-//	resestimate -model cpu-model.json -n 5000 -batch=false
 //	resestimate -store ./models-store -schema tpch -n 20   # all resources
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -36,21 +36,36 @@ import (
 	"repro/internal/stats"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args (without the program name), writes
+// the report to stdout and errors to stderr, and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("resestimate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		modelPath = flag.String("model", "", "trained model path (see restrain)")
-		storeDir  = flag.String("store", "", "versioned model-store directory; loads the newest snapshot for -schema and evaluates all its resources in one pass")
-		schema    = flag.String("schema", "tpch", "workload schema for test queries")
-		n         = flag.Int("n", 20, "number of test queries")
-		seed      = flag.Uint64("seed", 999, "random seed (use a seed different from training)")
-		pipelines = flag.Bool("pipelines", false, "also print per-pipeline estimates")
-		explain   = flag.Bool("explain", false, "print a per-operator breakdown (model chosen, scaled features, subtotal) under each query")
-		batch     = flag.Bool("batch", true, "estimate the whole query set in one batched pass (predictions are identical either way)")
+		modelPath = fs.String("model", "", "trained model path (see restrain)")
+		storeDir  = fs.String("store", "", "versioned model-store directory; loads the newest snapshot for -schema and evaluates all its resources in one pass")
+		schema    = fs.String("schema", "tpch", "workload schema for test queries")
+		n         = fs.Int("n", 20, "number of test queries")
+		seed      = fs.Uint64("seed", 999, "random seed (use a seed different from training)")
+		pipelines = fs.Bool("pipelines", false, "also print per-pipeline estimates")
+		explain   = fs.Bool("explain", false, "print a per-operator breakdown (model chosen, scaled features, subtotal) under each query")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "resestimate:", err)
+		return 1
+	}
 
 	if *storeDir != "" && *modelPath != "" {
-		fatal(fmt.Errorf("-model and -store are mutually exclusive"))
+		return fail(errors.New("-model and -store are mutually exclusive"))
 	}
 	if *storeDir == "" && *modelPath == "" {
 		*modelPath = "model.json"
@@ -58,84 +73,71 @@ func main() {
 
 	qs, err := repro.GenerateWorkload(repro.WorkloadOptions{Schema: *schema, N: *n, Seed: *seed})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	repro.Execute(qs)
 
 	if *storeDir != "" {
 		st, err := repro.OpenModelStore(*storeDir, repro.ModelStoreOptions{Retain: -1})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		set, man, err := repro.LoadLatestEstimators(st, *schema)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("snapshot v%d (%s, published by %s)\n", man.Version, man.CreatedAt.Format("2006-01-02 15:04:05"), man.Source)
+		fmt.Fprintf(stdout, "snapshot v%d (%s, published by %s)\n", man.Version, man.CreatedAt.Format("2006-01-02 15:04:05"), man.Source)
 		// One multi-resource pass: features extracted once per node,
 		// fanned out across every resource's model.
 		preds := set.EstimateQueriesAll(qs)
 		for _, res := range set.Resources() {
-			fmt.Printf("\n== %s ==\n", res)
+			fmt.Fprintf(stdout, "\n== %s ==\n", res)
 			single := make([]float64, len(qs))
 			for i := range qs {
 				single[i] = preds[i].Get(res)
 			}
-			report(qs, single, set.Estimator(res), *pipelines, *explain)
+			report(stdout, qs, single, set.Estimator(res), *pipelines, *explain)
 		}
-		return
+		return 0
 	}
 
 	est, err := repro.LoadFile(*modelPath)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	var preds []float64
-	if *batch {
-		preds = est.EstimateQueries(qs)
-	} else {
-		preds = make([]float64, len(qs))
-		for i, q := range qs {
-			preds[i] = est.EstimateQuery(q)
-		}
-	}
-	report(qs, preds, est, *pipelines, *explain)
+	report(stdout, qs, est.EstimateQueries(qs), est, *pipelines, *explain)
+	return 0
 }
 
 // report prints the per-query comparison table and error summary for
 // one resource.
-func report(qs []*repro.Query, preds []float64, est *repro.Estimator, pipelines, explain bool) {
+func report(w io.Writer, qs []*repro.Query, preds []float64, est *repro.Estimator, pipelines, explain bool) {
 	resName := "CPU ms"
 	if est.Resource() == repro.LogicalIO {
 		resName = "logical reads"
 	}
-	fmt.Printf("%-32s %14s %14s %8s\n", "query", "estimated", "actual", "ratio")
+	fmt.Fprintf(w, "%-32s %14s %14s %8s\n", "query", "estimated", "actual", "ratio")
 	var ests, truths []float64
 	for i, q := range qs {
 		pred := preds[i]
 		truth := q.Plan.TotalActual().Get(est.Resource())
 		ests = append(ests, pred)
 		truths = append(truths, truth)
-		fmt.Printf("%-32s %14.1f %14.1f %8.2f\n", q.Plan.Tag, pred, truth, stats.RatioErr(pred, truth))
+		fmt.Fprintf(w, "%-32s %14.1f %14.1f %8.2f\n", q.Plan.Tag, pred, truth, stats.RatioErr(pred, truth))
 		if pipelines {
 			for j, v := range est.EstimatePipelines(q.Plan) {
-				fmt.Printf("    pipeline %d: %.1f %s\n", j, v, resName)
+				fmt.Fprintf(w, "    pipeline %d: %.1f %s\n", j, v, resName)
 			}
 		}
 		if explain {
 			// Indent the breakdown table under its query row. The
 			// explanation's total is bit-identical to the estimate above.
 			for _, line := range strings.Split(strings.TrimRight(est.Explain(q.Plan).String(), "\n"), "\n") {
-				fmt.Printf("    %s\n", line)
+				fmt.Fprintf(w, "    %s\n", line)
 			}
 		}
 	}
 	res := stats.Evaluate(ests, truths)
-	fmt.Printf("\nL1 err %.3f | R<=1.5 %.1f%% | R in (1.5,2] %.1f%% | R>2 %.1f%%\n",
+	fmt.Fprintf(w, "\nL1 err %.3f | R<=1.5 %.1f%% | R in (1.5,2] %.1f%% | R>2 %.1f%%\n",
 		res.L1, res.Buckets.LE15*100, res.Buckets.Mid*100, res.Buckets.GT2*100)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "resestimate:", err)
-	os.Exit(1)
 }

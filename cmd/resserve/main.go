@@ -82,8 +82,9 @@
 // coalesced across connections into micro-batched dispatches through
 // the same worker pool and cache — responses byte-identical to
 // POST /estimate, at a fraction of the per-request overhead. See the
-// README's "Streaming protocol" section for the frame layout,
-// coalescing bounds and a client example.
+// README's "Streaming protocol" section for the frame layout, the
+// coalescing rule (send at once when nothing for the route is
+// outstanding, accumulate while something is) and a client example.
 //
 // Observability: requests are stage-timed (decode, queue wait, cache
 // probe, predict, encode) into lock-free latency histograms and carry

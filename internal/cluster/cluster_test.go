@@ -585,9 +585,6 @@ func TestFleetRetrainConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := rloop.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	n, err := fw.ForwardNow()
 	if err != nil {

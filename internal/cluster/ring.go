@@ -20,6 +20,8 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
+
+	"repro/internal/xrand"
 )
 
 // defaultVnodes is the virtual-node count per replica. 128 points per
@@ -85,18 +87,7 @@ func NewRing(names []string, vnodes int) *Ring {
 func hashKey(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return mix64(h.Sum64())
-}
-
-// mix64 is splitmix64's finalizer (Steele et al.), a full-avalanche
-// bijection on uint64.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return xrand.Mix64(h.Sum64())
 }
 
 // Members returns the replica names on the ring.

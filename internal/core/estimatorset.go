@@ -13,8 +13,8 @@ import (
 // combined models per resource (CPU time, logical I/O); a client that
 // wants both should not pay two feature extractions and two dispatches
 // for the same plan — the feature vector of a node is a function of the
-// plan and the feature mode only, never of the resource. PredictAll and
-// PredictAllBatch therefore extract (or accept) features once and fan
+// plan and the feature mode only, never of the resource.
+// PredictAllBatch therefore accepts features extracted once and fans
 // the same vectors out across every member estimator's compiled tree
 // slabs.
 //
@@ -77,17 +77,6 @@ func (s *EstimatorSet) Estimator(k plan.ResourceKind) *Estimator {
 		return nil
 	}
 	return s.ests[k]
-}
-
-// PredictAll estimates one operator's usage of every resource in the
-// set from a single feature vector. Components for resources outside
-// the set are zero.
-func (s *EstimatorSet) PredictAll(kind plan.OpKind, v *features.Vector) plan.Resources {
-	var out plan.Resources
-	for _, r := range s.kinds {
-		out.Set(r, s.ests[r].PredictVector(kind, v))
-	}
-	return out
 }
 
 // PredictAllBatch estimates many operators across every resource in the

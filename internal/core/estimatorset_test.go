@@ -38,8 +38,8 @@ func trainedEstimatorPair(t *testing.T) (cpu, io *Estimator, test []*plan.Plan) 
 }
 
 // TestEstimatorSetMatchesMembers is the multi-resource equivalence
-// property: every per-resource component of PredictAll /
-// PredictAllBatch / PredictPlanAll / PredictPlansAll must equal the
+// property: every per-resource component of PredictAllBatch /
+// PredictPlanAll / PredictPlansAll must equal the
 // member estimator's own prediction bit for bit — the fan-out shares
 // inputs, never arithmetic.
 func TestEstimatorSetMatchesMembers(t *testing.T) {
@@ -57,17 +57,6 @@ func TestEstimatorSetMatchesMembers(t *testing.T) {
 	for i, p := range test {
 		for j, n := range p.Nodes() {
 			kinds[offs[i]+j] = n.Kind
-		}
-	}
-
-	// Per-node single fan-out.
-	for i := range vecs {
-		got := set.PredictAll(kinds[i], &vecs[i])
-		wantCPU := cpu.PredictVector(kinds[i], &vecs[i])
-		wantIO := io.PredictVector(kinds[i], &vecs[i])
-		if math.Float64bits(got.CPU) != math.Float64bits(wantCPU) ||
-			math.Float64bits(got.IO) != math.Float64bits(wantIO) {
-			t.Fatalf("node %d (%s): PredictAll %+v != members (%v, %v)", i, kinds[i], got, wantCPU, wantIO)
 		}
 	}
 

@@ -23,9 +23,9 @@ import (
 // Crash safety: each record is written straight through to the OS in
 // one write under the shard lock — no user-space buffering — so once
 // Append returns, a process crash loses at most a record torn by the
-// crash itself (power loss is additionally bounded by Sync). On open,
-// the tail segment of every shard is scanned and truncated back to the
-// last valid record boundary.
+// crash itself. Nothing here fsyncs: a power loss can cost the tail the
+// OS had not written back. On open, the tail segment of every shard is
+// scanned and truncated back to the last valid record boundary.
 type Log struct {
 	opts   LogOptions
 	shards []*logShard
@@ -224,12 +224,6 @@ func (s *logShard) rotate() error {
 	return nil
 }
 
-// Flush is a no-op for durability against process crashes — Append
-// writes through to the OS — and is kept for callers that flush before
-// replaying. Nothing here fsyncs: a power loss can cost the tail the OS
-// had not written back, which replay then truncates like any torn tail.
-func (l *Log) Flush() error { return nil }
-
 // Close closes every shard. Appends after Close fail with ErrClosed.
 func (l *Log) Close() error {
 	var first error
@@ -254,9 +248,6 @@ func (l *Log) Close() error {
 // replay without error — that is the expected post-crash state. fn
 // errors abort the replay. Returns the number of observations replayed.
 func (l *Log) Replay(fn func(*Observation) error) (int, error) {
-	if err := l.Flush(); err != nil {
-		return 0, err
-	}
 	return ReplayDir(l.opts.Dir, fn)
 }
 

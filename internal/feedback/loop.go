@@ -374,16 +374,8 @@ func factorError(predicted, actual float64) float64 {
 // retrain has either published or been rejected once Quiesce returns).
 func (l *Loop) Quiesce() { l.wg.Wait() }
 
-// Flush pushes buffered log records to the OS.
-func (l *Loop) Flush() error {
-	if l.log == nil {
-		return nil
-	}
-	return l.log.Flush()
-}
-
-// Close stops ingestion, waits for in-flight retrains, and flushes and
-// closes the observation log. Safe to call twice.
+// Close stops ingestion, waits for in-flight retrains, and closes the
+// observation log. Safe to call twice.
 func (l *Loop) Close() error {
 	l.mu.Lock()
 	already := l.closed

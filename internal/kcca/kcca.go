@@ -114,16 +114,3 @@ func (m *Model) Predict(x []float64) float64 {
 	}
 	return s / float64(k)
 }
-
-// MaxTrainTarget returns the largest training resource value — by
-// construction an upper bound on any prediction, the failure mode the
-// paper's robustness argument starts from.
-func (m *Model) MaxTrainTarget() float64 {
-	mx := math.Inf(-1)
-	for _, v := range m.ys {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}

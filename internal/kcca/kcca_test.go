@@ -49,16 +49,17 @@ func TestPredictionsBoundedByTrainingMax(t *testing.T) {
 	rng := xrand.New(2)
 	var xs [][]float64
 	var ys []float64
+	maxY := math.Inf(-1)
 	for i := 0; i < 200; i++ {
 		v := rng.Range(0, 10)
 		xs = append(xs, []float64{v})
 		ys = append(ys, 100*v)
+		maxY = math.Max(maxY, 100*v)
 	}
 	m, err := Train(xs, ys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxY := m.MaxTrainTarget()
 	huge := m.Predict([]float64{1e6})
 	if huge > maxY {
 		t.Fatalf("kNN predicted %v beyond training max %v", huge, maxY)

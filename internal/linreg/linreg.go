@@ -108,24 +108,6 @@ func Train(x [][]float64, y []float64, cfg Config) (*Model, error) {
 	return &Model{Features: selected, Weights: bestW}, nil
 }
 
-// TrainAll fits an ordinary least-squares model over every feature
-// (no selection).
-func TrainAll(x [][]float64, y []float64, ridge float64) (*Model, error) {
-	n := len(x)
-	if n == 0 || len(y) != n {
-		return nil, errors.New("linreg: empty or mismatched training data")
-	}
-	w, err := stats.LeastSquares(x, y, ridge)
-	if err != nil {
-		return nil, err
-	}
-	feats := make([]int, len(x[0]))
-	for i := range feats {
-		feats[i] = i
-	}
-	return &Model{Features: feats, Weights: w}, nil
-}
-
 // Predict evaluates the model on a full feature vector.
 func (m *Model) Predict(x []float64) float64 {
 	y := m.Weights[0]

@@ -103,28 +103,11 @@ func TestConstantTargetSelectsNothing(t *testing.T) {
 	}
 }
 
-func TestTrainAll(t *testing.T) {
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 50; i++ {
-		v := float64(i)
-		xs = append(xs, []float64{v, v * v})
-		ys = append(ys, 1+2*v+0.5*v*v)
-	}
-	m, err := TrainAll(xs, ys, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Predict([]float64{10, 100}); math.Abs(got-71) > 0.01 {
-		t.Fatalf("TrainAll predict = %v, want 71", got)
-	}
-}
-
 func TestTrainErrors(t *testing.T) {
 	if _, err := Train(nil, nil, DefaultConfig()); err == nil {
 		t.Fatal("empty data accepted")
 	}
-	if _, err := TrainAll([][]float64{{1}}, []float64{1, 2}, 0); err == nil {
+	if _, err := Train([][]float64{{1}}, []float64{1, 2}, DefaultConfig()); err == nil {
 		t.Fatal("mismatched data accepted")
 	}
 }

@@ -136,14 +136,6 @@ func (s *ErrorHistogramSnapshot) Quantile(q float64) float64 {
 	return float64(mag) / logRatioScale
 }
 
-// AbsQuantile returns the q-quantile of |e| — the error magnitude
-// regardless of direction — by merging the two halves.
-func (s *ErrorHistogramSnapshot) AbsQuantile(q float64) float64 {
-	merged := s.Under
-	merged.Merge(&s.Over)
-	return float64(merged.Quantile(q)) / logRatioScale
-}
-
 // ErrorSummary condenses an error snapshot to the quantiles dashboards
 // want. Quantiles are signed log-ratios; MaxAbs is the largest
 // magnitude either way.

@@ -29,9 +29,6 @@ func TestErrorHistogramSignedQuantiles(t *testing.T) {
 	if p50 := s.Quantile(0.50); math.Abs(p50) > ln2*1.125 {
 		t.Fatalf("p50 = %v, want within ±%v", p50, ln2)
 	}
-	if aq := s.AbsQuantile(0.90); math.Abs(aq-ln2) > 0.125*ln2 {
-		t.Fatalf("abs p90 = %v, want ~%v", aq, ln2)
-	}
 }
 
 func TestErrorHistogramSkewedPopulation(t *testing.T) {
@@ -113,7 +110,7 @@ func TestErrorHistogramNilAndEmpty(t *testing.T) {
 	h.Observe(1)         // must not panic
 	h.ObserveRatio(2, 1) // must not panic
 	s := h.Snapshot()
-	if s.Count() != 0 || s.Quantile(0.5) != 0 || s.AbsQuantile(0.9) != 0 {
+	if s.Count() != 0 || s.Quantile(0.5) != 0 {
 		t.Fatalf("nil histogram snapshot not empty: %+v", s)
 	}
 	sum := s.Summarize()

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // ErrUnknownOp marks a wire plan naming an operator kind this build
@@ -182,17 +181,6 @@ func encodeStd(p *Plan) ([]byte, error) {
 	return json.Marshal(&Wire{Version: WireVersion, Tag: p.Tag, Root: toWire(p.Root)})
 }
 
-// WriteJSON writes the wire encoding followed by a newline.
-func WriteJSON(w io.Writer, p *Plan) error {
-	data, err := EncodeJSON(p)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
 // DecodeJSON parses a wire-format plan, re-numbers its nodes in preorder
 // and validates the structural invariants (child counts, leaf table
 // stats, non-negative cardinalities). Canonically shaped input — what
@@ -228,13 +216,4 @@ func decodeStd(data []byte) (*Plan, error) {
 		return nil, fmt.Errorf("plan: decode: %w", err)
 	}
 	return p, nil
-}
-
-// ReadJSON decodes one wire-format plan from r (whole stream).
-func ReadJSON(r io.Reader) (*Plan, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("plan: read: %w", err)
-	}
-	return DecodeJSON(data)
 }

@@ -385,11 +385,3 @@ func (p *Plan) String() string {
 	rec(p.Root, 0)
 	return b.String()
 }
-
-// OpCounts returns the number of operators per kind — the plan-template
-// feature set of related work ([15]), used by the KCCA-style baseline.
-func (p *Plan) OpCounts() map[OpKind]int {
-	m := make(map[OpKind]int)
-	p.Walk(func(n *Node) { m[n.Kind]++ })
-	return m
-}

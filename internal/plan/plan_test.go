@@ -252,13 +252,6 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-func TestOpCounts(t *testing.T) {
-	m := buildTestPlan().OpCounts()
-	if m[TableScan] != 2 || m[HashJoin] != 1 || m[Sort] != 1 || m[Filter] != 1 {
-		t.Fatalf("OpCounts = %v", m)
-	}
-}
-
 func TestCardinalityBytes(t *testing.T) {
 	c := Cardinality{Rows: 10, Width: 8}
 	if c.Bytes() != 80 {

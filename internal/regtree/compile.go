@@ -49,9 +49,6 @@ func Compile(m *Model) *Compiled {
 	return c
 }
 
-// NumStages returns the number of compiled boosting stages.
-func (c *Compiled) NumStages() int { return len(c.stages) }
-
 // evalStage mirrors stage.eval on the flattened segments.
 func (c *Compiled) evalStage(st *cstage, v float64) float64 {
 	segs := c.segs[st.off : st.off+st.n]
@@ -73,23 +70,6 @@ func (c *Compiled) Predict(x []float64) float64 {
 		y += c.rate * c.evalStage(st, x[st.feature])
 	}
 	return y
-}
-
-// PredictMargins evaluates one feature vector like Predict while
-// recording the cumulative prediction after each boosting stage:
-// margins[i] is the output of the first i+1 stages (base included), so
-// the last margin is the final prediction, bit-identical to Predict
-// (the same float operations in the same order). Margins are appended
-// to dst; the final prediction is also returned directly so a model
-// with zero stages still reports its base.
-func (c *Compiled) PredictMargins(x []float64, dst []float64) ([]float64, float64) {
-	y := c.base
-	for i := range c.stages {
-		st := &c.stages[i]
-		y += c.rate * c.evalStage(st, x[st.feature])
-		dst = append(dst, y)
-	}
-	return dst, y
 }
 
 // PredictBatch evaluates every row of xs into out (parallel slices,

@@ -19,8 +19,8 @@ func TestCompiledBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Compile(m)
-	if c.NumStages() != len(m.Stages) {
-		t.Fatalf("compiled %d stages, model has %d", c.NumStages(), len(m.Stages))
+	if len(c.stages) != len(m.Stages) {
+		t.Fatalf("compiled %d stages, model has %d", len(c.stages), len(m.Stages))
 	}
 
 	rng := xrand.New(17)

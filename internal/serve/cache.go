@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/plan"
+	"repro/internal/xrand"
 )
 
 // The prediction cache memoizes per-operator predictions across
@@ -44,9 +45,10 @@ type cacheKey struct {
 
 // hash is a word-wise FNV-1a variant over the key, used only to pick a
 // shard. Mixing whole 64-bit words (instead of the byte-wise textbook
-// form) cuts the per-probe hashing cost by ~8x on these 200+-byte keys;
-// the final fold spreads the high bits into the low ones the shard
-// index is taken from.
+// form) cuts the per-probe hashing cost by ~8x on these 200+-byte keys.
+// FNV's multiply only carries differences upward, so keys that differ
+// in floats with zero low mantissa bits (small integers) agree in the
+// low bits the shard index is taken from; the finalizer avalanches them.
 func (k *cacheKey) hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -60,7 +62,7 @@ func (k *cacheKey) hash() uint64 {
 	for _, f := range k.vec {
 		h = (h ^ math.Float64bits(f)) * prime64
 	}
-	return h ^ (h >> 32)
+	return xrand.Mix64(h)
 }
 
 // memoizable reports whether the key can be looked up again: a NaN

@@ -353,7 +353,7 @@ func TestStorePublishRestoreRollback(t *testing.T) {
 
 	// Process 2: a fresh registry (simulated restart) restores from the
 	// same store.
-	st2, err := store.Open(dir, store.Options{})
+	st2, err := store.Open(dir, store.Options{Retain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,9 +400,13 @@ func TestStorePublishRestoreRollback(t *testing.T) {
 	}
 
 	// GC pressure must never remove the snapshot a rollback serves
-	// from: the registry pinned it.
-	if !st2.Pinned("tpch", rb.Snapshot) {
-		t.Fatalf("serving snapshot v%d not pinned after rollback", rb.Snapshot)
+	// from: the registry pinned it and the serving record names it, so
+	// it outlives a retention of one.
+	if _, err := st2.GC(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st2.Manifest(rb.Snapshot); err != nil {
+		t.Fatalf("serving snapshot v%d gone after GC: %v", rb.Snapshot, err)
 	}
 
 	// Process 3: a restart *after* the rollback must resume the

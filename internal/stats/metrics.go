@@ -104,22 +104,6 @@ func Evaluate(est, truth []float64) EvalResult {
 	}
 }
 
-// MSE returns the mean squared error between two parallel slices.
-func MSE(est, truth []float64) float64 {
-	if len(est) != len(truth) {
-		panic("stats: MSE slice length mismatch")
-	}
-	if len(est) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range est {
-		d := est[i] - truth[i]
-		s += d * d
-	}
-	return s / float64(len(est))
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(x []float64) float64 {
 	if len(x) == 0 {

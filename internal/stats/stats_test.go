@@ -220,15 +220,6 @@ func TestFitScalar(t *testing.T) {
 	}
 }
 
-func TestMSE(t *testing.T) {
-	if got := MSE([]float64{1, 2}, []float64{1, 4}); !almost(got, 2, 1e-12) {
-		t.Errorf("MSE = %v", got)
-	}
-	if MSE(nil, nil) != 0 {
-		t.Error("MSE(nil) != 0")
-	}
-}
-
 func TestQuantileMatchesSort(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {

@@ -577,18 +577,6 @@ func (s *Store) loadSlab(v uint64, e ModelEntry, r plan.ResourceKind) (*core.Est
 // corrupt ones (each skip is logged). ErrNotFound when the schema has
 // no snapshot at all; ErrCorrupt when snapshots exist but none loads.
 func (s *Store) LoadLatest(schema string) (*Loaded, error) {
-	return s.latestBelow(schema, ^uint64(0), -1)
-}
-
-// LatestBefore loads the newest intact snapshot for schema with
-// version < before that contains a model for resource r — the
-// store-backed rollback step.
-func (s *Store) LatestBefore(schema string, before uint64, r plan.ResourceKind) (*Loaded, error) {
-	return s.latestBelow(schema, before, r)
-}
-
-// latestBelow walks versions descending. r < 0 means any resource set.
-func (s *Store) latestBelow(schema string, before uint64, r plan.ResourceKind) (*Loaded, error) {
 	vs, err := s.versions()
 	if err != nil {
 		return nil, err
@@ -597,9 +585,6 @@ func (s *Store) latestBelow(schema string, before uint64, r plan.ResourceKind) (
 	var lastErr error
 	for i := len(vs) - 1; i >= 0; i-- {
 		v := vs[i]
-		if v >= before {
-			continue
-		}
 		man, err := s.Manifest(v)
 		if err != nil {
 			lastErr = err
@@ -608,11 +593,6 @@ func (s *Store) latestBelow(schema string, before uint64, r plan.ResourceKind) (
 		}
 		if man.Schema != schema {
 			continue
-		}
-		if r >= 0 {
-			if _, ok := man.Resource(r.WireName()); !ok {
-				continue
-			}
 		}
 		found = true
 		loaded, err := s.LoadVersion(v)
@@ -702,14 +682,6 @@ func (s *Store) SetPins(schema string, versions ...uint64) {
 		}
 	}
 	s.pins[schema] = set
-}
-
-// Pinned reports whether schema's version v is pinned.
-func (s *Store) Pinned(schema string, v uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.pins[schema][v]
-	return ok
 }
 
 // GC enforces the retention bound: per schema, the newest Retain

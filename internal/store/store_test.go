@@ -332,33 +332,3 @@ func TestChecksumTamperDetected(t *testing.T) {
 		t.Fatalf("tampered load yielded %v, want ErrCorrupt", err)
 	}
 }
-
-// TestLatestBeforeWalksSchemaAndResource exercises the rollback probe:
-// snapshots of other schemas and snapshots missing the resource are
-// skipped.
-func TestLatestBeforeWalksSchemaAndResource(t *testing.T) {
-	setup(t)
-	st := openStore(t, t.TempDir(), Options{})
-	mustPublish := func(schema string, models map[plan.ResourceKind]*core.Estimator) uint64 {
-		man, err := st.Publish(Snapshot{Schema: schema, Models: models})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return man.Version
-	}
-	v1 := mustPublish("tpch", map[plan.ResourceKind]*core.Estimator{plan.CPUTime: cpuEst})
-	mustPublish("tpcds", map[plan.ResourceKind]*core.Estimator{plan.CPUTime: cpuEstB})
-	mustPublish("tpch", map[plan.ResourceKind]*core.Estimator{plan.LogicalIO: ioEst})
-	v4 := mustPublish("tpch", map[plan.ResourceKind]*core.Estimator{plan.CPUTime: cpuEstB})
-
-	got, err := st.LatestBefore("tpch", v4, plan.CPUTime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Manifest.Version != v1 {
-		t.Fatalf("LatestBefore found v%d, want v%d (skipping other schema and io-only snapshots)", got.Manifest.Version, v1)
-	}
-	if _, err := st.LatestBefore("tpch", v1, plan.CPUTime); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("walk below the oldest yielded %v, want ErrNotFound", err)
-	}
-}

@@ -10,22 +10,18 @@ import (
 	"repro/internal/serve"
 )
 
-// The micro-batcher. Requests that are in flight at the same instant —
-// regardless of which connection carried them — are collected into
-// per-route groups and dispatched as one EstimateStream call once the
-// group fills (MaxBatch plans) or ages out (MaxWait). The wait bound
-// is the transport's whole latency bargain: a few hundred
-// microseconds of added queueing buys every coalesced request the
-// batch path's amortized extraction and tree walks, which under load
-// repays the wait many times over in queue time not spent.
-//
-// Dispatches themselves run through a slot semaphore sized to the
-// service's worker count. That is the accumulation backpressure: when
-// every slot is busy, a timer-expired group is not torn off into a
-// tiny batch queued behind a saturated pool — it stays in the map,
-// keeps absorbing arrivals up to MaxBatch, and leaves only when a slot
-// frees. Under sustained load the realized fill converges on MaxBatch
-// instead of on (arrival rate × MaxWait).
+// The micro-batcher. Requests in flight at the same instant — whichever
+// connection carried them — are collected into per-route groups, and
+// one rule decides when a group leaves as one EstimateStream call: send
+// when nothing for the key is outstanding, accumulate while something
+// is (Nagle's rule, RFC 896). A lone request on an idle server leaves
+// at once; under load whatever arrives during one dispatch rides the
+// next, so the fill follows the traffic with no timer guessing at it.
+
+// maxBatch bounds a dispatch's plan count: past it the batch path's
+// per-plan amortization has flattened and a bigger batch only adds
+// queueing for its first member.
+const maxBatch = 64
 
 // groupKey routes a request to its coalescing group. Requests can only
 // share a dispatch when they share everything the batch entry point
@@ -44,52 +40,25 @@ type pending struct {
 	enq  time.Time
 }
 
-// group accumulates pending requests for one key until flush.
+// group accumulates one key's pending requests between dispatches.
 type group struct {
 	key     groupKey
 	kinds   []plan.ResourceKind
 	members []pending
-	timer   *time.Timer
-	// holds counts MaxWait extensions granted by the adaptive hold
-	// (see flush); bounded so the hold can never stall a request past
-	// (1+maxHolds)×MaxWait. lastLen is the member count at the last
-	// timer fire — growth since then is the hold's evidence that the
-	// arrival stream is still flowing.
-	holds   int
-	lastLen int
 }
-
-// maxHolds bounds the adaptive hold: an under-filled group still
-// receiving arrivals re-arms its MaxWait timer at most this many
-// times, so the total coalescing wait stays ≤ 32×MaxWait (8ms at the
-// default) — well below the queueing delay the backlog driving those
-// holds implies at that load. holdTarget (fraction of MaxBatch,
-// expressed as numerator/denominator) is where holding stops paying:
-// past ~3/4 full the batch path's per-plan amortization has flattened,
-// and the tail of a fill is better spent starting the next group.
-const (
-	maxHolds        = 31
-	holdTargetNum   = 3
-	holdTargetDenom = 4
-)
 
 type batcher struct {
 	srv *Server
-	// slots caps concurrent dispatches (see the package comment); a
-	// dispatch holds its slot only through the service call, releasing
-	// before the response fan-out so the pool never idles on our writes.
+	// slots caps concurrent dispatches at the service's worker count:
+	// while every slot is busy a group keeps absorbing arrivals instead
+	// of queueing a sliver behind a saturated pool. A dispatch holds its
+	// slot only through the service call, releasing before the response
+	// fan-out so the pool never idles on our writes.
 	slots chan struct{}
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// groups holds a key exactly while a runner (run) is alive for it.
 	groups map[groupKey]*group
-}
-
-func newBatcher(srv *Server, maxDispatches int) *batcher {
-	return &batcher{
-		srv:    srv,
-		slots:  make(chan struct{}, maxDispatches),
-		groups: make(map[groupKey]*group),
-	}
 }
 
 // canonicalResources builds the group key's resource component from
@@ -103,95 +72,66 @@ func canonicalResources(kinds []plan.ResourceKind) string {
 	return strings.Join(names, ",")
 }
 
-// enqueue adds one decoded request to its coalescing group. The first
-// member arms the group's MaxWait timer; the MaxBatch-th dispatches
-// immediately. Never blocks on the pool — dispatch runs on its own
-// goroutine so the caller (a connection's read loop) keeps draining
-// frames, which is what keeps cross-connection batches full.
+// enqueue adds one decoded request to its key's group and starts the
+// key's runner if it has none; the maxBatch-th member tears the group's
+// members off to dispatch on their own goroutine. Never blocks on the
+// pool, so the caller (a connection's read loop) keeps draining frames,
+// which is what lets arrivals from every connection share a group.
 func (b *batcher) enqueue(conn *Conn, seq uint64, kinds []plan.ResourceKind, p *plan.Plan, timeoutMS int, schema string) {
 	key := groupKey{schema: schema, resources: canonicalResources(kinds), timeoutMS: timeoutMS}
 	b.mu.Lock()
-	g, ok := b.groups[key]
-	if !ok {
-		g = &group{key: key, kinds: kinds, members: make([]pending, 0, b.srv.opts.MaxBatch)}
+	defer b.mu.Unlock()
+	g, running := b.groups[key]
+	if !running {
+		g = &group{key: key, kinds: kinds}
 		b.groups[key] = g
-		g.timer = time.AfterFunc(b.srv.opts.MaxWait, func() { b.flush(g) })
+		go b.run(g)
 	}
 	g.members = append(g.members, pending{conn: conn, seq: seq, plan: p, enq: time.Now()})
-	if len(g.members) >= b.srv.opts.MaxBatch {
-		delete(b.groups, key)
-		g.timer.Stop()
-		b.mu.Unlock()
+	if len(g.members) == maxBatch {
+		full := g.members
+		g.members = nil
 		go func() {
 			b.slots <- struct{}{}
-			b.dispatch(g)
+			b.dispatch(g, full)
 		}()
-		return
 	}
-	b.mu.Unlock()
 }
 
-// flush is the group's timer path: the group is now old enough to
-// dispatch, but it leaves the map only once a dispatch slot is free —
-// until then it stays put and keeps coalescing arrivals. Pointer
-// identity guards the race with a size-bound dispatch: if the group
-// already left the map (and a same-key successor may sit in its
-// place), this goroutine finds someone else's group and must not touch
-// it.
-func (b *batcher) flush(g *group) {
-	b.mu.Lock()
-	if b.groups[g.key] != g {
+// run is one key's runner: it dispatches whatever the group holds each
+// time it gets a slot, so members accumulate exactly while it waits for
+// one or has a dispatch in flight, and exits — dropping the key — when
+// a slot finds the group empty.
+func (b *batcher) run(g *group) {
+	for {
+		b.slots <- struct{}{}
+		b.mu.Lock()
+		members := g.members
+		g.members = nil
+		if len(members) == 0 {
+			delete(b.groups, g.key)
+			b.mu.Unlock()
+			<-b.slots
+			return
+		}
 		b.mu.Unlock()
-		return
+		b.dispatch(g, members)
 	}
-	// Adaptive hold: an under-filled group that is still actively
-	// growing re-arms instead of dispatching tiny. Without this, a
-	// saturated server settles into a bad equilibrium — every MaxWait
-	// it tears off whatever trickled in (arrival rate × MaxWait ≈ a
-	// handful), pays full per-dispatch overhead on each sliver, and the
-	// wasted overhead is precisely what keeps the arrival trickle slow.
-	// The signal is local and self-clocking: ≥2 new members since the
-	// last fire proves an arrival stream worth waiting for, so holds
-	// continue exactly as long as the stream does. A lone request can
-	// pay at most one extra MaxWait (its group's first fire sees growth
-	// 1 and dispatches).
-	grew := len(g.members) - g.lastLen
-	g.lastLen = len(g.members)
-	if g.holds < maxHolds && len(g.members) < b.srv.opts.MaxBatch*holdTargetNum/holdTargetDenom && grew >= 2 {
-		g.holds++
-		b.srv.holds.Add(1)
-		g.timer.Reset(b.srv.opts.MaxWait)
-		b.mu.Unlock()
-		return
-	}
-	b.mu.Unlock()
-	b.slots <- struct{}{} // group keeps absorbing arrivals while we wait
-	b.mu.Lock()
-	if b.groups[g.key] != g {
-		// Filled to MaxBatch while waiting; the enqueue path owns it now
-		// (with its own slot claim).
-		b.mu.Unlock()
-		<-b.slots
-		return
-	}
-	delete(b.groups, g.key)
-	b.mu.Unlock()
-	b.dispatch(g)
 }
 
-// dispatch runs one coalesced group through the serving pool and fans
-// the per-plan responses (or one shared error) back to each member's
-// connection, matched by sequence ID. The caller must hold a dispatch
-// slot; dispatch releases it when the service call returns.
-func (b *batcher) dispatch(g *group) {
+// dispatch runs members, all of g's key, through the serving pool and
+// fans the per-plan responses (or one shared error) back to each
+// member's connection, matched by sequence ID. The caller must hold a
+// dispatch slot; dispatch releases it when the service call returns.
+func (b *batcher) dispatch(g *group, members []pending) {
 	srv := b.srv
-	wait := time.Since(g.members[0].enq)
+	wait := time.Since(members[0].enq)
 	srv.dispatches.Add(1)
-	srv.batchFill.Observe(len(g.members))
+	srv.batchFill.Observe(len(members))
 	srv.coalesceWait.Observe(wait)
 
-	plans := make([]*plan.Plan, len(g.members))
-	for i, m := range g.members {
+	plans := make([]*plan.Plan, len(members))
+	for i, m := range members {
 		plans[i] = m.plan
 	}
 	resps, err := srv.opts.Service.EstimateStream(context.Background(), serve.BatchRequest{
@@ -206,12 +146,12 @@ func (b *batcher) dispatch(g *group) {
 		// timeout failure is every member's failure; fan the same
 		// envelope — HTTP status codes and all — to each.
 		_, code := serve.ErrorCode(err)
-		for _, m := range g.members {
+		for _, m := range members {
 			srv.sendError(m.conn, m.seq, err.Error(), code)
 		}
 		return
 	}
-	for i, m := range g.members {
+	for i, m := range members {
 		srv.sendResponse(m.conn, m.seq, resps[i])
 	}
 }

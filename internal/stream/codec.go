@@ -12,7 +12,9 @@
 // batches. The stream transport recovers that speedup for clients
 // that cannot batch: each connection keeps its one-request-at-a-time
 // call pattern, and the server's micro-batcher assembles the batch
-// across connections instead.
+// across connections instead, by one rule: a request is sent on at once
+// when nothing for its route is outstanding and joins the next batch
+// while something is, so a lone caller never waits for company.
 //
 // Frame layout: the {magic "RST1", payload length, CRC-32} header of
 // internal/frame — the one the observation log also writes — in front

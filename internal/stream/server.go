@@ -16,21 +16,6 @@ import (
 type Options struct {
 	// Service handles the coalesced dispatches. Required by Start.
 	Service *serve.Service
-	// MaxBatch bounds a coalesced dispatch's plan count. 0 selects 64 —
-	// past that the batch path's per-plan amortization has flattened
-	// and a bigger batch only adds queueing for its first member.
-	MaxBatch int
-	// MaxWait bounds how long the first request of a group waits for
-	// company before dispatching alone. 0 selects 250µs. This is the
-	// transport's latency floor under light load and its throughput
-	// lever under heavy load.
-	MaxWait time.Duration
-	// MaxDispatches caps how many coalesced dispatches may be inside
-	// the service at once. 0 selects the service's worker count. While
-	// every slot is busy, timer-expired groups stay in the batcher and
-	// keep absorbing arrivals (up to MaxBatch) instead of queueing tiny
-	// batches behind a saturated pool.
-	MaxDispatches int
 	// IdleTimeout reaps connections with no inbound frame (default 5m);
 	// the reap lands between 1× and 1.5× the bound (the deadline is
 	// re-armed lazily, not per frame). Streams are long-lived by
@@ -53,12 +38,6 @@ type Options struct {
 const defaultWriteTimeout = 30 * time.Second
 
 func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 250 * time.Microsecond
-	}
 	if o.IdleTimeout <= 0 {
 		o.IdleTimeout = 5 * time.Minute
 	}
@@ -84,8 +63,8 @@ type Stats struct {
 	Errors    uint64 `json:"errors"`
 	// Dispatches counts coalesced micro-batches sent through the pool;
 	// Requests/Dispatches is the realized average batch fill. Holds
-	// counts MaxWait extensions granted to under-filled groups under
-	// backlog (the adaptive coalescing hold).
+	// reads 0: nothing holds a group since the MaxWait timer and its
+	// extensions went; the field stays for the benchmark that reads it.
 	Dispatches uint64 `json:"dispatches"`
 	Holds      uint64 `json:"holds"`
 }
@@ -101,7 +80,6 @@ type Server struct {
 	responses  atomic.Uint64
 	sendErrors atomic.Uint64
 	dispatches atomic.Uint64
-	holds      atomic.Uint64
 
 	batchFill      obs.IntHistogram
 	framesPerWrite obs.IntHistogram
@@ -116,13 +94,7 @@ func Start(addr string, opts Options) (*Server, error) {
 		return nil, errors.New("stream: Options.Service is required")
 	}
 	s := &Server{opts: opts.withDefaults()}
-	maxDispatches := s.opts.MaxDispatches
-	if maxDispatches <= 0 {
-		if maxDispatches = opts.Service.Workers(); maxDispatches <= 0 {
-			maxDispatches = 1
-		}
-	}
-	s.batcher = newBatcher(s, maxDispatches)
+	s.batcher = &batcher{srv: s, slots: make(chan struct{}, opts.Service.Workers()), groups: make(map[groupKey]*group)}
 	l, err := Listen(addr, s.opts, &s.framesPerWrite, s.handleEstimate)
 	if err != nil {
 		return nil, err
@@ -140,7 +112,6 @@ func (s *Server) Stats() Stats {
 		Responses:  s.responses.Load(),
 		Errors:     s.sendErrors.Load(),
 		Dispatches: s.dispatches.Load(),
-		Holds:      s.holds.Load(),
 	}
 }
 

@@ -220,7 +220,7 @@ func TestStreamMatchesHTTPBitIdentical(t *testing.T) {
 // and a request the server refuses still gets its own error.
 func TestStreamHandlerKeepsNothingOfBody(t *testing.T) {
 	t.Cleanup(stream.ScribbleAfterHandle())
-	svc, srv := newStream(t, serve.Options{}, stream.Options{MaxWait: 2 * time.Millisecond})
+	svc, srv := newStream(t, serve.Options{}, stream.Options{})
 	httpSrv := httptest.NewServer(svc.Handler())
 	t.Cleanup(httpSrv.Close)
 	cl := dial(t, srv)
@@ -484,7 +484,7 @@ func TestStreamUnknownSchema(t *testing.T) {
 // concurrent single estimates from many connections dispatch in fewer,
 // fuller batches.
 func TestStreamCoalescesAcrossConnections(t *testing.T) {
-	_, srv := newStream(t, serve.Options{}, stream.Options{MaxWait: 2 * time.Millisecond})
+	_, srv := newStream(t, serve.Options{}, stream.Options{})
 	const conns, perConn = 16, 10
 	var wg sync.WaitGroup
 	start := make(chan struct{})

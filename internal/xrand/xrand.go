@@ -36,16 +36,19 @@ func New(seed uint64) *Rand {
 func (r *Rand) Split(name string) *Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return New(r.state ^ mix(h.Sum64()))
+	return New(r.state ^ Mix64(h.Sum64()))
 }
 
 // SplitN derives an independent child generator keyed by an integer,
 // useful for per-item streams (per query, per table).
 func (r *Rand) SplitN(n uint64) *Rand {
-	return New(r.state ^ mix(n*0x9E3779B97F4A7C15+0x123456789ABCDEF))
+	return New(r.state ^ Mix64(n*0x9E3779B97F4A7C15+0x123456789ABCDEF))
 }
 
-func mix(z uint64) uint64 {
+// Mix64 is SplitMix64's finalizer (Steele et al.), a full-avalanche
+// bijection on uint64: the generator's output function, and what the
+// serving cache and the router's ring finish their FNV hashes with.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
@@ -54,7 +57,7 @@ func mix(z uint64) uint64 {
 // Uint64 returns the next 64 random bits (SplitMix64).
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9E3779B97F4A7C15
-	return mix(r.state)
+	return Mix64(r.state)
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -144,24 +147,4 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Choice returns a uniformly chosen index weighted by w (w must be
-// non-negative and not all zero).
-func (r *Rand) Choice(w []float64) int {
-	var total float64
-	for _, v := range w {
-		total += v
-	}
-	if total <= 0 {
-		panic("xrand: Choice with non-positive total weight")
-	}
-	x := r.Float64() * total
-	for i, v := range w {
-		x -= v
-		if x < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
 }

@@ -160,21 +160,6 @@ func TestPerm(t *testing.T) {
 	}
 }
 
-func TestChoiceWeighted(t *testing.T) {
-	r := New(29)
-	counts := [3]int{}
-	for i := 0; i < 30000; i++ {
-		counts[r.Choice([]float64{1, 2, 7})]++
-	}
-	if counts[2] < counts[1] || counts[1] < counts[0] {
-		t.Fatalf("Choice did not respect weights: %v", counts)
-	}
-	frac := float64(counts[2]) / 30000
-	if math.Abs(frac-0.7) > 0.03 {
-		t.Fatalf("weight-7 arm frequency %v, want ~0.7", frac)
-	}
-}
-
 func TestBool(t *testing.T) {
 	r := New(31)
 	hits := 0

@@ -430,14 +430,16 @@ func NewService(opts ServeOptions) *Service { return serve.New(opts) }
 // micro-batched dispatches through the same pool/cache path as HTTP —
 // responses stay byte-identical to POST /estimate. cmd/resserve
 // exposes it with -stream-addr; see README "Streaming protocol" for
-// the frame layout and coalescing bounds.
+// the frame layout and the coalescing rule.
 
 // Streaming types, re-exported like the serving types above.
 type (
 	// StreamServer is the coalescing streaming listener.
 	StreamServer = stream.Server
-	// StreamServerOptions bounds micro-batching (MaxBatch, MaxWait) and
-	// the per-connection idle/write deadlines.
+	// StreamServerOptions names the service and the per-connection
+	// idle/write deadlines. Micro-batching has no options: a request is
+	// sent on at once when nothing for its route is outstanding and
+	// joins the next dispatch while something is.
 	StreamServerOptions = stream.Options
 )
 
