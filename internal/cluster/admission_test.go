@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/respcache"
 	"repro/internal/stream"
 )
 
@@ -52,57 +53,6 @@ func TestAdmissionBounds(t *testing.T) {
 	relA2()
 }
 
-// TestResponseCacheTokenAndLRU pins the cache's two eviction rules:
-// token mismatch is a miss (stale model entries never serve), and
-// capacity evicts least-recently-used. Entries are keyed by request
-// body alone and carry the schema whose current token decides whether
-// they are live.
-func TestResponseCacheTokenAndLRU(t *testing.T) {
-	c := newResponseCache(2)
-	tokens := map[string]string{"s1": "v1", "s2": "v1"}
-	current := func(schema string) string { return tokens[schema] }
-
-	c.put("a", "s1", "v1", []byte("ra"))
-	if got, ok := c.get([]byte("a"), current); !ok || string(got) != "ra" {
-		t.Fatalf("get(a) under v1 = %q,%v", got, ok)
-	}
-	tokens["s1"] = "v2" // a's schema rolled; s2 did not
-	if _, ok := c.get([]byte("a"), current); ok {
-		t.Fatal("stale-token entry served")
-	}
-	tokens["s1"] = "v1"
-	c.put("b", "s2", "v1", []byte("rb"))
-	c.get([]byte("a"), current)          // a is now most recent
-	c.put("c", "s2", "v1", []byte("rc")) // evicts b
-	if _, ok := c.get([]byte("b"), current); ok {
-		t.Fatal("LRU victim still cached")
-	}
-	if _, ok := c.get([]byte("a"), current); !ok {
-		t.Fatal("recently used entry evicted")
-	}
-	hits, misses := c.stats()
-	if hits != 3 || misses != 2 {
-		t.Fatalf("stats = %d hits %d misses, want 3/2", hits, misses)
-	}
-
-	// A replica never polled reports the token "": nothing is stored
-	// under it, and an entry whose schema's primary reports it is dead.
-	c.put("d", "s3", "", []byte("rd"))
-	if _, ok := c.get([]byte("d"), current); ok {
-		t.Fatal("entry stored under the empty token served")
-	}
-	delete(tokens, "s1")
-	if _, ok := c.get([]byte("a"), current); ok {
-		t.Fatal("entry served while its schema's primary has no token")
-	}
-
-	var disabled *responseCache
-	disabled.put("x", "s1", "v1", []byte("r"))
-	if _, ok := disabled.get([]byte("x"), current); ok {
-		t.Fatal("disabled cache served an entry")
-	}
-}
-
 // discardConn is a peer that takes every write at once.
 type discardConn struct{ net.Conn }
 
@@ -117,9 +67,9 @@ func TestHitPathAllocatesNothing(t *testing.T) {
 	rt := newBareRouter(Options{})
 	rt.ring = NewRing([]string{"r1", "r2"}, 0)
 	rt.replicas = map[string]*replica{"r1": {healthy: true, token: "v1"}, "r2": {healthy: true, token: "v1"}}
-	rt.cache = newResponseCache(16)
+	rt.cache = respcache.New[string](16)
 	body := []byte(`{"schema":"tpch","resource":"cpu","plan":{}}`)
-	rt.cache.put(string(body), "tpch", "v1", []byte(`{"total":1.5}`))
+	rt.cache.Put(string(body), "tpch", "v1", []byte(`{"total":1.5}`), rt.primaryServes)
 
 	w := stream.NewFrameWriter(discardConn{}, 0, nil)
 	go func() { _ = w.Run() }()

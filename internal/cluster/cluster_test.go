@@ -413,6 +413,67 @@ func TestRouterCacheNeverServesStaleModel(t *testing.T) {
 	}
 }
 
+// TestRouterDropsFillThatRacedAPoll: the replica swaps models and a
+// /healthz poll lands while a forward is in flight, so the answer — the
+// old model's — comes back to a router that already holds the new
+// token. Filing it under that token would serve the old model's answer
+// as the new one's until eviction; it must be filed under nothing. The
+// replica advertises no stream listener, so the forward is an HTTP POST
+// the test can stand in the middle of.
+func TestRouterDropsFillThatRacedAPoll(t *testing.T) {
+	setup(t)
+	svc := serve.New(serve.Options{})
+	t.Cleanup(svc.Close)
+	svc.Registry().Publish("", cpuEst)
+	var midForward func()
+	handler := svc.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/estimate" || midForward == nil {
+			handler.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, r) // answered by the model serving now
+		midForward()
+		midForward = nil
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(hs.Close)
+	rt, rhs := newRouter(t, []*testReplica{{hs: hs}}, nil)
+
+	var swapped serve.ModelInfo
+	midForward = func() {
+		swapped = svc.Registry().Publish("", cpuEst)
+		rt.PollNow()
+	}
+	body := estimateBody(t, "tpch", testPlans[0], "cpu")
+	version := func(resp []byte) uint64 {
+		var r struct {
+			Model serve.ModelInfo `json:"model"`
+		}
+		if err := json.Unmarshal(resp, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r.Model.Version
+	}
+	if v := version(postOK(t, rhs.URL, "/estimate", body)); v >= swapped.Version {
+		t.Fatalf("the raced forward was answered by v%d, want the model before v%d", v, swapped.Version)
+	}
+	if v := version(postOK(t, rhs.URL, "/estimate", body)); v != swapped.Version {
+		t.Fatalf("repeat after the swap answered by v%d, want v%d", v, swapped.Version)
+	}
+	if m := rt.Metrics(); m.Cache.Hits != 0 {
+		t.Fatalf("the raced answer was cached and served: %+v", m.Cache)
+	}
+	if v := version(postOK(t, rhs.URL, "/estimate", body)); v != swapped.Version {
+		t.Fatalf("third serving answered by v%d, want v%d", v, swapped.Version)
+	}
+	if m := rt.Metrics(); m.Cache.Hits != 1 {
+		t.Fatalf("an answer that raced nothing was not cached: %+v", m.Cache)
+	}
+}
+
 // TestRouterKillReplicaDegradesGracefully pins failover: when a
 // replica dies, its schemas spill to the survivor and clients keep
 // getting answers — no errors once routing state catches up.

@@ -167,6 +167,13 @@ func (rp *replica) state() (healthy bool, token string) {
 	return rp.healthy, rp.token
 }
 
+// reports tells whether tok is still the token of rp's last poll: what
+// decides, once rp has answered, if the answer can be filed under it.
+func (rp *replica) reports(_, tok string) bool {
+	_, cur := rp.state()
+	return tok == cur
+}
+
 func (rp *replica) close() {
 	rp.mu.Lock()
 	pool := rp.pool

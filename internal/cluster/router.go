@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/respcache"
 	"repro/internal/serve"
 	"repro/internal/stream"
 )
@@ -44,10 +45,10 @@ type Options struct {
 	// past it spills its schemas to the next same-version replica on
 	// the ring (default 512).
 	MaxReplicaInflight int
-	// CacheEntries bounds the router-side response cache (default
-	// 4096; negative disables). Entries are keyed on the exact
-	// request body and stamped with the producing fleet's version
-	// token, so a stale model's entry can never serve.
+	// CacheEntries bounds the router's response cache (default
+	// respcache.Entries; negative disables). Entries are keyed on the
+	// exact request body and stamped with the producing replica's
+	// version token, so a stale model's entry can never serve.
 	CacheEntries int
 	// Logger receives router events (replica up/down, shed). Nil
 	// discards.
@@ -81,7 +82,7 @@ func (o *Options) withDefaults() Options {
 		out.MaxReplicaInflight = 512
 	}
 	if out.CacheEntries == 0 {
-		out.CacheEntries = 4096
+		out.CacheEntries = respcache.Entries
 	}
 	if out.Logger == nil {
 		out.Logger = slog.New(slog.DiscardHandler)
@@ -97,7 +98,7 @@ type Router struct {
 	ring     *Ring
 	replicas map[string]*replica
 	order    []string // ring member order (= configured order, deduped)
-	cache    *responseCache
+	cache    *respcache.Cache[string]
 	logger   *slog.Logger
 
 	inflight  atomic.Int64
@@ -136,7 +137,7 @@ func New(opts Options) (*Router, error) {
 		opts:      o,
 		ring:      NewRing(o.Replicas, o.Vnodes),
 		replicas:  make(map[string]*replica),
-		cache:     newResponseCache(o.CacheEntries),
+		cache:     respcache.New[string](o.CacheEntries),
 		logger:    o.Logger,
 		perClient: make(map[string]*atomic.Int64),
 		pollStop:  make(chan struct{}),
@@ -288,13 +289,13 @@ func (rt *Router) admit(client string) (release func(), ok bool) {
 	}, true
 }
 
-// primaryToken is the version token of schema's ring-primary replica:
-// the token cache lookups must match and spillover targets must
-// carry. Known even while the primary is down (last poll's value), ""
-// when never observed.
-func (rt *Router) primaryToken(schema string) string {
-	_, tok := rt.replicas[rt.ring.Pick(schema)].state()
-	return tok
+// primaryServes reports whether tok is the version token of schema's
+// ring-primary replica — the token a cache entry must carry to be
+// served. Known even while the primary is down (last poll's value), ""
+// when never observed, which no entry carries.
+func (rt *Router) primaryServes(schema, tok string) bool {
+	_, cur := rt.replicas[rt.ring.Pick(schema)].state()
+	return tok == cur
 }
 
 // pick selects the serving replica for schema: the ring-primary when
@@ -346,10 +347,9 @@ func (rt *Router) estimate(ctx context.Context, body []byte) ([]byte, *routeErro
 
 // cached looks body up in the router cache. Nothing is parsed: the
 // entry knows its schema, and is served only while its token is that
-// schema's ring-primary's current one. A primary never polled has the
-// token "", which no entry carries.
+// schema's ring-primary's current one.
 func (rt *Router) cached(body []byte) ([]byte, bool) {
-	return rt.cache.get(body, rt.primaryToken)
+	return rt.cache.Get(body, rt.primaryServes)
 }
 
 // forward routes body by its schema to a replica and caches the
@@ -364,6 +364,10 @@ func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *routeError
 		if rp == nil {
 			break
 		}
+		// The token the answer is filed under is the one rp reported
+		// before it was asked: a poll landing mid-forward moves it, and
+		// the fill is then dropped rather than guessed at.
+		_, tok := rp.state()
 		resp, rerr, transport := rt.forwardOnce(ctx, rp, body)
 		if transport != nil {
 			// The replica died mid-request (its reconnecting pool
@@ -388,8 +392,7 @@ func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *routeError
 		if rerr != nil {
 			return nil, rerr
 		}
-		_, tok := rp.state()
-		rt.cache.put(string(body), schema, tok, resp)
+		rt.cache.Put(string(body), schema, tok, resp, rp.reports)
 		return resp, nil
 	}
 	// No forwardable replica, and the cache — consulted before anything

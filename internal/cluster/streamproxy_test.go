@@ -340,7 +340,8 @@ func benchProxy(b *testing.B, cacheEntries int) {
 
 // BenchmarkProxyHit and BenchmarkProxyMiss are the two costs of a
 // request at the router: answered from its response cache, or
-// forwarded to a replica whose prediction cache is warm. Their ratio is
-// what the router cache buys (ROADMAP item 3(d)).
+// forwarded to a replica that answers it from the same cache one tier
+// down (stream's BenchmarkStreamReplay is that answer alone). Their
+// ratio is what the router's tier of the cache buys.
 func BenchmarkProxyHit(b *testing.B)  { benchProxy(b, 0) }
 func BenchmarkProxyMiss(b *testing.B) { benchProxy(b, -1) }

@@ -29,16 +29,17 @@ import (
 // the same model versions share entries regardless of the order they
 // listed the resources in.
 
-// versionVector is the cache's model-identity: the registry version of
-// the model serving each requested resource kind, zero for resources
-// the request did not ask for (registry versions start at 1).
-type versionVector [plan.NumResources]uint64
+// Versions is a request's model identity, to the prediction cache and
+// to the stream listener's response cache: the registry version of the
+// model serving each requested resource kind, zero for resources the
+// request did not ask for (registry versions start at 1).
+type Versions [plan.NumResources]uint64
 
 // cacheKey identifies one memoized prediction. features.Vector is a
 // fixed-size float array, so the whole key is comparable and can be a
 // map key directly; equality is exact (bit-for-bit feature match).
 type cacheKey struct {
-	versions versionVector
+	versions Versions
 	op       plan.OpKind
 	vec      features.Vector
 }

@@ -83,7 +83,7 @@ func TestCacheKeysSpreadOverShards(t *testing.T) {
 		eng.Run(q.Plan)
 		vecs := features.ExtractPlan(q.Plan, features.Exact)
 		for i, n := range q.Plan.Nodes() {
-			k := cacheKey{versions: versionVector{1}, op: n.Kind, vec: vecs[i]}
+			k := cacheKey{versions: Versions{1}, op: n.Kind, vec: vecs[i]}
 			if _, dup := seen[k]; !dup {
 				seen[k] = struct{}{}
 				tpch = append(tpch, k)

@@ -638,6 +638,25 @@ func (r *Registry) Lookup(schema string, resource plan.ResourceKind) (*Model, bo
 	return m, m != nil
 }
 
+// Serving reports whether v still names the models Lookup resolves
+// schema's requests to: every resource v carries a version for is
+// served by exactly that version now. Versions are never reused — a
+// rollback republishes under a fresh one — so an answer computed under
+// v is, while this holds, the answer a fresh computation would give;
+// and because it asks Lookup, a schema that was answered by the ""
+// fallback stops matching the moment it gets a model of its own.
+func (r *Registry) Serving(schema string, v Versions) bool {
+	for k, want := range v {
+		if want == 0 {
+			continue
+		}
+		if m, ok := r.Lookup(schema, plan.ResourceKind(k)); !ok || m.Info.Version != want {
+			return false
+		}
+	}
+	return true
+}
+
 // Models lists the currently published model versions, sorted by
 // version for stable output. In store-backed mode each entry carries
 // the snapshot version currently backing its slot.

@@ -181,7 +181,13 @@ type Response struct {
 	// request asked for it (Request.Explain); omitted otherwise, keeping
 	// the default wire shape unchanged.
 	Explain *ExplainInfo `json:"explain,omitempty"`
+
+	versions Versions
 }
+
+// Versions returns the registry versions of the models that computed r
+// — Model's, and Models' on a multi-resource request, by resource kind.
+func (r *Response) Versions() Versions { return r.versions }
 
 // Metrics is a point-in-time snapshot of service counters. Feedback
 // carries the per-model rolling error gauges (observed relative-error
@@ -284,7 +290,7 @@ type BatchResponse struct {
 type modelSet struct {
 	kinds    []plan.ResourceKind
 	models   [plan.NumResources]*Model
-	versions versionVector
+	versions Versions
 	est      *core.EstimatorSet
 	infos    []ModelInfo
 	names    []string
@@ -451,6 +457,11 @@ func New(opts Options) *Service {
 
 // Registry exposes the routing registry for publishing models.
 func (s *Service) Registry() *Registry { return s.reg }
+
+// Caching reports whether the service memoizes predictions
+// (Options.CacheEntries). The stream listener caches whole responses
+// exactly when it does.
+func (s *Service) Caching() bool { return s.cache != nil }
 
 // Close shuts the worker pool down. In-flight requests finish; new
 // Estimate calls fail with ErrClosed.
@@ -704,6 +715,7 @@ func (s *Service) estimatePlans(ms *modelSet, plans []*plan.Plan) ([]Response, t
 			PlanEstimate: ms.assemble(p, own),
 			CacheHits:    hits,
 			CacheMisses:  len(own) - hits,
+			versions:     ms.versions,
 		}
 	}
 	return out, probeTime

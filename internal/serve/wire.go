@@ -224,10 +224,34 @@ func appendResponse(dst []byte, r *Response) ([]byte, bool) {
 	e.float(`,"total":`, r.Total)
 	e.floats(`,"totals":`, r.Totals)
 	e.estimates(r.Operators, r.Pipelines)
-	e.int(`,"cache_hits":`, r.CacheHits)
-	e.int(`,"cache_misses":`, r.CacheMisses)
-	e.raw("}\n")
+	e.b = appendCounters(e.b, r.CacheHits, r.CacheMisses)
 	return e.b, e.ok
+}
+
+// appendCounters closes a response: the two cache counters, the brace
+// and the newline — the bytes ReplayWire rewrites.
+func appendCounters(b []byte, hits, misses int) []byte {
+	b = strconv.AppendInt(append(b, `,"cache_hits":`...), int64(hits), 10)
+	b = strconv.AppendInt(append(b, `,"cache_misses":`...), int64(misses), 10)
+	return append(b, "}\n"...)
+}
+
+// ReplayWire returns what a repeat of r's request reads: body, r's wire
+// encoding, with every operator counted a cache hit and none a miss —
+// the counters the prediction cache reports once it holds them all —
+// and every other byte untouched. nil when body does not end in r's
+// counters, which no Response without an Explain encodes to.
+func ReplayWire(body []byte, r *Response) []byte {
+	if r.CacheMisses == 0 {
+		return body
+	}
+	var tail [64]byte
+	head, ok := bytes.CutSuffix(body, appendCounters(tail[:0], r.CacheHits, r.CacheMisses))
+	if !ok {
+		return nil
+	}
+	out := make([]byte, 0, len(body)+1) // the sum may be a digit longer than its terms
+	return appendCounters(append(out, head...), r.CacheHits+r.CacheMisses, 0)
 }
 
 func appendBatchResponse(dst []byte, r *BatchResponse) ([]byte, bool) {
@@ -250,9 +274,7 @@ func appendBatchResponse(dst []byte, r *BatchResponse) ([]byte, bool) {
 		}
 		e.raw("]")
 	}
-	e.int(`,"cache_hits":`, r.CacheHits)
-	e.int(`,"cache_misses":`, r.CacheMisses)
-	e.raw("}\n")
+	e.b = appendCounters(e.b, r.CacheHits, r.CacheMisses)
 	return e.b, e.ok
 }
 

@@ -105,6 +105,38 @@ func TestWireEncoderTakesServedResponses(t *testing.T) {
 	t.Logf("fast path took %d of %d responses", len(values), len(values))
 }
 
+// TestReplayWireMovesOnlyTheCounters: what the stream listener files for
+// a repeat is the response re-encoded with every operator a hit — under
+// either encoder, whatever the counters were, including a sum a digit
+// longer than its terms — and nothing else of it.
+func TestReplayWireMovesOnlyTheCounters(t *testing.T) {
+	single, multi, _ := servedResponses(t)
+	for _, r := range append(single, multi...) {
+		for _, counters := range [][2]int{{r.CacheHits, r.CacheMisses}, {0, len(r.Operators)}, {len(r.Operators), 0}, {99, 1}, {5, 7}} {
+			cold := *r
+			cold.CacheHits, cold.CacheMisses = counters[0], counters[1]
+			warm := cold
+			warm.CacheHits, warm.CacheMisses = counters[0]+counters[1], 0
+			want, err := serve.MarshalStd(&warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, marshal := range map[string]func(any) ([]byte, error){"append": serve.MarshalWire, "stdlib": serve.MarshalStd} {
+				body, err := marshal(&cold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := serve.ReplayWire(body, &cold); !bytes.Equal(got, want) {
+					t.Fatalf("%s encoding, counters %v: replay\n%s\nwant\n%s", name, counters, got, want)
+				}
+			}
+		}
+	}
+	if got := serve.ReplayWire([]byte("{}\n"), &serve.Response{CacheMisses: 1}); got != nil {
+		t.Fatalf("a body without the counters replayed as %s", got)
+	}
+}
+
 func TestWireEncoderEdgeCases(t *testing.T) {
 	single, multi, batch := servedResponses(t)
 	edit := func(mutate func(r *serve.Response)) *serve.Response {

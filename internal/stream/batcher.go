@@ -32,11 +32,13 @@ type groupKey struct {
 	timeoutMS int
 }
 
-// pending is one request waiting in a group.
+// pending is one request waiting in a group. key is the request's own
+// bytes, kept to file its answer under; "" with the response cache off.
 type pending struct {
 	conn *Conn
 	seq  uint64
 	plan *plan.Plan
+	key  string
 	enq  time.Time
 }
 
@@ -72,12 +74,12 @@ func canonicalResources(kinds []plan.ResourceKind) string {
 	return strings.Join(names, ",")
 }
 
-// enqueue adds one decoded request to its key's group and starts the
+// enqueue adds one decoded request, m, to its key's group and starts the
 // key's runner if it has none; the maxBatch-th member tears the group's
 // members off to dispatch on their own goroutine. Never blocks on the
 // pool, so the caller (a connection's read loop) keeps draining frames,
 // which is what lets arrivals from every connection share a group.
-func (b *batcher) enqueue(conn *Conn, seq uint64, kinds []plan.ResourceKind, p *plan.Plan, timeoutMS int, schema string) {
+func (b *batcher) enqueue(m pending, kinds []plan.ResourceKind, timeoutMS int, schema string) {
 	key := groupKey{schema: schema, resources: canonicalResources(kinds), timeoutMS: timeoutMS}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -87,7 +89,8 @@ func (b *batcher) enqueue(conn *Conn, seq uint64, kinds []plan.ResourceKind, p *
 		b.groups[key] = g
 		go b.run(g)
 	}
-	g.members = append(g.members, pending{conn: conn, seq: seq, plan: p, enq: time.Now()})
+	m.enq = time.Now()
+	g.members = append(g.members, m)
 	if len(g.members) == maxBatch {
 		full := g.members
 		g.members = nil
@@ -101,13 +104,15 @@ func (b *batcher) enqueue(conn *Conn, seq uint64, kinds []plan.ResourceKind, p *
 // run is one key's runner: it dispatches whatever the group holds each
 // time it gets a slot, so members accumulate exactly while it waits for
 // one or has a dispatch in flight, and exits — dropping the key — when
-// a slot finds the group empty.
+// a slot finds the group empty. The group fills one buffer while the
+// runner dispatches from the other, and the two swap at every slot.
 func (b *batcher) run(g *group) {
+	var spare []pending
 	for {
 		b.slots <- struct{}{}
 		b.mu.Lock()
 		members := g.members
-		g.members = nil
+		g.members = spare
 		if len(members) == 0 {
 			delete(b.groups, g.key)
 			b.mu.Unlock()
@@ -116,6 +121,8 @@ func (b *batcher) run(g *group) {
 		}
 		b.mu.Unlock()
 		b.dispatch(g, members)
+		clear(members) // the connections, plans and keys are the requests', not the buffer's
+		spare = members[:0]
 	}
 }
 
@@ -151,7 +158,7 @@ func (b *batcher) dispatch(g *group, members []pending) {
 		}
 		return
 	}
-	for i, m := range members {
-		srv.sendResponse(m.conn, m.seq, resps[i])
+	for i := range members {
+		srv.sendResponse(&members[i], g.key.schema, resps[i])
 	}
 }

@@ -84,12 +84,14 @@ type Frame struct {
 	Body []byte
 }
 
+// fits reports whether a frame may carry body.
+func fits(body []byte) bool { return framePrefix+len(body) <= maxFrameSize }
+
 // AppendFrame appends f's framed encoding to dst and returns the
 // extended slice.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
-	n := framePrefix + len(f.Body)
-	if n > maxFrameSize {
-		return nil, fmt.Errorf("stream: frame payload %d bytes exceeds limit", n)
+	if !fits(f.Body) {
+		return nil, fmt.Errorf("stream: frame payload %d bytes exceeds limit", framePrefix+len(f.Body))
 	}
 	// The payload is assembled in place behind a header filled in last,
 	// so nothing is staged outside dst.

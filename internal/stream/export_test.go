@@ -1,6 +1,11 @@
 package stream
 
-import "repro/internal/obs"
+import (
+	"net"
+
+	"repro/internal/obs"
+	"repro/internal/serve"
+)
 
 // Connected reports whether the client holds a live connection: false
 // from the moment a loss lands until a redial installs the next one.
@@ -54,3 +59,33 @@ func (s *Server) Pending() (keys, members int) {
 
 // BatchFill snapshots the plans-per-dispatch histogram.
 func (s *Server) BatchFill() obs.IntHistogramSnapshot { return s.batchFill.Snapshot() }
+
+// WalkerDecodes reports whether the envelope walker takes body as the
+// server decodes it, rather than leaving it to encoding/json.
+func WalkerDecodes(body []byte) bool {
+	var env serve.Envelope
+	return serve.DecodeEnvelope(body, serve.EstimateKeys, &env)
+}
+
+// SendResponse answers, as a dispatch would, a request for schema whose
+// bytes were key, on a connection whose writer never runs: the answer
+// gets as far as the queue.
+func (s *Server) SendResponse(key, schema string, resp *serve.Response) {
+	c := &Conn{w: NewFrameWriter(nil, 0, nil)}
+	s.sendResponse(&pending{conn: c, key: key}, schema, resp)
+}
+
+// discardConn is a peer that takes every write at once.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// HandlerOnDiscard returns s's handler bound to a connection of its own
+// whose answers go nowhere — a read loop's work on one frame without
+// the socket on either side of it — and what stops that connection's
+// writer.
+func (s *Server) HandlerOnDiscard() (handle func(*Frame), stop func()) {
+	c := &Conn{w: NewFrameWriter(discardConn{}, 0, nil)}
+	go func() { _ = c.w.Run() }() // returns on stop
+	return func(f *Frame) { s.handleEstimate(c, f) }, c.w.Close
+}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/respcache"
 	"repro/internal/serve"
 )
 
@@ -61,20 +62,33 @@ type Stats struct {
 	Requests  uint64 `json:"requests"`
 	Responses uint64 `json:"responses"`
 	Errors    uint64 `json:"errors"`
+	// ReplayHits counts the requests answered from the response cache,
+	// before anything of them was decoded; ReplayMisses the ones that
+	// went on to be decoded. Both stay 0 with the cache off.
+	ReplayHits   uint64 `json:"replay_hits"`
+	ReplayMisses uint64 `json:"replay_misses"`
 	// Dispatches counts coalesced micro-batches sent through the pool;
-	// Requests/Dispatches is the realized average batch fill. Holds
-	// reads 0: nothing holds a group since the MaxWait timer and its
-	// extensions went; the field stays for the benchmark that reads it.
+	// (Requests−ReplayHits)/Dispatches is the realized average batch
+	// fill. Holds reads 0: nothing holds a group since the MaxWait timer
+	// and its extensions went; the field stays for the benchmark that
+	// reads it.
 	Dispatches uint64 `json:"dispatches"`
 	Holds      uint64 `json:"holds"`
 }
 
-// Server is a Listener whose handler coalesces the in-flight requests
-// of all its connections into batched dispatches.
+// Server is a Listener whose handler answers a request it has answered
+// before from the response cache, and coalesces the rest — the in-flight
+// requests of all its connections — into batched dispatches.
 type Server struct {
 	*Listener
 	opts    Options
 	batcher *batcher
+	// replay is the tier-shared response cache, stamped with the
+	// registry versions that computed each answer; nil — off — exactly
+	// when the service's prediction cache is. serving is its liveness
+	// question, bound once so the hit path allocates nothing.
+	replay  *respcache.Cache[serve.Versions]
+	serving func(schema string, v serve.Versions) bool
 
 	requests   atomic.Uint64
 	responses  atomic.Uint64
@@ -93,7 +107,10 @@ func Start(addr string, opts Options) (*Server, error) {
 	if opts.Service == nil {
 		return nil, errors.New("stream: Options.Service is required")
 	}
-	s := &Server{opts: opts.withDefaults()}
+	s := &Server{opts: opts.withDefaults(), serving: opts.Service.Registry().Serving}
+	if opts.Service.Caching() {
+		s.replay = respcache.New[serve.Versions](respcache.Entries)
+	}
 	s.batcher = &batcher{srv: s, slots: make(chan struct{}, opts.Service.Workers()), groups: make(map[groupKey]*group)}
 	l, err := Listen(addr, s.opts, &s.framesPerWrite, s.handleEstimate)
 	if err != nil {
@@ -105,13 +122,16 @@ func Start(addr string, opts Options) (*Server, error) {
 
 // Stats snapshots the listener's counters.
 func (s *Server) Stats() Stats {
+	hits, misses := s.replay.Stats()
 	return Stats{
-		Accepted:   s.Accepted(),
-		Open:       s.Open(),
-		Requests:   s.requests.Load(),
-		Responses:  s.responses.Load(),
-		Errors:     s.sendErrors.Load(),
-		Dispatches: s.dispatches.Load(),
+		Accepted:     s.Accepted(),
+		Open:         s.Open(),
+		Requests:     s.requests.Load(),
+		Responses:    s.responses.Load(),
+		Errors:       s.sendErrors.Load(),
+		ReplayHits:   hits,
+		ReplayMisses: misses,
+		Dispatches:   s.dispatches.Load(),
 	}
 }
 
@@ -132,6 +152,11 @@ func (s *Server) Collector() obs.Collector {
 			float64(s.sendErrors.Load()))
 		e.Counter("resserve_stream_dispatches_total", "Coalesced micro-batches dispatched.", "",
 			float64(s.dispatches.Load()))
+		hits, misses := s.replay.Stats()
+		e.Counter("resserve_stream_replay_hits_total",
+			"Requests answered from the response cache, undecoded.", "", float64(hits))
+		e.Counter("resserve_stream_replay_misses_total",
+			"Requests the response cache did not answer (stale entries included).", "", float64(misses))
 		fill := s.batchFill.Snapshot()
 		e.IntHistogram("resserve_stream_batch_fill", "Plans per coalesced dispatch.", "", &fill)
 		perWrite := s.framesPerWrite.Snapshot()
@@ -142,15 +167,24 @@ func (s *Server) Collector() obs.Collector {
 	}
 }
 
-// handleEstimate decodes one request frame and hands it to the
-// batcher. Per-request failures (bad JSON, unknown resource, bad plan)
-// answer only this sequence ID — they never poison the batch the
-// request would have joined. Nothing decoded from f.Body aliases it
-// (strings are copied out, the plan is rebuilt), so the read buffer it
-// lies in is free again on return.
+// handleEstimate answers one request frame from the response cache if
+// it can — before anything is parsed, queued like the router's hits so
+// the answers to one read leave in one write — and otherwise decodes it
+// and hands it to the batcher. Per-request failures (bad JSON, unknown
+// resource, bad plan) answer only this sequence ID — they never poison
+// the batch the request would have joined. Nothing decoded from f.Body
+// aliases it (strings are copied out, the plan is rebuilt, the cache
+// key is a copy), so the read buffer it lies in is free again on
+// return.
 func (s *Server) handleEstimate(c *Conn, f *Frame) {
 	start := time.Now()
 	s.requests.Add(1)
+	if body, ok := s.replay.Get(f.Body, s.serving); ok {
+		s.responses.Add(1)
+		_ = c.Queue(&Frame{Type: FrameResponse, Seq: f.Seq, Body: body}) // fails only on a dead connection
+		s.opts.Service.RecordStreamStage(obs.StageCacheProbe, time.Since(start))
+		return
+	}
 	var req serve.Envelope
 	if err := decodeEstimate(f.Body, &req); err != nil {
 		s.sendError(c, f.Seq, "bad request body: "+err.Error(), "bad_request")
@@ -161,26 +195,38 @@ func (s *Server) handleEstimate(c *Conn, f *Frame) {
 		s.sendError(c, f.Seq, err.Error(), code)
 		return
 	}
+	var key string
+	if s.replay != nil {
+		key = string(f.Body)
+	}
 	s.opts.Service.RecordStreamStage(obs.StageDecode, time.Since(start))
-	s.batcher.enqueue(c, f.Seq, kinds, p, req.TimeoutMS, req.Schema)
+	s.batcher.enqueue(pending{conn: c, seq: f.Seq, plan: p, key: key}, kinds, req.TimeoutMS, req.Schema)
 }
 
 // sendResponse encodes one plan's Response — byte-identical to the
-// /estimate body — and queues it for the writer.
-func (s *Server) sendResponse(c *Conn, seq uint64, resp *serve.Response) {
+// /estimate body — files what a repeat of m's request reads under the
+// request's bytes, and queues the answer for the writer. An answer no
+// frame can carry is never filed: a replay of it could not be sent.
+func (s *Server) sendResponse(m *pending, schema string, resp *serve.Response) {
 	start := time.Now()
 	body, err := serve.MarshalWire(resp)
 	if err != nil {
-		s.sendError(c, seq, "encode response: "+err.Error(), "internal")
+		s.sendError(m.conn, m.seq, "encode response: "+err.Error(), "internal")
 		return
 	}
-	// Counted before the frame can reach the peer, so a client holding
-	// its answer never reads a count that lacks it.
+	// Counted and filed before the frame can reach the peer, so a client
+	// holding its answer never reads a count that lacks it, and is
+	// answered from the cache if it asks again.
 	s.responses.Add(1)
-	err = c.Send(context.Background(), &Frame{Type: FrameResponse, Seq: seq, Body: body})
+	if m.key != "" && fits(body) {
+		if replay := serve.ReplayWire(body, resp); replay != nil {
+			s.replay.Put(m.key, schema, resp.Versions(), replay, s.serving)
+		}
+	}
+	err = m.conn.Send(context.Background(), &Frame{Type: FrameResponse, Seq: m.seq, Body: body})
 	if err != nil && !errors.Is(err, ErrConnLost) { // body over the frame limit
 		s.responses.Add(^uint64(0))
-		s.sendError(c, seq, "frame response: "+err.Error(), "internal")
+		s.sendError(m.conn, m.seq, "frame response: "+err.Error(), "internal")
 		return
 	}
 	s.opts.Service.RecordStreamStage(obs.StageEncode, time.Since(start))

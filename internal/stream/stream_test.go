@@ -482,19 +482,21 @@ func TestStreamUnknownSchema(t *testing.T) {
 
 // TestStreamCoalescesAcrossConnections pins the tentpole behavior:
 // concurrent single estimates from many connections dispatch in fewer,
-// fuller batches.
+// fuller batches. The first request of every connection arrives while
+// no dispatch slot is free, so all of them leave as one batch whatever
+// the scheduler does; the rest run free. Repeats of a request already
+// answered never reach the batcher, so the fill is over the others.
 func TestStreamCoalescesAcrossConnections(t *testing.T) {
 	_, srv := newStream(t, serve.Options{}, stream.Options{})
 	const conns, perConn = 16, 10
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	errs := make(chan error, conns)
+	release := srv.HoldDispatchSlots()
 	for i := 0; i < conns; i++ {
 		cl := dial(t, srv)
 		wg.Add(1)
 		go func(cl *stream.Client, i int) {
 			defer wg.Done()
-			<-start
 			for k := 0; k < perConn; k++ {
 				req := &stream.Request{Resource: "cpu", Plan: planJSON(t, testPlans[(i+k)%len(testPlans)])}
 				if _, err := cl.EstimateRaw(context.Background(), req); err != nil {
@@ -504,7 +506,8 @@ func TestStreamCoalescesAcrossConnections(t *testing.T) {
 			}
 		}(cl, i)
 	}
-	close(start)
+	waitPending(t, srv, 1, conns)
+	release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -517,11 +520,14 @@ func TestStreamCoalescesAcrossConnections(t *testing.T) {
 	if st.Responses != st.Requests {
 		t.Fatalf("responses %d != requests %d", st.Responses, st.Requests)
 	}
-	if st.Dispatches >= st.Requests {
-		t.Fatalf("no coalescing: %d dispatches for %d requests", st.Dispatches, st.Requests)
+	if st.ReplayHits+st.ReplayMisses != st.Requests {
+		t.Fatalf("replay hits %d + misses %d != requests %d", st.ReplayHits, st.ReplayMisses, st.Requests)
 	}
-	t.Logf("coalescing: %d requests in %d dispatches (avg fill %.1f)",
-		st.Requests, st.Dispatches, float64(st.Requests)/float64(st.Dispatches))
+	if fill := srv.BatchFill(); fill.MaxV < conns || st.Dispatches > st.ReplayMisses-conns+1 {
+		t.Fatalf("no coalescing: %d dispatches for %d computed requests, fullest %d", st.Dispatches, st.ReplayMisses, fill.MaxV)
+	}
+	t.Logf("coalescing: %d requests, %d replayed, the rest in %d dispatches (avg fill %.1f)",
+		st.Requests, st.ReplayHits, st.Dispatches, float64(st.ReplayMisses)/float64(st.Dispatches))
 }
 
 // TestStreamClientsRaceHotSwap races streaming clients against model
