@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -36,40 +35,52 @@ import (
 type Versions [plan.NumResources]uint64
 
 // cacheKey identifies one memoized prediction. features.Vector is a
-// fixed-size float array, so the whole key is comparable and can be a
-// map key directly; equality is exact (bit-for-bit feature match).
+// fixed-size float array, so the whole key is comparable with ==;
+// equality is exact (bit-for-bit feature match, but for a zero's sign).
 type cacheKey struct {
 	versions Versions
 	op       plan.OpKind
 	vec      features.Vector
 }
 
-// hash is a word-wise FNV-1a variant over the key, used only to pick a
-// shard. Mixing whole 64-bit words (instead of the byte-wise textbook
-// form) cuts the per-probe hashing cost by ~8x on these 200+-byte keys.
-// FNV's multiply only carries differences upward, so keys that differ
-// in floats with zero low mantissa bits (small integers) agree in the
-// low bits the shard index is taken from; the finalizer avalanches them.
+// hash is a word-wise FNV-1a variant over the key, computed once per
+// operator per request, where the key is built: that one value picks
+// the shard, indexes it and deduplicates a batch's misses (as a map key
+// the struct would be hashed by the runtime one float at a time, at
+// every lookup, assignment and delete). Mixing whole 64-bit words
+// instead of bytes cuts the cost ~8x on these 200+-byte keys. FNV's
+// multiply only carries differences upward, and floats that are small
+// integers — most of a plan's features — differ only high in the word,
+// so each step folds its high half into its low half: without that such
+// keys differ in the hash's top 16 bits alone and collide by the
+// thousand. The finalizer avalanches the last words into the low bits
+// the shard index is taken from. Floats hash by their bits, so keys
+// that are == but for a zero's sign are memoized apart, each under a
+// value computed from its own vector.
 func (k *cacheKey) hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
+	step := func(h, word uint64) uint64 {
+		h = (h ^ word) * prime64
+		return h ^ h>>32
+	}
 	h := uint64(offset64)
 	for _, v := range k.versions {
-		h = (h ^ v) * prime64
+		h = step(h, v)
 	}
-	h = (h ^ uint64(k.op)) * prime64
+	h = step(h, uint64(k.op))
 	for _, f := range k.vec {
-		h = (h ^ math.Float64bits(f)) * prime64
+		h = step(h, math.Float64bits(f))
 	}
 	return xrand.Mix64(h)
 }
 
 // memoizable reports whether the key can be looked up again: a NaN
-// never equals itself, so a map entry keyed by one is found by no later
-// probe and removed by no eviction. JSON carries no NaN; an in-process
-// plan can, and Inf x 0 in feature extraction makes one.
+// never equals itself, so an entry keyed by one is found by no later
+// probe. JSON carries no NaN; an in-process plan can, and Inf x 0 in
+// feature extraction makes one.
 func (k *cacheKey) memoizable() bool {
 	for _, f := range k.vec {
 		if math.IsNaN(f) {
@@ -81,21 +92,104 @@ func (k *cacheKey) memoizable() bool {
 
 const cacheShards = 32
 
+// cacheEntry is one slot of a shard's slab: the memoized prediction,
+// the key it belongs to (compared before the value is handed out), the
+// key's hash (to drop the index entry when the slot is reused) and the
+// slot's neighbours in the shard's recency ring.
 type cacheEntry struct {
-	key cacheKey
-	val plan.Resources
+	key        cacheKey
+	val        plan.Resources
+	hash       uint64
+	prev, next int32
 }
 
+// cacheShard is an LRU over a slab: idx maps a key's hash to its slot
+// in ents, and the slots are linked, by index, into a ring through the
+// sentinel ents[0] — ents[0].next is the most recently used slot,
+// ents[0].prev the least. The slab grows by doubling until it holds cap
+// entries and from then on an insert reuses the least recently used
+// slot in place, so an entry costs its 248 bytes plus an index entry
+// (~260 in all) and a steady-state insert allocates nothing. Slots are
+// addressed by index only: growing moves the slab.
+//
+// One entry per hash: a key arriving under a resident key's hash takes
+// the slot over, and a lookup hands a value out only when the stored
+// key equals the probe's, so two keys sharing a 64-bit hash cost each
+// other a miss and never a wrong value.
 type cacheShard struct {
-	mu  sync.Mutex
-	m   map[cacheKey]*list.Element
-	lru list.List // front = most recently used
-	cap int
+	mu   sync.Mutex
+	idx  map[uint64]int32
+	ents []cacheEntry
+	cap  int
 	// Per-shard hit/miss tallies, guarded by mu (the lock is already
 	// held at every lookup, so these cost no extra synchronization).
 	// The global atomic counters remain the wire-visible totals.
 	hits   uint64
 	misses uint64
+}
+
+// unlink takes slot i out of the recency ring.
+func (s *cacheShard) unlink(i int32) {
+	e := &s.ents[i]
+	s.ents[e.prev].next = e.next
+	s.ents[e.next].prev = e.prev
+}
+
+// pushFront links slot i in as the most recently used.
+func (s *cacheShard) pushFront(i int32) {
+	head := s.ents[0].next
+	s.ents[i].prev, s.ents[i].next = 0, head
+	s.ents[head].prev = i
+	s.ents[0].next = i
+}
+
+// get looks p's key up under p.hash, counting the outcome. Caller holds
+// mu.
+func (s *cacheShard) get(p *probe) bool {
+	i, ok := s.idx[p.hash]
+	if !ok || s.ents[i].key != p.key {
+		s.misses++
+		return false
+	}
+	if s.ents[0].next != i {
+		s.unlink(i)
+		s.pushFront(i)
+	}
+	p.val = s.ents[i].val
+	s.hits++
+	return true
+}
+
+// put memoizes p's value as the shard's most recently used entry: in
+// the slot p.hash already indexes (p's own key, or another one under
+// the same hash), in a new slot while the shard has room, in the least
+// recently used entry's otherwise. Caller holds mu.
+func (s *cacheShard) put(p *probe) {
+	if s.cap == 0 {
+		return
+	}
+	i, ok := s.idx[p.hash]
+	switch {
+	case ok:
+		s.unlink(i)
+	case len(s.ents) <= s.cap:
+		if len(s.ents) == cap(s.ents) { // double, to cap entries and the sentinel at most
+			grown := make([]cacheEntry, len(s.ents), min(2*len(s.ents), s.cap+1))
+			copy(grown, s.ents)
+			s.ents = grown
+		}
+		i = int32(len(s.ents))
+		s.ents = s.ents[:i+1]
+		s.idx[p.hash] = i
+	default:
+		i = s.ents[0].prev
+		s.unlink(i)
+		delete(s.idx, s.ents[i].hash)
+		s.idx[p.hash] = i
+	}
+	e := &s.ents[i]
+	e.key, e.val, e.hash = p.key, p.val, p.hash
+	s.pushFront(i)
 }
 
 // Cache is a sharded LRU of operator predictions with hit/miss
@@ -115,43 +209,46 @@ type CacheStats struct {
 	Capacity int    `json:"capacity"`
 }
 
-// NewCache builds a cache bounded to roughly capacity entries in total.
-// Returns nil (a disabled cache) when capacity <= 0; a nil *Cache is
-// valid to call and never hits.
+// NewCache builds a cache bounded to capacity entries in total, dealt
+// evenly over the shards with the remainder going to the first ones; a
+// shard dealt none serves its keys without keeping them. Returns nil (a
+// disabled cache) when capacity <= 0; a nil *Cache is valid to call and
+// never hits.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		return nil
 	}
-	per := capacity / cacheShards
-	if per < 1 {
-		per = 1
-	}
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].m = make(map[cacheKey]*list.Element)
-		c.shards[i].cap = per
+		s := &c.shards[i]
+		s.cap = capacity / cacheShards
+		if i < capacity%cacheShards {
+			s.cap++
+		}
+		s.idx = make(map[uint64]int32)
+		s.ents = make([]cacheEntry, 1) // the ring's sentinel, linked to itself
 	}
 	return c
 }
 
-// probe is one slot of a batched lookup: the key going in; the
-// memoized value, the outcome and the key's shard coming out. node and
-// slot are the caller's (the estimate pipeline keeps the operator the
-// key was extracted from, and parks each miss's index into its
-// deduplicated prediction batch), so one slice of these is a request's
-// whole per-operator state.
+// probe is one slot of a batched lookup: the key and its hash going in;
+// the memoized value and the outcome coming out. node and slot are the
+// caller's (the estimate pipeline keeps the operator the key was
+// extracted from, and parks each miss's index into its deduplicated
+// prediction batch), so one slice of these is a request's whole
+// per-operator state.
 type probe struct {
-	key   cacheKey
-	val   plan.Resources
-	node  *plan.Node
-	slot  int32
-	shard uint8
-	hit   bool
+	key  cacheKey
+	hash uint64 // key.hash(), set where the key is
+	val  plan.Resources
+	node *plan.Node
+	slot int32
+	hit  bool
 }
 
 // shardPlan groups a probe batch by shard: per shard s, the probe
-// indexes order[starts[s]:starts[s+1]]. GetMulti builds it — hashing
-// each key once — and hands it to the PutMulti that follows.
+// indexes order[starts[s]:starts[s+1]]. GetMulti builds it and hands it
+// to the PutMulti that follows.
 type shardPlan struct {
 	order  []int32
 	starts [cacheShards + 1]int32
@@ -160,21 +257,15 @@ type shardPlan struct {
 // planShards is a counting sort of the batch by shard.
 func planShards(ps []probe) shardPlan {
 	sp := shardPlan{order: make([]int32, len(ps))}
-	var counts [cacheShards]int32
 	for i := range ps {
-		s := uint8(ps[i].key.hash() % cacheShards)
-		ps[i].shard = s
-		counts[s]++
+		sp.starts[ps[i].hash%cacheShards+1]++
 	}
-	var sum int32
 	for s := 0; s < cacheShards; s++ {
-		sp.starts[s] = sum
-		sum += counts[s]
+		sp.starts[s+1] += sp.starts[s]
 	}
-	sp.starts[cacheShards] = sum
 	next := sp.starts
 	for i := range ps {
-		s := ps[i].shard
+		s := ps[i].hash % cacheShards
 		sp.order[next[s]] = int32(i)
 		next[s]++
 	}
@@ -185,8 +276,10 @@ func planShards(ps []probe) shardPlan {
 // memoized value and outcome, and returns the hit count plus the shard
 // grouping for a follow-up PutMulti (zero when the cache is disabled,
 // which never hits). Keys are grouped by shard so each shard lock is
-// taken at most once per batch instead of once per key; the counters
-// are bumped once with the batch totals.
+// taken at most once per batch instead of once per key — with two
+// goroutines probing, a lock per key made a 512-key multi-get 2.2x
+// slower and a multi-put 1.5x (BenchmarkCache*/parallel) — and the
+// global counters are bumped once with the batch totals.
 func (c *Cache) GetMulti(ps []probe) (int, shardPlan) {
 	if c == nil {
 		for i := range ps {
@@ -202,22 +295,13 @@ func (c *Cache) GetMulti(ps []probe) (int, shardPlan) {
 			continue
 		}
 		s := &c.shards[si]
-		shardHits := 0
 		s.mu.Lock()
 		for _, i := range group {
-			p := &ps[i]
-			el, ok := s.m[p.key]
-			p.hit = ok
-			if ok {
-				s.lru.MoveToFront(el)
-				p.val = el.Value.(*cacheEntry).val
-				shardHits++
+			if ps[i].hit = s.get(&ps[i]); ps[i].hit {
+				hits++
 			}
 		}
-		s.hits += uint64(shardHits)
-		s.misses += uint64(len(group) - shardHits)
 		s.mu.Unlock()
-		hits += shardHits
 	}
 	c.hits.Add(uint64(hits))
 	c.misses.Add(uint64(len(ps) - hits))
@@ -244,17 +328,7 @@ func (c *Cache) PutMulti(ps []probe, sp shardPlan) {
 				s.mu.Lock()
 				locked = true
 			}
-			if el, ok := s.m[p.key]; ok {
-				el.Value.(*cacheEntry).val = p.val
-				s.lru.MoveToFront(el)
-				continue
-			}
-			s.m[p.key] = s.lru.PushFront(&cacheEntry{key: p.key, val: p.val})
-			if s.lru.Len() > s.cap {
-				old := s.lru.Back()
-				s.lru.Remove(old)
-				delete(s.m, old.Value.(*cacheEntry).key)
-			}
+			s.put(p)
 		}
 		if locked {
 			s.mu.Unlock()
@@ -283,7 +357,7 @@ func (c *Cache) ShardStats() []ShardCacheStats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		out[i] = ShardCacheStats{Shard: i, Hits: s.hits, Misses: s.misses, Entries: s.lru.Len()}
+		out[i] = ShardCacheStats{Shard: i, Hits: s.hits, Misses: s.misses, Entries: len(s.ents) - 1}
 		s.mu.Unlock()
 	}
 	return out
@@ -298,7 +372,7 @@ func (c *Cache) Stats() CacheStats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.Entries += s.lru.Len()
+		st.Entries += len(s.ents) - 1
 		s.mu.Unlock()
 		st.Capacity += s.cap
 	}

@@ -740,6 +740,7 @@ func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (ps []probe
 		p.Walk(func(n *plan.Node) {
 			ps[j].node = n
 			ps[j].key = cacheKey{versions: ms.versions, op: n.Kind, vec: vecs[j]}
+			ps[j].hash = ps[j].key.hash()
 			j++
 		})
 	}
@@ -754,22 +755,24 @@ func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (ps []probe
 		// same scans under different queries), and with caching
 		// disabled this is the only thing collapsing them. Predictions
 		// are pure functions of the key, so scattering one result to
-		// every duplicate is exact.
-		uniq := make(map[cacheKey]int32, miss)
+		// every duplicate is exact. seen maps a hash to a miss holding a
+		// slot; a later miss under that hash shares the slot only when
+		// the two keys are equal, so keys that collide are each predicted.
+		seen := make(map[uint64]int32, miss)
 		missKinds := make([]plan.OpKind, 0, miss)
 		missVecs := make([]features.Vector, 0, miss)
 		for i := range ps {
 			if ps[i].hit {
 				continue
 			}
-			u, ok := uniq[ps[i].key]
-			if !ok {
-				u = int32(len(missKinds))
-				uniq[ps[i].key] = u
-				missKinds = append(missKinds, ps[i].key.op)
-				missVecs = append(missVecs, vecs[i])
+			if j, ok := seen[ps[i].hash]; ok && ps[j].key == ps[i].key {
+				ps[i].slot = ps[j].slot
+				continue
 			}
-			ps[i].slot = u
+			seen[ps[i].hash] = int32(i)
+			ps[i].slot = int32(len(missKinds))
+			missKinds = append(missKinds, ps[i].key.op)
+			missVecs = append(missVecs, vecs[i])
 		}
 		missVals := set.PredictAllBatch(missKinds, missVecs, nil)
 		for i := range ps {
