@@ -54,7 +54,10 @@
 //	                       bit-identical to the single-resource responses;
 //	                       ?explain=1 adds a per-operator breakdown (model
 //	                       chosen, scaled features, per-tree margins) whose
-//	                       total is bit-identical to the estimate
+//	                       total is bit-identical to the estimate. A body
+//	                       answered before — here or on the stream — is
+//	                       replayed from the response cache before it is
+//	                       parsed (never with ?explain=1, never an error)
 //	POST /estimate/batch   {"schema","resource","timeout_ms","plans":[plan...]}
 //	                       estimate up to 1024 plans in one request: one model
 //	                       lookup, one worker-pool dispatch and one cache

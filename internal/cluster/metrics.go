@@ -52,7 +52,7 @@ func (rt *Router) Metrics() Metrics {
 			Shed:      rt.decShed.Load(),
 		},
 	}
-	hits, misses := rt.cache.Stats()
+	hits, misses := rt.cacheHits.Load(), rt.cacheMisses.Load()
 	m.Cache = CacheMetrics{Hits: hits, Misses: misses}
 	if total := hits + misses; total > 0 {
 		m.Cache.HitRatio = float64(hits) / float64(total)

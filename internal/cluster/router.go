@@ -108,6 +108,10 @@ type Router struct {
 	decAffinity  obs.Counter
 	decSpillover obs.Counter
 	decShed      obs.Counter
+	// Lookups the response cache answered and did not; both stay 0 with
+	// the cache off.
+	cacheHits   obs.Counter
+	cacheMisses obs.Counter
 
 	framesPerWrite obs.IntHistogram // answer frames per stream-listener write
 
@@ -349,7 +353,16 @@ func (rt *Router) estimate(ctx context.Context, body []byte) ([]byte, *routeErro
 // entry knows its schema, and is served only while its token is that
 // schema's ring-primary's current one.
 func (rt *Router) cached(body []byte) ([]byte, bool) {
-	return rt.cache.Get(body, rt.primaryServes)
+	if rt.cache == nil {
+		return nil, false
+	}
+	resp, ok := rt.cache.Get(body, rt.primaryServes)
+	if ok {
+		rt.cacheHits.Inc()
+	} else {
+		rt.cacheMisses.Inc()
+	}
+	return resp, ok
 }
 
 // forward routes body by its schema to a replica and caches the

@@ -288,6 +288,8 @@ func TestProxyIdleReap(t *testing.T) {
 	hotResp := postOK(t, rhs.URL, "/estimate", hot) // fills the router cache
 
 	quiet, busy := dialRaw(t, addr), dialRaw(t, addr)
+	quiet.roundTrip(0, hot)
+	busy.roundTrip(0, hot) // both accepted: the count below starts from 2
 	start := time.Now()
 	quiet.roundTrip(1, hot)
 	for rt.StreamOpen() != 1 {

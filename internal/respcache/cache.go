@@ -1,16 +1,24 @@
 // Package respcache is the response cache both serving tiers put in
 // front of their estimate path: the router before it forwards a
-// request, a replica's stream listener before it decodes one.
+// request, a replica's service before either of its transports decodes
+// one.
 package respcache
 
-import (
-	"sync"
-
-	"repro/internal/obs"
-)
+import "sync"
 
 // Entries is the capacity both tiers run the cache at.
 const Entries = 4096
+
+// A key may be a request as large as a transport admits and a body an
+// answer as large, so the entry count alone bounds no memory. Two fixed
+// byte bounds do: an entry whose key and body together exceed
+// MaxEntryBytes is never filed, and Put evicts from the LRU tail until
+// the keys and bodies resident total at most maxBytes. Estimate traffic
+// is a few KB an entry and meets neither.
+const (
+	MaxEntryBytes = 1 << 20
+	maxBytes      = 64 << 20
+)
 
 // Cache holds full response bodies keyed by the exact request body.
 // Each entry carries the schema its body routes by and a stamp S naming
@@ -31,9 +39,7 @@ type Cache[S comparable] struct {
 	head    *entry[S] // most recent
 	tail    *entry[S] // eviction candidate
 	cap     int
-
-	hits   obs.Counter
-	misses obs.Counter
+	bytes   int // len(key)+len(body) over the entries
 }
 
 type entry[S comparable] struct {
@@ -55,10 +61,11 @@ func New[S comparable](capacity int) *Cache[S] {
 
 // Get returns the response cached for the request body reqBody if live
 // reports its entry's stamp current for the entry's schema. A
-// present-but-stale entry counts as a miss (and ages out by LRU from
-// where the lookup left it — its slot becomes valid again only via
-// Put, which the miss usually leads to). reqBody is only read, and only
-// during the call; live runs outside the cache's lock.
+// present-but-stale entry is a miss (and ages out by LRU from where the
+// lookup left it — its slot becomes valid again only via Put, which the
+// miss usually leads to). reqBody is only read, and only during the
+// call; live runs outside the cache's lock. The cache keeps no count of
+// its lookups: each caller counts its own, where it asks.
 func (c *Cache[S]) Get(reqBody []byte, live func(schema string, stamp S) bool) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -67,56 +74,62 @@ func (c *Cache[S]) Get(reqBody []byte, live func(schema string, stamp S) bool) (
 	e, ok := c.entries[string(reqBody)] // no copy: the compiler keys the probe off the bytes
 	if !ok {
 		c.mu.Unlock()
-		c.misses.Inc()
 		return nil, false
 	}
 	c.moveFront(e)
 	schema, stamp, body := e.schema, e.stamp, e.body
 	c.mu.Unlock()
 	if !live(schema, stamp) {
-		c.misses.Inc()
 		return nil, false
 	}
-	c.hits.Inc()
 	return body, true
 }
 
 // Put stores the response to request body key, which routes by schema,
-// evicting the least recently used entry past capacity. stamp is what
-// the caller saw serving schema before the answer was computed; a fill
-// whose stamp live no longer reports has raced a rollout — the answer
-// may be either model set's — and is dropped, as is one under the zero
-// stamp, which names no models that a later lookup could check.
+// evicting least recently used entries past the entry capacity or the
+// byte budget. stamp is what the caller saw serving schema before the
+// answer was computed; a fill whose stamp live no longer reports has
+// raced a rollout — the answer may be either model set's — and is
+// dropped, as is one under the zero stamp, which names no models that a
+// later lookup could check. A fill over MaxEntryBytes is dropped too,
+// and takes what the key held with it: that answer is older than the
+// one refused.
 func (c *Cache[S]) Put(key, schema string, stamp S, body []byte, live func(schema string, stamp S) bool) {
 	var zero S
 	if c == nil || stamp == zero || !live(schema, stamp) {
 		return
 	}
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	switch {
+	case len(key)+len(body) > MaxEntryBytes:
+		if ok {
+			c.remove(e)
+		}
+		return
+	case ok:
+		c.bytes += len(body) - len(e.body)
 		e.stamp, e.body = stamp, body
 		c.moveFront(e)
-		c.mu.Unlock()
-		return
+	default:
+		e = &entry[S]{key: key, schema: schema, stamp: stamp, body: body}
+		c.entries[key] = e
+		c.bytes += len(key) + len(body)
+		c.pushFront(e)
 	}
-	e := &entry[S]{key: key, schema: schema, stamp: stamp, body: body}
-	c.entries[key] = e
-	c.pushFront(e)
-	if len(c.entries) > c.cap {
-		if victim := c.tail; victim != nil {
-			c.unlink(victim)
-			delete(c.entries, victim.key)
-		}
+	// The entry just filed is at the head and within both bounds alone,
+	// so the walk from the tail stops before it.
+	for len(c.entries) > c.cap || c.bytes > maxBytes {
+		c.remove(c.tail)
 	}
-	c.mu.Unlock()
 }
 
-// Stats returns the lookups served and refused so far.
-func (c *Cache[S]) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.hits.Load(), c.misses.Load()
+// remove drops e from the index, the list and the byte count.
+func (c *Cache[S]) remove(e *entry[S]) {
+	c.unlink(e)
+	delete(c.entries, e.key)
+	c.bytes -= len(e.key) + len(e.body)
 }
 
 func (c *Cache[S]) pushFront(e *entry[S]) {

@@ -29,7 +29,7 @@ import (
 // listed the resources in.
 
 // Versions is a request's model identity, to the prediction cache and
-// to the stream listener's response cache: the registry version of the
+// to the service's response cache: the registry version of the
 // model serving each requested resource kind, zero for resources the
 // request did not ask for (registry versions start at 1).
 type Versions [plan.NumResources]uint64

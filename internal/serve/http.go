@@ -271,6 +271,9 @@ func wantsPrometheus(r *http.Request) bool {
 // parameter rather than a body field so existing client payloads work
 // unchanged and the flag is visible in access logs.
 func wantsExplain(r *http.Request) bool {
+	if r.URL.RawQuery == "" { // nearly every request: Query would parse nothing into a fresh map
+		return false
+	}
 	switch r.URL.Query().Get("explain") {
 	case "1", "true", "yes":
 		return true
@@ -311,29 +314,48 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
 
-// readRequest reads an endpoint's request body — all of it, refusing
-// one over limit — into a pooled buffer and decodes the envelope,
-// answering the request itself when either fails. The caller hands the
-// buffer back with releaseBody once the envelope's plan is decoded.
-func readRequest(w http.ResponseWriter, r *http.Request, limit int64, keys EnvelopeKeys) (Envelope, *bytes.Buffer, bool) {
+// readBody reads an endpoint's request body — all of it, refusing one
+// over limit — into a pooled buffer, answering the request itself when
+// that fails. The caller hands the buffer back with releaseBody.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffer, bool) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if n := r.ContentLength; n > 0 && n <= limit {
 		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	var env Envelope
-	if err == nil {
-		env, err = decodeRequest(buf.Bytes(), keys)
-	}
-	if err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		releaseBody(buf)
-		if errors.Is(err, errTooManyPlans) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				jsonError(err.Error(), errCodeBatchTooLarge, -1))
-		} else {
-			writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
-		}
+		writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
+		return nil, false
+	}
+	return buf, true
+}
+
+// decodeBody decodes a request body's envelope, answering the request
+// itself when it does not decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, body []byte, keys EnvelopeKeys) (Envelope, bool) {
+	env, err := decodeRequest(body, keys)
+	switch {
+	case err == nil:
+		return env, true
+	case errors.Is(err, errTooManyPlans):
+		writeError(w, r, http.StatusRequestEntityTooLarge, jsonError(err.Error(), errCodeBatchTooLarge, -1))
+	default:
+		writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
+	}
+	return Envelope{}, false
+}
+
+// readRequest is readBody then decodeBody. The caller hands the buffer
+// back with releaseBody once the envelope's plan is decoded.
+func readRequest(w http.ResponseWriter, r *http.Request, limit int64, keys EnvelopeKeys) (Envelope, *bytes.Buffer, bool) {
+	buf, ok := readBody(w, r, limit)
+	if !ok {
+		return Envelope{}, nil, false
+	}
+	env, ok := decodeBody(w, r, buf.Bytes(), keys)
+	if !ok {
+		releaseBody(buf)
 		return Envelope{}, nil, false
 	}
 	return env, buf, true
@@ -374,34 +396,38 @@ func ResolveEstimate(env *Envelope) (kinds []plan.ResourceKind, p *plan.Plan, co
 }
 
 // estimateCall is what POST /estimate and POST /estimate/batch share
-// around their own middle (which plans, which service call): open reads
-// and decodes the body under a trace, reject answers a request the
-// envelope already condemns, decoded closes the decode stage, and
-// finish writes the service's answer — the response under an encode
-// stage, or the mapped error — and the slow-trace record.
+// around their own middle (reading the body, which plans, which service
+// call): newCall starts the request's clock and trace, reject answers a
+// request the envelope already condemns, decoded closes the decode
+// stage, and finish writes the service's answer — the response under an
+// encode stage, or the mapped error — and the slow-trace record.
 type estimateCall struct {
 	w   http.ResponseWriter
 	r   *http.Request
 	ep  int
-	tel *telemetry // nil when telemetry is off, and tr with it
-	tr  *obs.Trace
-	// start anchors the decode stage.
+	svc *Service
+	// tr is kept only while something will read it: with telemetry on
+	// and a slow-trace threshold set.
+	tr *obs.Trace
+	// start anchors the decode stage; zero with telemetry off.
 	start time.Time
 	env   Envelope
-	buf   *bytes.Buffer
+	// key, when not "", is a copy of a single estimate's request bytes:
+	// what finish files the answer under for Replay.
+	key string
 	// plans, when > 0, is stamped on the slow-trace record.
 	plans int
 }
 
-// open answers the request itself, and returns false, when the body
-// cannot be read or decoded. The caller releases c.buf otherwise.
-func (s *Service) open(w http.ResponseWriter, r *http.Request, ep int, limit int64, keys EnvelopeKeys) (c estimateCall, ok bool) {
-	c = estimateCall{w: w, r: r, ep: ep, tel: s.tel}
-	if c.tel != nil {
-		c.tr, c.start = obs.NewTrace(endpointNames[ep], RequestIDFrom(r.Context())), time.Now()
+func (s *Service) newCall(w http.ResponseWriter, r *http.Request, ep int) estimateCall {
+	c := estimateCall{w: w, r: r, ep: ep, svc: s}
+	if tel := s.tel; tel != nil {
+		c.start = time.Now()
+		if tel.slow > 0 {
+			c.tr = obs.NewTrace(endpointNames[ep], RequestIDFrom(r.Context()))
+		}
 	}
-	c.env, c.buf, ok = readRequest(w, r, limit, keys)
-	return c, ok
+	return c
 }
 
 // reject answers 400 with the structured envelope; planIdx < 0 omits
@@ -413,16 +439,14 @@ func (c *estimateCall) reject(msg, code string, planIdx int) {
 // decoded records the decode stage and returns the context the service
 // call runs under, carrying the trace.
 func (c *estimateCall) decoded() context.Context {
-	ctx := c.r.Context()
-	if c.tel != nil {
-		c.tel.rec(c.ep, obs.StageDecode, time.Since(c.start), c.tr)
-		ctx = obs.WithTrace(ctx, c.tr)
+	if tel := c.svc.tel; tel != nil {
+		tel.rec(c.ep, obs.StageDecode, time.Since(c.start), c.tr)
 	}
-	return ctx
+	return obs.WithTrace(c.r.Context(), c.tr)
 }
 
 func (c *estimateCall) finish(resp any, err error) {
-	tel := c.tel
+	tel := c.svc.tel
 	var buf [2]slog.Attr // the slow-trace extras, without a heap slice per request
 	attrs := buf[:0]
 	switch {
@@ -431,13 +455,13 @@ func (c *estimateCall) finish(resp any, err error) {
 		writeError(c.w, c.r, status, body)
 		attrs = append(attrs, slog.String("error", err.Error()))
 	case tel == nil:
-		writeJSON(c.w, http.StatusOK, resp)
+		c.write(resp)
 	default:
 		encodeStart := time.Now()
-		writeJSON(c.w, http.StatusOK, resp)
+		c.write(resp)
 		tel.rec(c.ep, obs.StageEncode, time.Since(encodeStart), c.tr)
 	}
-	if tel == nil {
+	if c.tr == nil {
 		return
 	}
 	if c.plans > 0 {
@@ -446,32 +470,101 @@ func (c *estimateCall) finish(resp any, err error) {
 	c.tr.LogSlow(tel.logger, tel.slow, attrs...)
 }
 
+// write sends the service's answer. One that may be replayed (c.key) is
+// encoded once and filed before any of it reaches the client, so a
+// client holding its answer that asks again is replayed — the stream's
+// rule, and its sequence: MarshalWire, FileReplay, send. A response
+// that does not encode (a NaN or infinite number) is left to writeJSON
+// to fail as it always has, and is never filed.
+func (c *estimateCall) write(resp any) {
+	if r, ok := resp.(*Response); ok && c.key != "" {
+		if wire, err := MarshalWire(r); err == nil {
+			c.svc.FileReplay(c.key, c.env.Schema, r, wire)
+			writeWire(c.w, http.StatusOK, wire)
+			return
+		}
+	}
+	writeJSON(c.w, http.StatusOK, resp)
+}
+
+// handleEstimate answers a body it has answered before from the
+// response cache — the one the stream listener's estimate frame asks,
+// so either transport replays what the other computed — before anything
+// of it is parsed: no decode, no model lookup, no deadline context, no
+// job, no worker woken, no encode. A replay counts as a request on the
+// estimate endpoint and records one cache_probe stage. Anything else
+// takes the computed path and files its answer (estimateCall.write).
+//
+// Never replayed and never filed: ?explain=1 (the decomposition is not
+// part of the stored answer, and is asked for to be recomputed), error
+// answers of any status, everything when Options.CacheEntries < 0. A
+// body's timeout_ms does not stop a replay. POST /estimate/batch and
+// POST /observe are deliberately not cached: a batch body is up to 1024
+// plans, so a bound on entries would bound no bytes worth having, and
+// the batch path is where extraction, the slab walk and cache churn are
+// meant to show; an observation is a write.
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.open(w, r, epEstimate, maxEstimateBody, EstimateKeys)
+	c := s.newCall(w, r, epEstimate)
+	buf, ok := readBody(w, r, maxEstimateBody)
 	if !ok {
 		return
 	}
-	defer releaseBody(c.buf)
+	defer releaseBody(buf)
+	explain := wantsExplain(r)
+	cached := s.replay != nil && !explain
+	if cached && c.replay(buf.Bytes()) {
+		return
+	}
+	if c.env, ok = decodeBody(w, r, buf.Bytes(), EstimateKeys); !ok {
+		return
+	}
 	kinds, p, code, err := ResolveEstimate(&c.env)
 	if err != nil {
 		c.reject(err.Error(), code, -1)
 		return
+	}
+	if cached { // copied only once the body is known to be a request
+		c.key = buf.String()
 	}
 	c.finish(s.Estimate(c.decoded(), Request{
 		Schema:    c.env.Schema,
 		Resources: kinds,
 		Plan:      p,
 		Timeout:   time.Duration(c.env.TimeoutMS) * time.Millisecond,
-		Explain:   wantsExplain(r),
+		Explain:   explain,
 	}))
 }
 
+// replay answers the request from the response cache if it can, and
+// counts it either way.
+func (c *estimateCall) replay(body []byte) bool {
+	s := c.svc
+	start := time.Now()
+	wire, ok := s.Replay(body)
+	if !ok {
+		s.replayMisses.Add(1)
+		return false
+	}
+	s.replayHits.Add(1)
+	s.requests.Add(1) // begin's counts, under a clock that started before the probe
+	s.epRequests[epEstimate].Add(1)
+	writeWire(c.w, http.StatusOK, wire)
+	d := s.finish(epEstimate, start, nil)
+	if tel := s.tel; tel != nil {
+		tel.rec(epEstimate, obs.StageCacheProbe, d, c.tr)
+		c.tr.LogSlow(tel.logger, tel.slow)
+	}
+	return true
+}
+
 func (s *Service) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.open(w, r, epBatch, maxBatchBody, batchKeys)
+	c := s.newCall(w, r, epBatch)
+	env, buf, ok := readRequest(w, r, maxBatchBody, batchKeys)
 	if !ok {
 		return
 	}
-	defer releaseBody(c.buf)
+	defer releaseBody(buf)
+	c.env = env
 	kinds, err := c.env.Resources.Kinds(c.env.Resource)
 	if err != nil {
 		_, code := ErrorCode(err)

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/features"
@@ -259,7 +260,9 @@ func TestObserveScoresFromCache(t *testing.T) {
 // BenchmarkHandleEstimate, BenchmarkHandleObserve and
 // BenchmarkHandleBatch64 drive the handlers on a recorder, no socket —
 // the shapes the benchmark's serve.handler_*_ns layer metrics measure.
-func benchHandler(b *testing.B, path string, bodies [][]byte, want int) {
+// body(i) is iteration i's request; the first warm of them are posted
+// before the clock starts.
+func benchHandler(b *testing.B, path string, warm int, body func(i int) []byte, want int) *serve.Service {
 	reg := serve.NewRegistry()
 	loop, err := feedback.New(feedback.Options{Publisher: reg, DriftThreshold: 1e9})
 	if err != nil {
@@ -277,26 +280,54 @@ func benchHandler(b *testing.B, path string, bodies [][]byte, want int) {
 			b.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
 		}
 	}
-	for _, body := range bodies { // warm the prediction cache
-		post(body)
+	for i := 0; i < warm; i++ { // warm the caches
+		post(body(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		post(bodies[i%len(bodies)])
+		post(body(warm + i))
 	}
+	b.StopTimer()
+	return svc
 }
 
+// cycle is the body sequence that repeats bodies in order.
+func cycle(bodies [][]byte) func(int) []byte {
+	return func(i int) []byte { return bodies[i%len(bodies)] }
+}
+
+// BenchmarkHandleEstimate/replayed repeats a handful of bodies, so every
+// measured request is answered from the response cache; /computed sends
+// the same plans under bytes never sent before — a timeout_ms that
+// counts up, far too long to fire — so every one is decoded, run
+// through the pool against a warm prediction cache, encoded and filed.
 func BenchmarkHandleEstimate(b *testing.B) {
 	setup(b)
 	estimate, _, _ := benchBodies(b, testPlans)
-	benchHandler(b, "/estimate", estimate, http.StatusOK)
+	b.Run("computed", func(b *testing.B) {
+		var buf []byte
+		svc := benchHandler(b, "/estimate", len(estimate), func(i int) []byte {
+			buf = strconv.AppendInt(append(buf[:0], `{"timeout_ms":`...), int64(1_000_000+i), 10)
+			buf = append(buf, ',')
+			return append(buf, estimate[i%len(estimate)][1:]...)
+		}, http.StatusOK)
+		if hits, misses := svc.ReplayCounts(); hits != 0 || misses != uint64(len(estimate)+b.N) {
+			b.Fatalf("%d of %d requests were replays", hits, hits+misses)
+		}
+	})
+	b.Run("replayed", func(b *testing.B) {
+		svc := benchHandler(b, "/estimate", len(estimate), cycle(estimate), http.StatusOK)
+		if hits, misses := svc.ReplayCounts(); hits != uint64(b.N) || misses != uint64(len(estimate)) {
+			b.Fatalf("%d of %d measured requests were replays", hits, b.N)
+		}
+	})
 }
 
 func BenchmarkHandleObserve(b *testing.B) {
 	setup(b)
 	_, observe, _ := benchBodies(b, testPlans)
-	benchHandler(b, "/observe", observe, http.StatusAccepted)
+	benchHandler(b, "/observe", len(observe), cycle(observe), http.StatusAccepted)
 }
 
 func BenchmarkHandleBatch64(b *testing.B) {
@@ -306,5 +337,5 @@ func BenchmarkHandleBatch64(b *testing.B) {
 		plans[i] = testPlans[i%len(testPlans)]
 	}
 	_, _, batch := benchBodies(b, plans)
-	benchHandler(b, "/estimate/batch", [][]byte{batch}, http.StatusOK)
+	benchHandler(b, "/estimate/batch", 1, cycle([][]byte{batch}), http.StatusOK)
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/respcache"
 )
 
 // Errors the request path distinguishes for clients (the HTTP layer
@@ -42,17 +43,16 @@ type Options struct {
 	// when nil.
 	Registry *Registry
 	// CacheEntries bounds the prediction cache (total entries across
-	// shards). 0 selects the default (65536); negative disables caching.
+	// shards). 0 selects the default (65536); negative disables caching,
+	// the response cache's with it.
 	CacheEntries int
 	// Workers sets the estimation worker-pool size. 0 selects
 	// GOMAXPROCS. The pool bounds concurrent model evaluation so a
 	// traffic burst degrades into queueing (bounded by deadlines)
-	// instead of unbounded goroutine fan-out.
+	// instead of unbounded goroutine fan-out: the queue feeding the pool
+	// holds 4× Workers jobs, and when it is full Estimate blocks until
+	// space frees or the request deadline fires.
 	Workers int
-	// QueueDepth bounds the request queue feeding the pool. 0 selects
-	// 4× Workers. When the queue is full, Estimate blocks until space
-	// frees or the request deadline fires.
-	QueueDepth int
 	// DefaultTimeout applies to requests that carry no deadline of
 	// their own. 0 selects 2s.
 	DefaultTimeout time.Duration
@@ -94,9 +94,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Workers <= 0 {
 		out.Workers = runtime.GOMAXPROCS(0)
-	}
-	if out.QueueDepth <= 0 {
-		out.QueueDepth = 4 * out.Workers
 	}
 	if out.DefaultTimeout <= 0 {
 		out.DefaultTimeout = 2 * time.Second
@@ -399,7 +396,16 @@ type Service struct {
 	opts  Options
 	reg   *Registry
 	cache *Cache
-	start time.Time
+	// replay is the replica's response cache: whole single-plan answers
+	// keyed by the exact request body, each stamped with the registry
+	// versions that computed it. One per service, asked by both byte-in,
+	// byte-out entry points — POST /estimate and the stream listener's
+	// estimate frame — through Replay and FileReplay; nil, off, exactly
+	// when the prediction cache is. serving is its liveness question,
+	// bound once so a hit allocates nothing.
+	replay  *respcache.Cache[Versions]
+	serving func(schema string, v Versions) bool
+	start   time.Time
 
 	jobs chan *job
 	quit chan struct{}
@@ -412,6 +418,11 @@ type Service struct {
 	completed     atomic.Uint64
 	batchRequests atomic.Uint64
 	batchPlans    atomic.Uint64
+
+	// POST /estimate requests answered by Replay, and sent on to be
+	// decoded; the stream listener counts its own frames.
+	replayHits   atomic.Uint64
+	replayMisses atomic.Uint64
 
 	// Per-endpoint counters (indexes epEstimate/epBatch/epStream).
 	// Separate from the lifetime totals above so /metrics can report
@@ -440,9 +451,13 @@ func New(opts Options) *Service {
 		reg:    o.Registry,
 		cache:  NewCache(o.CacheEntries),
 		start:  time.Now(),
-		jobs:   make(chan *job, o.QueueDepth),
+		jobs:   make(chan *job, 4*o.Workers), // a burst's worth of waiting per worker; past it callers block
 		quit:   make(chan struct{}),
 		obsReg: obs.NewRegistry(),
+	}
+	s.serving = s.reg.Serving
+	if s.cache != nil {
+		s.replay = respcache.New[Versions](respcache.Entries)
 	}
 	if !o.DisableTelemetry {
 		s.tel = newTelemetry(o)
@@ -458,10 +473,38 @@ func New(opts Options) *Service {
 // Registry exposes the routing registry for publishing models.
 func (s *Service) Registry() *Registry { return s.reg }
 
-// Caching reports whether the service memoizes predictions
-// (Options.CacheEntries). The stream listener caches whole responses
-// exactly when it does.
+// Caching reports whether the service memoizes predictions, and with
+// them whole responses (Options.CacheEntries): whether a transport that
+// will FileReplay an answer should keep a copy of its request's bytes.
 func (s *Service) Caching() bool { return s.cache != nil }
+
+// Replay returns the wire bytes that answer body — a single-plan
+// estimate request exactly as a transport received it, nothing of it
+// parsed — when those exact bytes were answered before, among the last
+// respcache.Entries distinct bodies, by model versions that all still
+// serve the request's schema. The answer is the computed one with every
+// operator counted a prediction-cache hit, which is what a
+// recomputation would report. body is only read, and only during the
+// call; the result is shared and must not be written to. A body's
+// timeout_ms does not stop a replay: the answer is already here.
+func (s *Service) Replay(body []byte) ([]byte, bool) {
+	return s.replay.Get(body, s.serving)
+}
+
+// FileReplay files what a repeat of the request key — a copy of its
+// bytes — for schema reads from now on: wire, resp's encoding, under the
+// versions that computed resp, unless a rollout has overtaken them (the
+// one fill rule, respcache.Put's). The cache keeps wire; the caller may
+// still read it. Only a computed 200 answer without an Explain is ever
+// filed — a caller files nothing else.
+func (s *Service) FileReplay(key, schema string, resp *Response, wire []byte) {
+	if s.replay == nil {
+		return
+	}
+	if replay := ReplayWire(wire, resp); replay != nil {
+		s.replay.Put(key, schema, resp.Versions(), replay, s.serving)
+	}
+}
 
 // Close shuts the worker pool down. In-flight requests finish; new
 // Estimate calls fail with ErrClosed.
@@ -583,19 +626,20 @@ func (s *Service) run(ctx context.Context, ep int, req BatchRequest) (*modelSet,
 }
 
 // begin counts one request arriving on ep and starts its latency
-// clock; finish closes it as a failure or as one more latency sample.
-// Every entry point brackets its work with the pair.
+// clock; finish closes it as a failure or as one more latency sample,
+// and returns the sample. Every entry point brackets its work with the
+// pair.
 func (s *Service) begin(ep int) time.Time {
 	s.requests.Add(1)
 	s.epRequests[ep].Add(1)
 	return time.Now()
 }
 
-func (s *Service) finish(ep int, start time.Time, err error) {
+func (s *Service) finish(ep int, start time.Time, err error) time.Duration {
 	if err != nil {
 		s.failures.Add(1)
 		s.epFailures[ep].Add(1)
-		return
+		return 0
 	}
 	d := time.Since(start)
 	s.latencyNS.Add(int64(d))
@@ -605,6 +649,7 @@ func (s *Service) finish(ep int, start time.Time, err error) {
 	if s.tel != nil {
 		s.tel.total[ep].Observe(d)
 	}
+	return d
 }
 
 // Estimate runs one request through the pool and returns predictions at

@@ -148,6 +148,12 @@ func (s *Service) collectServe(e *obs.Expo) {
 	}
 	e.Counter("resserve_batch_plans_total", "Plans carried by batch requests.", "",
 		float64(s.batchPlans.Load()))
+	e.Counter("resserve_estimate_replay_hits_total",
+		"POST /estimate requests answered from the response cache, undecoded.", "",
+		float64(s.replayHits.Load()))
+	e.Counter("resserve_estimate_replay_misses_total",
+		"POST /estimate requests the response cache did not answer (stale entries included).", "",
+		float64(s.replayMisses.Load()))
 	e.Gauge("resserve_workers", "Estimation worker-pool size.", "", float64(s.opts.Workers))
 	e.Gauge("resserve_queue_depth", "Jobs waiting in the worker-pool queue.", "",
 		float64(len(s.jobs)))

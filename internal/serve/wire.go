@@ -77,12 +77,12 @@ var wirePool = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledWire = 1 << 20
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	buf := wirePool.Get().(*[]byte)
 	defer wirePool.Put(buf)
 	b, ok := appendWire((*buf)[:0], v)
 	if !ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
 		enc := json.NewEncoder(w)
 		enc.SetEscapeHTML(false)
 		_ = enc.Encode(v)
@@ -91,7 +91,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	if cap(b) <= maxPooledWire {
 		*buf = b
 	}
-	_, _ = w.Write(b) // the client went away; nothing to report it to
+	writeWire(w, status, b)
+}
+
+// writeWire sends a body that is already its JSON wire encoding.
+func writeWire(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // the client went away; nothing to report it to
 }
 
 // wireEncoder is the state of one append encode: the output and

@@ -31,6 +31,12 @@
 // stable codes. The CRC rejects torn or corrupted frames outright —
 // on a persistent connection a desynchronized framing layer would
 // otherwise misattribute every subsequent response.
+//
+// Before any of that, the server asks its service's response cache
+// (serve.Service.Replay) with the frame's bytes: a body the service has
+// answered before, on this transport or over POST /estimate, is
+// answered from the read loop without being decoded. The cache is the
+// service's, not this package's; the server only counts its own frames.
 package stream
 
 import (

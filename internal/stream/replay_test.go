@@ -1,12 +1,14 @@
 package stream_test
 
-// Tests for the response cache in front of the stream handler: a repeat
-// of a request is answered with the bytes a warm prediction cache would
-// have produced and no dispatch; whatever moves the models a request
-// resolves to — publish, rollback, a dedicated model replacing the
-// fallback, either resource of a multi-resource request — makes the
-// next repeat a computation again; and nothing that is not a framed
-// answer is ever filed.
+// Tests for the service's response cache as the stream handler asks it:
+// a repeat of a request is answered with the bytes a warm prediction
+// cache would have produced and no dispatch; whatever moves the models a
+// request resolves to — publish, rollback, a dedicated model replacing
+// the fallback, either resource of a multi-resource request — makes the
+// next repeat a computation again; nothing that is not a framed answer
+// is ever filed; and it is one cache under both transports — what POST
+// /estimate answered replays here and the reverse. The HTTP side's own
+// tests are internal/serve/replay_test.go.
 
 import (
 	"bytes"
@@ -16,11 +18,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -278,36 +282,64 @@ func TestReplayFilesOnlyFramedAnswers(t *testing.T) {
 
 	// An answer over the frame limit: a real response — it carries the
 	// versions that computed it — grown past 8 MiB, sent for a request
-	// whose bytes the server has not seen. The same call with the
-	// response as it was does file it, so the size is what refused.
+	// whose bytes the server has not seen; and one grown past the cache's
+	// bound on an entry, which frames and still must not fill. The same
+	// call with the response as it was does file it, so the size is what
+	// refused.
 	resps, err := svc.EstimateStream(context.Background(), serve.BatchRequest{
 		Schema: "tpch", Resource: plan.CPUTime, Plans: []*plan.Plan{testPlans[0]},
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	huge := *resps[0]
-	huge.Operators = make([]serve.OperatorEstimate, 300_000)
-	for i := range huge.Operators {
-		huge.Operators[i] = serve.OperatorEstimate{ID: i, Kind: "TableScan", Estimate: 1.5}
+	grown := func(operators int) *serve.Response {
+		r := *resps[0]
+		r.Operators = make([]serve.OperatorEstimate, operators)
+		for i := range r.Operators {
+			r.Operators[i] = serve.OperatorEstimate{ID: i, Kind: "TableScan", Estimate: 1.5}
+		}
+		return &r
 	}
 	p := replayProbe{t, srv, cl}
 	body := requestBody(t, &stream.Request{Schema: "tpch", Resource: "cpu", Plan: planJSON(t, testPlans[0])})
-	srv.SendResponse(string(body), "tpch", &huge)
+	srv.SendResponse(string(body), "tpch", grown(300_000))
 	if st := srv.Stats(); st.Errors != 5 {
 		t.Fatalf("the grown response was not refused by the framer: %+v", st)
 	}
-	first := p.computed("after an answer too large to frame", body, huge.Model.Version)
+	first := p.computed("after an answer too large to frame", body, resps[0].Model.Version)
 	body = append(body, ' ') // other bytes, same request
+	srv.SendResponse(string(body), "tpch", grown(40_000))
+	if st := srv.Stats(); st.Errors != 5 {
+		t.Fatalf("a response over the cache's entry bound did not frame: %+v", st)
+	}
+	p.computed("after an answer too large to file", body, resps[0].Model.Version)
+	body = append(body, ' ')
 	srv.SendResponse(string(body), "tpch", resps[0])
 	p.replayed("after an answer that framed", body, first)
+}
+
+// post sends body to the service's POST /estimate and returns the
+// answer's bytes.
+func post(t testing.TB, url string, body []byte) []byte {
+	t.Helper()
+	resp, err := http.Post(url+"/estimate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP status %d: %s (%v)", resp.StatusCode, raw, err)
+	}
+	return raw
 }
 
 // TestReplayOfDeclinedBody: a body the envelope walker declines — an
 // escaped string, a key in another case — decodes through
 // encoding/json, and is filed and replayed like any other: both
-// servings are the bytes POST /estimate answers the same body with once
-// warm.
+// servings are the bytes POST /estimate computes for the same request
+// once warm (asked under other bytes — trailing spaces — so that what
+// answers is a computation, not this cache).
 func TestReplayOfDeclinedBody(t *testing.T) {
 	svc, srv := newStream(t, serve.Options{}, stream.Options{})
 	httpSrv := httptest.NewServer(svc.Handler())
@@ -321,18 +353,8 @@ func TestReplayOfDeclinedBody(t *testing.T) {
 		if stream.WalkerDecodes(body) {
 			t.Fatalf("%s: the walker took the body", name)
 		}
-		var want []byte
-		for k := 0; k < 2; k++ { // the second answer is the warm one
-			resp, err := http.Post(httpSrv.URL+"/estimate", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err = io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s: HTTP status %d: %s (%v)", name, resp.StatusCode, want, err)
-			}
-		}
+		post(t, httpSrv.URL, append(bytes.Clone(body), ' '))
+		want := post(t, httpSrv.URL, append(bytes.Clone(body), ' ', ' ')) // the warm one
 		computed, _, replayed := p.send(body)
 		if replayed {
 			t.Fatalf("%s: first serving was a replay", name)
@@ -345,6 +367,83 @@ func TestReplayOfDeclinedBody(t *testing.T) {
 			t.Fatalf("%s: stream servings differ from the warm /estimate body\ncomputed: %s\nreplay:   %s\nhttp:     %s",
 				name, computed, replay, want)
 		}
+	}
+}
+
+// TestOneCacheUnderBothTransports: a body POST /estimate answered
+// replays on the stream without a dispatch, and a body the stream
+// answered replays over HTTP without a job — byte for byte the answer
+// the other transport filed — while each transport's replay counters
+// count its own requests only; a publish kills the entry for both.
+func TestOneCacheUnderBothTransports(t *testing.T) {
+	svc, srv := newStream(t, serve.Options{}, stream.Options{})
+	svc.Obs().Register(srv.Collector())
+	httpSrv := httptest.NewServer(svc.Handler())
+	t.Cleanup(httpSrv.Close)
+	p := replayProbe{t, srv, dial(t, srv)}
+	cpu, _ := svc.Registry().Lookup("", plan.CPUTime)
+	jobs := func() uint64 { return svc.StageLatencies("estimate", obs.StageQueue).Count }
+	series := func() (out [4]string) {
+		var buf bytes.Buffer
+		if err := svc.Obs().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range []string{
+			"resserve_estimate_replay_hits_total", "resserve_estimate_replay_misses_total",
+			"resserve_stream_replay_hits_total", "resserve_stream_replay_misses_total",
+		} {
+			for _, line := range strings.Split(buf.String(), "\n") {
+				if v, ok := strings.CutPrefix(line, name+" "); ok {
+					out[i] = v
+				}
+			}
+		}
+		return out
+	}
+
+	// HTTP first, then the stream.
+	viaHTTP := requestBody(t, &stream.Request{Resource: "cpu", Plan: planJSON(t, testPlans[0])})
+	post(t, httpSrv.URL, viaHTTP)
+	if got := series(); got != [4]string{"0", "1", "0", "0"} {
+		t.Fatalf("after one POST: estimate hits, misses, stream hits, misses = %v", got)
+	}
+	raw, a, replayed := p.send(viaHTTP) // checks Dispatches did not move on a replay
+	if !replayed || a.CacheMisses != 0 || a.CacheHits != len(a.Operators) {
+		t.Fatalf("a body answered over HTTP was computed again on the stream (replayed %v): %s", replayed, raw)
+	}
+	if got := series(); got != [4]string{"0", "1", "1", "0"} {
+		t.Fatalf("after the stream replayed it: estimate hits, misses, stream hits, misses = %v", got)
+	}
+	if again := post(t, httpSrv.URL, viaHTTP); !bytes.Equal(again, raw) {
+		t.Fatalf("the two transports replay different bytes\nhttp:   %s\nstream: %s", again, raw)
+	}
+
+	// The stream first, then HTTP.
+	viaStream := requestBody(t, &stream.Request{Resource: "cpu", Plan: planJSON(t, testPlans[1])})
+	first := p.computed("first serving, on the stream", viaStream, cpu.Info.Version)
+	before := jobs()
+	again := post(t, httpSrv.URL, viaStream)
+	if jobs() != before {
+		t.Fatal("a body answered on the stream ran a job over HTTP")
+	}
+	p.replayed("on the stream", viaStream, first)
+	if replay, _, _ := p.send(viaStream); !bytes.Equal(again, replay) {
+		t.Fatalf("the two transports replay different bytes\nhttp:   %s\nstream: %s", again, replay)
+	}
+	if got := series(); got != [4]string{"2", "1", "3", "1"} {
+		t.Fatalf("at the end: estimate hits, misses, stream hits, misses = %v", got)
+	}
+
+	// One entry, so one death: a publish makes the next serving on either
+	// transport a computation, which the other then replays.
+	v2 := svc.Registry().Publish("", cpuEst)
+	before = jobs()
+	var got answer
+	if err := json.Unmarshal(post(t, httpSrv.URL, viaStream), &got); err != nil || got.Model.Version != v2.Version || jobs() != before+1 {
+		t.Fatalf("after a publish HTTP answered v%d with %d jobs (%v)", got.Model.Version, jobs()-before, err)
+	}
+	if _, a, replayed := p.send(viaStream); !replayed || a.Model.Version != v2.Version {
+		t.Fatalf("the stream did not replay HTTP's answer under v%d: replayed %v, v%d", v2.Version, replayed, a.Model.Version)
 	}
 }
 

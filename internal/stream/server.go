@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/respcache"
 	"repro/internal/serve"
 )
 
@@ -62,9 +61,11 @@ type Stats struct {
 	Requests  uint64 `json:"requests"`
 	Responses uint64 `json:"responses"`
 	Errors    uint64 `json:"errors"`
-	// ReplayHits counts the requests answered from the response cache,
-	// before anything of them was decoded; ReplayMisses the ones that
-	// went on to be decoded. Both stay 0 with the cache off.
+	// ReplayHits counts the estimate frames answered from the service's
+	// response cache, before anything of them was decoded; ReplayMisses
+	// the ones that went on to be decoded. Frames of this listener only —
+	// POST /estimate asks the same cache and counts its own. Both stay 0
+	// with the cache off.
 	ReplayHits   uint64 `json:"replay_hits"`
 	ReplayMisses uint64 `json:"replay_misses"`
 	// Dispatches counts coalesced micro-batches sent through the pool;
@@ -76,24 +77,21 @@ type Stats struct {
 	Holds      uint64 `json:"holds"`
 }
 
-// Server is a Listener whose handler answers a request it has answered
-// before from the response cache, and coalesces the rest — the in-flight
-// requests of all its connections — into batched dispatches.
+// Server is a Listener whose handler answers a request its service has
+// answered before — on this transport or over HTTP — from the service's
+// response cache, and coalesces the rest — the in-flight requests of all
+// its connections — into batched dispatches.
 type Server struct {
 	*Listener
 	opts    Options
 	batcher *batcher
-	// replay is the tier-shared response cache, stamped with the
-	// registry versions that computed each answer; nil — off — exactly
-	// when the service's prediction cache is. serving is its liveness
-	// question, bound once so the hit path allocates nothing.
-	replay  *respcache.Cache[serve.Versions]
-	serving func(schema string, v serve.Versions) bool
 
-	requests   atomic.Uint64
-	responses  atomic.Uint64
-	sendErrors atomic.Uint64
-	dispatches atomic.Uint64
+	requests     atomic.Uint64
+	responses    atomic.Uint64
+	sendErrors   atomic.Uint64
+	dispatches   atomic.Uint64
+	replayHits   atomic.Uint64
+	replayMisses atomic.Uint64
 
 	batchFill      obs.IntHistogram
 	framesPerWrite obs.IntHistogram
@@ -107,10 +105,7 @@ func Start(addr string, opts Options) (*Server, error) {
 	if opts.Service == nil {
 		return nil, errors.New("stream: Options.Service is required")
 	}
-	s := &Server{opts: opts.withDefaults(), serving: opts.Service.Registry().Serving}
-	if opts.Service.Caching() {
-		s.replay = respcache.New[serve.Versions](respcache.Entries)
-	}
+	s := &Server{opts: opts.withDefaults()}
 	s.batcher = &batcher{srv: s, slots: make(chan struct{}, opts.Service.Workers()), groups: make(map[groupKey]*group)}
 	l, err := Listen(addr, s.opts, &s.framesPerWrite, s.handleEstimate)
 	if err != nil {
@@ -122,15 +117,14 @@ func Start(addr string, opts Options) (*Server, error) {
 
 // Stats snapshots the listener's counters.
 func (s *Server) Stats() Stats {
-	hits, misses := s.replay.Stats()
 	return Stats{
 		Accepted:     s.Accepted(),
 		Open:         s.Open(),
 		Requests:     s.requests.Load(),
 		Responses:    s.responses.Load(),
 		Errors:       s.sendErrors.Load(),
-		ReplayHits:   hits,
-		ReplayMisses: misses,
+		ReplayHits:   s.replayHits.Load(),
+		ReplayMisses: s.replayMisses.Load(),
 		Dispatches:   s.dispatches.Load(),
 	}
 }
@@ -152,11 +146,10 @@ func (s *Server) Collector() obs.Collector {
 			float64(s.sendErrors.Load()))
 		e.Counter("resserve_stream_dispatches_total", "Coalesced micro-batches dispatched.", "",
 			float64(s.dispatches.Load()))
-		hits, misses := s.replay.Stats()
 		e.Counter("resserve_stream_replay_hits_total",
-			"Requests answered from the response cache, undecoded.", "", float64(hits))
+			"Estimate frames answered from the response cache, undecoded.", "", float64(s.replayHits.Load()))
 		e.Counter("resserve_stream_replay_misses_total",
-			"Requests the response cache did not answer (stale entries included).", "", float64(misses))
+			"Estimate frames the response cache did not answer (stale entries included).", "", float64(s.replayMisses.Load()))
 		fill := s.batchFill.Snapshot()
 		e.IntHistogram("resserve_stream_batch_fill", "Plans per coalesced dispatch.", "", &fill)
 		perWrite := s.framesPerWrite.Snapshot()
@@ -179,11 +172,17 @@ func (s *Server) Collector() obs.Collector {
 func (s *Server) handleEstimate(c *Conn, f *Frame) {
 	start := time.Now()
 	s.requests.Add(1)
-	if body, ok := s.replay.Get(f.Body, s.serving); ok {
-		s.responses.Add(1)
-		_ = c.Queue(&Frame{Type: FrameResponse, Seq: f.Seq, Body: body}) // fails only on a dead connection
-		s.opts.Service.RecordStreamStage(obs.StageCacheProbe, time.Since(start))
-		return
+	svc := s.opts.Service
+	caching := svc.Caching()
+	if caching {
+		if body, ok := svc.Replay(f.Body); ok {
+			s.replayHits.Add(1)
+			s.responses.Add(1)
+			_ = c.Queue(&Frame{Type: FrameResponse, Seq: f.Seq, Body: body}) // fails only on a dead connection
+			svc.RecordStreamStage(obs.StageCacheProbe, time.Since(start))
+			return
+		}
+		s.replayMisses.Add(1)
 	}
 	var req serve.Envelope
 	if err := decodeEstimate(f.Body, &req); err != nil {
@@ -196,17 +195,18 @@ func (s *Server) handleEstimate(c *Conn, f *Frame) {
 		return
 	}
 	var key string
-	if s.replay != nil {
+	if caching {
 		key = string(f.Body)
 	}
-	s.opts.Service.RecordStreamStage(obs.StageDecode, time.Since(start))
+	svc.RecordStreamStage(obs.StageDecode, time.Since(start))
 	s.batcher.enqueue(pending{conn: c, seq: f.Seq, plan: p, key: key}, kinds, req.TimeoutMS, req.Schema)
 }
 
 // sendResponse encodes one plan's Response — byte-identical to the
 // /estimate body — files what a repeat of m's request reads under the
 // request's bytes, and queues the answer for the writer. An answer no
-// frame can carry is never filed: a replay of it could not be sent.
+// frame can carry is never filed — a replay of it could not be sent —
+// by the cache's own bound on an entry, which is below the frame limit.
 func (s *Server) sendResponse(m *pending, schema string, resp *serve.Response) {
 	start := time.Now()
 	body, err := serve.MarshalWire(resp)
@@ -218,11 +218,7 @@ func (s *Server) sendResponse(m *pending, schema string, resp *serve.Response) {
 	// holding its answer never reads a count that lacks it, and is
 	// answered from the cache if it asks again.
 	s.responses.Add(1)
-	if m.key != "" && fits(body) {
-		if replay := serve.ReplayWire(body, resp); replay != nil {
-			s.replay.Put(m.key, schema, resp.Versions(), replay, s.serving)
-		}
-	}
+	s.opts.Service.FileReplay(m.key, schema, resp, body) // nothing, with the cache off
 	err = m.conn.Send(context.Background(), &Frame{Type: FrameResponse, Seq: m.seq, Body: body})
 	if err != nil && !errors.Is(err, ErrConnLost) { // body over the frame limit
 		s.responses.Add(^uint64(0))

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/respcache"
 )
 
 // TestReadFrameRejectsDamage: a frame whose bytes do not match its
@@ -261,5 +262,14 @@ func BenchmarkFrameWriter(b *testing.B) {
 			s := perWrite.Snapshot()
 			b.ReportMetric(s.Mean(), "frames/write")
 		})
+	}
+}
+
+// TestCachedAnswerAlwaysFrames pins why sendResponse files an answer
+// without asking whether a frame can carry it: the response cache
+// refuses an entry long before the framer would.
+func TestCachedAnswerAlwaysFrames(t *testing.T) {
+	if !fits(make([]byte, respcache.MaxEntryBytes)) {
+		t.Fatalf("respcache.MaxEntryBytes = %d does not fit a %d-byte frame", respcache.MaxEntryBytes, maxFrameSize)
 	}
 }

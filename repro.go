@@ -397,7 +397,12 @@ func LoadFile(path string) (*Estimator, error) {
 // models are published into a registry (hot-swappable at runtime),
 // per-operator predictions are memoized in a sharded LRU cache, and
 // requests run on a bounded worker pool with per-request deadlines.
-// cmd/resserve exposes the same service over HTTP.
+// cmd/resserve exposes the same service over HTTP. The service also
+// keeps one response cache, at the byte boundary: POST /estimate and
+// the streaming transport's estimate frame answer a body they have
+// answered before without parsing it, each replaying what the other
+// computed. Service.Estimate, the in-process call, does not go through
+// it.
 
 // Serving types, re-exported like the plan types above.
 type (
@@ -428,7 +433,9 @@ func NewService(opts ServeOptions) *Service { return serve.New(opts) }
 // connections: many requests interleave in flight on one connection,
 // and the server coalesces requests *across* connections into
 // micro-batched dispatches through the same pool/cache path as HTTP —
-// responses stay byte-identical to POST /estimate. cmd/resserve
+// responses stay byte-identical to POST /estimate, and a repeated
+// request is answered from the service's response cache, the one POST
+// /estimate asks. cmd/resserve
 // exposes it with -stream-addr; see README "Streaming protocol" for
 // the frame layout and the coalescing rule.
 
