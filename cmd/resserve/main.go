@@ -83,8 +83,10 @@
 // persistent streaming transport: length-prefixed CRC-checked frames
 // on plain TCP, many requests in flight per connection, and requests
 // coalesced across connections into micro-batched dispatches through
-// the same worker pool and cache — responses byte-identical to
-// POST /estimate, at a fraction of the per-request overhead. See the
+// the same worker pool and cache — request bodies read by POST
+// /estimate's own decoder, so each is accepted or refused in the same
+// words, and responses byte-identical to POST /estimate, at a fraction
+// of the per-request overhead. See the
 // README's "Streaming protocol" section for the frame layout, the
 // coalescing rule (send at once when nothing for the route is
 // outstanding, accumulate while something is) and a client example.
@@ -151,7 +153,6 @@ func main() {
 		modelDir    = flag.String("model-dir", "", "directory POST /models may load model files from (empty disables the endpoint)")
 		storeDir    = flag.String("store-dir", "", "versioned model-store directory; every publish persists an atomic snapshot there, startup restores the latest ones, and rollback walks snapshot history")
 		storeRetain = flag.Int("store-retain", 16, "snapshots retained per schema in the model store (negative disables pruning)")
-		slabQuant   = flag.Bool("slab-quantized", false, "restore models from the float32-quantized slab layout when the publish-time accuracy gate admitted one (default: exact float64 slabs, bit-identical to JSON decode)")
 		feedbackDir = flag.String("feedback-dir", "", "observation-log directory; enables the online feedback loop (POST /observe, drift-triggered retraining)")
 		trainWork   = flag.Int("train-workers", 0, "training worker pool size for -bootstrap and feedback retrains (0 = GOMAXPROCS); trained models are bit-identical at any worker count")
 		driftThresh = flag.Float64("drift-threshold", 2, "retrain when the recent P90 relative error exceeds this multiple of the model's training-time baseline")
@@ -227,13 +228,8 @@ func main() {
 	restored := newRestoreTracker()
 	var stopStoreSync func()
 	if *storeDir != "" {
-		slabMode := repro.SlabExact
-		if *slabQuant {
-			slabMode = repro.SlabQuantized
-		}
 		st, err := repro.OpenModelStore(*storeDir, repro.ModelStoreOptions{
 			Retain: *storeRetain,
-			Slab:   slabMode,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "resserve: "+format+"\n", args...)
 			},

@@ -29,9 +29,6 @@ type ForwarderOptions struct {
 	Target string
 	// Interval is the tail poll period (default 2s).
 	Interval time.Duration
-	// HTTPClient overrides the transport (default: shared pooled
-	// client).
-	HTTPClient *http.Client
 	// Logger receives forwarding failures. Nil discards.
 	Logger *slog.Logger
 }
@@ -67,15 +64,12 @@ func NewForwarder(opts ForwarderOptions) (*Forwarder, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 2 * time.Second
 	}
-	if opts.HTTPClient == nil {
-		opts.HTTPClient = defaultHTTPClient()
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
 	}
 	f := &Forwarder{
 		opts:    opts,
-		httpc:   opts.HTTPClient,
+		httpc:   newHTTPClient(),
 		logger:  opts.Logger,
 		offsets: make(map[string]int64),
 		quit:    make(chan struct{}),

@@ -89,12 +89,12 @@ func clientKey(r *http.Request) string {
 }
 
 // peekSchema extracts the routing key from a request body. This is a
-// full validating walk of the envelope, plan included (the shared
-// serve.DecodeEnvelope, building nothing: the plan is the replica's to
+// full validating decode of the envelope, plan included (serve's one
+// request decoder, building nothing: the plan is the replica's to
 // decode), so it runs only for bodies that have to be
-// forwarded — a cache hit never gets here. A body the router cannot
-// parse routes by the empty schema — the replica owning that slot
-// produces the canonical error.
+// forwarded — a cache hit never gets here — and it reads every body as
+// the replica will. A body the router cannot parse routes by the empty
+// schema — the replica owning that slot produces the canonical error.
 func peekSchema(body []byte) string {
 	var req stream.Request
 	if err := stream.DecodeRequest(body, &req); err != nil {

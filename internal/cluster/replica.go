@@ -184,11 +184,11 @@ func (rp *replica) close() {
 	}
 }
 
-// defaultHTTPClient builds the router's replica-facing HTTP client:
-// generous connection reuse (health polls every second across the
-// fleet plus proxied batch traffic), bounded dial time so a dead
-// replica is detected quickly.
-func defaultHTTPClient() *http.Client {
+// newHTTPClient builds the replica-facing HTTP client of the router and
+// of the observation forwarder: generous connection reuse (health polls
+// every second across the fleet plus proxied batch traffic), bounded
+// dial time so a dead replica is detected quickly.
+func newHTTPClient() *http.Client {
 	tr := &http.Transport{
 		MaxIdleConns:        64,
 		MaxIdleConnsPerHost: 16,

@@ -21,8 +21,6 @@ type Options struct {
 	// full URL). The address string is also the replica's ring key
 	// and metrics label. Required.
 	Replicas []string
-	// Vnodes per replica on the consistent-hash ring (default 128).
-	Vnodes int
 	// PoolSize is the number of pooled stream connections per replica
 	// (default 2). Streams pipeline, so a small pool carries high
 	// concurrency while giving the replica's micro-batcher multiple
@@ -57,9 +55,6 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.Vnodes <= 0 {
-		out.Vnodes = defaultVnodes
-	}
 	if out.PoolSize <= 0 {
 		out.PoolSize = 2
 	}
@@ -132,14 +127,14 @@ func New(opts Options) (*Router, error) {
 	if len(o.Replicas) == 0 {
 		return nil, errors.New("cluster: no replicas configured")
 	}
-	httpc := defaultHTTPClient()
+	httpc := newHTTPClient()
 	dialOpts := stream.DialOptions{
 		ConnectTimeout: o.DialTimeout,
 		Reconnect:      true,
 	}
 	rt := &Router{
 		opts:      o,
-		ring:      NewRing(o.Replicas, o.Vnodes),
+		ring:      NewRing(o.Replicas, defaultVnodes),
 		replicas:  make(map[string]*replica),
 		cache:     respcache.New[string](o.CacheEntries),
 		logger:    o.Logger,

@@ -1,7 +1,6 @@
 package feedback
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -9,42 +8,37 @@ import (
 )
 
 // BenchmarkFeedbackIngest measures observation-log append throughput —
-// the hot path POST /observe rides on — comparing a single writer
-// against sharded writers under parallel load. Encode cost (plan wire
-// encoding + CRC) is part of the measured path on purpose: that is what
-// each ingest pays.
+// the hot path POST /observe rides on — under parallel load on the
+// log's one writer. Encode cost (plan wire encoding + CRC) is part of
+// the measured path on purpose: that is what each ingest pays.
 func BenchmarkFeedbackIngest(b *testing.B) {
 	plans := executedPlans(b, 71, 16)
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			l, err := OpenLog(LogOptions{Dir: b.TempDir(), Shards: shards, SegmentBytes: 64 << 20})
-			if err != nil {
+	l, err := OpenLog(LogOptions{Dir: b.TempDir(), SegmentBytes: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	var i atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			n := i.Add(1)
+			obs := &Observation{
+				Schema:       "tpch",
+				Resource:     plan.CPUTime,
+				ModelVersion: n,
+				Predicted:    float64(n),
+				Plan:         plans[n%uint64(len(plans))],
+				UnixNanos:    int64(n),
+			}
+			if err := l.Append(obs); err != nil {
 				b.Fatal(err)
 			}
-			defer l.Close()
-			var i atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					n := i.Add(1)
-					obs := &Observation{
-						Schema:       "tpch",
-						Resource:     plan.CPUTime,
-						ModelVersion: n,
-						Predicted:    float64(n),
-						Plan:         plans[n%uint64(len(plans))],
-						UnixNanos:    int64(n),
-					}
-					if err := l.Append(obs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(b.N)/sec, "obs/s")
-			}
-		})
+		}
+	})
+	b.StopTimer()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(b.N)/sec, "obs/s")
 	}
 }
 

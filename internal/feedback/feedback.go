@@ -137,14 +137,6 @@ type Options struct {
 	Dir string
 	// SegmentBytes rotates log segments past this size (default 4 MiB).
 	SegmentBytes int64
-	// Shards is the number of independent log writers (default 1).
-	// Appends round-robin across shards, trading global ordering for
-	// ingest throughput — see BenchmarkFeedbackIngest.
-	Shards int
-	// Replay controls whether opening the loop replays the existing log
-	// into the in-memory windows and retrain buffer (default true when
-	// Dir is set; set SkipReplay to suppress).
-	SkipReplay bool
 
 	// Publisher connects the loop to the serving registry. Nil disables
 	// drift-triggered retraining (observations are still logged).
@@ -152,13 +144,6 @@ type Options struct {
 
 	// WindowSize bounds the per-schema rolling error window (default 512).
 	WindowSize int
-	// PerOpWindowSize bounds the per-operator windows (default 256).
-	PerOpWindowSize int
-	// BufferCap bounds the in-memory retraining buffer of recent
-	// observations per (schema, resource) (default 8192; raised to
-	// MinObservations when set lower, so a large MinObservations cannot
-	// silently make retraining unreachable).
-	BufferCap int
 	// ExemplarK bounds the worst-prediction exemplar store: the top-K
 	// largest mispredictions (by |log-ratio error|) are kept with their
 	// plan wire form and features for GET /debug/exemplars (default 32;
@@ -170,8 +155,8 @@ type Options struct {
 	// spraying unique schema names at POST /observe would grow the
 	// per-route windows and buffers without bound.
 	MaxRoutes int
-	// RetainSegments bounds the on-disk log to this many segments per
-	// shard; older segments are pruned on rotation so the log — and the
+	// RetainSegments bounds the on-disk log to this many segments;
+	// older segments are pruned on rotation so the log — and the
 	// startup replay — stay proportional to the retention the loop
 	// actually uses, not total uptime. Default 8; negative disables
 	// pruning.
@@ -208,9 +193,6 @@ type Options struct {
 	// degraded model keeps serving through. Retrained models are
 	// bit-identical at any worker count.
 	TrainWorkers int
-	// HoldoutFraction of the buffered observations is withheld from
-	// training and used to validate the candidate (default 0.2).
-	HoldoutFraction float64
 	// MaxHoldoutError is the absolute quality gate: a candidate whose
 	// mean holdout relative error exceeds it is rejected even when it
 	// beats the incumbent — the defense against garbage actuals poisoning
@@ -222,22 +204,21 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// perOpWindowSize bounds the per-operator rolling error windows.
+	perOpWindowSize = 256
+	// retrainBufferCap bounds a route's in-memory buffer of recent
+	// observations, the retrainer's input (see Loop.bufferCap).
+	retrainBufferCap = 8192
+)
+
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.SegmentBytes <= 0 {
 		out.SegmentBytes = 4 << 20
 	}
-	if out.Shards <= 0 {
-		out.Shards = 1
-	}
 	if out.WindowSize <= 0 {
 		out.WindowSize = 512
-	}
-	if out.PerOpWindowSize <= 0 {
-		out.PerOpWindowSize = 256
-	}
-	if out.BufferCap <= 0 {
-		out.BufferCap = 8192
 	}
 	if out.DriftQuantile <= 0 || out.DriftQuantile > 1 {
 		out.DriftQuantile = 0.9
@@ -260,9 +241,6 @@ func (o *Options) withDefaults() Options {
 	if out.MinObservations <= 0 {
 		out.MinObservations = 256
 	}
-	if out.BufferCap < out.MinObservations {
-		out.BufferCap = out.MinObservations
-	}
 	if out.RetainSegments == 0 {
 		out.RetainSegments = 8
 	}
@@ -276,9 +254,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.RetrainIterations <= 0 {
 		out.RetrainIterations = 120
-	}
-	if out.HoldoutFraction <= 0 || out.HoldoutFraction >= 1 {
-		out.HoldoutFraction = 0.2
 	}
 	if out.MaxHoldoutError <= 0 {
 		out.MaxHoldoutError = 0.5

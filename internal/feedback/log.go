@@ -9,27 +9,29 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Log is the segmented append-only observation log. Records are framed
 // by the CRC codec (codec.go); segments rotate past a size threshold so
-// old observations can eventually be archived or deleted wholesale.
-// Writers are sharded: each shard owns an independent segment sequence
-// and lock, so concurrent ingest scales past a single mutex (appends
-// round-robin across shards; replay is ordered within a shard, not
-// globally — consumers that care about order sort on UnixNanos).
+// old observations can eventually be archived or deleted wholesale. One
+// writer appends, under one lock, to segments named obs-00-%08d.seg —
+// the names existing directories already hold. The 00 is a writer
+// index from when the log had several; replay reads every writer's
+// segments, so such a directory still replays whole.
 //
 // Crash safety: each record is written straight through to the OS in
-// one write under the shard lock — no user-space buffering — so once
-// Append returns, a process crash loses at most a record torn by the
-// crash itself. Nothing here fsyncs: a power loss can cost the tail the
-// OS had not written back. On open, the tail segment of every shard is
-// scanned and truncated back to the last valid record boundary.
+// one write under the lock — no user-space buffering — so once Append
+// returns, a process crash loses at most a record torn by the crash
+// itself. Nothing here fsyncs: a power loss can cost the tail the OS
+// had not written back. On open, the tail segment is scanned and
+// truncated back to the last valid record boundary.
 type Log struct {
-	opts   LogOptions
-	shards []*logShard
-	next   atomic.Uint64 // round-robin append counter
+	opts LogOptions
+
+	mu   sync.Mutex
+	seg  int // current segment index
+	f    *os.File
+	size int64
 }
 
 // LogOptions configures an observation log.
@@ -38,43 +40,31 @@ type LogOptions struct {
 	Dir string
 	// SegmentBytes rotates segments past this size (default 4 MiB).
 	SegmentBytes int64
-	// Shards is the number of independent writers (default 1). A
-	// directory written with more shards than requested reopens with
-	// the on-disk count, so no shard's segments are ever orphaned from
-	// retention and replay ordering.
-	Shards int
-	// RetainSegments bounds each shard to this many segments, pruning
-	// the oldest on rotation and on open — so disk use and startup
-	// replay stay proportional to retention, not uptime (default 8;
-	// negative disables pruning).
+	// RetainSegments bounds the log to this many segments, pruning the
+	// oldest on rotation and on open — so disk use and startup replay
+	// stay proportional to retention, not uptime (default 8; negative
+	// disables pruning).
 	RetainSegments int
 }
 
-type logShard struct {
-	mu     sync.Mutex
-	dir    string
-	id     int
-	seg    int // current segment index
-	retain int // segments kept per shard; <= 0 keeps all
-	f      *os.File
-	size   int64
-}
+// logWriter is the writer index in every segment name this log writes.
+const logWriter = 0
 
-func segmentName(shard, seg int) string {
-	return fmt.Sprintf("obs-%02d-%08d.seg", shard, seg)
+func segmentName(writer, seg int) string {
+	return fmt.Sprintf("obs-%02d-%08d.seg", writer, seg)
 }
 
 // parseSegmentName inverts segmentName.
-func parseSegmentName(name string) (shard, seg int, ok bool) {
-	if _, err := fmt.Sscanf(name, "obs-%02d-%08d.seg", &shard, &seg); err != nil {
+func parseSegmentName(name string) (writer, seg int, ok bool) {
+	if _, err := fmt.Sscanf(name, "obs-%02d-%08d.seg", &writer, &seg); err != nil {
 		return 0, 0, false
 	}
-	return shard, seg, name == segmentName(shard, seg)
+	return writer, seg, name == segmentName(writer, seg)
 }
 
-// OpenLog opens (or creates) the log in opts.Dir, recovering each
-// shard's tail segment: the segment is scanned record by record and
-// truncated after the last one whose CRC checks out.
+// OpenLog opens (or creates) the log in opts.Dir, recovering the tail
+// segment: it is scanned record by record and truncated after the last
+// one whose CRC checks out.
 func OpenLog(opts LogOptions) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("feedback: observation log needs a directory")
@@ -82,58 +72,38 @@ func OpenLog(opts LogOptions) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
 	if opts.RetainSegments == 0 {
 		opts.RetainSegments = 8
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("feedback: %w", err)
 	}
-	lastSeg := make(map[int]int) // shard -> max segment index on disk
 	entries, err := os.ReadDir(opts.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("feedback: %w", err)
 	}
+	l := &Log{opts: opts, seg: 1}
 	for _, e := range entries {
-		if shard, seg, ok := parseSegmentName(e.Name()); ok {
-			if seg > lastSeg[shard] {
-				lastSeg[shard] = seg
-			}
-			// Adopt shards beyond the requested count: leaving them
-			// writer-less would orphan their segments from pruning while
-			// replay kept reading them forever.
-			if shard >= opts.Shards {
-				opts.Shards = shard + 1
-			}
+		if writer, seg, ok := parseSegmentName(e.Name()); ok && writer == logWriter && seg > l.seg {
+			l.seg = seg
 		}
 	}
-	l := &Log{opts: opts, shards: make([]*logShard, opts.Shards)}
-	for i := range l.shards {
-		sh := &logShard{dir: opts.Dir, id: i, seg: lastSeg[i], retain: opts.RetainSegments}
-		if sh.seg == 0 {
-			sh.seg = 1
-		}
-		if err := sh.open(); err != nil {
-			l.Close()
-			return nil, err
-		}
-		sh.prune()
-		l.shards[i] = sh
+	if err := l.open(); err != nil {
+		return nil, err
 	}
+	l.prune()
 	return l, nil
 }
 
-// prune removes segments older than the shard's retention bound. Best
-// effort: a failed remove is retried on the next rotation. Called with
-// the shard unshared (OpenLog) or under its lock (rotate).
-func (s *logShard) prune() {
-	if s.retain <= 0 {
+// prune removes segments older than the retention bound. Best effort: a
+// failed remove is retried on the next rotation. Called with the log
+// unshared (OpenLog) or under its lock (rotate).
+func (l *Log) prune() {
+	if l.opts.RetainSegments <= 0 {
 		return
 	}
-	for k := s.seg - s.retain; k >= 1; k-- {
-		if err := os.Remove(filepath.Join(s.dir, segmentName(s.id, k))); err != nil {
+	for k := l.seg - l.opts.RetainSegments; k >= 1; k-- {
+		if err := os.Remove(filepath.Join(l.opts.Dir, segmentName(logWriter, k))); err != nil {
 			// Segments are contiguous; the first missing one ends the
 			// backlog.
 			if os.IsNotExist(err) {
@@ -143,11 +113,11 @@ func (s *logShard) prune() {
 	}
 }
 
-// open opens the shard's current segment for appending, truncating a
-// corrupt tail first. Called with the shard unshared (OpenLog) or under
-// its lock (rotate).
-func (s *logShard) open() error {
-	path := filepath.Join(s.dir, segmentName(s.id, s.seg))
+// open opens the current segment for appending, truncating a corrupt
+// tail first. Called with the log unshared (OpenLog) or under its lock
+// (rotate).
+func (l *Log) open() error {
+	path := filepath.Join(l.opts.Dir, segmentName(logWriter, l.seg))
 	valid, _, scanErr := scanSegment(path, nil)
 	if scanErr != nil && !errors.Is(scanErr, os.ErrNotExist) {
 		return scanErr
@@ -164,8 +134,8 @@ func (s *logShard) open() error {
 		f.Close()
 		return fmt.Errorf("feedback: %w", err)
 	}
-	s.f = f
-	s.size = valid
+	l.f = f
+	l.size = valid
 	return nil
 }
 
@@ -176,8 +146,8 @@ var recordPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledRecord = 64 << 10
 
-// Append encodes obs and writes it to the next shard in round-robin
-// order, rotating that shard's segment when full.
+// Append encodes obs and writes it to the current segment, rotating it
+// first when full.
 func (l *Log) Append(obs *Observation) error {
 	buf := recordPool.Get().(*[]byte)
 	defer recordPool.Put(buf)
@@ -188,63 +158,56 @@ func (l *Log) Append(obs *Observation) error {
 	if cap(rec) <= maxPooledRecord {
 		*buf = rec
 	}
-	s := l.shards[l.next.Add(1)%uint64(len(l.shards))]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
 		return ErrClosed
 	}
-	if s.size > 0 && s.size+int64(len(rec)) > l.opts.SegmentBytes {
-		if err := s.rotate(); err != nil {
+	if l.size > 0 && l.size+int64(len(rec)) > l.opts.SegmentBytes {
+		if err := l.rotate(); err != nil {
 			return err
 		}
 	}
-	if _, err := s.f.Write(rec); err != nil {
+	if _, err := l.f.Write(rec); err != nil {
 		return fmt.Errorf("feedback: append: %w", err)
 	}
-	s.size += int64(len(rec))
+	l.size += int64(len(rec))
 	return nil
 }
 
 // rotate seals the current segment and starts the next. The next
 // segment is opened before the current one is released, so a failed
-// rotation (disk full, fd exhaustion) leaves the shard writing to the
-// old segment — degraded past SegmentBytes, retried on the next append
-// — rather than wedged. Caller holds the shard lock.
-func (s *logShard) rotate() error {
-	old, oldSize := s.f, s.size
-	s.seg++
-	if err := s.open(); err != nil {
-		s.seg--
-		s.f, s.size = old, oldSize
+// rotation (disk full, fd exhaustion) leaves the log writing to the old
+// segment — degraded past SegmentBytes, retried on the next append —
+// rather than wedged. Caller holds the lock.
+func (l *Log) rotate() error {
+	old, oldSize := l.f, l.size
+	l.seg++
+	if err := l.open(); err != nil {
+		l.seg--
+		l.f, l.size = old, oldSize
 		return err
 	}
 	old.Close()
-	s.prune()
+	l.prune()
 	return nil
 }
 
-// Close closes every shard. Appends after Close fail with ErrClosed.
+// Close closes the current segment. Appends after Close fail with
+// ErrClosed.
 func (l *Log) Close() error {
-	var first error
-	for _, s := range l.shards {
-		if s == nil {
-			continue
-		}
-		s.mu.Lock()
-		if s.f != nil {
-			if err := s.f.Close(); err != nil && first == nil {
-				first = err
-			}
-			s.f = nil
-		}
-		s.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
+		return nil
 	}
-	return first
+	err := l.f.Close()
+	l.f = nil
+	return err
 }
 
 // Replay feeds every decodable observation on disk to fn, segment by
-// segment in (shard, segment) order. A corrupt tail ends that shard's
+// segment in (writer, segment) order. A corrupt tail ends that segment's
 // replay without error — that is the expected post-crash state. fn
 // errors abort the replay. Returns the number of observations replayed.
 func (l *Log) Replay(fn func(*Observation) error) (int, error) {
@@ -258,22 +221,22 @@ func ReplayDir(dir string, fn func(*Observation) error) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("feedback: %w", err)
 	}
-	type segFile struct{ shard, seg int }
+	type segFile struct{ writer, seg int }
 	var segs []segFile
 	for _, e := range entries {
-		if shard, seg, ok := parseSegmentName(e.Name()); ok {
-			segs = append(segs, segFile{shard, seg})
+		if writer, seg, ok := parseSegmentName(e.Name()); ok {
+			segs = append(segs, segFile{writer, seg})
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].shard != segs[j].shard {
-			return segs[i].shard < segs[j].shard
+		if segs[i].writer != segs[j].writer {
+			return segs[i].writer < segs[j].writer
 		}
 		return segs[i].seg < segs[j].seg
 	})
 	total := 0
 	for _, sf := range segs {
-		_, n, err := scanSegment(filepath.Join(dir, segmentName(sf.shard, sf.seg)), fn)
+		_, n, err := scanSegment(filepath.Join(dir, segmentName(sf.writer, sf.seg)), fn)
 		total += n
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return total, err

@@ -214,9 +214,11 @@ func TestLogCorruptMiddleStopsShard(t *testing.T) {
 	}
 }
 
+// TestLogShardedConcurrentAppend has eight goroutines append to the
+// log's one writer at once: every record lands, and replays.
 func TestLogShardedConcurrentAppend(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(LogOptions{Dir: dir, Shards: 4})
+	l, err := OpenLog(LogOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +243,7 @@ func TestLogShardedConcurrentAppend(t *testing.T) {
 	}
 	wg.Wait()
 	if got := replayAll(t, l); len(got) != writers*each {
-		t.Fatalf("replayed %d of %d sharded appends", len(got), writers*each)
+		t.Fatalf("replayed %d of %d concurrent appends", len(got), writers*each)
 	}
 }
 
@@ -294,40 +296,5 @@ func TestLogRetention(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("%d segments after reopen with retain=1, want 1", len(entries))
-	}
-}
-
-// TestLogAdoptsOnDiskShards reopens a 4-shard directory asking for 1
-// shard: the on-disk shard count wins, so no shard's segments are left
-// orphaned from pruning while replay keeps reading them.
-func TestLogAdoptsOnDiskShards(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenLog(LogOptions{Dir: dir, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := testObservations(t, 16)
-	for _, o := range obs {
-		if err := l.Append(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Close()
-
-	l2, err := OpenLog(LogOptions{Dir: dir}) // asks for the default 1 shard
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if len(l2.shards) != 4 {
-		t.Fatalf("reopened with %d shards, want the on-disk 4", len(l2.shards))
-	}
-	for _, o := range obs {
-		if err := l2.Append(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := replayAll(t, l2); len(got) != 2*len(obs) {
-		t.Fatalf("replayed %d records, want %d", len(got), 2*len(obs))
 	}
 }

@@ -23,7 +23,7 @@ import (
 // background retrainer that publishes through the Publisher.
 //
 // Concurrency: Observe is safe for concurrent use (the HTTP layer calls
-// it from many handlers). Log appends synchronize per shard; window and
+// it from many handlers). Log appends take the log's lock; window and
 // buffer state is guarded by one mutex; at most one retrain per route
 // runs at a time, on its own goroutine, against a private copy of the
 // buffer. Close waits for in-flight retrains and flushes the log.
@@ -49,9 +49,9 @@ type Loop struct {
 }
 
 // New opens a feedback loop. When opts.Dir is set, the observation log
-// is opened (recovering crash-torn tails) and, unless opts.SkipReplay,
-// replayed into the in-memory windows and retraining buffers so a
-// restarted server resumes with its accumulated evidence.
+// is opened (recovering a crash-torn tail) and replayed into the
+// in-memory windows and retraining buffers so a restarted server
+// resumes with its accumulated evidence.
 func New(opts Options) (*Loop, error) {
 	l := &Loop{opts: opts.withDefaults(), routes: make(map[routeKey]*routeState)}
 	l.exemplars.cap = l.opts.ExemplarK
@@ -59,36 +59,35 @@ func New(opts Options) (*Loop, error) {
 		log, err := OpenLog(LogOptions{
 			Dir:            l.opts.Dir,
 			SegmentBytes:   l.opts.SegmentBytes,
-			Shards:         l.opts.Shards,
 			RetainSegments: l.opts.RetainSegments,
 		})
 		if err != nil {
 			return nil, err
 		}
 		l.log = log
-		if !l.opts.SkipReplay {
-			// Collect, then ingest in timestamp order: segment replay is
-			// ordered within a shard but not across shards, and the
-			// windows/buffers must re-warm with the true most-recent tail,
-			// not a shard-strided mix. Memory is bounded by RetainSegments.
-			var replayed []*Observation
-			n, err := l.log.Replay(func(obs *Observation) error {
-				replayed = append(replayed, obs)
-				return nil
-			})
-			if err != nil {
-				l.log.Close()
-				return nil, err
-			}
-			sort.SliceStable(replayed, func(i, j int) bool {
-				return replayed[i].UnixNanos < replayed[j].UnixNanos
-			})
-			for _, obs := range replayed {
-				l.ingest(obs, Served{}, false)
-			}
-			if n > 0 {
-				l.opts.logf("feedback: replayed %d observations from %s", n, l.opts.Dir)
-			}
+		// Collect, then ingest in timestamp order: concurrent Observes
+		// stamp before they take the log's lock, so log order is only
+		// nearly time order, and a directory from when the log had
+		// several writers replays writer by writer. The windows/buffers
+		// must re-warm with the true most-recent tail. Memory is bounded
+		// by RetainSegments.
+		var replayed []*Observation
+		n, err := l.log.Replay(func(obs *Observation) error {
+			replayed = append(replayed, obs)
+			return nil
+		})
+		if err != nil {
+			l.log.Close()
+			return nil, err
+		}
+		sort.SliceStable(replayed, func(i, j int) bool {
+			return replayed[i].UnixNanos < replayed[j].UnixNanos
+		})
+		for _, obs := range replayed {
+			l.ingest(obs, Served{}, false)
+		}
+		if n > 0 {
+			l.opts.logf("feedback: replayed %d observations from %s", n, l.opts.Dir)
 		}
 	}
 	return l, nil
@@ -278,14 +277,14 @@ func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 		for _, s := range opErrs {
 			w, ok := st.perOp[s.kind]
 			if !ok {
-				w = stats.NewRolling(l.opts.PerOpWindowSize)
+				w = stats.NewRolling(perOpWindowSize)
 				st.perOp[s.kind] = w
 			}
 			w.Add(s.err)
 			st.opHist(s.kind).ObserveRatio(s.pred, s.act)
 		}
 	}
-	st.push(obs, l.opts.BufferCap)
+	st.push(obs, l.bufferCap())
 	if check && !l.closed && st.count%uint64(l.opts.CheckEvery) == 0 {
 		st.drifting = l.drifting(st, est)
 		if st.drifting && l.retrainEligible(st) {

@@ -261,15 +261,6 @@ func TestLoopReplayWarmsState(t *testing.T) {
 	if s.Window.Count != len(plans) || s.Window.Mean <= 0 {
 		t.Fatalf("replay did not rebuild the error window: %+v", s.Window)
 	}
-
-	l3, err := New(Options{Dir: dir, SkipReplay: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l3.Close()
-	if len(l3.Snapshot()) != 0 {
-		t.Fatal("SkipReplay still warmed state")
-	}
 }
 
 func TestObserveValidates(t *testing.T) {

@@ -16,16 +16,16 @@ import (
 // actuals (clock skew, a broken execution harness, an adversarial
 // client) from poisoning the serving path.
 
-// splitObservations deals every k-th observation to the holdout so both
-// slices span the buffer's full time range (a suffix split would train
-// on old drift and validate on new).
-func splitObservations(obs []*Observation, holdoutFraction float64) (train, holdout []*plan.Plan) {
-	k := int(math.Round(1 / holdoutFraction))
-	if k < 2 {
-		k = 2
-	}
+// holdoutEvery deals every holdoutEvery-th buffered observation to the
+// holdout: a fifth of the buffer validates the candidate.
+const holdoutEvery = 5
+
+// splitObservations deals every holdoutEvery-th observation to the
+// holdout so both slices span the buffer's full time range (a suffix
+// split would train on old drift and validate on new).
+func splitObservations(obs []*Observation) (train, holdout []*plan.Plan) {
 	for i, o := range obs {
-		if i%k == k-1 {
+		if i%holdoutEvery == holdoutEvery-1 {
 			holdout = append(holdout, o.Plan)
 		} else {
 			train = append(train, o.Plan)
@@ -84,7 +84,7 @@ func (l *Loop) retrain(key routeKey, cur *core.Estimator, curVersion uint64, obs
 
 // retrainOnce trains, validates and (maybe) publishes one candidate.
 func (l *Loop) retrainOnce(key routeKey, cur *core.Estimator, curVersion uint64, obs []*Observation) (accepted bool, published uint64, holdErr float64) {
-	trainPlans, holdout := splitObservations(obs, l.opts.HoldoutFraction)
+	trainPlans, holdout := splitObservations(obs)
 	cfg := core.DefaultConfig()
 	cfg.Mart.Iterations = l.opts.RetrainIterations
 	// Fan the candidate fits across the training pool so the retrain —

@@ -108,7 +108,7 @@ func TestRetrainEligible(t *testing.T) {
 		t.Fatal("eligible with empty buffer")
 	}
 	for i := 0; i < 4; i++ {
-		st.push(&Observation{}, l.opts.BufferCap)
+		st.push(&Observation{}, l.bufferCap())
 	}
 	st.count = 4
 	if !l.retrainEligible(st) {
@@ -133,7 +133,7 @@ func TestRetrainEligible(t *testing.T) {
 	bare := newBareLoop(t, Options{MinObservations: 4})
 	bst := bare.route(routeKey{schema: "s", resource: plan.CPUTime})
 	for i := 0; i < 4; i++ {
-		bst.push(&Observation{}, bare.opts.BufferCap)
+		bst.push(&Observation{}, bare.bufferCap())
 	}
 	bst.count = 4
 	if bare.retrainEligible(bst) {

@@ -74,9 +74,14 @@ func (l *Loop) route(k routeKey) *routeState {
 	return st
 }
 
+// bufferCap bounds a route's retraining buffer: retrainBufferCap,
+// raised to MinObservations so a large MinObservations cannot silently
+// make retraining unreachable.
+func (l *Loop) bufferCap() int { return max(retrainBufferCap, l.opts.MinObservations) }
+
 // push appends obs to the route's retraining ring buffer, bounded to
 // limit entries. The buffer grows lazily rather than preallocating the
-// bound, so a generous BufferCap costs memory proportional to traffic
+// bound, so a generous bound costs memory proportional to traffic
 // actually seen.
 func (st *routeState) push(obs *Observation, limit int) {
 	if len(st.buffer) < limit {

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkBatchPlansDecode decodes a 64-plan POST /estimate/batch
-// body the way the handler does — decodeRequest: the envelope walker
+// body the way the handler does — DecodeRequest: the envelope walker
 // handing each plans element to plan.DecodeJSON — and, beside it, the
 // way it does for a body the walker declines: encoding/json for the
 // envelope, batchPlans splitting the array.
@@ -34,7 +34,7 @@ func BenchmarkBatchPlansDecode(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		decode func([]byte, EnvelopeKeys) (Envelope, error)
-	}{{"fast", decodeRequest}, {"stdlib", decodeRequestStd}} {
+	}{{"fast", DecodeRequest}, {"stdlib", decodeRequestStd}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(body.Len()))

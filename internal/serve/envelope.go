@@ -123,10 +123,12 @@ type Envelope struct {
 	badPlanErr error
 }
 
-// decodeRequest decodes an endpoint's request body: the envelope
+// DecodeRequest decodes an endpoint's request body: the envelope
 // walker, or — for a body it declines — the endpoint's encoding/json
-// struct.
-func decodeRequest(body []byte, keys EnvelopeKeys) (Envelope, error) {
+// struct. It is the one decoder of a single-estimate body on every
+// surface: POST /estimate and the stream's estimate frame with
+// EstimateKeys, the router's schema peek with ForwardKeys.
+func DecodeRequest(body []byte, keys EnvelopeKeys) (Envelope, error) {
 	var env Envelope
 	if DecodeEnvelope(body, keys, &env) {
 		return env, nil
@@ -153,7 +155,7 @@ func decodeRequestStd(body []byte, keys EnvelopeKeys) (Envelope, error) {
 		return Envelope{Schema: req.Schema, Resource: req.Resource, ModelVersion: req.ModelVersion,
 			Predicted: req.Predicted, Plan: req.Plan}, err
 	default:
-		var req estimateRequestJSON
+		var req EstimateRequest
 		err := dec.Decode(&req)
 		return Envelope{Schema: req.Schema, Resource: req.Resource, Resources: req.Resources,
 			TimeoutMS: req.TimeoutMS, Plan: req.Plan}, err
@@ -310,7 +312,10 @@ func resourceSet(b []byte, i int) (ResourceSet, int, bool) {
 // The encoding/json targets of the three endpoints, which
 // decodeRequestStd decodes into.
 
-type estimateRequestJSON struct {
+// EstimateRequest is the wire body of a single estimate: POST /estimate
+// and the stream transport's estimate frame (stream.Request). Clients
+// marshal it; DecodeRequest is what reads it.
+type EstimateRequest struct {
 	// Schema routes to a published model; empty uses the wildcard.
 	Schema string `json:"schema,omitempty"`
 	// Resource is "cpu" (default) or "io". Ignored when Resources is

@@ -39,9 +39,6 @@ func ScribblePooledBodies(n int) {
 	}
 }
 
-// DecodeRequest is the handlers' request decode: walker, then stdlib.
-var DecodeRequest = decodeRequest
-
 // ReplayCounts returns the POST /estimate requests the response cache
 // answered and the ones it was asked and did not.
 func (s *Service) ReplayCounts() (hits, misses uint64) {

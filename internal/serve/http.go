@@ -334,7 +334,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffe
 // decodeBody decodes a request body's envelope, answering the request
 // itself when it does not decode.
 func decodeBody(w http.ResponseWriter, r *http.Request, body []byte, keys EnvelopeKeys) (Envelope, bool) {
-	env, err := decodeRequest(body, keys)
+	env, err := DecodeRequest(body, keys)
 	switch {
 	case err == nil:
 		return env, true

@@ -24,13 +24,16 @@
 //	uint64 sequence ID (echoed verbatim on the response)
 //	body   JSON
 //
-// Request bodies carry the same JSON the POST /estimate endpoint
-// accepts ({schema, resource|resources, timeout_ms, plan}); response
-// bodies are byte-identical to the corresponding /estimate response
-// body, and error bodies are the {error, code} envelope with the same
-// stable codes. The CRC rejects torn or corrupted frames outright —
-// on a persistent connection a desynchronized framing layer would
-// otherwise misattribute every subsequent response.
+// Request bodies are POST /estimate bodies ({schema,
+// resource|resources, timeout_ms, plan}) — serve's request type, decoded
+// by serve's decoder, so every body is accepted or refused, in the same
+// words, as POST /estimate does (request.go). Response bodies are
+// byte-identical to the corresponding /estimate response body, and
+// error bodies are the {error, code} envelope with the same stable
+// codes. This package keeps framing, connections and coalescing; it
+// owns no request format. The CRC rejects torn or corrupted frames
+// outright — on a persistent connection a desynchronized framing layer
+// would otherwise misattribute every subsequent response.
 //
 // Before any of that, the server asks its service's response cache
 // (serve.Service.Replay) with the frame's bytes: a body the service has
@@ -47,7 +50,6 @@ import (
 	"fmt"
 
 	"repro/internal/frame"
-	"repro/internal/serve"
 )
 
 // Frame types.
@@ -107,25 +109,6 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	dst = append(dst, f.Body...)
 	format.Seal(dst, at)
 	return dst, nil
-}
-
-// Request is the wire body of a FrameEstimate — the same JSON the
-// POST /estimate endpoint accepts.
-type Request struct {
-	// Schema routes to a published model; empty uses the wildcard.
-	Schema string `json:"schema,omitempty"`
-	// Resource is "cpu" (default) or "io". Ignored when Resources is
-	// present.
-	Resource string `json:"resource,omitempty"`
-	// Resources selects several resources at once: resource names, or
-	// "all" anywhere in the list for every kind. Decoding also takes the
-	// endpoint's string forms ("all", a single name); an explicit []
-	// is an error, not the absent field.
-	Resources serve.ResourceSet `json:"resources,omitempty"`
-	// TimeoutMS overrides the service's default deadline when > 0.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Plan is the wire-encoded physical plan (plan.EncodeJSON).
-	Plan json.RawMessage `json:"plan"`
 }
 
 // Error is the decoded FrameError body: the same {error, code}

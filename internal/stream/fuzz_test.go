@@ -9,15 +9,15 @@ package stream
 // whether a frame fits the read buffer, overflows it, or arrives a
 // byte at a time. Seed corpus lives in
 // testdata/fuzz/FuzzStreamFrameDecode — same discipline as the
-// feedback log's FuzzFrameDecode.
+// feedback log's FuzzFrameDecode. testdata/fuzz/FuzzRequestDecode is a
+// corpus of request bodies, which FuzzEnvelopeDecode in internal/serve
+// seeds from: request bodies are serve's to decode.
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
-	"reflect"
 	"testing"
 	"testing/iotest"
 )
@@ -102,41 +102,6 @@ func FuzzStreamFrameDecode(f *testing.F) {
 			if !bytes.Equal(enc, enc2) {
 				t.Fatal("frame encoding is not a fixed point")
 			}
-		}
-	})
-}
-
-// FuzzRequestDecode pins the envelope walker, as this transport adapts
-// it, to encoding/json: for every input, either the fast path declines
-// (and the stdlib fallback defines the behavior anyway), or its decoded
-// Request must match stdlib's field for field. The reference decodes
-// resources the way POST /estimate does — a string or an array, with
-// [] distinct from absent.
-func FuzzRequestDecode(f *testing.F) {
-	f.Add([]byte(`{"schema":"tpch","resource":"cpu","plan":{"op":"scan"},"timeout_ms":250}`))
-	f.Add([]byte(`{"resources":["cpu","mem"],"plan":[1,[2,"]"],{}]}`))
-	f.Add([]byte(`{"resource":"c\u0070u","plan":null,"timeout_ms":-1}`))
-	f.Add([]byte(`  {  "plan" : "quoted" , "unknown" : { "x" : [ ] } }  `))
-	f.Add([]byte(`{"timeout_ms":007}`))
-	f.Add([]byte(`{"schema":"a","schema":"b"}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`{"resources":"all","plan":{}}`))
-	f.Add([]byte(`{"resources":[],"resource":"io","plan":{}}`))
-	f.Add([]byte(`{"resources":null,"plan":{}}`))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var fast Request
-		if !fastDecodeRequest(body, &fast) {
-			return // stdlib fallback owns this input by construction
-		}
-		var ref Request
-		if err := json.Unmarshal(body, &ref); err != nil {
-			t.Fatalf("fast path accepted input stdlib rejects: %q (%v)", body, err)
-		}
-		if fast.Schema != ref.Schema || fast.Resource != ref.Resource ||
-			fast.TimeoutMS != ref.TimeoutMS ||
-			!bytes.Equal(fast.Plan, ref.Plan) ||
-			!reflect.DeepEqual(fast.Resources, ref.Resources) {
-			t.Fatalf("fast path diverges on %q:\nfast %+v\nref  %+v", body, fast, ref)
 		}
 	})
 }

@@ -1,61 +1,31 @@
 package stream
 
-import (
-	"encoding/json"
+import "repro/internal/serve"
 
-	"repro/internal/serve"
-)
+// A FrameEstimate body is the POST /estimate body, and this transport
+// owns no format for it: the request type is serve's, and every body is
+// decoded by serve.DecodeRequest — the one decoder POST /estimate uses —
+// by this transport's server and by the routing tier, which peeks the
+// schema for affinity placement. A canonical body takes the envelope
+// walker (a single pass aliasing the plan's bytes out of the frame body,
+// which nothing reads once the plan is built, so the body may lie in a
+// read buffer that is reused); any other goes to the same encoding/json
+// Decoder POST /estimate falls back to. So a body is accepted, refused
+// and worded the same on every surface — trailing bytes after the object
+// included — and FuzzEnvelopeDecode in internal/serve pins the walker
+// against that fallback for both key sets used here.
 
-// A FrameEstimate body is the POST /estimate envelope, decoded once per
-// frame on the hot path — by this transport's server and by the routing
-// tier, which peeks the schema for affinity placement. Both go through
-// the one envelope walker every endpoint shares (serve.DecodeEnvelope:
-// a single pass aliasing the plan's bytes out of the frame body, which
-// nothing reads once the plan is built — so the body may lie in a read
-// buffer that is reused), and a body the walker declines — unknown or
-// folded keys, escaped strings, nulls, unexpected types, over-deep
-// nesting — is rerun through encoding/json wholesale, so every
-// slow or ambiguous case keeps stdlib semantics, including its error
-// text. The one rule: whenever the walker says it decoded, the result
-// must be field for field what stdlib would have produced. A
-// differential fuzz target (FuzzRequestDecode) pins exactly that here,
-// FuzzEnvelopeDecode in internal/serve for the other endpoints' keys.
-// The plan decodes under the same contract: in the walker's own pass
-// for the server, not at all for the routing tier.
+// Request is the wire body of a FrameEstimate: serve's POST /estimate
+// request.
+type Request = serve.EstimateRequest
 
-// DecodeRequest decodes one request envelope into req, its plan left as
-// validated wire bytes: what the routing tier needs, which forwards the
-// body. The server decodes with decodeEstimate.
+// DecodeRequest decodes one request body into req as POST /estimate
+// does, its plan left as validated wire bytes (serve.ForwardKeys): what
+// the routing tier needs, which forwards the body. The server decodes
+// with serve.EstimateKeys, building the plan in the same pass.
 func DecodeRequest(body []byte, req *Request) error {
-	if fastDecodeRequest(body, req) {
-		return nil
-	}
-	*req = Request{}
-	return json.Unmarshal(body, req)
-}
-
-// fastDecodeRequest reports whether the envelope walker fully decoded
-// body. false means "retry with encoding/json", not "invalid".
-func fastDecodeRequest(body []byte, req *Request) bool {
-	var env serve.Envelope
-	if !serve.DecodeEnvelope(body, serve.ForwardKeys, &env) {
-		return false
-	}
+	env, err := serve.DecodeRequest(body, serve.ForwardKeys)
 	*req = Request{Schema: env.Schema, Resource: env.Resource, Resources: env.Resources,
 		TimeoutMS: env.TimeoutMS, Plan: env.Plan}
-	return true
-}
-
-// decodeEstimate is DecodeRequest for the side that estimates: the
-// walker builds the plan in the pass that finds it, and a body it
-// declines decodes as DecodeRequest's does.
-func decodeEstimate(body []byte, env *serve.Envelope) error {
-	if serve.DecodeEnvelope(body, serve.EstimateKeys, env) {
-		return nil
-	}
-	var req Request
-	err := json.Unmarshal(body, &req)
-	*env = serve.Envelope{Schema: req.Schema, Resource: req.Resource, Resources: req.Resources,
-		TimeoutMS: req.TimeoutMS, Plan: req.Plan}
 	return err
 }

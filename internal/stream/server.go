@@ -184,8 +184,8 @@ func (s *Server) handleEstimate(c *Conn, f *Frame) {
 		}
 		s.replayMisses.Add(1)
 	}
-	var req serve.Envelope
-	if err := decodeEstimate(f.Body, &req); err != nil {
+	req, err := serve.DecodeRequest(f.Body, serve.EstimateKeys)
+	if err != nil {
 		s.sendError(c, f.Seq, "bad request body: "+err.Error(), "bad_request")
 		return
 	}

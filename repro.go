@@ -470,21 +470,10 @@ func StartStreamServer(addr string, opts StreamServerOptions) (*StreamServer, er
 type (
 	// ModelStore is the versioned on-disk model store.
 	ModelStore = store.Store
-	// ModelStoreOptions configures retention, slab policy and logging.
+	// ModelStoreOptions configures retention and logging.
 	ModelStoreOptions = store.Options
 	// ModelManifest describes one persisted snapshot.
 	ModelManifest = store.Manifest
-)
-
-// Slab policy values for ModelStoreOptions.Slab: publish-time slab
-// siblings next to each model blob, restored zero-copy via mmap.
-const (
-	// SlabExact (default): restore from the slab's exact float64 layout,
-	// bit-identical to the JSON decode path.
-	SlabExact = store.SlabExact
-	// SlabQuantized: prefer the slab's float32-quantized section when
-	// the publish-time accuracy gate admitted one.
-	SlabQuantized = store.SlabQuantized
 )
 
 // OpenModelStore opens (creating if needed) the model store rooted at
