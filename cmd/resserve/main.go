@@ -111,7 +111,7 @@
 // requests drain (force-closed if still running at the 10s drain
 // deadline), the streaming listener closes, the estimation worker pool
 // stops, any in-flight retrain finishes, and the observation log is
-// flushed and closed.
+// closed.
 package main
 
 import (
@@ -400,7 +400,7 @@ func main() {
 	// still running when the drain deadline expires — see drainHTTP),
 	// then the streaming listener, then the estimation worker pool,
 	// then the feedback loop — which waits for any retrain in flight
-	// and flushes the observation log, so a signal never kills the
+	// and closes the observation log, so a signal never kills the
 	// process mid-write.
 	drained := make(chan struct{})
 	go func() {
@@ -444,8 +444,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "resserve: feedback log flushed")
 	}
 	if forwarder != nil {
-		// The loop above flushed the log; one final synchronous pass
-		// ships whatever those flushes appended, so a clean shutdown
+		// The loop above closed the log; one final synchronous pass
+		// ships whatever was appended before that, so a clean shutdown
 		// leaves no observation behind for the retrainer.
 		forwarder.Close()
 		if n, err := forwarder.ForwardNow(); err != nil {

@@ -9,36 +9,58 @@ import (
 
 // BenchmarkFeedbackIngest measures observation-log append throughput —
 // the hot path POST /observe rides on — under parallel load on the
-// log's one writer. Encode cost (plan wire encoding + CRC) is part of
-// the measured path on purpose: that is what each ingest pays.
+// log's one writer (-cpu 1,8 runs it at 1 and 8 goroutines). Both cases
+// pay the CRC and the write: /reencode also encodes the plan, as
+// Loop.Observe does; /wire appends the JSON the plan arrived in, as
+// POST /observe does.
 func BenchmarkFeedbackIngest(b *testing.B) {
 	plans := executedPlans(b, 71, 16)
-	l, err := OpenLog(LogOptions{Dir: b.TempDir(), SegmentBytes: 64 << 20})
-	if err != nil {
-		b.Fatal(err)
+	wires := make([][]byte, len(plans))
+	for k, p := range plans {
+		enc, err := plan.EncodeJSON(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wires[k] = enc
 	}
-	defer l.Close()
-	var i atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			n := i.Add(1)
-			obs := &Observation{
-				Schema:       "tpch",
-				Resource:     plan.CPUTime,
-				ModelVersion: n,
-				Predicted:    float64(n),
-				Plan:         plans[n%uint64(len(plans))],
-				UnixNanos:    int64(n),
-			}
-			if err := l.Append(obs); err != nil {
+	for _, c := range []struct {
+		name string
+		wire bool
+	}{{"reencode", false}, {"wire", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			l, err := OpenLog(LogOptions{Dir: b.TempDir(), SegmentBytes: 64 << 20})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N)/sec, "obs/s")
+			defer l.Close()
+			var i atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					n := i.Add(1)
+					k := n % uint64(len(plans))
+					obs := &Observation{
+						Schema:       "tpch",
+						Resource:     plan.CPUTime,
+						ModelVersion: n,
+						Predicted:    float64(n),
+						Plan:         plans[k],
+						UnixNanos:    int64(n),
+					}
+					var wire []byte
+					if c.wire {
+						wire = wires[k]
+					}
+					if err := l.appendWire(obs, wire); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.StopTimer()
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(b.N)/sec, "obs/s")
+			}
+		})
 	}
 }
 

@@ -23,8 +23,10 @@ import (
 //	int64   unix nanos
 //	float64 predicted (IEEE bits)
 //	uint16  schema length, schema bytes
-//	uint32  plan length, plan bytes (the plan package's wire JSON,
-//	        which round-trips per-node Actual resources)
+//	uint32  plan length, plan bytes (the plan's wire JSON as received,
+//	        else as plan.EncodeJSON writes it; either way what
+//	        plan.DecodeJSON reads back, per-node Actual resources
+//	        included)
 //	uint16  request-ID length, request-ID bytes (version 2 only)
 //
 // Version 2 appends the serving request ID after the plan; an
@@ -56,6 +58,14 @@ var format = frame.Format{Magic: 0x46424C31 /* "FBL1" */, Min: 1, Max: maxRecord
 // EncodeObservation appends the framed binary record for obs to dst and
 // returns the extended slice.
 func EncodeObservation(dst []byte, obs *Observation) ([]byte, error) {
+	return encodeObservation(dst, obs, nil)
+}
+
+// encodeObservation is EncodeObservation for a caller that still holds
+// the wire JSON obs.Plan was decoded from: those bytes go into the
+// record as they are, instead of a re-encoding of the plan. nil wire
+// re-encodes.
+func encodeObservation(dst []byte, obs *Observation, wire []byte) ([]byte, error) {
 	if obs.Plan == nil || obs.Plan.Root == nil {
 		return nil, errors.New("feedback: encode observation without plan")
 	}
@@ -65,9 +75,12 @@ func EncodeObservation(dst []byte, obs *Observation) ([]byte, error) {
 	if len(obs.RequestID) >= maxRequestIDLen {
 		return nil, fmt.Errorf("feedback: request ID %d bytes long", len(obs.RequestID))
 	}
-	planBytes, err := plan.EncodeJSON(obs.Plan)
-	if err != nil {
-		return nil, err
+	planBytes := wire
+	if planBytes == nil {
+		var err error
+		if planBytes, err = plan.EncodeJSON(obs.Plan); err != nil {
+			return nil, err
+		}
 	}
 	// Records without a request ID stay on version 1, byte-identical to
 	// what pre-request-ID writers produced.

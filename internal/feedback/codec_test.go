@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -92,6 +93,43 @@ func TestObservationRoundTripProperty(t *testing.T) {
 		}
 		if out.Actual() != in.Actual() {
 			t.Fatalf("iter %d: actuals changed: %v vs %v", i, out.Actual(), in.Actual())
+		}
+	}
+}
+
+// TestEncodeObservationWire records a plan's wire bytes as they are:
+// canonical bytes give the record EncodeObservation writes, any other
+// spelling lands in the plan field verbatim and decodes to the same
+// plan.
+func TestEncodeObservationWire(t *testing.T) {
+	for i, p := range executedPlans(t, 15, 8) {
+		obs := &Observation{Schema: "tpch", Resource: plan.CPUTime, ModelVersion: 3, Predicted: 2.5, Plan: p, UnixNanos: 9, RequestID: "r"}
+		canonical, err := plan.EncodeJSON(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EncodeObservation(nil, obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := encodeObservation(nil, obs, canonical); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("plan %d: canonical wire bytes wrote a different record (%v)", i, err)
+		}
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, canonical, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := encodeObservation(nil, obs, indented.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(rec, indented.Bytes()) {
+			t.Fatalf("plan %d: the record does not carry the wire bytes", i)
+		}
+		out, _ := decodeOne(t, rec)
+		got, err := plan.EncodeJSON(out.Plan)
+		if err != nil || !bytes.Equal(got, canonical) || out.RequestID != obs.RequestID {
+			t.Fatalf("plan %d: wire record decoded to a different observation (%v)", i, err)
 		}
 	}
 }

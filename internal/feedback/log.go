@@ -148,10 +148,14 @@ const maxPooledRecord = 64 << 10
 
 // Append encodes obs and writes it to the current segment, rotating it
 // first when full.
-func (l *Log) Append(obs *Observation) error {
+func (l *Log) Append(obs *Observation) error { return l.appendWire(obs, nil) }
+
+// appendWire is Append recording wire, when not nil, as the plan's bytes
+// (see encodeObservation). wire is copied into the record and not kept.
+func (l *Log) appendWire(obs *Observation, wire []byte) error {
 	buf := recordPool.Get().(*[]byte)
 	defer recordPool.Put(buf)
-	rec, err := EncodeObservation((*buf)[:0], obs)
+	rec, err := encodeObservation((*buf)[:0], obs, wire)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package feedback
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -119,17 +120,18 @@ func TestLogSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestLogCrashRecovery simulates a crash mid-write: a torn record at the
-// tail must be truncated away on reopen, everything before it replayed,
-// and appending must resume cleanly.
+// TestLogCrashRecovery simulates a crash mid-write at every byte of the
+// tail record: each reopen must truncate the segment back to the last
+// record whose CRC checks out, replay exactly the records whose Append
+// returned, and take the next append cleanly.
 func TestLogCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenLog(LogOptions{Dir: dir})
+	obs := testObservations(t, 4)
+	written := t.TempDir()
+	l, err := OpenLog(LogOptions{Dir: written})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := testObservations(t, 10)
-	for _, o := range obs {
+	for _, o := range obs[:3] {
 		if err := l.Append(o); err != nil {
 			t.Fatal(err)
 		}
@@ -137,46 +139,84 @@ func TestLogCrashRecovery(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	good, err := os.ReadFile(filepath.Join(written, segmentName(0, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := EncodeObservation(nil, obs[3])
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Tear the tail: a half-written record (header + part of a payload).
+	dir := t.TempDir()
 	path := filepath.Join(dir, segmentName(0, 1))
-	rec, err := EncodeObservation(nil, obs[0])
-	if err != nil {
-		t.Fatal(err)
+	for cut := 0; cut < len(tail); cut++ {
+		// The crash left the three acknowledged records and the first
+		// cut bytes of a fourth.
+		torn := append(slices.Clip(good), tail[:cut]...)
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenLog(LogOptions{Dir: dir})
+		if err != nil {
+			t.Fatalf("cut %d: reopen after crash: %v", cut, err)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != int64(len(good)) {
+			t.Fatalf("cut %d: segment is %d bytes, want %d: not truncated to the last good record", cut, st.Size(), len(good))
+		}
+		assertVersions(t, replayAll(t, l), 1, 2, 3)
+		if err := l.Append(obs[3]); err != nil {
+			t.Fatalf("cut %d: append after recovery: %v", cut, err)
+		}
+		assertVersions(t, replayAll(t, l), 1, 2, 3, 4)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(rec[:len(rec)/2]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	torn, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	l2, err := OpenLog(LogOptions{Dir: dir})
-	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
-	}
-	defer l2.Close()
-	after, err := os.Stat(path)
+// TestLogProcessKill abandons a log without Close, as a killed process
+// does, and reopens its directory: nothing Append returned for may be
+// lost, since every record went to the OS before Append returned.
+func TestLogProcessKill(t *testing.T) {
+	dir := t.TempDir()
+	obs := testObservations(t, 6)
+	dead, err := OpenLog(LogOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Size() >= torn.Size() {
-		t.Fatalf("torn tail not truncated: %d -> %d bytes", torn.Size(), after.Size())
+	t.Cleanup(func() { dead.Close() })
+	for _, o := range obs[:5] {
+		if err := dead.Append(o); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := replayAll(t, l2); len(got) != len(obs) {
-		t.Fatalf("recovered %d of %d records", len(got), len(obs))
-	}
-	if err := l2.Append(obs[1]); err != nil {
+	l, err := OpenLog(LogOptions{Dir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := replayAll(t, l2); len(got) != len(obs)+1 {
-		t.Fatalf("append after recovery: %d records, want %d", len(got), len(obs)+1)
+	defer l.Close()
+	assertVersions(t, replayAll(t, l), 1, 2, 3, 4, 5)
+	if err := l.Append(obs[5]); err != nil {
+		t.Fatal(err)
+	}
+	assertVersions(t, replayAll(t, l), 1, 2, 3, 4, 5, 6)
+}
+
+// assertVersions checks a replay's model versions, which
+// testObservations numbers from 1.
+func assertVersions(t *testing.T, got []*Observation, want ...uint64) {
+	t.Helper()
+	versions := make([]uint64, len(got))
+	for i, o := range got {
+		versions[i] = o.ModelVersion
+	}
+	if !slices.Equal(versions, want) {
+		t.Fatalf("replayed versions %v, want %v", versions, want)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // it from many handlers). Log appends take the log's lock; window and
 // buffer state is guarded by one mutex; at most one retrain per route
 // runs at a time, on its own goroutine, against a private copy of the
-// buffer. Close waits for in-flight retrains and flushes the log.
+// buffer. Close waits for in-flight retrains and closes the log.
 type Loop struct {
 	opts Options
 	log  *Log // nil when persistence is disabled
@@ -93,9 +93,10 @@ func New(opts Options) (*Loop, error) {
 	return l, nil
 }
 
-// Served carries the serving layer's own per-operator predictions for
-// an observed plan, so ingest need not walk the model for values the
-// prediction cache already holds.
+// Served carries what the serving layer already holds for an observed
+// plan — its per-operator predictions and the plan's wire JSON — so
+// ingest need neither walk the model for values the prediction cache
+// holds nor re-encode the plan for the log.
 type Served struct {
 	// Version is the registry version of the model that produced
 	// Operators. Ingest uses them only while that version is still the
@@ -105,6 +106,12 @@ type Served struct {
 	// Operators are the predictions for the plan's nodes in preorder,
 	// bit-identical to the model's Estimator.PredictVector.
 	Operators []float64
+	// Wire, when not nil, is the JSON the observation's plan was
+	// decoded from; the log records these bytes instead of re-encoding
+	// the plan. They may alias a buffer the caller reuses once the call
+	// returns, so they go no further than the log append — never into
+	// the Observation the retraining buffer keeps.
+	Wire []byte
 }
 
 // Observe ingests one observation: validate, persist, update error
@@ -164,7 +171,7 @@ func (l *Loop) observe(obs *Observation, served Served) error {
 	// ErrClosed from the log here (the closed re-check in ingest keeps
 	// the retrainer from spawning after Close's wait).
 	if l.log != nil {
-		if err := l.log.Append(&o); err != nil {
+		if err := l.log.appendWire(&o, served.Wire); err != nil {
 			return err
 		}
 	}

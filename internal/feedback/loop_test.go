@@ -1,6 +1,8 @@
 package feedback
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -261,6 +263,68 @@ func TestLoopReplayWarmsState(t *testing.T) {
 	if s.Window.Count != len(plans) || s.Window.Mean <= 0 {
 		t.Fatalf("replay did not rebuild the error window: %+v", s.Window)
 	}
+}
+
+// TestObserveServedWireNotRetained hands the loop wire bytes in a
+// buffer the caller overwrites as soon as ObserveServed returns, as the
+// HTTP handler's pooled body is: the log must hold the bytes as they
+// were, and the retraining buffer a plan that does not alias them.
+func TestObserveServedWireNotRetained(t *testing.T) {
+	dir := t.TempDir()
+	plans := executedPlans(t, 45, 12)
+	l, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var canonical [][]byte
+	var body bytes.Buffer
+	for i, p := range plans {
+		enc, err := plan.EncodeJSON(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonical = append(canonical, enc)
+		body.Reset()
+		if err := json.Indent(&body, enc, "", "\t"); err != nil {
+			t.Fatal(err)
+		}
+		wire := body.Bytes()
+		own, err := plan.DecodeJSON(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.ObserveServed(&Observation{Schema: "tpch", Resource: plan.CPUTime, Predicted: float64(i + 1), Plan: own},
+			Served{Wire: wire}); err != nil {
+			t.Fatal(err)
+		}
+		for k := range wire {
+			wire[k] = '#'
+		}
+	}
+	check := func(what string, got []*Observation) {
+		t.Helper()
+		if len(got) != len(plans) {
+			t.Fatalf("%s: %d observations, want %d", what, len(got), len(plans))
+		}
+		for i, o := range got {
+			if enc, err := plan.EncodeJSON(o.Plan); err != nil || !bytes.Equal(enc, canonical[i]) {
+				t.Fatalf("%s: plan %d changed under an overwritten wire buffer (%v)", what, i, err)
+			}
+		}
+	}
+	l.mu.Lock()
+	buffered := l.routes[routeKey{schema: "tpch", resource: plan.CPUTime}].buffered()
+	l.mu.Unlock()
+	check("retraining buffer", buffered)
+	var replayed []*Observation
+	if _, err := ReplayDir(dir, func(o *Observation) error {
+		replayed = append(replayed, o)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("log", replayed)
 }
 
 func TestObserveValidates(t *testing.T) {

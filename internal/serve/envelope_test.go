@@ -409,7 +409,9 @@ func TestDecodedRequestDoesNotAliasBody(t *testing.T) {
 // decode fails the request.
 func TestPooledBodiesUnderConcurrentHandlers(t *testing.T) {
 	reg := serve.NewRegistry()
-	loop, err := feedback.New(feedback.Options{Publisher: reg, DriftThreshold: 1e9})
+	// The loop logs, so /observe's append reads the plan's bytes from
+	// the pooled body too.
+	loop, err := feedback.New(feedback.Options{Dir: t.TempDir(), Publisher: reg, DriftThreshold: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -653,7 +653,11 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	// The estimate this observation reports on left the plan's
 	// per-operator predictions in the cache; the loop scores against
-	// those instead of walking the model again.
+	// those instead of walking the model again. The log records the
+	// plan's bytes as the body carried them rather than re-encoding p;
+	// they alias buf, which outlives the call.
+	served := s.servedPredictions(env.Schema, kinds, p)
+	served.Wire = env.Plan
 	err = loop.ObserveServed(&feedback.Observation{
 		Schema:       env.Schema,
 		Resource:     kinds[0],
@@ -664,7 +668,7 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 		// rides into the observation record and any worst-prediction
 		// exemplar it becomes, joining them to traces and request logs.
 		RequestID: RequestIDFrom(r.Context()),
-	}, s.servedPredictions(env.Schema, kinds, p))
+	}, served)
 	if err != nil {
 		// Malformed observations are the client's fault; anything else
 		// (log I/O, shutdown) is a server-side failure — never a 4xx

@@ -7,10 +7,14 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"testing"
 
@@ -143,6 +147,129 @@ func TestObserveMatchesDirectLoop(t *testing.T) {
 	}
 }
 
+// TestObserveLogsWireBytes sends one plan to POST /observe in several
+// spellings and requires the observation log to hold each spelling's
+// plan bytes verbatim and to replay each to the plan the handler
+// ingested — the one its exemplar encodes — after the pooled bodies
+// they arrived in have been overwritten.
+func TestObserveLogsWireBytes(t *testing.T) {
+	setup(t)
+	dir := t.TempDir()
+	reg := serve.NewRegistry()
+	loop, err := feedback.New(feedback.Options{Dir: dir, Publisher: reg, DriftThreshold: 1e9, ExemplarK: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loop.Close() })
+	h := newService(t, serve.Options{Registry: reg, Feedback: loop}).Handler()
+	version := reg.Publish("tpch", cpuEst).Version
+
+	p := testPlans[0]
+	canonical, err := plan.EncodeJSON(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, canonical, " ", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	var tree any
+	dec := json.NewDecoder(bytes.NewReader(canonical))
+	dec.UseNumber()
+	if err := dec.Decode(&tree); err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := json.Marshal(tree) // map keys in sorted order
+	if err != nil {
+		t.Fatal(err)
+	}
+	exponent := regexp.MustCompile(`:-?[0-9]+\.[0-9]+`).ReplaceAllFunc(canonical, func(m []byte) []byte {
+		f, err := strconv.ParseFloat(string(m[1:]), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte{':'}, strconv.FormatFloat(f, 'e', -1, 64)...)
+	})
+	envelope := func(planKey string, wire []byte) []byte {
+		return fmt.Appendf(nil, `{"schema":"tpch","resource":"cpu","model_version":%d,"predicted":%g,"%s":%s}`,
+			version, 0.5*cpuEst.PredictPlan(p), planKey, wire)
+	}
+	cases := []struct {
+		name string
+		wire []byte // the plan's bytes in the body
+		body []byte
+	}{
+		{name: "canonical", wire: canonical},
+		{name: "whitespace", wire: spaced.Bytes()},
+		{name: "reordered keys", wire: sorted},
+		{name: "escaped key", wire: bytes.ReplaceAll(canonical, []byte(`"kind"`), []byte(`"k\u0069nd"`))},
+		{name: "exponent numbers", wire: exponent},
+		// An escaped envelope key: the walker declines the body and the
+		// encoding/json decoder takes it.
+		{name: "walker declines", wire: canonical, body: envelope(`pl\u0061n`, canonical)},
+	}
+	for i := range cases {
+		c := &cases[i]
+		if c.body != nil {
+			var env serve.Envelope
+			if serve.DecodeEnvelope(c.body, serve.ObserveKeys, &env) {
+				t.Fatalf("%s: the walker took the body", c.name)
+			}
+			continue
+		}
+		if i > 0 && bytes.Equal(c.wire, canonical) {
+			t.Fatalf("%s: the plan's bytes are not a new spelling", c.name)
+		}
+		c.body = envelope("plan", c.wire)
+	}
+	for _, c := range cases {
+		req := httptest.NewRequest(http.MethodPost, "/observe", bytes.NewReader(c.body))
+		req.Header.Set("X-Request-ID", c.name)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: %d %s", c.name, rec.Code, rec.Body)
+		}
+		serve.ScribblePooledBodies(4)
+	}
+
+	ingested := map[string][]byte{}
+	for _, e := range loop.Exemplars() {
+		ingested[e.RequestID] = e.Plan
+	}
+	replayed := map[string]*plan.Plan{}
+	if _, err := feedback.ReplayDir(dir, func(o *feedback.Observation) error {
+		replayed[o.RequestID] = o.Plan
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	segments, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segments) != 1 {
+		t.Fatalf("log segments %v (%v), want one", segments, err)
+	}
+	logged, err := os.ReadFile(segments[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		if !bytes.Equal(ingested[c.name], canonical) {
+			t.Errorf("%s: the handler ingested\n%s\nwant\n%s", c.name, ingested[c.name], canonical)
+		}
+		got, ok := replayed[c.name]
+		if !ok {
+			t.Errorf("%s: not in the log", c.name)
+			continue
+		}
+		if enc, err := plan.EncodeJSON(got); err != nil || !bytes.Equal(enc, ingested[c.name]) {
+			t.Errorf("%s: the log replays to\n%s\nnot the plan the handler ingested (%v)", c.name, enc, err)
+		}
+		if !bytes.Contains(logged, c.wire) {
+			t.Errorf("%s: the log does not hold the plan's bytes as they arrived", c.name)
+		}
+	}
+}
+
 // TestObserveIgnoresStaleServedPredictions hands the loop per-operator
 // predictions stamped with a version a Publish has since replaced —
 // the hot-swap between the handler's lookup and ingest — and requires
@@ -261,10 +388,11 @@ func TestObserveScoresFromCache(t *testing.T) {
 // BenchmarkHandleBatch64 drive the handlers on a recorder, no socket —
 // the shapes the benchmark's serve.handler_*_ns layer metrics measure.
 // body(i) is iteration i's request; the first warm of them are posted
-// before the clock starts.
+// before the clock starts. The loop logs each observation, as a server
+// started with -feedback-dir does.
 func benchHandler(b *testing.B, path string, warm int, body func(i int) []byte, want int) *serve.Service {
 	reg := serve.NewRegistry()
-	loop, err := feedback.New(feedback.Options{Publisher: reg, DriftThreshold: 1e9})
+	loop, err := feedback.New(feedback.Options{Dir: b.TempDir(), Publisher: reg, DriftThreshold: 1e9})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -583,7 +583,7 @@ type (
 // feedback loop attached: the loop's retrainer publishes into the
 // service's registry, POST /observe ingests observations, and /metrics
 // carries the per-model error gauges. Close the service first, then the
-// loop (which flushes the observation log).
+// loop (which closes the observation log).
 func NewServiceWithFeedback(opts ServeOptions, fopts FeedbackOptions) (*Service, *FeedbackLoop, error) {
 	if opts.Registry == nil {
 		opts.Registry = serve.NewRegistry()
