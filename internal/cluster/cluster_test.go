@@ -533,10 +533,14 @@ func TestRouterKillReplicaDegradesGracefully(t *testing.T) {
 
 // TestRouterMetricsSurfaces pins both metric renderings: the JSON
 // snapshot and the Prometheus exposition carrying the resrouter_*
-// families.
+// families, each family one block under one header however many
+// replicas it has samples for.
 func TestRouterMetricsSurfaces(t *testing.T) {
-	rep := newTestReplica(t)
-	_, rhs := newRouter(t, []*testReplica{rep}, nil)
+	setup(t)
+	reg := serve.NewRegistry()
+	reg.Publish("", cpuEst)
+	reps := []*testReplica{newTestReplicaWith(t, reg), newTestReplicaWith(t, reg)}
+	_, rhs := newRouter(t, reps, nil)
 	postOK(t, rhs.URL, "/estimate", estimateBody(t, "tpch", testPlans[0], "cpu"))
 
 	var m cluster.Metrics
@@ -548,11 +552,11 @@ func TestRouterMetricsSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(m.Replicas) != 1 || m.Replicas[0].Requests == 0 {
+	if len(m.Replicas) != 2 || m.Replicas[0].Requests+m.Replicas[1].Requests != 1 {
 		t.Fatalf("JSON metrics missing replica counters: %+v", m)
 	}
 	if !m.FleetConsistent {
-		t.Error("single-replica fleet reported inconsistent")
+		t.Error("fleet of replicas sharing one registry reported inconsistent")
 	}
 
 	req, _ := http.NewRequest(http.MethodGet, rhs.URL+"/metrics", nil)
@@ -563,14 +567,20 @@ func TestRouterMetricsSurfaces(t *testing.T) {
 	}
 	text, _ := io.ReadAll(presp.Body)
 	presp.Body.Close()
+	fams := parseExposition(t, string(text))
 	for _, family := range []string{
 		"resrouter_replica_requests_total",
 		"resrouter_replica_healthy",
 		"resrouter_routing_decisions_total",
 		"resrouter_cache_hit_ratio",
 	} {
-		if !strings.Contains(string(text), family) {
+		if fams[family] == nil {
 			t.Errorf("Prometheus exposition missing %s", family)
+		}
+	}
+	for _, r := range m.Replicas {
+		if want := fmt.Sprintf("resrouter_replica_inflight{replica=%q} 0\n", r.Name); !strings.Contains(string(text), want) {
+			t.Errorf("Prometheus exposition missing %q", want)
 		}
 	}
 }

@@ -4,9 +4,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Metrics is the router's JSON metrics snapshot (GET /metrics). The
-// same numbers back the Prometheus exposition, per the repo's
-// one-source-two-renderings convention.
+// Metrics is the router's JSON metrics snapshot (GET /metrics); the
+// Prometheus exposition renders the same numbers.
 type Metrics struct {
 	Inflight        int64            `json:"inflight"`
 	FleetConsistent bool             `json:"fleet_consistent"`
@@ -73,9 +72,7 @@ func (rt *Router) Metrics() Metrics {
 }
 
 // Collector renders the router's metric families in Prometheus text
-// format, following the internal/obs conventions (PR 6): counters
-// suffixed _total, live values as gauges, label sets rendered via
-// obs.Labels.
+// format from one Metrics snapshot.
 func (rt *Router) Collector() obs.Collector {
 	return func(e *obs.Expo) {
 		m := rt.Metrics()
@@ -85,21 +82,18 @@ func (rt *Router) Collector() obs.Collector {
 				"Requests forwarded to each replica.", labels, float64(r.Requests))
 			e.Counter("resrouter_replica_errors_total",
 				"Transport failures per replica (request never answered).", labels, float64(r.Errors))
-			healthy := 0.0
-			if r.Healthy {
-				healthy = 1
-			}
 			e.Gauge("resrouter_replica_healthy",
-				"Replica health from the last poll (1 healthy, 0 down).", labels, healthy)
+				"Replica health from the last poll (1 healthy, 0 down).", labels, obs.Bool(r.Healthy))
 			e.Gauge("resrouter_replica_inflight",
 				"Requests currently forwarded to each replica.", labels, float64(r.Inflight))
 		}
-		e.Counter("resrouter_routing_decisions_total",
-			"Routing outcomes by decision.", obs.Labels("decision", "affinity"), float64(m.Decisions.Affinity))
-		e.Counter("resrouter_routing_decisions_total",
-			"", obs.Labels("decision", "spillover"), float64(m.Decisions.Spillover))
-		e.Counter("resrouter_routing_decisions_total",
-			"", obs.Labels("decision", "shed"), float64(m.Decisions.Shed))
+		for _, d := range [...]struct {
+			name string
+			n    uint64
+		}{{"affinity", m.Decisions.Affinity}, {"spillover", m.Decisions.Spillover}, {"shed", m.Decisions.Shed}} {
+			e.Counter("resrouter_routing_decisions_total",
+				"Routing outcomes by decision.", obs.Labels("decision", d.name), float64(d.n))
+		}
 		e.Counter("resrouter_cache_hits_total",
 			"Router response cache hits.", "", float64(m.Cache.Hits))
 		e.Counter("resrouter_cache_misses_total",
@@ -111,11 +105,7 @@ func (rt *Router) Collector() obs.Collector {
 		perWrite := rt.framesPerWrite.Snapshot()
 		e.IntHistogram("resrouter_stream_frames_per_write",
 			"Answer frames per socket write on the stream listener.", "", &perWrite)
-		consistent := 0.0
-		if m.FleetConsistent {
-			consistent = 1
-		}
 		e.Gauge("resrouter_fleet_consistent",
-			"1 when every healthy replica serves the same model versions.", "", consistent)
+			"1 when every healthy replica serves the same model versions.", "", obs.Bool(m.FleetConsistent))
 	}
 }

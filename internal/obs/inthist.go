@@ -125,17 +125,17 @@ func (s *IntHistogramSnapshot) Quantile(q float64) uint64 {
 // bounds (buckets past the observed maximum are collapsed into +Inf),
 // plus `_sum` and `_count`.
 func (e *Expo) IntHistogram(name, help, labels string, s *IntHistogramSnapshot) {
-	e.family(name, "histogram", help)
+	f := e.family(name, "histogram", help)
 	var cum uint64
 	for i := 0; i < intHistBuckets; i++ {
 		cum += s.Buckets[i]
 		u := intBucketUpper(i)
-		e.sample(name+"_bucket", mergeLabels(labels, fmt.Sprintf(`le="%d"`, u)), float64(cum))
+		f.sample(name+"_bucket", mergeLabels(labels, fmt.Sprintf(`le="%d"`, u)), float64(cum))
 		if u >= s.MaxV {
 			break
 		}
 	}
-	e.sample(name+"_bucket", mergeLabels(labels, `le="+Inf"`), float64(s.Count))
-	e.sample(name+"_sum", labels, float64(s.Sum))
-	e.sample(name+"_count", labels, float64(s.Count))
+	f.sample(name+"_bucket", mergeLabels(labels, `le="+Inf"`), float64(s.Count))
+	f.sample(name+"_sum", labels, float64(s.Sum))
+	f.sample(name+"_count", labels, float64(s.Count))
 }

@@ -18,6 +18,11 @@
 //
 // Exposition-side work (quantiles, rendering, label escaping) happens
 // at scrape time, which is off the serving hot path by construction.
+//
+// The renderer groups samples by family (see Expo), so a collector is
+// one pass over its state, emitting per object. A subsystem with a JSON
+// metrics snapshot renders its collector from that snapshot: one
+// source, two renderings.
 package obs
 
 import (
@@ -78,16 +83,16 @@ func (r *Registry) Register(c Collector) {
 	r.mu.Unlock()
 }
 
-// WritePrometheus renders every registered collector in registration
-// order as Prometheus text format (content type TextContentType).
+// WritePrometheus runs every registered collector in registration
+// order and renders what they emitted as Prometheus text format
+// (content type TextContentType), one block per family.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	e := &Expo{}
 	r.collectInto(e)
-	_, err := w.Write([]byte(e.b.String()))
-	return err
+	return e.writeTo(w)
 }
 
 func (r *Registry) collectInto(e *Expo) {
@@ -116,26 +121,48 @@ func (r *Registry) Collector() Collector {
 // package renders.
 const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// Expo accumulates one Prometheus text exposition. Collectors write
-// families through its helpers; TYPE/HELP headers are emitted once per
-// family, on first use.
+// Expo accumulates one Prometheus text exposition. It groups samples
+// by family itself: each family is written once, in first-use order,
+// as one contiguous block under a single HELP/TYPE header (the header
+// of its first use), however the collectors interleave their calls. So
+// a collector emits per object — every family of one route, replica or
+// shard together — in one pass over the state it read.
 type Expo struct {
-	b    strings.Builder
-	seen map[string]bool
+	families []*family
+	byName   map[string]*family
 }
 
-func (e *Expo) family(name, typ, help string) {
-	if e.seen == nil {
-		e.seen = make(map[string]bool)
+// family is one metric family's header and its samples, rendered.
+type family struct {
+	name, typ, help string
+	b               strings.Builder
+}
+
+func (e *Expo) family(name, typ, help string) *family {
+	if f, ok := e.byName[name]; ok {
+		return f
 	}
-	if e.seen[name] {
-		return
+	if e.byName == nil {
+		e.byName = make(map[string]*family)
 	}
-	e.seen[name] = true
-	if help != "" {
-		fmt.Fprintf(&e.b, "# HELP %s %s\n", name, help)
+	f := &family{name: name, typ: typ, help: help}
+	e.byName[name] = f
+	e.families = append(e.families, f)
+	return f
+}
+
+// writeTo renders every family, header first.
+func (e *Expo) writeTo(w io.Writer) error {
+	var b strings.Builder
+	for _, f := range e.families {
+		if f.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
+		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
+		b.WriteString(f.b.String())
 	}
-	fmt.Fprintf(&e.b, "# TYPE %s %s\n", name, typ)
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // escapeLabel escapes a label value per the exposition format.
@@ -148,9 +175,9 @@ func escapeLabel(v string) string {
 }
 
 // Labels renders a label set deterministically (sorted by key) into
-// the `{k="v",...}` form, "" for an empty set. Collectors that emit
-// the same family for many label sets typically render the labels once
-// and reuse the string.
+// the `{k="v",...}` form, "" for an empty set. A collector emitting
+// several families for one object typically renders the labels once
+// and reuses the string.
 func Labels(kv ...string) string {
 	if len(kv) == 0 {
 		return ""
@@ -182,23 +209,31 @@ func mergeLabels(labels, extra string) string {
 	return labels[:len(labels)-1] + "," + extra + "}"
 }
 
-func (e *Expo) sample(name, labels string, value float64) {
-	e.b.WriteString(name)
-	e.b.WriteString(labels)
+// sample appends one sample line to the family; name is the family's
+// or a suffixed series of it (_sum, _count, _bucket).
+func (f *family) sample(name, labels string, value float64) {
+	f.b.WriteString(name)
+	f.b.WriteString(labels)
 	// %g keeps integers integral and avoids trailing zero noise.
-	fmt.Fprintf(&e.b, " %g\n", value)
+	fmt.Fprintf(&f.b, " %g\n", value)
 }
 
-// Counter emits one counter sample (family header on first use).
+// Counter emits one counter sample into its family.
 func (e *Expo) Counter(name, help, labels string, value float64) {
-	e.family(name, "counter", help)
-	e.sample(name, labels, value)
+	e.family(name, "counter", help).sample(name, labels, value)
 }
 
-// Gauge emits one gauge sample.
+// Gauge emits one gauge sample into its family.
 func (e *Expo) Gauge(name, help, labels string, value float64) {
-	e.family(name, "gauge", help)
-	e.sample(name, labels, value)
+	e.family(name, "gauge", help).sample(name, labels, value)
+}
+
+// Bool is a flag's gauge value: 1 for true, 0 for false.
+func Bool(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Summary emits a histogram snapshot as a Prometheus summary: p50,
@@ -207,7 +242,7 @@ func (e *Expo) Gauge(name, help, labels string, value float64) {
 // emit _sum/_count (so scrapers see the series exists) but no
 // quantiles.
 func (e *Expo) Summary(name, help, labels string, s *HistogramSnapshot) {
-	e.family(name, "summary", help)
+	f := e.family(name, "summary", help)
 	if s.Count > 0 {
 		for _, q := range [...]struct {
 			q float64
@@ -217,9 +252,9 @@ func (e *Expo) Summary(name, help, labels string, s *HistogramSnapshot) {
 			if q.q == 1 {
 				v = s.Max()
 			}
-			e.sample(name, mergeLabels(labels, q.l), v.Seconds())
+			f.sample(name, mergeLabels(labels, q.l), v.Seconds())
 		}
 	}
-	e.sample(name+"_sum", labels, float64(s.SumNS)/1e9)
-	e.sample(name+"_count", labels, float64(s.Count))
+	f.sample(name+"_sum", labels, float64(s.SumNS)/1e9)
+	f.sample(name+"_count", labels, float64(s.Count))
 }

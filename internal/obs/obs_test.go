@@ -168,6 +168,28 @@ func TestRegistryPrometheus(t *testing.T) {
 	if strings.Count(out, "# TYPE test_latency_seconds summary") != 1 {
 		t.Errorf("duplicate TYPE header:\n%s", out)
 	}
+
+	// A collector emitting per object interleaves its families; the
+	// renderer still writes each as one block under one header.
+	r = NewRegistry()
+	r.Register(func(e *Expo) {
+		for _, shard := range []string{"0", "1"} {
+			l := Labels("shard", shard)
+			e.Counter("test_hits_total", "Hits.", l, 1)
+			e.Gauge("test_ratio", "Ratio.", l, 0.5)
+		}
+	})
+	buf.Reset()
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP test_hits_total Hits.\n# TYPE test_hits_total counter\n" +
+		"test_hits_total{shard=\"0\"} 1\ntest_hits_total{shard=\"1\"} 1\n" +
+		"# HELP test_ratio Ratio.\n# TYPE test_ratio gauge\n" +
+		"test_ratio{shard=\"0\"} 0.5\ntest_ratio{shard=\"1\"} 0.5\n"
+	if got := buf.String(); got != want {
+		t.Errorf("interleaved families not grouped:\n got: %q\nwant: %q", got, want)
+	}
 }
 
 func TestLabelsEscapingAndOrder(t *testing.T) {

@@ -546,8 +546,7 @@ func (c *estimateCall) replay(body []byte) bool {
 		return false
 	}
 	s.replayHits.Add(1)
-	s.requests.Add(1) // begin's counts, under a clock that started before the probe
-	s.epRequests[epEstimate].Add(1)
+	s.epRequests[epEstimate].Add(1) // begin's count, under a clock that started before the probe
 	writeWire(c.w, http.StatusOK, wire)
 	d := s.finish(epEstimate, start, nil)
 	if tel := s.tel; tel != nil {

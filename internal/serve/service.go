@@ -412,22 +412,17 @@ type Service struct {
 	wg   sync.WaitGroup
 	once sync.Once
 
-	requests      atomic.Uint64
-	failures      atomic.Uint64
-	latencyNS     atomic.Int64
-	completed     atomic.Uint64
-	batchRequests atomic.Uint64
-	batchPlans    atomic.Uint64
+	batchPlans atomic.Uint64
 
 	// POST /estimate requests answered by Replay, and sent on to be
 	// decoded; the stream listener counts its own frames.
 	replayHits   atomic.Uint64
 	replayMisses atomic.Uint64
 
-	// Per-endpoint counters (indexes epEstimate/epBatch/epStream).
-	// Separate from the lifetime totals above so /metrics can report
-	// honest averages per endpoint instead of blending single, batch
-	// and stream-dispatch populations.
+	// Per-endpoint counters (indexes epEstimate/epBatch/epStream), so
+	// /metrics can report honest averages per endpoint instead of
+	// blending single, batch and stream-dispatch populations. The
+	// lifetime totals are their sums.
 	epRequests  [numEndpoints]atomic.Uint64
 	epFailures  [numEndpoints]atomic.Uint64
 	epLatencyNS [numEndpoints]atomic.Int64
@@ -630,20 +625,16 @@ func (s *Service) run(ctx context.Context, ep int, req BatchRequest) (*modelSet,
 // and returns the sample. Every entry point brackets its work with the
 // pair.
 func (s *Service) begin(ep int) time.Time {
-	s.requests.Add(1)
 	s.epRequests[ep].Add(1)
 	return time.Now()
 }
 
 func (s *Service) finish(ep int, start time.Time, err error) time.Duration {
 	if err != nil {
-		s.failures.Add(1)
 		s.epFailures[ep].Add(1)
 		return 0
 	}
 	d := time.Since(start)
-	s.latencyNS.Add(int64(d))
-	s.completed.Add(1)
 	s.epLatencyNS[ep].Add(int64(d))
 	s.epCompleted[ep].Add(1)
 	if s.tel != nil {
@@ -686,7 +677,6 @@ func (s *Service) Estimate(ctx context.Context, req Request) (*Response, error) 
 // only the throughput differs.
 func (s *Service) EstimateBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	start := s.begin(epBatch)
-	s.batchRequests.Add(1)
 	_, resps, err := s.run(ctx, epBatch, req)
 	s.finish(epBatch, start, err)
 	if err != nil {
@@ -910,40 +900,51 @@ func (s *Service) servedPredictions(schema string, kinds []plan.ResourceKind, p 
 	return feedback.Served{Version: ms.primary().Info.Version, Operators: preds}
 }
 
-// Metrics snapshots the service counters.
+// Metrics snapshots the service counters. The totals are the sums of
+// the per-endpoint counters, which it carries under Endpoints once
+// traffic has flowed.
 func (s *Service) Metrics() Metrics {
 	m := Metrics{
-		Requests:      s.requests.Load(),
-		Failures:      s.failures.Load(),
-		BatchRequests: s.batchRequests.Load(),
-		BatchPlans:    s.batchPlans.Load(),
-		Workers:       s.opts.Workers,
-		Cache:         s.cache.Stats(),
-		Models:        s.reg.Models(),
+		BatchPlans: s.batchPlans.Load(),
+		Workers:    s.opts.Workers,
+		Cache:      s.cache.Stats(),
+		Models:     s.reg.Models(),
 	}
 	if s.opts.Feedback != nil {
 		m.Feedback = s.opts.Feedback.Snapshot()
 	}
-	if n := s.completed.Load(); n > 0 {
-		m.AvgLatencyMS = float64(s.latencyNS.Load()) / float64(n) / 1e6
+	var eps [numEndpoints]EndpointMetrics
+	var latencyNS int64
+	var completed uint64
+	for ep := range eps {
+		n, lat := s.epCompleted[ep].Load(), s.epLatencyNS[ep].Load()
+		eps[ep] = EndpointMetrics{
+			Requests:     s.epRequests[ep].Load(),
+			Failures:     s.epFailures[ep].Load(),
+			AvgLatencyMS: avgMS(lat, n),
+		}
+		m.Requests += eps[ep].Requests
+		m.Failures += eps[ep].Failures
+		latencyNS += lat
+		completed += n
 	}
+	m.BatchRequests = eps[epBatch].Requests
+	m.AvgLatencyMS = avgMS(latencyNS, completed)
 	if m.Requests > 0 {
 		m.Endpoints = &EndpointsMetrics{
-			Estimate:       s.endpointMetrics(epEstimate),
-			EstimateBatch:  s.endpointMetrics(epBatch),
-			EstimateStream: s.endpointMetrics(epStream),
+			Estimate:       eps[epEstimate],
+			EstimateBatch:  eps[epBatch],
+			EstimateStream: eps[epStream],
 		}
 	}
 	return m
 }
 
-func (s *Service) endpointMetrics(ep int) EndpointMetrics {
-	em := EndpointMetrics{
-		Requests: s.epRequests[ep].Load(),
-		Failures: s.epFailures[ep].Load(),
+// avgMS is the mean of n latencies summing to ns, in milliseconds; 0
+// for none.
+func avgMS(ns int64, n uint64) float64 {
+	if n == 0 {
+		return 0
 	}
-	if n := s.epCompleted[ep].Load(); n > 0 {
-		em.AvgLatencyMS = float64(s.epLatencyNS[ep].Load()) / float64(n) / 1e6
-	}
-	return em
+	return float64(ns) / float64(n) / 1e6
 }

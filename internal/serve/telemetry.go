@@ -119,11 +119,7 @@ func endpointIndex(endpoint string) (int, bool) {
 // registerCollectors wires the service's state into its obs registry.
 // Everything here runs at scrape time only.
 func (s *Service) registerCollectors() {
-	s.obsReg.Register(s.collectServe)
-	s.obsReg.Register(s.collectCache)
-	s.obsReg.Register(s.collectModels)
-	s.obsReg.Register(s.collectFeedback)
-	s.obsReg.Register(s.collectStore)
+	s.obsReg.Register(s.collect)
 	s.obsReg.Register(collectTraining)
 	s.obsReg.Register(collectBuildInfo)
 }
@@ -134,40 +130,27 @@ var endpointLabels = [numEndpoints]string{
 	obs.Labels("endpoint", endpointNames[epStream]),
 }
 
-func (s *Service) collectServe(e *obs.Expo) {
+// collect renders the service's families from one metrics snapshot.
+func (s *Service) collect(e *obs.Expo) {
+	m := s.Metrics()
+	var eps [numEndpoints]EndpointMetrics // zero until traffic has flowed
+	if m.Endpoints != nil {
+		eps = [...]EndpointMetrics{m.Endpoints.Estimate, m.Endpoints.EstimateBatch, m.Endpoints.EstimateStream}
+	}
 	e.Gauge("resserve_uptime_seconds", "Seconds since the service started.", "",
 		time.Since(s.start).Seconds())
-	for ep := 0; ep < numEndpoints; ep++ {
+	for ep := range eps {
 		l := endpointLabels[ep]
 		e.Counter("resserve_requests_total", "Requests received, by endpoint.", l,
-			float64(s.epRequests[ep].Load()))
-	}
-	for ep := 0; ep < numEndpoints; ep++ {
-		e.Counter("resserve_failures_total", "Failed requests, by endpoint.",
-			endpointLabels[ep], float64(s.epFailures[ep].Load()))
-	}
-	e.Counter("resserve_batch_plans_total", "Plans carried by batch requests.", "",
-		float64(s.batchPlans.Load()))
-	e.Counter("resserve_estimate_replay_hits_total",
-		"POST /estimate requests answered from the response cache, undecoded.", "",
-		float64(s.replayHits.Load()))
-	e.Counter("resserve_estimate_replay_misses_total",
-		"POST /estimate requests the response cache did not answer (stale entries included).", "",
-		float64(s.replayMisses.Load()))
-	e.Gauge("resserve_workers", "Estimation worker-pool size.", "", float64(s.opts.Workers))
-	e.Gauge("resserve_queue_depth", "Jobs waiting in the worker-pool queue.", "",
-		float64(len(s.jobs)))
-	e.Gauge("resserve_queue_capacity", "Worker-pool queue capacity.", "",
-		float64(cap(s.jobs)))
-	if s.tel == nil {
-		return
-	}
-	for ep := 0; ep < numEndpoints; ep++ {
+			float64(eps[ep].Requests))
+		e.Counter("resserve_failures_total", "Failed requests, by endpoint.", l,
+			float64(eps[ep].Failures))
+		if s.tel == nil {
+			continue
+		}
 		snap := s.tel.total[ep].Snapshot()
 		e.Summary("resserve_request_duration_seconds",
-			"End-to-end service latency, by endpoint.", endpointLabels[ep], &snap)
-	}
-	for ep := 0; ep < numEndpoints; ep++ {
+			"End-to-end service latency, by endpoint.", l, &snap)
 		for _, st := range obs.Stages() {
 			snap := s.tel.stages[ep][st].Snapshot()
 			e.Summary("resserve_stage_duration_seconds",
@@ -175,47 +158,53 @@ func (s *Service) collectServe(e *obs.Expo) {
 				obs.Labels("endpoint", endpointNames[ep], "stage", st.String()), &snap)
 		}
 	}
+	e.Counter("resserve_batch_plans_total", "Plans carried by batch requests.", "",
+		float64(m.BatchPlans))
+	e.Counter("resserve_estimate_replay_hits_total",
+		"POST /estimate requests answered from the response cache, undecoded.", "",
+		float64(s.replayHits.Load()))
+	e.Counter("resserve_estimate_replay_misses_total",
+		"POST /estimate requests the response cache did not answer (stale entries included).", "",
+		float64(s.replayMisses.Load()))
+	e.Gauge("resserve_workers", "Estimation worker-pool size.", "", float64(m.Workers))
+	e.Gauge("resserve_queue_depth", "Jobs waiting in the worker-pool queue.", "",
+		float64(len(s.jobs)))
+	e.Gauge("resserve_queue_capacity", "Worker-pool queue capacity.", "",
+		float64(cap(s.jobs)))
+	s.collectCache(e, m.Cache)
+	collectModels(e, m.Models)
+	s.collectFeedback(e, m.Feedback)
+	s.collectStore(e)
 }
 
-func (s *Service) collectCache(e *obs.Expo) {
-	st := s.cache.Stats()
+func (s *Service) collectCache(e *obs.Expo, st CacheStats) {
 	e.Counter("resserve_cache_hits_total", "Prediction-cache hits.", "", float64(st.Hits))
 	e.Counter("resserve_cache_misses_total", "Prediction-cache misses.", "", float64(st.Misses))
 	e.Gauge("resserve_cache_entries", "Live prediction-cache entries.", "", float64(st.Entries))
 	e.Gauge("resserve_cache_capacity", "Prediction-cache capacity.", "", float64(st.Capacity))
-	shards := s.cache.ShardStats()
-	for _, sh := range shards {
+	for _, sh := range s.cache.ShardStats() {
 		l := obs.Labels("shard", strconv.Itoa(sh.Shard))
 		e.Counter("resserve_cache_shard_hits_total", "Prediction-cache hits, by shard.", l,
 			float64(sh.Hits))
-	}
-	for _, sh := range shards {
-		l := obs.Labels("shard", strconv.Itoa(sh.Shard))
 		e.Counter("resserve_cache_shard_misses_total", "Prediction-cache misses, by shard.", l,
 			float64(sh.Misses))
-	}
-	for _, sh := range shards {
 		if total := sh.Hits + sh.Misses; total > 0 {
-			l := obs.Labels("shard", strconv.Itoa(sh.Shard))
 			e.Gauge("resserve_cache_shard_hit_ratio", "Prediction-cache hit ratio, by shard.", l,
 				float64(sh.Hits)/float64(total))
 		}
 	}
 }
 
-func (s *Service) collectModels(e *obs.Expo) {
-	models := s.reg.Models()
+func collectModels(e *obs.Expo, models []ModelInfo) {
 	e.Gauge("resserve_models", "Published model count.", "", float64(len(models)))
 	for _, m := range models {
 		e.Gauge("resserve_model_version",
 			"Registry version of the serving model, by route.",
 			obs.Labels("schema", m.Schema, "resource", m.Resource, "mode", m.Mode),
 			float64(m.Version))
-	}
-	// Info-style lineage gauge: the interesting facts ride as labels,
-	// the value is always 1. Joining on (schema, resource) against the
-	// version gauge answers "what is serving and where did it come from".
-	for _, m := range models {
+		// Info-style lineage gauge: the interesting facts ride as labels,
+		// the value is always 1. Joining on (schema, resource) against the
+		// version gauge answers "what is serving and where did it come from".
 		e.Gauge("resserve_model_info",
 			"Lineage of the serving model: producer, replaced version and training-sample count (value is always 1).",
 			obs.Labels("schema", m.Schema, "resource", m.Resource, "mode", m.Mode,
@@ -251,7 +240,7 @@ func collectBuildInfo(e *obs.Expo) {
 		1)
 }
 
-func (s *Service) collectFeedback(e *obs.Expo) {
+func (s *Service) collectFeedback(e *obs.Expo, routes []feedback.RouteStats) {
 	loop := s.opts.Feedback
 	if loop == nil {
 		return
@@ -262,138 +251,70 @@ func (s *Service) collectFeedback(e *obs.Expo) {
 	e.Counter("resserve_feedback_rejected_total",
 		"Observations rejected before ingest (invalid or over the route limit).", "",
 		float64(loop.Rejected()))
-	routes := loop.Snapshot()
-	emit := func(name, help string, value func(r feedback.RouteStats) (float64, bool)) {
-		for _, r := range routes {
-			if v, ok := value(r); ok {
-				e.Gauge(name, help, obs.Labels("schema", r.Schema, "resource", r.Resource), v)
+	for _, r := range routes {
+		l := obs.Labels("schema", r.Schema, "resource", r.Resource)
+		with := func(k, v string) string {
+			return obs.Labels("schema", r.Schema, "resource", r.Resource, k, v)
+		}
+		e.Counter("resserve_feedback_observations_total", "Observations ingested, by route.", l,
+			float64(r.Observations))
+		e.Gauge("resserve_feedback_buffered", "Observations buffered for retraining, by route.", l,
+			float64(r.Buffered))
+		if r.Window.Count > 0 {
+			for _, q := range [...]struct {
+				v float64
+				n string
+			}{{r.Window.P50, "0.5"}, {r.Window.P90, "0.9"}, {r.Window.P95, "0.95"}, {r.Window.P99, "0.99"}} {
+				e.Gauge("resserve_feedback_error",
+					"Rolling relative-error quantiles of served predictions, by route.",
+					with("quantile", q.n), q.v)
 			}
 		}
-	}
-	for _, r := range routes {
-		e.Counter("resserve_feedback_observations_total", "Observations ingested, by route.",
-			obs.Labels("schema", r.Schema, "resource", r.Resource), float64(r.Observations))
-	}
-	emit("resserve_feedback_buffered", "Observations buffered for retraining, by route.",
-		func(r feedback.RouteStats) (float64, bool) { return float64(r.Buffered), true })
-	for _, r := range routes {
-		if r.Window.Count == 0 {
-			continue
-		}
-		for _, q := range [...]struct {
-			v float64
-			n string
-		}{{r.Window.P50, "0.5"}, {r.Window.P90, "0.9"}, {r.Window.P95, "0.95"}, {r.Window.P99, "0.99"}} {
-			e.Gauge("resserve_feedback_error",
-				"Rolling relative-error quantiles of served predictions, by route.",
-				obs.Labels("schema", r.Schema, "resource", r.Resource, "quantile", q.n), q.v)
-		}
-	}
-	// Cumulative accuracy telemetry: the signed log-ratio error
-	// distribution (ln(predicted/actual); negative = under-estimated),
-	// the under/over split, and the empirical factor-band coverage.
-	for _, r := range routes {
-		if r.ErrorLogRatio == nil {
-			continue
-		}
-		for _, q := range [...]struct {
-			v float64
-			n string
-		}{{r.ErrorLogRatio.P50, "0.5"}, {r.ErrorLogRatio.P90, "0.9"}, {r.ErrorLogRatio.P99, "0.99"}} {
-			e.Gauge("resserve_feedback_error_log_ratio",
-				"Signed log-ratio error quantiles ln(predicted/actual) of served predictions, by route (cumulative).",
-				obs.Labels("schema", r.Schema, "resource", r.Resource, "quantile", q.n), q.v)
-		}
-	}
-	for _, r := range routes {
-		if r.ErrorLogRatio == nil {
-			continue
-		}
-		l := obs.Labels("schema", r.Schema, "resource", r.Resource, "direction", "under")
-		e.Counter("resserve_feedback_predictions_total",
-			"Scored predictions by error direction (under = predicted < actual).", l,
-			float64(r.ErrorLogRatio.Under))
-		e.Counter("resserve_feedback_predictions_total",
-			"Scored predictions by error direction (under = predicted < actual).",
-			obs.Labels("schema", r.Schema, "resource", r.Resource, "direction", "over"),
-			float64(r.ErrorLogRatio.Over))
-	}
-	for _, r := range routes {
-		if r.Coverage == nil {
-			continue
-		}
-		l := obs.Labels("schema", r.Schema, "resource", r.Resource)
-		e.Counter("resserve_feedback_scored_total",
-			"Scored predictions entering the coverage counters, by route.", l,
-			float64(r.Coverage.Total))
-	}
-	for _, r := range routes {
-		if r.Coverage == nil {
-			continue
-		}
-		e.Counter("resserve_feedback_within_factor_total",
-			"Scored predictions whose actual landed within the factor band, by route.",
-			obs.Labels("schema", r.Schema, "resource", r.Resource, "factor", "1.5"),
-			float64(r.Coverage.Within15x))
-		e.Counter("resserve_feedback_within_factor_total",
-			"Scored predictions whose actual landed within the factor band, by route.",
-			obs.Labels("schema", r.Schema, "resource", r.Resource, "factor", "2"),
-			float64(r.Coverage.Within2x))
-	}
-	// Drift-detector state, laid open: the recent windowed error, the
-	// trigger threshold, and how far the route sits from a retrain.
-	for _, r := range routes {
-		if r.Drift == nil {
-			continue
-		}
-		l := obs.Labels("schema", r.Schema, "resource", r.Resource)
-		e.Gauge("resserve_feedback_drift_recent_error",
-			"Windowed error at the configured drift quantile, by route.", l, r.Drift.RecentError)
-	}
-	for _, r := range routes {
-		if r.Drift == nil {
-			continue
-		}
-		l := obs.Labels("schema", r.Schema, "resource", r.Resource)
-		e.Gauge("resserve_feedback_drift_threshold",
-			"Drift trigger level (threshold multiple x training baseline), by route.", l, r.Drift.Threshold)
-	}
-	for _, r := range routes {
-		if r.Drift == nil {
-			continue
-		}
-		l := obs.Labels("schema", r.Schema, "resource", r.Resource)
-		e.Gauge("resserve_feedback_drift_distance",
-			"Threshold minus recent error; at or below 0 the route is past the trigger.", l,
-			r.Drift.DistanceToThreshold)
-	}
-	emit("resserve_feedback_retrain_eligible",
-		"1 when a drift finding would start a retrain right now.",
-		func(r feedback.RouteStats) (float64, bool) {
-			if r.Drift == nil {
-				return 0, false
+		// Cumulative accuracy telemetry: the signed log-ratio error
+		// distribution (ln(predicted/actual); negative = under-estimated),
+		// the under/over split, and the empirical factor-band coverage.
+		if lr := r.ErrorLogRatio; lr != nil {
+			for _, q := range [...]struct {
+				v float64
+				n string
+			}{{lr.P50, "0.5"}, {lr.P90, "0.9"}, {lr.P99, "0.99"}} {
+				e.Gauge("resserve_feedback_error_log_ratio",
+					"Signed log-ratio error quantiles ln(predicted/actual) of served predictions, by route (cumulative).",
+					with("quantile", q.n), q.v)
 			}
-			return b2f(r.Drift.RetrainEligible), true
-		})
-	emit("resserve_feedback_drifting", "1 when the route's drift detector is firing.",
-		func(r feedback.RouteStats) (float64, bool) { return b2f(r.Drifting), true })
-	emit("resserve_feedback_retraining", "1 while a retrain is in flight for the route.",
-		func(r feedback.RouteStats) (float64, bool) { return b2f(r.Retraining), true })
-	for _, r := range routes {
-		e.Counter("resserve_feedback_retrains_total", "Accepted drift-triggered retrains, by route.",
-			obs.Labels("schema", r.Schema, "resource", r.Resource), float64(r.Retrains))
+			const help = "Scored predictions by error direction (under = predicted < actual)."
+			e.Counter("resserve_feedback_predictions_total", help, with("direction", "under"), float64(lr.Under))
+			e.Counter("resserve_feedback_predictions_total", help, with("direction", "over"), float64(lr.Over))
+		}
+		if c := r.Coverage; c != nil {
+			e.Counter("resserve_feedback_scored_total",
+				"Scored predictions entering the coverage counters, by route.", l, float64(c.Total))
+			const help = "Scored predictions whose actual landed within the factor band, by route."
+			e.Counter("resserve_feedback_within_factor_total", help, with("factor", "1.5"), float64(c.Within15x))
+			e.Counter("resserve_feedback_within_factor_total", help, with("factor", "2"), float64(c.Within2x))
+		}
+		// Drift-detector state, laid open: the recent windowed error, the
+		// trigger threshold, and how far the route sits from a retrain.
+		if d := r.Drift; d != nil {
+			e.Gauge("resserve_feedback_drift_recent_error",
+				"Windowed error at the configured drift quantile, by route.", l, d.RecentError)
+			e.Gauge("resserve_feedback_drift_threshold",
+				"Drift trigger level (threshold multiple x training baseline), by route.", l, d.Threshold)
+			e.Gauge("resserve_feedback_drift_distance",
+				"Threshold minus recent error; at or below 0 the route is past the trigger.", l,
+				d.DistanceToThreshold)
+			e.Gauge("resserve_feedback_retrain_eligible",
+				"1 when a drift finding would start a retrain right now.", l, obs.Bool(d.RetrainEligible))
+		}
+		e.Gauge("resserve_feedback_drifting", "1 when the route's drift detector is firing.", l,
+			obs.Bool(r.Drifting))
+		e.Gauge("resserve_feedback_retraining", "1 while a retrain is in flight for the route.", l,
+			obs.Bool(r.Retraining))
+		e.Counter("resserve_feedback_retrains_total", "Accepted drift-triggered retrains, by route.", l,
+			float64(r.Retrains))
+		e.Counter("resserve_feedback_rejections_total", "Rejected retrain candidates, by route.", l,
+			float64(r.Rejections))
 	}
-	for _, r := range routes {
-		e.Counter("resserve_feedback_rejections_total", "Rejected retrain candidates, by route.",
-			obs.Labels("schema", r.Schema, "resource", r.Resource), float64(r.Rejections))
-	}
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (s *Service) collectStore(e *obs.Expo) {
@@ -431,18 +352,18 @@ func (s *Service) LogSummary(logger *slog.Logger) {
 			logger = slog.Default()
 		}
 	}
-	cache := s.cache.Stats()
+	m := s.Metrics()
 	attrs := []slog.Attr{
 		slog.Duration("uptime", time.Since(s.start)),
-		slog.Uint64("requests", s.requests.Load()),
-		slog.Uint64("failures", s.failures.Load()),
-		slog.Uint64("batch_plans", s.batchPlans.Load()),
-		slog.Uint64("cache_hits", cache.Hits),
-		slog.Uint64("cache_misses", cache.Misses),
+		slog.Uint64("requests", m.Requests),
+		slog.Uint64("failures", m.Failures),
+		slog.Uint64("batch_plans", m.BatchPlans),
+		slog.Uint64("cache_hits", m.Cache.Hits),
+		slog.Uint64("cache_misses", m.Cache.Misses),
 	}
-	if total := cache.Hits + cache.Misses; total > 0 {
+	if total := m.Cache.Hits + m.Cache.Misses; total > 0 {
 		attrs = append(attrs, slog.Float64("cache_hit_ratio",
-			float64(cache.Hits)/float64(total)))
+			float64(m.Cache.Hits)/float64(total)))
 	}
 	if s.tel != nil {
 		for ep := 0; ep < numEndpoints; ep++ {
@@ -458,8 +379,7 @@ func (s *Service) LogSummary(logger *slog.Logger) {
 			)
 		}
 	}
-	if loop := s.opts.Feedback; loop != nil {
-		routes := loop.Snapshot()
+	if routes := m.Feedback; s.opts.Feedback != nil {
 		var obsN, retrains uint64
 		for _, r := range routes {
 			obsN += r.Observations

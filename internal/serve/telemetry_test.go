@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -120,6 +121,18 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 		serve.BatchRequest{Schema: "tpch", Plans: testPlans[:4]}, time.Millisecond); err != nil {
 		t.Fatalf("stream dispatch: %v", err)
 	}
+	// A repeat answered by the response cache, and a failure: the
+	// totals below are derived from the per-endpoint counters, so both
+	// must land in them exactly once.
+	resp := postEstimate(t, ts.URL, testPlans[0], nil)
+	resp.Body.Close()
+	if hits, _ := svc.ReplayCounts(); hits != 1 {
+		t.Fatalf("repeated estimate not replayed: %d hits", hits)
+	}
+	if _, err := svc.Estimate(context.Background(),
+		serve.Request{Schema: "no-such-schema", Resource: plan.CPUTime, Plan: testPlans[0]}); err == nil {
+		t.Fatal("estimate on an unknown schema succeeded")
+	}
 
 	get := func(path string, accept string) (*http.Response, string) {
 		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
@@ -148,13 +161,14 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE resserve_requests_total counter",
-		`resserve_requests_total{endpoint="estimate"} 4`,
+		`resserve_requests_total{endpoint="estimate"} 6`,
+		`resserve_failures_total{endpoint="estimate"} 1`,
 		`resserve_requests_total{endpoint="estimate_batch"} 1`,
 		`resserve_batch_plans_total 4`,
 		"# TYPE resserve_request_duration_seconds summary",
 		`resserve_request_duration_seconds{endpoint="estimate",quantile="0.5"}`,
 		`resserve_request_duration_seconds{endpoint="estimate",quantile="0.99"}`,
-		`resserve_request_duration_seconds_count{endpoint="estimate"} 4`,
+		`resserve_request_duration_seconds_count{endpoint="estimate"} 5`,
 		"# TYPE resserve_stage_duration_seconds summary",
 		"resserve_cache_hits_total",
 		"resserve_cache_shard_misses_total",
@@ -215,8 +229,29 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 	if m.Endpoints == nil {
 		t.Fatal("endpoints breakdown missing after traffic")
 	}
-	if m.Endpoints.Estimate.Requests != 4 || m.Endpoints.EstimateBatch.Requests != 1 {
+	if m.Endpoints.Estimate.Requests != 6 || m.Endpoints.EstimateBatch.Requests != 1 {
 		t.Fatalf("endpoint request counts: %+v", m.Endpoints)
+	}
+	// The lifetime totals are the per-endpoint figures summed; the
+	// blended average weighs each endpoint by its completed requests.
+	var requests, failures, completed uint64
+	var latencyMS float64
+	for _, ep := range []serve.EndpointMetrics{m.Endpoints.Estimate, m.Endpoints.EstimateBatch, m.Endpoints.EstimateStream} {
+		requests += ep.Requests
+		failures += ep.Failures
+		completed += ep.Requests - ep.Failures
+		latencyMS += ep.AvgLatencyMS * float64(ep.Requests-ep.Failures)
+	}
+	if m.Requests != requests || m.Failures != failures || failures != 1 {
+		t.Fatalf("totals %d requests / %d failures, endpoints sum to %d / %d",
+			m.Requests, m.Failures, requests, failures)
+	}
+	if m.BatchRequests != m.Endpoints.EstimateBatch.Requests {
+		t.Fatalf("batch_requests %d, estimate_batch.requests %d",
+			m.BatchRequests, m.Endpoints.EstimateBatch.Requests)
+	}
+	if want := latencyMS / float64(completed); math.Abs(m.AvgLatencyMS-want) > 1e-9*want {
+		t.Fatalf("avg_latency_ms %v, endpoints weigh to %v", m.AvgLatencyMS, want)
 	}
 	if m.Endpoints.Estimate.AvgLatencyMS <= 0 || m.Endpoints.EstimateBatch.AvgLatencyMS <= 0 {
 		t.Fatalf("endpoint averages not recorded: %+v", m.Endpoints)

@@ -129,27 +129,25 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Collector returns an obs collector emitting the stream series —
-// register it on the service's Obs() registry to surface them on
-// GET /metrics.
+// Collector returns an obs collector emitting the stream series from
+// Stats — register it on the service's Obs() registry to surface them
+// on GET /metrics.
 func (s *Server) Collector() obs.Collector {
 	return func(e *obs.Expo) {
-		e.Gauge("resserve_stream_connections", "Open streaming connections.", "",
-			float64(s.Open()))
+		st := s.Stats()
+		e.Gauge("resserve_stream_connections", "Open streaming connections.", "", float64(st.Open))
 		e.Counter("resserve_stream_connections_total", "Streaming connections accepted.", "",
-			float64(s.Accepted()))
-		e.Counter("resserve_stream_requests_total", "Estimate frames received.", "",
-			float64(s.requests.Load()))
-		e.Counter("resserve_stream_responses_total", "Response frames sent.", "",
-			float64(s.responses.Load()))
-		e.Counter("resserve_stream_errors_total", "Error frames sent.", "",
-			float64(s.sendErrors.Load()))
+			float64(st.Accepted))
+		e.Counter("resserve_stream_requests_total", "Estimate frames received.", "", float64(st.Requests))
+		e.Counter("resserve_stream_responses_total", "Response frames sent.", "", float64(st.Responses))
+		e.Counter("resserve_stream_errors_total", "Error frames sent.", "", float64(st.Errors))
 		e.Counter("resserve_stream_dispatches_total", "Coalesced micro-batches dispatched.", "",
-			float64(s.dispatches.Load()))
+			float64(st.Dispatches))
 		e.Counter("resserve_stream_replay_hits_total",
-			"Estimate frames answered from the response cache, undecoded.", "", float64(s.replayHits.Load()))
+			"Estimate frames answered from the response cache, undecoded.", "", float64(st.ReplayHits))
 		e.Counter("resserve_stream_replay_misses_total",
-			"Estimate frames the response cache did not answer (stale entries included).", "", float64(s.replayMisses.Load()))
+			"Estimate frames the response cache did not answer (stale entries included).", "",
+			float64(st.ReplayMisses))
 		fill := s.batchFill.Snapshot()
 		e.IntHistogram("resserve_stream_batch_fill", "Plans per coalesced dispatch.", "", &fill)
 		perWrite := s.framesPerWrite.Snapshot()
