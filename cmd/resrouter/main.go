@@ -10,11 +10,13 @@
 // schema to the next replica on the ring — but only to replicas
 // serving the same model versions (compared by store-snapshot
 // checksum from each replica's /healthz), so a client never flaps
-// between model generations mid-rollout. When no version-consistent
-// replica is available the router degrades to its own version-keyed
-// response cache, and past that it sheds load with 503 + Retry-After,
-// bounded globally (-max-inflight) and per client (-max-per-client,
-// keyed by X-Client-ID).
+// between model generations mid-rollout. Admission comes first: past
+// -max-inflight fleet-wide, or -max-per-client for one client (keyed
+// by X-Client-ID), the router sheds with 503 + Retry-After. An
+// admitted repeat with a live entry in the router's version-keyed
+// response cache is then answered from it, whatever the replicas'
+// health. Everything else is forwarded, spilled or retried; when no
+// version-consistent replica is up the router sheds the same way.
 //
 // Estimates forward over pooled streaming connections to each
 // replica's advertised stream listener (falling back to HTTP when a

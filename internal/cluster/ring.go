@@ -10,9 +10,12 @@
 // self-consistent even mid-rollout. Overload or replica loss spills
 // a schema to the next replica on the ring — but only to replicas
 // serving the same model versions, so a client never flaps between
-// model generations; when no version-consistent replica is available
-// the router degrades to its own version-keyed response cache, and
-// past that it sheds load with Retry-After.
+// model generations. The degradation ladder, in code order: admission
+// sheds first; an admitted repeat with a live entry in the router's
+// version-keyed response cache is answered from it, whatever the
+// replicas' health; everything else is forwarded, spilled or retried
+// on a version-consistent successor; and when no version-consistent
+// replica is up the router sheds load with Retry-After.
 package cluster
 
 import (

@@ -159,7 +159,7 @@ func (r *Registry) Publish(schema string, est *core.Estimator) ModelInfo {
 // PublishAs is Publish with the producer recorded in the store
 // manifest ("bootstrap", "upload", "retrain", ...).
 func (r *Registry) PublishAs(schema string, est *core.Estimator, source string) ModelInfo {
-	info, _, installed := r.publish(schema, est, true, source)
+	info, _, installed := r.publish(schema, est, true, source, 0)
 	if installed {
 		if snap, err := r.persistSnapshot(schema, source); err != nil {
 			r.logStore("store: persisting %s/%s publish: %v", schema, est.Resource, err)
@@ -175,7 +175,11 @@ func (r *Registry) PublishAs(schema string, est *core.Estimator, source string) 
 // version won the slot, installed is false and the returned ModelInfo
 // and *Model describe the *winner* — callers can report which version
 // actually serves.
-func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool, source string) (ModelInfo, *Model, bool) {
+//
+// A non-zero snapshot names the store snapshot est was read from
+// (restore, follower sync, store rollback): an installed publish stamps
+// it on the returned info and moves the route's cursor to it.
+func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool, source string, snapshot uint64) (ModelInfo, *Model, bool) {
 	info := ModelInfo{
 		Schema:       schema,
 		Resource:     est.Resource.String(),
@@ -222,7 +226,14 @@ func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool,
 			if old != nil && keepHistory {
 				r.pushHistory(key, old)
 			}
-			return m.Info, old, true
+			if snapshot != 0 {
+				r.storeMu.Lock()
+				r.cursor[key] = snapshot
+				r.storeMu.Unlock()
+			}
+			info = m.Info
+			info.Snapshot = snapshot
+			return info, old, true
 		}
 	}
 }
@@ -238,15 +249,12 @@ func (r *Registry) logStore(format string, args ...any) {
 
 // persistSnapshot writes schema's complete current model set (every
 // resource with a live exact-schema slot) to the attached store as one
-// snapshot, then advances the store cursors and pins for the slots the
-// snapshot now backs. A publish of one resource therefore persists a
-// *coherent* multi-resource snapshot — crash recovery restores the
-// exact serving set, not a single orphaned model. No-op without a
-// store.
+// snapshot, then advances the store cursors for the slots the snapshot
+// now backs. A publish of one resource therefore persists a *coherent*
+// multi-resource snapshot — crash recovery restores the exact serving
+// set, not a single orphaned model. No-op without a store.
 func (r *Registry) persistSnapshot(schema, source string) (uint64, error) {
-	r.storeMu.Lock()
-	st := r.store
-	r.storeMu.Unlock()
+	st := r.Store()
 	if st == nil {
 		return 0, nil
 	}
@@ -280,24 +288,22 @@ func (r *Registry) persistSnapshot(schema, source string) (uint64, error) {
 		// Advance-only: with two publishes for the same schema racing,
 		// the one that allocated the higher snapshot may persist (and
 		// update cursors) first — the straggler must not drag the
-		// serving cursor, pins, and the durable current.json backwards
-		// to its older snapshot, or a restart would restore the loser.
+		// serving cursor and the durable current.json backwards to its
+		// older snapshot, or a restart would restore the loser.
 		// (Rollback moves cursors backwards deliberately, under its own
 		// path.)
 		if man.Version > r.cursor[key] {
 			r.cursor[key] = man.Version
 		}
 	}
-	pins := r.schemaPinsLocked(schema)
 	r.storeMu.Unlock()
-	st.SetPins(schema, pins...)
 	r.saveCurrent(st, schema)
 	return man.Version, nil
 }
 
-// saveCurrent records schema's serving cursors durably in the store,
-// so a restart restores the snapshots that were actually serving —
-// which after a rollback is *not* the newest one.
+// saveCurrent records schema's serving cursors in the store, so a
+// restart restores the snapshots that were actually serving — which
+// after a rollback is *not* the newest one — and GC keeps them.
 func (r *Registry) saveCurrent(st *store.Store, schema string) {
 	r.storeMu.Lock()
 	cursors := make(map[string]uint64)
@@ -312,23 +318,6 @@ func (r *Registry) saveCurrent(st *store.Store, schema string) {
 	}
 }
 
-// schemaPinsLocked collects the distinct snapshot versions serving any
-// of schema's slots. Caller holds storeMu.
-func (r *Registry) schemaPinsLocked(schema string) []uint64 {
-	seen := make(map[uint64]struct{})
-	var out []uint64
-	for key, v := range r.cursor {
-		if key.Schema != schema || v == 0 {
-			continue
-		}
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // RestoreFromStore republishes the model set every schema in the
 // attached store was last *serving* — crash recovery. Each route's
 // snapshot comes from the durable serving-cursor record (so a route
@@ -337,9 +326,7 @@ func (r *Registry) schemaPinsLocked(schema string) []uint64 {
 // newest intact snapshot, and corrupt snapshots are skipped (logged).
 // Restored publishes do not write new snapshots.
 func (r *Registry) RestoreFromStore() ([]ModelInfo, error) {
-	r.storeMu.Lock()
-	st := r.store
-	r.storeMu.Unlock()
+	st := r.Store()
 	if st == nil {
 		return nil, errors.New("serve: no store attached")
 	}
@@ -350,61 +337,43 @@ func (r *Registry) RestoreFromStore() ([]ModelInfo, error) {
 	var out []ModelInfo
 	for _, schema := range schemas {
 		cursors := st.Current(schema)
-		loadedAt := make(map[uint64]*store.Loaded)
-		loadVersion := func(v uint64) *store.Loaded {
-			if l, ok := loadedAt[v]; ok {
-				return l
+		// Each snapshot loads at most once per schema, a failure
+		// included (memoized as nil). Version 0 stands for the newest
+		// intact snapshot: the fallback for a route with no record or
+		// whose recorded snapshot no longer loads.
+		loaded := make(map[uint64]*store.Loaded)
+		load := func(v uint64) *store.Loaded {
+			l, ok := loaded[v]
+			if !ok {
+				var err error
+				if v == 0 {
+					l, err = st.LoadLatest(schema)
+				} else {
+					l, err = st.LoadVersion(v)
+				}
+				if err != nil {
+					r.logStore("store: restore %q: %v", schema, err)
+				}
+				loaded[v] = l
 			}
-			l, err := st.LoadVersion(v)
-			if err != nil {
-				r.logStore("store: restore %q v%d: %v", schema, v, err)
-				l = nil
-			}
-			loadedAt[v] = l
 			return l
 		}
-		var latest *store.Loaded
-		latestTried := false
-		loadLatest := func() *store.Loaded {
-			if !latestTried {
-				latestTried = true
-				var err error
-				if latest, err = st.LoadLatest(schema); err != nil {
-					r.logStore("store: restore %q: %v", schema, err)
-					latest = nil
-				}
-			}
-			return latest
-		}
 		for _, k := range plan.ResourceKinds() {
-			var loaded *store.Loaded
-			if v, ok := cursors[k.WireName()]; ok {
-				loaded = loadVersion(v)
+			l := load(cursors[k.WireName()])
+			if l == nil {
+				l = load(0)
 			}
-			if loaded == nil {
-				loaded = loadLatest()
-			}
-			if loaded == nil {
+			if l == nil {
 				continue
 			}
-			est, ok := loaded.Models[k]
+			est, ok := l.Models[k]
 			if !ok {
 				continue
 			}
-			info, _, installed := r.publish(schema, est, true, "restore")
-			if !installed {
-				continue
+			if info, _, installed := r.publish(schema, est, true, "restore", l.Manifest.Version); installed {
+				out = append(out, info)
 			}
-			info.Snapshot = loaded.Manifest.Version
-			r.storeMu.Lock()
-			r.cursor[ModelKey{Schema: schema, Resource: k}] = loaded.Manifest.Version
-			r.storeMu.Unlock()
-			out = append(out, info)
 		}
-		r.storeMu.Lock()
-		pins := r.schemaPinsLocked(schema)
-		r.storeMu.Unlock()
-		st.SetPins(schema, pins...)
 		r.saveCurrent(st, schema)
 	}
 	return out, nil
@@ -484,22 +453,31 @@ func (r *Registry) rollbackFromMemory(schema string, resource plan.ResourceKind)
 	prev := h[len(h)-1]
 	r.history[key] = h[:len(h)-1]
 	r.mu.Unlock()
-	expected, _ := r.Lookup(schema, resource)
-	info, replaced, installed := r.publish(schema, prev.Est, false, "rollback")
-	if !installed {
-		// A concurrent publish allocated a higher version and won the
-		// slot; our rollback never served. Put the entry back and
-		// report the winner (publish handed back its info).
+	info, err := r.rollbackTo(schema, prev.Est, 0)
+	if err != nil {
+		// Our rollback never served: put the entry back for a retry.
 		r.pushHistory(key, prev)
+	}
+	return info, err
+}
+
+// rollbackTo installs est as its route's rolled-back model; snapshot is
+// publish's (0 for an in-memory history entry). A publish that
+// allocated a higher version and won the slot yields
+// ErrRollbackConflict, with the winner's info. The model the rollback
+// displaces is normally the one being rolled away from and is
+// deliberately dropped (no ping-pong). But if a concurrent publish
+// slipped in between the caller's choice of target and this install,
+// it displaced a model its publisher was told is serving — retain it
+// for recovery rather than silently discarding it.
+func (r *Registry) rollbackTo(schema string, est *core.Estimator, snapshot uint64) (ModelInfo, error) {
+	expected, _ := r.Lookup(schema, est.Resource)
+	info, replaced, installed := r.publish(schema, est, false, "rollback", snapshot)
+	if !installed {
 		return info, fmt.Errorf("%w: version %d is now serving", ErrRollbackConflict, info.Version)
 	}
-	// The model we displaced is normally the one being rolled away from
-	// and is deliberately dropped (no ping-pong). But if a concurrent
-	// publish slipped in between the history pop and our install, we
-	// displaced a model its publisher was told is serving — retain it
-	// for recovery rather than silently discarding it.
 	if replaced != nil && (expected == nil || replaced.Info.Version != expected.Info.Version) {
-		r.pushHistory(key, replaced)
+		r.pushHistory(ModelKey{Schema: schema, Resource: est.Resource}, replaced)
 	}
 	return info, nil
 }
@@ -572,20 +550,10 @@ func (r *Registry) rollbackFromStore(st *store.Store, schema string, resource pl
 	if !ok {
 		return ModelInfo{}, fmt.Errorf("%w: snapshot v%d lost its %s model", store.ErrCorrupt, target, resource)
 	}
-	expected, _ := r.Lookup(schema, resource)
-	info, replaced, installed := r.publish(schema, est, false, "rollback")
-	if !installed {
-		return info, fmt.Errorf("%w: version %d is now serving", ErrRollbackConflict, info.Version)
+	info, err := r.rollbackTo(schema, est, target)
+	if err != nil {
+		return info, err
 	}
-	if replaced != nil && (expected == nil || replaced.Info.Version != expected.Info.Version) {
-		r.pushHistory(key, replaced)
-	}
-	info.Snapshot = target
-	r.storeMu.Lock()
-	r.cursor[key] = target
-	pins := r.schemaPinsLocked(schema)
-	r.storeMu.Unlock()
-	st.SetPins(schema, pins...)
 	r.saveCurrent(st, schema)
 	r.logStore("store: rolled %s/%s back to snapshot v%d (registry v%d)", schema, resource, target, info.Version)
 	return info, nil

@@ -121,13 +121,11 @@ func VersionChecksum(vec []RouteVersion) string {
 // the follower picks it up here and its version-keyed prediction
 // cache self-invalidates on the publish.
 //
-// Unlike RestoreFromStore this never writes to the store — no pins,
-// no serving-cursor records — so any number of read-only followers
-// can share one store directory with a single writing publisher.
+// Unlike RestoreFromStore this never writes to the store — no
+// serving-cursor records — so any number of read-only followers can
+// share one store directory with a single writing publisher.
 func (r *Registry) SyncFromStore() ([]ModelInfo, error) {
-	r.storeMu.Lock()
-	st := r.store
-	r.storeMu.Unlock()
+	st := r.Store()
 	if st == nil {
 		return nil, errors.New("serve: no store attached")
 	}
@@ -147,24 +145,15 @@ func (r *Registry) SyncFromStore() ([]ModelInfo, error) {
 			if !ok {
 				continue
 			}
-			key := ModelKey{Schema: schema, Resource: k}
 			r.storeMu.Lock()
-			cur := r.cursor[key]
+			cur := r.cursor[ModelKey{Schema: schema, Resource: k}]
 			r.storeMu.Unlock()
 			if loaded.Manifest.Version <= cur {
 				continue
 			}
-			info, _, installed := r.publish(schema, est, true, "sync")
-			if !installed {
-				continue
+			if info, _, installed := r.publish(schema, est, true, "sync", loaded.Manifest.Version); installed {
+				out = append(out, info)
 			}
-			info.Snapshot = loaded.Manifest.Version
-			r.storeMu.Lock()
-			if loaded.Manifest.Version > r.cursor[key] {
-				r.cursor[key] = loaded.Manifest.Version
-			}
-			r.storeMu.Unlock()
-			out = append(out, info)
 		}
 	}
 	return out, nil

@@ -10,8 +10,8 @@
 // a JSON manifest with checksums — atomically, via temp-dir + rename.
 // The serving registry reads the same snapshots back for crash
 // recovery (load-latest at boot) and rollback (load the previous
-// version), and retention GC prunes old snapshots without ever touching
-// the pinned (currently serving) ones.
+// version), and retention GC keeps the newest Retain snapshots per
+// schema plus every snapshot the serving record (SetCurrent) names.
 //
 // Layout:
 //
@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -77,8 +78,8 @@ const (
 // Options configures a Store.
 type Options struct {
 	// Retain bounds the number of snapshots kept per schema: GC removes
-	// older ones (pinned snapshots are always kept). 0 selects the
-	// default (16); negative disables GC entirely.
+	// older ones, except those the serving record (SetCurrent) names.
+	// 0 selects the default (16); negative disables GC entirely.
 	Retain int
 	// Slab selects the compiled-slab policy (default SlabExact).
 	Slab SlabMode
@@ -95,9 +96,9 @@ type Store struct {
 	slab   SlabMode
 	logf   func(format string, args ...any)
 
-	mu   sync.Mutex
-	next uint64                         // next snapshot version to assign
-	pins map[string]map[uint64]struct{} // schema → pinned (serving) versions
+	mu      sync.Mutex
+	next    uint64                       // next snapshot version to assign
+	serving map[string]map[string]uint64 // SetCurrent's record, as last given
 
 	// Timing histograms of successful publishes (encode + write + fsync
 	// + rename) and snapshot loads (read + checksum + decode), surfaced
@@ -159,11 +160,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
-		dir:    dir,
-		retain: opts.Retain,
-		slab:   opts.Slab,
-		logf:   opts.Logf,
-		pins:   make(map[string]map[uint64]struct{}),
+		dir:     dir,
+		retain:  opts.Retain,
+		slab:    opts.Slab,
+		logf:    opts.Logf,
+		serving: make(map[string]map[string]uint64),
 	}
 	if s.retain == 0 {
 		s.retain = 16
@@ -609,9 +610,11 @@ func (s *Store) LoadLatest(schema string) (*Loaded, error) {
 	return nil, fmt.Errorf("%w: schema %q", ErrNotFound, schema)
 }
 
-// SetCurrent durably records which snapshot version each of schema's
-// resources is serving from (atomic write). An empty map clears the
-// schema's record.
+// SetCurrent records which snapshot version each of schema's resources
+// is serving from: in memory, then durably (atomic write). An empty map
+// clears the schema's record. GC keeps every snapshot either copy
+// names, so the in-memory one protects the serving set when the write
+// fails or the file is corrupted later.
 func (s *Store) SetCurrent(schema string, cursors map[string]uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -620,12 +623,11 @@ func (s *Store) SetCurrent(schema string, cursors map[string]uint64) error {
 		cur.Schemas = make(map[string]map[string]uint64)
 	}
 	if len(cursors) == 0 {
+		delete(s.serving, schema)
 		delete(cur.Schemas, schema)
 	} else {
-		cp := make(map[string]uint64, len(cursors))
-		for k, v := range cursors {
-			cp[k] = v
-		}
+		cp := maps.Clone(cursors)
+		s.serving[schema] = cp
 		cur.Schemas[schema] = cp
 	}
 	data, err := json.MarshalIndent(cur, "", "  ")
@@ -669,26 +671,11 @@ func (s *Store) readCurrentLocked() currentFile {
 	return cur
 }
 
-// SetPins replaces the pinned version set for schema. Pinned snapshots
-// are the ones the registry currently serves from — after a rollback
-// that can be an old version — and GC never removes them.
-func (s *Store) SetPins(schema string, versions ...uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	set := make(map[uint64]struct{}, len(versions))
-	for _, v := range versions {
-		if v != 0 {
-			set[v] = struct{}{}
-		}
-	}
-	s.pins[schema] = set
-}
-
 // GC enforces the retention bound: per schema, the newest Retain
-// snapshots and every pinned snapshot survive; older ones are removed.
-// Snapshots whose manifest is unreadable can never serve and are
-// removed once they age past the retention window of the whole store.
-// Returns the removed versions.
+// snapshots and every snapshot the serving record names survive; older
+// ones are removed. Snapshots whose manifest is unreadable can never
+// serve and are removed once they age past the retention window of the
+// whole store. Returns the removed versions.
 func (s *Store) GC() ([]uint64, error) {
 	if s.retain < 0 {
 		return nil, nil
@@ -709,8 +696,7 @@ func (s *Store) GC() ([]uint64, error) {
 	}
 
 	keep := make(map[uint64]bool)
-	s.mu.Lock()
-	for schema, svs := range perSchema {
+	for _, svs := range perSchema {
 		start := len(svs) - s.retain
 		if start < 0 {
 			start = 0
@@ -718,16 +704,17 @@ func (s *Store) GC() ([]uint64, error) {
 		for _, v := range svs[start:] {
 			keep[v] = true
 		}
-		for v := range s.pins[schema] {
-			keep[v] = true
-		}
 	}
-	// Never remove a snapshot the durable serving record points at —
-	// a restart must be able to restore it even if no live registry
-	// has pinned it yet.
-	for _, cursors := range s.readCurrentLocked().Schemas {
-		for _, v := range cursors {
-			keep[v] = true
+	// Never remove a snapshot the serving record names. The in-memory
+	// copy covers a current.json this process failed to write or that
+	// was corrupted since; the durable one covers what another process
+	// recorded, which a restart must be able to restore.
+	s.mu.Lock()
+	for _, rec := range []map[string]map[string]uint64{s.serving, s.readCurrentLocked().Schemas} {
+		for _, cursors := range rec {
+			for _, v := range cursors {
+				keep[v] = true
+			}
 		}
 	}
 	s.mu.Unlock()

@@ -266,44 +266,63 @@ func TestTornWriteRecovery(t *testing.T) {
 }
 
 // TestGCRespectsPinnedCurrent: with retention 1, the newest snapshot
-// survives per schema — and so does an older pinned one (the snapshot a
-// rollback is currently serving from), while unpinned middles go.
+// survives per schema — and so does an older one the serving record
+// names (the snapshot a rollback is currently serving from), even with
+// current.json on disk turned to garbage, while unnamed middles go.
 func TestGCRespectsPinnedCurrent(t *testing.T) {
 	setup(t)
 	st := openStore(t, t.TempDir(), Options{Retain: 1})
 	models := map[plan.ResourceKind]*core.Estimator{plan.CPUTime: cpuEst}
+	serve := func(v uint64) {
+		t.Helper()
+		if err := st.SetCurrent("tpch", map[string]uint64{"cpu": v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gc := func() {
+		t.Helper()
+		if _, err := st.GC(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var vs []uint64
 	for i := 0; i < 3; i++ {
-		// Pin v1 before the later publishes' auto-GC can remove it —
-		// exactly the order the registry uses (pin on serve, GC later).
+		// Record v1 as serving before the later publishes' auto-GC can
+		// remove it — exactly the order the registry uses (record on
+		// serve, GC later).
 		man, err := st.Publish(Snapshot{Schema: "tpch", Models: models})
 		if err != nil {
 			t.Fatal(err)
 		}
 		vs = append(vs, man.Version)
 		if i == 0 {
-			st.SetPins("tpch", man.Version)
+			serve(man.Version)
 		}
 	}
-	if _, err := st.GC(); err != nil {
-		t.Fatal(err)
-	}
+	gc()
 	if _, err := st.LoadVersion(vs[2]); err != nil {
 		t.Fatalf("newest snapshot v%d removed: %v", vs[2], err)
 	}
 	if _, err := st.LoadVersion(vs[0]); err != nil {
-		t.Fatalf("pinned snapshot v%d removed: %v", vs[0], err)
+		t.Fatalf("serving snapshot v%d removed: %v", vs[0], err)
 	}
 	if _, err := st.LoadVersion(vs[1]); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("middle snapshot v%d should be pruned, got %v", vs[1], err)
 	}
-	// Unpinning v1 releases it to the next GC.
-	st.SetPins("tpch")
-	if _, err := st.GC(); err != nil {
+	// A corrupt current.json must not expose the serving snapshot: the
+	// record SetCurrent keeps in memory still names it.
+	if err := os.WriteFile(filepath.Join(st.Dir(), currentName), []byte("{garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	gc()
+	if _, err := st.LoadVersion(vs[0]); err != nil {
+		t.Fatalf("serving snapshot v%d removed once current.json was corrupt: %v", vs[0], err)
+	}
+	// Moving the record off v1 releases it to the next GC.
+	serve(vs[2])
+	gc()
 	if _, err := st.LoadVersion(vs[0]); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("unpinned snapshot v%d should be pruned, got %v", vs[0], err)
+		t.Fatalf("released snapshot v%d should be pruned, got %v", vs[0], err)
 	}
 }
 

@@ -35,28 +35,24 @@ type DialOptions struct {
 	// ErrConnLost (a request context with an earlier deadline wins).
 	ConnectTimeout time.Duration
 	// Reconnect redials automatically after a connection loss, with
-	// exponential backoff and jitter between attempts. In-flight
-	// requests still fail fast with ErrConnLost — a broken stream
-	// cannot be resynchronized — but estimates are idempotent, so
-	// each is retried once on the fresh connection before the error
-	// surfaces to the caller.
+	// exponential backoff (backoffMin doubling to backoffMax) and
+	// jitter between attempts. In-flight requests still fail fast with
+	// ErrConnLost — a broken stream cannot be resynchronized — but
+	// estimates are idempotent, so each is retried once on the fresh
+	// connection before the error surfaces to the caller.
 	Reconnect bool
-	// BackoffMin is the first redial delay (default 20ms).
-	BackoffMin time.Duration
-	// BackoffMax caps the redial delay (default 2s).
-	BackoffMax time.Duration
 }
+
+// Redial backoff bounds: the first delay, and the cap it doubles to.
+const (
+	backoffMin = 20 * time.Millisecond
+	backoffMax = 2 * time.Second
+)
 
 func (o *DialOptions) withDefaults() DialOptions {
 	out := *o
 	if out.ConnectTimeout <= 0 {
 		out.ConnectTimeout = 10 * time.Second
-	}
-	if out.BackoffMin <= 0 {
-		out.BackoffMin = 20 * time.Millisecond
-	}
-	if out.BackoffMax < out.BackoffMin {
-		out.BackoffMax = 2 * time.Second
 	}
 	return out
 }
@@ -176,7 +172,7 @@ func (cl *Client) lost(gen uint64, cause error) {
 // from [d/2, d) so a fleet of clients dropped by the same replica
 // restart does not thundering-herd the fresh listener.
 func (cl *Client) redial(gen uint64) {
-	delay := cl.opts.BackoffMin
+	delay := backoffMin
 	for {
 		sleep := delay/2 + time.Duration(rand.Int64N(int64(delay/2)+1))
 		time.Sleep(sleep)
@@ -193,8 +189,8 @@ func (cl *Client) redial(gen uint64) {
 			}
 			return
 		}
-		if delay *= 2; delay > cl.opts.BackoffMax {
-			delay = cl.opts.BackoffMax
+		if delay *= 2; delay > backoffMax {
+			delay = backoffMax
 		}
 	}
 }

@@ -57,7 +57,7 @@ func (p *parkSignal) Done() <-chan struct{} {
 // Dial would surface.
 func TestClientReconnectAfterIdleReap(t *testing.T) {
 	_, srv := newStream(t, serve.Options{}, stream.Options{IdleTimeout: 50 * time.Millisecond})
-	cl := dialWith(t, srv, stream.DialOptions{Reconnect: true, BackoffMin: 5 * time.Millisecond})
+	cl := dialWith(t, srv, stream.DialOptions{Reconnect: true})
 
 	req := &stream.Request{Resource: "cpu", Plan: planJSON(t, testPlans[0])}
 	ctx := context.Background()
@@ -96,8 +96,6 @@ func TestClientConnLostTyped(t *testing.T) {
 	cl := dialWith(t, srv, stream.DialOptions{
 		Reconnect:      true,
 		ConnectTimeout: 200 * time.Millisecond,
-		BackoffMin:     5 * time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
 	})
 
 	req := &stream.Request{Resource: "cpu", Plan: planJSON(t, testPlans[0])}
@@ -127,8 +125,6 @@ func TestClientRequestContextBoundsRedialWait(t *testing.T) {
 	cl := dialWith(t, srv, stream.DialOptions{
 		Reconnect:      true,
 		ConnectTimeout: 10 * time.Second,
-		BackoffMin:     time.Second,
-		BackoffMax:     time.Second,
 	})
 
 	req := &stream.Request{Resource: "cpu", Plan: planJSON(t, testPlans[0])}
@@ -158,11 +154,7 @@ func TestClientRequestContextBoundsRedialWait(t *testing.T) {
 // requests and later calls fail immediately.
 func TestClientCloseStopsRedial(t *testing.T) {
 	_, srv := newStream(t, serve.Options{}, stream.Options{})
-	cl, err := stream.DialWith(srv.Addr(), stream.DialOptions{
-		Reconnect:  true,
-		BackoffMin: time.Second,
-		BackoffMax: time.Second,
-	})
+	cl, err := stream.DialWith(srv.Addr(), stream.DialOptions{Reconnect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
