@@ -56,13 +56,13 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/internal/cluster"
 )
 
 // config is the parsed command line.
 type config struct {
 	addr, streamAddr string
-	router           repro.RouterOptions
+	router           cluster.Options
 }
 
 // parseFlags parses args (without the program name). Usage and errors
@@ -91,7 +91,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		fmt.Fprintln(stderr, "resrouter:", err)
 		return config{}, err
 	}
-	return config{addr: *addr, streamAddr: *streamAddr, router: repro.RouterOptions{
+	return config{addr: *addr, streamAddr: *streamAddr, router: cluster.Options{
 		Replicas:           fleet,
 		PoolSize:           *pool,
 		PollInterval:       *poll,
@@ -123,7 +123,7 @@ func main() {
 // addresses once both listeners are up.
 func run(cfg config, stop <-chan os.Signal, ready func(httpAddr, streamAddr string)) error {
 	cfg.router.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	rt, err := repro.NewRouter(cfg.router)
+	rt, err := cluster.New(cfg.router)
 	if err != nil {
 		return err
 	}

@@ -112,22 +112,40 @@
 // deadline), the streaming listener closes, the estimation worker pool
 // stops, any in-flight retrain finishes, and the observation log is
 // closed.
+//
+// main parses the command line with parseFlags and hands the result to
+// run, which starts every configured piece, serves until a signal
+// arrives on its stop channel, and tears down in dependency order. A
+// failure part-way through startup is returned from run after what was
+// already started is closed. Tests drive run directly, with their own
+// stop channel and a ready hook that receives the bound addresses.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
 	"repro"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/feedback"
 	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/serve"
+	"repro/internal/store"
+	"repro/internal/stream"
 )
 
 // modelFlags collects repeated -model schema=path arguments.
@@ -140,175 +158,198 @@ func (m *modelFlags) Set(v string) error {
 	return nil
 }
 
+// config is the parsed command line. Flags that configure a subsystem
+// are bound straight into its options; the rest select what run starts.
+type config struct {
+	addr, streamAddr, debugAddr string
+	models                      modelFlags
+	bootstrap                   string
+	bootN, bootIters            int
+	storeDir                    string
+	storeSync                   time.Duration
+	forwardObs                  string
+	serve                       serve.Options
+	feedback                    feedback.Options
+	store                       store.Options
+}
+
+// logf writes one "resserve: " line to stderr.
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "resserve: "+format+"\n", args...)
+}
+
+// parseFlags parses args (without the program name) and applies the
+// startup rules. Usage and errors go to stderr.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
+	var cfg config
+	fs := flag.NewFlagSet("resserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.bootstrap, "bootstrap", "", "comma-separated schemas to train quick models for at startup (e.g. tpch)")
+	fs.IntVar(&cfg.bootN, "bootstrap-n", 128, "bootstrap training workload size")
+	fs.IntVar(&cfg.bootIters, "bootstrap-iters", 100, "bootstrap MART iterations")
+	fs.IntVar(&cfg.serve.CacheEntries, "cache", 65536, "prediction cache entries (negative disables)")
+	fs.IntVar(&cfg.serve.Workers, "workers", 0, "estimation workers (0 = GOMAXPROCS)")
+	fs.DurationVar(&cfg.serve.DefaultTimeout, "timeout", 2*time.Second, "default per-request deadline")
+	fs.StringVar(&cfg.serve.ModelDir, "model-dir", "", "directory POST /models may load model files from (empty disables the endpoint)")
+	fs.StringVar(&cfg.storeDir, "store-dir", "", "versioned model-store directory; every publish persists an atomic snapshot there, startup restores the latest ones, and rollback walks snapshot history")
+	fs.IntVar(&cfg.store.Retain, "store-retain", 16, "snapshots retained per schema in the model store (negative disables pruning)")
+	fs.StringVar(&cfg.feedback.Dir, "feedback-dir", "", "observation-log directory; enables the online feedback loop (POST /observe, drift-triggered retraining)")
+	fs.IntVar(&cfg.feedback.TrainWorkers, "train-workers", 0, "training worker pool size for -bootstrap and feedback retrains (0 = GOMAXPROCS); trained models are bit-identical at any worker count")
+	fs.Float64Var(&cfg.feedback.DriftThreshold, "drift-threshold", 2, "retrain when the recent P90 relative error exceeds this multiple of the model's training-time baseline")
+	fs.IntVar(&cfg.feedback.MinObservations, "retrain-min-observations", 256, "minimum logged observations before a drift-triggered retrain (also the cooldown between attempts)")
+	fs.StringVar(&cfg.streamAddr, "stream-addr", "", "streaming estimate listener address: persistent framed TCP with cross-connection micro-batching, responses byte-identical to POST /estimate; empty disables")
+	fs.DurationVar(&cfg.storeSync, "store-sync", 0, "follower mode: poll -store-dir at this interval and publish snapshots newer than what is served, instead of restoring once at startup; the store stays owned by the fleet's retrainer (this replica never writes the serving record or a snapshot)")
+	fs.StringVar(&cfg.forwardObs, "forward-observations", "", "base URL of the fleet's designated retrainer; observation-log segments are forwarded to its /observe/segment endpoint and no local retrainer runs (requires -feedback-dir)")
+	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "debug listener address exposing /debug/pprof and Prometheus /metrics (incl. process runtime gauges); empty disables")
+	fs.DurationVar(&cfg.serve.SlowTrace, "slow-trace", 500*time.Millisecond, "log a structured per-stage trace for requests at or above this latency (0 disables)")
+	fs.BoolVar(&cfg.serve.DisableTelemetry, "no-telemetry", false, "disable per-stage latency histograms and request traces (counters remain)")
+	fs.Var(&cfg.models, "model", "model to serve, as schema=path or path (wildcard schema); repeatable")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	if len(cfg.models) == 0 && cfg.bootstrap == "" {
+		fmt.Fprintln(stderr, "resserve: no -model given; defaulting to -bootstrap tpch")
+		cfg.bootstrap = "tpch"
+	}
+	if cfg.forwardObs != "" && cfg.feedback.Dir == "" {
+		err := errors.New("-forward-observations requires -feedback-dir (the segment directory to tail)")
+		fmt.Fprintln(stderr, "resserve:", err)
+		return config{}, err
+	}
+	cfg.feedback.Logf = logf
+	cfg.store.Logf = logf
+	return cfg, nil
+}
+
 func main() {
-	var models modelFlags
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		bootstrap   = flag.String("bootstrap", "", "comma-separated schemas to train quick models for at startup (e.g. tpch)")
-		bootN       = flag.Int("bootstrap-n", 128, "bootstrap training workload size")
-		bootIters   = flag.Int("bootstrap-iters", 100, "bootstrap MART iterations")
-		cacheSize   = flag.Int("cache", 65536, "prediction cache entries (negative disables)")
-		workers     = flag.Int("workers", 0, "estimation workers (0 = GOMAXPROCS)")
-		timeout     = flag.Duration("timeout", 2*time.Second, "default per-request deadline")
-		modelDir    = flag.String("model-dir", "", "directory POST /models may load model files from (empty disables the endpoint)")
-		storeDir    = flag.String("store-dir", "", "versioned model-store directory; every publish persists an atomic snapshot there, startup restores the latest ones, and rollback walks snapshot history")
-		storeRetain = flag.Int("store-retain", 16, "snapshots retained per schema in the model store (negative disables pruning)")
-		feedbackDir = flag.String("feedback-dir", "", "observation-log directory; enables the online feedback loop (POST /observe, drift-triggered retraining)")
-		trainWork   = flag.Int("train-workers", 0, "training worker pool size for -bootstrap and feedback retrains (0 = GOMAXPROCS); trained models are bit-identical at any worker count")
-		driftThresh = flag.Float64("drift-threshold", 2, "retrain when the recent P90 relative error exceeds this multiple of the model's training-time baseline")
-		retrainMin  = flag.Int("retrain-min-observations", 256, "minimum logged observations before a drift-triggered retrain (also the cooldown between attempts)")
-		streamAddr  = flag.String("stream-addr", "", "streaming estimate listener address: persistent framed TCP with cross-connection micro-batching, responses byte-identical to POST /estimate; empty disables")
-		storeSync   = flag.Duration("store-sync", 0, "follower mode: poll -store-dir at this interval and publish snapshots newer than what is served, instead of restoring once at startup; the store stays owned by the fleet's retrainer (this replica never writes pins or rollback state)")
-		forwardObs  = flag.String("forward-observations", "", "base URL of the fleet's designated retrainer; observation-log segments are forwarded to its /observe/segment endpoint and no local retrainer runs (requires -feedback-dir)")
-		debugAddr   = flag.String("debug-addr", "", "debug listener address exposing /debug/pprof and Prometheus /metrics (incl. process runtime gauges); empty disables")
-		slowTrace   = flag.Duration("slow-trace", 500*time.Millisecond, "log a structured per-stage trace for requests at or above this latency (0 disables)")
-		noTelemetry = flag.Bool("no-telemetry", false, "disable per-stage latency histograms and request traces (counters remain)")
-	)
-	flag.Var(&models, "model", "model to serve, as schema=path or path (wildcard schema); repeatable")
-	flag.Parse()
-
-	if len(models) == 0 && *bootstrap == "" {
-		fmt.Fprintln(os.Stderr, "resserve: no -model given; defaulting to -bootstrap tpch")
-		*bootstrap = "tpch"
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(2)
 	}
+	// Signals are caught only once the listeners are up: one arriving
+	// during bootstrap training still ends the process at once.
+	sig := make(chan os.Signal, 1)
+	if err := run(cfg, sig, func(string, string) { signal.Notify(sig, os.Interrupt, syscall.SIGTERM) }); err != nil {
+		logf("%v", err)
+		os.Exit(1)
+	}
+}
 
+// run starts the service and everything cfg enables, serves until a
+// signal arrives on stop, then drains and tears down. ready, when
+// non-nil, is told the bound HTTP and stream addresses once both
+// listeners are up. Every piece is closed by a deferred call too, so a
+// failed start returns with nothing left running; the closes are
+// idempotent, which lets the orderly shutdown below go first.
+func run(cfg config, stop <-chan os.Signal, ready func(httpAddr, streamAddr string)) error {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	serveOpts := repro.ServeOptions{
-		CacheEntries:     *cacheSize,
-		Workers:          *workers,
-		DefaultTimeout:   *timeout,
-		ModelDir:         *modelDir,
-		Logger:           logger,
-		SlowTrace:        *slowTrace,
-		DisableTelemetry: *noTelemetry,
-	}
-	if *forwardObs != "" && *feedbackDir == "" {
-		fatal(fmt.Errorf("-forward-observations requires -feedback-dir (the segment directory to tail)"))
-	}
-	var svc *repro.Service
-	var loop *repro.FeedbackLoop
-	fbOpts := repro.FeedbackOptions{
-		Dir:             *feedbackDir,
-		DriftThreshold:  *driftThresh,
-		MinObservations: *retrainMin,
-		TrainWorkers:    *trainWork,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "resserve: "+format+"\n", args...)
-		},
-	}
-	switch {
-	case *forwardObs != "":
-		// Forwarding replica: observations land in the local log and feed
-		// the error gauges, but retraining is the designated retrainer's
-		// job — the forwarder below ships the segments there.
-		var err error
-		svc, loop, err = repro.NewServiceWithObservationLog(serveOpts, fbOpts)
-		if err != nil {
-			fatal(err)
+	cfg.serve.Logger = logger
+	reg := serve.NewRegistry()
+	cfg.serve.Registry = reg
+	var loop *feedback.Loop
+	if cfg.feedback.Dir != "" {
+		if cfg.forwardObs == "" {
+			// The loop's retrainer publishes into the registry the
+			// service routes from. A forwarding replica leaves it unset:
+			// observations land in the local log and feed the error
+			// gauges, and retraining is the designated retrainer's job —
+			// the forwarder below ships the segments there.
+			cfg.feedback.Publisher = reg
 		}
-		fmt.Fprintf(os.Stderr, "resserve: observation log enabled (log %s, forwarding to %s, no local retrainer)\n",
-			*feedbackDir, *forwardObs)
-	case *feedbackDir != "":
 		var err error
-		svc, loop, err = repro.NewServiceWithFeedback(serveOpts, fbOpts)
-		if err != nil {
-			fatal(err)
+		if loop, err = feedback.New(cfg.feedback); err != nil {
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "resserve: feedback loop enabled (log %s, drift threshold %gx, retrain after %d observations)\n",
-			*feedbackDir, *driftThresh, *retrainMin)
-	default:
-		svc = repro.NewService(serveOpts)
+		defer loop.Close()
+		cfg.serve.Feedback = loop
+		if cfg.forwardObs != "" {
+			logf("observation log enabled (log %s, forwarding to %s, no local retrainer)", cfg.feedback.Dir, cfg.forwardObs)
+		} else {
+			logf("feedback loop enabled (log %s, drift threshold %gx, retrain after %d observations)",
+				cfg.feedback.Dir, cfg.feedback.DriftThreshold, cfg.feedback.MinObservations)
+		}
 	}
+	svc := serve.New(cfg.serve)
+	defer svc.Close()
 
 	// The model store, when enabled, is attached before any model is
 	// published so every producer below — restored snapshots aside —
-	// persists through it. Restores are tracked per resource (see
-	// restoreTracker): skipping bootstrap for a schema is only safe when
+	// persists through it. What came back is tracked per resource (see
+	// unrestored): skipping bootstrap for a schema is only safe when
 	// every bootstrap resource actually came back.
-	restored := newRestoreTracker()
+	var restored []serve.ModelInfo
 	var stopStoreSync func()
-	if *storeDir != "" {
-		st, err := repro.OpenModelStore(*storeDir, repro.ModelStoreOptions{
-			Retain: *storeRetain,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "resserve: "+format+"\n", args...)
-			},
-		})
+	if cfg.storeDir != "" {
+		st, err := store.Open(cfg.storeDir, cfg.store)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if *storeSync > 0 {
+		reg.AttachStore(st, logf)
+		if cfg.storeSync > 0 {
 			// Follower: serve the store's newest snapshots and keep polling
 			// for newer ones — the retrainer owns the store's write side
-			// (pins, rollback state), this replica only reads forward.
-			infos, err := repro.AttachModelStoreFollower(svc, st, func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "resserve: "+format+"\n", args...)
-			})
-			if err != nil {
-				fatal(err)
+			// (snapshots, the serving record), this replica only reads
+			// forward.
+			if restored, err = reg.SyncFromStore(); err != nil {
+				return err
 			}
-			for _, info := range infos {
+			for _, info := range restored {
 				logModel("synced", info, fmt.Sprintf("snapshot v%d", info.Snapshot))
-				restored.mark(info.Schema, info.Resource)
 			}
-			stopStoreSync = startStoreSync(svc, *storeSync)
-			fmt.Fprintf(os.Stderr, "resserve: model store at %s (follower, %d models synced, polling every %v)\n",
-				*storeDir, len(infos), *storeSync)
+			stopStoreSync = startStoreSync(reg, cfg.storeSync)
+			defer stopStoreSync()
+			logf("model store at %s (follower, %d models synced, polling every %v)", cfg.storeDir, len(restored), cfg.storeSync)
 		} else {
-			infos, err := repro.AttachModelStore(svc, st, func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "resserve: "+format+"\n", args...)
-			})
-			if err != nil {
-				fatal(err)
+			if restored, err = reg.RestoreFromStore(); err != nil {
+				return err
 			}
-			for _, info := range infos {
+			for _, info := range restored {
 				logModel("restored", info, fmt.Sprintf("snapshot v%d", info.Snapshot))
-				restored.mark(info.Schema, info.Resource)
 			}
-			fmt.Fprintf(os.Stderr, "resserve: model store at %s (%d models restored, retaining %d snapshots per schema)\n",
-				*storeDir, len(infos), *storeRetain)
+			logf("model store at %s (%d models restored, retaining %d snapshots per schema)", cfg.storeDir, len(restored), cfg.store.Retain)
 		}
 	}
 
-	for _, spec := range models {
+	for _, spec := range cfg.models {
 		schema, path := "", spec
 		if i := strings.IndexByte(spec, '='); i >= 0 {
 			schema, path = spec[:i], spec[i+1:]
 		}
-		if restored.any(schema) {
+		if len(unrestored(restored, schema)) < len(plan.ResourceKinds()) {
 			// The store's serving set supersedes the file: republishing
 			// it would revert any retrained/uploaded model the store
 			// accumulated, on every restart. Swap files in explicitly
 			// via POST /models when that is really wanted.
-			fmt.Fprintf(os.Stderr, "resserve: %s restored from the model store; ignoring -model %s\n",
-				schemaName(schema), path)
+			logf("%s restored from the model store; ignoring -model %s", schemaName(schema), path)
 			continue
 		}
-		info, err := repro.PublishModelFile(svc, schema, path)
+		info, err := reg.PublishFile(schema, path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		logModel("loaded", info, path)
 	}
 
-	for _, schema := range splitList(*bootstrap) {
-		missing := restored.missing(schema)
+	for _, schema := range splitList(cfg.bootstrap) {
+		missing := unrestored(restored, schema)
 		if len(missing) == 0 {
 			// The store already holds this schema's latest serving set;
 			// retraining it at every restart would waste minutes and
 			// discard accumulated model history.
-			fmt.Fprintf(os.Stderr, "resserve: %s restored from the model store; skipping bootstrap\n", schema)
+			logf("%s restored from the model store; skipping bootstrap", schema)
 			continue
 		}
-		if restored.any(schema) {
+		if len(missing) < len(plan.ResourceKinds()) {
 			// Heal only what is absent: the restored resources may carry
 			// retrained or uploaded models that a fresh bootstrap would
 			// silently revert.
-			fmt.Fprintf(os.Stderr, "resserve: %s partially restored from the model store; bootstrapping only %s\n",
-				schema, resourceNames(missing))
+			logf("%s partially restored from the model store; bootstrapping only %s", schema, resourceNames(missing))
 		}
-		if err := bootstrapSchema(svc, schema, *bootN, *bootIters, *trainWork, missing); err != nil {
-			fatal(err)
+		if err := bootstrapSchema(reg, schema, cfg.bootN, cfg.bootIters, cfg.feedback.TrainWorkers, missing); err != nil {
+			return err
 		}
 	}
 
@@ -317,46 +358,46 @@ func main() {
 	// counters register on the service's own metrics registry, so the
 	// stream series ride GET /metrics (and the debug listener's copy)
 	// alongside the HTTP ones.
-	var streamSrv *repro.StreamServer
-	if *streamAddr != "" {
-		ss, err := repro.StartStreamServer(*streamAddr, repro.StreamServerOptions{
-			Service: svc,
-			Logger:  logger,
-		})
-		if err != nil {
-			fatal(err)
+	var streamSrv *stream.Server
+	streamAddr := ""
+	if cfg.streamAddr != "" {
+		var err error
+		if streamSrv, err = stream.Start(cfg.streamAddr, stream.Options{Service: svc, Logger: logger}); err != nil {
+			return err
 		}
-		streamSrv = ss
-		svc.Obs().Register(ss.Collector())
+		defer streamSrv.Close()
+		svc.Obs().Register(streamSrv.Collector())
 		// Advertised through /healthz so a fronting resrouter discovers
 		// the stream endpoint and pools connections to it.
-		svc.SetStreamAddr(ss.Addr())
-		fmt.Fprintf(os.Stderr, "resserve: streaming listener on %s\n", ss.Addr())
+		streamAddr = streamSrv.Addr()
+		svc.SetStreamAddr(streamAddr)
+		logf("streaming listener on %s", streamAddr)
 	}
 
 	// Opt-in observation forwarder: tails the feedback log's segments
 	// into the fleet's designated retrainer. Started after the service
 	// exists but before traffic matters — the forwarder is read-only on
 	// the log, so ordering is about shutdown (below), not startup.
-	var forwarder *repro.ObservationForwarder
-	if *forwardObs != "" {
-		fw, err := repro.StartObservationForwarder(repro.ObservationForwarderOptions{
-			Dir:    *feedbackDir,
-			Target: strings.TrimRight(*forwardObs, "/"),
+	var forwarder *cluster.Forwarder
+	if cfg.forwardObs != "" {
+		var err error
+		forwarder, err = cluster.NewForwarder(cluster.ForwarderOptions{
+			Dir:    cfg.feedback.Dir,
+			Target: strings.TrimRight(cfg.forwardObs, "/"),
 			Logger: logger,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		forwarder = fw
-		fmt.Fprintf(os.Stderr, "resserve: forwarding observation segments to %s\n", *forwardObs)
+		defer forwarder.Close()
+		logf("forwarding observation segments to %s", cfg.forwardObs)
 	}
 
 	// Opt-in debug listener: pprof and a Prometheus exposition combining
 	// the service's metric families with process runtime gauges. A
 	// separate listener so profiling endpoints never ride the serving
 	// port.
-	if *debugAddr != "" {
+	if cfg.debugAddr != "" {
 		dreg := obs.NewRegistry()
 		dreg.Register(svc.Obs().Collector())
 		sampler := obs.NewRuntimeSampler(10 * time.Second)
@@ -379,23 +420,26 @@ func main() {
 			})
 			routes += ", /debug/exemplars"
 		}
-		ds, err := obs.StartDebugServer(*debugAddr, dreg, extra...)
+		ds, err := obs.StartDebugServer(cfg.debugAddr, dreg, extra...)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer ds.Close()
-		fmt.Fprintf(os.Stderr, "resserve: debug listener on %s (%s)\n", ds.Addr(), routes)
+		logf("debug listener on %s (%s)", ds.Addr(), routes)
 	}
 
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	// Graceful shutdown on SIGINT/SIGTERM, in dependency order: stop
+	// Graceful shutdown on a signal, in dependency order: stop
 	// accepting and drain in-flight HTTP handlers (force-closing any
 	// still running when the drain deadline expires — see drainHTTP),
 	// then the streaming listener, then the estimation worker pool,
@@ -405,22 +449,23 @@ func main() {
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		s := <-sig
-		fmt.Fprintf(os.Stderr, "resserve: %s received, draining\n", s)
+		s := <-stop
+		logf("%s received, draining", s)
 		if forced, err := drainHTTP(srv, 10*time.Second); forced {
-			fmt.Fprintf(os.Stderr, "resserve: drain deadline expired (%v); connections force-closed\n", err)
+			logf("drain deadline expired (%v); connections force-closed", err)
 		}
 	}()
 
-	fmt.Fprintf(os.Stderr, "resserve: listening on %s\n", *addr)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fatal(err)
+	if ready != nil {
+		ready(ln.Addr().String(), streamAddr)
 	}
-	// Shutdown makes ListenAndServe return before active handlers have
-	// drained; wait for the shutdown goroutine so in-flight requests get
-	// their responses.
+	logf("listening on %s", cfg.addr)
+	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+		return err
+	}
+	// Shutdown makes Serve return before active handlers have drained;
+	// wait for the shutdown goroutine so in-flight requests get their
+	// responses.
 	<-drained
 	if streamSrv != nil {
 		// The streaming listener closes after HTTP drains and before the
@@ -438,10 +483,9 @@ func main() {
 	svc.LogSummary(logger)
 	if loop != nil {
 		if err := loop.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "resserve: closing feedback log: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("closing feedback log: %w", err)
 		}
-		fmt.Fprintln(os.Stderr, "resserve: feedback log flushed")
+		logf("feedback log flushed")
 	}
 	if forwarder != nil {
 		// The loop above closed the log; one final synchronous pass
@@ -449,12 +493,13 @@ func main() {
 		// leaves no observation behind for the retrainer.
 		forwarder.Close()
 		if n, err := forwarder.ForwardNow(); err != nil {
-			fmt.Fprintf(os.Stderr, "resserve: final observation drain: %v\n", err)
+			logf("final observation drain: %v", err)
 		} else if n > 0 {
-			fmt.Fprintf(os.Stderr, "resserve: final observation drain forwarded %d records\n", n)
+			logf("final observation drain forwarded %d records", n)
 		}
 	}
-	fmt.Fprintln(os.Stderr, "resserve: shutdown complete")
+	logf("shutdown complete")
+	return nil
 }
 
 // bootstrapSchema trains quick estimators for the given resources of a
@@ -464,35 +509,66 @@ func main() {
 // on the training pool, so bootstrap wall-clock scales with
 // -train-workers while producing models bit-identical to sequential
 // training.
-func bootstrapSchema(svc *repro.Service, schema string, n, iters, workers int, resources []repro.Resource) error {
-	fmt.Fprintf(os.Stderr, "resserve: bootstrapping %s %s models (%d queries, %d iterations)...\n",
-		schema, resourceNames(resources), n, iters)
+//
+// Served models get an out-of-sample drift baseline, so the feedback
+// loop's detector is calibrated rather than hair-triggered: one more
+// parallel pass trains throwaway models on 4/5 of the plans and
+// evaluates them on the held-out 1/5 (roughly doubling training time),
+// while the published models still train on every plan. The cheap
+// in-sample error, which understates real error, is the fallback.
+func bootstrapSchema(reg *serve.Registry, schema string, n, iters, workers int, resources []plan.ResourceKind) error {
+	logf("bootstrapping %s %s models (%d queries, %d iterations)...", schema, resourceNames(resources), n, iters)
 	qs, err := repro.GenerateWorkload(repro.WorkloadOptions{Schema: schema, N: n, Seed: 1})
 	if err != nil {
 		return err
 	}
 	repro.Execute(qs)
-	ests, err := repro.TrainSet(qs, repro.TrainOptions{
-		BoostingIterations: iters,
-		SkipScaleSelection: true,
-		// Served models get an out-of-sample drift baseline so the
-		// feedback loop's detector is calibrated, not hair-triggered.
-		BaselineProbe: true,
-		Workers:       workers,
-	}, resources...)
+	plans := make([]*plan.Plan, len(qs))
+	for i, q := range qs {
+		plans[i] = q.Plan
+	}
+	cfg := core.DefaultConfig()
+	if iters > 0 {
+		cfg.Mart.Iterations = iters
+	}
+	cfg.Workers = workers
+	// A nil scale table is linear scaling everywhere: bootstrap skips
+	// the §6.2 scale-selection sweep.
+	ests, err := core.TrainSet(plans, resources, nil, cfg)
 	if err != nil {
 		return err
 	}
-	for _, est := range ests {
-		logModel("trained", repro.PublishAs(svc, schema, est, "bootstrap"), "")
+	// The probe holds out every fifth plan and needs at least two.
+	var hold, rest []*plan.Plan
+	for i, p := range plans {
+		if i%5 == 4 {
+			hold = append(hold, p)
+		} else {
+			rest = append(rest, p)
+		}
+	}
+	var probes map[plan.ResourceKind]*core.Estimator
+	if len(hold) >= 2 {
+		probes, _ = core.TrainSet(rest, resources, nil, cfg)
+	}
+	for _, r := range resources {
+		est := ests[r]
+		if probe := probes[r]; probe != nil {
+			b := probe.EvalPlans(hold)
+			est.Baseline = &b
+		} else {
+			est.SetBaseline(plans)
+		}
+		logModel("trained", reg.PublishAs(schema, est, "bootstrap"), "")
 	}
 	return nil
 }
 
 // startStoreSync polls the attached model store and publishes snapshots
 // newer than what the registry serves — the follower's read-forward
-// loop. Returns a stop function that waits for a poll in flight.
-func startStoreSync(svc *repro.Service, every time.Duration) func() {
+// loop. Returns a stop function, safe to call more than once, that
+// waits for a poll in flight.
+func startStoreSync(reg *serve.Registry, every time.Duration) func() {
 	quit := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -502,9 +578,9 @@ func startStoreSync(svc *repro.Service, every time.Duration) func() {
 		for {
 			select {
 			case <-t.C:
-				infos, err := repro.SyncFromModelStore(svc)
+				infos, err := reg.SyncFromStore()
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "resserve: store sync: %v\n", err)
+					logf("store sync: %v", err)
 					continue
 				}
 				for _, info := range infos {
@@ -515,13 +591,13 @@ func startStoreSync(svc *repro.Service, every time.Duration) func() {
 			}
 		}
 	}()
-	return func() {
+	return sync.OnceFunc(func() {
 		close(quit)
 		<-done
-	}
+	})
 }
 
-func resourceNames(resources []repro.Resource) string {
+func resourceNames(resources []plan.ResourceKind) string {
 	names := make([]string, len(resources))
 	for i, r := range resources {
 		names[i] = r.String()
@@ -546,17 +622,10 @@ func schemaName(schema string) string {
 	return schema
 }
 
-func logModel(verb string, info repro.ModelInfo, path string) {
-	schema := schemaName(info.Schema)
+func logModel(verb string, info serve.ModelInfo, path string) {
 	suffix := ""
 	if path != "" {
 		suffix = " from " + path
 	}
-	fmt.Fprintf(os.Stderr, "resserve: %s %s/%s model v%d (%d candidates)%s\n",
-		verb, schema, info.Resource, info.Version, info.NumModels, suffix)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "resserve:", err)
-	os.Exit(1)
+	logf("%s %s/%s model v%d (%d candidates)%s", verb, schemaName(info.Schema), info.Resource, info.Version, info.NumModels, suffix)
 }

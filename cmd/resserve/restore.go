@@ -1,43 +1,27 @@
 package main
 
-import "repro"
+import (
+	"slices"
 
-// restoreTracker records which (schema, resource) routes came back from
-// the model store at startup, so later startup producers heal exactly
-// the gaps. A crash between a schema's CPU and IO publishes can leave a
-// one-resource snapshot behind; skipping bootstrap for the whole schema
+	"repro/internal/plan"
+	"repro/internal/serve"
+)
+
+// unrestored returns the resources of schema that did not come back
+// from the model store at startup, in resource order — the set a
+// startup bootstrap must still train; empty means the store covers the
+// schema. A crash between a schema's CPU and IO publishes can leave a
+// one-resource snapshot behind: skipping bootstrap for the whole schema
 // would wedge the missing resource on the zero model, while a full
 // re-bootstrap would silently revert whatever retrained or uploaded
-// models the restored resources carry. The tracker makes the decision
-// per resource: bootstrap only what is absent.
-type restoreTracker struct {
-	restored map[string]map[string]bool
-}
-
-func newRestoreTracker() *restoreTracker {
-	return &restoreTracker{restored: make(map[string]map[string]bool)}
-}
-
-// mark records that schema's resource was restored from the store.
-func (t *restoreTracker) mark(schema, resource string) {
-	if t.restored[schema] == nil {
-		t.restored[schema] = make(map[string]bool)
-	}
-	t.restored[schema][resource] = true
-}
-
-// any reports whether anything at all was restored for schema.
-func (t *restoreTracker) any(schema string) bool {
-	return len(t.restored[schema]) > 0
-}
-
-// missing returns the resources schema did NOT restore, in resource
-// order — the set a startup bootstrap must still train. Empty means the
-// store fully covers the schema.
-func (t *restoreTracker) missing(schema string) []repro.Resource {
-	var out []repro.Resource
-	for _, r := range repro.AllResources() {
-		if !t.restored[schema][r.String()] {
+// models the restored resources carry. So the decision is made per
+// resource: bootstrap only what is absent.
+func unrestored(restored []serve.ModelInfo, schema string) []plan.ResourceKind {
+	var out []plan.ResourceKind
+	for _, r := range plan.ResourceKinds() {
+		if !slices.ContainsFunc(restored, func(info serve.ModelInfo) bool {
+			return info.Schema == schema && info.Resource == r.String()
+		}) {
 			out = append(out, r)
 		}
 	}

@@ -6,6 +6,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 
 	"repro"
 )
@@ -51,13 +53,25 @@ func main() {
 	fmt.Printf("\n%d/%d estimates within 2x of the actual CPU time\n", within2x, len(test))
 
 	// 5. Persist the model set (a few hundred KB; §7.3 of the paper).
-	if err := estimator.SaveFile("cpu-model.json"); err != nil {
-		log.Fatal(err)
-	}
-	reloaded, err := repro.LoadFile("cpu-model.json")
+	reloaded, err := saveAndReload(estimator)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("model saved and reloaded; sample estimate: %.0fms\n",
 		reloaded.EstimateQuery(test[0]))
+}
+
+// saveAndReload writes the estimator to a file in a fresh temporary
+// directory, reads it back, and removes the directory.
+func saveAndReload(est *repro.Estimator) (*repro.Estimator, error) {
+	dir, err := os.MkdirTemp("", "quickstart")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "cpu-model.json")
+	if err := est.SaveFile(path); err != nil {
+		return nil, err
+	}
+	return repro.LoadFile(path)
 }

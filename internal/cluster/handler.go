@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -104,7 +105,7 @@ func peekSchema(body []byte) string {
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *routeError) {
-	body, err := readAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
 	if err != nil {
 		return nil, &routeError{status: http.StatusBadRequest, code: "bad_request", msg: "bad request body: " + err.Error()}
 	}

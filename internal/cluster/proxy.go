@@ -8,8 +8,6 @@ import (
 	"net/http"
 )
 
-func readAll(r io.Reader) ([]byte, error) { return io.ReadAll(r) }
-
 // forwardHTTP posts body to rp's path — the estimate fallback when a
 // replica advertises no stream listener. A nil error pair means the
 // returned bytes are the replica's 200 body, verbatim; a *routeError
@@ -30,7 +28,7 @@ func (rt *Router) forwardHTTP(ctx context.Context, rp *replica, path, rawQuery s
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := readAll(io.LimitReader(resp.Body, maxRouterBody))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxRouterBody))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -97,7 +95,7 @@ func (rt *Router) forwardRaw(r *http.Request, rp *replica, body []byte) (int, []
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := readAll(io.LimitReader(resp.Body, maxRouterBody))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxRouterBody))
 	if err != nil {
 		return 0, nil, err
 	}

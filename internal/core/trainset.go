@@ -18,7 +18,8 @@ import (
 // Each returned estimator is bit-identical to what a sequential
 // per-resource Train would produce: parallelism moves wall-clock, never
 // models. Baselines are not stamped — callers decide the baseline
-// policy (see repro.Train and feedback's retrainer).
+// policy (see cmd/resserve's bootstrap probe, repro.Train's in-sample
+// baseline and feedback's retrainer).
 func TrainSet(plans []*plan.Plan, resources []plan.ResourceKind, t *ScaleTable, cfg Config) (map[plan.ResourceKind]*Estimator, error) {
 	if len(plans) == 0 {
 		return nil, errors.New("core: no training plans")

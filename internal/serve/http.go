@@ -239,7 +239,7 @@ func (s *Service) StreamAddr() string {
 // default — Metrics' wire shape is pinned by test) and Prometheus text
 // exposition for scrapers that ask for it.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsPrometheus(r) {
+	if WantsPrometheus(r) {
 		w.Header().Set("Content-Type", obs.TextContentType)
 		w.WriteHeader(http.StatusOK)
 		_ = s.obsReg.WritePrometheus(w)
@@ -248,11 +248,12 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
-// wantsPrometheus decides the /metrics representation: an explicit
+// WantsPrometheus decides the /metrics representation: an explicit
 // ?format= wins, then the Accept header. JSON is the default so
 // existing scrapers (and plain http.Get, which sends no Accept) keep
-// their bytes.
-func wantsPrometheus(r *http.Request) bool {
+// their bytes. The router's metrics endpoint calls it too, so both
+// tiers answer content negotiation identically.
+func WantsPrometheus(r *http.Request) bool {
 	switch r.URL.Query().Get("format") {
 	case "prometheus", "text":
 		return true
@@ -789,13 +790,6 @@ func ErrorCode(err error) (status int, code string) {
 	status, e := errorFor(err)
 	return status, e.Code
 }
-
-// WantsPrometheus reports whether r negotiates the Prometheus text
-// exposition the way GET /metrics does: an explicit ?format= wins,
-// then the Accept header, with JSON the default. The router's metrics
-// endpoint reuses it so both tiers answer content negotiation
-// identically.
-func WantsPrometheus(r *http.Request) bool { return wantsPrometheus(r) }
 
 // StatusForCode maps a stable wire error code back to the HTTP status
 // the handlers pair it with — the inverse of ErrorCode, for proxies

@@ -145,6 +145,11 @@ func TestObserveMatchesDirectLoop(t *testing.T) {
 	if len(routes) != 1 || routes[0].Observations != 48 || len(routes[0].PerOperator) == 0 || len(viaHTTP.Exemplars()) == 0 {
 		t.Fatalf("the sequence did not exercise the loop: %s", gotJSON)
 	}
+	// The service's metrics carry the loop's gauges as they stand.
+	if m := svc.Metrics(); len(m.Feedback) != 1 || m.Feedback[0].Observations != 48 ||
+		m.Feedback[0].Window.Count != routes[0].Window.Count {
+		t.Fatalf("Metrics().Feedback = %+v, want the loop's one route", m.Feedback)
+	}
 }
 
 // TestObserveLogsWireBytes sends one plan to POST /observe in several

@@ -64,7 +64,7 @@ type Options struct {
 	// it, /metrics surfaces its per-model error gauges, and its
 	// retrainer publishes into this service's registry. The loop should
 	// be constructed with this service's Registry as its Publisher
-	// (repro.NewServiceWithFeedback wires that up). The service does not
+	// (cmd/resserve's run wires that up). The service does not
 	// own the loop; close it after the service.
 	Feedback *feedback.Loop
 	// Logger receives slow-request traces and the shutdown metrics

@@ -15,8 +15,10 @@
 //     operator granularity.
 //
 // The heavy lifting lives in the internal packages; this package wires
-// them together behind a small, stable surface. See the examples/
-// directory for runnable end-to-end usage.
+// them together behind a small, stable surface. It is the estimation
+// library only: serving is cmd/resserve and cmd/resrouter over
+// internal/serve, internal/feedback and internal/cluster. See the
+// examples/ directory for runnable end-to-end usage.
 package repro
 
 import (
@@ -24,15 +26,11 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/features"
-	"repro/internal/feedback"
 	"repro/internal/plan"
-	"repro/internal/serve"
 	"repro/internal/store"
-	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -135,14 +133,6 @@ type TrainOptions struct {
 	// linear scaling everywhere (faster training, slightly less accurate
 	// extrapolation for sorts and nested loops).
 	SkipScaleSelection bool
-	// BaselineProbe stamps the model's drift-detection baseline from an
-	// out-of-sample probe: a throwaway model is trained on 4/5 of the
-	// plans and evaluated on the held-out 1/5 (roughly doubling training
-	// time). Without it the baseline is the cheap in-sample error, which
-	// understates real error and makes the feedback loop's drift
-	// detector more sensitive — enable this for models that will serve
-	// with the feedback loop attached (resserve -bootstrap does).
-	BaselineProbe bool
 	// Workers bounds the training worker pool: the independent
 	// (operator, resource, candidate scale-set) MART fits fan out
 	// across it, with spare workers flowing down into the tree-level
@@ -174,9 +164,9 @@ func Train(queries []*Query, opts TrainOptions) (*Estimator, error) {
 // executed queries in a single parallel pass: every (resource ×
 // operator × candidate scale-set) fit is an independent job on one
 // bounded worker pool, so a CPU+I/O bootstrap saturates the machine
-// instead of training the two models back to back (cmd/resserve
-// -bootstrap uses this). opts.Resource is ignored; per-resource results
-// are bit-identical to separate Train calls with the same options.
+// instead of training the two models back to back. opts.Resource is
+// ignored; per-resource results are bit-identical to separate Train
+// calls with the same options.
 func TrainSet(queries []*Query, opts TrainOptions, resources ...Resource) ([]*Estimator, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("repro: no training queries")
@@ -211,38 +201,13 @@ func TrainSet(queries []*Query, opts TrainOptions, resources ...Resource) ([]*Es
 	if err != nil {
 		return nil, err
 	}
-	// Stamp the drift-detection baselines: they persist with the models
-	// and the feedback loop compares production errors against them. The
-	// probe (see TrainOptions.BaselineProbe) measures out-of-sample error
-	// with throwaway 4/5 models — one more parallel pass covering every
-	// resource — while the returned estimators still train on every plan.
-	const probeFold = 5
-	var probes map[plan.ResourceKind]*core.Estimator
-	var probeHold []*plan.Plan
-	if opts.BaselineProbe && len(plans) >= 2*probeFold {
-		var probeTrain []*plan.Plan
-		for i, p := range plans {
-			if i%probeFold == probeFold-1 {
-				probeHold = append(probeHold, p)
-			} else {
-				probeTrain = append(probeTrain, p)
-			}
-		}
-		if ps, err := core.TrainSet(probeTrain, resources, table, cfg); err == nil {
-			probes = ps
-		}
-	}
+	// Stamp the in-sample drift-detection baselines: they persist with
+	// the models and the feedback loop compares production errors
+	// against them.
 	out := make([]*Estimator, len(resources))
 	for i, r := range resources {
-		e := inner[r]
-		if probe := probes[r]; probe != nil {
-			b := probe.EvalPlans(probeHold)
-			e.Baseline = &b
-		}
-		if e.Baseline == nil {
-			e.SetBaseline(plans)
-		}
-		out[i] = &Estimator{inner: e}
+		inner[r].SetBaseline(plans)
+		out[i] = &Estimator{inner: inner[r]}
 	}
 	return out, nil
 }
@@ -391,82 +356,14 @@ func LoadFile(path string) (*Estimator, error) {
 	return Load(f)
 }
 
-// --- Serving ---------------------------------------------------------
-//
-// The serving API turns trained estimators into a concurrent service:
-// models are published into a registry (hot-swappable at runtime),
-// per-operator predictions are memoized in a sharded LRU cache, and
-// requests run on a bounded worker pool with per-request deadlines.
-// cmd/resserve exposes the same service over HTTP. The service also
-// keeps one response cache, at the byte boundary: POST /estimate and
-// the streaming transport's estimate frame answer a body they have
-// answered before without parsing it, each replaying what the other
-// computed. Service.Estimate, the in-process call, does not go through
-// it.
-
-// Serving types, re-exported like the plan types above.
-type (
-	// Service is the concurrent estimation service.
-	Service = serve.Service
-	// ServeOptions configures cache size, worker pool and deadlines.
-	ServeOptions = serve.Options
-	// EstimateRequest selects a model and carries the plan to estimate.
-	EstimateRequest = serve.Request
-	// ModelInfo describes a published model version.
-	ModelInfo = serve.ModelInfo
-)
-
-// NewService starts an estimation service and its worker pool. Callers
-// should Close it when done.
-//
-// The service is instrumented end to end (see README "Observability"):
-// per-endpoint and per-stage latency histograms, slow-request traces
-// through ServeOptions.Logger/SlowTrace, and Prometheus text exposition
-// on GET /metrics content-negotiated alongside the legacy JSON
-// snapshot. ServeOptions.DisableTelemetry switches the stage timing
-// off; the plain counters always run.
-func NewService(opts ServeOptions) *Service { return serve.New(opts) }
-
-// --- Streaming transport ---------------------------------------------
-//
-// The streaming transport serves estimates over persistent framed TCP
-// connections: many requests interleave in flight on one connection,
-// and the server coalesces requests *across* connections into
-// micro-batched dispatches through the same pool/cache path as HTTP —
-// responses stay byte-identical to POST /estimate, and a repeated
-// request is answered from the service's response cache, the one POST
-// /estimate asks. cmd/resserve
-// exposes it with -stream-addr; see README "Streaming protocol" for
-// the frame layout and the coalescing rule.
-
-// Streaming types, re-exported like the serving types above.
-type (
-	// StreamServer is the coalescing streaming listener.
-	StreamServer = stream.Server
-	// StreamServerOptions names the service and the per-connection
-	// idle/write deadlines. Micro-batching has no options: a request is
-	// sent on at once when nothing for its route is outstanding and
-	// joins the next dispatch while something is.
-	StreamServerOptions = stream.Options
-)
-
-// StartStreamServer binds addr and serves the streaming estimate
-// protocol for opts.Service in the background until Close. Register
-// the server's Collector on the service's metrics registry
-// (Service.Obs) to surface the stream series on GET /metrics.
-func StartStreamServer(addr string, opts StreamServerOptions) (*StreamServer, error) {
-	return stream.Start(addr, opts)
-}
-
 // --- Versioned model store -------------------------------------------
 //
-// The model store is the single durable source of truth for published
-// models: every publish — bootstrap training, a POST /models upload, a
-// feedback-loop retrain — persists one atomic snapshot (model files +
-// checksummed JSON manifest) per schema, and the registry restores the
-// latest snapshots at boot and rolls back through snapshot history.
+// The model store holds atomic, checksummed snapshots of a schema's
+// models — what cmd/resserve -store-dir serves from and persists every
+// publish into. These calls are the offline side: an offline producer
+// writes a snapshot, an offline consumer reads the newest one.
 
-// Store types, re-exported like the serving types above.
+// Store types, re-exported like the plan types above.
 type (
 	// ModelStore is the versioned on-disk model store.
 	ModelStore = store.Store
@@ -480,22 +377,6 @@ type (
 // dir, cleaning up partial publishes left by crashes.
 func OpenModelStore(dir string, opts ModelStoreOptions) (*ModelStore, error) {
 	return store.Open(dir, opts)
-}
-
-// AttachModelStore puts the service's registry in store-backed mode
-// and restores the newest intact snapshot of every schema in the
-// store: after this, every publish persists a coherent snapshot,
-// rollback walks snapshot history (surviving process restarts), and
-// the returned infos describe the models restored from disk.
-func AttachModelStore(s *Service, st *ModelStore, logf func(format string, args ...any)) ([]ModelInfo, error) {
-	s.Registry().AttachStore(st, logf)
-	return s.Registry().RestoreFromStore()
-}
-
-// PublishAs is Publish with the producing subsystem recorded in the
-// store manifest ("bootstrap", "upload", "retrain", ...).
-func PublishAs(s *Service, schema string, e *Estimator, source string) ModelInfo {
-	return s.Registry().PublishAs(schema, e.inner, source)
 }
 
 // LoadLatestEstimators loads the newest intact snapshot for schema
@@ -534,137 +415,3 @@ func SaveSnapshot(st *ModelStore, schema, source string, ests ...*Estimator) (*M
 	}
 	return st.Publish(store.Snapshot{Schema: schema, Source: source, Models: models})
 }
-
-// Publish installs a trained estimator as the current model for the
-// schema (atomically replacing any prior version; in-flight requests
-// finish on the version they started with). Schema "" installs the
-// fallback used when a request's schema has no dedicated model.
-func Publish(s *Service, schema string, e *Estimator) ModelInfo {
-	return s.Registry().Publish(schema, e.inner)
-}
-
-// PublishModelFile loads a model set saved with Save/SaveFile and
-// publishes it under the schema.
-func PublishModelFile(s *Service, schema, path string) (ModelInfo, error) {
-	return s.Registry().PublishFile(schema, path)
-}
-
-// Rollback reverts (schema, resource) to the previously published model
-// version. The prior estimator comes back under a fresh version number,
-// so prediction-cache entries from the rolled-back version never serve.
-func Rollback(s *Service, schema string, r Resource) (ModelInfo, error) {
-	return s.Registry().Rollback(schema, r)
-}
-
-// --- Online feedback loop --------------------------------------------
-//
-// The feedback subsystem closes the serve → observe → retrain →
-// hot-swap cycle: executed plans reported back (POST /observe or
-// FeedbackLoop.Observe) land in a crash-safe segmented observation log
-// and per-model rolling error windows; when recent errors drift past a
-// multiple of the model's training-time baseline, a background
-// retrainer fits a fresh estimator to the logged observations,
-// validates it on a held-out slice (rejecting candidates that do not
-// beat the incumbent), and hot-swaps it into the registry.
-
-// Feedback types, re-exported like the serving types above.
-type (
-	// FeedbackLoop is the online feedback controller.
-	FeedbackLoop = feedback.Loop
-	// FeedbackOptions configures the observation log, drift detector
-	// and retrainer.
-	FeedbackOptions = feedback.Options
-	// Observation is one (plan, predicted, actual) triple reported by
-	// the serving path.
-	Observation = feedback.Observation
-)
-
-// NewServiceWithFeedback starts an estimation service with the online
-// feedback loop attached: the loop's retrainer publishes into the
-// service's registry, POST /observe ingests observations, and /metrics
-// carries the per-model error gauges. Close the service first, then the
-// loop (which closes the observation log).
-func NewServiceWithFeedback(opts ServeOptions, fopts FeedbackOptions) (*Service, *FeedbackLoop, error) {
-	if opts.Registry == nil {
-		opts.Registry = serve.NewRegistry()
-	}
-	if fopts.Publisher == nil {
-		fopts.Publisher = opts.Registry
-	}
-	loop, err := feedback.New(fopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Feedback = loop
-	return serve.New(opts), loop, nil
-}
-
-// --- Distributed serving tier ----------------------------------------
-//
-// The cluster subsystem fronts N resserve replicas with a
-// schema-affinity router (consistent-hash placement, version-skew
-// guarded spillover, version-keyed response caching, load shedding)
-// and closes the feedback loop across the fleet: replicas forward
-// observation-log segments to one designated retrainer, whose
-// published snapshots followers pick up from the shared model store.
-// cmd/resrouter is the standalone router binary; see README
-// "Distributed deployment".
-
-// Cluster types, re-exported like the serving types above.
-type (
-	// Router fronts a replica fleet behind the single-node HTTP and
-	// stream surfaces.
-	Router = cluster.Router
-	// RouterOptions configures placement, pooling, polling, caching
-	// and admission bounds.
-	RouterOptions = cluster.Options
-	// ObservationForwarder tails a replica's observation log and ships
-	// segments to the fleet's designated retrainer.
-	ObservationForwarder = cluster.Forwarder
-	// ObservationForwarderOptions configures the forwarder's source
-	// directory, target and poll interval.
-	ObservationForwarderOptions = cluster.ForwarderOptions
-)
-
-// NewRouter builds a schema-affinity router over the configured
-// replicas and polls their health once synchronously, so routing
-// state is live on return. Close it when done.
-func NewRouter(opts RouterOptions) (*Router, error) { return cluster.New(opts) }
-
-// StartObservationForwarder starts forwarding a replica's observation
-// segments to the retrainer at opts.Target (its /observe/segment
-// endpoint). Close it when done; pair it with a service built by
-// NewServiceWithObservationLog.
-func StartObservationForwarder(opts ObservationForwarderOptions) (*ObservationForwarder, error) {
-	return cluster.NewForwarder(opts)
-}
-
-// NewServiceWithObservationLog is the forwarding-replica variant of
-// NewServiceWithFeedback: POST /observe lands in the local
-// observation log and feeds the error gauges, but no retrainer runs —
-// fopts.Publisher is deliberately left unset, because retraining is
-// the designated retrainer's job and an ObservationForwarder ships
-// the log there.
-func NewServiceWithObservationLog(opts ServeOptions, fopts FeedbackOptions) (*Service, *FeedbackLoop, error) {
-	fopts.Publisher = nil
-	loop, err := feedback.New(fopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Feedback = loop
-	return serve.New(opts), loop, nil
-}
-
-// AttachModelStoreFollower attaches the store in follower mode: the
-// registry serves the store's newest snapshots but never writes pins
-// or rollback state — the store stays owned by the fleet's retrainer.
-// Use SyncFromModelStore to poll for newer snapshots afterwards.
-func AttachModelStoreFollower(s *Service, st *ModelStore, logf func(format string, args ...any)) ([]ModelInfo, error) {
-	s.Registry().AttachStore(st, logf)
-	return s.Registry().SyncFromStore()
-}
-
-// SyncFromModelStore publishes any store snapshots newer than what the
-// registry currently serves — the follower's poll body. It never
-// regresses a served version.
-func SyncFromModelStore(s *Service) ([]ModelInfo, error) { return s.Registry().SyncFromStore() }

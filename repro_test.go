@@ -230,12 +230,11 @@ func TestDisableScalingOption(t *testing.T) {
 
 // TestTrainSetFacade: the one-pass multi-resource training entry point
 // must return estimators in request order that are byte-identical —
-// probe-stamped baselines included — to separate Train calls with the
-// same options, at any worker count.
+// stamped baselines included — to separate Train calls with the same
+// options, at any worker count.
 func TestTrainSetFacade(t *testing.T) {
 	train, _ := trainTestSplit(t, 60)
 	opts := quickOpts()
-	opts.BaselineProbe = true
 	opts.Workers = 7
 	ests, err := TrainSet(train, opts, CPUTime, LogicalIO)
 	if err != nil {
@@ -271,60 +270,10 @@ func TestTrainSetFacade(t *testing.T) {
 	}
 }
 
-// TestFeedbackFacade drives the exported feedback API end to end:
-// service + loop construction, in-process observation ingest, gauge
-// snapshots through Metrics, and registry rollback.
-func TestFeedbackFacade(t *testing.T) {
-	train, test := trainTestSplit(t, 64)
-	est, err := Train(train, quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, loop, err := NewServiceWithFeedback(ServeOptions{}, FeedbackOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loop.Close()
-	defer svc.Close()
-	first := Publish(svc, "tpch", est)
-
-	for _, q := range test {
-		obs := &Observation{Schema: "tpch", Resource: CPUTime, Plan: q.Plan}
-		if err := loop.Observe(obs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := svc.Metrics()
-	if len(m.Feedback) != 1 {
-		t.Fatalf("metrics carry %d feedback routes, want 1", len(m.Feedback))
-	}
-	fs := m.Feedback[0]
-	if fs.Observations != uint64(len(test)) || fs.Window.Count != len(test) {
-		t.Fatalf("feedback gauges did not track observations: %+v", fs)
-	}
-	if fs.Baseline == nil {
-		t.Fatal("trained model carries no baseline")
-	}
-
-	// Rollback needs history: publish a second version first.
-	if _, err := Rollback(svc, "tpch", CPUTime); err == nil {
-		t.Fatal("rollback without history succeeded")
-	}
-	second := Publish(svc, "tpch", est)
-	info, err := Rollback(svc, "tpch", CPUTime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version <= second.Version || info.Version <= first.Version {
-		t.Fatalf("rollback version %d not fresh (published %d then %d)", info.Version, first.Version, second.Version)
-	}
-}
-
 // TestMultiResourceAndStoreFacade exercises the public multi-resource
 // and model-store surface end to end: train both resources, bundle
-// them, persist a snapshot, restore it through a store-backed service,
-// and check an "all resources" request agrees bit-for-bit with the
-// library-level one-pass prediction.
+// them, persist a snapshot, load it back, and check the loaded set
+// predicts bit-for-bit what the trained one does.
 func TestMultiResourceAndStoreFacade(t *testing.T) {
 	train, test := trainTestSplit(t, 48)
 	cpuEst, err := Train(train, quickOpts())
@@ -369,25 +318,11 @@ func TestMultiResourceAndStoreFacade(t *testing.T) {
 		t.Fatalf("loaded snapshot v%d, want v%d", loadedMan.Version, man.Version)
 	}
 
-	svc := NewService(ServeOptions{})
-	defer svc.Close()
-	restored, err := AttachModelStore(svc, st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(restored) != 2 {
-		t.Fatalf("restored %d models, want 2", len(restored))
-	}
-	resp, err := svc.Estimate(t.Context(), EstimateRequest{
-		Schema: "tpch", Resources: AllResources(), Plan: test[0].Plan,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := loadedSet.EstimatePlanAll(test[0].Plan)
-	if len(resp.Totals) != 2 ||
-		math.Float64bits(resp.Totals[0]) != math.Float64bits(want.CPU) ||
-		math.Float64bits(resp.Totals[1]) != math.Float64bits(want.IO) {
-		t.Fatalf("served totals %v != library one-pass %+v", resp.Totals, want)
+	for i, q := range test {
+		got := loadedSet.EstimatePlanAll(q.Plan)
+		if math.Float64bits(got.CPU) != math.Float64bits(both[i].CPU) ||
+			math.Float64bits(got.IO) != math.Float64bits(both[i].IO) {
+			t.Fatalf("query %d: loaded set %+v diverges from trained %+v", i, got, both[i])
+		}
 	}
 }
