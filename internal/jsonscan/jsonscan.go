@@ -15,6 +15,7 @@ package jsonscan
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 )
@@ -256,19 +257,21 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 
 // Float scans the JSON number at i — NumberEnd's grammar — and returns
 // its float64 value and the index one past it, accumulating the decimal
-// mantissa in the loop that checks the digits. A literal without an
-// exponent whose digits fit 2^53 over at most 22 fraction digits is
-// float64(m) / 10^k: both operands exact, so the one IEEE division
-// rounds the true value correctly (Clinger 1990; strconv's own exact
-// path) and equals strconv.ParseFloat bit for bit. Every other literal
-// is ParseFloat's to convert, and an out-of-range one declines.
+// mantissa m in the loop that checks the digits. A literal without an
+// exponent, of at most 19 significant digits (so m is exact in a
+// uint64) and at most 22 fraction digits k, converts from m alone:
+// float64(m) / 10^k when m ≤ 2^53, both operands exact so the one IEEE
+// division rounds correctly (Clinger 1990), and eiselLemire above that.
+// ParseFloat converts every other literal and the halfway cases
+// eiselLemire declines, and an out-of-range literal declines.
+// FuzzScanFloat pins the bits to ParseFloat's.
 func Float(b []byte, i int) (f float64, end int, ok bool) {
 	j := i
 	neg := j < len(b) && b[j] == '-'
 	if neg {
 		j++
 	}
-	var m uint64 // wraps past 19 digits, which the count below hands to ParseFloat
+	var m uint64 // wraps past 19 significant digits, which the count below hands to ParseFloat
 	first := j
 	switch {
 	case j < len(b) && b[j] == '0':
@@ -280,31 +283,117 @@ func Float(b []byte, i int) (f float64, end int, ok bool) {
 	default:
 		return 0, 0, false
 	}
-	digits, frac := j-first, 0
+	digits, frac := j-first, 0 // digits from the first nonzero one on
+	if b[first] == '0' {
+		digits = 0
+	}
 	if j < len(b) && b[j] == '.' {
-		for j++; j < len(b) && isDigit(b[j]); j++ {
-			m = m*10 + uint64(b[j]-'0')
-			frac++
+		j++
+		start := j
+		if digits == 0 { // zeros right after "0." leave m at 0
+			for j < len(b) && b[j] == '0' {
+				j++
+			}
 		}
-		if frac == 0 {
+		zeros := j - start
+		for ; j < len(b) && isDigit(b[j]); j++ {
+			m = m*10 + uint64(b[j]-'0')
+		}
+		if frac = j - start; frac == 0 {
 			return 0, 0, false
 		}
+		digits += frac - zeros
 	}
 	if end, ok = exponentEnd(b, j); !ok {
 		return 0, 0, false
 	}
-	if end > j || digits+frac > 19 || m > 1<<53 || frac >= len(pow10) {
-		f, err := strconv.ParseFloat(string(b[i:end]), 64)
-		return f, end, err == nil
+	if end == j && digits <= 19 && frac < len(pow10) {
+		if m <= 1<<53 {
+			f = float64(m)
+			if frac > 0 {
+				f /= pow10[frac]
+			}
+		} else if f, ok = eiselLemire(m, frac); !ok {
+			return parseFloat(b, i, end)
+		}
+		if neg {
+			f = -f
+		}
+		return f, end, true
 	}
-	f = float64(m)
-	if frac > 0 {
-		f /= pow10[frac]
+	return parseFloat(b, i, end)
+}
+
+// parseFloat is Float's conversion of the literal b[i:end] when its
+// own paths do not take it.
+func parseFloat(b []byte, i, end int) (float64, int, bool) {
+	f, err := strconv.ParseFloat(string(b[i:end]), 64)
+	return f, end, err == nil
+}
+
+// eiselLemire returns m·10^-k correctly rounded, or ok=false when the
+// 128-bit product cannot tell which way a halfway case rounds (Lemire,
+// "Number Parsing at a Gigabyte per Second", 2021; strconv's own first
+// path). 0 < m < 2^64 and k ≤ 22 keep the value inside float64's
+// normal range, so no overflow or subnormal check is needed.
+func eiselLemire(m uint64, k int) (float64, bool) {
+	clz := bits.LeadingZeros64(m)
+	m <<= clz
+	exp2 := uint64(217706*-k>>16+64+1023) - uint64(clz) // 217706/2^16 ≈ log2(10)
+	pow := &pow10Neg[k]
+	hi, lo := bits.Mul64(m, pow[0])
+	if hi&0x1FF == 0x1FF && lo+m < m { // the truncated low word may carry
+		yHi, yLo := bits.Mul64(m, pow[1])
+		mergedHi, mergedLo := hi, lo+yHi
+		if mergedLo < lo {
+			mergedHi++
+		}
+		if mergedHi&0x1FF == 0x1FF && mergedLo+1 == 0 && yLo+m < m {
+			return 0, false
+		}
+		hi, lo = mergedHi, mergedLo
 	}
-	if neg {
-		f = -f
+	msb := hi >> 63
+	mant := hi >> (msb + 9) // 54 bits: the 53 kept and the rounding bit
+	exp2 -= 1 ^ msb
+	if lo == 0 && hi&0x1FF == 0 && mant&3 == 1 { // exactly halfway?
+		return 0, false
 	}
-	return f, end, true
+	mant += mant & 1
+	mant >>= 1
+	if mant>>53 > 0 {
+		mant >>= 1
+		exp2++
+	}
+	return math.Float64frombits(exp2<<52 | mant&(1<<52-1)), true
+}
+
+// pow10Neg[k] is 10^-k scaled into [2^127, 2^128) and truncated, as
+// {high word, low word}.
+var pow10Neg = [len(pow10)][2]uint64{
+	{0x8000000000000000, 0x0000000000000000}, // 1e-0
+	{0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC}, // 1e-1
+	{0xA3D70A3D70A3D70A, 0x3D70A3D70A3D70A3}, // 1e-2
+	{0x83126E978D4FDF3B, 0x645A1CAC083126E9}, // 1e-3
+	{0xD1B71758E219652B, 0xD3C36113404EA4A8}, // 1e-4
+	{0xA7C5AC471B478423, 0x0FCF80DC33721D53}, // 1e-5
+	{0x8637BD05AF6C69B5, 0xA63F9A49C2C1B10F}, // 1e-6
+	{0xD6BF94D5E57A42BC, 0x3D32907604691B4C}, // 1e-7
+	{0xABCC77118461CEFC, 0xFDC20D2B36BA7C3D}, // 1e-8
+	{0x89705F4136B4A597, 0x31680A88F8953030}, // 1e-9
+	{0xDBE6FECEBDEDD5BE, 0xB573440E5A884D1B}, // 1e-10
+	{0xAFEBFF0BCB24AAFE, 0xF78F69A51539D748}, // 1e-11
+	{0x8CBCCC096F5088CB, 0xF93F87B7442E45D3}, // 1e-12
+	{0xE12E13424BB40E13, 0x2865A5F206B06FB9}, // 1e-13
+	{0xB424DC35095CD80F, 0x538484C19EF38C94}, // 1e-14
+	{0x901D7CF73AB0ACD9, 0x0F9D37014BF60A10}, // 1e-15
+	{0xE69594BEC44DE15B, 0x4C2EBE687989A9B3}, // 1e-16
+	{0xB877AA3236A4B449, 0x09BEFEB9FAD487C2}, // 1e-17
+	{0x9392EE8E921D5D07, 0x3AFF322E62439FCF}, // 1e-18
+	{0xEC1E4A7DB69561A5, 0x2B31E9E3D06C32E5}, // 1e-19
+	{0xBCE5086492111AEA, 0x88F4BB1CA6BCF584}, // 1e-20
+	{0x971DA05074DA7BEE, 0xD3F6FC16EBCA5E03}, // 1e-21
+	{0xF1C90080BAF72CB1, 0x5324C68B12DD6338}, // 1e-22
 }
 
 // StringEnd returns the index one past the closing quote of the

@@ -3,6 +3,7 @@ package jsonscan
 import (
 	"encoding/json"
 	"math"
+	"math/big"
 	"strconv"
 	"strings"
 	"testing"
@@ -173,35 +174,122 @@ var floatSeeds = []string{
 	`12345678901234567890`, `0.00000000000000000000001`, `1.0000000000000000000001`,
 	`8.41e21`, `1e5`, `1E-5`, `1e+400`, `1e400`, `-1e400`, `4.9e-324`, `2.2250738585072011e-308`,
 	`01`, `1.`, `1.e1`, `1e`, `1e+`, `-`, `.5`, `+1`, ``, `1,2`, `1]`, `1.5 `, `-a`,
+	// what plan.EncodeJSON writes for generated plans: short integers,
+	// 16- and 17-digit fractions, and small values behind leading zeros
+	`3`, `113208`, `6000000`, `78.89035944513468`, `5771315.5282149315`, `0.9618859213691553`,
+	`625.5340287783458`, `0.0006862424514776597`, `1881308.7759885038`, `0.000012345678901234567`,
+	`4503599627370496.5`, `0.0000000000000000000000`, `-0.000`,
+	// 10^64 wraps the uint64 mantissa to 0
+	`1` + strings.Repeat(`0`, 64), `1` + strings.Repeat(`0`, 64) + `.0001`,
+}
+
+// eiselLemireDeclines reports whether lit has the shape Float hands to
+// eiselLemire — no exponent, at most 19 significant and 22 fraction
+// digits, a mantissa above 2^53 — and eiselLemire declined it, leaving
+// it to ParseFloat.
+func eiselLemireDeclines(lit string) bool {
+	lit = strings.TrimPrefix(lit, "-")
+	intPart, fracPart, _ := strings.Cut(lit, ".")
+	digits := strings.TrimLeft(intPart+fracPart, "0")
+	if strings.ContainsAny(lit, "eE") || len(digits) > 19 || len(fracPart) > 22 {
+		return false
+	}
+	m, err := strconv.ParseUint("0"+digits, 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	if m <= 1<<53 {
+		return false
+	}
+	_, ok := eiselLemire(m, len(fracPart))
+	return !ok
+}
+
+// placePoint writes digits with its last frac digits after a decimal
+// point, padding with leading zeros ("0.000…") as needed.
+func placePoint(digits string, frac int) string {
+	if frac == 0 {
+		return digits
+	}
+	if pad := frac - len(digits) + 1; pad > 0 {
+		digits = strings.Repeat("0", pad) + digits
+	}
+	return digits[:len(digits)-frac] + "." + digits[len(digits)-frac:]
+}
+
+// halfwayLiterals returns the decimal literals of at most 19 significant
+// digits that lie exactly halfway between two adjacent float64s:
+// (2m+1)·2^(e-1) for a 53-bit mantissa m and exponent e, which in
+// decimal is (2m+1)·5^(1-e) over 10^(1-e) when e < 1.
+func halfwayLiterals() []string {
+	var out []string
+	for _, m := range []int64{1 << 52, 1<<52 + 1, 1<<52 + 12345, 3 << 51, 1<<53 - 2, 1<<53 - 1} {
+		odd := big.NewInt(2*m + 1)
+		for e := -6; e <= 12; e++ {
+			n, frac := new(big.Int).Set(odd), 0
+			if e >= 1 {
+				n.Lsh(n, uint(e-1))
+			} else {
+				frac = 1 - e
+				n.Mul(n, new(big.Int).Exp(big.NewInt(5), big.NewInt(int64(frac)), nil))
+			}
+			if digits := n.String(); len(digits) <= 19 {
+				out = append(out, placePoint(digits, frac))
+			}
+		}
+	}
+	return out
 }
 
 // TestFloatAgreesWithStrconv walks the seeds, every integer mantissa
-// around the exact path's 2^53 limit over every fraction length around
-// its 10^22 limit, and a deterministic spread of digit strings.
+// around 2^53 over every fraction length around the 22-digit limit,
+// 16- to 19-digit mantissas over 0 to 22 fraction digits, the exact
+// halfway cases, and a deterministic spread of digit strings — and
+// checks that the ParseFloat fallback for what eiselLemire declines is
+// among the paths taken.
 func TestFloatAgreesWithStrconv(t *testing.T) {
+	declined := 0
+	check := func(lit string) {
+		t.Helper()
+		checkFloat(t, []byte(lit), 0)
+		checkFloat(t, []byte("-"+lit), 0)
+		if eiselLemireDeclines(lit) {
+			declined++
+		}
+	}
 	for _, s := range floatSeeds {
 		checkFloat(t, []byte(s), 0)
 		checkFloat(t, []byte(`{"x":`+s+`}`), 5)
 	}
 	for m := uint64(1<<53 - 3); m <= 1<<53+3; m++ {
-		digits := strconv.FormatUint(m, 10)
 		for frac := 0; frac <= 25; frac++ {
-			lit := digits
-			if pad := frac - len(digits) + 1; pad > 0 {
-				lit = strings.Repeat("0", pad) + lit
-			}
-			if frac > 0 {
-				lit = lit[:len(lit)-frac] + "." + lit[len(lit)-frac:]
-			}
-			checkFloat(t, []byte(lit), 0)
-			checkFloat(t, []byte("-"+lit), 0)
+			check(placePoint(strconv.FormatUint(m, 10), frac))
 		}
 	}
 	x := uint64(0x9e3779b97f4a7c15)
-	for n := 0; n < 200000; n++ {
+	next := func() uint64 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
+		return x
+	}
+	for n := 0; n < 400; n++ {
+		for width := 16; width <= 19; width++ {
+			digits := strconv.FormatUint(next()|1<<63, 10)[:width] // 19 digits, cut
+			for frac := 0; frac <= 22; frac++ {
+				check(placePoint(digits, frac))
+			}
+		}
+	}
+	for _, lit := range halfwayLiterals() {
+		check(lit)
+	}
+	if declined == 0 {
+		t.Fatal("eiselLemire declined no literal: the ParseFloat fallback went untested")
+	}
+	t.Logf("eiselLemire declined %d literals to ParseFloat", declined)
+	for n := 0; n < 200000; n++ {
+		next()
 		lit := strconv.FormatUint(x>>(x%64), 10)
 		if cut := int(x>>8) % (len(lit) + 1); cut < len(lit) {
 			lit = lit[:cut] + "." + lit[cut:]
@@ -210,6 +298,25 @@ func TestFloatAgreesWithStrconv(t *testing.T) {
 			}
 		}
 		checkFloat(t, []byte(lit), 0)
+	}
+}
+
+// TestPow10NegTruncatesMathBig holds the hard-coded table to its
+// definition: 10^-k scaled into [2^127, 2^128), rounded down.
+func TestPow10NegTruncatesMathBig(t *testing.T) {
+	for k, got := range pow10Neg {
+		ten := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(k)), nil)
+		// 2^s / 10^k has 128 bits for s = 127 + ceil(log2(10^k)).
+		s := 127 + ten.BitLen()
+		if new(big.Int).Lsh(big.NewInt(1), uint(ten.BitLen()-1)).Cmp(ten) == 0 {
+			s-- // 10^0 = 2^0
+		}
+		want := new(big.Int).Quo(new(big.Int).Lsh(big.NewInt(1), uint(s)), ten)
+		hi := new(big.Int).Rsh(want, 64).Uint64()
+		lo := new(big.Int).And(want, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
+		if want.BitLen() != 128 || got != [2]uint64{hi, lo} {
+			t.Errorf("pow10Neg[%d] = %#x, want %#x (%d bits)", k, got, [2]uint64{hi, lo}, want.BitLen())
+		}
 	}
 }
 

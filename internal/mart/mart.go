@@ -150,11 +150,7 @@ func TrainFitted(x [][]float64, y []float64, cfg Config) (*Model, []float64, err
 			nd := &t.nodes[i]
 			nd.Value = float64(float32(clampFinite(nd.Value)))
 			if nd.Feature >= 0 {
-				thr := float32(nd.Threshold)
-				if float64(thr) < nd.Threshold {
-					thr = math.Nextafter32(thr, float32(math.Inf(1)))
-				}
-				nd.Threshold = float64(thr)
+				nd.Threshold = float64(roundUp32(nd.Threshold))
 			}
 		}
 		m.Trees = append(m.Trees, t)

@@ -40,16 +40,6 @@ func keyToFloat(key uint64) float64 {
 	return math.Float64frombits(b)
 }
 
-// roundUp32 is the smallest float32 >= f (±Inf beyond float32's range,
-// NaN for NaN).
-func roundUp32(f float64) float32 {
-	f32 := float32(f)
-	if float64(f32) < f {
-		f32 = math.Nextafter32(f32, float32(math.Inf(1)))
-	}
-	return f32
-}
-
 // featureKey32 is the row-side key of the quantized layout: x narrowed
 // toward +Inf, then keyed. With a float32-representable threshold t
 // this makes "x32 <= t" agree with the exact "x <= t" for every float64

@@ -384,3 +384,13 @@ func clampFinite(v float64) float64 {
 	}
 	return v
 }
+
+// roundUp32 is the smallest float32 >= f (±Inf beyond float32's range,
+// NaN for NaN).
+func roundUp32(f float64) float32 {
+	f32 := float32(f)
+	if float64(f32) < f {
+		f32 = math.Nextafter32(f32, float32(math.Inf(1)))
+	}
+	return f32
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -101,11 +102,14 @@ func writeWire(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body) // the client went away; nothing to report it to
 }
 
-// wireEncoder is the state of one append encode: the output and
-// whether every value so far was one the encoder takes.
+// wireEncoder is the state of one append encode: the output, whether
+// every value so far was one the encoder takes, and the last float
+// written — its bits and where its bytes sit in b.
 type wireEncoder struct {
-	b  []byte
-	ok bool
+	b               []byte
+	ok              bool
+	lastBits        uint64
+	lastAt, lastEnd int
 }
 
 func (e *wireEncoder) raw(s string) { e.b = append(e.b, s...) }
@@ -114,10 +118,23 @@ func (e *wireEncoder) int(key string, v int) {
 	e.b = strconv.AppendInt(append(e.b, key...), int64(v), 10)
 }
 
+// float appends `key` and f in jsonscan.AppendFloat's format. A
+// two-resource response writes each primary value twice in a row
+// (total and totals[0], estimate and estimates[0]), so a value whose
+// bits equal the last float written copies that float's bytes instead
+// of formatting it again. Bits, not ==: -0 and +0 are written apart.
 func (e *wireEncoder) float(key string, f float64) {
+	e.b = append(e.b, key...)
+	bits := math.Float64bits(f)
+	if e.lastEnd > 0 && bits == e.lastBits {
+		e.b = append(e.b, e.b[e.lastAt:e.lastEnd]...)
+		return
+	}
+	at := len(e.b)
 	var finite bool
-	e.b, finite = jsonscan.AppendFloat(append(e.b, key...), f)
-	e.ok = e.ok && finite
+	e.b, finite = jsonscan.AppendFloat(e.b, f)
+	e.ok = e.ok && finite // a declined value's copies are never sent either
+	e.lastBits, e.lastAt, e.lastEnd = bits, at, len(e.b)
 }
 
 func (e *wireEncoder) string(key, s string) {

@@ -198,6 +198,124 @@ func TestWireEncoderEdgeCases(t *testing.T) {
 	}
 }
 
+// wireFuzzInput turns fuzz bytes into response values: counts and IDs
+// from single bytes, floats from their raw bits — so ±0, subnormals,
+// NaN and the infinities all occur — or, on an odd control byte, the
+// previous float again, so equal adjacent fields are common too.
+type wireFuzzInput struct {
+	b    []byte
+	last float64
+}
+
+func (in *wireFuzzInput) byte() byte {
+	if len(in.b) == 0 {
+		return 0
+	}
+	c := in.b[0]
+	in.b = in.b[1:]
+	return c
+}
+
+func (in *wireFuzzInput) float() float64 {
+	if in.byte()&1 == 1 {
+		return in.last
+	}
+	var bits uint64
+	for range 8 {
+		bits = bits<<8 | uint64(in.byte())
+	}
+	in.last = math.Float64frombits(bits)
+	return in.last
+}
+
+func (in *wireFuzzInput) floats(n int) []float64 {
+	if n == 0 {
+		return nil // a single-resource response carries no lists
+	}
+	fs := make([]float64, n)
+	for i := range fs {
+		fs[i] = in.float()
+	}
+	return fs
+}
+
+func (in *wireFuzzInput) planEstimate(resources int) serve.PlanEstimate {
+	pe := serve.PlanEstimate{Total: in.float(), Totals: in.floats(resources)}
+	for range in.byte() % 4 {
+		pe.Operators = append(pe.Operators, serve.OperatorEstimate{
+			ID: int(in.byte()), Kind: "HashJoin", Estimate: in.float(), Estimates: in.floats(resources)})
+	}
+	for range in.byte() % 3 {
+		pl := serve.PipelineEstimate{ID: int(in.byte()), Estimate: in.float(), Estimates: in.floats(resources)}
+		for range in.byte() % 3 {
+			pl.Operators = append(pl.Operators, int(in.byte()))
+		}
+		pe.Pipelines = append(pe.Pipelines, pl)
+	}
+	return pe
+}
+
+// wireFuzzSeed writes the bytes wireFuzzInput reads back.
+type wireFuzzSeed []byte
+
+func (s wireFuzzSeed) n(c ...byte) wireFuzzSeed { return append(s, c...) }
+func (s wireFuzzSeed) repeat() wireFuzzSeed     { return append(s, 1) }
+func (s wireFuzzSeed) f(x float64) wireFuzzSeed {
+	s = append(s, 0)
+	for shift := 56; shift >= 0; shift -= 8 {
+		s = append(s, byte(math.Float64bits(x)>>shift))
+	}
+	return s
+}
+
+// FuzzWireEncode holds the append encoder to encoding/json's bytes, or
+// to declining, on a Response and a BatchResponse built from the
+// input: in particular the encoder's copy of a repeated float must
+// follow the bits, never ==.
+func FuzzWireEncode(f *testing.F) {
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	for _, seed := range []wireFuzzSeed{
+		// +0 next to -0: total +0, totals [-0, +0]; an operator -0, [+0, +0]
+		wireFuzzSeed{}.n(2).f(0).f(negZero).f(0).n(1, 7).f(negZero).f(0).repeat().n(0, 3, 4),
+		// a NaN after a repeat, then its repeat
+		wireFuzzSeed{}.n(2).f(1.5).repeat().f(nan).n(1, 2).repeat().f(2).n(0, 0, 0),
+		// a batch of two plans: shared primaries, a subnormal, 1e21
+		wireFuzzSeed{}.n(2).f(123.456).repeat().f(7e-7).n(0, 0, 0, 0).n(5, 2).
+			f(5e-324).repeat().f(1e21).n(1, 3).f(-2.5e-10).repeat().f(-2.5e-10).n(1, 4).f(9).repeat().f(9).n(2, 3, 4).
+			f(1e-7).repeat().f(0).n(0, 0),
+		// single-resource: one value everywhere, no lists
+		wireFuzzSeed{}.n(0).f(42).n(1, 1).f(42).n(1, 1).f(42).n(1, 1, 0, 0, 1, 1).f(0.1).n(0, 0),
+		// an infinity declines the response, a repeat of it the batch
+		wireFuzzSeed{}.n(1).f(math.Inf(-1)).repeat().n(0, 0, 0, 0, 0, 1).repeat().repeat().n(0, 0),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		in := wireFuzzInput{b: b}
+		resources := int(in.byte() % 3)
+		header := func() (serve.ModelInfo, []serve.ModelInfo, []string) {
+			model := serve.ModelInfo{Schema: "tpch", Resource: "cpu", Mode: "shared", Version: 3}
+			if resources == 0 {
+				return model, nil, nil
+			}
+			io := model
+			io.Resource, io.Version = "io", 4
+			return model, []serve.ModelInfo{model, io}[:resources], []string{"cpu", "io"}[:resources]
+		}
+		r := &serve.Response{PlanEstimate: in.planEstimate(resources)}
+		r.Model, r.Models, r.Resources = header()
+		r.CacheHits, r.CacheMisses = int(in.byte()), int(in.byte())
+		checkWireAgainstStd(t, r)
+
+		batch := &serve.BatchResponse{CacheHits: int(in.byte())}
+		batch.Model, batch.Models, batch.Resources = header()
+		for range in.byte() % 4 {
+			batch.Plans = append(batch.Plans, in.planEstimate(resources))
+		}
+		checkWireAgainstStd(t, batch)
+	})
+}
+
 // TestWireEncoderAllocs pins the append encoder to its output buffer:
 // into one that is large enough it allocates nothing (MarshalWire and
 // writeJSON hand it a pooled one, whose reuse the race detector makes
