@@ -70,7 +70,9 @@ func setup(t testing.TB) {
 
 // testReplica is one in-process resserve: a service with both
 // estimators on the wildcard schema, a stream listener, and an HTTP
-// listener — the same surfaces a real replica process exposes.
+// listener — the same surfaces a real replica process exposes. A
+// replica started without a stream listener (nil ss) is answered over
+// POST /estimate.
 type testReplica struct {
 	svc *serve.Service
 	ss  *stream.Server
@@ -110,7 +112,9 @@ func newTestReplicaWith(t testing.TB, reg *serve.Registry) *testReplica {
 // Idempotent.
 func (tr *testReplica) kill() {
 	tr.hs.Close()
-	tr.ss.Close()
+	if tr.ss != nil {
+		tr.ss.Close()
+	}
 	tr.svc.Close()
 }
 
