@@ -1,7 +1,7 @@
 package repro
 
 // Benchmark harness: one benchmark per table and figure of the paper
-// (see DESIGN.md §4 for the experiment index), plus the §7.3
+// (`resbench -h` lists the experiments), plus the §7.3
 // prediction-cost and model-size measurements and ablation benches for
 // the design choices. Each benchmark re-runs its experiment end to end
 // and reports the headline metric through b.ReportMetric, so
@@ -349,8 +349,9 @@ func BenchmarkModelSize(b *testing.B) {
 	b.ReportMetric(float64(bytes)/1024, "KB")
 }
 
-// --- Ablation benches (DESIGN.md §5): each reports the cross-size
-// generalization L1 (train SF<=4, test SF>=6) under one design toggle.
+// --- Ablation benches (the paper's §6.1 modifications): each reports
+// the cross-size generalization L1 (train SF<=4, test SF>=6) under one
+// design toggle.
 
 func ablationL1(b *testing.B, mutate func(*core.Config), table *core.ScaleTable) float64 {
 	b.Helper()

@@ -17,14 +17,6 @@ import (
 // unforwardable.
 const maxRouterBody = 8 << 20
 
-// errorEnvelope mirrors serve's error envelope so clients see one
-// error shape whether the router or a replica produced it.
-type errorEnvelope struct {
-	Error     string `json:"error"`
-	Code      string `json:"code"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
 // Handler returns the router's HTTP surface — the same endpoints as a
 // single resserve, fronted by affinity routing:
 //
@@ -45,35 +37,22 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /models", rt.handleFanout)
 	mux.HandleFunc("POST /models/rollback", rt.handleFanout)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	return withRequestID(mux)
-}
-
-// withRequestID mirrors serve's middleware: every request carries an
-// X-Request-ID (client-supplied or minted), echoed on the response
-// and forwarded to replicas so one ID follows a request through the
-// tier.
-func withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = obs.NewRequestID()
-			r.Header.Set("X-Request-ID", id)
-		}
-		w.Header().Set("X-Request-ID", id)
-		next.ServeHTTP(w, r)
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteMetrics(w, r, rt.obsReg, func() any { return rt.Metrics() })
 	})
+	// serve's middleware: one X-Request-ID, the client's or one minted
+	// here, follows a request through the tier — echoed on the response,
+	// in every error envelope, and sent on the hop to a replica.
+	return serve.WithRequestID(mux)
 }
 
-func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, rerr *routeError) {
+// writeError answers r with rerr in serve's error envelope, so clients
+// see one error shape whether the router or a replica refused.
+func writeError(w http.ResponseWriter, r *http.Request, rerr *routeError) {
 	if rerr.retryAfter {
 		w.Header().Set("Retry-After", "1")
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(rerr.status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(errorEnvelope{Error: rerr.msg, Code: rerr.code, RequestID: r.Header.Get("X-Request-ID")})
+	serve.WriteError(w, r, rerr.status, rerr.msg, rerr.code)
 }
 
 // clientKey identifies a client for per-client admission: the
@@ -115,13 +94,13 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *rou
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	release, ok := rt.admit(clientKey(r))
 	if !ok {
-		rt.writeError(w, r, errShed)
+		writeError(w, r, errShed)
 		return
 	}
 	defer release()
 	body, rerr := rt.readBody(w, r)
 	if rerr != nil {
-		rt.writeError(w, r, rerr)
+		writeError(w, r, rerr)
 		return
 	}
 	if r.URL.RawQuery != "" {
@@ -133,7 +112,7 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, rerr := rt.estimate(r.Context(), body)
 	if rerr != nil {
-		rt.writeError(w, r, rerr)
+		writeError(w, r, rerr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -145,49 +124,24 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleProxyBySchema(w http.ResponseWriter, r *http.Request) {
 	release, ok := rt.admit(clientKey(r))
 	if !ok {
-		rt.writeError(w, r, errShed)
+		writeError(w, r, errShed)
 		return
 	}
 	defer release()
 	body, rerr := rt.readBody(w, r)
 	if rerr != nil {
-		rt.writeError(w, r, rerr)
+		writeError(w, r, rerr)
 		return
 	}
 	rt.proxyRouted(w, r, peekSchema(body), body)
 }
 
-// proxyRouted picks schema's replica (affinity, then
-// version-consistent spillover), proxies the request verbatim, and
-// retries one successor when the replica dies mid-request.
+// proxyRouted proxies the request verbatim to schema's replica, over
+// the failover ladder route holds.
 func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, schema string, body []byte) {
-	var skipped map[string]bool
-	for attempt := 0; attempt < 2; attempt++ {
-		rp, spill := rt.pick(schema, skipped)
-		if rp == nil {
-			break
-		}
-		err := rt.proxyVerbatim(w, r, rp, body)
-		if err != nil {
-			rp.errors.Inc()
-			rp.setDown(err)
-			rt.logger.Warn("replica failed mid-request", "replica", rp.name, "error", err)
-			if skipped == nil {
-				skipped = make(map[string]bool, 2)
-			}
-			skipped[rp.name] = true
-			continue
-		}
-		if spill {
-			rt.decSpillover.Inc()
-		} else {
-			rt.decAffinity.Inc()
-		}
-		rp.requests.Inc()
-		return
+	if !rt.route(schema, func(rp *replica) error { return proxyVerbatim(w, r, rp, body) }) {
+		writeError(w, r, errNoReplica)
 	}
-	rt.decShed.Inc()
-	rt.writeError(w, r, errNoReplica)
 }
 
 func (rt *Router) handleModelsGet(w http.ResponseWriter, r *http.Request) {
@@ -198,7 +152,7 @@ func (rt *Router) handleModelsGet(w http.ResponseWriter, r *http.Request) {
 		if healthy, _ := rp.state(); !healthy {
 			continue
 		}
-		if err := rt.proxyVerbatim(w, r, rp, nil); err != nil {
+		if err := proxyVerbatim(w, r, rp, nil); err != nil {
 			rp.errors.Inc()
 			rp.setDown(err)
 			continue
@@ -206,7 +160,7 @@ func (rt *Router) handleModelsGet(w http.ResponseWriter, r *http.Request) {
 		rp.requests.Inc()
 		return
 	}
-	rt.writeError(w, r, errNoReplica)
+	writeError(w, r, errNoReplica)
 }
 
 // handleFanout applies a model mutation (publish, rollback) to every
@@ -216,7 +170,7 @@ func (rt *Router) handleModelsGet(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 	body, rerr := rt.readBody(w, r)
 	if rerr != nil {
-		rt.writeError(w, r, rerr)
+		writeError(w, r, rerr)
 		return
 	}
 	var (
@@ -231,7 +185,7 @@ func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 			failed = append(failed, name)
 			continue
 		}
-		status, respBody, err := rt.forwardRaw(r, rp, body)
+		status, respBody, err := readReply(send(r.Context(), rp, r.Method, r.URL.RequestURI(), r.Header, body))
 		if err != nil {
 			rp.errors.Inc()
 			rp.setDown(err)
@@ -249,12 +203,12 @@ func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if firstBody == nil {
-		rt.writeError(w, r, errNoReplica)
+		writeError(w, r, errNoReplica)
 		return
 	}
 	if len(failed) > 0 && len(applied) > 0 {
 		rt.logger.Warn("partial model fanout", "applied", applied, "failed", failed)
-		rt.writeError(w, r, &routeError{
+		writeError(w, r, &routeError{
 			status: http.StatusConflict, code: "conflict",
 			msg: "model change applied to " + strconv.Itoa(len(applied)) + "/" +
 				strconv.Itoa(len(applied)+len(failed)) + " replicas; fleet inconsistent until next poll",
@@ -323,16 +277,4 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(fh)
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if serve.WantsPrometheus(r) {
-		w.Header().Set("Content-Type", obs.TextContentType)
-		rt.obsReg.WritePrometheus(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(rt.Metrics())
 }

@@ -12,19 +12,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/stream"
 )
-
-// replicaHealth is the client-side shape of a replica's GET /healthz
-// body (serve's healthJSON).
-type replicaHealth struct {
-	Status        string               `json:"status"`
-	Models        []serve.RouteVersion `json:"models"`
-	StoreChecksum string               `json:"store_checksum"`
-	StreamAddr    string               `json:"stream_addr"`
-	Build         obs.Build            `json:"build"`
-}
 
 // replica is the router's view of one resserve process: the HTTP base
 // URL it was configured with, the health and model-version state the
@@ -44,7 +33,6 @@ type replica struct {
 	token      string
 	streamAddr string
 	lastErr    error
-	vector     []serve.RouteVersion
 
 	// Stream connection pool, created once the poller learns the
 	// replica's stream address. next round-robins across it.
@@ -97,7 +85,11 @@ func (rp *replica) poll(ctx context.Context) {
 		rp.setDown(fmt.Errorf("cluster: %s /healthz: %s", rp.name, resp.Status))
 		return
 	}
-	var h replicaHealth
+	// The fields routing reads of serve's healthJSON.
+	var h struct {
+		StoreChecksum string `json:"store_checksum"`
+		StreamAddr    string `json:"stream_addr"`
+	}
 	if err := json.Unmarshal(body, &h); err != nil {
 		rp.setDown(fmt.Errorf("cluster: %s /healthz: %v", rp.name, err))
 		return
@@ -107,7 +99,6 @@ func (rp *replica) poll(ctx context.Context) {
 	rp.healthy = true
 	rp.lastErr = nil
 	rp.token = h.StoreChecksum
-	rp.vector = h.Models
 	moved := h.StreamAddr != "" && h.StreamAddr != rp.streamAddr
 	if moved {
 		rp.streamAddr = h.StreamAddr

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -360,31 +362,25 @@ func (rt *Router) cached(body []byte) ([]byte, bool) {
 	return resp, ok
 }
 
-// forward routes body by its schema to a replica and caches the
-// answer. A replica that fails mid-request is marked down and the
-// request retried on a version-consistent successor. body is retained
-// past the call only as a copy.
-func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *routeError) {
-	schema := peekSchema(body)
+// route is the failover ladder of every routed request: try runs
+// against schema's replica (pick: affinity, then version-consistent
+// spillover). A try error is transport-only — the replica died
+// mid-request — so the replica is marked down, moving routing at once
+// instead of waiting out a poll, and one successor is tried. route
+// counts the routing decision and the replica's request for the try
+// that answered, or one shed when none did; false tells the caller to
+// refuse with errNoReplica.
+func (rt *Router) route(schema string, try func(*replica) error) bool {
 	var skipped map[string]bool
 	for attempt := 0; attempt < 2; attempt++ {
 		rp, spill := rt.pick(schema, skipped)
 		if rp == nil {
 			break
 		}
-		// The token the answer is filed under is the one rp reported
-		// before it was asked: a poll landing mid-forward moves it, and
-		// the fill is then dropped rather than guessed at.
-		_, tok := rp.state()
-		resp, rerr, transport := rt.forwardOnce(ctx, rp, body)
-		if transport != nil {
-			// The replica died mid-request (its reconnecting pool
-			// already retried once). Mark it down so routing moves
-			// immediately instead of waiting out a poll, and try one
-			// version-consistent successor.
+		if err := try(rp); err != nil {
 			rp.errors.Inc()
-			rp.setDown(transport)
-			rt.logger.Warn("replica failed mid-request", "replica", rp.name, "error", transport)
+			rp.setDown(err)
+			rt.logger.Warn("replica failed mid-request", "replica", rp.name, "error", err)
 			if skipped == nil {
 				skipped = make(map[string]bool, 2)
 			}
@@ -397,22 +393,46 @@ func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *routeError
 			rt.decAffinity.Inc()
 		}
 		rp.requests.Inc()
-		if rerr != nil {
-			return nil, rerr
-		}
-		rt.cache.Put(string(body), schema, tok, resp, rp.reports)
-		return resp, nil
+		return true
 	}
-	// No forwardable replica, and the cache — consulted before anything
-	// was forwarded — had no live entry: refuse with Retry-After.
 	rt.decShed.Inc()
-	return nil, errNoReplica
+	return false
 }
 
-// forwardOnce sends body to rp over its stream pool (HTTP fallback
-// when the replica advertises no stream listener). A non-nil
-// transport error means rp never answered; a *routeError means it
-// answered with a structured error.
+// forward routes body by its schema to a replica and caches the
+// answer. body is retained past the call only as a copy.
+func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *routeError) {
+	schema := peekSchema(body)
+	var (
+		resp []byte
+		rerr *routeError
+	)
+	answered := rt.route(schema, func(rp *replica) error {
+		// The token the answer is filed under is the one rp reported
+		// before it was asked: a poll landing mid-forward moves it, and
+		// the fill is then dropped rather than guessed at.
+		_, tok := rp.state()
+		var err error
+		resp, rerr, err = rt.forwardOnce(ctx, rp, body)
+		if err == nil && rerr == nil {
+			rt.cache.Put(string(body), schema, tok, resp, rp.reports)
+		}
+		return err
+	})
+	if !answered {
+		// No forwardable replica, and the cache — consulted before
+		// anything was forwarded — had no live entry: refuse with
+		// Retry-After.
+		return nil, errNoReplica
+	}
+	return resp, rerr
+}
+
+// forwardOnce sends body to rp over its stream pool, or to its POST
+// /estimate when the replica advertises no stream listener. A non-nil
+// transport error means rp never answered (a reconnecting pool has
+// already retried once); a *routeError means it answered with a
+// structured error. A 200's bytes are the replica's, verbatim.
 func (rt *Router) forwardOnce(ctx context.Context, rp *replica, body []byte) ([]byte, *routeError, error) {
 	rp.inflight.Add(1)
 	defer rp.inflight.Add(-1)
@@ -432,5 +452,16 @@ func (rt *Router) forwardOnce(ctx context.Context, rp *replica, body []byte) ([]
 		}
 		return nil, nil, err
 	}
-	return rt.forwardHTTP(ctx, rp, "/estimate", "", body)
+	status, out, err := readReply(send(ctx, rp, http.MethodPost, "/estimate", jsonHeader, body))
+	if err != nil {
+		return nil, nil, err
+	}
+	if status == http.StatusOK {
+		return out, nil, nil
+	}
+	var env struct{ Error, Code string }
+	if json.Unmarshal(out, &env) != nil || env.Code == "" {
+		env.Error, env.Code = fmt.Sprintf("replica error: %d %s", status, http.StatusText(status)), "internal"
+	}
+	return nil, &routeError{status: status, code: env.Code, msg: env.Error}, nil
 }

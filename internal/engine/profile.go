@@ -1,7 +1,7 @@
 // Package engine simulates the execution of physical query plans,
 // producing per-operator CPU time and logical I/O measurements. It
 // substitutes for the Microsoft SQL Server instance the paper measured
-// on (see DESIGN.md): each operator follows an analytic cost law with
+// on: each operator follows an analytic cost law with
 //
 //   - nonlinear in-range structure (piecewise per-byte costs, cache and
 //     spill steps) that simple linear models cannot fit but regression

@@ -177,10 +177,12 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /models", s.handlePublish)
 	mux.HandleFunc("POST /models/rollback", s.handleRollback)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		WriteMetrics(w, r, s.obsReg, func() any { return s.Metrics() })
+	})
 	mux.HandleFunc("POST /observe/segment", s.handleObserveSegment)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	return withRequestID(mux)
+	return WithRequestID(mux)
 }
 
 // healthJSON is the GET /healthz body: liveness plus the replica's
@@ -235,25 +237,26 @@ func (s *Service) StreamAddr() string {
 	return ""
 }
 
-// handleMetrics negotiates between the legacy JSON snapshot (the
-// default — Metrics' wire shape is pinned by test) and Prometheus text
-// exposition for scrapers that ask for it.
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if WantsPrometheus(r) {
+// WriteMetrics answers GET /metrics, negotiating between the JSON
+// snapshot (the default — each tier's Metrics wire shape is pinned by
+// test) and reg's Prometheus text exposition for scrapers that ask for
+// it. The router's metrics endpoint calls it too, so both tiers answer
+// content negotiation identically.
+func WriteMetrics(w http.ResponseWriter, r *http.Request, reg *obs.Registry, snapshot func() any) {
+	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", obs.TextContentType)
 		w.WriteHeader(http.StatusOK)
-		_ = s.obsReg.WritePrometheus(w)
+		_ = reg.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.Metrics())
+	writeJSON(w, http.StatusOK, snapshot())
 }
 
-// WantsPrometheus decides the /metrics representation: an explicit
+// wantsPrometheus decides the /metrics representation: an explicit
 // ?format= wins, then the Accept header. JSON is the default so
 // existing scrapers (and plain http.Get, which sends no Accept) keep
-// their bytes. The router's metrics endpoint calls it too, so both
-// tiers answer content negotiation identically.
-func WantsPrometheus(r *http.Request) bool {
+// their bytes.
+func wantsPrometheus(r *http.Request) bool {
 	switch r.URL.Query().Get("format") {
 	case "prometheus", "text":
 		return true
@@ -285,11 +288,11 @@ func wantsExplain(r *http.Request) bool {
 // reqIDKey keys the request ID in a request context.
 type reqIDKey struct{}
 
-// withRequestID gives every request an ID — X-Request-ID when the
+// WithRequestID gives every request an ID — X-Request-ID when the
 // client sent one, a generated ID otherwise — echoes it on the response
-// header, and stores it in the request context for error envelopes and
-// traces.
-func withRequestID(next http.Handler) http.Handler {
+// header, and stores it in the request context for error envelopes,
+// traces, and the router's hop to a replica.
+func WithRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
@@ -300,8 +303,8 @@ func withRequestID(next http.Handler) http.Handler {
 	})
 }
 
-// RequestIDFrom returns the request ID minted by the Handler's
-// middleware, "" when the context has none.
+// RequestIDFrom returns the request ID WithRequestID stored, "" when
+// the context has none.
 func RequestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(reqIDKey{}).(string)
 	return id
@@ -820,4 +823,11 @@ func StatusForCode(code string) int {
 func writeError(w http.ResponseWriter, r *http.Request, status int, e errorJSON) {
 	e.RequestID = RequestIDFrom(r.Context())
 	writeJSON(w, status, e)
+}
+
+// WriteError answers r with the error envelope every endpoint uses —
+// msg, the stable code, the request's ID — so a proxy in front of the
+// service refuses in the same shape.
+func WriteError(w http.ResponseWriter, r *http.Request, status int, msg, code string) {
+	writeError(w, r, status, errorJSON{Error: msg, Code: code})
 }
