@@ -1,11 +1,10 @@
 package repro
 
-// Benchmark harness: one benchmark per table and figure of the paper
-// (`resbench -h` lists the experiments), plus the §7.3
-// prediction-cost and model-size measurements and ablation benches for
-// the design choices. Each benchmark re-runs its experiment end to end
-// and reports the headline metric through b.ReportMetric, so
-// `go test -bench=. -benchmem` regenerates every number.
+// Benchmark harness: the §7.3 prediction-cost measurement, the serving
+// and batch paths, ablation benches for the design choices, and
+// training throughput. The paper's tables and figures are `resbench`
+// experiments (`resbench -h` lists them), run by internal/experiments'
+// tests.
 //
 // Workload generation, execution and scaling-function selection are
 // shared across benchmarks through a lazily built runner.
@@ -27,6 +26,7 @@ import (
 	"repro/internal/mart"
 	"repro/internal/plan"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -45,123 +45,6 @@ func benchSetup(b *testing.B) *experiments.Runner {
 		})
 	})
 	return benchRunner
-}
-
-// reportTable reports the SCALING row's headline metrics.
-func reportTable(b *testing.B, t *experiments.Table, set string) {
-	b.Helper()
-	if row := t.Get(experiments.TechScaling, set); row != nil {
-		b.ReportMetric(row.Result.L1, "scaling-L1")
-		b.ReportMetric(row.Result.Buckets.LE15*100, "scaling-R1.5-%")
-	}
-	if row := t.Get(experiments.TechMART, set); row != nil {
-		b.ReportMetric(row.Result.L1, "mart-L1")
-	}
-	if row := t.Get(experiments.TechOPT, set); row != nil {
-		b.ReportMetric(row.Result.L1, "opt-L1")
-	}
-}
-
-func benchTable(b *testing.B, fn func() (*experiments.Table, error), set string) {
-	b.Helper()
-	r := benchSetup(b)
-	_ = r
-	b.ResetTimer()
-	var t *experiments.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		t, err = fn()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportTable(b, t, set)
-}
-
-func BenchmarkTable4(b *testing.B)  { r := benchSetup(b); benchTable(b, r.Table4, "TPC-H") }
-func BenchmarkTable5(b *testing.B)  { r := benchSetup(b); benchTable(b, r.Table5, "Large") }
-func BenchmarkTable6(b *testing.B)  { r := benchSetup(b); benchTable(b, r.Table6, "Real-2") }
-func BenchmarkTable7(b *testing.B)  { r := benchSetup(b); benchTable(b, r.Table7, "TPC-H") }
-func BenchmarkTable8(b *testing.B)  { r := benchSetup(b); benchTable(b, r.Table8, "Large") }
-func BenchmarkTable9(b *testing.B)  { r := benchSetup(b); benchTable(b, r.Table9, "Real-2") }
-func BenchmarkTable10(b *testing.B) { r := benchSetup(b); benchTable(b, r.Table10, "TPC-H") }
-func BenchmarkTable11(b *testing.B) { r := benchSetup(b); benchTable(b, r.Table11, "Large") }
-func BenchmarkTable12(b *testing.B) { r := benchSetup(b); benchTable(b, r.Table12, "Real-2") }
-
-// BenchmarkTable13 measures MART training time growth with the number
-// of training examples (reported per the 20K-example row; the cmd
-// resbench -exp table13 run prints the full 5K–160K series with the
-// paper's M = 1K).
-func BenchmarkTable13(b *testing.B) {
-	var rows []experiments.Table13Result
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table13([]int{5000, 10000, 20000}, 200)
-	}
-	b.ReportMetric(rows[len(rows)-1].Seconds, "sec/20k-examples")
-}
-
-func benchFigure(b *testing.B, fn func() (*experiments.Figure, error)) *experiments.Figure {
-	b.Helper()
-	var f *experiments.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = fn()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return f
-}
-
-func BenchmarkFigure1(b *testing.B) {
-	r := benchSetup(b)
-	b.ResetTimer()
-	var f *experiments.Figure
-	for i := 0; i < b.N; i++ {
-		f = r.Figure1()
-	}
-	b.ReportMetric(float64(len(f.Series[0].X)), "near-exact-queries")
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	r := benchSetup(b)
-	b.ResetTimer()
-	f := benchFigure(b, r.Figure2)
-	b.ReportMetric(float64(len(f.Series[0].X)), "points")
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	r := benchSetup(b)
-	b.ResetTimer()
-	benchFigure(b, r.Figure3)
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	r := benchSetup(b)
-	b.ResetTimer()
-	benchFigure(b, r.Figure6)
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	r := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := r.Figure7()
-		if len(f.Series) < 2 {
-			b.Fatal("no fitted curves")
-		}
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	r := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := r.Figure8()
-		if len(f.Series) < 2 {
-			b.Fatal("no fitted curves")
-		}
-	}
 }
 
 // BenchmarkPredictionCost measures the §7.3 per-call estimation
@@ -334,21 +217,6 @@ func BenchmarkEstimateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkModelSize reports the encoded size of the full model set.
-func BenchmarkModelSize(b *testing.B) {
-	r := benchSetup(b)
-	var bytes int
-	var err error
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bytes, err = r.ModelSizeBytes()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(bytes)/1024, "KB")
-}
-
 // --- Ablation benches (the paper's §6.1 modifications): each reports
 // the cross-size generalization L1 (train SF<=4, test SF>=6) under one
 // design toggle.
@@ -368,16 +236,7 @@ func ablationL1(b *testing.B, mutate func(*core.Config), table *core.ScaleTable)
 	}
 	var l1 float64
 	for _, p := range large {
-		pred := est.PredictPlan(p)
-		if pred <= 0 {
-			pred = 1e-6
-		}
-		truth := p.TotalActual().CPU
-		d := pred - truth
-		if d < 0 {
-			d = -d
-		}
-		l1 += d / pred
+		l1 += stats.L1RelErr(est.PredictPlan(p), p.TotalActual().CPU)
 	}
 	return l1 / float64(len(large))
 }

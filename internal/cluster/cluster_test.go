@@ -609,15 +609,10 @@ func TestFleetRetrainConvergence(t *testing.T) {
 	regR.AttachStore(st1, nil)
 	regR.Publish("tpch", cpuEst) // stale model, snapshot v1
 	loop, err := feedback.New(feedback.Options{
-		Dir:               t.TempDir(),
-		Publisher:         regR,
-		WindowSize:        96,
-		MinWindow:         32,
-		CheckEvery:        8,
-		MinObservations:   64,
-		RetrainIterations: 50,
-		MaxHoldoutError:   1.0,
-		DriftThreshold:    2,
+		Dir:             t.TempDir(),
+		Publisher:       regR,
+		MinObservations: 64,
+		DriftThreshold:  2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func BenchmarkFeedbackIngest(b *testing.B) {
 		wire bool
 	}{{"reencode", false}, {"wire", true}} {
 		b.Run(c.name, func(b *testing.B) {
-			l, err := OpenLog(LogOptions{Dir: b.TempDir(), SegmentBytes: 64 << 20})
+			l, err := OpenLog(LogOptions{Dir: b.TempDir()})
 			if err != nil {
 				b.Fatal(err)
 			}

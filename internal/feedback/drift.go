@@ -11,35 +11,27 @@ import "repro/internal/core"
 // training-time accuracy — rather than a fixed absolute error bar —
 // makes the detector robust across resources and workloads: a CPU model
 // that trains to 8% error drifts at materially different absolute
-// errors than an I/O model that trains to 30%. MinBaselineError floors
+// errors than an I/O model that trains to 30%. minBaselineError floors
 // the comparison so a near-perfect fit does not make the detector fire
 // on noise, and doubles as the whole baseline for models that predate
 // baselines (nil Baseline).
 
-// driftBaseline returns the error level "normal" is measured from,
-// picking the baseline quantile nearest the configured DriftQuantile so
-// like is compared with like (a median window against a P90 baseline
-// would mask genuine drift).
-func (l *Loop) driftBaseline(est *core.Estimator) float64 {
-	base := l.opts.MinBaselineError
+// driftBaseline returns the error level "normal" is measured from: the
+// baseline's P90, the quantile the window is read at, so like is
+// compared with like.
+func driftBaseline(est *core.Estimator) float64 {
 	if est != nil && est.Baseline != nil {
-		b := est.Baseline.P90
-		if l.opts.DriftQuantile < 0.7 {
-			b = est.Baseline.P50
-		}
-		if b > base {
-			base = b
-		}
+		return max(est.Baseline.P90, minBaselineError)
 	}
-	return base
+	return minBaselineError
 }
 
 // drifting evaluates the detector for one route. Caller holds l.mu.
 func (l *Loop) drifting(st *routeState, est *core.Estimator) bool {
-	if st.window.Len() < l.opts.MinWindow {
+	if st.window.Len() < minWindow {
 		return false
 	}
-	return st.window.Quantile(l.opts.DriftQuantile) > l.opts.DriftThreshold*l.driftBaseline(est)
+	return st.window.Quantile(driftQuantile) > l.opts.DriftThreshold*driftBaseline(est)
 }
 
 // retrainEligible reports whether a drift finding should start a

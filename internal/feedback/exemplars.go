@@ -46,11 +46,10 @@ type Exemplar struct {
 }
 
 // exemplarStore keeps the top-K exemplars by AbsLogRatio. Entries are
-// stored as an unordered slice with a tracked minimum — K is small
-// (default 32), so a linear scan on eviction beats heap bookkeeping.
+// stored as an unordered slice with a tracked minimum — K (exemplarK)
+// is small, so a linear scan on eviction beats heap bookkeeping.
 type exemplarStore struct {
 	mu    sync.Mutex
-	cap   int
 	items []*Exemplar
 }
 
@@ -59,12 +58,12 @@ type exemplarStore struct {
 // plan encoding. Racy by design: a concurrent add may displace the
 // slot, and offer re-checks under the lock.
 func (s *exemplarStore) qualifies(abs float64) bool {
-	if s.cap <= 0 || !(abs > 0) {
+	if !(abs > 0) {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.items) < s.cap || abs > s.minAbsLocked()
+	return len(s.items) < exemplarK || abs > s.minAbsLocked()
 }
 
 func (s *exemplarStore) minAbsLocked() float64 {
@@ -80,12 +79,12 @@ func (s *exemplarStore) minAbsLocked() float64 {
 // offer inserts e when it ranks within the top K, evicting the current
 // smallest magnitude when full.
 func (s *exemplarStore) offer(e *Exemplar) {
-	if s.cap <= 0 || !(e.AbsLogRatio > 0) {
+	if !(e.AbsLogRatio > 0) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.items) < s.cap {
+	if len(s.items) < exemplarK {
 		s.items = append(s.items, e)
 		return
 	}

@@ -130,81 +130,71 @@ type Publisher interface {
 
 // Options configures a Loop. The zero value of every field selects a
 // sensible default; only Publisher is required for retraining (a Loop
-// without one still logs and tracks errors).
+// without one still logs and tracks errors). Everything else about the
+// loop's tuning is fixed: see the constants below.
 type Options struct {
 	// Dir is the observation-log directory. Empty disables persistence:
 	// observations are tracked in memory only.
 	Dir string
-	// SegmentBytes rotates log segments past this size (default 4 MiB).
-	SegmentBytes int64
 
 	// Publisher connects the loop to the serving registry. Nil disables
 	// drift-triggered retraining (observations are still logged).
 	Publisher Publisher
 
-	// WindowSize bounds the per-schema rolling error window (default 512).
-	WindowSize int
-	// ExemplarK bounds the worst-prediction exemplar store: the top-K
-	// largest mispredictions (by |log-ratio error|) are kept with their
-	// plan wire form and features for GET /debug/exemplars (default 32;
-	// negative disables capture).
-	ExemplarK int
-	// MaxRoutes bounds the number of distinct (schema, resource) routes
-	// the loop tracks (default 64). Observations for a new route beyond
-	// the bound are rejected as invalid — without this, a client
-	// spraying unique schema names at POST /observe would grow the
-	// per-route windows and buffers without bound.
-	MaxRoutes int
-	// RetainSegments bounds the on-disk log to this many segments;
-	// older segments are pruned on rotation so the log — and the
-	// startup replay — stay proportional to the retention the loop
-	// actually uses, not total uptime. Default 8; negative disables
-	// pruning.
-	RetainSegments int
-
-	// DriftQuantile is the windowed error quantile compared against the
-	// baseline (default 0.9).
-	DriftQuantile float64
-	// DriftThreshold triggers a retrain when the recent DriftQuantile
-	// error exceeds this multiple of the model's training-time baseline
+	// DriftThreshold triggers a retrain when the recent P90 error
+	// exceeds this multiple of the model's training-time baseline
 	// (default 2).
 	DriftThreshold float64
-	// MinBaselineError floors the baseline so a near-perfect training
-	// fit does not make the detector hair-triggered (default 0.05).
-	// Models without a stamped baseline use the floor alone.
-	MinBaselineError float64
-	// MinWindow is the minimum window fill before drift is evaluated
-	// (default min(64, WindowSize)).
-	MinWindow int
-	// CheckEvery evaluates drift every n-th observation per route
-	// (default 32).
-	CheckEvery int
 
 	// MinObservations gates retraining: a retrain needs this many
 	// buffered observations, and after an attempt the route must gather
 	// this many fresh ones before the next (default 256).
 	MinObservations int
-	// RetrainIterations is the MART boosting budget for retrained
-	// models (default 120).
-	RetrainIterations int
 	// TrainWorkers bounds the retrainer's worker pool (0 = GOMAXPROCS,
 	// 1 = sequential): the per-operator candidate fits of a retrain fan
 	// out across cores, shrinking the drift→retrain→hot-swap latency a
 	// degraded model keeps serving through. Retrained models are
 	// bit-identical at any worker count.
 	TrainWorkers int
-	// MaxHoldoutError is the absolute quality gate: a candidate whose
-	// mean holdout relative error exceeds it is rejected even when it
-	// beats the incumbent — the defense against garbage actuals poisoning
-	// the loop (default 0.5).
-	MaxHoldoutError float64
 
 	// Logf, when set, receives one line per notable event (drift
 	// detected, retrain accepted/rejected, replay summary).
 	Logf func(format string, args ...any)
 }
 
+// The loop's fixed tuning.
 const (
+	// windowSize bounds the per-route rolling error window.
+	windowSize = 512
+	// minWindow is the window fill before drift is evaluated.
+	minWindow = 64
+	// checkEvery evaluates drift every n-th observation per route.
+	checkEvery = 32
+	// driftQuantile is the windowed error quantile compared against the
+	// baseline's P90.
+	driftQuantile = 0.9
+	// minBaselineError floors the baseline so a near-perfect training
+	// fit does not make the detector hair-triggered. Models without a
+	// stamped baseline use the floor alone.
+	minBaselineError = 0.05
+	// maxRoutes bounds the distinct (schema, resource) routes the loop
+	// tracks. Observations for a new route beyond it are rejected as
+	// invalid — without this, a client spraying unique schema names at
+	// POST /observe would grow the per-route windows and buffers without
+	// bound.
+	maxRoutes = 64
+	// exemplarK bounds the worst-prediction exemplar store: the top-K
+	// largest mispredictions (by |log-ratio error|) are kept with their
+	// plan wire form and features for GET /debug/exemplars.
+	exemplarK = 32
+	// retrainIterations is the MART boosting budget for retrained models.
+	retrainIterations = 120
+	// maxHoldoutError is the absolute quality gate: a candidate whose
+	// mean holdout relative error exceeds it is rejected even when it
+	// beats the incumbent — the defense against garbage actuals
+	// poisoning the loop.
+	maxHoldoutError = 0.5
+
 	// perOpWindowSize bounds the per-operator rolling error windows.
 	perOpWindowSize = 256
 	// retrainBufferCap bounds a route's in-memory buffer of recent
@@ -214,49 +204,11 @@ const (
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.SegmentBytes <= 0 {
-		out.SegmentBytes = 4 << 20
-	}
-	if out.WindowSize <= 0 {
-		out.WindowSize = 512
-	}
-	if out.DriftQuantile <= 0 || out.DriftQuantile > 1 {
-		out.DriftQuantile = 0.9
-	}
 	if out.DriftThreshold <= 0 {
 		out.DriftThreshold = 2
 	}
-	if out.MinBaselineError <= 0 {
-		out.MinBaselineError = 0.05
-	}
-	if out.MinWindow <= 0 {
-		out.MinWindow = 64
-	}
-	if out.MinWindow > out.WindowSize {
-		out.MinWindow = out.WindowSize
-	}
-	if out.CheckEvery <= 0 {
-		out.CheckEvery = 32
-	}
 	if out.MinObservations <= 0 {
 		out.MinObservations = 256
-	}
-	if out.RetainSegments == 0 {
-		out.RetainSegments = 8
-	}
-	if out.MaxRoutes <= 0 {
-		out.MaxRoutes = 64
-	}
-	if out.ExemplarK == 0 {
-		out.ExemplarK = 32
-	} else if out.ExemplarK < 0 {
-		out.ExemplarK = 0
-	}
-	if out.RetrainIterations <= 0 {
-		out.RetrainIterations = 120
-	}
-	if out.MaxHoldoutError <= 0 {
-		out.MaxHoldoutError = 0.5
 	}
 	return out
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // Log is the segmented append-only observation log. Records are framed
-// by the CRC codec (codec.go); segments rotate past a size threshold so
-// old observations can eventually be archived or deleted wholesale. One
+// by the CRC codec (codec.go); segments rotate past segmentBytes and
+// all but the newest retainSegments are pruned, so disk use and startup
+// replay stay proportional to retention, not uptime. One
 // writer appends, under one lock, to segments named obs-00-%08d.seg —
 // the names existing directories already hold. The 00 is a writer
 // index from when the log had several; replay reads every writer's
@@ -38,17 +39,19 @@ type Log struct {
 type LogOptions struct {
 	// Dir holds the segment files; created if missing.
 	Dir string
-	// SegmentBytes rotates segments past this size (default 4 MiB).
-	SegmentBytes int64
-	// RetainSegments bounds the log to this many segments, pruning the
-	// oldest on rotation and on open — so disk use and startup replay
-	// stay proportional to retention, not uptime (default 8; negative
-	// disables pruning).
-	RetainSegments int
 }
 
-// logWriter is the writer index in every segment name this log writes.
-const logWriter = 0
+const (
+	// logWriter is the writer index in every segment name this log
+	// writes.
+	logWriter = 0
+	// segmentBytes rotates a segment once the next record would take it
+	// past this size.
+	segmentBytes = 4 << 20
+	// retainSegments bounds the log to this many segments, pruning the
+	// oldest on rotation and on open.
+	retainSegments = 8
+)
 
 func segmentName(writer, seg int) string {
 	return fmt.Sprintf("obs-%02d-%08d.seg", writer, seg)
@@ -68,12 +71,6 @@ func parseSegmentName(name string) (writer, seg int, ok bool) {
 func OpenLog(opts LogOptions) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("feedback: observation log needs a directory")
-	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 4 << 20
-	}
-	if opts.RetainSegments == 0 {
-		opts.RetainSegments = 8
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("feedback: %w", err)
@@ -99,10 +96,7 @@ func OpenLog(opts LogOptions) (*Log, error) {
 // failed remove is retried on the next rotation. Called with the log
 // unshared (OpenLog) or under its lock (rotate).
 func (l *Log) prune() {
-	if l.opts.RetainSegments <= 0 {
-		return
-	}
-	for k := l.seg - l.opts.RetainSegments; k >= 1; k-- {
+	for k := l.seg - retainSegments; k >= 1; k-- {
 		if err := os.Remove(filepath.Join(l.opts.Dir, segmentName(logWriter, k))); err != nil {
 			// Segments are contiguous; the first missing one ends the
 			// backlog.
@@ -167,7 +161,7 @@ func (l *Log) appendWire(obs *Observation, wire []byte) error {
 	if l.f == nil {
 		return ErrClosed
 	}
-	if l.size > 0 && l.size+int64(len(rec)) > l.opts.SegmentBytes {
+	if l.size > 0 && l.size+int64(len(rec)) > segmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}
@@ -182,7 +176,7 @@ func (l *Log) appendWire(obs *Observation, wire []byte) error {
 // rotate seals the current segment and starts the next. The next
 // segment is opened before the current one is released, so a failed
 // rotation (disk full, fd exhaustion) leaves the log writing to the old
-// segment — degraded past SegmentBytes, retried on the next append —
+// segment — degraded past segmentBytes, retried on the next append —
 // rather than wedged. Caller holds the lock.
 func (l *Log) rotate() error {
 	old, oldSize := l.f, l.size
@@ -249,39 +243,31 @@ func ReplayDir(dir string, fn func(*Observation) error) (int, error) {
 	return total, nil
 }
 
-// scanSegment reads records from path until EOF or the first corrupt
-// record, invoking fn (when non-nil) per decoded observation. It
-// returns the byte offset just past the last valid record — the
-// truncation point for crash recovery — and the record count. Framing
-// corruption is not an error (it is what a crash leaves behind); fn
-// errors and I/O errors are.
+// scanSegment scans the segment at path (see scanRecords), decoding
+// every record and handing each to fn when fn is non-nil. It returns
+// the byte offset just past the last valid record — the truncation
+// point for crash recovery — and the record count. A torn or damaged
+// frame ends the segment without error: it is what a crash leaves
+// behind. A CRC-valid record that does not decode is a writer bug, not
+// crash damage, and fails the scan rather than resync into garbage; so
+// does an fn error. Either error names the file.
 func scanSegment(path string, fn func(*Observation) error) (valid int64, n int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 256<<10)
-	for {
-		payload, size, err := readRecord(br)
-		if errors.Is(err, io.EOF) || errors.Is(err, errCorrupt) {
-			return valid, n, nil
-		}
-		if err != nil {
-			return valid, n, err
-		}
-		// A CRC-valid record that fails to decode is a writer bug, not
-		// crash damage; stop rather than resync into garbage.
-		obs, err := DecodeObservation(payload)
-		if err != nil {
-			return valid, n, fmt.Errorf("feedback: %s: %w", filepath.Base(path), err)
-		}
-		valid += size
-		n++
+	// fn's own error is never crash damage, whatever it wraps; only
+	// scanRecords' other errors are told apart by errCorrupt.
+	var fnErr error
+	valid, n, err = scanRecords(bufio.NewReaderSize(f, 256<<10), func(o *Observation) error {
 		if fn != nil {
-			if err := fn(obs); err != nil {
-				return valid, n, err
-			}
+			fnErr = fn(o)
 		}
+		return fnErr
+	})
+	if err != nil && (fnErr != nil || !errors.Is(err, errCorrupt)) {
+		return valid, n, fmt.Errorf("feedback: %s: %w", filepath.Base(path), err)
 	}
+	return valid, n, nil
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,6 +24,19 @@ func testObservations(t testing.TB, n int) []*Observation {
 			Plan:         plans[i%len(plans)],
 			UnixNanos:    int64(i + 1),
 		}
+	}
+	return obs
+}
+
+// bulkObservations is testObservations with a schema name of the
+// longest length the codec takes, so that a few hundred records fill
+// several of the log's segments.
+func bulkObservations(t testing.TB, n int) []*Observation {
+	t.Helper()
+	obs := testObservations(t, n)
+	schema := strings.Repeat("s", maxSchemaLen-1)
+	for _, o := range obs {
+		o.Schema = schema
 	}
 	return obs
 }
@@ -77,13 +91,13 @@ func TestLogAppendReplayOrder(t *testing.T) {
 
 func TestLogSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	// Pruning disabled: this test asserts every record survives
-	// rotation; retention is covered by TestLogRetention.
-	l, err := OpenLog(LogOptions{Dir: dir, SegmentBytes: 4 << 10, RetainSegments: -1})
+	// Fewer segments than retainSegments: this test asserts every record
+	// survives rotation; retention is covered by TestLogRetention.
+	l, err := OpenLog(LogOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := testObservations(t, 64)
+	obs := bulkObservations(t, 200)
 	for _, o := range obs {
 		if err := l.Append(o); err != nil {
 			t.Fatal(err)
@@ -107,7 +121,7 @@ func TestLogSegmentRotation(t *testing.T) {
 	l.Close()
 
 	// Reopen appends into the newest segment without disturbing history.
-	l2, err := OpenLog(LogOptions{Dir: dir, SegmentBytes: 4 << 10, RetainSegments: -1})
+	l2, err := OpenLog(LogOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,15 +302,15 @@ func TestLogShardedConcurrentAppend(t *testing.T) {
 }
 
 // TestLogRetention bounds the log: old segments are pruned on rotation
-// and on reopen, so replay covers a recent suffix instead of all of
+// and on open, so replay covers a recent suffix instead of all of
 // history.
 func TestLogRetention(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(LogOptions{Dir: dir, SegmentBytes: 4 << 10, RetainSegments: 2})
+	l, err := OpenLog(LogOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := testObservations(t, 64)
+	obs := bulkObservations(t, 640)
 	for _, o := range obs {
 		if err := l.Append(o); err != nil {
 			t.Fatal(err)
@@ -306,8 +320,8 @@ func TestLogRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) > 2 {
-		t.Fatalf("%d segments on disk, want <= 2", len(entries))
+	if len(entries) > retainSegments {
+		t.Fatalf("%d segments on disk, want <= %d", len(entries), retainSegments)
 	}
 	got := replayAll(t, l)
 	if len(got) == 0 || len(got) >= len(obs) {
@@ -324,17 +338,32 @@ func TestLogRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen with tighter retention prunes the backlog immediately.
-	l2, err := OpenLog(LogOptions{Dir: dir, SegmentBytes: 4 << 10, RetainSegments: 1})
+	// Open prunes a backlog beyond the bound — one left by a binary that
+	// retained more, or by a failed best-effort remove — immediately.
+	backlog := t.TempDir()
+	for k := 1; k <= retainSegments+2; k++ {
+		if err := os.WriteFile(filepath.Join(backlog, segmentName(logWriter, k)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l2, err := OpenLog(LogOptions{Dir: backlog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	entries, err = os.ReadDir(dir)
+	entries, err = os.ReadDir(backlog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("%d segments after reopen with retain=1, want 1", len(entries))
+	var kept []string
+	for _, e := range entries {
+		kept = append(kept, e.Name())
+	}
+	var want []string
+	for k := 3; k <= retainSegments+2; k++ {
+		want = append(want, segmentName(logWriter, k))
+	}
+	if !slices.Equal(kept, want) {
+		t.Fatalf("after open with %d segments: %v, want the newest %d: %v", retainSegments+2, kept, retainSegments, want)
 	}
 }

@@ -18,7 +18,7 @@ import (
 
 // Loop is the online feedback controller: Observe ingests one executed
 // plan (persisting it to the observation log and updating the rolling
-// error windows), the drift detector runs inline every CheckEvery
+// error windows), the drift detector runs inline every checkEvery
 // observations, and drift findings hand a buffer snapshot to a
 // background retrainer that publishes through the Publisher.
 //
@@ -54,13 +54,8 @@ type Loop struct {
 // resumes with its accumulated evidence.
 func New(opts Options) (*Loop, error) {
 	l := &Loop{opts: opts.withDefaults(), routes: make(map[routeKey]*routeState)}
-	l.exemplars.cap = l.opts.ExemplarK
 	if l.opts.Dir != "" {
-		log, err := OpenLog(LogOptions{
-			Dir:            l.opts.Dir,
-			SegmentBytes:   l.opts.SegmentBytes,
-			RetainSegments: l.opts.RetainSegments,
-		})
+		log, err := OpenLog(LogOptions{Dir: l.opts.Dir})
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +65,7 @@ func New(opts Options) (*Loop, error) {
 		// nearly time order, and a directory from when the log had
 		// several writers replays writer by writer. The windows/buffers
 		// must re-warm with the true most-recent tail. Memory is bounded
-		// by RetainSegments.
+		// by the log's retention.
 		var replayed []*Observation
 		n, err := l.log.Replay(func(obs *Observation) error {
 			replayed = append(replayed, obs)
@@ -153,7 +148,7 @@ func (l *Loop) observe(obs *Observation, served Served) error {
 	l.mu.Lock()
 	closed := l.closed
 	_, known := l.routes[routeKey{schema: o.Schema, resource: o.Resource}]
-	atCap := !known && len(l.routes) >= l.opts.MaxRoutes
+	atCap := !known && len(l.routes) >= maxRoutes
 	l.mu.Unlock()
 	if closed {
 		return ErrClosed
@@ -164,7 +159,7 @@ func (l *Loop) observe(obs *Observation, served Served) error {
 		// (Concurrent first-time routes can overshoot the bound by the
 		// number of in-flight Observes; ingest re-checks under the lock.)
 		return fmt.Errorf("%w: route limit (%d) reached, rejecting new schema %q",
-			ErrInvalid, l.opts.MaxRoutes, o.Schema)
+			ErrInvalid, maxRoutes, o.Schema)
 	}
 	// Durability first: the log is the source of truth the windows and
 	// buffers are rebuilt from on restart. An Observe racing Close gets
@@ -182,7 +177,7 @@ func (l *Loop) observe(obs *Observation, served Served) error {
 // ingest updates in-memory state for obs. check=false during replay:
 // replayed observations warm the windows and buffers but never trigger
 // retrains (the stored predictions came from models that may since have
-// been replaced; fresh traffic re-confirms drift within CheckEvery
+// been replaced; fresh traffic re-confirms drift within checkEvery
 // observations).
 func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 	key := routeKey{schema: obs.Schema, resource: obs.Resource}
@@ -237,9 +232,9 @@ func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 	var retrainObs []*Observation
 	var recentQ float64
 	l.mu.Lock()
-	if _, ok := l.routes[key]; !ok && len(l.routes) >= l.opts.MaxRoutes {
-		// Authoritative route bound (Observe pre-checks, replay of a log
-		// written under a larger MaxRoutes lands here).
+	if _, ok := l.routes[key]; !ok && len(l.routes) >= maxRoutes {
+		// Authoritative route bound (Observe pre-checks; replay of a log
+		// holding more routes, which Append never checks, lands here).
 		l.mu.Unlock()
 		return
 	}
@@ -292,14 +287,14 @@ func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 		}
 	}
 	st.push(obs, l.bufferCap())
-	if check && !l.closed && st.count%uint64(l.opts.CheckEvery) == 0 {
+	if check && !l.closed && st.count%checkEvery == 0 {
 		st.drifting = l.drifting(st, est)
 		if st.drifting && l.retrainEligible(st) {
 			st.retraining = true
 			st.lastAttempt = st.count
 			startRetrain = true
 			retrainObs = st.buffered()
-			recentQ = st.window.Quantile(l.opts.DriftQuantile)
+			recentQ = st.window.Quantile(driftQuantile)
 			// Register the retrain while still holding the mutex: Close
 			// flips closed under the same mutex before it waits on the
 			// WaitGroup, so either this Add is visible to that Wait or
@@ -352,9 +347,8 @@ func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 	}
 
 	if startRetrain {
-		l.opts.logf("feedback: %s/%s drift detected (recent p%d err %.3f vs baseline %.3f), retraining on %d observations",
-			key.schema, key.resource, int(l.opts.DriftQuantile*100),
-			recentQ, l.driftBaseline(est), len(retrainObs))
+		l.opts.logf("feedback: %s/%s drift detected (recent p90 err %.3f vs baseline %.3f), retraining on %d observations",
+			key.schema, key.resource, recentQ, driftBaseline(est), len(retrainObs))
 		go l.retrain(key, est, version, retrainObs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -77,15 +78,10 @@ func meanPlanErr(est *core.Estimator, plans []*plan.Plan) float64 {
 
 func driftOptions(pub *stubPublisher, dir string) Options {
 	return Options{
-		Dir:               dir,
-		Publisher:         pub,
-		WindowSize:        96,
-		MinWindow:         32,
-		CheckEvery:        8,
-		MinObservations:   64,
-		RetrainIterations: 50,
-		MaxHoldoutError:   1.0,
-		DriftThreshold:    2,
+		Dir:             dir,
+		Publisher:       pub,
+		MinObservations: 64,
+		DriftThreshold:  2,
 	}
 }
 
@@ -393,16 +389,16 @@ func TestLoopResetsWindowsOnOutOfBandSwap(t *testing.T) {
 }
 
 // TestLoopBoundsRoutes: spraying distinct schema names must not grow
-// per-route state without bound — new routes beyond MaxRoutes are
+// per-route state without bound — new routes beyond maxRoutes are
 // rejected as invalid before reaching the log.
 func TestLoopBoundsRoutes(t *testing.T) {
 	p := executedPlans(t, 48, 1)[0]
-	l, err := New(Options{MaxRoutes: 4})
+	l, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxRoutes; i++ {
 		obs := &Observation{Schema: string(rune('a' + i)), Resource: plan.CPUTime, Predicted: 1, Plan: p}
 		if err := l.Observe(obs); err != nil {
 			t.Fatal(err)
@@ -416,7 +412,49 @@ func TestLoopBoundsRoutes(t *testing.T) {
 	if err := l.Observe(&Observation{Schema: "a", Resource: plan.CPUTime, Predicted: 1, Plan: p}); err != nil {
 		t.Fatalf("existing route rejected at cap: %v", err)
 	}
-	if got := len(l.Snapshot()); got != 4 {
-		t.Fatalf("%d routes tracked, want 4", got)
+	if got := len(l.Snapshot()); got != maxRoutes {
+		t.Fatalf("%d routes tracked, want %d", got, maxRoutes)
+	}
+}
+
+// TestReplayBoundsRoutes: a log can hold more routes than the loop
+// tracks — Append never checks the bound — so replay must apply it too.
+// The newest route is the one dropped, and it stays closed to fresh
+// observations.
+func TestReplayBoundsRoutes(t *testing.T) {
+	dir := t.TempDir()
+	p := executedPlans(t, 49, 1)[0]
+	log, err := OpenLog(LogOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := func(i int) string { return "schema-" + strconv.Itoa(i) }
+	for i := 0; i <= maxRoutes; i++ {
+		obs := &Observation{Schema: schema(i), Resource: plan.CPUTime, Predicted: 1, Plan: p, UnixNanos: int64(i + 1)}
+		if err := log.Append(obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	routes := l.Snapshot()
+	if len(routes) != maxRoutes {
+		t.Fatalf("replay tracks %d routes, want %d", len(routes), maxRoutes)
+	}
+	for _, rs := range routes {
+		if rs.Schema == schema(maxRoutes) {
+			t.Fatalf("replay kept the route past the bound, %s", rs.Schema)
+		}
+	}
+	err = l.Observe(&Observation{Schema: schema(maxRoutes), Resource: plan.CPUTime, Predicted: 1, Plan: p})
+	if !errors.Is(err, ErrInvalid) {
+		t.Fatalf("observe for the dropped route: %v, want ErrInvalid", err)
 	}
 }

@@ -86,7 +86,7 @@ func (l *Loop) retrain(key routeKey, cur *core.Estimator, curVersion uint64, obs
 func (l *Loop) retrainOnce(key routeKey, cur *core.Estimator, curVersion uint64, obs []*Observation) (accepted bool, published uint64, holdErr float64) {
 	trainPlans, holdout := splitObservations(obs)
 	cfg := core.DefaultConfig()
-	cfg.Mart.Iterations = l.opts.RetrainIterations
+	cfg.Mart.Iterations = retrainIterations
 	// Fan the candidate fits across the training pool so the retrain —
 	// which runs while the old model is still serving degraded estimates
 	// — finishes as fast as the hardware allows.
@@ -109,13 +109,13 @@ func (l *Loop) retrainOnce(key routeKey, cur *core.Estimator, curVersion uint64,
 
 	holdErr = meanHoldoutError(cand, holdout, key.resource)
 	// Reject-if-worse guard. Two conditions, both required:
-	//   1. absolute: the candidate must clear MaxHoldoutError. Garbage
+	//   1. absolute: the candidate must clear maxHoldoutError. Garbage
 	//      actuals are irreducible noise — no model fits them, including
 	//      the candidate trained on them — so this gate catches poisoned
 	//      logs even when the incumbent looks worse on that same garbage.
 	//   2. relative: the candidate must beat the incumbent on the very
 	//      observations that triggered the drift alarm.
-	if holdErr > l.opts.MaxHoldoutError {
+	if holdErr > maxHoldoutError {
 		return false, 0, holdErr
 	}
 	if cur != nil {

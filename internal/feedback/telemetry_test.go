@@ -24,28 +24,22 @@ func newBareLoop(t *testing.T, opts Options) *Loop {
 }
 
 // TestDriftBaseline pins the baseline selection rules: the floor alone
-// without a model, the baseline quantile matching the configured drift
-// quantile with one, and the floor winning over a near-perfect fit.
+// without a model, the baseline's P90 with one, and the floor winning
+// over a near-perfect fit.
 func TestDriftBaseline(t *testing.T) {
-	l := newBareLoop(t, Options{MinBaselineError: 0.05, DriftQuantile: 0.9})
-	if got := l.driftBaseline(nil); got != 0.05 {
+	if got := driftBaseline(nil); got != 0.05 {
 		t.Fatalf("baseline without estimator = %v, want floor 0.05", got)
 	}
 	est := &core.Estimator{Baseline: &core.ErrorBaseline{P50: 0.1, P90: 0.3}}
-	if got := l.driftBaseline(est); got != 0.3 {
+	if got := driftBaseline(est); got != 0.3 {
 		t.Fatalf("P90-quantile baseline = %v, want 0.3", got)
 	}
-	if got := l.driftBaseline(&core.Estimator{}); got != 0.05 {
+	if got := driftBaseline(&core.Estimator{}); got != 0.05 {
 		t.Fatalf("baseline with nil ErrorBaseline = %v, want floor", got)
 	}
 	tiny := &core.Estimator{Baseline: &core.ErrorBaseline{P50: 0.001, P90: 0.002}}
-	if got := l.driftBaseline(tiny); got != 0.05 {
+	if got := driftBaseline(tiny); got != 0.05 {
 		t.Fatalf("near-perfect fit baseline = %v, want floor 0.05", got)
-	}
-
-	median := newBareLoop(t, Options{MinBaselineError: 0.05, DriftQuantile: 0.5})
-	if got := median.driftBaseline(est); got != 0.1 {
-		t.Fatalf("P50-quantile baseline = %v, want 0.1", got)
 	}
 }
 
@@ -54,16 +48,10 @@ func TestDriftBaseline(t *testing.T) {
 // the baseline, firing once the windowed quantile crosses
 // DriftThreshold x baseline, and recovering when errors subside.
 func TestDriftingStateMachine(t *testing.T) {
-	l := newBareLoop(t, Options{
-		WindowSize:       16,
-		MinWindow:        8,
-		DriftQuantile:    0.9,
-		DriftThreshold:   2,
-		MinBaselineError: 0.05, // threshold = 0.1
-	})
+	l := newBareLoop(t, Options{DriftThreshold: 2}) // threshold = 2 x 0.05 floor
 	st := l.route(routeKey{schema: "s", resource: plan.CPUTime})
 
-	for i := 0; i < 7; i++ {
+	for i := 0; i < minWindow-1; i++ {
 		st.window.Add(5.0) // grossly wrong, but window underfilled
 	}
 	if l.drifting(st, nil) {
@@ -75,13 +63,13 @@ func TestDriftingStateMachine(t *testing.T) {
 	}
 
 	st.window.Reset()
-	for i := 0; i < 16; i++ {
+	for i := 0; i < windowSize; i++ {
 		st.window.Add(0.05) // at baseline: healthy
 	}
 	if l.drifting(st, nil) {
 		t.Fatal("detector fired on baseline-level errors")
 	}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < windowSize; i++ {
 		st.window.Add(0.2) // 2x past threshold, fills whole window
 	}
 	if !l.drifting(st, nil) {
@@ -201,18 +189,25 @@ func TestCodecRequestIDRoundTrip(t *testing.T) {
 // admission below capacity, min-eviction at capacity, rejection of
 // non-qualifying offers, and worst-first snapshot order.
 func TestExemplarStore(t *testing.T) {
-	s := &exemplarStore{cap: 3}
+	s := &exemplarStore{}
 	if !s.qualifies(0.1) {
 		t.Fatal("empty store rejected a candidate")
 	}
-	for _, abs := range []float64{1, 3, 2} {
+	for i := 0; i < exemplarK; i++ { // 1..exemplarK, out of order
+		abs := float64(i*7%exemplarK + 1)
 		s.offer(&Exemplar{AbsLogRatio: abs, UnixNanos: int64(abs)})
 	}
-	s.offer(&Exemplar{AbsLogRatio: 5, UnixNanos: 5}) // evicts 1
-	s.offer(&Exemplar{AbsLogRatio: 0.5})             // below min, dropped
+	top := float64(exemplarK + 8)
+	s.offer(&Exemplar{AbsLogRatio: top, UnixNanos: int64(top)}) // evicts 1
+	s.offer(&Exemplar{AbsLogRatio: 0.5})                        // below min, dropped
 	got := s.snapshot()
-	if len(got) != 3 || got[0].AbsLogRatio != 5 || got[1].AbsLogRatio != 3 || got[2].AbsLogRatio != 2 {
-		t.Fatalf("snapshot = %+v, want [5 3 2]", got)
+	if len(got) != exemplarK || got[0].AbsLogRatio != top {
+		t.Fatalf("snapshot = %+v, want %d entries led by %v", got, exemplarK, top)
+	}
+	for i := 1; i < len(got); i++ {
+		if want := float64(exemplarK + 1 - i); got[i].AbsLogRatio != want {
+			t.Fatalf("snapshot[%d] = %v, want %v", i, got[i].AbsLogRatio, want)
+		}
 	}
 	if s.qualifies(1.5) {
 		t.Fatal("qualifies below the kept minimum")
@@ -223,12 +218,6 @@ func TestExemplarStore(t *testing.T) {
 	if s.qualifies(math.NaN()) || s.qualifies(0) {
 		t.Fatal("non-positive magnitude qualified")
 	}
-
-	disabled := &exemplarStore{cap: 0}
-	disabled.offer(&Exemplar{AbsLogRatio: 9})
-	if disabled.qualifies(9) || len(disabled.snapshot()) != 0 {
-		t.Fatal("disabled store captured an exemplar")
-	}
 }
 
 // TestLoopAccuracyTelemetry drives a loop with known mispredictions and
@@ -236,8 +225,10 @@ func TestExemplarStore(t *testing.T) {
 // quantiles, the coverage counters, the drift-state export, and the
 // worst-prediction exemplars with their request IDs.
 func TestLoopAccuracyTelemetry(t *testing.T) {
-	plans := executedPlans(t, 16, 12)
-	l := newBareLoop(t, Options{ExemplarK: 4, WindowSize: 32, MinWindow: 8})
+	// More 8x misses than the exemplar store keeps, and enough traffic
+	// to fill the drift window past minWindow.
+	plans := executedPlans(t, 16, 2*exemplarK+8)
+	l := newBareLoop(t, Options{})
 
 	// Half the traffic predicts exactly, half over-predicts 8x: coverage
 	// is 50% at both bands, the error histogram is half zeros and half
@@ -269,8 +260,9 @@ func TestLoopAccuracyTelemetry(t *testing.T) {
 	}
 	// Exact predictions (log ratio 0) count on the over side by the
 	// histogram's e >= 0 convention.
-	if rs.ErrorLogRatio.Count != 12 || rs.ErrorLogRatio.Over != 12 || rs.ErrorLogRatio.Under != 0 {
-		t.Fatalf("error counts = %+v, want count 12, all over-side", rs.ErrorLogRatio)
+	n := uint64(len(plans))
+	if rs.ErrorLogRatio.Count != n || rs.ErrorLogRatio.Over != n || rs.ErrorLogRatio.Under != 0 {
+		t.Fatalf("error counts = %+v, want count %d, all over-side", rs.ErrorLogRatio, n)
 	}
 	ln8 := math.Log(8)
 	if got := rs.ErrorLogRatio.P90; math.Abs(got-ln8)/ln8 > 0.15 {
@@ -279,13 +271,13 @@ func TestLoopAccuracyTelemetry(t *testing.T) {
 	if got := rs.ErrorLogRatio.MaxAbs; math.Abs(got-ln8)/ln8 > 0.15 {
 		t.Fatalf("max_abs = %v, want about ln 8", got)
 	}
-	if rs.Coverage == nil || rs.Coverage.Total != 12 || rs.Coverage.Within15x != 6 || rs.Coverage.Within2x != 6 {
-		t.Fatalf("coverage = %+v, want 6/12 in both bands", rs.Coverage)
+	if rs.Coverage == nil || rs.Coverage.Total != n || rs.Coverage.Within15x != n/2 || rs.Coverage.Within2x != n/2 {
+		t.Fatalf("coverage = %+v, want %d/%d in both bands", rs.Coverage, n/2, n)
 	}
 	if rs.Drift == nil {
 		t.Fatal("no drift state on an observed route")
 	}
-	if rs.Drift.MinWindow != 8 || rs.Drift.WindowFill != 12 || rs.Drift.Threshold <= 0 {
+	if rs.Drift.MinWindow != minWindow || rs.Drift.WindowFill != len(plans) || rs.Drift.Threshold <= 0 {
 		t.Fatalf("drift state = %+v", rs.Drift)
 	}
 	if rs.Drift.RetrainEligible {
@@ -293,8 +285,8 @@ func TestLoopAccuracyTelemetry(t *testing.T) {
 	}
 
 	ex := l.Exemplars()
-	if len(ex) != 4 {
-		t.Fatalf("kept %d exemplars, want ExemplarK = 4", len(ex))
+	if len(ex) != exemplarK {
+		t.Fatalf("kept %d exemplars, want exemplarK = %d", len(ex), exemplarK)
 	}
 	for i, e := range ex {
 		if math.Abs(e.AbsLogRatio-ln8)/ln8 > 1e-9 {

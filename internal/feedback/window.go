@@ -65,7 +65,7 @@ func (l *Loop) route(k routeKey) *routeState {
 	st, ok := l.routes[k]
 	if !ok {
 		st = &routeState{
-			window:    stats.NewRolling(l.opts.WindowSize),
+			window:    stats.NewRolling(windowSize),
 			perOp:     make(map[plan.OpKind]*stats.Rolling),
 			opErrHist: make(map[plan.OpKind]*obs.ErrorHistogram),
 		}
@@ -167,9 +167,9 @@ type CoverageStats struct {
 // sits from a retrain trigger.
 type DriftState struct {
 	// Baseline is the training-time error level "normal" is measured
-	// from (floored by MinBaselineError).
+	// from (floored by minBaselineError).
 	Baseline float64 `json:"baseline"`
-	// Quantile is the configured windowed quantile under comparison.
+	// Quantile is the windowed quantile under comparison.
 	Quantile float64 `json:"quantile"`
 	// RecentError is the window's current value at Quantile.
 	RecentError float64 `json:"recent_error"`
@@ -183,7 +183,7 @@ type DriftState struct {
 	WindowFill int `json:"window_fill"`
 	MinWindow  int `json:"min_window"`
 	// Drifting is the detector's latest verdict (sticky between
-	// CheckEvery evaluations).
+	// checkEvery evaluations).
 	Drifting bool `json:"drifting"`
 	// RetrainEligible reports whether a drift finding would start a
 	// retrain right now (publisher present, no retrain in flight,
@@ -256,17 +256,17 @@ func (l *Loop) Snapshot() []RouteStats {
 		if st.covTotal > 0 {
 			rs.Coverage = &CoverageStats{Total: st.covTotal, Within15x: st.cov15, Within2x: st.cov20}
 		}
-		baseline := l.driftBaseline(est)
+		baseline := driftBaseline(est)
 		threshold := l.opts.DriftThreshold * baseline
-		recent := st.window.Quantile(l.opts.DriftQuantile)
+		recent := st.window.Quantile(driftQuantile)
 		rs.Drift = &DriftState{
 			Baseline:            baseline,
-			Quantile:            l.opts.DriftQuantile,
+			Quantile:            driftQuantile,
 			RecentError:         recent,
 			Threshold:           threshold,
 			DistanceToThreshold: threshold - recent,
 			WindowFill:          st.window.Len(),
-			MinWindow:           l.opts.MinWindow,
+			MinWindow:           minWindow,
 			Drifting:            st.drifting,
 			RetrainEligible:     l.retrainEligible(st),
 		}

@@ -400,7 +400,7 @@ func TestHTTPBatchDecodeErrors(t *testing.T) {
 func TestConcurrentBatchDuringHotSwap(t *testing.T) {
 	reg := serve.NewRegistry()
 	// No retrain may publish a different model under the comparison.
-	loop, err := feedback.New(feedback.Options{Publisher: reg, DriftThreshold: 1e9, ExemplarK: 1024})
+	loop, err := feedback.New(feedback.Options{Publisher: reg, DriftThreshold: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,6 +431,10 @@ func TestConcurrentBatchDuringHotSwap(t *testing.T) {
 	}()
 
 	const clients = 8
+	// The c%4 == 3 clients post observeEach observations each: two
+	// clients times 16 is the loop's 32 exemplars, so every scored
+	// observation is kept and checked below.
+	const observers, observeEach = clients / 4, 16
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
@@ -489,6 +493,9 @@ func TestConcurrentBatchDuringHotSwap(t *testing.T) {
 						}
 					}
 				default:
+					if r >= observeEach {
+						continue
+					}
 					// No reported prediction: the loop's is the sum of what
 					// the handler resolved through the cache, and lands —
 					// under the plan's index — on the exemplar checked below.
@@ -513,8 +520,8 @@ func TestConcurrentBatchDuringHotSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	scored := loop.Exemplars()
-	if len(scored) == 0 {
-		t.Fatal("no observation was scored")
+	if len(scored) != observers*observeEach {
+		t.Fatalf("%d observations scored, want every one of the %d posted", len(scored), observers*observeEach)
 	}
 	for _, ex := range scored {
 		i, err := strconv.Atoi(ex.RequestID)

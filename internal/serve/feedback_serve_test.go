@@ -90,14 +90,9 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 
 func feedbackTestOptions(reg *serve.Registry, dir string) feedback.Options {
 	return feedback.Options{
-		Dir:               dir,
-		Publisher:         reg,
-		WindowSize:        96,
-		MinWindow:         32,
-		CheckEvery:        8,
-		MinObservations:   64,
-		RetrainIterations: 50,
-		MaxHoldoutError:   1.0,
+		Dir:             dir,
+		Publisher:       reg,
+		MinObservations: 64,
 	}
 }
 
@@ -206,9 +201,7 @@ func TestFeedbackEndToEndHTTP(t *testing.T) {
 func TestFeedbackGuardBlocksGarbageHTTP(t *testing.T) {
 	setup(t)
 	reg := serve.NewRegistry()
-	opts := feedbackTestOptions(reg, "")
-	opts.MaxHoldoutError = 0 // default (0.5): the guard under test
-	loop, err := feedback.New(opts)
+	loop, err := feedback.New(feedbackTestOptions(reg, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

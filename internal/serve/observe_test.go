@@ -161,7 +161,7 @@ func TestObserveLogsWireBytes(t *testing.T) {
 	setup(t)
 	dir := t.TempDir()
 	reg := serve.NewRegistry()
-	loop, err := feedback.New(feedback.Options{Dir: dir, Publisher: reg, DriftThreshold: 1e9, ExemplarK: 64})
+	loop, err := feedback.New(feedback.Options{Dir: dir, Publisher: reg, DriftThreshold: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type Handler func(c *Conn, f *Frame)
 // these with their own handler.
 type Listener struct {
 	ln       net.Listener
-	opts     Options // IdleTimeout, WriteTimeout, Logger
+	opts     Options // IdleTimeout, Logger
 	perWrite *obs.IntHistogram
 	handle   Handler
 
@@ -46,9 +46,9 @@ type Listener struct {
 // Listen binds addr and serves connections in the background until
 // Close, handing every estimate frame to handle. It returns once the
 // listener is bound, so startup failures surface immediately — same
-// contract as obs.StartDebugServer. Of opts it reads IdleTimeout,
-// WriteTimeout and Logger; perWrite, when non-nil, observes the frames
-// each socket write carried.
+// contract as obs.StartDebugServer. Of opts it reads IdleTimeout and
+// Logger; perWrite, when non-nil, observes the frames each socket write
+// carried.
 func Listen(addr string, opts Options, perWrite *obs.IntHistogram, handle Handler) (*Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -113,7 +113,7 @@ func (l *Listener) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := &Conn{l: l, c: nc, w: NewFrameWriter(nc, l.opts.WriteTimeout, l.perWrite)}
+		c := &Conn{l: l, c: nc, w: NewFrameWriter(nc, defaultWriteTimeout, l.perWrite)}
 		c.host = nc.RemoteAddr().String()
 		if host, _, err := net.SplitHostPort(c.host); err == nil {
 			c.host = host

@@ -12,7 +12,7 @@ import (
 )
 
 // Options configures a streaming Server. A bare Listener reads only
-// IdleTimeout, WriteTimeout and Logger.
+// IdleTimeout and Logger.
 type Options struct {
 	// Service handles the coalesced dispatches. Required by Start.
 	Service *serve.Service
@@ -22,27 +22,20 @@ type Options struct {
 	// design, so this is a liveness bound, not a request deadline —
 	// per-request deadlines ride in each frame's timeout_ms.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one outbound write burst (default 30s). A
-	// peer that stops reading stalls its writer goroutine until this
-	// fires, then the connection is torn down.
-	WriteTimeout time.Duration
 	// Logger receives connection-level failures. Nil selects
 	// slog.Default().
 	Logger *slog.Logger
 }
 
-// defaultWriteTimeout bounds one write burst in either direction: a
-// listener's default, and what the client applies to its requests. A
-// peer that stops reading fails the connection when it fires, which
-// releases whoever was blocked on the full queue.
+// defaultWriteTimeout bounds one write burst in either direction: the
+// listener's answers and the client's requests. A peer that stops
+// reading stalls the writer goroutine until it fires, then fails the
+// connection, which releases whoever was blocked on the full queue.
 const defaultWriteTimeout = 30 * time.Second
 
 func (o Options) withDefaults() Options {
 	if o.IdleTimeout <= 0 {
 		o.IdleTimeout = 5 * time.Minute
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = defaultWriteTimeout
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -228,8 +221,8 @@ func (s *Server) sendResponse(m *pending, schema string, resp *serve.Response) {
 
 // sendError answers one sequence ID with the structured error
 // envelope. Like sendResponse it blocks while the writer's queue is
-// full; the queue bound plus WriteTimeout limit how long a non-reading
-// peer can stall a dispatch goroutine.
+// full; the queue bound plus defaultWriteTimeout limit how long a
+// non-reading peer can stall a dispatch goroutine.
 func (s *Server) sendError(c *Conn, seq uint64, msg, code string) {
 	s.sendErrors.Add(1)
 	_ = c.Send(context.Background(), ErrorFrame(seq, msg, code)) // fails only on a dead connection
