@@ -95,9 +95,17 @@ func newTestReplica(t testing.TB) *testReplica {
 // comparisons across replicas meaningful.
 func newTestReplicaWith(t testing.TB, reg *serve.Registry) *testReplica {
 	t.Helper()
+	return newTestReplicaStream(t, reg, stream.Options{})
+}
+
+// newTestReplicaStream is newTestReplicaWith with the stream listener's
+// options; their Service is the replica's.
+func newTestReplicaStream(t testing.TB, reg *serve.Registry, so stream.Options) *testReplica {
+	t.Helper()
 	setup(t)
 	svc := serve.New(serve.Options{Registry: reg})
-	ss, err := stream.Start("127.0.0.1:0", stream.Options{Service: svc})
+	so.Service = svc
+	ss, err := stream.Start("127.0.0.1:0", so)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,9 +147,9 @@ func TestRouterHTTPEstimateFallback(t *testing.T) {
 
 // TestRouterFailoverMidRequest pins the failover ladder both routed
 // paths share. A replica that dies between polls fails the request sent
-// to it; it is marked down on the spot and the request is answered by
-// its version-consistent successor. With no replica left the router
-// sheds with one 503 envelope.
+// to it at once; it is marked down on the spot and the request is
+// answered by its version-consistent successor within a second. With
+// no replica left the router sheds with one 503 envelope.
 func TestRouterFailoverMidRequest(t *testing.T) {
 	setup(t)
 	for _, c := range []struct {
@@ -165,12 +165,7 @@ func TestRouterFailoverMidRequest(t *testing.T) {
 			reg := serve.NewRegistry()
 			reg.Publish("", cpuEst)
 			fleet := []*testReplica{newTestReplicaWith(t, reg), newTestReplicaWith(t, reg)}
-			rt, rhs := newRouter(t, fleet, func(o *cluster.Options) {
-				o.CacheEntries = -1
-				// A dead replica's stream connection waits this long for a
-				// redial, twice, before the forward counts as failed.
-				o.DialTimeout = 250 * time.Millisecond
-			})
+			rt, rhs := newRouter(t, fleet, func(o *cluster.Options) { o.CacheEntries = -1 })
 
 			before := replicaRequests(rt)
 			postOK(t, rhs.URL, c.path, c.body)
@@ -196,7 +191,11 @@ func TestRouterFailoverMidRequest(t *testing.T) {
 			}
 
 			primary.kill() // no PollNow: the router still believes it healthy
+			start := time.Now()
 			postOK(t, rhs.URL, c.path, c.body)
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("the successor answered after %v, want under 1s", d)
+			}
 			if r := replica(primary); r.Healthy || r.Errors < 1 {
 				t.Errorf("killed replica after a failed forward: %+v, want unhealthy with errors >= 1", r)
 			}
@@ -221,6 +220,72 @@ func TestRouterFailoverMidRequest(t *testing.T) {
 				t.Errorf("second killed replica: %+v, want unhealthy with errors >= 1", r)
 			}
 		})
+	}
+}
+
+// TestRouterReapedStreamFallsBackToHTTP pins what a lost pool
+// connection costs when the replica itself is fine: nothing. The
+// replica's stream listener reaps the router's idle connections; the
+// next request is answered by the same replica over POST /estimate —
+// no spillover, no error, the replica still healthy — and once a poll
+// has replaced the connections the request after goes over the stream
+// again.
+func TestRouterReapedStreamFallsBackToHTTP(t *testing.T) {
+	setup(t)
+	reg := serve.NewRegistry()
+	reg.Publish("", cpuEst)
+	reap := stream.Options{IdleTimeout: 50 * time.Millisecond}
+	fleet := []*testReplica{newTestReplicaStream(t, reg, reap), newTestReplicaStream(t, reg, reap)}
+	rt, rhs := newRouter(t, fleet, func(o *cluster.Options) { o.CacheEntries = -1 })
+	body := estimateBody(t, "tpch", testPlans[0], "cpu")
+
+	before := replicaRequests(rt)
+	postOK(t, rhs.URL, "/estimate", body)
+	var primary *testReplica
+	for _, rep := range fleet {
+		if replicaRequests(rt)[rep.hs.URL] > before[rep.hs.URL] {
+			primary = rep
+		}
+	}
+	if primary == nil {
+		t.Fatal("no replica answered the first request")
+	}
+	for deadline := time.Now().Add(5 * time.Second); primary.ss.Stats().Open != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the primary's pool connections were not reaped: %+v", primary.ss.Stats())
+		}
+	}
+
+	streamed := primary.ss.Stats().Requests
+	before = replicaRequests(rt)
+	postOK(t, rhs.URL, "/estimate", body)
+	after := replicaRequests(rt)
+	for _, rep := range fleet {
+		want := before[rep.hs.URL]
+		if rep == primary {
+			want++
+		}
+		if after[rep.hs.URL] != want {
+			t.Errorf("replica %s forwarded %d requests, want %d", rep.hs.URL, after[rep.hs.URL], want)
+		}
+	}
+	m := rt.Metrics()
+	if m.Decisions.Spillover != 0 || m.Decisions.Shed != 0 {
+		t.Errorf("decisions %+v after a reaped connection, want no spillover and no shed", m.Decisions)
+	}
+	for _, r := range m.Replicas {
+		if !r.Healthy || r.Errors != 0 {
+			t.Errorf("replica %+v after a reaped connection, want healthy with no errors", r)
+		}
+	}
+	if n := primary.ss.Stats().Requests; n != streamed {
+		t.Errorf("the primary's stream listener took %d requests after the reap, want none", n-streamed)
+	}
+
+	rt.PollNow()
+	postOK(t, rhs.URL, "/estimate", body)
+	if n := primary.ss.Stats().Requests; n != streamed+1 {
+		t.Errorf("after a poll, the primary's stream listener took %d requests, want 1", n-streamed)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 
 // replica is the router's view of one resserve process: the HTTP base
 // URL it was configured with, the health and model-version state the
-// poller maintains, a pool of reconnecting stream connections, and
-// the per-replica counters the metrics surface reports.
+// poller maintains, a pool of stream connections the poller keeps
+// live, and the per-replica counters the metrics surface reports.
 type replica struct {
 	name string // as configured (the ring key)
 	base string // normalized HTTP base URL
@@ -34,11 +34,13 @@ type replica struct {
 	streamAddr string
 	lastErr    error
 
-	// Stream connection pool, created once the poller learns the
-	// replica's stream address. next round-robins across it.
+	// Stream connection pool, dialed once the poller learns the
+	// replica's stream address and refreshed by every healthy poll.
+	// next round-robins across it. poolMu serializes refreshes: two
+	// overlapping polls must not both replace one failed client.
 	pool     []*stream.Client
-	poolOpts stream.DialOptions
 	poolSize int
+	poolMu   sync.Mutex
 	next     atomic.Uint64
 
 	inflight atomic.Int64 // requests currently forwarded to this replica
@@ -47,7 +49,7 @@ type replica struct {
 	errors   obs.Counter
 }
 
-func newReplica(name string, poolSize int, poolOpts stream.DialOptions, httpc *http.Client) *replica {
+func newReplica(name string, poolSize int, httpc *http.Client) *replica {
 	base := name
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -57,13 +59,12 @@ func newReplica(name string, poolSize int, poolOpts stream.DialOptions, httpc *h
 		base:     strings.TrimRight(base, "/"),
 		httpc:    httpc,
 		poolSize: poolSize,
-		poolOpts: poolOpts,
 	}
 }
 
 // poll refreshes health, version token and stream address from one
-// GET /healthz round trip, (re)building the stream pool when the
-// stream address first appears or moves.
+// GET /healthz round trip, then refreshes the stream pool of a replica
+// that advertises a stream address.
 func (rp *replica) poll(ctx context.Context) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rp.base+"/healthz", nil)
 	if err != nil {
@@ -104,8 +105,8 @@ func (rp *replica) poll(ctx context.Context) {
 		rp.streamAddr = h.StreamAddr
 	}
 	rp.mu.Unlock()
-	if moved {
-		rp.rebuildPool(h.StreamAddr)
+	if h.StreamAddr != "" {
+		rp.refreshPool(h.StreamAddr, moved)
 	}
 }
 
@@ -116,24 +117,37 @@ func (rp *replica) setDown(err error) {
 	rp.mu.Unlock()
 }
 
-// rebuildPool dials poolSize reconnecting stream connections to addr,
-// closing any previous pool. Dial failures leave the pool smaller
-// (the reconnecting clients that did connect still cover the
-// replica); a fully failed pool falls back to HTTP forwarding.
-func (rp *replica) rebuildPool(addr string) {
+// refreshPool is the one way a lost stream connection comes back: it
+// replaces every pooled client whose connection failed — all of them
+// when the stream address moved — by dialing addr up to poolSize, and
+// closes what it replaced. A failed dial leaves the pool smaller until
+// the next poll; with no client left the replica is reached over HTTP.
+func (rp *replica) refreshPool(addr string, moved bool) {
+	rp.poolMu.Lock()
+	defer rp.poolMu.Unlock()
+	rp.mu.Lock()
+	old := rp.pool
+	rp.mu.Unlock()
 	fresh := make([]*stream.Client, 0, rp.poolSize)
-	for i := 0; i < rp.poolSize; i++ {
-		cl, err := stream.DialWith(addr, rp.poolOpts)
+	var dropped []*stream.Client
+	for _, cl := range old {
+		if moved || cl.Err() != nil {
+			dropped = append(dropped, cl)
+		} else {
+			fresh = append(fresh, cl)
+		}
+	}
+	for len(fresh) < rp.poolSize {
+		cl, err := stream.Dial(addr)
 		if err != nil {
 			break
 		}
 		fresh = append(fresh, cl)
 	}
 	rp.mu.Lock()
-	old := rp.pool
 	rp.pool = fresh
 	rp.mu.Unlock()
-	for _, cl := range old {
+	for _, cl := range dropped {
 		cl.Close()
 	}
 }

@@ -30,7 +30,8 @@ type Options struct {
 	PoolSize int
 	// PollInterval is the health/version poll period (default 1s).
 	PollInterval time.Duration
-	// DialTimeout bounds replica connection attempts (default 5s).
+	// DialTimeout bounds the /healthz requests of one poll round
+	// (default 5s). Stream pool dials keep stream.Dial's fixed 5s.
 	DialTimeout time.Duration
 	// RequestTimeout bounds one forwarded estimate (default 30s; a
 	// request body's timeout_ms still applies server-side).
@@ -130,10 +131,6 @@ func New(opts Options) (*Router, error) {
 		return nil, errors.New("cluster: no replicas configured")
 	}
 	httpc := newHTTPClient()
-	dialOpts := stream.DialOptions{
-		ConnectTimeout: o.DialTimeout,
-		Reconnect:      true,
-	}
 	rt := &Router{
 		opts:      o,
 		ring:      NewRing(o.Replicas, defaultVnodes),
@@ -145,7 +142,7 @@ func New(opts Options) (*Router, error) {
 	}
 	rt.order = rt.ring.Members()
 	for _, name := range rt.order {
-		rt.replicas[name] = newReplica(name, o.PoolSize, dialOpts, httpc)
+		rt.replicas[name] = newReplica(name, o.PoolSize, httpc)
 	}
 	rt.obsReg = obs.NewRegistry()
 	rt.obsReg.Register(rt.Collector())
@@ -429,10 +426,11 @@ func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *routeError
 }
 
 // forwardOnce sends body to rp over its stream pool, or to its POST
-// /estimate when the replica advertises no stream listener. A non-nil
-// transport error means rp never answered (a reconnecting pool has
-// already retried once); a *routeError means it answered with a
-// structured error. A 200's bytes are the replica's, verbatim.
+// /estimate when the replica advertises no stream listener or the
+// pooled connection is lost (the next poll replaces it). A non-nil
+// transport error means rp never answered; a *routeError means it
+// answered with a structured error. A 200's bytes are the replica's,
+// verbatim.
 func (rt *Router) forwardOnce(ctx context.Context, rp *replica, body []byte) ([]byte, *routeError, error) {
 	rp.inflight.Add(1)
 	defer rp.inflight.Add(-1)
@@ -444,13 +442,17 @@ func (rt *Router) forwardOnce(ctx context.Context, rp *replica, body []byte) ([]
 			return resp, nil, nil
 		}
 		var se *stream.Error
-		if errors.As(err, &se) {
+		switch {
+		case errors.As(err, &se):
 			return nil, &routeError{status: serve.StatusForCode(se.Code), code: se.Code, msg: se.Message}, nil
-		}
-		if ctx.Err() != nil && !errors.Is(err, stream.ErrConnLost) {
+		case errors.Is(err, stream.ErrConnLost):
+			// The connection is gone, not necessarily the replica: ask
+			// it over HTTP, which fails at once if it is dead too.
+		case ctx.Err() != nil:
 			return nil, &routeError{status: http.StatusGatewayTimeout, code: "timeout", msg: err.Error()}, nil
+		default:
+			return nil, nil, err
 		}
-		return nil, nil, err
 	}
 	status, out, err := readReply(send(ctx, rp, http.MethodPost, "/estimate", jsonHeader, body))
 	if err != nil {

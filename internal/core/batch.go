@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/features"
-	"repro/internal/mart"
 	"repro/internal/plan"
 )
 
@@ -170,13 +169,7 @@ func (m *CombinedModel) predictBatch(vecs []features.Vector, idxs []int, out []f
 	if m.qcompiled != nil {
 		m.qcompiled.PredictRows(flat, k, us)
 	} else {
-		c := m.compiled
-		if c == nil {
-			// Hand-assembled model (tests, external construction): compile
-			// on the fly. Train/load always pre-compile.
-			c = mart.Compile(m.Mart)
-		}
-		c.PredictRows(flat, k, us)
+		m.compiled.PredictRows(flat, k, us)
 	}
 	for j, i := range idxs {
 		out[i] = m.scaleBack(us[j], &vecs[i])

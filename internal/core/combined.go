@@ -56,11 +56,10 @@ type CombinedModel struct {
 	// TrainErr is the mean relative training error, used to pick the
 	// operator's default model.
 	TrainErr float64
-	// compiled is the serving layout of Mart, built once at train/load
-	// time and used by every prediction path. It is bit-identical to
-	// the pointer walk (see mart.Compile); nil only on hand-assembled
-	// models, for which prediction falls back to Mart (and the batch
-	// path compiles on the fly).
+	// compiled is the serving layout of Mart, built by every
+	// constructor (training, JSON load, slab restore) and used by every
+	// prediction path. It is bit-identical to the pointer walk (see
+	// mart.Compile).
 	compiled *mart.Compiled
 	// qcompiled, when non-nil, is the float32-quantized serving layout
 	// and takes over every prediction path. Only slab restore with the
@@ -239,19 +238,13 @@ func TrainCombined(op plan.OpKind, resource plan.ResourceKind, scales []ScaleFn,
 }
 
 // rawPredict evaluates the underlying ensemble on a transformed input
-// row, routing to the quantized layout when restored with it, the
-// compiled layout otherwise, and the pointer walk only for
-// hand-assembled models that were never compiled. Compiled scoring is
-// bit-identical to the pointer walk, so which of the two serves is
-// unobservable.
+// row, routing to the quantized layout when restored with it and the
+// compiled layout otherwise.
 func (m *CombinedModel) rawPredict(x []float64) float64 {
 	if m.qcompiled != nil {
 		return m.qcompiled.Predict(x)
 	}
-	if m.compiled != nil {
-		return m.compiled.Predict(x)
-	}
-	return m.Mart.Predict(x)
+	return m.compiled.Predict(x)
 }
 
 // PredictVector estimates the operator's resource usage from a raw
@@ -285,11 +278,7 @@ func (m *CombinedModel) ExplainMargins(v *features.Vector, dst []float64) []floa
 		dst, _ = m.qcompiled.PredictMargins(m.transform(v), dst)
 		return dst
 	}
-	c := m.compiled
-	if c == nil {
-		c = mart.Compile(m.Mart)
-	}
-	dst, _ = c.PredictMargins(m.transform(v), dst)
+	dst, _ = m.compiled.PredictMargins(m.transform(v), dst)
 	return dst
 }
 

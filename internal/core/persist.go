@@ -219,9 +219,15 @@ func decodeCombined(op plan.OpKind, r plan.ResourceKind, cj combinedJSON) (*Comb
 	if len(c.Inputs) != len(c.normalizeBy) || len(c.Inputs) != len(c.Low) || len(c.Inputs) != len(c.High) {
 		return nil, fmt.Errorf("inconsistent input metadata lengths")
 	}
+	if len(cj.ScaleLow) != len(cj.ScaleFeat) || len(cj.ScaleHigh) != len(cj.ScaleFeat) {
+		return nil, fmt.Errorf("inconsistent scale-range metadata lengths")
+	}
 	for i, f := range cj.ScaleFeat {
 		c.ScaleLow[features.ID(f)] = cj.ScaleLow[i]
 		c.ScaleHigh[features.ID(f)] = cj.ScaleHigh[i]
+	}
+	if err := validateCandidate(c); err != nil {
+		return nil, err
 	}
 	c.scaleFeats = sortedScaleFeatures(c)
 	return c, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -94,6 +95,74 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadEstimator(strings.NewReader(`{"version":1,"ops":[{"op":0,"default":5,"candidates":[]}]}`)); err == nil {
 		t.Fatal("bad default index accepted")
+	}
+}
+
+// TestLoadRejectsOutOfRangeMetadata: a JSON model file naming a
+// feature that does not exist, or sizing the transformed row smaller
+// than its trees read, fails to load — the slab loader's checks —
+// instead of loading and panicking at its first prediction.
+func TestLoadRejectsOutOfRangeMetadata(t *testing.T) {
+	est, test := trainedEstimator(t)
+	var buf bytes.Buffer
+	if err := est.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	decode := func() *estimatorJSON {
+		var in estimatorJSON
+		if err := json.Unmarshal(saved, &in); err != nil {
+			t.Fatal(err)
+		}
+		return &in
+	}
+	// The candidate to damage has a scaling function, a scale range and
+	// trees that read at least one input.
+	oi, ci, need := -1, -1, 0
+	for i, oj := range decode().Ops {
+		for j, cj := range oj.Candidates {
+			n := est.Ops[plan.OpKind(oj.Op)].Candidates[j].compiled.InputsNeeded()
+			if oi < 0 && len(cj.Scales) > 0 && len(cj.ScaleFeat) > 0 && n > 0 {
+				oi, ci, need = i, j, n
+			}
+		}
+	}
+	if oi < 0 {
+		t.Fatal("no candidate with scales, a scale range and inputs to damage")
+	}
+	load := func(in *estimatorJSON) (*Estimator, error) {
+		b, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return LoadEstimator(bytes.NewReader(b))
+	}
+	loaded, err := load(decode())
+	if err != nil {
+		t.Fatalf("the undamaged file: %v", err)
+	}
+	loaded.PredictPlan(test[0])
+
+	for _, c := range []struct {
+		name string
+		mut  func(*combinedJSON)
+	}{
+		{"input feature", func(cj *combinedJSON) { cj.Inputs[0] = 999 }},
+		{"negative input feature", func(cj *combinedJSON) { cj.Inputs[0] = -1 }},
+		{"normalize_by feature", func(cj *combinedJSON) { cj.NormalizeBy[0] = 999 }},
+		{"scale function feature", func(cj *combinedJSON) { cj.Scales[0].F1 = 999 }},
+		{"scale-range feature", func(cj *combinedJSON) { cj.ScaleFeat[0] = 999 }},
+		{"scale-range lengths", func(cj *combinedJSON) { cj.ScaleLow = nil }},
+		{"fewer inputs than the trees read", func(cj *combinedJSON) {
+			n := need - 1
+			cj.Inputs, cj.NormalizeBy, cj.Low, cj.High = cj.Inputs[:n], cj.NormalizeBy[:n], cj.Low[:n], cj.High[:n]
+		}},
+	} {
+		in := decode()
+		c.mut(&in.Ops[oi].Candidates[ci])
+		if _, err := load(in); err == nil {
+			t.Errorf("%s: the damaged model file loaded", c.name)
+		}
 	}
 }
 

@@ -126,13 +126,6 @@ func (e *Estimator) EncodeSlab() (data []byte, quantized bool, err error) {
 		}
 		cs := make([]candSlabs, len(om.Candidates))
 		for i, c := range om.Candidates {
-			comp := c.compiled
-			if comp == nil && c.Mart != nil {
-				comp = mart.Compile(c.Mart)
-			}
-			if comp == nil {
-				return nil, false, fmt.Errorf("core: slab encode %s: candidate %d has no compiled model", kind, i)
-			}
 			blob := c.martBlob
 			if c.Mart != nil {
 				if blob, err = c.Mart.EncodeBinary(); err != nil {
@@ -142,11 +135,11 @@ func (e *Estimator) EncodeSlab() (data []byte, quantized bool, err error) {
 			if blob == nil {
 				return nil, false, fmt.Errorf("core: slab encode %s: candidate %d has no binary blob", kind, i)
 			}
-			q := comp.Quantize()
-			if !quantizeGatePasses(c, comp, q) {
+			q := c.compiled.Quantize()
+			if !quantizeGatePasses(c, c.compiled, q) {
 				quantized = false
 			}
-			cs[i] = candSlabs{comp: comp, q: q, blob: blob}
+			cs[i] = candSlabs{comp: c.compiled, q: q, blob: blob}
 		}
 		ops = append(ops, kind)
 		slabs = append(slabs, cs)
@@ -488,7 +481,7 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 					return nil, false, fmt.Errorf("core: bad estimator slab: op %d cand %d quantized: %w", kind, ci, err)
 				}
 			}
-			if err := validateSlabCandidate(c); err != nil {
+			if err := validateCandidate(c); err != nil {
 				return nil, false, fmt.Errorf("%w: op %d cand %d: %v", ErrSlab, kind, ci, err)
 			}
 			c.scaleFeats = sortedScaleFeatures(c)
@@ -509,12 +502,14 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 	return e, useQuant, nil
 }
 
-// validateSlabCandidate checks the invariants prediction relies on but
-// decode alone cannot guarantee on adversarial bytes: every feature ID
+// validateCandidate checks the invariants prediction relies on but
+// decode alone cannot guarantee on adversarial input: every feature ID
 // is a real features.ID (Vector.Get indexes a fixed-size array), and
-// scoring never reads past the transformed row the metadata sizes. A candidate passing here can serve any vector without
-// panicking, whatever the file contained.
-func validateSlabCandidate(c *CombinedModel) error {
+// scoring never reads past the transformed row the metadata sizes.
+// Both loaders, slab and JSON, run it on every candidate they decode. A
+// candidate passing here can serve any vector without panicking,
+// whatever the file contained.
+func validateCandidate(c *CombinedModel) error {
 	validID := func(id features.ID) bool { return id >= 0 && id < features.NumFeatures }
 	for _, s := range c.Scales {
 		if !validID(s.F1) || !validID(s.F2) {

@@ -329,13 +329,7 @@ func TrainTechniques(train []*plan.Plan, cfg TrainConfig) (*TechniqueSet, error)
 	if want[TechRegTree] {
 		m, err := trainPerOp(train, cfg.Resource, cfg.Mode,
 			func(x [][]float64, y []float64) (predictor, error) {
-				m, err := regtree.Train(x, y, regtree.DefaultConfig())
-				if err != nil {
-					return nil, err
-				}
-				// Serve predictions from the compiled flat-segment
-				// layout (bit-identical to the staged walk).
-				return regtree.Compile(m), nil
+				return regtree.Train(x, y, regtree.DefaultConfig())
 			})
 		if err != nil {
 			return nil, err

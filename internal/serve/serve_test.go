@@ -575,3 +575,53 @@ func TestHTTPPublish(t *testing.T) {
 		t.Fatalf("publish without model dir: status %d, want 403", resp.StatusCode)
 	}
 }
+
+// TestHTTPPublishRejectsOutOfRangeModel: POST /models with a model
+// file whose inputs name a feature that does not exist answers 400,
+// and the service keeps serving the version it had.
+func TestHTTPPublishRejectsOutOfRangeModel(t *testing.T) {
+	dir := t.TempDir()
+	svc := newService(t, serve.Options{ModelDir: dir})
+	first := svc.Registry().Publish("tpch", cpuEst)
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+
+	var buf bytes.Buffer
+	if err := cpuEst.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var model map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &model); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range model["ops"].([]any) {
+		for _, c := range op.(map[string]any)["candidates"].([]any) {
+			if inputs := c.(map[string]any)["inputs"].([]any); len(inputs) > 0 {
+				inputs[0] = 999
+			}
+		}
+	}
+	bad, err := json.Marshal(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir+"/bad.json", bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/models", "application/json",
+		bytes.NewReader([]byte(`{"schema":"tpch","path":"bad.json"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("publish of an out-of-range model: status %d, want 400", resp.StatusCode)
+	}
+	out, err := svc.Estimate(context.Background(), serve.Request{Schema: "tpch", Plan: testPlans[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Model.Version != first.Version {
+		t.Fatalf("estimate served by version %d, want %d", out.Model.Version, first.Version)
+	}
+}

@@ -17,6 +17,17 @@ import (
 	"repro/internal/stream"
 )
 
+// waitFor polls cond until it holds, failing the test with what after
+// five seconds.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
 // fire starts n concurrent estimates of one resource on cl and returns
 // a func that waits for them and reports how many failed.
 func fire(t testing.TB, cl *stream.Client, resource string, n int) (failed func() int) {

@@ -594,16 +594,24 @@ func TestStreamIdleReap(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	// The client's next call must fail — the server hung up.
-	if _, err := cl.EstimateRaw(context.Background(), &stream.Request{
-		Resource: "cpu", Plan: planJSON(t, testPlans[0]),
-	}); err == nil {
-		t.Fatal("estimate succeeded on a reaped connection")
+	// The client's next call must fail — the server hung up — and so
+	// must every call after it: the loss is sticky.
+	req := &stream.Request{Resource: "cpu", Plan: planJSON(t, testPlans[0])}
+	_, err := cl.EstimateRaw(context.Background(), req)
+	if !errors.Is(err, stream.ErrConnLost) {
+		t.Fatalf("estimate on a reaped connection: %v, want ErrConnLost", err)
+	}
+	if cl.Err() == nil {
+		t.Fatal("Err is nil after the connection was reaped")
+	}
+	if _, err := cl.EstimateRaw(context.Background(), req); !errors.Is(err, stream.ErrConnLost) {
+		t.Fatalf("second estimate on a reaped connection: %v, want ErrConnLost", err)
 	}
 }
 
 // TestStreamServerClose: Close tears down open connections and
-// subsequent client calls fail rather than hang.
+// subsequent client calls fail rather than hang — as they do after the
+// client's own Close.
 func TestStreamServerClose(t *testing.T) {
 	setup(t)
 	svc := serve.New(serve.Options{})
@@ -613,20 +621,27 @@ func TestStreamServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := dial(t, srv)
-	if _, err := cl.Estimate(context.Background(), &stream.Request{
-		Resource: "cpu", Plan: planJSON(t, testPlans[0]),
-	}); err != nil {
-		t.Fatal(err)
+	cl, closed := dial(t, srv), dial(t, srv)
+	req := &stream.Request{Resource: "cpu", Plan: planJSON(t, testPlans[0])}
+	for _, c := range []*stream.Client{cl, closed} {
+		if _, err := c.Estimate(context.Background(), req); err != nil || c.Err() != nil {
+			t.Fatalf("estimate on a live connection: %v, Err %v", err, c.Err())
+		}
 	}
+	closed.Close()
+	if _, err := closed.EstimateRaw(context.Background(), req); !errors.Is(err, stream.ErrConnLost) || closed.Err() == nil {
+		t.Fatalf("estimate after the client's Close: %v, Err %v; want ErrConnLost and a sticky Err", err, closed.Err())
+	}
+
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, err := cl.EstimateRaw(ctx, &stream.Request{
-		Resource: "cpu", Plan: planJSON(t, testPlans[0]),
-	}); err == nil {
-		t.Fatal("estimate succeeded after server close")
+	if _, err := cl.EstimateRaw(ctx, req); !errors.Is(err, stream.ErrConnLost) {
+		t.Fatalf("estimate after server close: %v, want ErrConnLost", err)
+	}
+	if cl.Err() == nil {
+		t.Fatal("Err is nil after the server closed the connection")
 	}
 }
