@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/features"
+	"repro/internal/mart"
 	"repro/internal/plan"
 )
 
@@ -21,13 +22,14 @@ import (
 
 // batchScratch is what one PredictBatch call works in.
 type batchScratch struct {
-	byKind []int     // item indexes, grouped by operator kind
-	byCand []int     // one operator's item indexes, regrouped by chosen candidate
-	chosen []int     // candidate slot per item of the operator being grouped
-	ends   []int     // per candidate slot, where its group ends in byCand
-	row    []float64 // selection's transform buffer
-	flat   []float64 // one group's transformed rows, back to back
-	us     []float64 // one group's raw ensemble outputs
+	byKind []int        // item indexes, grouped by operator kind
+	byCand []int        // one operator's item indexes, regrouped by chosen candidate
+	chosen []int        // candidate slot per item of the operator being grouped
+	ends   []int        // per candidate slot, where its group ends in byCand
+	row    []float64    // selection's transform buffer
+	flat   []float64    // one group's transformed rows, back to back
+	us     []float64    // one group's raw ensemble outputs
+	words  mart.Scratch // the tree words every group is scored through
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -167,9 +169,9 @@ func (m *CombinedModel) predictBatch(vecs []features.Vector, idxs []int, out []f
 	}
 	us := sized(&s.us, len(idxs))
 	if m.qcompiled != nil {
-		m.qcompiled.PredictRows(flat, k, us)
+		m.qcompiled.PredictRows(flat, k, us, &s.words)
 	} else {
-		m.compiled.PredictRows(flat, k, us)
+		m.compiled.PredictRows(flat, k, us, &s.words)
 	}
 	for j, i := range idxs {
 		out[i] = m.scaleBack(us[j], &vecs[i])

@@ -31,26 +31,31 @@ func BenchmarkPointerWalk(b *testing.B) {
 func BenchmarkCompiledBatch(b *testing.B) {
 	m, xs := benchModel(b)
 	c := Compile(m)
+	flat, stride := flatRows(xs)
 	out := make([]float64, len(xs))
+	var scratch Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.PredictBatch(xs, out)
+		c.PredictRows(flat, stride, out, &scratch)
 	}
 	b.ReportMetric(float64(len(xs)), "preds/op")
 }
 
-// BenchmarkCompiledSmallGroups is the same 256 rows in groups of 5 — the
-// group size the service produces once a batch's misses are split by
-// resource, operator and candidate. Per-row cost must not depend on it.
+// BenchmarkCompiledSmallGroups is the same 256 rows in groups of 5, a
+// small group of the kind the service produces once a batch's misses are
+// split by resource, operator and candidate: each is one four-row block
+// and a one-row tail, so a fifth of its rows are scored alone.
 func BenchmarkCompiledSmallGroups(b *testing.B) {
 	m, xs := benchModel(b)
 	c := Compile(m)
+	flat, stride := flatRows(xs)
 	out := make([]float64, len(xs))
+	var scratch Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for lo := 0; lo < len(xs); lo += 5 {
 			hi := min(lo+5, len(xs))
-			c.PredictBatch(xs[lo:hi], out[lo:hi])
+			c.PredictRows(flat[lo*stride:hi*stride], stride, out[lo:hi], &scratch)
 		}
 	}
 	b.ReportMetric(float64(len(xs)), "preds/op")

@@ -9,7 +9,7 @@ import (
 
 // TestCompiledBitIdentical proves the flattened layout reproduces the
 // pointer walk exactly: every prediction must match bit for bit, both
-// through Predict and through PredictBatch, inside and outside the
+// through Predict and through PredictRows, inside and outside the
 // training range.
 func TestCompiledBitIdentical(t *testing.T) {
 	xs, ys := synth(1500, 7, stepFn)
@@ -35,14 +35,15 @@ func TestCompiledBitIdentical(t *testing.T) {
 	probes = append(probes, []float64{0, 0, 0}, []float64{1e18, -1e18, math.SmallestNonzeroFloat64})
 
 	batch := make([]float64, len(probes))
-	c.PredictBatch(probes, batch)
+	flat, stride := flatRows(probes)
+	c.PredictRows(flat, stride, batch, new(Scratch))
 	for i, x := range probes {
 		want := m.Predict(x)
 		if got := c.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("probe %d: compiled Predict %v != model %v", i, got, want)
 		}
 		if math.Float64bits(batch[i]) != math.Float64bits(want) {
-			t.Fatalf("probe %d: PredictBatch %v != model %v", i, batch[i], want)
+			t.Fatalf("probe %d: PredictRows %v != model %v", i, batch[i], want)
 		}
 	}
 }
@@ -84,7 +85,8 @@ func TestCompiledEmptyModel(t *testing.T) {
 	}
 	c := Compile(m)
 	out := make([]float64, len(xs))
-	c.PredictBatch(xs, out)
+	flat, stride := flatRows(xs)
+	c.PredictRows(flat, stride, out, new(Scratch))
 	for i, x := range xs {
 		want := m.Predict(x)
 		if out[i] != want || c.Predict(x) != want {

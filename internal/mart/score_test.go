@@ -194,8 +194,19 @@ type scorer interface {
 	InputsNeeded() int
 	Predict(x []float64) float64
 	PredictMargins(x []float64, dst []float64) ([]float64, float64)
-	PredictBatch(xs [][]float64, out []float64)
-	PredictRows(flat []float64, stride int, out []float64)
+	PredictRows(flat []float64, stride int, out []float64, s *Scratch)
+}
+
+// flatRows lays rows of equal length back to back, as PredictRows takes
+// them.
+func flatRows(xs [][]float64) (flat []float64, stride int) {
+	for _, x := range xs {
+		flat = append(flat, x...)
+	}
+	if len(xs) > 0 {
+		stride = len(xs[0])
+	}
+	return flat, stride
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -208,11 +219,10 @@ func checkScorer(t *testing.T, name string, s scorer, nFeat int, rows [][]float6
 		t.Fatalf("%s: needs %d inputs, forest has %d features", name, s.InputsNeeded(), nFeat)
 	}
 	want := make([]float64, len(rows))
-	var flat []float64
+	flat, _ := flatRows(rows)
 	for i, x := range rows {
 		wantMargins, y := ref(x)
 		want[i] = y
-		flat = append(flat, x...)
 		if got := s.Predict(x); !sameBits(got, y) {
 			t.Fatalf("%s row %d %v: Predict %v, reference %v", name, i, x, got, y)
 		}
@@ -226,18 +236,18 @@ func checkScorer(t *testing.T, name string, s scorer, nFeat int, rows [][]float6
 			}
 		}
 	}
+	// Groups of every size around PredictRows' four-row blocks — whole
+	// blocks, each length of tail, and both together — through one
+	// Scratch, so every call starts from words an earlier call left.
 	out := make([]float64, len(rows))
-	for _, group := range []int{1, 5, 8, 9, 256} {
+	var scratch Scratch
+	for _, group := range []int{1, 2, 3, 4, 5, 7, 8, 9, 256} {
 		for i := range out {
 			out[i] = math.NaN()
 		}
 		for lo := 0; lo < len(rows); lo += group {
 			hi := min(lo+group, len(rows))
-			if group == 5 {
-				s.PredictRows(flat[lo*nFeat:hi*nFeat], nFeat, out[lo:hi])
-			} else {
-				s.PredictBatch(rows[lo:hi], out[lo:hi])
-			}
+			s.PredictRows(flat[lo*nFeat:hi*nFeat], nFeat, out[lo:hi], &scratch)
 		}
 		for i := range out {
 			if !sameBits(out[i], want[i]) {
@@ -317,6 +327,21 @@ func TestScoreFixedShapes(t *testing.T) {
 		{math.Inf(-1)}, {0}, {math.Copysign(0, -1)}, {1}, {2}, {3}, {2.5}}
 	checkForest(t, m, 1, rows)
 	checkForest(t, &Model{Base: -2, Rate: 0.1}, 3, [][]float64{{1, 2, 3}, {math.NaN(), 0, 0}})
+}
+
+// TestScoreManyTrees holds a forest past treeWords' 1024 trees — the
+// paper's M = 1K plus a block — to the pointer walk: its words come from
+// the heap, and the all-ones reset must fill them beyond one treeWords.
+func TestScoreManyTrees(t *testing.T) {
+	rng := xrand.New(11)
+	feat := func() int32 { return int32(rng.Intn(3)) }
+	thr := func() float64 { return rng.NormFloat64() * 50 }
+	val := func() float64 { return rng.NormFloat64() * 10 }
+	m := &Model{Base: 0.5, Rate: 0.1}
+	for range len(treeWords{}) + 77 {
+		m.Trees = append(m.Trees, randomTree(rng, 1+rng.Intn(maxLeaves), shapeRandom, feat, thr, val))
+	}
+	checkForest(t, m, 3, probeRows(rng, 40, 3, []float64{-50, 0, 50}))
 }
 
 // FuzzScoreMatchesWalk lets the fuzzer pick the forest (by seed) and the

@@ -46,6 +46,7 @@ func TestSlabRoundTripBitIdentical(t *testing.T) {
 		t.Fatalf("encoded %d bytes, SlabSize says %d", len(blob), c.SlabSize())
 	}
 	probes := slabProbes(xs, 99)
+	flat, stride := flatRows(probes)
 
 	for _, forceCopy := range []bool{false, true} {
 		slabForceCopy = forceCopy
@@ -58,14 +59,14 @@ func TestSlabRoundTripBitIdentical(t *testing.T) {
 			t.Fatalf("forceCopy=%v: %d trees, want %d", forceCopy, dec.NumTrees(), c.NumTrees())
 		}
 		batch := make([]float64, len(probes))
-		dec.PredictBatch(probes, batch)
+		dec.PredictRows(flat, stride, batch, new(Scratch))
 		for i, x := range probes {
 			want := c.Predict(x)
 			if got := dec.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("forceCopy=%v probe %d: slab Predict %v != %v", forceCopy, i, got, want)
 			}
 			if math.Float64bits(batch[i]) != math.Float64bits(want) {
-				t.Fatalf("forceCopy=%v probe %d: slab PredictBatch %v != %v", forceCopy, i, batch[i], want)
+				t.Fatalf("forceCopy=%v probe %d: slab PredictRows %v != %v", forceCopy, i, batch[i], want)
 			}
 		}
 	}
@@ -187,7 +188,8 @@ func TestQuantizeCloseness(t *testing.T) {
 	}
 	probes := slabProbes(xs, 41)
 	batch := make([]float64, len(probes))
-	q.PredictBatch(probes, batch)
+	flat, stride := flatRows(probes)
+	q.PredictRows(flat, stride, batch, new(Scratch))
 	for i, x := range probes {
 		exact := c.Predict(x)
 		got := q.Predict(x)
@@ -212,6 +214,7 @@ func TestQuantizedSlabRoundTrip(t *testing.T) {
 		t.Fatalf("encoded %d bytes, SlabSize says %d", len(blob), q.SlabSize())
 	}
 	probes := slabProbes(xs, 57)
+	flat, stride := flatRows(probes)
 	for _, forceCopy := range []bool{false, true} {
 		slabForceCopy = forceCopy
 		dec, err := CompiledQFromSlab(blob)
@@ -220,7 +223,7 @@ func TestQuantizedSlabRoundTrip(t *testing.T) {
 			t.Fatalf("forceCopy=%v: %v", forceCopy, err)
 		}
 		batch := make([]float64, len(probes))
-		dec.PredictBatch(probes, batch)
+		dec.PredictRows(flat, stride, batch, new(Scratch))
 		for i, x := range probes {
 			want := q.Predict(x)
 			if got := dec.Predict(x); math.Float64bits(got) != math.Float64bits(want) {

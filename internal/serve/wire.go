@@ -103,13 +103,23 @@ func writeWire(w http.ResponseWriter, status int, body []byte) {
 }
 
 // wireEncoder is the state of one append encode: the output, whether
-// every value so far was one the encoder takes, and the last float
-// written — its bits and where its bytes sit in b.
+// every value so far was one the encoder takes, and a memo of the
+// finite floats written so far.
 type wireEncoder struct {
-	b               []byte
-	ok              bool
-	lastBits        uint64
-	lastAt, lastEnd int
+	b    []byte
+	ok   bool
+	memo [1 << wireMemoBits]wireMemo
+}
+
+// wireMemoBits sizes the memo: 64 slots, against the 34 floats of a
+// two-resource plan's response.
+const wireMemoBits = 6
+
+// wireMemo is one float already written: its bits and where its bytes
+// sit in b. end == 0 is an empty slot — a float always follows its key.
+type wireMemo struct {
+	bits    uint64
+	at, end int
 }
 
 func (e *wireEncoder) raw(s string) { e.b = append(e.b, s...) }
@@ -119,22 +129,30 @@ func (e *wireEncoder) int(key string, v int) {
 }
 
 // float appends `key` and f in jsonscan.AppendFloat's format. A
-// two-resource response writes each primary value twice in a row
-// (total and totals[0], estimate and estimates[0]), so a value whose
-// bits equal the last float written copies that float's bytes instead
-// of formatting it again. Bits, not ==: -0 and +0 are written apart.
+// response repeats values: a two-resource response writes each primary
+// value twice in a row (total and totals[0], estimate and
+// estimates[0]), and a one-operator pipeline's estimate is its
+// operator's. So every finite float written is filed in a direct-mapped
+// memo by a multiplicative hash of its bits, and a value whose bits
+// match its slot's copies those bytes instead of formatting them again;
+// a collision only costs the later value a format. Bits, not ==: -0 and
+// +0 are told apart.
 func (e *wireEncoder) float(key string, f float64) {
 	e.b = append(e.b, key...)
 	bits := math.Float64bits(f)
-	if e.lastEnd > 0 && bits == e.lastBits {
-		e.b = append(e.b, e.b[e.lastAt:e.lastEnd]...)
+	m := &e.memo[bits*0x9E3779B97F4A7C15>>(64-wireMemoBits)]
+	if m.end > 0 && m.bits == bits {
+		e.b = append(e.b, e.b[m.at:m.end]...)
 		return
 	}
 	at := len(e.b)
 	var finite bool
 	e.b, finite = jsonscan.AppendFloat(e.b, f)
-	e.ok = e.ok && finite // a declined value's copies are never sent either
-	e.lastBits, e.lastAt, e.lastEnd = bits, at, len(e.b)
+	if !finite {
+		e.ok = false
+		return
+	}
+	*m = wireMemo{bits: bits, at: at, end: len(e.b)}
 }
 
 func (e *wireEncoder) string(key, s string) {

@@ -200,11 +200,13 @@ func TestWireEncoderEdgeCases(t *testing.T) {
 
 // wireFuzzInput turns fuzz bytes into response values: counts and IDs
 // from single bytes, floats from their raw bits — so ±0, subnormals,
-// NaN and the infinities all occur — or, on an odd control byte, the
-// previous float again, so equal adjacent fields are common too.
+// NaN and the infinities all occur — or, on an odd control byte c, the
+// float drawn c>>1%8 draws before the last one again, so equal fields
+// are common too, adjacent or not.
 type wireFuzzInput struct {
-	b    []byte
-	last float64
+	b      []byte
+	recent [8]float64 // the last eight floats drawn, the latest at n-1
+	n      int
 }
 
 func (in *wireFuzzInput) byte() byte {
@@ -217,15 +219,20 @@ func (in *wireFuzzInput) byte() byte {
 }
 
 func (in *wireFuzzInput) float() float64 {
-	if in.byte()&1 == 1 {
-		return in.last
+	var f float64
+	if c := in.byte(); c&1 == 1 {
+		back := int(c>>1) % len(in.recent)
+		f = in.recent[(in.n+len(in.recent)-1-back)%len(in.recent)]
+	} else {
+		var bits uint64
+		for range 8 {
+			bits = bits<<8 | uint64(in.byte())
+		}
+		f = math.Float64frombits(bits)
 	}
-	var bits uint64
-	for range 8 {
-		bits = bits<<8 | uint64(in.byte())
-	}
-	in.last = math.Float64frombits(bits)
-	return in.last
+	in.recent[in.n%len(in.recent)] = f
+	in.n++
+	return f
 }
 
 func (in *wireFuzzInput) floats(n int) []float64 {
@@ -259,11 +266,41 @@ func (in *wireFuzzInput) planEstimate(resources int) serve.PlanEstimate {
 type wireFuzzSeed []byte
 
 func (s wireFuzzSeed) n(c ...byte) wireFuzzSeed { return append(s, c...) }
-func (s wireFuzzSeed) repeat() wireFuzzSeed     { return append(s, 1) }
+func (s wireFuzzSeed) repeat() wireFuzzSeed     { return s.back(0) }
+
+// back draws the float k draws before the last one again.
+func (s wireFuzzSeed) back(k int) wireFuzzSeed { return append(s, byte(k<<1|1)) }
 func (s wireFuzzSeed) f(x float64) wireFuzzSeed {
 	s = append(s, 0)
 	for shift := 56; shift >= 0; shift -= 8 {
 		s = append(s, byte(math.Float64bits(x)>>shift))
+	}
+	return s
+}
+
+// collidingBatch is a seed whose batch writes a value, 70 distinct
+// others and the value again: four full two-resource plans, 72 floats
+// against the encoder's 64 memo slots, so slots are shared and refilled
+// before the repeat.
+func collidingBatch() wireFuzzSeed {
+	s := wireFuzzSeed{}.n(2).f(1).f(2).f(3).n(0, 0, 0, 0).n(0, 4)
+	k := 0
+	next := func() float64 {
+		k++
+		if k == 1 || k == 72 {
+			return 1234.5678
+		}
+		return float64(k) + 0.25
+	}
+	for range 4 {
+		s = s.f(next()).f(next()).f(next()).n(3)
+		for id := range 3 {
+			s = s.n(byte(id)).f(next()).f(next()).f(next())
+		}
+		s = s.n(2)
+		for id := range 2 {
+			s = s.n(byte(id)).f(next()).f(next()).f(next()).n(0)
+		}
 	}
 	return s
 }
@@ -287,6 +324,12 @@ func FuzzWireEncode(f *testing.F) {
 		wireFuzzSeed{}.n(0).f(42).n(1, 1).f(42).n(1, 1).f(42).n(1, 1, 0, 0, 1, 1).f(0.1).n(0, 0),
 		// an infinity declines the response, a repeat of it the batch
 		wireFuzzSeed{}.n(1).f(math.Inf(-1)).repeat().n(0, 0, 0, 0, 0, 1).repeat().repeat().n(0, 0),
+		// -0 and +0 far apart, each drawn again several draws on
+		wireFuzzSeed{}.n(2).f(negZero).f(1).f(2).n(1, 3).f(3).f(4).f(5).n(1, 4).f(6).f(0).back(7).n(0).
+			n(0, 0, 0, 1).f(0).f(7).f(8).n(1, 5).f(9).f(10).f(negZero).n(1, 6).back(5).back(1).f(0).n(0),
+		// a NaN between a value and its repeat
+		wireFuzzSeed{}.n(2).f(1.5).f(nan).back(1).n(0, 0, 0, 0).n(0, 1).f(2.5).f(nan).back(1).n(0, 0),
+		collidingBatch(),
 	} {
 		f.Add([]byte(seed))
 	}
@@ -309,7 +352,7 @@ func FuzzWireEncode(f *testing.F) {
 
 		batch := &serve.BatchResponse{CacheHits: int(in.byte())}
 		batch.Model, batch.Models, batch.Resources = header()
-		for range in.byte() % 4 {
+		for range in.byte() % 8 {
 			batch.Plans = append(batch.Plans, in.planEstimate(resources))
 		}
 		checkWireAgainstStd(t, batch)
