@@ -532,8 +532,8 @@ func bootstrapSchema(reg *serve.Registry, schema string, n, iters, workers int, 
 		cfg.Mart.Iterations = iters
 	}
 	cfg.Workers = workers
-	// A nil scale table is linear scaling everywhere: bootstrap skips
-	// the §6.2 scale-selection sweep.
+	// A nil scale table is the paper's §6.2 selection, so bootstrap
+	// serves the same models repro.TrainSet trains at these settings.
 	ests, err := core.TrainSet(plans, resources, nil, cfg)
 	if err != nil {
 		return err

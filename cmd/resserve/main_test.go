@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -225,7 +226,7 @@ func TestPartialRestoreHealsUnderSlabPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	repro.Execute(qs)
-	cpuEst, err := repro.Train(qs, repro.TrainOptions{Resource: repro.CPUTime, BoostingIterations: 10, SkipScaleSelection: true})
+	cpuEst, err := repro.Train(qs, repro.TrainOptions{Resource: repro.CPUTime, BoostingIterations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,5 +311,43 @@ func TestBootstrapProbeDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(saved[0], saved[1]) {
 		t.Fatal("bootstrap models differ between 1 and 7 training workers")
+	}
+}
+
+// TestBootstrapMatchesReproTrain: bootstrap serves the paper's
+// estimator. Its CPU and IO models predict bit-identically to
+// repro.TrainSet at the same N, seed and iterations, which runs the
+// §6.2 scale selection. Baselines differ by design (bootstrap's come
+// from a held-out probe), so only predictions are compared.
+func TestBootstrapMatchesReproTrain(t *testing.T) {
+	const n, iters = 32, 10
+	reg := serve.NewRegistry()
+	resources := plan.ResourceKinds()
+	if err := bootstrapSchema(reg, "tpch", n, iters, 0, resources); err != nil {
+		t.Fatal(err)
+	}
+	train, err := repro.GenerateWorkload(repro.WorkloadOptions{Schema: "tpch", N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repro.Execute(train)
+	want, err := repro.TrainSet(train, repro.TrainOptions{BoostingIterations: iters}, resources...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := repro.GenerateWorkload(repro.WorkloadOptions{Schema: "tpch", N: 16, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resources {
+		got, _, ok := reg.CurrentEstimator("tpch", r)
+		if !ok {
+			t.Fatalf("bootstrap published no %s model", r)
+		}
+		for _, q := range append(train, probe...) {
+			if g, w := got.PredictPlan(q.Plan), want[i].EstimateQuery(q); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: bootstrap predicts %v, repro.TrainSet %v", r, g, w)
+			}
+		}
 	}
 }

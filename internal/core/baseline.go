@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sort"
 
 	"repro/internal/plan"
@@ -53,22 +52,4 @@ func (e *Estimator) EvalPlans(plans []*plan.Plan) ErrorBaseline {
 func (e *Estimator) SetBaseline(plans []*plan.Plan) {
 	b := e.EvalPlans(plans)
 	e.Baseline = &b
-}
-
-// TrainFromObservations is the feedback loop's retraining entry point:
-// it trains an estimator on executed plans recovered from the
-// observation log and stamps the training-time baseline the drift
-// detector needs. The scale table is all-linear — the §6.2 selection
-// sweep requires a live engine to probe, which logged production plans
-// cannot provide — matching the repro.Train SkipScaleSelection path.
-func TrainFromObservations(plans []*plan.Plan, r plan.ResourceKind, cfg Config) (*Estimator, error) {
-	if len(plans) == 0 {
-		return nil, errors.New("core: no observations to train from")
-	}
-	est, err := Train(plans, r, NewScaleTable(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	est.SetBaseline(plans)
-	return est, nil
 }

@@ -23,17 +23,18 @@ func executedPlans(t *testing.T, seed uint64, n int) []*plan.Plan {
 	return plans
 }
 
-func TestTrainFromObservationsStampsBaseline(t *testing.T) {
+func TestSetBaselineStampsTrainingError(t *testing.T) {
 	plans := executedPlans(t, 31, 64)
 	cfg := DefaultConfig()
 	cfg.Mart.Iterations = 60
-	est, err := TrainFromObservations(plans, plan.CPUTime, cfg)
+	est, err := Train(plans, plan.CPUTime, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	est.SetBaseline(plans)
 	b := est.Baseline
 	if b == nil {
-		t.Fatal("TrainFromObservations left no baseline")
+		t.Fatal("SetBaseline left no baseline")
 	}
 	if b.N != len(plans) {
 		t.Fatalf("baseline over %d plans, want %d", b.N, len(plans))
@@ -54,8 +55,8 @@ func TestTrainFromObservationsStampsBaseline(t *testing.T) {
 	if empty := est.EvalPlans(nil); empty.N != 0 || empty.Mean != 0 {
 		t.Fatalf("EvalPlans on no plans: %+v", empty)
 	}
-	if _, err := TrainFromObservations(nil, plan.CPUTime, cfg); err == nil {
-		t.Fatal("TrainFromObservations accepted an empty log")
+	if _, err := Train(nil, plan.CPUTime, nil, cfg); err == nil {
+		t.Fatal("Train accepted no plans")
 	}
 }
 
@@ -63,10 +64,11 @@ func TestBaselineSurvivesSaveLoad(t *testing.T) {
 	plans := executedPlans(t, 32, 48)
 	cfg := DefaultConfig()
 	cfg.Mart.Iterations = 40
-	est, err := TrainFromObservations(plans, plan.LogicalIO, cfg)
+	est, err := Train(plans, plan.LogicalIO, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	est.SetBaseline(plans)
 	var buf bytes.Buffer
 	if err := est.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -130,7 +130,7 @@ func TestOutRatio(t *testing.T) {
 
 func TestOperatorModelsSelection(t *testing.T) {
 	samples := filterSamples(300, 7, 1e3, 1e5)
-	om, err := TrainOperator(plan.Filter, plan.CPUTime, samples, NewScaleTable(), fastConfig())
+	om, err := trainOperator(plan.Filter, plan.CPUTime, samples, NewScaleTable(), fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +262,8 @@ func TestDisableScalingMatchesPlainMart(t *testing.T) {
 	samples := filterSamples(150, 9, 1e3, 1e5)
 	cfg := fastConfig()
 	cfg.DisableScaling = true
-	// Train through the estimator path with a single synthetic operator.
-	om, err := trainUnscaled(plan.Filter, plan.CPUTime, samples, cfg)
+	// Train through TrainSet's job list with a single synthetic operator.
+	om, err := trainOperator(plan.Filter, plan.CPUTime, samples, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,8 @@ func CollectSamples(plans []*plan.Plan, r plan.ResourceKind, mode features.Mode)
 }
 
 // Train fits the estimator on executed training plans. The scale table
-// supplies the §6.2-selected scaling-function forms (nil = all linear).
+// supplies the §6.2-selected scaling-function forms (nil = the paper's
+// selection, see TrainSet).
 // Training fans the independent (operator, candidate scale-set) fits
 // across cfg.Workers workers — see TrainSet, which this delegates to —
 // with bit-identical output at any worker count.
@@ -84,20 +85,6 @@ func Train(plans []*plan.Plan, r plan.ResourceKind, t *ScaleTable, cfg Config) (
 		return nil, err
 	}
 	return ests[r], nil
-}
-
-// trainUnscaled trains only the no-scaling candidate (plain MART).
-func trainUnscaled(op plan.OpKind, r plan.ResourceKind, samples []Sample, cfg Config) (*OperatorModels, error) {
-	m, err := TrainCombined(op, r, nil, samples, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &OperatorModels{
-		Op: op, Resource: r,
-		Candidates: []*CombinedModel{m},
-		Default:    m,
-		NSamples:   len(samples),
-	}, nil
 }
 
 // PredictNode estimates one operator's resource usage. parent may be

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/features"
 	"repro/internal/plan"
@@ -123,29 +121,6 @@ type OperatorModels struct {
 	NSamples   int
 }
 
-// TrainOperator trains all candidate combined models for one operator
-// from its samples and selects the default (§6.1: the candidate with the
-// minimum estimation error on the training queries). The candidate fits
-// are independent and fan out across cfg.Workers workers; the selection
-// walks the results in candidate order, so the outcome is identical at
-// any worker count.
-func TrainOperator(op plan.OpKind, r plan.ResourceKind, samples []Sample,
-	t *ScaleTable, cfg Config) (*OperatorModels, error) {
-
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: no samples for %s", op)
-	}
-	var jobs []fitJob
-	for _, scales := range candidateScaleSets(op, r, t) {
-		jobs = append(jobs, fitJob{op: op, resource: r, scales: scales, samples: samples})
-	}
-	models, err := runFitJobs(jobs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return assembleOperator(op, r, len(samples), models), nil
-}
-
 // Select picks the model for a feature vector per §6.3: the default if
 // all its features are in the training range, otherwise the candidate
 // with the smallest maximum out-ratio, ties broken by fewer scale
@@ -212,14 +187,4 @@ func (om *OperatorModels) selectWith(v *features.Vector, scratch *[]float64) int
 // model per vector.
 func (om *OperatorModels) PredictVector(v *features.Vector) float64 {
 	return om.Select(v).PredictVector(v)
-}
-
-// CandidateNames lists the trained candidates (for reports/debugging).
-func (om *OperatorModels) CandidateNames() []string {
-	out := make([]string, len(om.Candidates))
-	for i, c := range om.Candidates {
-		out[i] = c.Name()
-	}
-	sort.Strings(out)
-	return out
 }

@@ -66,7 +66,7 @@ func operatorModelsFixture(t *testing.T) (*OperatorModels, []Sample) {
 	}
 	tcfg := DefaultConfig()
 	tcfg.Mart.Iterations = 80
-	om, err := TrainOperator(plan.HashJoin, plan.CPUTime, samples, NewScaleTable(), tcfg)
+	om, err := trainOperator(plan.HashJoin, plan.CPUTime, samples, NewScaleTable(), tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,11 +94,6 @@ func SingleKinds() []ScaleKind {
 	return []ScaleKind{ScaleLinear, ScaleNLogN, ScaleLog, ScaleSqrt, ScaleQuadratic}
 }
 
-// PairKinds lists the two-input candidate forms for join operators.
-func PairKinds() []ScaleKind {
-	return []ScaleKind{ScaleSum2, ScaleProd2, ScaleXLogY}
-}
-
 // ScaleFn is a concrete scaling function bound to one or two features.
 type ScaleFn struct {
 	Kind ScaleKind

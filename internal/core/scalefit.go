@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/features"
@@ -216,6 +217,16 @@ func SelectScaleFunctions(eng *engine.Engine, b *workload.Builder) *ScaleTable {
 		RunSweep(eng, workload.SweepSort(b, workload.GeometricSizes(1e5, 5e6, 10), 200, 2)))
 	return t
 }
+
+// selectedScales is the table a nil-table TrainSet trains with: the
+// §6.2 selection on the default engine, mirrored onto IndexScan. The
+// sweep is a pure function of that engine and the fixed tpch sweep
+// builder, so one run serves the whole process. Callers only read it.
+var selectedScales = sync.OnceValue(func() *ScaleTable {
+	t := SelectScaleFunctions(engine.New(nil), workload.NewBuilder(workload.DBFor("tpch", 2, 1), 1))
+	t.MirrorScanKinds()
+	return t
+})
 
 // MirrorScanKinds copies TableScan selections onto IndexScan (the same
 // asymptotics apply; the paper trains per physical operator but our

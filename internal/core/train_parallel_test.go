@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/plan"
+	"repro/internal/workload"
 )
 
 // saveBytes serializes an estimator — the full model set, MART
@@ -76,6 +78,35 @@ func TestTrainSetMatchesIndividualTrain(t *testing.T) {
 	}
 }
 
+// TestNilScaleTableIsSelection pins what a nil table means: the §6.2
+// selection on the default engine, mirrored onto IndexScan, which is
+// not the all-linear table.
+func TestNilScaleTableIsSelection(t *testing.T) {
+	plans := execPlans(35, 48)
+	cfg := DefaultConfig()
+	cfg.Mart.Iterations = 20
+	resources := []plan.ResourceKind{plan.CPUTime, plan.LogicalIO}
+	selected := SelectScaleFunctions(engine.New(nil), workload.NewBuilder(workload.DBFor("tpch", 2, 1), 1))
+	selected.MirrorScanKinds()
+
+	train := func(tbl *ScaleTable) map[plan.ResourceKind]*Estimator {
+		set, err := TrainSet(plans, resources, tbl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
+	implicit, explicit, linear := train(nil), train(selected), train(NewScaleTable())
+	for _, r := range resources {
+		if !bytes.Equal(saveBytes(t, implicit[r]), saveBytes(t, explicit[r])) {
+			t.Errorf("%s: nil table trains a different model than the selected table", r)
+		}
+	}
+	if bytes.Equal(saveBytes(t, implicit[plan.CPUTime]), saveBytes(t, linear[plan.CPUTime])) {
+		t.Error("nil table trains the all-linear CPU model")
+	}
+}
+
 // TestTrainSetRejectsBadInputs covers the validation surface of the
 // multi-resource entry point.
 func TestTrainSetRejectsBadInputs(t *testing.T) {
@@ -112,7 +143,7 @@ func TestTrainOperatorBitIdenticalAcrossWorkers(t *testing.T) {
 	var want *OperatorModels
 	for _, w := range []int{1, 2, 7} {
 		cfg.Workers = w
-		om, err := TrainOperator(plan.TableScan, plan.CPUTime, samples, NewScaleTable(), cfg)
+		om, err := trainOperator(plan.TableScan, plan.CPUTime, samples, NewScaleTable(), cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

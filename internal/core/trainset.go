@@ -15,6 +15,11 @@ import (
 // — this is the bootstrap/retrain path that saturates the machine
 // instead of sweeping the combinations one core at a time.
 //
+// The scale table supplies each scaled candidate's §6.2 form. A nil
+// table means the paper's selection: the sweep experiments run once per
+// process on the default engine (see selectedScales), and only when
+// scaling is on.
+//
 // Each returned estimator is bit-identical to what a sequential
 // per-resource Train would produce: parallelism moves wall-clock, never
 // models. Baselines are not stamped — callers decide the baseline
@@ -27,8 +32,8 @@ func TrainSet(plans []*plan.Plan, resources []plan.ResourceKind, t *ScaleTable, 
 	if len(resources) == 0 {
 		return nil, errors.New("core: no resources to train")
 	}
-	if t == nil {
-		t = NewScaleTable()
+	if t == nil && !cfg.DisableScaling {
+		t = selectedScales()
 	}
 	// opGroup records which slice of the flattened job list holds one
 	// operator's candidates, so assembly needs no bookkeeping beyond
@@ -59,17 +64,9 @@ func TrainSet(plans []*plan.Plan, resources []plan.ResourceKind, t *ScaleTable, 
 			if !ok {
 				continue
 			}
-			g := opGroup{resource: r, op: op, samples: samples, lo: len(jobs)}
-			if cfg.DisableScaling {
-				// Plain-MART baseline: only the unscaled candidate.
-				jobs = append(jobs, fitJob{op: op, resource: r, samples: samples})
-			} else {
-				for _, scales := range candidateScaleSets(op, r, t) {
-					jobs = append(jobs, fitJob{op: op, resource: r, scales: scales, samples: samples})
-				}
-			}
-			g.hi = len(jobs)
-			groups = append(groups, g)
+			lo := len(jobs)
+			jobs = appendOperatorJobs(jobs, op, r, samples, t, cfg)
+			groups = append(groups, opGroup{resource: r, op: op, samples: samples, lo: lo, hi: len(jobs)})
 		}
 	}
 	models, err := runFitJobs(jobs, cfg)
@@ -98,4 +95,17 @@ func TrainSet(plans []*plan.Plan, resources []plan.ResourceKind, t *ScaleTable, 
 		}
 	}
 	return ests, nil
+}
+
+// appendOperatorJobs appends one operator's candidate fits to jobs:
+// every candidate scale set of t, or under DisableScaling only the
+// unscaled candidate, the plain-MART baseline.
+func appendOperatorJobs(jobs []fitJob, op plan.OpKind, r plan.ResourceKind, samples []Sample, t *ScaleTable, cfg Config) []fitJob {
+	if cfg.DisableScaling {
+		return append(jobs, fitJob{op: op, resource: r, samples: samples})
+	}
+	for _, scales := range candidateScaleSets(op, r, t) {
+		jobs = append(jobs, fitJob{op: op, resource: r, scales: scales, samples: samples})
+	}
+	return jobs
 }

@@ -6,7 +6,7 @@ import "repro/internal/core"
 // error quantile exceeds DriftThreshold × its training-time baseline.
 //
 // The baseline is the error the model achieved on the workload it was
-// trained on (core.ErrorBaseline, stamped by TrainFromObservations and
+// trained on (core.ErrorBaseline, stamped at training time and
 // persisted with the model). Comparing against the model's own
 // training-time accuracy — rather than a fixed absolute error bar —
 // makes the detector robust across resources and workloads: a CPU model

@@ -51,10 +51,11 @@ func trainStale(t testing.TB, pub *stubPublisher, plans []*plan.Plan) *core.Esti
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Mart.Iterations = 50
-	est, err := core.TrainFromObservations(plans, plan.CPUTime, cfg)
+	est, err := core.Train(plans, plan.CPUTime, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	est.SetBaseline(plans)
 	pub.PublishEstimator("tpch", est)
 	return est
 }

@@ -96,15 +96,15 @@ func (l *Loop) retrainOnce(key routeKey, cur *core.Estimator, curVersion uint64,
 		// cardinalities must be replaced by one trained the same way.
 		cfg.Mode = cur.Mode
 	}
-	cand, err := core.TrainFromObservations(trainPlans, key.resource, cfg)
+	cand, err := core.Train(trainPlans, key.resource, nil, cfg)
 	if err != nil {
 		l.opts.logf("feedback: %s/%s retrain failed: %v", key.schema, key.resource, err)
 		return false, 0, math.Inf(1)
 	}
-	// Re-stamp the baseline from the held-out slice: the in-sample
-	// snapshot TrainFromObservations leaves understates real error
-	// (MART fits its own training data well), which would make the next
-	// drift cycle hair-triggered on a perfectly stationary workload.
+	// Stamp the baseline from the held-out slice: an in-sample snapshot
+	// understates real error (MART fits its own training data well),
+	// which would make the next drift cycle hair-triggered on a
+	// perfectly stationary workload.
 	cand.SetBaseline(holdout)
 
 	holdErr = meanHoldoutError(cand, holdout, key.resource)

@@ -129,10 +129,6 @@ type TrainOptions struct {
 	BoostingIterations int
 	// DisableScaling reduces the estimator to the plain MART baseline.
 	DisableScaling bool
-	// SkipScaleSelection skips the §6.2 sweep experiments and uses
-	// linear scaling everywhere (faster training, slightly less accurate
-	// extrapolation for sorts and nested loops).
-	SkipScaleSelection bool
 	// Workers bounds the training worker pool: the independent
 	// (operator, resource, candidate scale-set) MART fits fan out
 	// across it, with spare workers flowing down into the tree-level
@@ -190,14 +186,7 @@ func TrainSet(queries []*Query, opts TrainOptions, resources ...Resource) ([]*Es
 	}
 	cfg.DisableScaling = opts.DisableScaling
 	cfg.Workers = opts.Workers
-	table := core.NewScaleTable()
-	if !opts.SkipScaleSelection && !opts.DisableScaling {
-		eng := engine.New(nil)
-		b := workload.NewBuilder(workload.DBFor("tpch", 2, 1), 1)
-		table = core.SelectScaleFunctions(eng, b)
-		table.MirrorScanKinds()
-	}
-	inner, err := core.TrainSet(plans, resources, table, cfg)
+	inner, err := core.TrainSet(plans, resources, nil, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func trainTestSplit(t *testing.T, n int) (train, test []*Query) {
 }
 
 func quickOpts() TrainOptions {
-	return TrainOptions{Resource: CPUTime, BoostingIterations: 100, SkipScaleSelection: true}
+	return TrainOptions{Resource: CPUTime, BoostingIterations: 100}
 }
 
 func TestGenerateWorkloadSchemas(t *testing.T) {
