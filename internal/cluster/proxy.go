@@ -33,7 +33,7 @@ func send(ctx context.Context, rp *replica, method, pathQuery string, hdr http.H
 		}
 	}
 	if id := serve.RequestIDFrom(ctx); id != "" {
-		req.Header.Set("X-Request-ID", id)
+		req.Header.Set(serve.RequestIDHeader, id)
 	}
 	return rp.httpc.Do(req)
 }

@@ -92,6 +92,14 @@ func (v *Vector) Set(id ID, x float64) { v[id] = x }
 // operator). The mode selects true or estimated cardinalities.
 func Extract(n *plan.Node, parent *plan.Node, mode Mode) Vector {
 	var v Vector
+	ExtractInto(&v, n, parent, mode)
+	return v
+}
+
+// ExtractInto is Extract writing the vector to *v, every feature of it,
+// in place — for a caller whose vector lives inside a larger value.
+func ExtractInto(v *Vector, n *plan.Node, parent *plan.Node, mode Mode) {
+	*v = Vector{}
 	out := n.Out
 	if mode == Estimated {
 		out = n.EstOut
@@ -160,7 +168,6 @@ func Extract(n *plan.Node, parent *plan.Node, mode Mode) Vector {
 	if n.Kind == plan.MergeJoin {
 		v[SInSum] = inBytesSum
 	}
-	return v
 }
 
 // ExtractPlan extracts the feature vector of every node of p in preorder,

@@ -26,12 +26,15 @@ func driftBaseline(est *core.Estimator) float64 {
 	return minBaselineError
 }
 
-// drifting evaluates the detector for one route. Caller holds l.mu.
-func (l *Loop) drifting(st *routeState, est *core.Estimator) bool {
+// drift evaluates the detector for one route: whether it is drifting,
+// and the window's driftQuantile it judged by (0 below minWindow).
+// Caller holds l.mu.
+func (l *Loop) drift(st *routeState, est *core.Estimator) (bool, float64) {
 	if st.window.Len() < minWindow {
-		return false
+		return false, 0
 	}
-	return st.window.Quantile(driftQuantile) > l.opts.DriftThreshold*driftBaseline(est)
+	recent := st.window.Quantile(driftQuantile)
+	return recent > l.opts.DriftThreshold*driftBaseline(est), recent
 }
 
 // retrainEligible reports whether a drift finding should start a

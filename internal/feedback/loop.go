@@ -99,7 +99,8 @@ type Served struct {
 	// the serving layer's lookup and ingest). Zero means none served.
 	Version uint64
 	// Operators are the predictions for the plan's nodes in preorder,
-	// bit-identical to the model's Estimator.PredictVector.
+	// bit-identical to the model's Estimator.PredictVector. Like Wire,
+	// they stay the caller's: ingest reads them during the call only.
 	Operators []float64
 	// Wire, when not nil, is the JSON the observation's plan was
 	// decoded from; the log records these bytes instead of re-encoding
@@ -191,7 +192,6 @@ func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 	if l.opts.Publisher != nil {
 		est, version, _ = l.opts.Publisher.CurrentEstimator(obs.Schema, obs.Resource)
 	}
-	var opErrs []opSample
 	predicted := obs.Predicted
 	// A report carrying a prediction from a version that has since been
 	// replaced (in-flight executions straddling a hot-swap) must not be
@@ -202,29 +202,24 @@ func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 	if predicted > 0 && obs.ModelVersion != 0 && version != 0 && obs.ModelVersion != version {
 		predicted = 0
 	}
-	var vecs []features.Vector
+	// The per-operator samples of a plan of up to len(opBuf) operators
+	// stay on the stack.
+	var opBuf [32]opSample
+	var opErrs []opSample
 	if est != nil {
-		var sum float64
-		nodes := obs.Plan.Nodes()
-		preds := served.Operators
-		if served.Version != version || len(preds) != len(nodes) {
-			vecs = features.ExtractPlan(obs.Plan, est.Mode)
-			preds = nil
+		sc := opScorer{est: est, res: obs.Resource}
+		if served.Version == version {
+			sc.preds = served.Operators
 		}
-		opErrs = make([]opSample, 0, len(nodes))
-		for i, n := range nodes {
-			var pred float64
-			if preds != nil {
-				pred = preds[i]
-			} else {
-				pred = est.PredictVector(n.Kind, &vecs[i])
-			}
-			act := n.Actual.Get(obs.Resource)
-			sum += pred
-			opErrs = append(opErrs, opSample{kind: n.Kind, err: stats.L1RelErr(pred, act), pred: pred, act: act})
+		var ok bool
+		if opErrs, ok = sc.walk(opBuf[:0], obs.Plan.Root, nil); !ok || sc.preds != nil && len(opErrs) != len(sc.preds) {
+			// The served predictions do not fit the plan: score it
+			// against the model instead.
+			sc = opScorer{est: est, res: obs.Resource}
+			opErrs, _ = sc.walk(opBuf[:0], obs.Plan.Root, nil)
 		}
 		if predicted <= 0 {
-			predicted = sum
+			predicted = sc.sum
 		}
 	}
 
@@ -288,13 +283,12 @@ func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 	}
 	st.push(obs, l.bufferCap())
 	if check && !l.closed && st.count%checkEvery == 0 {
-		st.drifting = l.drifting(st, est)
+		st.drifting, recentQ = l.drift(st, est)
 		if st.drifting && l.retrainEligible(st) {
 			st.retraining = true
 			st.lastAttempt = st.count
 			startRetrain = true
 			retrainObs = st.buffered()
-			recentQ = st.window.Quantile(driftQuantile)
 			// Register the retrain while still holding the mutex: Close
 			// flips closed under the same mutex before it waits on the
 			// WaitGroup, so either this Add is visible to that Wait or
@@ -329,9 +323,7 @@ func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 				e.Plan = wire
 			}
 			if est != nil {
-				if vecs == nil { // scored from served predictions
-					vecs = features.ExtractPlan(obs.Plan, est.Mode)
-				}
+				vecs := features.ExtractPlan(obs.Plan, est.Mode)
 				e.Nodes = make([]ExemplarNode, 0, len(opErrs))
 				for i := range opErrs {
 					e.Nodes = append(e.Nodes, ExemplarNode{
@@ -357,6 +349,45 @@ type opSample struct {
 	kind      plan.OpKind
 	err       float64
 	pred, act float64
+}
+
+// opScorer scores an observed plan's operators in one preorder walk:
+// each node's prediction — the served one, or the model's when preds is
+// nil — against its actual, with the predictions' sum.
+type opScorer struct {
+	est   *core.Estimator
+	res   plan.ResourceKind
+	preds []float64
+	sum   float64
+}
+
+// walk appends the samples of n and every node below it to out; parent
+// is n's parent, nil at the root. It reports false when the served
+// predictions run out before the plan does.
+func (s *opScorer) walk(out []opSample, n, parent *plan.Node) ([]opSample, bool) {
+	if n == nil {
+		return out, true
+	}
+	var pred float64
+	if s.preds != nil {
+		if len(out) == len(s.preds) {
+			return out, false
+		}
+		pred = s.preds[len(out)]
+	} else {
+		v := features.Extract(n, parent, s.est.Mode)
+		pred = s.est.PredictVector(n.Kind, &v)
+	}
+	act := n.Actual.Get(s.res)
+	s.sum += pred
+	out = append(out, opSample{kind: n.Kind, err: stats.L1RelErr(pred, act), pred: pred, act: act})
+	for _, c := range n.Children {
+		var ok bool
+		if out, ok = s.walk(out, c, n); !ok {
+			return out, false
+		}
+	}
+	return out, true
 }
 
 // factorError is the symmetric multiplicative miss of a prediction:

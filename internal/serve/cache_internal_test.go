@@ -608,12 +608,14 @@ func BenchmarkBatchPredictionsMiss(b *testing.B) {
 			ms := *found
 			run := func() {
 				ms.versions[plan.CPUTime]++
-				ps, _, _ := svc.batchPredictions(&ms, plans)
-				for i := range ps {
-					if ps[i].hit {
+				sc := getScratch()
+				svc.batchPredictions(&ms, plans, sc, false)
+				for i := range sc.ps {
+					if sc.ps[i].hit {
 						b.Fatal("a key under a fresh version hit")
 					}
 				}
+				putScratch(sc)
 			}
 			for i := 0; i < 16; i++ { // fill the cache
 				run()

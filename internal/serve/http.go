@@ -288,17 +288,22 @@ func wantsExplain(r *http.Request) bool {
 // reqIDKey keys the request ID in a request context.
 type reqIDKey struct{}
 
+// RequestIDHeader is the request-ID header's name in net/http's
+// canonical spelling, which Header.Get and Header.Set take as is; any
+// other spelling they rewrite, allocating, on every call.
+const RequestIDHeader = "X-Request-Id"
+
 // WithRequestID gives every request an ID — X-Request-ID when the
 // client sent one, a generated ID otherwise — echoes it on the response
 // header, and stores it in the request context for error envelopes,
 // traces, and the router's hop to a replica.
 func WithRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
+		id := r.Header.Get(RequestIDHeader)
 		if id == "" {
 			id = obs.NewRequestID()
 		}
-		w.Header().Set("X-Request-ID", id)
+		w.Header().Set(RequestIDHeader, id)
 		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), reqIDKey{}, id)))
 	})
 }
@@ -658,8 +663,11 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// per-operator predictions in the cache; the loop scores against
 	// those instead of walking the model again. The log records the
 	// plan's bytes as the body carried them rather than re-encoding p;
-	// they alias buf, which outlives the call.
-	served := s.servedPredictions(env.Schema, kinds, p)
+	// they alias buf, and the predictions alias the pooled sc, both of
+	// which outlive the call.
+	sc := getScratch()
+	defer putScratch(sc)
+	served := s.servedPredictions(env.Schema, kinds, p, sc)
 	served.Wire = env.Plan
 	err = loop.ObserveServed(&feedback.Observation{
 		Schema:       env.Schema,

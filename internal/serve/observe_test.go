@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/features"
@@ -387,6 +388,176 @@ func TestObserveScoresFromCache(t *testing.T) {
 		}
 	}
 	t.Logf("%d plans, %d operators: every observe scored from the cache", len(testPlans), operators)
+}
+
+// TestObserveFromCacheMatchesModel sends every plan of a drifted
+// workload through POST /estimate and then POST /observe, so the
+// handler scores from the predictions the cache serves, while two
+// goroutines keep single and multi-resource batch estimates of other
+// plans running through the same pooled buffers. The loop the handler
+// fed must end where a second loop, fed the same observations through
+// Loop.Observe and so scoring from the model, ends — route windows,
+// per-operator windows, error histograms, coverage counters and
+// exemplars, bit for bit.
+func TestObserveFromCacheMatchesModel(t *testing.T) {
+	altSetup(t)
+	reg := serve.NewRegistry()
+	newLoop := func() *feedback.Loop {
+		l, err := feedback.New(feedback.Options{Publisher: reg, DriftThreshold: 1e9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	viaHTTP, direct := newLoop(), newLoop()
+	svc := newService(t, serve.Options{Registry: reg, Feedback: viaHTTP})
+	h := svc.Handler()
+	info := reg.Publish("tpch", cpuEst)
+	reg.Publish("tpch", ioEst)
+	post := func(path string, body []byte, id string) (int, string) {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		if id != "" {
+			req.Header.Set(serve.RequestIDHeader, id)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+
+	plans := driftedWorkload(t, 94, 40, 1.5)
+	estimate, _, _ := benchBodies(t, plans)
+	others, _, batch := benchBodies(t, driftedWorkload(t, 95, 16, 1))
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for _, bg := range []struct {
+		path   string
+		bodies [][]byte
+	}{{"/estimate/batch", [][]byte{batch}}, {"/estimate", others}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if code, body := post(bg.path, bg.bodies[i%len(bg.bodies)], ""); code != http.StatusOK {
+					errs <- fmt.Errorf("%s: %d %s", bg.path, code, body)
+					return
+				}
+			}
+		}()
+	}
+
+	for i, p := range plans {
+		if code, body := post("/estimate", estimate[i], ""); code != http.StatusOK {
+			t.Fatalf("estimate %d: %d %s", i, code, body)
+		}
+		// Every other report leaves the plan's total to the loop, which
+		// then sums the per-operator predictions.
+		var predicted float64
+		if i%2 == 0 {
+			predicted = cpuEst.PredictPlan(p)
+		}
+		id := fmt.Sprintf("req-%d", i)
+		if code, body := post("/observe", observeBody(t, info.Version, predicted, p), id); code != http.StatusAccepted {
+			t.Fatalf("observe %d: %d %s", i, code, body)
+		}
+		enc, err := plan.EncodeJSON(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := plan.DecodeJSON(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := direct.Observe(&feedback.Observation{Schema: "tpch", Resource: plan.CPUTime,
+			ModelVersion: info.Version, Predicted: predicted, Plan: own, RequestID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+
+	got, gotJSON := loopState(t, viaHTTP)
+	want, wantJSON := loopState(t, direct)
+	if !reflect.DeepEqual(got, want) || !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("POST /observe left the loop at\n%s\nLoop.Observe at\n%s", gotJSON, wantJSON)
+	}
+	routes := viaHTTP.Snapshot()
+	if len(routes) != 1 || routes[0].Observations != uint64(len(plans)) || len(routes[0].PerOperator) == 0 ||
+		routes[0].Coverage == nil || routes[0].ErrorLogRatio.Count == 0 {
+		t.Fatalf("the sequence did not exercise the loop: %s", gotJSON)
+	}
+}
+
+// TestObserveAllocs pins what a warm POST /observe allocates, its
+// request and recorder built beforehand: 22 at the time of writing.
+// What remains, per request:
+//   - WithRequestID: the generated ID, its boxing into the context
+//     value, the context, and the request copy that carries it;
+//   - the response: the header map's first group and the X-Request-Id
+//     and Content-Type values;
+//   - the recorder: its header snapshot and its body buffer;
+//   - reading: the body's MaxBytesReader;
+//   - decoding: the plan, its tag, one node-arena chunk, each leaf's
+//     table name and, for some bodies, the resource name;
+//   - the cache multi-get: its shard grouping;
+//   - the feedback loop: its copy of the observation, which the
+//     retraining buffer keeps.
+//
+// The probes, feature vectors and per-operator predictions come from a
+// pool, the route's model set is built at publish, and the loop scores
+// the plan without a node list, so none of them may allocate again.
+func TestObserveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	setup(t)
+	reg := serve.NewRegistry()
+	loop, err := feedback.New(feedback.Options{Dir: t.TempDir(), Publisher: reg, DriftThreshold: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loop.Close() })
+	svc := newService(t, serve.Options{Registry: reg, Feedback: loop})
+	reg.Publish("tpch", cpuEst)
+	h := svc.Handler()
+	_, observe, _ := benchBodies(t, testPlans)
+	const runs = 200
+	reqs := make([]*http.Request, 0, runs+1+40*len(observe))
+	recs := make([]*httptest.ResponseRecorder, 0, cap(reqs))
+	for i := 0; i < cap(reqs); i++ {
+		reqs = append(reqs, httptest.NewRequest(http.MethodPost, "/observe", bytes.NewReader(observe[i%len(observe)])))
+		recs = append(recs, httptest.NewRecorder())
+	}
+	next := 0
+	serveNext := func() {
+		h.ServeHTTP(recs[next], reqs[next])
+		if recs[next].Code != http.StatusAccepted {
+			t.Fatalf("observe: %d %s", recs[next].Code, recs[next].Body)
+		}
+		next++
+	}
+	// Warm the pools and the cache, and fill the exemplar store with the
+	// worst of these plans so none of them qualifies any more.
+	for next < 40*len(observe) {
+		serveNext()
+	}
+	const want = 22
+	allocs := testing.AllocsPerRun(runs, serveNext)
+	t.Logf("POST /observe: %.0f allocations", allocs)
+	if allocs > want+2 {
+		t.Fatalf("POST /observe allocates %.0f times, want at most %d", allocs, want+2)
+	}
 }
 
 // BenchmarkHandleEstimate, BenchmarkHandleObserve and

@@ -78,6 +78,10 @@ type ModelInfo struct {
 type Model struct {
 	Info ModelInfo
 	Est  *core.Estimator
+	// one is what a single-resource request for this model resolves
+	// to, built once at publish; nil on a Model built elsewhere, whose
+	// requests build their set per lookup.
+	one *modelSet
 }
 
 // Registry holds the live model set with per-schema routing and atomic
@@ -191,6 +195,11 @@ func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool,
 		TrainSamples: est.TrainSamples(),
 	}
 	m := &Model{Info: info, Est: est}
+	if est.Resource.Valid() {
+		var models [plan.NumResources]*Model
+		models[est.Resource] = m
+		m.one, _ = newModelSet([]plan.ResourceKind{est.Resource}, &models)
+	}
 	key := ModelKey{Schema: schema, Resource: est.Resource}
 
 	r.mu.RLock()

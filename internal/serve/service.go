@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -339,24 +340,37 @@ func normalizeResources(single plan.ResourceKind, set []plan.ResourceKind) ([]pl
 }
 
 // lookupModels routes a request's resource set through the registry and
-// builds the shared-extraction estimator fan-out.
+// builds the shared-extraction estimator fan-out. A single-resource
+// request gets the set its model carries, built once at publish.
 func (s *Service) lookupModels(schema string, kinds []plan.ResourceKind) (*modelSet, error) {
-	ms := &modelSet{kinds: kinds}
-	ests := make([]*core.Estimator, 0, len(kinds))
+	var models [plan.NumResources]*Model
 	for _, k := range kinds {
 		m, ok := s.reg.Lookup(schema, k)
 		if !ok {
 			return nil, fmt.Errorf("%w: schema %q resource %s", ErrNoModel, schema, k)
 		}
-		ms.models[k] = m
-		ms.versions[k] = m.Info.Version
-		ests = append(ests, m.Est)
+		if len(kinds) == 1 && m.one != nil {
+			return m.one, nil
+		}
+		models[k] = m
+	}
+	ms, err := newModelSet(kinds, &models)
+	if errors.Is(err, core.ErrModeMismatch) {
+		return nil, fmt.Errorf("%w (schema %q)", ErrModeMismatch, schema)
+	}
+	return ms, err
+}
+
+// newModelSet builds the set that serves kinds from their models.
+func newModelSet(kinds []plan.ResourceKind, models *[plan.NumResources]*Model) (*modelSet, error) {
+	ms := &modelSet{kinds: kinds, models: *models}
+	ests := make([]*core.Estimator, 0, len(kinds))
+	for _, k := range kinds {
+		ms.versions[k] = models[k].Info.Version
+		ests = append(ests, models[k].Est)
 	}
 	set, err := core.NewEstimatorSet(ests...)
 	if err != nil {
-		if errors.Is(err, core.ErrModeMismatch) {
-			return nil, fmt.Errorf("%w (schema %q)", ErrModeMismatch, schema)
-		}
 		return nil, err
 	}
 	ms.est = set
@@ -541,7 +555,7 @@ func (s *Service) runJob(j *job) {
 		start = time.Now()
 		tel.rec(j.ep, obs.StageQueue, start.Sub(j.enq), j.tr)
 	}
-	res, probe := s.estimatePlans(j.models, j.plans)
+	res, probe := s.estimatePlans(j.models, j.plans, tel != nil)
 	if tel != nil {
 		tel.rec(j.ep, obs.StageCacheProbe, probe, j.tr)
 		tel.rec(j.ep, obs.StagePredict, time.Since(start)-probe, j.tr)
@@ -729,11 +743,14 @@ func (s *Service) EstimateStream(ctx context.Context, req BatchRequest, coalesce
 
 // estimatePlans is what a worker does with a job: the batched compute,
 // then per plan the assembly of its estimate under the shared model
-// header, with the count of its operators the cache answered. Also
-// returns the time spent in the cache multi-get, the job's cache_probe
-// stage.
-func (s *Service) estimatePlans(ms *modelSet, plans []*plan.Plan) ([]Response, time.Duration) {
-	ps, offs, probeTime := s.batchPredictions(ms, plans)
+// header, with the count of its operators the cache answered. With
+// timed set it also returns the time spent in the cache multi-get, the
+// job's cache_probe stage.
+func (s *Service) estimatePlans(ms *modelSet, plans []*plan.Plan, timed bool) ([]Response, time.Duration) {
+	sc := getScratch()
+	defer putScratch(sc)
+	probeTime := s.batchPredictions(ms, plans, sc, timed)
+	ps, offs := sc.ps, sc.offs
 	out := make([]Response, len(plans))
 	for pi, p := range plans {
 		own := ps[offs[pi]:offs[pi+1]]
@@ -756,35 +773,89 @@ func (s *Service) estimatePlans(ms *modelSet, plans []*plan.Plan) ([]Response, t
 	return out, probeTime
 }
 
+// scratch is one computation's per-operator working state: the probes
+// (one per node of every plan, flat, in preorder, plan pi's at
+// ps[offs[pi]:offs[pi+1]]), the batch of distinct misses handed to the
+// model, and servedPredictions' per-operator values. Every computed
+// path takes one from scratchPool and hands it back with putScratch
+// once nothing reads it — estimatePlans after assembly, POST /observe
+// after the feedback loop has ingested — so a warm service allocates
+// none of it per request.
+type scratch struct {
+	ps        []probe
+	offs      []int
+	seen      map[uint64]int32
+	missKinds []plan.OpKind
+	missVecs  []features.Vector
+	missVals  []plan.Resources
+	preds     []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{seen: make(map[uint64]int32)} }}
+
+// maxPooledProbes bounds the scratch the pool keeps: one a large batch
+// grew past it (about 1 MiB of probes) is dropped, not kept.
+const maxPooledProbes = 4096
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch hands sc back to the pool, first clearing its probes' node
+// pointers so a pooled scratch never keeps a request's plan alive.
+func putScratch(sc *scratch) {
+	if cap(sc.ps) > maxPooledProbes {
+		return
+	}
+	for i := range sc.ps {
+		sc.ps[i].node = nil
+	}
+	scratchPool.Put(sc)
+}
+
+// appendProbes appends a probe for n and one for every node below it,
+// in preorder: each node's feature vector, cache key and hash are built
+// in place in its probe, in the one pass over the plan the compute
+// makes. parent is n's parent, nil at the root.
+func appendProbes(ps []probe, n, parent *plan.Node, versions *Versions, mode features.Mode) []probe {
+	if n == nil {
+		return ps
+	}
+	ps = append(ps, probe{node: n, key: cacheKey{versions: *versions, op: n.Kind}})
+	pr := &ps[len(ps)-1]
+	features.ExtractInto(&pr.key.vec, n, parent, mode)
+	pr.hash = pr.key.hash()
+	for _, c := range n.Children {
+		ps = appendProbes(ps, c, n, versions, mode)
+	}
+	return ps
+}
+
 // batchPredictions is the one compute under every estimate and under
-// /observe's scoring: one flat feature extraction over every node of
-// every plan, one multi-get against the sharded cache, one
+// /observe's scoring: one preorder pass over every plan building its
+// nodes' probes into sc, one multi-get against the sharded cache, one
 // EstimatorSet.PredictAllBatch over the misses (grouped by operator
 // onto the compiled tree slabs, fanned out across the requested
-// resources), one multi-put back. Returns the per-node probes (flat,
-// plan pi's nodes at ps[offs[pi]:offs[pi+1]], each holding its
-// prediction and whether the cache supplied it) and the time spent in
-// the cache multi-get (two clock reads per call, negligible even with
-// telemetry disabled).
-func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (ps []probe, offs []int, probeTime time.Duration) {
+// resources), one multi-put back. It leaves the per-node probes in sc,
+// each holding its prediction and whether the cache supplied it, and
+// with timed set returns the time spent in the cache multi-get.
+func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan, sc *scratch, timed bool) (probeTime time.Duration) {
 	set := ms.est
-	vecs, offs := features.ExtractPlans(plans, set.Mode)
-	ps = make([]probe, len(vecs))
-	for pi, p := range plans {
-		j := offs[pi]
-		p.Walk(func(n *plan.Node) {
-			ps[j].node = n
-			ps[j].key = cacheKey{versions: ms.versions, op: n.Kind, vec: vecs[j]}
-			ps[j].hash = ps[j].key.hash()
-			j++
-		})
+	ps, offs := sc.ps[:0], sc.offs[:0]
+	for _, p := range plans {
+		offs = append(offs, len(ps))
+		ps = appendProbes(ps, p.Root, nil, &ms.versions, set.Mode)
+	}
+	sc.ps, sc.offs = ps, append(offs, len(ps))
+
+	var probeStart time.Time
+	if timed {
+		probeStart = time.Now()
+	}
+	hits, shards := s.cache.GetMulti(ps)
+	if timed {
+		probeTime = time.Since(probeStart)
 	}
 
-	probeStart := time.Now()
-	hits, shards := s.cache.GetMulti(ps)
-	probeTime = time.Since(probeStart)
-
-	if miss := len(ps) - hits; miss > 0 {
+	if len(ps) > hits {
 		// Deduplicate identical (versions, op, vector) misses before
 		// predicting: production batches repeat operator shapes (the
 		// same scans under different queries), and with caching
@@ -793,9 +864,9 @@ func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (ps []probe
 		// every duplicate is exact. seen maps a hash to a miss holding a
 		// slot; a later miss under that hash shares the slot only when
 		// the two keys are equal, so keys that collide are each predicted.
-		seen := make(map[uint64]int32, miss)
-		missKinds := make([]plan.OpKind, 0, miss)
-		missVecs := make([]features.Vector, 0, miss)
+		seen := sc.seen
+		clear(seen)
+		missKinds, missVecs := sc.missKinds[:0], sc.missVecs[:0]
 		for i := range ps {
 			if ps[i].hit {
 				continue
@@ -807,9 +878,11 @@ func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (ps []probe
 			seen[ps[i].hash] = int32(i)
 			ps[i].slot = int32(len(missKinds))
 			missKinds = append(missKinds, ps[i].key.op)
-			missVecs = append(missVecs, vecs[i])
+			missVecs = append(missVecs, ps[i].key.vec)
 		}
-		missVals := set.PredictAllBatch(missKinds, missVecs, nil)
+		sc.missKinds, sc.missVecs = missKinds, missVecs
+		sc.missVals = slices.Grow(sc.missVals[:0], len(missKinds))[:len(missKinds)]
+		missVals := set.PredictAllBatch(missKinds, missVecs, sc.missVals)
 		for i := range ps {
 			if !ps[i].hit {
 				ps[i].val = missVals[ps[i].slot]
@@ -817,7 +890,7 @@ func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (ps []probe
 		}
 		s.cache.PutMulti(ps, shards)
 	}
-	return ps, offs, probeTime
+	return probeTime
 }
 
 // assemble builds one plan's estimate from its per-node predictions
@@ -885,18 +958,20 @@ func (ms *modelSet) assemble(p *plan.Plan, own []probe) PlanEstimate {
 // Estimate of the same plan, so observing a plan that was just
 // estimated finds every operator cached — and returns them with the
 // version of the model they belong to. It runs on the calling
-// goroutine, not the pool. The zero Served means the route has no
-// model.
-func (s *Service) servedPredictions(schema string, kinds []plan.ResourceKind, p *plan.Plan) feedback.Served {
+// goroutine, not the pool, and leaves the predictions in sc: the
+// caller hands sc back once the feedback loop has read them. The zero
+// Served means the route has no model.
+func (s *Service) servedPredictions(schema string, kinds []plan.ResourceKind, p *plan.Plan, sc *scratch) feedback.Served {
 	ms, err := s.lookupModels(schema, kinds)
 	if err != nil {
 		return feedback.Served{}
 	}
-	ps, _, _ := s.batchPredictions(ms, []*plan.Plan{p})
-	preds := make([]float64, len(ps))
-	for i := range ps {
-		preds[i] = ps[i].val.Get(kinds[0])
+	s.batchPredictions(ms, []*plan.Plan{p}, sc, false)
+	preds := sc.preds[:0]
+	for i := range sc.ps {
+		preds = append(preds, sc.ps[i].val.Get(kinds[0]))
 	}
+	sc.preds = preds
 	return feedback.Served{Version: ms.primary().Info.Version, Operators: preds}
 }
 

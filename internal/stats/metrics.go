@@ -169,6 +169,92 @@ func Quantile(xs []float64, q float64) float64 {
 	return xs[i]*(1-frac) + xs[i+1]*frac
 }
 
+// SelectQuantile returns what Quantile returns for xs once sorted
+// (sort.Float64s order, a NaN before every number) without sorting it:
+// it selects the one or two order statistics Quantile reads, in
+// expected linear time, reordering xs as it goes. It panics if xs is
+// empty.
+func SelectQuantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		panic("stats: SelectQuantile of empty slice")
+	}
+	n := len(xs)
+	if q <= 0 {
+		return selectKth(xs, 0)
+	}
+	if q >= 1 {
+		return selectKth(xs, n-1)
+	}
+	pos := q * float64(n-1)
+	i := int(pos)
+	frac := pos - float64(i)
+	if i+1 >= n {
+		return selectKth(xs, n-1)
+	}
+	a := selectKth(xs, i)
+	// Nothing after position i now orders before a, so the next order
+	// statistic is the least of what follows it.
+	b := xs[i+1]
+	for _, x := range xs[i+2:] {
+		if floatLess(x, b) {
+			b = x
+		}
+	}
+	return a*(1-frac) + b*frac
+}
+
+// selectKth reorders xs so that xs[k] holds what sorted position k
+// would, nothing before it orders after it and nothing after it orders
+// before it, and returns xs[k]. It partitions three ways around a
+// median-of-three pivot, so runs of equal values cost one pass.
+func selectKth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)
+	for hi-lo > 1 {
+		p := median3(xs[lo], xs[lo+(hi-lo)/2], xs[hi-1])
+		// xs[lo:lt] orders before p, xs[lt:i] ties it, xs[gt:hi] after.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case floatLess(x, p):
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case floatLess(p, x):
+				gt--
+				xs[gt], xs[i] = x, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
+}
+
+// median3 is the middle of three values in floatLess order.
+func median3(a, b, c float64) float64 {
+	if floatLess(b, a) {
+		a, b = b, a
+	}
+	if floatLess(c, b) {
+		b = c
+		if floatLess(b, a) {
+			b = a
+		}
+	}
+	return b
+}
+
+// floatLess is sort.Float64s' order: numeric, with NaN first.
+func floatLess(x, y float64) bool { return x < y || (x != x && y == y) }
+
 // Pearson returns the Pearson correlation of two parallel slices, or 0 if
 // either has no variance.
 func Pearson(x, y []float64) float64 {

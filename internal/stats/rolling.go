@@ -13,6 +13,8 @@ import "sort"
 type Rolling struct {
 	buf  []float64
 	next int // ring write position once buf reaches capacity
+	// scratch is Quantile's working copy of buf, kept between calls.
+	scratch []float64
 }
 
 // NewRolling returns a window holding the most recent capacity values.
@@ -53,14 +55,16 @@ func (r *Rolling) Reset() {
 func (r *Rolling) Mean() float64 { return Mean(r.buf) }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the windowed values
-// with linear interpolation, or 0 when the window is empty.
+// with linear interpolation, or 0 when the window is empty: by
+// selection (SelectQuantile) over a copy of the window it keeps for the
+// next call, bit for bit the value Quantile gives over the window
+// sorted.
 func (r *Rolling) Quantile(q float64) float64 {
 	if len(r.buf) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), r.buf...)
-	sort.Float64s(sorted)
-	return Quantile(sorted, q)
+	r.scratch = append(r.scratch[:0], r.buf...)
+	return SelectQuantile(r.scratch, q)
 }
 
 // Quantiles returns the quantiles at each of qs in one sort pass —

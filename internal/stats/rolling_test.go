@@ -81,3 +81,57 @@ func TestRollingMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectQuantileMatchesSort requires selection to return the very
+// bits a full sort and Quantile give, over random windows of every
+// fill up to the feedback loop's 512 — drawn from a handful of values,
+// so ties abound, with zeros among them, or continuous — at the drift
+// quantile, the bounds and quantiles that land exactly on an element,
+// and through Rolling.Quantile as the window slides and wraps.
+func TestSelectQuantileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	qs := []float64{-1, 0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1, 2}
+	draws := []func() float64{
+		func() float64 { return float64(rng.Intn(4)) },                    // ties, a quarter zeros
+		func() float64 { return float64(rng.Intn(2)) * rng.ExpFloat64() }, // half zeros
+		func() float64 { return rng.ExpFloat64() },                        // continuous
+	}
+	sortedQuantile := func(xs []float64, q float64) float64 {
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		return Quantile(sorted, q)
+	}
+	for trial := 0; trial < 300; trial++ {
+		draw := draws[trial%len(draws)]
+		xs := make([]float64, 1+rng.Intn(512))
+		for i := range xs {
+			xs[i] = draw()
+		}
+		for _, q := range qs {
+			want := sortedQuantile(xs, q)
+			got := SelectQuantile(append([]float64(nil), xs...), q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d, %d values, q=%v: selected %v, sorted %v", trial, len(xs), q, got, want)
+			}
+		}
+	}
+	for _, draw := range draws {
+		r := NewRolling(512)
+		var tail []float64
+		for i := 0; i < 1500; i++ {
+			v := draw()
+			r.Add(v)
+			if tail = append(tail, v); len(tail) > 512 {
+				tail = tail[1:]
+			}
+			if i%7 != 0 {
+				continue
+			}
+			for _, q := range qs {
+				if got, want := r.Quantile(q), sortedQuantile(tail, q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d q=%v: Rolling.Quantile %v, sorted %v", i, q, got, want)
+				}
+			}
+		}
+	}
+}
