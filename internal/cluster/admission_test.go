@@ -41,8 +41,8 @@ func TestAdmissionBounds(t *testing.T) {
 		t.Fatalf("shed decisions = %d, want 2", got)
 	}
 
-	relA()
-	relB()
+	rt.release(relA)
+	rt.release(relB)
 	if rt.inflight.Load() != 0 {
 		t.Fatalf("inflight = %d after all releases, want 0", rt.inflight.Load())
 	}
@@ -50,7 +50,7 @@ func TestAdmissionBounds(t *testing.T) {
 	if !ok {
 		t.Fatal("client-a shed after its slot was released")
 	}
-	relA2()
+	rt.release(relA2)
 }
 
 // discardConn is a peer that takes every write at once.

@@ -425,6 +425,46 @@ func TestRouterCacheNeverServesStaleModel(t *testing.T) {
 	}
 }
 
+// TestRouterCacheKeepsItsOwnCopy: the bytes a forward returns are its
+// caller's — off a replica stream they share one allocation with the
+// rest of their read burst — so the router cache files a copy of them.
+// Overwriting what the forward returned must not reach the answer the
+// cache serves next.
+func TestRouterCacheKeepsItsOwnCopy(t *testing.T) {
+	rep := newTestReplica(t)
+	rt, _ := newRouter(t, []*testReplica{rep}, nil)
+	body := estimateBody(t, "tpch", testPlans[0], "cpu")
+	// The second serving warms the replica: every later answer for body
+	// is these bytes.
+	postOK(t, rep.hs.URL, "/estimate", body)
+	want := postOK(t, rep.hs.URL, "/estimate", body)
+
+	ctx := context.Background()
+	got, err := rt.Estimate(ctx, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("forward answered %s, the replica %s", got, want)
+	}
+	if n := rep.ss.Stats().Requests; n != 1 {
+		t.Fatalf("replica stream saw %d requests, want the one forward", n)
+	}
+	for i := range got {
+		got[i] = '#'
+	}
+	again, err := rt.Estimate(ctx, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := rt.Metrics(); m.Cache.Hits != 1 {
+		t.Fatalf("cache hits = %d after a repeat request, want 1", m.Cache.Hits)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatalf("cache served %s after the forward's bytes were overwritten, want %s", again, want)
+	}
+}
+
 // TestRouterDropsFillThatRacedAPoll: the replica swaps models and a
 // /healthz poll lands while a forward is in flight, so the answer — the
 // old model's — comes back to a router that already holds the new

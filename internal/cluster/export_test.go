@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/stream"
@@ -10,7 +11,23 @@ import (
 // in-process replica fixtures.
 
 // Admit takes one admission slot for client, as a request would.
-func (rt *Router) Admit(client string) (release func(), ok bool) { return rt.admit(client) }
+func (rt *Router) Admit(client string) (release func(), ok bool) {
+	ctr, ok := rt.admit(client)
+	if !ok {
+		return nil, false
+	}
+	return func() { rt.release(ctr) }, true
+}
+
+// Estimate answers body as POST /estimate does, returning the bytes
+// the router would write.
+func (rt *Router) Estimate(ctx context.Context, body []byte) ([]byte, error) {
+	resp, rerr := rt.estimate(ctx, body)
+	if rerr != nil {
+		return nil, rerr
+	}
+	return resp, nil
+}
 
 // StreamQueued returns, for every open connection of the stream
 // listener, the answer bytes queued for it and not yet handed to the

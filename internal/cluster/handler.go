@@ -55,10 +55,15 @@ func writeError(w http.ResponseWriter, r *http.Request, rerr *routeError) {
 	serve.WriteError(w, r, rerr.status, rerr.msg, rerr.code)
 }
 
+// clientIDHeader names a client for per-client admission, and goes on
+// with the request to a replica. Canonical, so net/http neither
+// rewrites nor allocates for it.
+const clientIDHeader = "X-Client-Id"
+
 // clientKey identifies a client for per-client admission: the
-// X-Client-ID header when present, else the remote host.
+// X-Client-Id header when present, else the remote host.
 func clientKey(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
+	if id := r.Header.Get(clientIDHeader); id != "" {
 		return id
 	}
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
@@ -92,12 +97,12 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *rou
 }
 
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	release, ok := rt.admit(clientKey(r))
+	ctr, ok := rt.admit(clientKey(r))
 	if !ok {
 		writeError(w, r, errShed)
 		return
 	}
-	defer release()
+	defer rt.release(ctr)
 	body, rerr := rt.readBody(w, r)
 	if rerr != nil {
 		writeError(w, r, rerr)
@@ -122,12 +127,12 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // handleProxyBySchema forwards batch and observe traffic to the
 // schema's affinity replica over HTTP, response copied verbatim.
 func (rt *Router) handleProxyBySchema(w http.ResponseWriter, r *http.Request) {
-	release, ok := rt.admit(clientKey(r))
+	ctr, ok := rt.admit(clientKey(r))
 	if !ok {
 		writeError(w, r, errShed)
 		return
 	}
-	defer release()
+	defer rt.release(ctr)
 	body, rerr := rt.readBody(w, r)
 	if rerr != nil {
 		writeError(w, r, rerr)

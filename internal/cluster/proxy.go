@@ -15,7 +15,7 @@ var jsonHeader = http.Header{"Content-Type": {"application/json"}}
 // send makes one HTTP request to rp: every request the router sends a
 // replica is built here. It carries the headers that matter
 // tier-internally — from hdr the content type, the Accept negotiation
-// and the X-Client-ID; from ctx the request ID that joins router and
+// and the X-Client-Id; from ctx the request ID that joins router and
 // replica logs. A nil body sends none. An error is transport-only: the
 // replica never answered.
 func send(ctx context.Context, rp *replica, method, pathQuery string, hdr http.Header, body []byte) (*http.Response, error) {
@@ -27,7 +27,7 @@ func send(ctx context.Context, rp *replica, method, pathQuery string, hdr http.H
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range [...]string{"Content-Type", "Accept", "X-Client-ID"} {
+	for _, k := range [...]string{"Content-Type", "Accept", clientIDHeader} {
 		if v := hdr.Get(k); v != "" {
 			req.Header.Set(k, v)
 		}

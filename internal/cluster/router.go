@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -40,7 +41,7 @@ type Options struct {
 	// it the router sheds with 503 + Retry-After (default 1024).
 	MaxInflight int
 	// MaxPerClient bounds one client's in-flight requests (keyed by
-	// X-Client-ID, falling back to the remote host; default 256).
+	// X-Client-Id, falling back to the remote host; default 256).
 	MaxPerClient int
 	// MaxReplicaInflight is the per-replica overload bound: a primary
 	// past it spills its schemas to the next same-version replica on
@@ -252,15 +253,15 @@ var errNoReplica = &routeError{
 }
 
 // admit acquires admission for one request from client. The returned
-// release must be called exactly once. ok=false means shed.
-func (rt *Router) admit(client string) (release func(), ok bool) {
+// counter must be handed to release exactly once. ok=false means shed.
+func (rt *Router) admit(client string) (ctr *atomic.Int64, ok bool) {
 	if rt.inflight.Add(1) > int64(rt.opts.MaxInflight) {
 		rt.inflight.Add(-1)
 		rt.decShed.Inc()
 		return nil, false
 	}
 	rt.clientMu.Lock()
-	ctr := rt.perClient[client]
+	ctr = rt.perClient[client]
 	if ctr == nil {
 		// Bound the admission table: a client key is an address or an
 		// explicit ID; evict idle entries rather than growing forever.
@@ -281,10 +282,13 @@ func (rt *Router) admit(client string) (release func(), ok bool) {
 		rt.decShed.Inc()
 		return nil, false
 	}
-	return func() {
-		ctr.Add(-1)
-		rt.inflight.Add(-1)
-	}, true
+	return ctr, true
+}
+
+// release gives back the admission that admit returned ctr for.
+func (rt *Router) release(ctr *atomic.Int64) {
+	ctr.Add(-1)
+	rt.inflight.Add(-1)
 }
 
 // primaryServes reports whether tok is the version token of schema's
@@ -411,8 +415,10 @@ func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *routeError
 		_, tok := rp.state()
 		var err error
 		resp, rerr, err = rt.forwardOnce(ctx, rp, body)
-		if err == nil && rerr == nil {
-			rt.cache.Put(string(body), schema, tok, resp, rp.reports)
+		if err == nil && rerr == nil && rt.cache != nil {
+			// A stream answer shares its allocation with the rest of its
+			// read burst; the cache keeps only the answer.
+			rt.cache.Put(string(body), schema, tok, bytes.Clone(resp), rp.reports)
 		}
 		return err
 	})

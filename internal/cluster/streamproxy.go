@@ -48,14 +48,14 @@ func (rt *Router) StreamAddr() string {
 // loop next blocks — and a queue error needs no handling: it means the
 // writer is gone and the connection with it.
 func (rt *Router) handleFrame(c *stream.Conn, f *stream.Frame) {
-	release, ok := rt.admit(c.RemoteHost())
+	ctr, ok := rt.admit(c.RemoteHost())
 	if !ok {
 		_ = c.Queue(stream.ErrorFrame(f.Seq, errShed.msg, errShed.code))
 		return
 	}
 	if resp, ok := rt.cached(f.Body); ok {
 		_ = c.Queue(&stream.Frame{Type: stream.FrameResponse, Seq: f.Seq, Body: resp})
-		release()
+		rt.release(ctr)
 		return
 	}
 	// Forward concurrently: streams pipeline, and a frame parked on a
@@ -63,7 +63,7 @@ func (rt *Router) handleFrame(c *stream.Conn, f *stream.Frame) {
 	// outlives this call, so it gets its own copy of the body.
 	seq, body := f.Seq, append([]byte(nil), f.Body...)
 	c.Go(func() {
-		defer release()
+		defer rt.release(ctr)
 		rt.forwardFrame(c, seq, body)
 	})
 }

@@ -110,6 +110,12 @@ func (cl *Client) EstimateRaw(ctx context.Context, req *Request) ([]byte, error)
 // JSON encoding of Request). Callers issuing the same requests
 // repeatedly — replayers, load generators — skip the per-call
 // marshal, which re-compacts the embedded plan each time.
+//
+// The answer is the caller's, and appending to it never touches
+// another. It shares one allocation with the answers that arrived in
+// the same socket read, though, so an answer kept for long keeps up to
+// ReadBufferSize (64 KiB) of them alive with it; a caller that keeps
+// answers, as a cache does, keeps a copy.
 func (cl *Client) EstimateBytes(ctx context.Context, body []byte) ([]byte, error) {
 	seq := cl.seq.Add(1)
 	ch := resultChan()
@@ -172,13 +178,44 @@ func (cl *Client) Estimate(ctx context.Context, req *Request) (*serve.Response, 
 	return &resp, nil
 }
 
+// answerReader reads a connection's answers. Each frame is read in
+// place into the one Frame and its body copied out of the read buffer
+// into an arena, allocated only when the current one runs out and then
+// sized to the answer plus what is left of the socket read it came in,
+// so one allocation holds a whole burst. Each body is clipped to its
+// own capacity: an append to one can never reach a neighbour's bytes.
+type answerReader struct {
+	br    *bufio.Reader
+	f     Frame
+	arena []byte // the current arena's unused tail
+}
+
+// next reads the next frame. Its Body is the caller's to keep; the
+// Frame itself is overwritten by the next call.
+func (a *answerReader) next() (*Frame, error) {
+	if err := ReadFrameInPlace(a.br, &a.f); err != nil {
+		return nil, err
+	}
+	n := len(a.f.Body)
+	if frameHeader+framePrefix+n > a.br.Size() {
+		return &a.f, nil // too big for the buffer: read into an allocation of its own
+	}
+	if n > len(a.arena) {
+		a.arena = make([]byte, n+a.br.Buffered())
+	}
+	body := a.arena[:n:n]
+	copy(body, a.f.Body)
+	a.arena, a.f.Body = a.arena[n:], body
+	return &a.f, nil
+}
+
 // readLoop demultiplexes response frames to their waiters. On any read
 // failure every in-flight call fails with the same error — a broken
 // stream cannot be resynchronized.
 func (cl *Client) readLoop() {
-	br := bufio.NewReaderSize(cl.c, ReadBufferSize)
+	answers := answerReader{br: bufio.NewReaderSize(cl.c, ReadBufferSize)}
 	for {
-		f, err := ReadFrame(br)
+		f, err := answers.next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				err = fmt.Errorf("stream: connection closed by server: %w", io.EOF)

@@ -192,34 +192,36 @@ func (c *Conn) shutdown() {
 // returned, so flushing first sends the answers to that burst in one
 // write — and before the loop can block, so no answer ever waits on a
 // later request.
+//
+// It also keeps the idle deadline, re-armed lazily: once per socket
+// read rather than per frame, and only when the previous arm is
+// half-stale, since resetting it costs a runtime timer update and the
+// reap only needs IdleTimeout-ish precision. Arming 1.5× out guarantees
+// a connection is never reaped under IdleTimeout of idleness and always
+// reaped by 1.5× it.
 type flushBeforeRead struct {
-	r io.Reader
-	w *FrameWriter
+	c     net.Conn
+	w     *FrameWriter
+	idle  time.Duration
+	armed time.Time
 }
 
-func (f flushBeforeRead) Read(p []byte) (int, error) {
+func (f *flushBeforeRead) Read(p []byte) (int, error) {
 	f.w.Flush()
-	return f.r.Read(p)
+	if now := time.Now(); now.Sub(f.armed) > f.idle/2 {
+		f.armed = now
+		_ = f.c.SetReadDeadline(now.Add(f.idle * 3 / 2))
+	}
+	return f.c.Read(p)
 }
 
 func (c *Conn) readLoop() {
 	defer c.l.wg.Done()
 	defer c.shutdown()
-	br := bufio.NewReaderSize(flushBeforeRead{c.c, c.w}, ReadBufferSize)
-	idle, logger := c.l.opts.IdleTimeout, c.l.opts.Logger
-	// The idle deadline is re-armed lazily: resetting it on every frame
-	// would cost a runtime timer update per request, and the reap only
-	// needs IdleTimeout-ish precision. Arming 1.5× out and re-arming
-	// once the previous arm is half-stale guarantees a connection is
-	// never reaped under IdleTimeout of idleness and always reaped by
-	// 1.5× it.
-	var armed time.Time
+	logger := c.l.opts.Logger
+	br := bufio.NewReaderSize(&flushBeforeRead{c: c.c, w: c.w, idle: c.l.opts.IdleTimeout}, ReadBufferSize)
 	var f Frame
 	for {
-		if now := time.Now(); now.Sub(armed) > idle/2 {
-			armed = now
-			_ = c.c.SetReadDeadline(now.Add(idle * 3 / 2))
-		}
 		if err := ReadFrameInPlace(br, &f); err != nil {
 			if !errors.Is(err, io.EOF) && !routineDisconnect(err) {
 				logger.Warn("stream: connection read failed",

@@ -1,0 +1,7 @@
+//go:build race
+
+package stream
+
+// raceEnabled reports a -race build, whose detector allocates on its
+// own account.
+const raceEnabled = true
