@@ -12,7 +12,7 @@ const Entries = 4096
 // A key may be a request as large as a transport admits and a body an
 // answer as large, so the entry count alone bounds no memory. Two fixed
 // byte bounds do: an entry whose key and body together exceed
-// MaxEntryBytes is never filed, and Put evicts from the LRU tail until
+// MaxEntryBytes is never filed, and Put evicts through the hand until
 // the keys and bodies resident total at most maxBytes. Estimate traffic
 // is a few KB an entry and meets neither.
 const (
@@ -31,22 +31,33 @@ const (
 // serves a stale model's entry" guarantee — and needs nothing parsed
 // out of the request: the schema is a function of the key bytes, so it
 // was worked out once, when the entry was filled. Entries are not
-// proactively purged on rollout: the stamp makes them dead, and LRU
-// eviction reclaims them.
+// proactively purged on rollout: the stamp makes them dead, and the
+// eviction hand reclaims them.
+//
+// Eviction is SIEVE (Zhang et al., NSDI '24): entries queue in the order
+// they were filed, a hit marks its entry visited and moves nothing, and
+// to make room a hand walks from where it last stopped toward the
+// newest entry, wrapping to the oldest, clears each visited mark it
+// passes and evicts the first unmarked entry. Under Zipf traffic the
+// bodies asked for once leave first, where LRU would keep them over
+// hot ones that are busy elsewhere.
 type Cache[S comparable] struct {
 	mu      sync.Mutex
 	entries map[string]*entry[S]
-	head    *entry[S] // most recent
-	tail    *entry[S] // eviction candidate
+	head    *entry[S] // newest
+	tail    *entry[S] // oldest
+	hand    *entry[S] // where the next eviction walk starts; nil: at the tail
 	cap     int
 	bytes   int // len(key)+len(body) over the entries
 }
 
 type entry[S comparable] struct {
-	key        string
-	schema     string
-	stamp      S // never the zero S
-	body       []byte
+	key     string
+	schema  string
+	stamp   S // never the zero S
+	body    []byte
+	visited bool
+	// prev is the newer neighbour, next the older.
 	prev, next *entry[S]
 }
 
@@ -61,9 +72,9 @@ func New[S comparable](capacity int) *Cache[S] {
 
 // Get returns the response cached for the request body reqBody if live
 // reports its entry's stamp current for the entry's schema. A
-// present-but-stale entry is a miss (and ages out by LRU from where the
-// lookup left it — its slot becomes valid again only via Put, which the
-// miss usually leads to). reqBody is only read, and only during the
+// present-but-stale entry is a miss (and is marked visited all the
+// same: its slot becomes valid again only via Put, which the miss
+// usually leads to). reqBody is only read, and only during the
 // call; live runs outside the cache's lock. The cache keeps no count of
 // its lookups: each caller counts its own, where it asks.
 func (c *Cache[S]) Get(reqBody []byte, live func(schema string, stamp S) bool) ([]byte, bool) {
@@ -76,7 +87,7 @@ func (c *Cache[S]) Get(reqBody []byte, live func(schema string, stamp S) bool) (
 		c.mu.Unlock()
 		return nil, false
 	}
-	c.moveFront(e)
+	e.visited = true
 	schema, stamp, body := e.schema, e.stamp, e.body
 	c.mu.Unlock()
 	if !live(schema, stamp) {
@@ -86,12 +97,12 @@ func (c *Cache[S]) Get(reqBody []byte, live func(schema string, stamp S) bool) (
 }
 
 // Put stores the response to request body key, which routes by schema,
-// evicting least recently used entries past the entry capacity or the
-// byte budget. stamp is what the caller saw serving schema before the
-// answer was computed; a fill whose stamp live no longer reports has
-// raced a rollout — the answer may be either model set's — and is
-// dropped, as is one under the zero stamp, which names no models that a
-// later lookup could check. A fill over MaxEntryBytes is dropped too,
+// evicting through the hand past the entry capacity or the byte budget.
+// stamp is what the caller saw serving schema before the answer was
+// computed; a fill whose stamp live no longer reports has raced a
+// rollout — the answer may be either model set's — and is dropped, as
+// is one under the zero stamp, which names no models that a later
+// lookup could check. A fill over MaxEntryBytes is dropped too,
 // and takes what the key held with it: that answer is older than the
 // one refused.
 func (c *Cache[S]) Put(key, schema string, stamp S, body []byte, live func(schema string, stamp S) bool) {
@@ -111,22 +122,46 @@ func (c *Cache[S]) Put(key, schema string, stamp S, body []byte, live func(schem
 	case ok:
 		c.bytes += len(body) - len(e.body)
 		e.stamp, e.body = stamp, body
-		c.moveFront(e)
 	default:
 		e = &entry[S]{key: key, schema: schema, stamp: stamp, body: body}
 		c.entries[key] = e
 		c.bytes += len(key) + len(body)
 		c.pushFront(e)
 	}
-	// The entry just filed is at the head and within both bounds alone,
-	// so the walk from the tail stops before it.
 	for len(c.entries) > c.cap || c.bytes > maxBytes {
-		c.remove(c.tail)
+		c.evict(e)
 	}
 }
 
-// remove drops e from the index, the list and the byte count.
+// evict removes the first unvisited entry from the hand on, clearing
+// the marks it passes, and leaves the hand at the victim's newer
+// neighbour. The walk passes over keep, the entry just filed: that one
+// is within both bounds alone, so while they are exceeded another entry
+// is resident for the walk to take.
+func (c *Cache[S]) evict(keep *entry[S]) {
+	e := c.hand
+	for {
+		if e == nil {
+			e = c.tail
+		}
+		if e != keep {
+			if !e.visited {
+				break
+			}
+			e.visited = false
+		}
+		e = e.prev
+	}
+	c.hand = e
+	c.remove(e)
+}
+
+// remove drops e from the index, the list and the byte count, moving
+// the hand off it to its newer neighbour.
 func (c *Cache[S]) remove(e *entry[S]) {
+	if c.hand == e {
+		c.hand = e.prev
+	}
 	c.unlink(e)
 	delete(c.entries, e.key)
 	c.bytes -= len(e.key) + len(e.body)
@@ -155,12 +190,4 @@ func (c *Cache[S]) unlink(e *entry[S]) {
 		c.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-}
-
-func (c *Cache[S]) moveFront(e *entry[S]) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,8 +18,8 @@ import (
 // kind, feature vector) — the model-selection step included — so a
 // cached value is exactly the value a fresh prediction would produce.
 // Keying by model version makes hot-swaps self-invalidating: a new
-// version simply stops matching the old entries, which age out of the
-// LRU.
+// version simply stops matching the old entries, which nothing visits
+// again, so the eviction hand takes them on its next pass.
 //
 // An entry stores a full plan.Resources value and is keyed by a
 // *version vector* — one model version slot per resource kind,
@@ -94,23 +95,31 @@ const cacheShards = 32
 
 // cacheEntry is one slot of a shard's slab: the memoized prediction,
 // the key it belongs to (compared before the value is handed out), the
-// key's hash (to drop the index entry when the slot is reused) and the
-// slot's neighbours in the shard's recency ring.
+// key's hash (to drop the index entry when the slot is reused), the
+// slot's neighbours in the shard's queue and whether a lookup has found
+// it since it was filed or since the hand last passed it.
 type cacheEntry struct {
 	key        cacheKey
 	val        plan.Resources
 	hash       uint64
 	prev, next int32
+	visited    bool
 }
 
-// cacheShard is an LRU over a slab: idx maps a key's hash to its slot
-// in ents, and the slots are linked, by index, into a ring through the
-// sentinel ents[0] — ents[0].next is the most recently used slot,
-// ents[0].prev the least. The slab grows by doubling until it holds cap
-// entries and from then on an insert reuses the least recently used
-// slot in place, so an entry costs its 248 bytes plus an index entry
-// (~260 in all) and a steady-state insert allocates nothing. Slots are
-// addressed by index only: growing moves the slab.
+// cacheShard is a SIEVE cache (Zhang et al., NSDI '24) over a slab: idx
+// maps a key's hash to its slot in ents, and the slots are linked, by
+// index, into a FIFO queue through the sentinel ents[0] — ents[0].next
+// is the newest slot, ents[0].prev the oldest, and a slot's prev is its
+// newer neighbour. A hit sets the slot's visited bit and moves nothing;
+// to make room, the hand walks from where it last stopped toward the
+// newest slot, wrapping to the oldest, clears each visited bit it
+// passes and takes the first unvisited slot. Hot operators recur all
+// through a pass over the plans, among many keys used once: the once
+// used leave first, where LRU would keep them and evict the hot ones.
+// The slab grows by doubling until it holds cap entries and from then
+// on an insert reuses the victim's slot in place, so an entry costs its
+// 256 bytes plus an index entry and a steady-state insert allocates
+// nothing. Slots are addressed by index only: growing moves the slab.
 //
 // One entry per hash: a key arriving under a resident key's hash takes
 // the slot over, and a lookup hands a value out only when the stored
@@ -121,6 +130,7 @@ type cacheShard struct {
 	idx  map[uint64]int32
 	ents []cacheEntry
 	cap  int
+	hand int32 // the slot the next eviction walk starts at; 0: the oldest
 	// Per-shard hit/miss tallies, guarded by mu (the lock is already
 	// held at every lookup, so these cost no extra synchronization).
 	// The global atomic counters remain the wire-visible totals.
@@ -128,19 +138,39 @@ type cacheShard struct {
 	misses uint64
 }
 
-// unlink takes slot i out of the recency ring.
+// unlink takes slot i out of the queue.
 func (s *cacheShard) unlink(i int32) {
 	e := &s.ents[i]
 	s.ents[e.prev].next = e.next
 	s.ents[e.next].prev = e.prev
 }
 
-// pushFront links slot i in as the most recently used.
+// pushFront links slot i in as the newest.
 func (s *cacheShard) pushFront(i int32) {
 	head := s.ents[0].next
 	s.ents[i].prev, s.ents[i].next = 0, head
 	s.ents[head].prev = i
 	s.ents[0].next = i
+}
+
+// evict unlinks the hand's victim and returns its slot, leaving the
+// hand at the victim's newer neighbour.
+func (s *cacheShard) evict() int32 {
+	i := s.hand
+	for {
+		if i == 0 {
+			i = s.ents[0].prev
+		}
+		e := &s.ents[i]
+		if !e.visited {
+			break
+		}
+		e.visited = false
+		i = e.prev
+	}
+	s.hand = s.ents[i].prev
+	s.unlink(i)
+	return i
 }
 
 // get looks p's key up under p.hash, counting the outcome. Caller holds
@@ -151,19 +181,17 @@ func (s *cacheShard) get(p *probe) bool {
 		s.misses++
 		return false
 	}
-	if s.ents[0].next != i {
-		s.unlink(i)
-		s.pushFront(i)
-	}
+	s.ents[i].visited = true
 	p.val = s.ents[i].val
 	s.hits++
 	return true
 }
 
-// put memoizes p's value as the shard's most recently used entry: in
-// the slot p.hash already indexes (p's own key, or another one under
-// the same hash), in a new slot while the shard has room, in the least
-// recently used entry's otherwise. Caller holds mu.
+// put memoizes p's value: over the slot p.hash already indexes (p's own
+// key, or another one under the same hash), which keeps its place and
+// its visited bit; otherwise as the newest entry, unvisited, in a new
+// slot while the shard has room and in the hand's victim's slot once it
+// is full. Caller holds mu.
 func (s *cacheShard) put(p *probe) {
 	if s.cap == 0 {
 		return
@@ -171,7 +199,8 @@ func (s *cacheShard) put(p *probe) {
 	i, ok := s.idx[p.hash]
 	switch {
 	case ok:
-		s.unlink(i)
+		s.ents[i].key, s.ents[i].val = p.key, p.val
+		return
 	case len(s.ents) <= s.cap:
 		if len(s.ents) == cap(s.ents) { // double, to cap entries and the sentinel at most
 			grown := make([]cacheEntry, len(s.ents), min(2*len(s.ents), s.cap+1))
@@ -180,21 +209,19 @@ func (s *cacheShard) put(p *probe) {
 		}
 		i = int32(len(s.ents))
 		s.ents = s.ents[:i+1]
-		s.idx[p.hash] = i
 	default:
-		i = s.ents[0].prev
-		s.unlink(i)
+		i = s.evict()
 		delete(s.idx, s.ents[i].hash)
-		s.idx[p.hash] = i
 	}
+	s.idx[p.hash] = i
 	e := &s.ents[i]
-	e.key, e.val, e.hash = p.key, p.val, p.hash
+	e.key, e.val, e.hash, e.visited = p.key, p.val, p.hash, false
 	s.pushFront(i)
 }
 
-// Cache is a sharded LRU of operator predictions with hit/miss
-// counters. Shards bound lock contention under concurrent serving; the
-// per-shard LRU bounds memory.
+// Cache is a sharded SIEVE cache of operator predictions with hit/miss
+// counters. Shards bound lock contention under concurrent serving; each
+// shard's capacity bounds memory.
 type Cache struct {
 	shards [cacheShards]cacheShard
 	hits   atomic.Uint64
@@ -226,7 +253,7 @@ func NewCache(capacity int) *Cache {
 			s.cap++
 		}
 		s.idx = make(map[uint64]int32)
-		s.ents = make([]cacheEntry, 1) // the ring's sentinel, linked to itself
+		s.ents = make([]cacheEntry, 1) // the queue's sentinel, linked to itself
 	}
 	return c
 }
@@ -254,9 +281,10 @@ type shardPlan struct {
 	starts [cacheShards + 1]int32
 }
 
-// planShards is a counting sort of the batch by shard.
-func planShards(ps []probe) shardPlan {
-	sp := shardPlan{order: make([]int32, len(ps))}
+// planShards is a counting sort of the batch by shard, into order's
+// storage when it has room for the batch.
+func planShards(ps []probe, order []int32) shardPlan {
+	sp := shardPlan{order: slices.Grow(order[:0], len(ps))[:len(ps)]}
 	for i := range ps {
 		sp.starts[ps[i].hash%cacheShards+1]++
 	}
@@ -275,19 +303,21 @@ func planShards(ps []probe) shardPlan {
 // GetMulti looks up a whole batch of keys, writing each probe's
 // memoized value and outcome, and returns the hit count plus the shard
 // grouping for a follow-up PutMulti (zero when the cache is disabled,
-// which never hits). Keys are grouped by shard so each shard lock is
-// taken at most once per batch instead of once per key — with two
-// goroutines probing, a lock per key made a 512-key multi-get 2.2x
-// slower and a multi-put 1.5x (BenchmarkCache*/parallel) — and the
-// global counters are bumped once with the batch totals.
-func (c *Cache) GetMulti(ps []probe) (int, shardPlan) {
+// which never hits), built in order's storage: a caller that keeps the
+// grouping's order for its next batch allocates none. Keys are grouped
+// by shard so each shard lock is taken at most once per batch instead
+// of once per key — with two goroutines probing, a lock per key made a
+// 512-key multi-get 2.2x slower and a multi-put 1.5x
+// (BenchmarkCache*/parallel) — and the global counters are bumped once
+// with the batch totals.
+func (c *Cache) GetMulti(ps []probe, order []int32) (int, shardPlan) {
 	if c == nil {
 		for i := range ps {
 			ps[i].hit = false
 		}
-		return 0, shardPlan{}
+		return 0, shardPlan{order: order}
 	}
-	sp := planShards(ps)
+	sp := planShards(ps, order)
 	hits := 0
 	for si := 0; si < cacheShards; si++ {
 		group := sp.order[sp.starts[si]:sp.starts[si+1]]
@@ -309,8 +339,7 @@ func (c *Cache) GetMulti(ps []probe) (int, shardPlan) {
 }
 
 // PutMulti memoizes the misses of the GetMulti that returned sp — those
-// a later probe can find — evicting the least recently used entry of a
-// shard when it is full.
+// a later probe can find — evicting by the shard's hand when it is full.
 func (c *Cache) PutMulti(ps []probe, sp shardPlan) {
 	if c == nil {
 		return

@@ -1,6 +1,10 @@
 package serve
 
-import "bytes"
+import (
+	"bytes"
+
+	"repro/internal/obs"
+)
 
 // The halves of the request decode and of the response encode, exposed
 // so the external test package can run them against each other, and
@@ -43,4 +47,38 @@ func ScribblePooledBodies(n int) {
 // answered and the ones it was asked and did not.
 func (s *Service) ReplayCounts() (hits, misses uint64) {
 	return s.replayHits.Load(), s.replayMisses.Load()
+}
+
+// StageLatencies returns the latency summary of one request stage for
+// an endpoint ("estimate", "estimate_batch" or "estimate_stream"); the
+// pool stages (queue_wait, cache_probe, predict) mean the same on all
+// three. Zero summary when telemetry is disabled or the endpoint is
+// unknown.
+func (s *Service) StageLatencies(endpoint string, stage obs.Stage) obs.Summary {
+	ep, ok := endpointIndex(endpoint)
+	if !ok || s.tel == nil || stage >= obs.NumStages {
+		return obs.Summary{}
+	}
+	snap := s.tel.stages[ep][stage].Snapshot()
+	return snap.Summarize()
+}
+
+// RequestLatencies returns the end-to-end latency summary for an
+// endpoint. Zero summary when telemetry is disabled.
+func (s *Service) RequestLatencies(endpoint string) obs.Summary {
+	ep, ok := endpointIndex(endpoint)
+	if !ok || s.tel == nil {
+		return obs.Summary{}
+	}
+	snap := s.tel.total[ep].Snapshot()
+	return snap.Summarize()
+}
+
+func endpointIndex(endpoint string) (int, bool) {
+	for i, n := range endpointNames[:] {
+		if n == endpoint {
+			return i, true
+		}
+	}
+	return 0, false
 }

@@ -1,5 +1,5 @@
 // Package serve is the concurrent resource-estimation service: a model
-// registry with atomic hot-swap, a sharded LRU prediction cache, and a
+// registry with atomic hot-swap, a sharded SIEVE prediction cache, and a
 // worker-pool request path exposed over HTTP by cmd/resserve — with, in
 // front of its two byte-in, byte-out entry points (POST /estimate and
 // the stream listener's estimate frame), one response cache per service

@@ -234,7 +234,8 @@ func TestCacheCorrectness(t *testing.T) {
 }
 
 // TestCacheLRUBound fills the cache past capacity and checks the bound
-// holds and eviction doesn't corrupt results.
+// holds and SIEVE eviction doesn't corrupt results. (The name predates
+// the move from LRU.)
 func TestCacheLRUBound(t *testing.T) {
 	svc := newService(t, serve.Options{CacheEntries: 64})
 	svc.Registry().Publish("tpch", cpuEst)

@@ -789,6 +789,7 @@ type scratch struct {
 	missVecs  []features.Vector
 	missVals  []plan.Resources
 	preds     []float64
+	order     []int32 // the cache multi-get's shard grouping
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{seen: make(map[uint64]int32)} }}
@@ -850,7 +851,8 @@ func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan, sc *scratch
 	if timed {
 		probeStart = time.Now()
 	}
-	hits, shards := s.cache.GetMulti(ps)
+	hits, shards := s.cache.GetMulti(ps, sc.order)
+	sc.order = shards.order
 	if timed {
 		probeTime = time.Since(probeStart)
 	}

@@ -72,20 +72,6 @@ func (s *Service) Obs() *obs.Registry { return s.obsReg }
 // micro-batcher) sitting in front of the pool.
 func (s *Service) Workers() int { return s.opts.Workers }
 
-// StageLatencies returns the latency summary of one request stage for
-// an endpoint ("estimate", "estimate_batch" or "estimate_stream"); the
-// pool stages (queue_wait, cache_probe, predict) mean the same on all
-// three. Zero summary when telemetry is disabled or the endpoint is
-// unknown.
-func (s *Service) StageLatencies(endpoint string, stage obs.Stage) obs.Summary {
-	ep, ok := endpointIndex(endpoint)
-	if !ok || s.tel == nil || stage >= obs.NumStages {
-		return obs.Summary{}
-	}
-	snap := s.tel.stages[ep][stage].Snapshot()
-	return snap.Summarize()
-}
-
 // RecordStreamStage records a transport-side stage duration (decode,
 // encode) against the streaming endpoint's histograms. The stream
 // listener runs outside the HTTP handler stack, so it feeds the same
@@ -94,26 +80,6 @@ func (s *Service) RecordStreamStage(st obs.Stage, d time.Duration) {
 	if s.tel != nil && st < obs.NumStages {
 		s.tel.stages[epStream][st].Observe(d)
 	}
-}
-
-// RequestLatencies returns the end-to-end latency summary for an
-// endpoint. Zero summary when telemetry is disabled.
-func (s *Service) RequestLatencies(endpoint string) obs.Summary {
-	ep, ok := endpointIndex(endpoint)
-	if !ok || s.tel == nil {
-		return obs.Summary{}
-	}
-	snap := s.tel.total[ep].Snapshot()
-	return snap.Summarize()
-}
-
-func endpointIndex(endpoint string) (int, bool) {
-	for i, n := range endpointNames[:] {
-		if n == endpoint {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // registerCollectors wires the service's state into its obs registry.

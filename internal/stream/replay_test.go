@@ -18,13 +18,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -382,7 +382,25 @@ func TestOneCacheUnderBothTransports(t *testing.T) {
 	t.Cleanup(httpSrv.Close)
 	p := replayProbe{t, srv, dial(t, srv)}
 	cpu, _ := svc.Registry().Lookup("", plan.CPUTime)
-	jobs := func() uint64 { return svc.StageLatencies("estimate", obs.StageQueue).Count }
+	// The pool's queue_wait stage is observed once per job.
+	jobs := func() uint64 {
+		var buf bytes.Buffer
+		if err := svc.Obs().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		const name = `resserve_stage_duration_seconds_count{endpoint="estimate",stage="queue_wait"} `
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatal("no queue_wait count for the estimate endpoint")
+		return 0
+	}
 	series := func() (out [4]string) {
 		var buf bytes.Buffer
 		if err := svc.Obs().WritePrometheus(&buf); err != nil {
