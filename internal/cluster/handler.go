@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"strconv"
 
+	"repro/internal/jsonscan"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -73,19 +75,68 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// peekSchema extracts the routing key from a request body. This is a
-// full validating decode of the envelope, plan included (serve's one
-// request decoder, building nothing: the plan is the replica's to
-// decode), so it runs only for bodies that have to be
-// forwarded — a cache hit never gets here — and it reads every body as
-// the replica will. A body the router cannot parse routes by the empty
-// schema — the replica owning that slot produces the canonical error.
+// peekSchema extracts the routing key from a request body. It runs
+// only for bodies that have to be forwarded — a cache hit never gets
+// here — and the replica decodes the body again, so it reads the key
+// with scanSchema, and with serve's one request decoder (building
+// nothing) only for a body the scan declines. A body the router cannot
+// parse routes by the empty schema, or by the schema the scan found,
+// and the replica it reaches produces the canonical error.
 func peekSchema(body []byte) string {
+	if schema, ok := scanSchema(body); ok {
+		return schema
+	}
 	var req stream.Request
 	if err := stream.DecodeRequest(body, &req); err != nil {
 		return ""
 	}
 	return req.Schema
+}
+
+// scanSchema reads the top-level "schema" of a JSON object body,
+// stepping over every other value unvalidated, and reports whether it
+// could. It declines what it cannot read as encoding/json would: a body
+// that is not an object, an escape in a key or in the schema, a
+// repeated "schema", a key encoding/json would match to it
+// case-insensitively, a schema that is not a plain string, and
+// malformed bytes it notices. When serve.DecodeRequest accepts a body,
+// the scan returns that decode's Schema or declines (FuzzSchemaScan).
+// It may return a schema for a body the decode refuses; such a body is
+// an error on every replica.
+func scanSchema(b []byte) (schema string, ok bool) {
+	i := jsonscan.SkipWS(b, 0)
+	if i >= len(b) || b[i] != '{' {
+		return "", false
+	}
+	i = jsonscan.SkipWS(b, i+1)
+	found := false
+	for {
+		name, at, ok := jsonscan.Key(b, i)
+		if !ok {
+			return "", false
+		}
+		switch {
+		case string(name) == "schema":
+			s, end, ok := jsonscan.PlainString(b, at)
+			if !ok || found {
+				return "", false
+			}
+			schema, found, i = string(s), true, end
+		case bytes.EqualFold(name, []byte("schema")):
+			return "", false
+		default:
+			if i, ok = jsonscan.SkipValue(b, at); !ok {
+				return "", false
+			}
+		}
+		var last bool
+		if i, last, ok = jsonscan.Next(b, i, '}'); !ok {
+			return "", false
+		}
+		if last {
+			return schema, true
+		}
+	}
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *routeError) {

@@ -61,17 +61,6 @@ func (t *Tree) Predict(x []float64) float64 {
 	}
 }
 
-// NumLeaves returns the number of terminal nodes.
-func (t *Tree) NumLeaves() int {
-	c := 0
-	for i := range t.nodes {
-		if t.nodes[i].Feature < 0 {
-			c++
-		}
-	}
-	return c
-}
-
 // binner maps raw feature values to quantile bin indexes. Bin boundaries
 // (upper edges) are computed once from the training matrix, and only for
 // the live columns: a feature with fewer than two distinct edges can

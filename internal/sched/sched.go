@@ -72,15 +72,6 @@ func (a *AdmissionController) Release(id string) error {
 	return nil
 }
 
-// Used returns the currently reserved capacity.
-func (a *AdmissionController) Used() float64 { return a.used }
-
-// Free returns the remaining capacity.
-func (a *AdmissionController) Free() float64 { return a.capacity - a.used }
-
-// Admitted returns the number of currently admitted queries.
-func (a *AdmissionController) Admitted() int { return len(a.admitted) }
-
 // Chain is one query's pipelines in execution order: pipeline i+1 may
 // only start after pipeline i finishes (they are separated by blocking
 // operators), while pipelines of different chains may run concurrently.

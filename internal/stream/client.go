@@ -2,7 +2,9 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,8 +34,22 @@ const dialTimeout = 5 * time.Second
 // requests from many goroutines interleave on the one connection, each
 // tagged with a sequence ID, and a reader goroutine demultiplexes
 // responses back to their callers — out-of-order completion included.
-// Outbound frames funnel through a FrameWriter, so pipelined callers
-// share one write per burst instead of serializing on a syscall each.
+// Outbound frames funnel through a FrameWriter, one write per wake-up.
+//
+// Pipelined callers share a write by the wave rule: Nagle's (RFC 896)
+// at the request level, with the callers' own answers for its timer.
+// When the read loop starts handing out the answers one socket read
+// brought (a burst), it notes how many there are, and each request
+// sent after pays off one of them. A request that leaves some unpaid is
+// held: queued without waking the writer. The one that pays the last
+// wakes it, and the wave leaves in one write. Held requests also leave
+// when the next burst arrives, flushed before it is handed out. Nothing
+// is held while no other request is on the wire (its answer is that
+// next burst), nor after a burst that arrived with the one before it
+// unpaid, as happens when callers ask once and go, until a wave is
+// paid off in full again. On the stream_hot benchmark (2 connections
+// of 64 closed-loop callers) this took the client from 8.1 request
+// frames per socket write to 19.2.
 //
 // The first failure — a read or write error, the server hanging up, a
 // Close — is sticky: in-flight and later calls fail with it, wrapped
@@ -44,9 +60,24 @@ type Client struct {
 	w   *FrameWriter
 	seq atomic.Uint64
 
+	// sending queues requests in the order of their hold decisions, so
+	// the wake-up that ends a wave finds the wave's held requests queued.
+	// A sender waiting for room in a full queue holds it; the read loop
+	// never takes it, so answers keep being read meanwhile.
+	sending sync.Mutex
+
 	mu      sync.Mutex
 	waiters map[uint64]chan result // nil once err is set
 	err     error                  // first failure, wrapping ErrConnLost
+
+	// The wave rule's count, under mu.
+	unpaid  int  // answers of the last burst that no request has paid off
+	holding bool // the last burst found the one before it paid off
+	held    int  // requests queued without a wake-up
+	sent    int  // requests past the writer's wake-up whose answers no read has brought
+	// releases counts the moments held requests were counted as sent,
+	// each just before the writer is woken (written under mu).
+	releases atomic.Uint64
 }
 
 // result is one demultiplexed answer.
@@ -70,6 +101,11 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(nc), nil
+}
+
+// newClient runs a Client over an open connection.
+func newClient(nc net.Conn) *Client {
 	cl := &Client{
 		c:       nc,
 		w:       NewFrameWriter(nc, defaultWriteTimeout, nil),
@@ -77,7 +113,7 @@ func Dial(addr string) (*Client, error) {
 	}
 	go cl.readLoop()
 	go func() { cl.fail(cl.w.Run()) }()
-	return cl, nil
+	return cl
 }
 
 // Close tears the connection down; in-flight and later calls fail.
@@ -119,19 +155,34 @@ func (cl *Client) EstimateRaw(ctx context.Context, req *Request) ([]byte, error)
 func (cl *Client) EstimateBytes(ctx context.Context, body []byte) ([]byte, error) {
 	seq := cl.seq.Add(1)
 	ch := resultChan()
+	cl.sending.Lock()
 	cl.mu.Lock()
 	if cl.err != nil {
 		err := cl.err
 		cl.mu.Unlock()
+		cl.sending.Unlock()
 		return nil, err
 	}
 	cl.waiters[seq] = ch
+	hold := cl.pay()
+	releases := cl.releases.Load()
 	cl.mu.Unlock()
-
-	if err := cl.w.Send(ctx, &Frame{Type: FrameEstimate, Seq: seq, Body: body}); err != nil {
+	// Send, or for a held request Queue; either gives up on ctx while
+	// the queue is full.
+	err := cl.w.append(ctx, &Frame{Type: FrameEstimate, Seq: seq, Body: body}, !hold)
+	cl.sending.Unlock()
+	if err != nil {
 		cl.mu.Lock()
 		delete(cl.waiters, seq)
+		if hold && cl.releases.Load() == releases {
+			cl.held--
+		} else {
+			cl.sent--
+		}
 		cl.mu.Unlock()
+		if !hold {
+			cl.w.Flush() // the requests held for this one's wake-up
+		}
 		if errors.Is(err, ErrConnLost) {
 			// The writer is dead, so the connection is: record it here
 			// rather than wait for the writer goroutine to.
@@ -139,6 +190,9 @@ func (cl *Client) EstimateBytes(ctx context.Context, body []byte) ([]byte, error
 			return nil, cl.Err()
 		}
 		return nil, err // ctx done while the queue was full, or body over the frame limit
+	}
+	if hold && cl.releases.Load() != releases {
+		cl.w.Flush() // released by a burst before it was queued: the burst's flush missed it
 	}
 
 	select {
@@ -178,16 +232,56 @@ func (cl *Client) Estimate(ctx context.Context, req *Request) (*serve.Response, 
 	return &resp, nil
 }
 
+// pay counts one request against the last burst and reports whether
+// it is held. Called under mu.
+func (cl *Client) pay() (hold bool) {
+	hold = cl.holding && cl.unpaid > 1 && cl.sent > 0
+	if cl.unpaid > 0 {
+		cl.unpaid--
+	}
+	if hold {
+		cl.held++
+	} else {
+		cl.sent++
+		cl.release()
+	}
+	return hold
+}
+
+// release counts the held requests as sent, ahead of the wake-up that
+// sends them, and reports whether there were any. Called under mu.
+func (cl *Client) release() bool {
+	if cl.held == 0 {
+		return false
+	}
+	cl.sent += cl.held
+	cl.held = 0
+	cl.releases.Add(1)
+	return true
+}
+
+// startBurst notes the k answers of a socket read, before any of them
+// is handed out, and reports whether held requests wait for the flush
+// that sends them. Called under mu.
+func (cl *Client) startBurst(k int) (flush bool) {
+	cl.holding = cl.unpaid == 0
+	cl.unpaid = k
+	cl.sent -= k
+	return cl.release()
+}
+
 // answerReader reads a connection's answers. Each frame is read in
-// place into the one Frame and its body copied out of the read buffer
-// into an arena, allocated only when the current one runs out and then
-// sized to the answer plus what is left of the socket read it came in,
-// so one allocation holds a whole burst. Each body is clipped to its
-// own capacity: an append to one can never reach a neighbour's bytes.
+// place into the one Frame. The first answer of a socket read is copied
+// out of the read buffer together with every whole answer read with
+// it, in one append into a fresh arena (an append does not clear what
+// it fills), and the burst's later answers are handed out where their
+// bytes lie in it. Each body is clipped to its own capacity: an append
+// to one can never reach a neighbour's bytes.
 type answerReader struct {
 	br    *bufio.Reader
 	f     Frame
-	arena []byte // the current arena's unused tail
+	arena []byte // the current burst's answers not yet read, framed
+	burst int    // answers in the burst the last frame began; 0 if it went on with one
 }
 
 // next reads the next frame. Its Body is the caller's to keep; the
@@ -197,16 +291,38 @@ func (a *answerReader) next() (*Frame, error) {
 		return nil, err
 	}
 	n := len(a.f.Body)
-	if frameHeader+framePrefix+n > a.br.Size() {
+	size := frameHeader + framePrefix + n
+	if size > a.br.Size() {
+		a.burst = 1
 		return &a.f, nil // too big for the buffer: read into an allocation of its own
 	}
-	if n > len(a.arena) {
-		a.arena = make([]byte, n+a.br.Buffered())
+	if len(a.arena) >= size {
+		a.f.Body, a.arena, a.burst = a.arena[size-n:size:size], a.arena[size:], 0
+		return &a.f, nil
 	}
-	body := a.arena[:n:n]
-	copy(body, a.f.Body)
-	a.arena, a.f.Body = a.arena[n:], body
+	buffered, _ := a.br.Peek(a.br.Buffered()) // cannot fail
+	rest, k := wholeFrames(buffered)
+	if k > 0 {
+		a.arena = append(a.f.Body[:n:n], rest...) // the clipped capacity makes it allocate
+	} else {
+		a.arena = bytes.Clone(a.f.Body)
+	}
+	a.f.Body, a.arena, a.burst = a.arena[:n:n], a.arena[n:], 1+k
 	return &a.f, nil
+}
+
+// wholeFrames returns the leading frames of b that it holds whole,
+// unchecked, and how many there are.
+func wholeFrames(b []byte) ([]byte, int) {
+	at, k := 0, 0
+	for len(b)-at >= frameHeader {
+		size := frameHeader + int(binary.LittleEndian.Uint32(b[at+4:])) // the header's payload length
+		if size > len(b)-at {
+			break
+		}
+		at, k = at+size, k+1
+	}
+	return b[:at], k
 }
 
 // readLoop demultiplexes response frames to their waiters. On any read
@@ -228,9 +344,13 @@ func (cl *Client) readLoop() {
 			return
 		}
 		cl.mu.Lock()
+		flush := answers.burst > 0 && cl.startBurst(answers.burst)
 		ch, ok := cl.waiters[f.Seq]
 		delete(cl.waiters, f.Seq)
 		cl.mu.Unlock()
+		if flush {
+			cl.w.Flush()
+		}
 		if ok {
 			// Buffered (capacity 1): a waiter that gave up on its context
 			// deleted itself, and a late send must not block the reader.

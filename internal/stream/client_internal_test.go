@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -78,5 +79,66 @@ func TestAnswerOverReadBuffer(t *testing.T) {
 	}
 	if a.arena != nil {
 		t.Fatalf("an answer over the read buffer made a %d-byte arena", cap(a.arena))
+	}
+}
+
+// chunkReader returns one chunk per Read: one socket read each.
+type chunkReader [][]byte
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(*r) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, (*r)[0])
+	(*r)[0] = (*r)[0][n:]
+	if len((*r)[0]) == 0 {
+		*r = (*r)[1:]
+	}
+	return n, nil
+}
+
+// TestAnswerBurstsFollowSocketReads: a burst is the whole answers one
+// socket read brought, a frame split across two reads starting the
+// second, and every answer is copied out, so later reads into the same
+// buffer leave it intact — an answer alone in its read too.
+func TestAnswerBurstsFollowSocketReads(t *testing.T) {
+	var wire [3][]byte
+	var want [3][]byte
+	for i := range want {
+		want[i] = fmt.Appendf(nil, `{"total":%d.5}`, i)
+		var err error
+		if wire[i], err = AppendFrame(nil, &Frame{Type: FrameResponse, Seq: uint64(i), Body: want[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	half := len(wire[1]) / 2
+	for _, c := range []struct {
+		name   string
+		reads  chunkReader
+		bursts [3]int
+	}{
+		{"one answer per read", chunkReader{wire[0], wire[1], wire[2]}, [3]int{1, 1, 1}},
+		{"an answer split across reads", chunkReader{
+			append(bytes.Clone(wire[0]), wire[1][:half]...),
+			append(bytes.Clone(wire[1][half:]), wire[2]...),
+		}, [3]int{1, 2, 0}},
+	} {
+		a := answerReader{br: bufio.NewReaderSize(&c.reads, ReadBufferSize)}
+		var got [3][]byte
+		for i := range got {
+			f, err := a.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.burst != c.bursts[i] {
+				t.Fatalf("%s: answer %d counted %d answers in its burst, want %d", c.name, i, a.burst, c.bursts[i])
+			}
+			got[i] = f.Body
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%s: answer %d is %q after later reads, want %q", c.name, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -185,6 +185,3 @@ func (m *Model) Predict(x []float64) float64 {
 	}
 	return s*m.yStd + m.yMean
 }
-
-// NumSV returns the number of support vectors.
-func (m *Model) NumSV() int { return len(m.sv) }
