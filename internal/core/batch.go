@@ -168,11 +168,7 @@ func (m *CombinedModel) predictBatch(vecs []features.Vector, idxs []int, out []f
 		m.fillTransform(flat[j*k:(j+1)*k], &vecs[i])
 	}
 	us := sized(&s.us, len(idxs))
-	if m.qcompiled != nil {
-		m.qcompiled.PredictRows(flat, k, us, &s.words)
-	} else {
-		m.compiled.PredictRows(flat, k, us, &s.words)
-	}
+	m.compiled.PredictRows(flat, k, us, &s.words)
 	for j, i := range idxs {
 		out[i] = m.scaleBack(us[j], &vecs[i])
 	}

@@ -61,11 +61,6 @@ type CombinedModel struct {
 	// prediction path. It is bit-identical to the pointer walk (see
 	// mart.Compile).
 	compiled *mart.Compiled
-	// qcompiled, when non-nil, is the float32-quantized serving layout
-	// and takes over every prediction path. Only slab restore with the
-	// quantized option sets it (see slab.go); the accuracy gate at
-	// encode time bounds its divergence from compiled.
-	qcompiled *mart.CompiledQ
 	// martBlob is the model's compact binary encoding (§7.3), retained
 	// by slab restore where Mart itself is never materialized so Save
 	// can still re-emit byte-identical model files.
@@ -227,7 +222,7 @@ func TrainCombined(op plan.OpKind, resource plan.ResourceKind, scales []ScaleFn,
 	m.Mart = mm
 	m.compiled = mart.Compile(mm)
 
-	// fitted[i] is bit for bit what rawPredict(xs[i]) would return, so
+	// fitted[i] is bit for bit what compiled.Predict(xs[i]) would return, so
 	// the training error needs no second walk of the ensemble.
 	var errSum float64
 	for i := range samples {
@@ -237,21 +232,11 @@ func TrainCombined(op plan.OpKind, resource plan.ResourceKind, scales []ScaleFn,
 	return m, nil
 }
 
-// rawPredict evaluates the underlying ensemble on a transformed input
-// row, routing to the quantized layout when restored with it and the
-// compiled layout otherwise.
-func (m *CombinedModel) rawPredict(x []float64) float64 {
-	if m.qcompiled != nil {
-		return m.qcompiled.Predict(x)
-	}
-	return m.compiled.Predict(x)
-}
-
 // PredictVector estimates the operator's resource usage from a raw
 // feature vector: MART on the transformed inputs times the scaling
 // functions. Estimates are clamped at 0 (resources are non-negative).
 func (m *CombinedModel) PredictVector(v *features.Vector) float64 {
-	return m.scaleBack(m.rawPredict(m.transform(v)), v)
+	return m.scaleBack(m.compiled.Predict(m.transform(v)), v)
 }
 
 // scaleBack turns the ensemble's per-unit output u for vector v into
@@ -265,6 +250,16 @@ func (m *CombinedModel) scaleBack(u float64, v *features.Vector) float64 {
 	return p
 }
 
+func clampY(u, lo, hi float64) float64 {
+	if u < lo {
+		u = lo
+	}
+	if u > hi {
+		u = hi
+	}
+	return u
+}
+
 // ExplainMargins records the per-tree cumulative margins of the
 // underlying MART ensemble for a raw feature vector: margins[t] is the
 // per-unit prediction after base and the first t+1 trees, in the
@@ -274,10 +269,6 @@ func (m *CombinedModel) scaleBack(u float64, v *features.Vector) float64 {
 // bit-identical to the pointer walk Predict uses, so the last margin
 // is exactly the raw ensemble output behind PredictVector.
 func (m *CombinedModel) ExplainMargins(v *features.Vector, dst []float64) []float64 {
-	if m.qcompiled != nil {
-		dst, _ = m.qcompiled.PredictMargins(m.transform(v), dst)
-		return dst
-	}
 	dst, _ = m.compiled.PredictMargins(m.transform(v), dst)
 	return dst
 }

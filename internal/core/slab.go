@@ -10,7 +10,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/mart"
 	"repro/internal/plan"
-	"repro/internal/xrand"
 )
 
 // Estimator slab: the whole estimator — every candidate model's
@@ -28,7 +27,8 @@ import (
 //	  off  4  u16  format version (2; 1 held the root-to-leaf node slabs
 //	               "MCS1"/"MCQ1" and now declines into the JSON fallback,
 //	               as a version-2 file does under a version-1 binary)
-//	  off  6  u16  flags (bit 0: quantized section present)
+//	  off  6  u16  flags (0; earlier builds set bit 0 beside a QMARTS
+//	               section, and the decoder ignores both)
 //	  off  8  u32  section count
 //	  off 12  u32  reserved (0)
 //	  off 16  u64  total file length
@@ -37,7 +37,6 @@ import (
 //	sections, each 8-byte aligned, zero padding between
 //	  META    candidate metadata + per-candidate offsets into the others
 //	  MARTS   exact mart slabs ("MCS2"), back to back, 8-byte aligned
-//	  QMARTS  quantized mart slabs ("MCQ2"), only when the gate passed
 //	  BLOBS   compact §7.3 binary encodings, so Save on a slab-restored
 //	          estimator re-emits byte-identical model files
 //
@@ -54,12 +53,11 @@ const (
 	estSlabHeaderSize = 24
 	estSlabSectSize   = 24
 
-	estFlagQuantized = 1 << 0
-
-	sectMeta   = 1
-	sectMarts  = 2
-	sectQMarts = 3
-	sectBlobs  = 4
+	// Section kinds. Kind 3 held the float32-quantized mart slabs that
+	// earlier builds wrote; the decoder skips it unread.
+	sectMeta  = 1
+	sectMarts = 2
+	sectBlobs = 4
 
 	// Decode caps: far above anything trained, low enough that a
 	// corrupt count cannot drive a huge allocation before it fails.
@@ -76,27 +74,10 @@ var ErrSlab = errors.New("core: bad estimator slab")
 
 var slabCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Quantization gate: the quantized layout ships only when, on
-// deterministic probe rows spanning each candidate's training range,
-// its per-unit predictions stay within these bounds of the exact ones
-// — the same reject-if-worse discipline the feedback validator applies
-// to retrained models. Training already stores float32-exact
-// thresholds and leaf values, so a healthy model passes with margin;
-// the gate exists for the pathological rest.
-const (
-	quantGateProbes  = 64
-	quantGateMaxRel  = 1e-3
-	quantGateMeanRel = 1e-4
-)
-
-// EncodeSlab serializes the estimator into the slab format. The
-// returned quantized flag reports whether every candidate passed the
-// accuracy gate and the quantized section was written; exact sections
-// are always present and authoritative. Deterministic: equal
-// estimators encode to equal bytes.
-func (e *Estimator) EncodeSlab() (data []byte, quantized bool, err error) {
-	var meta, marts, qmarts, blobs []byte
-	quantized = true
+// EncodeSlab serializes the estimator into the slab format.
+// Deterministic: equal estimators encode to equal bytes.
+func (e *Estimator) EncodeSlab() ([]byte, error) {
+	var meta, marts, blobs []byte
 
 	var w metaWriter
 	w.u32(uint32(e.Resource))
@@ -112,37 +93,29 @@ func (e *Estimator) EncodeSlab() (data []byte, quantized bool, err error) {
 		w.u8(0)
 	}
 
-	type candSlabs struct {
-		comp *mart.Compiled
-		q    *mart.CompiledQ
-		blob []byte
-	}
 	var ops []plan.OpKind
-	var slabs [][]candSlabs
+	var opBlobs [][][]byte // opBlobs[o][i]: candidate i of ops[o]
 	for _, kind := range plan.Kinds() {
 		om, ok := e.Ops[kind]
 		if !ok {
 			continue
 		}
-		cs := make([]candSlabs, len(om.Candidates))
+		cb := make([][]byte, len(om.Candidates))
 		for i, c := range om.Candidates {
 			blob := c.martBlob
 			if c.Mart != nil {
+				var err error
 				if blob, err = c.Mart.EncodeBinary(); err != nil {
-					return nil, false, fmt.Errorf("core: slab encode %s: %w", kind, err)
+					return nil, fmt.Errorf("core: slab encode %s: %w", kind, err)
 				}
 			}
 			if blob == nil {
-				return nil, false, fmt.Errorf("core: slab encode %s: candidate %d has no binary blob", kind, i)
+				return nil, fmt.Errorf("core: slab encode %s: candidate %d has no binary blob", kind, i)
 			}
-			q := c.compiled.Quantize()
-			if !quantizeGatePasses(c, c.compiled, q) {
-				quantized = false
-			}
-			cs[i] = candSlabs{comp: c.compiled, q: q, blob: blob}
+			cb[i] = blob
 		}
 		ops = append(ops, kind)
-		slabs = append(slabs, cs)
+		opBlobs = append(opBlobs, cb)
 	}
 
 	w.u32(uint32(len(ops)))
@@ -155,7 +128,7 @@ func (e *Estimator) EncodeSlab() (data []byte, quantized bool, err error) {
 			}
 		}
 		if defaultIdx < 0 {
-			return nil, false, fmt.Errorf("core: slab encode %s: default model not among candidates", kind)
+			return nil, fmt.Errorf("core: slab encode %s: default model not among candidates", kind)
 		}
 		w.u32(uint32(kind))
 		w.u64(uint64(om.NSamples))
@@ -190,23 +163,19 @@ func (e *Estimator) EncodeSlab() (data []byte, quantized bool, err error) {
 			} else {
 				w.u8(0)
 			}
-			cs := slabs[oi][i]
+			blob := opBlobs[oi][i]
 			marts = pad8(marts)
 			w.u64(uint64(len(marts)))
-			w.u64(uint64(cs.comp.SlabSize()))
-			marts = cs.comp.AppendSlab(marts)
-			if quantized {
-				qmarts = pad8(qmarts)
-				w.u64(uint64(len(qmarts)))
-				w.u64(uint64(cs.q.SlabSize()))
-				qmarts = cs.q.AppendSlab(qmarts)
-			} else {
-				w.u64(0)
-				w.u64(0)
-			}
+			w.u64(uint64(c.compiled.SlabSize()))
+			marts = c.compiled.AppendSlab(marts)
+			// Where earlier builds referenced a quantized slab: zero,
+			// as they wrote it when their accuracy gate refused one,
+			// so their decoders load this file.
+			w.u64(0)
+			w.u64(0)
 			w.u64(uint64(len(blobs)))
-			w.u64(uint64(len(cs.blob)))
-			blobs = append(blobs, cs.blob...)
+			w.u64(uint64(len(blob)))
+			blobs = append(blobs, blob...)
 		}
 	}
 	meta = w.b
@@ -214,19 +183,11 @@ func (e *Estimator) EncodeSlab() (data []byte, quantized bool, err error) {
 	sections := []struct {
 		kind uint32
 		data []byte
-	}{{sectMeta, meta}, {sectMarts, marts}, {sectQMarts, qmarts}, {sectBlobs, blobs}}
-	if !quantized {
-		sections = append(sections[:2], sections[3])
-	}
+	}{{sectMeta, meta}, {sectMarts, marts}, {sectBlobs, blobs}}
 
 	out := make([]byte, estSlabHeaderSize+estSlabSectSize*len(sections))
 	binary.LittleEndian.PutUint32(out[0:], estSlabMagic)
 	binary.LittleEndian.PutUint16(out[4:], estSlabFormat)
-	flags := uint16(0)
-	if quantized {
-		flags |= estFlagQuantized
-	}
-	binary.LittleEndian.PutUint16(out[6:], flags)
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(sections)))
 	for i, s := range sections {
 		out = pad8(out)
@@ -239,59 +200,7 @@ func (e *Estimator) EncodeSlab() (data []byte, quantized bool, err error) {
 		binary.LittleEndian.PutUint64(out[ent+16:], uint64(len(s.data)))
 	}
 	binary.LittleEndian.PutUint64(out[16:], uint64(len(out)))
-	return out, quantized, nil
-}
-
-// quantizeGatePasses probes the quantized layout against the exact one
-// on rows spanning the candidate's training range (plus its corners and
-// midpoint) and rejects it when any probe diverges beyond tolerance.
-func quantizeGatePasses(c *CombinedModel, comp *mart.Compiled, q *mart.CompiledQ) bool {
-	k := len(c.Inputs)
-	if k == 0 {
-		return true
-	}
-	rng := xrand.New(0x51AB ^ uint64(c.Op)<<16 ^ uint64(c.Resource)<<8)
-	row := make([]float64, k)
-	probe := func(fill func(j int) float64) float64 {
-		for j := 0; j < k; j++ {
-			row[j] = fill(j)
-		}
-		exact := clampY(comp.Predict(row), c.YLow, c.YHigh)
-		quant := clampY(q.Predict(row), c.YLow, c.YHigh)
-		return math.Abs(quant-exact) / math.Max(math.Abs(exact), 1)
-	}
-	var sum, worst float64
-	n := 0
-	add := func(d float64) {
-		sum += d
-		n++
-		if d > worst {
-			worst = d
-		}
-	}
-	add(probe(func(j int) float64 { return c.Low[j] }))
-	add(probe(func(j int) float64 { return c.High[j] }))
-	add(probe(func(j int) float64 { return (c.Low[j] + c.High[j]) / 2 }))
-	for i := 0; i < quantGateProbes; i++ {
-		add(probe(func(j int) float64 {
-			lo, hi := c.Low[j], c.High[j]
-			if !(hi > lo) {
-				return lo
-			}
-			return rng.Range(lo, hi)
-		}))
-	}
-	return worst <= quantGateMaxRel && sum/float64(n) <= quantGateMeanRel
-}
-
-func clampY(u, lo, hi float64) float64 {
-	if u < lo {
-		u = lo
-	}
-	if u > hi {
-		u = hi
-	}
-	return u
+	return out, nil
 }
 
 func pad8(b []byte) []byte {
@@ -305,10 +214,12 @@ func pad8(b []byte) []byte {
 // little-endian host the compiled arrays and binary blobs alias
 // data directly — zero copy, so data must stay alive and unmodified for
 // the estimator's lifetime (the store mmaps the file read-only and
-// keeps the mapping for the life of the process). wantQuantized asks
-// for the quantized layout; usedQuantized reports whether the file
-// carried one (absent means the accuracy gate rejected it at encode
-// time, and the exact layout serves instead).
+// keeps the mapping for the life of the process). A QMARTS section and
+// flag bit 0, which earlier builds wrote, are skipped unread.
+//
+// wantQuantized is ignored and usedQuantized is always false: both stay
+// only because the benchmark calls this signature, and go with
+// ROADMAP 1(g).
 //
 // The decoder never panics on arbitrary bytes: section offsets, CRCs,
 // every count and every cross-section reference are validated, and the
@@ -323,7 +234,6 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 	if v := binary.LittleEndian.Uint16(data[4:]); v != estSlabFormat {
 		return nil, false, fmt.Errorf("%w: format version %d, want %d", ErrSlab, v, estSlabFormat)
 	}
-	flags := binary.LittleEndian.Uint16(data[6:])
 	nSect := int(binary.LittleEndian.Uint32(data[8:]))
 	if nSect < 1 || nSect > 16 {
 		return nil, false, fmt.Errorf("%w: %d sections", ErrSlab, nSect)
@@ -350,11 +260,11 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 		}
 		sects[kind] = sectEntry{b: data[off : off+n], crc: crc}
 	}
-	// CRCs are verified only for the sections this restore will read —
-	// checksumming (and thereby page-faulting) the quantized section on
-	// an exact-mode restore would cost real milliseconds and memory for
-	// bytes that are never dereferenced. Any section a candidate later
-	// references has been verified by the time its bytes are aliased.
+	// CRCs are verified only for the sections this restore reads —
+	// checksumming (and thereby page-faulting) the QMARTS section of an
+	// older file would cost real milliseconds and memory for bytes that
+	// are never dereferenced. Any section a candidate later references
+	// has been verified by the time its bytes are aliased.
 	use := func(kind uint32, name string) ([]byte, error) {
 		s, ok := sects[kind]
 		if !ok {
@@ -377,14 +287,6 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 	if err != nil {
 		return nil, false, err
 	}
-	_, hasQuant := sects[sectQMarts]
-	useQuant := wantQuantized && flags&estFlagQuantized != 0 && hasQuant
-	var qmarts []byte
-	if useQuant {
-		if qmarts, err = use(sectQMarts, "QMARTS"); err != nil {
-			return nil, false, err
-		}
-	}
 
 	r := &metaReader{b: meta}
 	e := &Estimator{
@@ -399,16 +301,16 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 		e.Baseline.P50 = r.f64()
 		e.Baseline.P90 = r.f64()
 	}
-	nOps := int(r.u32())
-	if r.err != nil || nOps > maxSlabOps {
+	nOps := r.count(maxSlabOps)
+	if r.err != nil {
 		return nil, false, fmt.Errorf("%w: bad op count", ErrSlab)
 	}
 	for oi := 0; oi < nOps; oi++ {
 		kind := plan.OpKind(r.u32())
 		om := &OperatorModels{Op: kind, Resource: e.Resource, NSamples: int(r.u64())}
 		defaultIdx := int(r.u32())
-		nCand := int(r.u32())
-		if r.err != nil || nCand < 1 || nCand > maxSlabCands {
+		nCand := r.count(maxSlabCands)
+		if r.err != nil || nCand < 1 {
 			return nil, false, fmt.Errorf("%w: op %d bad candidate count", ErrSlab, kind)
 		}
 		for ci := 0; ci < nCand; ci++ {
@@ -418,8 +320,8 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 				ScaleLow:  map[features.ID]float64{},
 				ScaleHigh: map[features.ID]float64{},
 			}
-			nScales := int(r.u32())
-			if r.err != nil || nScales > maxSlabScales {
+			nScales := r.count(maxSlabScales)
+			if r.err != nil {
 				return nil, false, fmt.Errorf("%w: op %d cand %d bad scale count", ErrSlab, kind, ci)
 			}
 			for i := 0; i < nScales; i++ {
@@ -429,8 +331,8 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 					F2:   features.ID(r.u32()),
 				})
 			}
-			nInputs := int(r.u32())
-			if r.err != nil || nInputs > maxSlabInputs {
+			nInputs := r.count(maxSlabInputs)
+			if r.err != nil {
 				return nil, false, fmt.Errorf("%w: op %d cand %d bad input count", ErrSlab, kind, ci)
 			}
 			c.Inputs = make([]features.ID, nInputs)
@@ -443,8 +345,8 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 				c.Low[i] = r.f64()
 				c.High[i] = r.f64()
 			}
-			nSF := int(r.u32())
-			if r.err != nil || nSF > maxSlabScaleFeat {
+			nSF := r.count(maxSlabScaleFeat)
+			if r.err != nil {
 				return nil, false, fmt.Errorf("%w: op %d cand %d bad scale-feature count", ErrSlab, kind, ci)
 			}
 			for i := 0; i < nSF; i++ {
@@ -457,7 +359,8 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 			c.TrainErr = r.f64()
 			c.noNorm = r.u8() == 1
 			martOff, martLen := r.u64(), r.u64()
-			qOff, qLen := r.u64(), r.u64()
+			r.u64() // the quantized slab's offset and length
+			r.u64()
 			blobOff, blobLen := r.u64(), r.u64()
 			if r.err != nil {
 				return nil, false, fmt.Errorf("%w: op %d cand %d truncated metadata", ErrSlab, kind, ci)
@@ -471,15 +374,6 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 			}
 			if c.martBlob, err = sectSlice(blobs, blobOff, blobLen); err != nil {
 				return nil, false, fmt.Errorf("%w: op %d cand %d BLOBS ref: %v", ErrSlab, kind, ci, err)
-			}
-			if useQuant {
-				qb, err := sectSlice(qmarts, qOff, qLen)
-				if err != nil {
-					return nil, false, fmt.Errorf("%w: op %d cand %d QMARTS ref: %v", ErrSlab, kind, ci, err)
-				}
-				if c.qcompiled, err = mart.CompiledQFromSlab(qb); err != nil {
-					return nil, false, fmt.Errorf("core: bad estimator slab: op %d cand %d quantized: %w", kind, ci, err)
-				}
 			}
 			if err := validateCandidate(c); err != nil {
 				return nil, false, fmt.Errorf("%w: op %d cand %d: %v", ErrSlab, kind, ci, err)
@@ -499,7 +393,7 @@ func LoadEstimatorSlab(data []byte, wantQuantized bool) (est *Estimator, usedQua
 	if r.off != len(r.b) {
 		return nil, false, fmt.Errorf("%w: %d trailing metadata bytes", ErrSlab, len(r.b)-r.off)
 	}
-	return e, useQuant, nil
+	return e, false, nil
 }
 
 // validateCandidate checks the invariants prediction relies on but
@@ -531,11 +425,6 @@ func validateCandidate(c *CombinedModel) error {
 	}
 	if need := c.compiled.InputsNeeded(); need > len(c.Inputs) {
 		return fmt.Errorf("model reads %d inputs, metadata has %d", need, len(c.Inputs))
-	}
-	if c.qcompiled != nil {
-		if need := c.qcompiled.InputsNeeded(); need > len(c.Inputs) {
-			return fmt.Errorf("quantized model reads %d inputs, metadata has %d", need, len(c.Inputs))
-		}
 	}
 	return nil
 }
@@ -604,3 +493,15 @@ func (r *metaReader) u64() uint64 {
 }
 
 func (r *metaReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// count reads a u32 count and fails the reader when it exceeds max. The
+// cap is checked before the count becomes an int, so where int is 32
+// bits a count with its top bit set cannot turn negative and reach make.
+func (r *metaReader) count(max int) int {
+	v := r.u32()
+	if uint64(v) > uint64(max) {
+		r.err = fmt.Errorf("count %d over its cap %d", v, max)
+		return 0
+	}
+	return int(v)
+}

@@ -13,7 +13,7 @@ import (
 )
 
 // fuzzSlab builds the valid slab the fuzz seeds mutate: a tiny but
-// real estimator (every section populated, quantized included).
+// real estimator (every section populated).
 var fuzzSlabOnce sync.Once
 var fuzzSlabBytes []byte
 
@@ -26,7 +26,7 @@ func fuzzSlabSeed() []byte {
 		if err != nil {
 			panic(err)
 		}
-		data, _, err := est.EncodeSlab()
+		data, err := est.EncodeSlab()
 		if err != nil {
 			panic(err)
 		}
@@ -93,7 +93,10 @@ func FuzzSlabDecode(f *testing.F) {
 
 // TestUpdateSlabFuzzCorpus rewrites the committed corpus seeds under
 // testdata/fuzz/FuzzSlabDecode when run with -update (the same switch
-// as the goldens), keeping them in sync with the encoder.
+// as the goldens), keeping them in sync with the encoder. The seeds
+// committed today were written by an earlier build and still carry its
+// float32-quantized QMARTS section; they stand for such files, and the
+// seeds above already cover what this encoder writes.
 func TestUpdateSlabFuzzCorpus(t *testing.T) {
 	if !*updateGolden {
 		t.Skip("corpus regeneration runs only with -update")

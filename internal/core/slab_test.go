@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -59,7 +60,7 @@ func slabCases(est *Estimator, test []*plan.Plan) ([]plan.OpKind, []features.Vec
 // through the single-vector, batch and whole-plan surfaces.
 func TestEstimatorSlabBitIdentical(t *testing.T) {
 	est, test := slabSetup(t)
-	data, _, err := est.EncodeSlab()
+	data, err := est.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestEstimatorSlabBitIdentical(t *testing.T) {
 // snapshot after a restart.
 func TestEstimatorSlabSaveByteIdentical(t *testing.T) {
 	est, _ := slabSetup(t)
-	data, _, err := est.EncodeSlab()
+	data, err := est.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestEstimatorSlabSaveByteIdentical(t *testing.T) {
 		t.Fatal("slab-restored Save output differs from original")
 	}
 	// And the slab re-encodes to the same bytes too.
-	again, _, err := dec.EncodeSlab()
+	again, err := dec.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,52 +134,39 @@ func TestEstimatorSlabSaveByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEstimatorSlabQuantized exercises the opt-in float32 layout: the
-// gate must pass on a healthy trained estimator (thresholds and leaf
-// values are float32-exact by training), the quantized load must report
-// itself, and its predictions must stay within the gate tolerance of
-// exact while the batch path matches the single path bit for bit.
+// TestEstimatorSlabQuantized pins the rollout from earlier builds,
+// which wrote a float32-quantized QMARTS section beside the exact one
+// and set flag bit 0. cpu.q.slab is what they wrote for the golden
+// estimator (today's cpu.slab before the section went): it loads, with
+// wantQuantized either way, into the exact layout, and predicts
+// bit-identically to the freshly trained estimator.
 func TestEstimatorSlabQuantized(t *testing.T) {
-	est, test := slabSetup(t)
-	data, quantized, err := est.EncodeSlab()
+	old, err := os.ReadFile(filepath.Join("testdata", "golden", "cpu.q.slab"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !quantized {
-		t.Fatal("accuracy gate rejected quantized layout on a healthy estimator")
+	if flags := binary.LittleEndian.Uint16(old[6:]); flags&1 == 0 {
+		t.Fatalf("fixture flags %#x: want the quantized bit set", flags)
 	}
-	dec, usedQ, err := LoadEstimatorSlab(data, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !usedQ {
-		t.Fatal("quantized load did not use quantized layout")
-	}
-	kinds, vecs := slabCases(est, test)
-	batch := dec.PredictBatch(kinds, vecs, nil)
-	for i := range kinds {
-		exact := est.PredictVector(kinds[i], &vecs[i])
-		got := dec.PredictVector(kinds[i], &vecs[i])
-		if math.Float64bits(batch[i]) != math.Float64bits(got) {
-			t.Fatalf("case %d: quantized batch %v != single %v", i, batch[i], got)
+	est := slabGoldenEstimator(t)
+	kinds, vecs := slabCases(est, execPlans(21, 32)[24:])
+	for _, quant := range []bool{false, true} {
+		dec, usedQ, err := LoadEstimatorSlab(old, quant)
+		if err != nil {
+			t.Fatalf("wantQuantized=%v: %v", quant, err)
 		}
-		diff := math.Abs(got - exact)
-		if !(diff <= 1e-2*math.Max(math.Abs(exact), 1)) {
-			t.Fatalf("case %d (%s): quantized %v too far from exact %v", i, kinds[i], got, exact)
+		if usedQ {
+			t.Fatalf("wantQuantized=%v: load reported the quantized layout", quant)
 		}
-	}
-	// Exact sections stay authoritative in the same file.
-	exactDec, usedQ2, err := LoadEstimatorSlab(data, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if usedQ2 {
-		t.Fatal("exact load of quantized slab reported quantized")
-	}
-	for i := range kinds[:min(64, len(kinds))] {
-		want := est.PredictVector(kinds[i], &vecs[i])
-		if got := exactDec.PredictVector(kinds[i], &vecs[i]); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("case %d: exact view of quantized slab diverged", i)
+		batch := dec.PredictBatch(kinds, vecs, nil)
+		for i := range kinds {
+			want := est.PredictVector(kinds[i], &vecs[i])
+			if got := dec.PredictVector(kinds[i], &vecs[i]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("wantQuantized=%v case %d (%s): %v != %v", quant, i, kinds[i], got, want)
+			}
+			if math.Float64bits(batch[i]) != math.Float64bits(want) {
+				t.Fatalf("wantQuantized=%v case %d (%s): batch %v != %v", quant, i, kinds[i], batch[i], want)
+			}
 		}
 	}
 }
@@ -189,7 +177,7 @@ func TestEstimatorSlabQuantized(t *testing.T) {
 // deeper structural attacks are covered by FuzzSlabDecode.)
 func TestEstimatorSlabRejectsCorruption(t *testing.T) {
 	est, _ := slabSetup(t)
-	data, _, err := est.EncodeSlab()
+	data, err := est.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +247,7 @@ func TestSlabFormat1Declines(t *testing.T) {
 
 func TestSlabGolden(t *testing.T) {
 	est := slabGoldenEstimator(t)
-	data, _, err := est.EncodeSlab()
+	data, err := est.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,5 +285,49 @@ func TestSlabGolden(t *testing.T) {
 		if got := dec.PredictVector(kinds[i], &vecs[i]); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("case %d: golden slab prediction %v != %v", i, got, want)
 		}
+	}
+}
+
+// TestSlabNegativeCountRejected pins META counts against a 32-bit int:
+// a candidate whose input count has its top bit set must fail decode
+// with ErrSlab (it is far above the cap), not turn negative and panic
+// in make, which it did under GOARCH=386. The META CRC is recomputed,
+// so the count itself is what the decoder judges.
+func TestSlabNegativeCountRejected(t *testing.T) {
+	data, err := slabGoldenEstimator(t).EncodeSlab()
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	if kind := le.Uint32(data[estSlabHeaderSize:]); kind != sectMeta {
+		t.Fatalf("first section has kind %d, want META", kind)
+	}
+	metaOff := le.Uint64(data[estSlabHeaderSize+8:])
+	metaLen := le.Uint64(data[estSlabHeaderSize+16:])
+	meta := data[metaOff : metaOff+metaLen]
+	// Walk to the first candidate's input count: resource, mode,
+	// fallback mean, baseline, op count, then the first op's kind,
+	// sample count, default index and candidate count, then the
+	// candidate's scales.
+	r := &metaReader{b: meta}
+	r.u32()
+	r.u32()
+	r.f64()
+	if r.u8() == 1 {
+		r.take(32)
+	}
+	r.u32()
+	r.u32()
+	r.u64()
+	r.u32()
+	r.u32()
+	r.take(12 * int(r.u32()))
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	le.PutUint32(meta[r.off:], 1<<31)
+	le.PutUint32(data[estSlabHeaderSize+4:], crc32.Checksum(meta, slabCRC))
+	if _, _, err := LoadEstimatorSlab(data, false); !errors.Is(err, ErrSlab) {
+		t.Fatalf("input count 2^31: LoadEstimatorSlab returned %v, want ErrSlab", err)
 	}
 }

@@ -6,9 +6,7 @@ import "repro/internal/plan"
 // one contiguous slice — the layout the batched estimation path
 // consumes. Plan i's vectors occupy vecs[offs[i]:offs[i+1]], in
 // preorder and parallel to plans[i].Nodes(); offs has len(plans)+1
-// entries. Vectors are identical to per-plan ExtractPlan output; the
-// batch walk just threads the parent down the recursion instead of
-// materializing a parent map per plan.
+// entries. Vectors are identical to per-plan ExtractPlan output.
 func ExtractPlans(plans []*plan.Plan, mode Mode) (vecs []Vector, offs []int) {
 	total := 0
 	for _, p := range plans {
@@ -26,8 +24,7 @@ func ExtractPlans(plans []*plan.Plan, mode Mode) (vecs []Vector, offs []int) {
 
 // AppendPlanVectors appends the feature vector of every node of p in
 // preorder (parallel to p.Nodes()) to dst and returns the extended
-// slice. It produces exactly the vectors ExtractPlan would, without the
-// per-call parent map.
+// slice, threading each node's parent down the recursion.
 func AppendPlanVectors(dst []Vector, p *plan.Plan, mode Mode) []Vector {
 	var rec func(n, parent *plan.Node)
 	rec = func(n, parent *plan.Node) {

@@ -173,18 +173,7 @@ func ExtractInto(v *Vector, n *plan.Node, parent *plan.Node, mode Mode) {
 // ExtractPlan extracts the feature vector of every node of p in preorder,
 // parallel to p.Nodes().
 func ExtractPlan(p *plan.Plan, mode Mode) []Vector {
-	nodes := p.Nodes()
-	parents := make(map[*plan.Node]*plan.Node, len(nodes))
-	p.Walk(func(n *plan.Node) {
-		for _, c := range n.Children {
-			parents[c] = n
-		}
-	})
-	out := make([]Vector, len(nodes))
-	for i, n := range nodes {
-		out[i] = Extract(n, parents[n], mode)
-	}
-	return out
+	return AppendPlanVectors(make([]Vector, 0, p.NumNodes()), p, mode)
 }
 
 func maxf(a, b float64) float64 {

@@ -35,13 +35,9 @@ import (
 // every threshold, matching IEEE "x <= t is false"), and each row's sum
 // is base, then rate·leaf tree by tree — the same float operations in
 // the same order, whichever accumulator holds it. The layout is
-// immutable once built.
-type Compiled struct{ ensemble[uint64, float64] }
-
-// ensemble is the layout itself, shared by the exact form (uint64 keys,
-// float64 leaves) and the quantized one (uint32, float32; see slabq.go).
-// These four arrays are also what the slab stores, byte for byte.
-type ensemble[K uint32 | uint64, V float32 | float64] struct {
+// immutable once built; its four arrays are also what the slab stores,
+// byte for byte (see slab.go).
+type Compiled struct {
 	base, rate float64
 	// featOff[f]:featOff[f+1] is feature f's run in nodes, keys
 	// ascending; len = features read + 1.
@@ -49,15 +45,15 @@ type ensemble[K uint32 | uint64, V float32 | float64] struct {
 	// leafOff[t]:leafOff[t+1] is tree t's leaves in leaf, left to right;
 	// len = trees + 1.
 	leafOff []uint32
-	nodes   []node[K]
-	leaf    []V
+	nodes   []node
+	leaf    []float64
 }
 
 // node is one inner tree node: AND mask into tree's word when the row's
 // key for the run's feature exceeds key. Every mask keeps its tree's
 // last leaf (no left subtree holds it) and no bit beyond it.
-type node[K uint32 | uint64] struct {
-	key  K
+type node struct {
+	key  uint64
 	tree uint32
 	mask uint32
 }
@@ -78,19 +74,6 @@ func floatKey(f float64) uint64 {
 		key = ^uint64(0)
 	}
 	return key
-}
-
-// wide reports whether K is the exact layout's 64-bit key; it folds to
-// a constant in each instantiation.
-func wide[K uint32 | uint64]() bool { return uint64(^K(0)) > math.MaxUint32 }
-
-// keyOf is the row-side key at the layout's width: floatKey, or for the
-// quantized layout the float32 key of x narrowed toward +Inf.
-func keyOf[K uint32 | uint64](x float64) K {
-	if wide[K]() {
-		return K(floatKey(x))
-	}
-	return K(featureKey32(x))
 }
 
 // Compile builds the serving layout: one counting pass buckets the
@@ -127,7 +110,7 @@ func Compile(m *Model) *Compiled {
 	for f, n := range perFeat {
 		c.featOff[f+1] = c.featOff[f] + n
 	}
-	c.nodes = make([]node[uint64], inner)
+	c.nodes = make([]node, inner)
 	c.leaf = make([]float64, c.leafOff[len(m.Trees)])
 
 	next := perFeat // next[f] = where feature f's next record goes
@@ -136,7 +119,7 @@ func Compile(m *Model) *Compiled {
 		lo, hi := c.leafOff[ti], c.leafOff[ti+1]
 		c.placeTree(&m.Trees[ti], 0, 0, uint32(ti), ^uint32(0)>>(maxLeaves-(hi-lo)), c.leaf[lo:hi], next)
 	}
-	tmp := make([]node[uint64], inner)
+	tmp := make([]node, inner)
 	for f := range perFeat {
 		lo, hi := c.featOff[f], c.featOff[f+1]
 		sortByKey(c.nodes[lo:hi], tmp[lo:hi])
@@ -149,7 +132,7 @@ func Compile(m *Model) *Compiled {
 // hundred records per run is several times cheaper than a comparison
 // sort — a set-up compiles some 80 models. Bytes every key shares, most
 // of them for thresholds of one feature, cost a count and no move.
-func sortByKey(run, tmp []node[uint64]) {
+func sortByKey(run, tmp []node) {
 	if len(run) < 2 {
 		return
 	}
@@ -192,29 +175,29 @@ func (c *Compiled) placeTree(t *Tree, i int32, first, tree, all uint32, leaf []f
 		thr = 0 // x <= -0 ⟺ x <= +0, and only +0 keys in float order
 	}
 	left := uint32(1)<<mid - uint32(1)<<first
-	c.nodes[next[n.Feature]] = node[uint64]{key: floatKey(thr), tree: tree, mask: all &^ left}
+	c.nodes[next[n.Feature]] = node{key: floatKey(thr), tree: tree, mask: all &^ left}
 	next[n.Feature]++
 	return c.placeTree(t, n.Right, mid, tree, all, leaf, next)
 }
 
 // NumTrees returns the number of compiled trees.
-func (e *ensemble[K, V]) NumTrees() int { return len(e.leafOff) - 1 }
+func (c *Compiled) NumTrees() int { return len(c.leafOff) - 1 }
 
 // InputsNeeded returns how many features a row must have for scoring to
 // stay in bounds: the highest feature any node reads plus one, 0 for a
 // model with no inner nodes. Loaders validate this against the metadata
 // that sizes prediction rows.
-func (e *ensemble[K, V]) InputsNeeded() int { return len(e.featOff) - 1 }
+func (c *Compiled) InputsNeeded() int { return len(c.featOff) - 1 }
 
 // route leaves in v[t] the leaves of tree t that row x can still reach;
 // the lowest set bit is the one it does reach. len(v) must be NumTrees.
-func (e *ensemble[K, V]) route(x []float64, v []uint32) {
+func (c *Compiled) route(x []float64, v []uint32) {
 	for w := v; len(w) > 0; w = w[copy(w, allOnes[:]):] {
 	}
-	lo := e.featOff[0]
-	for f, hi := range e.featOff[1:] {
-		k := keyOf[K](x[f])
-		for _, n := range e.nodes[lo:hi] {
+	lo := c.featOff[0]
+	for f, hi := range c.featOff[1:] {
+		k := floatKey(x[f])
+		for _, n := range c.nodes[lo:hi] {
 			if k <= n.key {
 				break
 			}
@@ -225,16 +208,16 @@ func (e *ensemble[K, V]) route(x []float64, v []uint32) {
 }
 
 // reached is the value of the leaf tree t's routed word w selects.
-func (e *ensemble[K, V]) reached(t int, w uint32) float64 {
-	return float64(e.leaf[e.leafOff[t]+uint32(bits.TrailingZeros32(w))])
+func (c *Compiled) reached(t int, w uint32) float64 {
+	return c.leaf[c.leafOff[t]+uint32(bits.TrailingZeros32(w))]
 }
 
 // score routes x and sums base, then rate·leaf tree by tree.
-func (e *ensemble[K, V]) score(x []float64, v []uint32) float64 {
-	e.route(x, v)
-	y := e.base
+func (c *Compiled) score(x []float64, v []uint32) float64 {
+	c.route(x, v)
+	y := c.base
 	for t, w := range v {
-		y += e.rate * e.reached(t, w)
+		y += c.rate * c.reached(t, w)
 	}
 	return y
 }
@@ -261,9 +244,9 @@ func (w *treeWords) forTrees(n int) []uint32 {
 
 // Predict evaluates one feature vector, bit-identical to Model.Predict
 // on the source model.
-func (e *ensemble[K, V]) Predict(x []float64) float64 {
+func (c *Compiled) Predict(x []float64) float64 {
 	var words treeWords
-	return e.score(x, words.forTrees(e.NumTrees()))
+	return c.score(x, words.forTrees(c.NumTrees()))
 }
 
 // PredictMargins evaluates one feature vector like Predict while
@@ -275,13 +258,13 @@ func (e *ensemble[K, V]) Predict(x []float64) float64 {
 // approximation of it. Margins are appended to dst (pass dst[:0] to
 // reuse a buffer); the final prediction is also returned directly so a
 // model with zero trees still reports its base.
-func (e *ensemble[K, V]) PredictMargins(x []float64, dst []float64) ([]float64, float64) {
+func (c *Compiled) PredictMargins(x []float64, dst []float64) ([]float64, float64) {
 	var words treeWords
-	v := words.forTrees(e.NumTrees())
-	e.route(x, v)
-	y := e.base
+	v := words.forTrees(c.NumTrees())
+	c.route(x, v)
+	y := c.base
 	for t, w := range v {
-		y += e.rate * e.reached(t, w)
+		y += c.rate * c.reached(t, w)
 		dst = append(dst, y)
 	}
 	return dst, y
@@ -302,8 +285,8 @@ type Scratch struct{ words []uint32 }
 // accumulators, each base, then rate·leaf tree by tree — Predict's
 // float operations in Predict's order, so every result is bit-identical
 // to Predict on its row. A tail of one to three rows is scored alone.
-func (e *ensemble[K, V]) PredictRows(flat []float64, stride int, out []float64, s *Scratch) {
-	n := e.NumTrees()
+func (c *Compiled) PredictRows(flat []float64, stride int, out []float64, s *Scratch) {
+	n := c.NumTrees()
 	if len(s.words) < 4*n {
 		s.words = make([]uint32, 4*n)
 	}
@@ -311,20 +294,20 @@ func (e *ensemble[K, V]) PredictRows(flat []float64, stride int, out []float64, 
 	j := 0
 	for ; j+4 <= len(out); j += 4 {
 		rows := flat[j*stride : (j+4)*stride]
-		e.route(rows[:stride], v0)
-		e.route(rows[stride:2*stride], v1)
-		e.route(rows[2*stride:3*stride], v2)
-		e.route(rows[3*stride:], v3)
-		y0, y1, y2, y3 := e.base, e.base, e.base, e.base
+		c.route(rows[:stride], v0)
+		c.route(rows[stride:2*stride], v1)
+		c.route(rows[2*stride:3*stride], v2)
+		c.route(rows[3*stride:], v3)
+		y0, y1, y2, y3 := c.base, c.base, c.base, c.base
 		for t, w0 := range v0 {
-			y0 += e.rate * e.reached(t, w0)
-			y1 += e.rate * e.reached(t, v1[t])
-			y2 += e.rate * e.reached(t, v2[t])
-			y3 += e.rate * e.reached(t, v3[t])
+			y0 += c.rate * c.reached(t, w0)
+			y1 += c.rate * c.reached(t, v1[t])
+			y2 += c.rate * c.reached(t, v2[t])
+			y3 += c.rate * c.reached(t, v3[t])
 		}
 		out[j], out[j+1], out[j+2], out[j+3] = y0, y1, y2, y3
 	}
 	for ; j < len(out); j++ {
-		out[j] = e.score(flat[j*stride:(j+1)*stride], v0)
+		out[j] = c.score(flat[j*stride:(j+1)*stride], v0)
 	}
 }

@@ -10,8 +10,7 @@ import (
 
 // The scoring loop is held to the pointer walk it replaced: for any
 // forest the decoders and the trainer can produce, and any row, the
-// compiled layout must return Model.Predict's bits, and the quantized
-// layout the bits of the float32 node walk it replaced (refQ below).
+// compiled layout must return Model.Predict's bits.
 
 // Values the forests draw thresholds from and the rows draw features
 // from: the corners of the key order (signed zeros, infinities, the
@@ -131,72 +130,6 @@ func probeRows(rng *xrand.Rand, n, nFeat int, pool []float64) [][]float64 {
 	return rows
 }
 
-// refQ is the float32 root-to-leaf walk the quantized layout replaced,
-// kept as the reference: thresholds rounded up to float32 and keyed,
-// features narrowed toward +Inf and keyed, right when the feature's key
-// exceeds the node's, float32 leaves widened into a float64 sum.
-type refQ struct {
-	base, rate float64
-	trees      [][]refQNode
-}
-
-type refQNode struct {
-	feat, left, right int32 // feat < 0: a leaf
-	key               uint32
-	value             float32
-}
-
-func refNarrow(f float64) float32 {
-	f32 := float32(f)
-	if float64(f32) < f {
-		f32 = math.Nextafter32(f32, float32(math.Inf(1)))
-	}
-	return f32
-}
-
-func newRefQ(m *Model) *refQ {
-	r := &refQ{base: m.Base, rate: m.Rate}
-	for ti := range m.Trees {
-		nodes := make([]refQNode, len(m.Trees[ti].nodes))
-		for i, n := range m.Trees[ti].nodes {
-			thr := n.Threshold
-			if thr == 0 {
-				thr = 0 // the exact layout keys -0 as +0, and Quantize starts from its keys
-			}
-			nodes[i] = refQNode{feat: n.Feature, left: n.Left, right: n.Right,
-				key: floatKey32(refNarrow(thr)), value: float32(n.Value)}
-		}
-		r.trees = append(r.trees, nodes)
-	}
-	return r
-}
-
-func (r *refQ) margins(x []float64) (margins []float64, y float64) {
-	y = r.base
-	for _, nodes := range r.trees {
-		i := int32(0)
-		for nodes[i].feat >= 0 {
-			if floatKey32(refNarrow(x[nodes[i].feat])) > nodes[i].key {
-				i = nodes[i].right
-			} else {
-				i = nodes[i].left
-			}
-		}
-		y += r.rate * float64(nodes[i].value)
-		margins = append(margins, y)
-	}
-	return margins, y
-}
-
-// scorer is what Compiled and CompiledQ share.
-type scorer interface {
-	NumTrees() int
-	InputsNeeded() int
-	Predict(x []float64) float64
-	PredictMargins(x []float64, dst []float64) ([]float64, float64)
-	PredictRows(flat []float64, stride int, out []float64, s *Scratch)
-}
-
 // flatRows lays rows of equal length back to back, as PredictRows takes
 // them.
 func flatRows(xs [][]float64) (flat []float64, stride int) {
@@ -213,7 +146,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 
 // checkScorer holds every scoring surface of s to the reference margins
 // on rows (all of length nFeat).
-func checkScorer(t *testing.T, name string, s scorer, nFeat int, rows [][]float64, ref func(x []float64) ([]float64, float64)) {
+func checkScorer(t *testing.T, name string, s *Compiled, nFeat int, rows [][]float64, ref func(x []float64) ([]float64, float64)) {
 	t.Helper()
 	if s.InputsNeeded() > nFeat {
 		t.Fatalf("%s: needs %d inputs, forest has %d features", name, s.InputsNeeded(), nFeat)
@@ -257,9 +190,8 @@ func checkScorer(t *testing.T, name string, s scorer, nFeat int, rows [][]float6
 	}
 }
 
-// checkForest compiles m and holds the exact layout to the pointer walk
-// and the quantized one to refQ, directly and through a slab round trip
-// on both decode paths.
+// checkForest compiles m and holds the layout to the pointer walk,
+// directly and through a slab round trip on both decode paths.
 func checkForest(t *testing.T, m *Model, nFeat int, rows [][]float64) {
 	t.Helper()
 	exactRef := func(x []float64) (margins []float64, y float64) {
@@ -274,27 +206,23 @@ func checkForest(t *testing.T, m *Model, nFeat int, rows [][]float64) {
 		return margins, y
 	}
 	c := Compile(m)
-	q := c.Quantize()
 	checkScorer(t, "exact", c, nFeat, rows, exactRef)
-	checkScorer(t, "quantized", q, nFeat, rows, newRefQ(m).margins)
 
-	cb, qb := c.AppendSlab(nil), q.AppendSlab(nil)
-	if len(cb) != c.SlabSize() || len(qb) != q.SlabSize() {
-		t.Fatalf("slab sizes %d/%d, SlabSize says %d/%d", len(cb), len(qb), c.SlabSize(), q.SlabSize())
+	cb := c.AppendSlab(nil)
+	if len(cb) != c.SlabSize() {
+		t.Fatalf("slab size %d, SlabSize says %d", len(cb), c.SlabSize())
 	}
 	for _, forceCopy := range []bool{false, true} {
 		slabForceCopy = forceCopy
-		cd, cerr := CompiledFromSlab(cb)
-		qd, qerr := CompiledQFromSlab(qb)
+		cd, err := CompiledFromSlab(cb)
 		slabForceCopy = false
-		if cerr != nil || qerr != nil {
-			t.Fatalf("forceCopy=%v: a compiled layout did not validate: %v / %v", forceCopy, cerr, qerr)
+		if err != nil {
+			t.Fatalf("forceCopy=%v: the compiled layout did not validate: %v", forceCopy, err)
 		}
-		if string(cd.AppendSlab(nil)) != string(cb) || string(qd.AppendSlab(nil)) != string(qb) {
+		if string(cd.AppendSlab(nil)) != string(cb) {
 			t.Fatalf("forceCopy=%v: re-encoded slab differs", forceCopy)
 		}
 		checkScorer(t, "exact slab", cd, nFeat, rows[:min(len(rows), 32)], exactRef)
-		checkScorer(t, "quantized slab", qd, nFeat, rows[:min(len(rows), 32)], newRefQ(m).margins)
 	}
 }
 
@@ -346,8 +274,8 @@ func TestScoreManyTrees(t *testing.T) {
 
 // FuzzScoreMatchesWalk lets the fuzzer pick the forest (by seed) and the
 // rows (raw float64 bit patterns, so NaN payloads, subnormals and every
-// neighbour of a threshold are within reach), and holds both layouts to
-// their references.
+// neighbour of a threshold are within reach), and holds the layout to
+// the pointer walk.
 func FuzzScoreMatchesWalk(f *testing.F) {
 	corners := make([]byte, 0, 8*len(scoreCorners))
 	for _, v := range scoreCorners {

@@ -18,7 +18,7 @@ import (
 // Layout (all fields little-endian, offsets relative to slab start,
 // which callers must keep 8-byte aligned relative to the mapping base):
 //
-//	off  0  u32  magic "MCS2" (exact) / "MCQ2" (quantized)
+//	off  0  u32  magic "MCS2"
 //	off  4  u32  nTrees
 //	off  8  u32  nFeat    features read = highest split feature + 1
 //	off 12  u32  nNodes   inner nodes
@@ -29,16 +29,16 @@ import (
 //	off 40  u32 × (nFeat+1)   featOff: feature f's records are nodes[featOff[f]:featOff[f+1]]
 //	        u32 × (nTrees+1)  leafOff: tree t's leaves are leaf[leafOff[t]:leafOff[t+1]]
 //	        4 zero bytes when nFeat+nTrees is odd, so nodes start 8-byte aligned
-//	        nodes   exact 16 B {u64 key, u32 tree, u32 mask} · quantized 12 B {u32 key, u32 tree, u32 mask}
-//	        leaf    exact f64 · quantized f32
+//	        nodes   16 B {u64 key, u32 tree, u32 mask} each
+//	        leaf    f64 each
 //
 // A decoder rejects any length mismatch and every structural violation
 // (validate), so scoring a decoded slab indexes inside its arrays
 // whatever the bytes were.
 const (
 	slabMagic      = 0x3253434D // "MCS2"
-	slabQMagic     = 0x3251434D // "MCQ2"
 	slabHeaderSize = 40
+	slabNodeSize   = 16
 
 	// Caps keep a corrupt header from driving huge allocations before
 	// the length check; all are far above any trained ensemble.
@@ -64,73 +64,57 @@ var (
 	slabForceCopy = false
 )
 
-// slabShape is what distinguishes the two encodings: the magic, and the
-// byte width of a key and of a leaf (8 exact, 4 quantized).
-func (e *ensemble[K, V]) slabShape() (magic uint32, width int) {
-	if wide[K]() {
-		return slabMagic, 8
-	}
-	return slabQMagic, 4
-}
-
 // slabOffsets returns where the node and leaf arrays start and the
-// total size, for the given counts and key/leaf width.
-func slabOffsets(nFeat, nTrees, nNodes, nLeaves, width int) (nodesOff, leafOff, size int) {
+// total size for the given counts. It counts in uint64, so no header
+// count can wrap the size on a 32-bit host: there, 16 bytes times 2^28
+// nodes is 0 in an int, and a short slab would pass the length check
+// and hand unsafe.Slice a length beyond its bytes.
+func slabOffsets(nFeat, nTrees, nNodes, nLeaves uint64) (nodesOff, leafOff, size uint64) {
 	nodesOff = (slabHeaderSize + 4*(nFeat+1+nTrees+1) + 7) &^ 7
-	leafOff = nodesOff + (width+8)*nNodes
-	return nodesOff, leafOff, leafOff + width*nLeaves
+	leafOff = nodesOff + slabNodeSize*nNodes
+	return nodesOff, leafOff, leafOff + 8*nLeaves
 }
 
 // SlabSize returns the exact encoded size of the compiled model.
-func (e *ensemble[K, V]) SlabSize() int {
-	_, width := e.slabShape()
-	_, _, size := slabOffsets(e.InputsNeeded(), e.NumTrees(), len(e.nodes), len(e.leaf), width)
-	return size
+func (c *Compiled) SlabSize() int {
+	_, _, size := slabOffsets(uint64(c.InputsNeeded()), uint64(c.NumTrees()), uint64(len(c.nodes)), uint64(len(c.leaf)))
+	return int(size)
 }
 
 // AppendSlab appends the slab encoding of the model to dst and returns
 // the extended slice. The encoding is byte-deterministic for a given
 // model on every host (explicit little-endian stores, zeroed padding).
-func (e *ensemble[K, V]) AppendSlab(dst []byte) []byte {
-	magic, width := e.slabShape()
-	nodesOff, leafOff, size := slabOffsets(e.InputsNeeded(), e.NumTrees(), len(e.nodes), len(e.leaf), width)
+func (c *Compiled) AppendSlab(dst []byte) []byte {
+	nodesOff, leafOff, size := slabOffsets(uint64(c.InputsNeeded()), uint64(c.NumTrees()), uint64(len(c.nodes)), uint64(len(c.leaf)))
 	off := len(dst)
 	dst = append(dst, make([]byte, size)...)
 	b := dst[off:]
 	le := binary.LittleEndian
-	le.PutUint32(b[0:], magic)
-	le.PutUint32(b[4:], uint32(e.NumTrees()))
-	le.PutUint32(b[8:], uint32(e.InputsNeeded()))
-	le.PutUint32(b[12:], uint32(len(e.nodes)))
-	le.PutUint32(b[16:], uint32(len(e.leaf)))
-	le.PutUint64(b[24:], math.Float64bits(e.base))
-	le.PutUint64(b[32:], math.Float64bits(e.rate))
+	le.PutUint32(b[0:], slabMagic)
+	le.PutUint32(b[4:], uint32(c.NumTrees()))
+	le.PutUint32(b[8:], uint32(c.InputsNeeded()))
+	le.PutUint32(b[12:], uint32(len(c.nodes)))
+	le.PutUint32(b[16:], uint32(len(c.leaf)))
+	le.PutUint64(b[24:], math.Float64bits(c.base))
+	le.PutUint64(b[32:], math.Float64bits(c.rate))
 	p := slabHeaderSize
-	for _, offs := range [][]uint32{e.featOff, e.leafOff} {
+	for _, offs := range [][]uint32{c.featOff, c.leafOff} {
 		for _, o := range offs {
 			le.PutUint32(b[p:], o)
 			p += 4
 		}
 	}
-	p = nodesOff
-	for _, n := range e.nodes {
-		if width == 8 {
-			le.PutUint64(b[p:], uint64(n.key))
-		} else {
-			le.PutUint32(b[p:], uint32(n.key))
-		}
-		le.PutUint32(b[p+width:], n.tree)
-		le.PutUint32(b[p+width+4:], n.mask)
-		p += width + 8
+	p = int(nodesOff)
+	for _, n := range c.nodes {
+		le.PutUint64(b[p:], n.key)
+		le.PutUint32(b[p+8:], n.tree)
+		le.PutUint32(b[p+12:], n.mask)
+		p += slabNodeSize
 	}
-	p = leafOff
-	for _, v := range e.leaf {
-		if width == 8 {
-			le.PutUint64(b[p:], math.Float64bits(float64(v)))
-		} else {
-			le.PutUint32(b[p:], math.Float32bits(float32(v)))
-		}
-		p += width
+	p = int(leafOff)
+	for _, v := range c.leaf {
+		le.PutUint64(b[p:], math.Float64bits(v))
+		p += 8
 	}
 	return dst
 }
@@ -142,68 +126,56 @@ func (e *ensemble[K, V]) AppendSlab(dst []byte) []byte {
 // satisfies both). Otherwise the arrays are decoded onto the heap and b
 // may be discarded.
 func CompiledFromSlab(b []byte) (*Compiled, error) {
-	c := &Compiled{}
-	if err := c.fromSlab(b); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func (e *ensemble[K, V]) fromSlab(b []byte) error {
-	magic, width := e.slabShape()
 	if len(b) < slabHeaderSize {
-		return fmt.Errorf("%w: %d bytes, want >= %d", ErrSlab, len(b), slabHeaderSize)
+		return nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrSlab, len(b), slabHeaderSize)
 	}
 	le := binary.LittleEndian
-	if m := le.Uint32(b[0:]); m != magic {
-		return fmt.Errorf("%w: magic %#x, want %#x", ErrSlab, m, magic)
+	if m := le.Uint32(b[0:]); m != slabMagic {
+		return nil, fmt.Errorf("%w: magic %#x, want %#x", ErrSlab, m, slabMagic)
 	}
-	nTrees, nFeat := int(le.Uint32(b[4:])), int(le.Uint32(b[8:]))
-	nNodes, nLeaves := int(le.Uint32(b[12:])), int(le.Uint32(b[16:]))
+	nTrees, nFeat := uint64(le.Uint32(b[4:])), uint64(le.Uint32(b[8:]))
+	nNodes, nLeaves := uint64(le.Uint32(b[12:])), uint64(le.Uint32(b[16:]))
 	if nTrees > maxSlabTrees || nFeat > maxSlabFeat || nNodes > maxSlabNodes || nLeaves > maxLeaves*nTrees {
-		return fmt.Errorf("%w: %d trees / %d features / %d nodes / %d leaves exceed caps", ErrSlab, nTrees, nFeat, nNodes, nLeaves)
+		return nil, fmt.Errorf("%w: %d trees / %d features / %d nodes / %d leaves exceed caps", ErrSlab, nTrees, nFeat, nNodes, nLeaves)
 	}
-	nodesOff, leafOff, size := slabOffsets(nFeat, nTrees, nNodes, nLeaves, width)
-	if len(b) != size {
-		return fmt.Errorf("%w: %d bytes, want %d", ErrSlab, len(b), size)
+	nodesOff, leafOff, size := slabOffsets(nFeat, nTrees, nNodes, nLeaves)
+	if uint64(len(b)) != size {
+		return nil, fmt.Errorf("%w: %d bytes, want %d", ErrSlab, len(b), size)
 	}
-	e.base = math.Float64frombits(le.Uint64(b[24:]))
-	e.rate = math.Float64frombits(le.Uint64(b[32:]))
-	if math.IsNaN(e.base) || math.IsInf(e.base, 0) || math.IsNaN(e.rate) || math.IsInf(e.rate, 0) {
-		return fmt.Errorf("%w: non-finite base/rate", ErrSlab)
+	c := &Compiled{}
+	c.base = math.Float64frombits(le.Uint64(b[24:]))
+	c.rate = math.Float64frombits(le.Uint64(b[32:]))
+	if math.IsNaN(c.base) || math.IsInf(c.base, 0) || math.IsNaN(c.rate) || math.IsInf(c.rate, 0) {
+		return nil, fmt.Errorf("%w: non-finite base/rate", ErrSlab)
 	}
+	// Every count is now bounded by len(b), so int holds it.
+	nOffs := int(nFeat + 1 + nTrees + 1)
 	ob, nb, lb := b[slabHeaderSize:], b[nodesOff:leafOff], b[leafOff:]
 	if hostLittleEndian && !slabForceCopy && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0 {
-		offs := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(ob))), nFeat+1+nTrees+1)
-		e.featOff, e.leafOff = offs[:nFeat+1:nFeat+1], offs[nFeat+1:]
-		e.nodes = unsafe.Slice((*node[K])(unsafe.Pointer(unsafe.SliceData(nb))), nNodes)
-		e.leaf = unsafe.Slice((*V)(unsafe.Pointer(unsafe.SliceData(lb))), nLeaves)
+		offs := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(ob))), nOffs)
+		c.featOff, c.leafOff = offs[:nFeat+1:nFeat+1], offs[nFeat+1:]
+		c.nodes = unsafe.Slice((*node)(unsafe.Pointer(unsafe.SliceData(nb))), int(nNodes))
+		c.leaf = unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(lb))), int(nLeaves))
 	} else {
-		offs := make([]uint32, nFeat+1+nTrees+1)
+		offs := make([]uint32, nOffs)
 		for i := range offs {
 			offs[i] = le.Uint32(ob[4*i:])
 		}
-		e.featOff, e.leafOff = offs[:nFeat+1:nFeat+1], offs[nFeat+1:]
-		e.nodes = make([]node[K], nNodes)
-		for i := range e.nodes {
-			r := nb[(width+8)*i:]
-			if width == 8 {
-				e.nodes[i].key = K(le.Uint64(r))
-			} else {
-				e.nodes[i].key = K(le.Uint32(r))
-			}
-			e.nodes[i].tree, e.nodes[i].mask = le.Uint32(r[width:]), le.Uint32(r[width+4:])
+		c.featOff, c.leafOff = offs[:nFeat+1:nFeat+1], offs[nFeat+1:]
+		c.nodes = make([]node, nNodes)
+		for i := range c.nodes {
+			r := nb[slabNodeSize*i:]
+			c.nodes[i] = node{key: le.Uint64(r), tree: le.Uint32(r[8:]), mask: le.Uint32(r[12:])}
 		}
-		e.leaf = make([]V, nLeaves)
-		for i := range e.leaf {
-			if width == 8 {
-				e.leaf[i] = V(math.Float64frombits(le.Uint64(lb[8*i:])))
-			} else {
-				e.leaf[i] = V(math.Float32frombits(le.Uint32(lb[4*i:])))
-			}
+		c.leaf = make([]float64, nLeaves)
+		for i := range c.leaf {
+			c.leaf[i] = math.Float64frombits(le.Uint64(lb[8*i:]))
 		}
 	}
-	return e.validate()
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // validate checks everything scoring indexes by, so no index can leave
@@ -213,23 +185,23 @@ func (e *ensemble[K, V]) fromSlab(b []byte) error {
 // beyond it — so the word a row ends with always selects one of the
 // tree's own leaves; keys ascend within a feature's run, which is what
 // lets the scan stop at the first key it does not exceed.
-func (e *ensemble[K, V]) validate() error {
-	if err := checkOffsets("feature", e.featOff, len(e.nodes), 0, len(e.nodes)); err != nil {
+func (c *Compiled) validate() error {
+	if err := checkOffsets("feature", c.featOff, len(c.nodes), 0, len(c.nodes)); err != nil {
 		return err
 	}
-	if err := checkOffsets("tree", e.leafOff, len(e.leaf), 1, maxLeaves); err != nil {
+	if err := checkOffsets("tree", c.leafOff, len(c.leaf), 1, maxLeaves); err != nil {
 		return err
 	}
-	nTrees := uint32(e.NumTrees())
-	for f := 0; f < e.InputsNeeded(); f++ {
-		run := e.nodes[e.featOff[f]:e.featOff[f+1]]
+	nTrees := uint32(c.NumTrees())
+	for f := 0; f < c.InputsNeeded(); f++ {
+		run := c.nodes[c.featOff[f]:c.featOff[f+1]]
 		for i, n := range run {
 			if n.tree >= nTrees {
 				return fmt.Errorf("%w: feature %d record %d: tree %d of %d", ErrSlab, f, i, n.tree, nTrees)
 			}
-			last := uint32(1) << (e.leafOff[n.tree+1] - e.leafOff[n.tree] - 1)
+			last := uint32(1) << (c.leafOff[n.tree+1] - c.leafOff[n.tree] - 1)
 			if n.mask&last == 0 || n.mask > last|(last-1) {
-				return fmt.Errorf("%w: feature %d record %d: mask %#x for a %d-leaf tree", ErrSlab, f, i, n.mask, e.leafOff[n.tree+1]-e.leafOff[n.tree])
+				return fmt.Errorf("%w: feature %d record %d: mask %#x for a %d-leaf tree", ErrSlab, f, i, n.mask, c.leafOff[n.tree+1]-c.leafOff[n.tree])
 			}
 			if i > 0 && n.key < run[i-1].key {
 				return fmt.Errorf("%w: feature %d record %d: key below its predecessor's", ErrSlab, f, i)

@@ -97,7 +97,8 @@ func TestSlabRejectsCorruption(t *testing.T) {
 	le := binary.LittleEndian
 	featOffAt := slabHeaderSize
 	leafOffAt := featOffAt + 4*len(c.featOff)
-	nodesAt, _, _ := slabOffsets(c.InputsNeeded(), c.NumTrees(), len(c.nodes), len(c.leaf), 8)
+	nodesAt64, _, _ := slabOffsets(uint64(c.InputsNeeded()), uint64(c.NumTrees()), uint64(len(c.nodes)), uint64(len(c.leaf)))
+	nodesAt := int(nodesAt64)
 	// A record with a predecessor in its feature's run, so "descending"
 	// is a statement about two keys of one feature.
 	second := -1
@@ -123,7 +124,8 @@ func TestSlabRejectsCorruption(t *testing.T) {
 		}
 	}
 	mutate("bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b })
-	mutate("quantized magic", func(b []byte) []byte { le.PutUint32(b, slabQMagic); return b })
+	// "MCQ2", the float32 layout earlier builds wrote beside this one.
+	mutate("quantized magic", func(b []byte) []byte { le.PutUint32(b, 0x3251434D); return b })
 	mutate("truncated", func(b []byte) []byte { return b[:len(b)-8] })
 	mutate("extended", func(b []byte) []byte { return append(b, 0) })
 	mutate("empty", func(b []byte) []byte { return nil })
@@ -176,116 +178,28 @@ func TestSlabRejectsCorruption(t *testing.T) {
 	})
 }
 
-// TestQuantizeCloseness bounds the quantized walk against the exact
-// walk. Training stores float32-exact thresholds and leaf values, so
-// on probe vectors the two layouts agree to within routing resolution
-// — a tight relative tolerance, not bit equality.
-func TestQuantizeCloseness(t *testing.T) {
-	c, xs := trainedCompiled(t, 1500, 17)
-	q := c.Quantize()
-	if q.NumTrees() != c.NumTrees() {
-		t.Fatalf("quantized %d trees, want %d", q.NumTrees(), c.NumTrees())
-	}
-	probes := slabProbes(xs, 41)
-	batch := make([]float64, len(probes))
-	flat, stride := flatRows(probes)
-	q.PredictRows(flat, stride, batch, new(Scratch))
-	for i, x := range probes {
-		exact := c.Predict(x)
-		got := q.Predict(x)
-		if math.Float64bits(batch[i]) != math.Float64bits(got) {
-			t.Fatalf("probe %d: quantized batch %v != single %v", i, batch[i], got)
-		}
-		diff := math.Abs(got - exact)
-		tol := 1e-4 * math.Max(1, math.Abs(exact))
-		if !(diff <= tol) {
-			t.Fatalf("probe %d: quantized %v vs exact %v (diff %v)", i, got, exact, diff)
-		}
-	}
-}
-
-// TestQuantizedSlabRoundTrip proves the quantized slab codec is
-// lossless relative to the in-memory CompiledQ, via both decode paths.
-func TestQuantizedSlabRoundTrip(t *testing.T) {
-	c, xs := trainedCompiled(t, 900, 23)
-	q := c.Quantize()
-	blob := q.AppendSlab(nil)
-	if len(blob) != q.SlabSize() {
-		t.Fatalf("encoded %d bytes, SlabSize says %d", len(blob), q.SlabSize())
-	}
-	probes := slabProbes(xs, 57)
-	flat, stride := flatRows(probes)
-	for _, forceCopy := range []bool{false, true} {
-		slabForceCopy = forceCopy
-		dec, err := CompiledQFromSlab(blob)
-		slabForceCopy = false
-		if err != nil {
-			t.Fatalf("forceCopy=%v: %v", forceCopy, err)
-		}
-		batch := make([]float64, len(probes))
-		dec.PredictRows(flat, stride, batch, new(Scratch))
-		for i, x := range probes {
-			want := q.Predict(x)
-			if got := dec.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("forceCopy=%v probe %d: %v != %v", forceCopy, i, got, want)
+// TestSlabNodeCountCannotWrapSize pins the length check against
+// header counts whose byte size overflows a 32-bit int: 16 B times 2^28
+// nodes is 2^32, which wraps to 0 and would let this 64-byte slab
+// (one feature, one tree, one leaf) pass as complete; 2^27 nodes wrap
+// to a negative size. Both must fail decode, never panic, on every
+// GOARCH — run with GOARCH=386 to exercise the wrap.
+func TestSlabNodeCountCannotWrapSize(t *testing.T) {
+	le := binary.LittleEndian
+	for _, nNodes := range []uint32{1 << 27, 1 << 28} {
+		b := make([]byte, 64)
+		le.PutUint32(b[0:], slabMagic)
+		le.PutUint32(b[4:], 1) // trees
+		le.PutUint32(b[8:], 1) // features
+		le.PutUint32(b[12:], nNodes)
+		le.PutUint32(b[16:], 1) // leaves
+		for _, forceCopy := range []bool{false, true} {
+			slabForceCopy = forceCopy
+			_, err := CompiledFromSlab(b)
+			slabForceCopy = false
+			if !errors.Is(err, ErrSlab) {
+				t.Fatalf("%d nodes in 64 bytes (forceCopy=%v): decode returned %v, want ErrSlab", nNodes, forceCopy, err)
 			}
-			if math.Float64bits(batch[i]) != math.Float64bits(want) {
-				t.Fatalf("forceCopy=%v probe %d: batch %v != %v", forceCopy, i, batch[i], want)
-			}
-		}
-	}
-	if _, err := CompiledQFromSlab(blob[:len(blob)-4]); err == nil {
-		t.Fatal("truncated quantized slab accepted")
-	}
-	bad := append([]byte(nil), blob...)
-	bad[0] ^= 0xFF
-	if _, err := CompiledQFromSlab(bad); err == nil {
-		t.Fatal("bad quantized magic accepted")
-	}
-}
-
-// TestQuantizedMarginsMatchPredict pins the explain surface: the final
-// margin equals Predict bit for bit, and the margin count equals the
-// tree count, mirroring the exact-mode contract.
-func TestQuantizedMarginsMatchPredict(t *testing.T) {
-	c, xs := trainedCompiled(t, 600, 29)
-	q := c.Quantize()
-	for _, x := range xs[:64] {
-		margins, y := q.PredictMargins(x, nil)
-		if len(margins) != q.NumTrees() {
-			t.Fatalf("%d margins, want %d", len(margins), q.NumTrees())
-		}
-		if math.Float64bits(y) != math.Float64bits(q.Predict(x)) {
-			t.Fatalf("margin final %v != Predict %v", y, q.Predict(x))
-		}
-		if len(margins) > 0 && math.Float64bits(margins[len(margins)-1]) != math.Float64bits(y) {
-			t.Fatalf("last margin %v != final %v", margins[len(margins)-1], y)
-		}
-	}
-}
-
-// TestFloatKey32Ordering checks the float32 sign-fold preserves
-// ordering and maps NaN above every threshold key, mirroring the
-// float64 key's routing contract.
-func TestFloatKey32Ordering(t *testing.T) {
-	vals := []float32{
-		float32(math.Inf(-1)), -1e30, -2.5, -1, -math.SmallestNonzeroFloat32,
-		0, math.SmallestNonzeroFloat32, 0.5, 1, 3.75, 1e30, float32(math.Inf(1)),
-	}
-	for i := 0; i < len(vals)-1; i++ {
-		if !(floatKey32(vals[i]) < floatKey32(vals[i+1])) {
-			t.Fatalf("key ordering broken at %v < %v", vals[i], vals[i+1])
-		}
-	}
-	nan := floatKey32(float32(math.NaN()))
-	for _, v := range vals {
-		if nan <= floatKey32(v) {
-			t.Fatalf("NaN key %#x not above %v", nan, v)
-		}
-	}
-	for _, f := range []float64{-17.25, 0, 1e-12, 3.5, 12345.678, -1e100, 1e100} {
-		if got := keyToFloat(floatKey(f)); math.Float64bits(got) != math.Float64bits(f) {
-			t.Fatalf("keyToFloat(floatKey(%v)) = %v", f, got)
 		}
 	}
 }

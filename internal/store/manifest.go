@@ -77,10 +77,6 @@ type ModelEntry struct {
 	// itself); they rely on the slab's internal per-section CRCs, which
 	// cover every byte a restore dereferences.
 	SlabSHA256 string `json:"slab_sha256,omitempty"`
-	// SlabQuantized records whether the slab carries the optional
-	// float32-quantized section (present only when the encode-time
-	// accuracy gate passed).
-	SlabQuantized bool `json:"slab_quantized,omitempty"`
 }
 
 // Resource looks up the entry for the given wire name.
@@ -153,7 +149,7 @@ func (m *Manifest) validate() error {
 			if err := validChecksum(e.SlabSHA256); err != nil {
 				return fmt.Errorf("store: manifest: model %q has malformed slab checksum", e.Resource)
 			}
-		} else if e.SlabSHA256 != "" || e.SlabQuantized {
+		} else if e.SlabSHA256 != "" {
 			return fmt.Errorf("store: manifest: model %q has slab metadata but no slab file", e.Resource)
 		}
 	}

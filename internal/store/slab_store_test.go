@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -168,29 +169,46 @@ func TestSlabAndJSONCorruptionFallsBackToPreviousVersion(t *testing.T) {
 	}
 }
 
-// TestSlabQuantizedMode: a SlabQuantized store restores through the
-// slab's float32 section when the publish-time gate admitted one, and
-// predictions stay within the gate's tolerance of the exact model.
+// TestSlabQuantizedMode is the rollout pin for manifests earlier builds
+// wrote, which flag a slab carrying a float32-quantized section with
+// "slab_quantized": true. Such an entry restores zero-copy from the
+// slab under SlabExact and under SlabQuantized alike, both predicting
+// bit-identically to the heap estimator.
 func TestSlabQuantizedMode(t *testing.T) {
 	setup(t)
 	dir := t.TempDir()
 	pub := openStore(t, dir, Options{})
 	man := publishOne(t, pub, "tpch", plan.CPUTime, cpuEst)
-	if !man.Models[0].SlabQuantized {
-		t.Skip("accuracy gate rejected quantization for this model; exact-only slab")
-	}
-	st := openStore(t, dir, Options{Slab: SlabQuantized})
-	loaded, err := st.LoadVersion(man.Version)
+
+	path := filepath.Join(pub.versionDir(man.Version), manifestName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded.Layout[plan.CPUTime]; got != "mmap-quantized" {
-		t.Fatalf("layout %q, want mmap-quantized", got)
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range testPlans {
-		got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p)
-		if rel := math.Abs(got-want) / math.Max(math.Abs(want), 1); rel > 1e-2 {
-			t.Fatalf("quantized prediction %v too far from exact %v", got, want)
+	doc["models"].([]any)[0].(map[string]any)["slab_quantized"] = true
+	if data, err = json.MarshalIndent(doc, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, mode := range []SlabMode{SlabExact, SlabQuantized} {
+		loaded, err := openStore(t, dir, Options{Slab: mode}).LoadVersion(man.Version)
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		if got := loaded.Layout[plan.CPUTime]; got != "mmap" {
+			t.Fatalf("mode %d: layout %q, want mmap", mode, got)
+		}
+		for _, p := range testPlans {
+			if got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("mode %d: slab restore drifted: %v != %v", mode, got, want)
+			}
 		}
 	}
 }
@@ -203,7 +221,7 @@ func TestSlabDisabledAndLegacySnapshots(t *testing.T) {
 	dir := t.TempDir()
 	off := openStore(t, dir, Options{Slab: SlabDisabled})
 	man := publishOne(t, off, "tpch", plan.CPUTime, cpuEst)
-	if e := man.Models[0]; e.SlabFile != "" || e.SlabSHA256 != "" || e.SlabQuantized {
+	if e := man.Models[0]; e.SlabFile != "" || e.SlabSHA256 != "" {
 		t.Fatalf("SlabDisabled publish recorded slab metadata: %+v", e)
 	}
 	if _, err := os.Stat(filepath.Join(off.versionDir(man.Version), "cpu.model.slab")); !errors.Is(err, os.ErrNotExist) {

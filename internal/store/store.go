@@ -66,9 +66,10 @@ const (
 	// SlabExact (the default) restores from the slab's exact float64
 	// layout when present and intact, bit-identical to the JSON path.
 	SlabExact SlabMode = iota
-	// SlabQuantized prefers the slab's float32-quantized section
-	// (smaller, faster) when the publish-time accuracy gate admitted
-	// one; falls back to the exact layout otherwise.
+	// SlabQuantized restores exactly like SlabExact. It named a
+	// float32-quantized slab section that is no longer written or
+	// read, and stays only because the benchmark passes it; it goes
+	// with ROADMAP 1(g).
 	SlabQuantized
 	// SlabDisabled ignores slab files entirely: publishes write none
 	// and restores always JSON-decode.
@@ -128,8 +129,7 @@ type Loaded struct {
 	Manifest *Manifest
 	Models   map[plan.ResourceKind]*core.Estimator
 	// Layout records how each model was materialised: "mmap" (zero-copy
-	// over the slab's exact layout), "mmap-quantized" (the slab's
-	// float32 section), or "json" (heap decode + recompile). Surfaced so
+	// over the slab) or "json" (heap decode + recompile). Surfaced so
 	// operators can confirm the fast path actually engaged.
 	Layout map[plan.ResourceKind]string
 }
@@ -305,13 +305,12 @@ func (s *Store) encodeModel(r plan.ResourceKind, est *core.Estimator) encodedMod
 	// The slab is an accelerator, never a publish failure: an encode
 	// error just means this snapshot restores via JSON decode.
 	if s.slab != SlabDisabled {
-		if slab, quantized, err := est.EncodeSlab(); err != nil {
+		if slab, err := est.EncodeSlab(); err != nil {
 			m.slabErr = err
 		} else {
 			slabSum := sha256.Sum256(slab)
 			m.entry.SlabFile = r.WireName() + ".model.slab"
 			m.entry.SlabSHA256 = hex.EncodeToString(slabSum[:])
-			m.entry.SlabQuantized = quantized
 			m.files = append(m.files, namedBlob{name: m.entry.SlabFile, data: slab})
 		}
 	}
@@ -559,7 +558,7 @@ func (s *Store) loadSlab(v uint64, e ModelEntry, r plan.ResourceKind) (*core.Est
 	if err != nil {
 		return nil, "", err
 	}
-	est, quantized, err := core.LoadEstimatorSlab(m.Bytes(), s.slab == SlabQuantized)
+	est, _, err := core.LoadEstimatorSlab(m.Bytes(), false)
 	if err != nil {
 		m.Close()
 		return nil, "", err
@@ -567,9 +566,6 @@ func (s *Store) loadSlab(v uint64, e ModelEntry, r plan.ResourceKind) (*core.Est
 	if est.Resource != r {
 		m.Close()
 		return nil, "", fmt.Errorf("slab holds a %s model", est.Resource)
-	}
-	if quantized {
-		return est, "mmap-quantized", nil
 	}
 	return est, "mmap", nil
 }
