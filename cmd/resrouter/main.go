@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/serve"
 )
 
 // config is the parsed command line.
@@ -146,19 +147,13 @@ func run(cfg config, stop <-chan os.Signal, ready func(httpAddr, streamAddr stri
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	srv := serve.NewHTTPServer(rt.Handler())
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
 		s := <-stop
 		fmt.Fprintf(os.Stderr, "resrouter: %s received, draining\n", s)
-		if err := drainHTTP(srv, 10*time.Second); err != nil {
+		if err := serve.DrainHTTP(srv, 10*time.Second); err != nil {
 			fmt.Fprintf(os.Stderr, "resrouter: drain deadline expired (%v); connections force-closed\n", err)
 		}
 	}()

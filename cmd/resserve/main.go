@@ -60,7 +60,7 @@
 //	                       parsed (never with ?explain=1, never an error)
 //	POST /estimate/batch   {"schema","resource","timeout_ms","plans":[plan...]}
 //	                       estimate up to 1024 plans in one request: one model
-//	                       lookup, one worker-pool dispatch and one cache
+//	                       lookup, one compute slot and one cache
 //	                       multi-get for the whole batch, with cache misses
 //	                       evaluated on the compiled (flattened) tree layout —
 //	                       same predictions as /estimate, several times the
@@ -83,7 +83,7 @@
 // persistent streaming transport: length-prefixed CRC-checked frames
 // on plain TCP, many requests in flight per connection, and requests
 // coalesced across connections into micro-batched dispatches through
-// the same worker pool and cache — request bodies read by POST
+// the same compute slots and cache — request bodies read by POST
 // /estimate's own decoder, so each is accepted or refused in the same
 // words, and responses byte-identical to POST /estimate, at a fraction
 // of the per-request overhead. See the
@@ -91,10 +91,11 @@
 // coalescing rule (send at once when nothing for the route is
 // outstanding, accumulate while something is) and a client example.
 //
-// Observability: requests are stage-timed (decode, queue wait, cache
-// probe, predict, encode) into lock-free latency histograms and carry
-// X-Request-ID end to end; requests slower than -slow-trace emit one
-// structured log record with the per-stage breakdown. The feedback loop
+// Observability: requests are stage-timed (decode, the wait for one of
+// -workers compute slots, cache probe, predict, encode) into lock-free
+// latency histograms and carry X-Request-ID end to end; requests slower
+// than -slow-trace emit one structured log record with the per-stage
+// breakdown. The feedback loop
 // additionally tracks signed log-ratio error quantiles, empirical
 // coverage and drift state per (schema, resource), all exported through
 // /metrics. -debug-addr starts a separate listener with /debug/pprof, a
@@ -109,8 +110,8 @@
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: in-flight HTTP
 // requests drain (force-closed if still running at the 10s drain
-// deadline), the streaming listener closes, the estimation worker pool
-// stops, any in-flight retrain finishes, and the observation log is
+// deadline), the streaming listener closes, the service refuses new
+// estimates, any in-flight retrain finishes, and the observation log is
 // closed.
 //
 // main parses the command line with parseFlags and hands the result to
@@ -189,7 +190,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.IntVar(&cfg.bootN, "bootstrap-n", 128, "bootstrap training workload size")
 	fs.IntVar(&cfg.bootIters, "bootstrap-iters", 100, "bootstrap MART iterations")
 	fs.IntVar(&cfg.serve.CacheEntries, "cache", 65536, "prediction cache entries (negative disables)")
-	fs.IntVar(&cfg.serve.Workers, "workers", 0, "estimation workers (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.serve.Workers, "workers", 0, "estimate requests computing at once (0 = GOMAXPROCS)")
 	fs.DurationVar(&cfg.serve.DefaultTimeout, "timeout", 2*time.Second, "default per-request deadline")
 	fs.StringVar(&cfg.serve.ModelDir, "model-dir", "", "directory POST /models may load model files from (empty disables the endpoint)")
 	fs.StringVar(&cfg.storeDir, "store-dir", "", "versioned model-store directory; every publish persists an atomic snapshot there, startup restores the latest ones, and rollback walks snapshot history")
@@ -432,26 +433,20 @@ func run(cfg config, stop <-chan os.Signal, ready func(httpAddr, streamAddr stri
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{
-		Handler:           svc.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	srv := serve.NewHTTPServer(svc.Handler())
 	// Graceful shutdown on a signal, in dependency order: stop
 	// accepting and drain in-flight HTTP handlers (force-closing any
-	// still running when the drain deadline expires — see drainHTTP),
-	// then the streaming listener, then the estimation worker pool,
-	// then the feedback loop — which waits for any retrain in flight
-	// and closes the observation log, so a signal never kills the
-	// process mid-write.
+	// still running when the drain deadline expires — see
+	// serve.DrainHTTP), then the streaming listener, then the service —
+	// which refuses new estimates — then the feedback loop, which waits
+	// for any retrain in flight and closes the observation log, so a
+	// signal never kills the process mid-write.
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
 		s := <-stop
 		logf("%s received, draining", s)
-		if forced, err := drainHTTP(srv, 10*time.Second); forced {
+		if err := serve.DrainHTTP(srv, 10*time.Second); err != nil {
 			logf("drain deadline expired (%v); connections force-closed", err)
 		}
 	}()
@@ -470,7 +465,7 @@ func run(cfg config, stop <-chan os.Signal, ready func(httpAddr, streamAddr stri
 	if streamSrv != nil {
 		// The streaming listener closes after HTTP drains and before the
 		// service: its connections tear down, and any dispatch already
-		// in the pool completes against a still-live service.
+		// computing completes against a still-live service.
 		streamSrv.Close()
 	}
 	if stopStoreSync != nil {

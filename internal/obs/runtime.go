@@ -123,11 +123,11 @@ type DebugHandler struct {
 	Handler http.HandlerFunc
 }
 
-// DebugServerOptions tunes the debug listener's connection lifecycle.
+// debugServerOptions tunes the debug listener's connection lifecycle.
 // The zero value selects defaults sized for pprof: profile and trace
 // handlers stream for tens of seconds, so WriteTimeout must stay far
 // above an ordinary scrape's.
-type DebugServerOptions struct {
+type debugServerOptions struct {
 	// ReadHeaderTimeout bounds request-header reads (default 10s).
 	ReadHeaderTimeout time.Duration
 	// WriteTimeout bounds a whole response write. It must comfortably
@@ -141,7 +141,7 @@ type DebugServerOptions struct {
 	IdleTimeout time.Duration
 }
 
-func (o DebugServerOptions) withDefaults() DebugServerOptions {
+func (o debugServerOptions) withDefaults() debugServerOptions {
 	if o.ReadHeaderTimeout <= 0 {
 		o.ReadHeaderTimeout = 10 * time.Second
 	}
@@ -162,16 +162,16 @@ func (o DebugServerOptions) withDefaults() DebugServerOptions {
 //	                   serving layer's GET /debug/exemplars)
 //
 // It returns once the listener is bound (so startup failures surface
-// immediately) and serves in the background until Close. Connection
-// lifecycle uses the DebugServerOptions defaults; use
-// StartDebugServerWith to override them.
+// immediately) and serves in the background until Close. Connections
+// get the debugServerOptions defaults: 10s to read headers, 5m to write
+// a response (a pprof profile streams for 30s), 2m idle.
 func StartDebugServer(addr string, reg *Registry, extra ...DebugHandler) (*DebugServer, error) {
-	return StartDebugServerWith(addr, reg, DebugServerOptions{}, extra...)
+	return startDebugServerWith(addr, reg, debugServerOptions{}, extra...)
 }
 
-// StartDebugServerWith is StartDebugServer with explicit connection
+// startDebugServerWith is StartDebugServer with explicit connection
 // timeouts.
-func StartDebugServerWith(addr string, reg *Registry, opts DebugServerOptions, extra ...DebugHandler) (*DebugServer, error) {
+func startDebugServerWith(addr string, reg *Registry, opts debugServerOptions, extra ...DebugHandler) (*DebugServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -35,7 +35,7 @@ func TestDebugServerTimeoutDefaults(t *testing.T) {
 // through one request, then verifies the server closes it once it sits
 // idle past IdleTimeout.
 func TestDebugServerReapsIdleConnection(t *testing.T) {
-	ds, err := StartDebugServerWith("127.0.0.1:0", nil, DebugServerOptions{
+	ds, err := startDebugServerWith("127.0.0.1:0", nil, debugServerOptions{
 		IdleTimeout: 100 * time.Millisecond,
 	})
 	if err != nil {

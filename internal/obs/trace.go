@@ -14,7 +14,7 @@ import (
 // Request tracing: every HTTP request gets an ID (client-supplied
 // X-Request-ID or generated) and, when telemetry is on, a Trace that
 // accumulates per-stage durations as the request moves through
-// decode → cache probe → pool wait → predict → encode. Requests that
+// decode → slot wait → cache probe → predict → encode. Requests that
 // exceed the slow threshold emit one structured slog record carrying
 // the ID and the full stage breakdown — the "which stage ate the
 // time" answer for individual outliers that histograms, being
@@ -32,13 +32,13 @@ const (
 	// the streaming endpoint records it; HTTP requests dispatch
 	// immediately.
 	StageCoalesce
-	// StageQueue is the wait between enqueueing on the worker pool and
-	// a worker picking the job up.
+	// StageQueue is the wait for one of the service's Workers compute
+	// slots; near zero unless that many requests are computing.
 	StageQueue
 	// StageCacheProbe is the prediction-cache lookup: one multi-get
 	// over every operator of the request's plans.
 	StageCacheProbe
-	// StagePredict is the rest of the worker's time on the request:
+	// StagePredict is the rest of the request's time in its slot:
 	// feature extraction, model evaluation of the misses, the cache
 	// fill and response assembly.
 	StagePredict
@@ -106,10 +106,10 @@ func NewRequestID() string {
 }
 
 // Trace accumulates one request's stage timings. A nil *Trace is valid
-// everywhere and records nothing, so call sites are branch-free. Spans
-// are atomic: a request that timed out can have a pool worker still
-// recording its predict span while the HTTP handler reads the trace
-// for the slow log.
+// everywhere and records nothing, so call sites are branch-free. A
+// trace is not safe for concurrent use: every stage of a request,
+// estimation included, runs on the goroutine that serves it, which is
+// the one that records into its trace and reads it for the slow log.
 type Trace struct {
 	// ID is the request ID (propagated or generated).
 	ID string
@@ -117,7 +117,7 @@ type Trace struct {
 	// "estimate_batch", ...).
 	Endpoint string
 	start    time.Time
-	spans    [NumStages]atomic.Int64
+	spans    [NumStages]time.Duration
 }
 
 // NewTrace starts a trace for endpoint with the given request ID.
@@ -128,7 +128,7 @@ func NewTrace(endpoint, id string) *Trace {
 // Record adds d to the stage's accumulated duration. Nil-safe.
 func (t *Trace) Record(s Stage, d time.Duration) {
 	if t != nil {
-		t.spans[s].Add(int64(d))
+		t.spans[s] += d
 	}
 }
 
@@ -137,7 +137,7 @@ func (t *Trace) Span(s Stage) time.Duration {
 	if t == nil {
 		return 0
 	}
-	return time.Duration(t.spans[s].Load())
+	return t.spans[s]
 }
 
 // LogSlow emits one structured slow-request record through logger when

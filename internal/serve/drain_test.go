@@ -1,4 +1,4 @@
-package main
+package serve_test
 
 import (
 	"io"
@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // slowHandler parks every request until its context is canceled (or a
@@ -40,13 +42,11 @@ func startTestServer(t *testing.T, h http.Handler) (*http.Server, string) {
 	return srv, ln.Addr().String()
 }
 
-// TestDrainHTTPForcesCloseOnDeadline is the regression test for the
-// ignored-Shutdown-error bug: with a deliberately slow handler still
-// running when the drain deadline expires, drainHTTP must report the
-// forced close, actually sever the connection (the client's read
-// fails rather than hanging), and cancel the parked handler's context
-// — previously the error was dropped and the handler kept running
-// into the service teardown that followed.
+// TestDrainHTTPForcesCloseOnDeadline: with a deliberately slow handler
+// still running when the drain deadline expires, DrainHTTP must report
+// the forced close, actually sever the connection (the client's read
+// fails rather than hanging), and cancel the parked handler's context,
+// so the handler does not run on into the teardown that follows.
 func TestDrainHTTPForcesCloseOnDeadline(t *testing.T) {
 	h := &slowHandler{}
 	srv, addr := startTestServer(t, h)
@@ -69,18 +69,13 @@ func TestDrainHTTPForcesCloseOnDeadline(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	forced, err := drainHTTP(srv, 50*time.Millisecond)
-	if !forced {
-		t.Fatal("drainHTTP reported a clean drain with a handler still parked")
-	}
-	if err == nil {
-		t.Fatal("drainHTTP reported forced close with a nil Shutdown error")
+	if err := serve.DrainHTTP(srv, 50*time.Millisecond); err == nil {
+		t.Fatal("DrainHTTP reported a clean drain with a handler still parked")
 	}
 
 	// The force-close must sever the connection: the client's read ends
 	// (EOF or reset) instead of waiting out the handler's 30s park. A
-	// read-deadline timeout here means the connection is still open —
-	// exactly the leak the old code had.
+	// read-deadline timeout here means the connection is still open.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	_, rerr := conn.Read(make([]byte, 1))
 	if rerr == nil {
@@ -113,11 +108,7 @@ func TestDrainHTTPCleanWhenIdle(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	forced, err := drainHTTP(srv, 5*time.Second)
-	if forced {
-		t.Fatal("idle server reported a forced close")
-	}
-	if err != nil {
-		t.Fatalf("idle server drain returned error: %v", err)
+	if err := serve.DrainHTTP(srv, 5*time.Second); err != nil {
+		t.Fatalf("idle server drain forced a close: %v", err)
 	}
 }

@@ -51,8 +51,8 @@ func (s *Service) ReplayCounts() (hits, misses uint64) {
 
 // StageLatencies returns the latency summary of one request stage for
 // an endpoint ("estimate", "estimate_batch" or "estimate_stream"); the
-// pool stages (queue_wait, cache_probe, predict) mean the same on all
-// three. Zero summary when telemetry is disabled or the endpoint is
+// compute stages (queue_wait, cache_probe, predict) mean the same on
+// all three. Zero summary when telemetry is disabled or the endpoint is
 // unknown.
 func (s *Service) StageLatencies(endpoint string, stage obs.Stage) obs.Summary {
 	ep, ok := endpointIndex(endpoint)
@@ -81,4 +81,18 @@ func endpointIndex(endpoint string) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// HoldSlots takes n of the service's compute slots, waiting for each,
+// and returns the function that gives them back: while they are held,
+// at most Workers−n requests compute.
+func (s *Service) HoldSlots(n int) (release func()) {
+	for range n {
+		s.slots <- struct{}{}
+	}
+	return func() {
+		for range n {
+			<-s.slots
+		}
+	}
 }

@@ -110,8 +110,8 @@ type publishRequestJSON struct {
 
 // Request body bounds: a plan tree is small (operators, not data), and
 // the publish body is just a schema and a path. Batches get a larger
-// envelope plus a plan-count cap so a single request cannot monopolize
-// a worker for unbounded time.
+// envelope plus a plan-count cap so a single request cannot hold a
+// compute slot for unbounded time.
 const (
 	maxEstimateBody = 8 << 20
 	maxPublishBody  = 4 << 10
@@ -133,8 +133,8 @@ const (
 //	                       ratios, per-tree margins) to the response.
 //	POST /estimate/batch   {schema, resource | resources, timeout_ms,
 //	                       plans: [plan...]}
-//	                       → BatchResponse: one model lookup, one pool
-//	                       dispatch and one cache multi-get for the whole
+//	                       → BatchResponse: one model lookup, one compute
+//	                       slot and one cache multi-get for the whole
 //	                       batch (≤ 1024 plans)
 //	POST /observe          {schema, resource, model_version, predicted, plan}
 //	                       → feeds the online feedback loop (403 when no
@@ -499,10 +499,10 @@ func (c *estimateCall) write(resp any) {
 // handleEstimate answers a body it has answered before from the
 // response cache — the one the stream listener's estimate frame asks,
 // so either transport replays what the other computed — before anything
-// of it is parsed: no decode, no model lookup, no deadline context, no
-// job, no worker woken, no encode. A replay counts as a request on the
-// estimate endpoint and records one cache_probe stage. Anything else
-// takes the computed path and files its answer (estimateCall.write).
+// of it is parsed: no decode, no model lookup, no deadline, no compute
+// slot, no encode. A replay counts as a request on the estimate
+// endpoint and records one cache_probe stage. Anything else takes the
+// computed path and files its answer (estimateCall.write).
 //
 // Never replayed and never filed: ?explain=1 (the decomposition is not
 // part of the stored answer, and is asked for to be recomputed), error
@@ -838,4 +838,33 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, e errorJSON)
 // service refuses in the same shape.
 func WriteError(w http.ResponseWriter, r *http.Request, status int, msg, code string) {
 	writeError(w, r, status, errorJSON{Error: msg, Code: code})
+}
+
+// NewHTTPServer is the http.Server resserve and resrouter listen with:
+// h behind bounded header reads (10s), request reads and response
+// writes (30s each), and idle keep-alive connections reaped after 2m.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
+// DrainHTTP shuts srv down gracefully, giving in-flight handlers up to
+// timeout to finish. Past the deadline it force-closes the remaining
+// connections — which cancels each parked handler's request context, so
+// a handler waiting on the service unwinds at once instead of racing
+// the teardown that follows — and returns Shutdown's error. nil means
+// every handler finished in time.
+func DrainHTTP(srv *http.Server, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		_ = srv.Close()
+		return err
+	}
+	return nil
 }

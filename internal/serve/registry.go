@@ -1,10 +1,11 @@
 // Package serve is the concurrent resource-estimation service: a model
 // registry with atomic hot-swap, a sharded SIEVE prediction cache, and a
-// worker-pool request path exposed over HTTP by cmd/resserve — with, in
-// front of its two byte-in, byte-out entry points (POST /estimate and
-// the stream listener's estimate frame), one response cache per service
-// that answers a repeated body before it is parsed (Service.Replay,
-// Service.FileReplay).
+// request path that computes on the caller's goroutine, at most
+// Options.Workers requests at once, exposed over HTTP by cmd/resserve —
+// with, in front of its two byte-in, byte-out entry points (POST
+// /estimate and the stream listener's estimate frame), one response
+// cache per service that answers a repeated body before it is parsed
+// (Service.Replay, Service.FileReplay).
 //
 // It operationalizes the paper's stated use cases — admission control,
 // scheduling and costing inside a live DBMS — on top of the offline

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -355,6 +356,82 @@ func TestServiceClose(t *testing.T) {
 		t.Fatalf("estimate after close: %v, want ErrClosed", err)
 	}
 	svc.Close() // idempotent
+}
+
+// TestWorkersBoundCompute pins Options.Workers as a bound on requests
+// computing at once, kept on the callers' own goroutines: New starts
+// none, and with the one slot held an Estimate waits — counted by
+// resserve_queue_depth — until its deadline fails it, or until Close
+// does.
+func TestWorkersBoundCompute(t *testing.T) {
+	setup(t)
+	// Counted once the count holds still: goroutines of earlier work
+	// (setup's training) may still be on their way out.
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				return n
+			}
+			n = m
+		}
+	}
+	before := settled()
+	svc := serve.New(serve.Options{Workers: 1, DefaultTimeout: time.Minute})
+	t.Cleanup(svc.Close)
+	if started := settled() - before; started != 0 {
+		t.Fatalf("New started %d goroutines", started)
+	}
+	svc.Registry().Publish("tpch", cpuEst)
+	release := svc.HoldSlots(1)
+	defer release()
+
+	// waiting returns when depth is what resserve_queue_depth reads, or
+	// when done delivers first — the error the waiting call returned.
+	waiting := func(depth string, done chan error) error {
+		t.Helper()
+		for {
+			select {
+			case err := <-done:
+				return err
+			default:
+			}
+			if promValue(t, svc, "resserve_queue_depth") == depth {
+				return nil
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	estimate := func(timeout time.Duration) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := svc.Estimate(context.Background(), serve.Request{Schema: "tpch", Plan: testPlans[0], Timeout: timeout})
+			done <- err
+		}()
+		return done
+	}
+
+	timed := estimate(50 * time.Millisecond)
+	if err := waiting("1", timed); err != nil {
+		t.Fatalf("the 50 ms estimate returned %v before resserve_queue_depth read 1", err)
+	}
+	if err := <-timed; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("estimate waiting past its deadline: %v, want DeadlineExceeded", err)
+	}
+	if depth := promValue(t, svc, "resserve_queue_depth"); depth != "0" {
+		t.Fatalf("resserve_queue_depth %s after the wait ended, want 0", depth)
+	}
+
+	closed := estimate(0)
+	if err := waiting("1", closed); err != nil {
+		t.Fatalf("estimate returned %v before resserve_queue_depth read 1", err)
+	}
+	svc.Close()
+	if err := <-closed; !errors.Is(err, serve.ErrClosed) {
+		t.Fatalf("estimate waiting at Close: %v, want ErrClosed", err)
+	}
 }
 
 // TestHTTPEndpoints drives the full HTTP surface: wire-encoded plan in,

@@ -47,12 +47,13 @@ type Options struct {
 	// shards). 0 selects the default (65536); negative disables caching,
 	// the response cache's with it.
 	CacheEntries int
-	// Workers sets the estimation worker-pool size. 0 selects
-	// GOMAXPROCS. The pool bounds concurrent model evaluation so a
-	// traffic burst degrades into queueing (bounded by deadlines)
-	// instead of unbounded goroutine fan-out: the queue feeding the pool
-	// holds 4× Workers jobs, and when it is full Estimate blocks until
-	// space frees or the request deadline fires.
+	// Workers bounds how many estimate requests compute at once; 0
+	// selects GOMAXPROCS. A request computes on its caller's goroutine
+	// once it holds one of Workers slots, so a traffic burst degrades
+	// into callers waiting for a slot (bounded by their deadlines)
+	// instead of every request contending for the CPUs at once. POST
+	// /observe's scoring and Explain's decomposition run outside the
+	// bound.
 	Workers int
 	// DefaultTimeout applies to requests that carry no deadline of
 	// their own. 0 selects 2s.
@@ -124,7 +125,8 @@ type Request struct {
 	// resource's prediction to the response (POST /estimate?explain=1):
 	// the selected scale-set candidate, out-of-range ratio and per-tree
 	// cumulative margins for every operator. Costs one extra model
-	// evaluation pass outside the worker pool; off by default.
+	// evaluation pass, after the compute slot is given back; off by
+	// default.
 	Explain bool
 }
 
@@ -232,12 +234,12 @@ type EndpointsMetrics struct {
 }
 
 // BatchRequest asks for estimates for several plans in one call. The
-// whole batch routes to one model version per requested resource, runs
-// as a single worker-pool job with one multi-get against the prediction
-// cache, and evaluates its cache misses through the estimator's batched
-// hot path (core.EstimatorSet.PredictAllBatch) — amortizing queueing,
-// feature extraction and tree-walk cache misses over the batch, and
-// sharing the extraction across resources.
+// whole batch routes to one model version per requested resource,
+// computes in one compute slot with one multi-get against the
+// prediction cache, and evaluates its cache misses through the
+// estimator's batched hot path (core.EstimatorSet.PredictAllBatch) —
+// amortizing the slot wait, feature extraction and tree-walk cache
+// misses over the batch, and sharing the extraction across resources.
 type BatchRequest struct {
 	// Schema routes to the model trained for this workload schema
 	// (falls back to the registry's "" wildcard).
@@ -385,27 +387,10 @@ func newModelSet(kinds []plan.ResourceKind, models *[plan.NumResources]*Model) (
 	return ms, nil
 }
 
-// job is one trip through the pool: N validated plans against one
-// resolved model set, answered on out with one Response per plan. A
-// single estimate is a job of one plan.
-type job struct {
-	ctx    context.Context
-	models *modelSet
-	plans  []*plan.Plan
-	out    chan []Response
-	// Telemetry: the endpoint index, the enqueue instant (zero when
-	// telemetry is disabled) and the request's trace, if any. tr is
-	// written by the worker and read by the HTTP handler, possibly
-	// concurrently after a timeout — its spans are atomic for that
-	// reason.
-	ep  int
-	enq time.Time
-	tr  *obs.Trace
-}
-
 // Service is the concurrent estimation front end: model lookup through
 // the registry, memoized per-operator prediction through the cache, and
-// execution on a bounded worker pool with per-request deadlines.
+// computation on the caller's goroutine, at most Options.Workers at
+// once, under per-request deadlines.
 type Service struct {
 	opts  Options
 	reg   *Registry
@@ -421,10 +406,13 @@ type Service struct {
 	serving func(schema string, v Versions) bool
 	start   time.Time
 
-	jobs chan *job
-	quit chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	// slots holds one token per request computing; its capacity is
+	// Options.Workers. waiting counts the callers blocked on a full
+	// slots (resserve_queue_depth). quit is closed by Close.
+	slots   chan struct{}
+	waiting atomic.Int64
+	quit    chan struct{}
+	once    sync.Once
 
 	batchPlans atomic.Uint64
 
@@ -452,7 +440,8 @@ type Service struct {
 	streamAddr atomic.Pointer[string]
 }
 
-// New starts a service and its worker pool. Close releases the workers.
+// New builds a service. It starts no goroutine: every request computes
+// on its caller's.
 func New(opts Options) *Service {
 	o := opts.withDefaults()
 	s := &Service{
@@ -460,7 +449,7 @@ func New(opts Options) *Service {
 		reg:    o.Registry,
 		cache:  NewCache(o.CacheEntries),
 		start:  time.Now(),
-		jobs:   make(chan *job, 4*o.Workers), // a burst's worth of waiting per worker; past it callers block
+		slots:  make(chan struct{}, o.Workers),
 		quit:   make(chan struct{}),
 		obsReg: obs.NewRegistry(),
 	}
@@ -472,10 +461,6 @@ func New(opts Options) *Service {
 		s.tel = newTelemetry(o)
 	}
 	s.registerCollectors()
-	s.wg.Add(o.Workers)
-	for i := 0; i < o.Workers; i++ {
-		go s.worker()
-	}
 	return s
 }
 
@@ -515,59 +500,19 @@ func (s *Service) FileReplay(key, schema string, resp *Response, wire []byte) {
 	}
 }
 
-// Close shuts the worker pool down. In-flight requests finish; new
-// Estimate calls fail with ErrClosed.
+// Close shuts the service down: Estimate calls from now on, and those
+// still waiting for a slot, fail with ErrClosed; one already computing
+// finishes on its caller's goroutine. Safe to call more than once.
 func (s *Service) Close() {
 	s.once.Do(func() { close(s.quit) })
-	s.wg.Wait()
 }
 
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			// Drain jobs that were queued before shutdown so their
-			// callers get responses rather than ErrClosed.
-			for {
-				select {
-				case j := <-s.jobs:
-					s.runJob(j)
-				default:
-					return
-				}
-			}
-		case j := <-s.jobs:
-			s.runJob(j)
-		}
-	}
-}
-
-func (s *Service) runJob(j *job) {
-	// A request whose deadline fired while queued is dead; skip the
-	// model evaluation, the waiter is already gone.
-	if j.ctx.Err() != nil {
-		return
-	}
-	tel := s.tel
-	var start time.Time
-	if tel != nil {
-		start = time.Now()
-		tel.rec(j.ep, obs.StageQueue, start.Sub(j.enq), j.tr)
-	}
-	res, probe := s.estimatePlans(j.models, j.plans, tel != nil)
-	if tel != nil {
-		tel.rec(j.ep, obs.StageCacheProbe, probe, j.tr)
-		tel.rec(j.ep, obs.StagePredict, time.Since(start)-probe, j.tr)
-	}
-	j.out <- res
-}
-
-// run is the one way onto the pool: validate the plans, resolve the
-// request's models, bound everything after with the request's
-// deadline, queue one job and wait for its per-plan responses. The
-// model set comes back with them for Explain, which must decompose
-// against the version that served.
+// run is the one way to compute: validate the plans, resolve the
+// request's models, then on the caller's goroutine take one of the
+// Workers slots, compute every plan's Response and give the slot back,
+// all within the request's deadline. The model set comes back with the
+// responses for Explain, which must decompose against the version that
+// served.
 func (s *Service) run(ctx context.Context, ep int, req BatchRequest) (*modelSet, []Response, error) {
 	if len(req.Plans) == 0 {
 		return nil, nil, fmt.Errorf("serve: request without plans")
@@ -593,44 +538,65 @@ func (s *Service) run(ctx context.Context, ep int, req BatchRequest) (*modelSet,
 	if timeout <= 0 {
 		timeout = s.opts.DefaultTimeout
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
+	enq := time.Now()
+	deadline := enq.Add(timeout)
+	if err := s.acquire(ctx, deadline); err != nil {
+		return nil, nil, err
+	}
+	defer func() { <-s.slots }() // deferred, so a panic net/http recovers from cannot keep the slot
+	tel := s.tel
+	var start time.Time
+	var tr *obs.Trace
+	if tel != nil {
+		start, tr = time.Now(), obs.TraceFrom(ctx)
+		tel.rec(ep, obs.StageQueue, start.Sub(enq), tr)
+	}
+	res, probe := s.estimatePlans(models, req.Plans, tel != nil)
+	if tel != nil {
+		tel.rec(ep, obs.StageCacheProbe, probe, tr)
+		tel.rec(ep, obs.StagePredict, time.Since(start)-probe, tr)
+	}
+	// Past its deadline a request is an error, even one whose deadline
+	// passed while it computed.
+	err = ctx.Err()
+	if err == nil && !time.Now().Before(deadline) {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: estimation: %w", err)
+	}
+	return models, res, nil
+}
 
-	// Refuse new work after Close. The check is advisory (Close may race
-	// with the enqueue below); the exiting workers' drain loop plus the
-	// request deadline bound what happens to stragglers.
+// acquire takes a compute slot for the calling request. It refuses one
+// that arrives after Close or after its caller gave up; while all
+// Workers slots are taken it waits, counted in waiting, until one
+// frees, Close is called or the deadline passes.
+func (s *Service) acquire(ctx context.Context, deadline time.Time) error {
 	select {
 	case <-s.quit:
-		return nil, nil, ErrClosed
+		return ErrClosed
 	default:
 	}
-
-	j := &job{ctx: ctx, models: models, plans: req.Plans, out: make(chan []Response, 1), ep: ep}
-	if s.tel != nil {
-		j.tr = obs.TraceFrom(ctx)
-		j.enq = time.Now()
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("serve: queue wait: %w", err)
 	}
 	select {
-	case s.jobs <- j:
-	case <-s.quit:
-		return nil, nil, ErrClosed
-	case <-ctx.Done():
-		return nil, nil, fmt.Errorf("serve: queue wait: %w", ctx.Err())
+	case s.slots <- struct{}{}:
+		return nil
+	default:
 	}
+	s.waiting.Add(1)
+	defer s.waiting.Add(-1)
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
 	select {
-	case res := <-j.out:
-		return models, res, nil
+	case s.slots <- struct{}{}:
+		return nil
 	case <-s.quit:
-		// Shutdown raced with a completed or draining prediction;
-		// prefer delivering the result over reporting ErrClosed.
-		select {
-		case res := <-j.out:
-			return models, res, nil
-		case <-ctx.Done():
-			return nil, nil, ErrClosed
-		}
+		return ErrClosed
 	case <-ctx.Done():
-		return nil, nil, fmt.Errorf("serve: estimation: %w", ctx.Err())
+		return fmt.Errorf("serve: queue wait: %w", ctx.Err())
 	}
 }
 
@@ -657,10 +623,14 @@ func (s *Service) finish(ep int, start time.Time, err error) time.Duration {
 	return d
 }
 
-// Estimate runs one request through the pool and returns predictions at
-// query, pipeline and operator granularity — for one resource or, when
-// the request names several, for all of them from a single
-// feature-extraction pass.
+// Estimate computes one request on the calling goroutine, once it
+// holds a compute slot, and returns predictions at query, pipeline and
+// operator granularity — for one resource or, when the request names
+// several, for all of them from a single feature-extraction pass. It
+// fails with ErrClosed after Close, and with an error wrapping
+// context.DeadlineExceeded once the request's deadline has passed —
+// also when it passed while the request computed — or context.Canceled
+// once ctx is.
 func (s *Service) Estimate(ctx context.Context, req Request) (*Response, error) {
 	start := s.begin(epEstimate)
 	ms, resps, err := s.run(ctx, epEstimate, BatchRequest{
@@ -674,7 +644,7 @@ func (s *Service) Estimate(ctx context.Context, req Request) (*Response, error) 
 	if err == nil {
 		resp = &resps[0]
 		if req.Explain {
-			// Decompose against the same model version the pool served.
+			// Decompose against the same model version that served.
 			// core's Explain replays the exact PredictVector accumulation, so
 			// the explain total and the served total agree bit for bit.
 			resp.Explain = explainInfo(ms.primary().Est.Explain(req.Plan))
@@ -684,11 +654,11 @@ func (s *Service) Estimate(ctx context.Context, req Request) (*Response, error) 
 	return resp, err
 }
 
-// EstimateBatch runs a whole plan batch through the pool as one job and
+// EstimateBatch computes a whole plan batch in one compute slot and
 // returns per-plan predictions, parallel to req.Plans. Per-plan values
 // are exactly what sequential Estimate calls against the same model
-// versions would produce — it is the same job, with more plans in it;
-// only the throughput differs.
+// versions would produce — it is the same computation, with more plans
+// in it; only the throughput differs. It fails as Estimate does.
 func (s *Service) EstimateBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	start := s.begin(epBatch)
 	_, resps, err := s.run(ctx, epBatch, req)
@@ -712,13 +682,14 @@ func (s *Service) EstimateBatch(ctx context.Context, req BatchRequest) (*BatchRe
 	return resp, nil
 }
 
-// EstimateStream runs one coalesced micro-batch from the streaming
-// transport through the pool and returns per-plan Responses, parallel
-// to req.Plans. Each Response is exactly what a sequential Estimate
-// call against the same model versions would produce — the stream
-// transport's whole point is that clients keep their single-estimate
-// call pattern while the server amortizes queueing, extraction and
-// tree walks across every connection's in-flight request.
+// EstimateStream computes one coalesced micro-batch from the streaming
+// transport in one compute slot and returns per-plan Responses,
+// parallel to req.Plans. Each Response is exactly what a sequential
+// Estimate call against the same model versions would produce — the
+// stream transport's whole point is that clients keep their
+// single-estimate call pattern while the server amortizes the slot
+// wait, extraction and tree walks across every connection's in-flight
+// request. It fails as Estimate does.
 //
 // coalesceWait is how long the batch's oldest member sat in the
 // micro-batcher before dispatch; it is recorded as the streaming
@@ -741,11 +712,11 @@ func (s *Service) EstimateStream(ctx context.Context, req BatchRequest, coalesce
 	return out, nil
 }
 
-// estimatePlans is what a worker does with a job: the batched compute,
-// then per plan the assembly of its estimate under the shared model
-// header, with the count of its operators the cache answered. With
-// timed set it also returns the time spent in the cache multi-get, the
-// job's cache_probe stage.
+// estimatePlans is what a request does in its compute slot: the
+// batched compute, then per plan the assembly of its estimate under the
+// shared model header, with the count of its operators the cache
+// answered. With timed set it also returns the time spent in the cache
+// multi-get, the request's cache_probe stage.
 func (s *Service) estimatePlans(ms *modelSet, plans []*plan.Plan, timed bool) ([]Response, time.Duration) {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -960,7 +931,8 @@ func (ms *modelSet) assemble(p *plan.Plan, own []probe) PlanEstimate {
 // Estimate of the same plan, so observing a plan that was just
 // estimated finds every operator cached — and returns them with the
 // version of the model they belong to. It runs on the calling
-// goroutine, not the pool, and leaves the predictions in sc: the
+// goroutine without taking a compute slot — POST /observe scores
+// outside the Workers bound — and leaves the predictions in sc: the
 // caller hands sc back once the feedback loop has read them. The zero
 // Served means the route has no model.
 func (s *Service) servedPredictions(schema string, kinds []plan.ResourceKind, p *plan.Plan, sc *scratch) feedback.Served {

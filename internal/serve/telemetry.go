@@ -67,9 +67,10 @@ func (t *telemetry) rec(ep int, st obs.Stage, d time.Duration, tr *obs.Trace) {
 // the scraper asks for Prometheus text format.
 func (s *Service) Obs() *obs.Registry { return s.obsReg }
 
-// Workers reports the estimation pool's resolved worker count — the
-// natural dispatch-concurrency bound for transports (the streaming
-// micro-batcher) sitting in front of the pool.
+// Workers reports how many requests may compute at once (the resolved
+// Options.Workers) — the natural dispatch-concurrency bound for
+// transports (the streaming micro-batcher) sitting in front of the
+// service.
 func (s *Service) Workers() int { return s.opts.Workers }
 
 // RecordStreamStage records a transport-side stage duration (decode,
@@ -132,11 +133,9 @@ func (s *Service) collect(e *obs.Expo) {
 	e.Counter("resserve_estimate_replay_misses_total",
 		"POST /estimate requests the response cache did not answer (stale entries included).", "",
 		float64(s.replayMisses.Load()))
-	e.Gauge("resserve_workers", "Estimation worker-pool size.", "", float64(m.Workers))
-	e.Gauge("resserve_queue_depth", "Jobs waiting in the worker-pool queue.", "",
-		float64(len(s.jobs)))
-	e.Gauge("resserve_queue_capacity", "Worker-pool queue capacity.", "",
-		float64(cap(s.jobs)))
+	e.Gauge("resserve_workers", "Requests that may compute at once.", "", float64(m.Workers))
+	e.Gauge("resserve_queue_depth", "Requests waiting for a compute slot while all workers are taken.", "",
+		float64(s.waiting.Load()))
 	s.collectCache(e, m.Cache)
 	collectModels(e, m.Models)
 	s.collectFeedback(e, m.Feedback)

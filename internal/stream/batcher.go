@@ -51,11 +51,12 @@ type group struct {
 
 type batcher struct {
 	srv *Server
-	// slots caps concurrent dispatches at the service's worker count:
-	// while every slot is busy a group keeps absorbing arrivals instead
-	// of queueing a sliver behind a saturated pool. A dispatch holds its
+	// slots caps concurrent dispatches at the service's Workers, the
+	// number of requests it computes at once: while every slot is busy
+	// a group keeps absorbing arrivals instead of sending a sliver to
+	// wait for the service's own compute slots. A dispatch holds its
 	// slot only through the service call, releasing before the response
-	// fan-out so the pool never idles on our writes.
+	// fan-out so the next batch never waits on our writes.
 	slots chan struct{}
 
 	mu sync.Mutex
@@ -76,9 +77,10 @@ func canonicalResources(kinds []plan.ResourceKind) string {
 
 // enqueue adds one decoded request, m, to its key's group and starts the
 // key's runner if it has none; the maxBatch-th member tears the group's
-// members off to dispatch on their own goroutine. Never blocks on the
-// pool, so the caller (a connection's read loop) keeps draining frames,
-// which is what lets arrivals from every connection share a group.
+// members off to dispatch on their own goroutine. Never blocks on a
+// dispatch slot, so the caller (a connection's read loop) keeps
+// draining frames, which is what lets arrivals from every connection
+// share a group.
 func (b *batcher) enqueue(m pending, kinds []plan.ResourceKind, timeoutMS int, schema string) {
 	key := groupKey{schema: schema, resources: canonicalResources(kinds), timeoutMS: timeoutMS}
 	b.mu.Lock()
@@ -126,9 +128,9 @@ func (b *batcher) run(g *group) {
 	}
 }
 
-// dispatch runs members, all of g's key, through the serving pool and
-// fans the per-plan responses (or one shared error) back to each
-// member's connection, matched by sequence ID. The caller must hold a
+// dispatch runs members, all of g's key, through the service as one
+// batch and fans the per-plan responses (or one shared error) back to
+// each member's connection, matched by sequence ID. The caller must hold a
 // dispatch slot; dispatch releases it when the service call returns.
 func (b *batcher) dispatch(g *group, members []pending) {
 	srv := b.srv
@@ -147,7 +149,7 @@ func (b *batcher) dispatch(g *group, members []pending) {
 		Plans:     plans,
 		Timeout:   time.Duration(g.key.timeoutMS) * time.Millisecond,
 	}, wait)
-	<-b.slots // the pool is free for the next batch; fan-out is ours alone
+	<-b.slots // the service is free for the next batch; fan-out is ours alone
 	if err != nil {
 		// The whole group shares routing and deadline, so a lookup or
 		// timeout failure is every member's failure; fan the same

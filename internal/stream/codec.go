@@ -1,8 +1,8 @@
 // Package stream is the persistent estimation transport: a framed
 // binary protocol over one long-lived TCP connection per client, whose
 // server side coalesces concurrently in-flight single estimates from
-// many connections into one batched dispatch through the serving
-// pool's cache and compiled-tree hot path.
+// many connections into one batched dispatch through the service's
+// cache and compiled-tree hot path.
 //
 // The HTTP endpoint cannot offer this: its 30s WriteTimeout (correct
 // for request/response traffic) forbids long-lived streams, and a

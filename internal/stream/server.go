@@ -61,7 +61,7 @@ type Stats struct {
 	// with the cache off.
 	ReplayHits   uint64 `json:"replay_hits"`
 	ReplayMisses uint64 `json:"replay_misses"`
-	// Dispatches counts coalesced micro-batches sent through the pool;
+	// Dispatches counts coalesced micro-batches sent to the service;
 	// (Requests−ReplayHits)/Dispatches is the realized average batch
 	// fill. Holds reads 0: nothing holds a group since the MaxWait timer
 	// and its extensions went; the field stays for the benchmark that
