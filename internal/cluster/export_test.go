@@ -29,6 +29,20 @@ func (rt *Router) Estimate(ctx context.Context, body []byte) ([]byte, error) {
 	return resp, nil
 }
 
+// AdmissionHeld returns the admission the router holds: requests in
+// flight through it, and the sum of its per-client counters.
+func (rt *Router) AdmissionHeld() (inflight, perClient int64) {
+	rt.clientMu.Lock()
+	defer rt.clientMu.Unlock()
+	for _, ctr := range rt.perClient {
+		perClient += ctr.Load()
+	}
+	return rt.inflight.Load(), perClient
+}
+
+// Primary returns the ring-primary replica of schema.
+func (rt *Router) Primary(schema string) string { return rt.ring.Pick(schema) }
+
 // StreamQueued returns, for every open connection of the stream
 // listener, the answer bytes queued for it and not yet handed to the
 // socket.

@@ -114,17 +114,20 @@ func (r *Ring) PickN(key string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.names) {
-		n = len(r.names)
-	}
-	out := make([]string, 0, n)
-	for i, start := 0, r.search(key); len(out) < n && i < len(r.points); i++ {
-		// out holds at most one entry per replica, so a scan beats a map.
-		if p := r.points[(start+i)%len(r.points)]; !slices.Contains(out, p.name) {
-			out = append(out, p.name)
+	return r.appendPicks(make([]string, 0, min(n, len(r.names))), key, n)
+}
+
+// appendPicks appends PickN's answer to dst, which must be empty, so
+// that a caller can keep it on its stack.
+func (r *Ring) appendPicks(dst []string, key string, n int) []string {
+	n = min(n, len(r.names))
+	for i, start := 0, r.search(key); len(dst) < n && i < len(r.points); i++ {
+		// dst holds at most one entry per replica, so a scan beats a map.
+		if p := r.points[(start+i)%len(r.points)]; !slices.Contains(dst, p.name) {
+			dst = append(dst, p.name)
 		}
 	}
-	return out
+	return dst
 }
 
 // search finds the first ring point at or clockwise of key's hash.

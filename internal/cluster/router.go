@@ -306,7 +306,8 @@ func (rt *Router) primaryServes(schema, tok string) bool {
 // non-primary choice. skipped lets a forwarding retry exclude
 // replicas that just failed.
 func (rt *Router) pick(schema string, skipped map[string]bool) (rp *replica, spill bool) {
-	prefs := rt.ring.PickN(schema, len(rt.order))
+	var buf [8]string // up to eight replicas are ranked without an allocation
+	prefs := rt.ring.appendPicks(buf[:0], schema, len(rt.order))
 	if len(prefs) == 0 {
 		return nil, false
 	}
@@ -388,16 +389,22 @@ func (rt *Router) route(schema string, try func(*replica) error) bool {
 			skipped[rp.name] = true
 			continue
 		}
-		if spill {
-			rt.decSpillover.Inc()
-		} else {
-			rt.decAffinity.Inc()
-		}
-		rp.requests.Inc()
+		rt.counted(rp, spill)
 		return true
 	}
 	rt.decShed.Inc()
 	return false
+}
+
+// counted counts a request rp answered: the routing decision that chose
+// rp, affinity or spillover, and the replica's request.
+func (rt *Router) counted(rp *replica, spill bool) {
+	if spill {
+		rt.decSpillover.Inc()
+	} else {
+		rt.decAffinity.Inc()
+	}
+	rp.requests.Inc()
 }
 
 // forward routes body by its schema to a replica and caches the

@@ -3,7 +3,10 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 const scanPlan = `{"version":1,"root":{"kind":"TableScan","table":"t","table_rows":8,"table_pages":2,"actual_cpu":1.5}}`
@@ -67,4 +70,35 @@ func FuzzSchemaScan(f *testing.F) {
 			t.Fatalf("scan read schema %q, the decode %q", schema, env.Schema)
 		}
 	})
+}
+
+// BenchmarkScanSchema reads the schema of the /estimate bodies of a
+// generated TPC-H workload, as the router does for every miss; one op
+// is the whole set, ns/body the cost of one.
+func BenchmarkScanSchema(b *testing.B) {
+	cfg := workload.DefaultConfig()
+	cfg.N = 64
+	eng := engine.New(nil)
+	var bodies [][]byte
+	size := 0
+	for _, q := range workload.GenTPCH(cfg) {
+		eng.Run(q.Plan)
+		enc, err := plan.EncodeJSON(q.Plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body := append(append([]byte(`{"schema":"tpch","resource":"cpu","plan":`), enc...), '}')
+		bodies = append(bodies, body)
+		size += len(body)
+	}
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			if schema, ok := scanSchema(body); !ok || schema != "tpch" {
+				b.Fatalf("scanSchema read %q, %v", schema, ok)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bodies)), "ns/body")
 }

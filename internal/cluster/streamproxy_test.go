@@ -190,17 +190,21 @@ func TestProxyRefusesDamagedFrame(t *testing.T) {
 }
 
 // proxyGoroutines counts the goroutines serving stream listeners'
-// connections: a read loop and a writer each. The router's listener is
-// the replica's, and the fixture's replica runs in this process, so the
-// connections of the router's pool are in the count — a constant a test
-// measures before it dials and subtracts.
+// connections: a read loop and a writer each, and whatever a handler
+// started with Conn.Go. The router's listener is the replica's, and the
+// fixture's replica runs in this process, so the connections of the
+// router's pool are in the count — a constant a test measures before it
+// dials and subtracts.
 func proxyGoroutines() int {
 	var buf bytes.Buffer
 	_ = pprof.Lookup("goroutine").WriteTo(&buf, 2)
 	n := 0
 	for _, g := range strings.Split(buf.String(), "\n\n") {
-		if strings.Contains(g, "stream.(*Conn).readLoop") || strings.Contains(g, "stream.(*Listener).acceptLoop.func") {
-			n++
+		for _, fn := range [...]string{"stream.(*Conn).readLoop", "stream.(*Listener).acceptLoop.func", "stream.(*Conn).Go.func"} {
+			if strings.Contains(g, fn) {
+				n++
+				break
+			}
 		}
 	}
 	return n

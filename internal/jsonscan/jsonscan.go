@@ -14,6 +14,7 @@
 package jsonscan
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"strconv"
@@ -162,36 +163,129 @@ func litEnd(b []byte, i int, lit string) (int, bool) {
 // without recursion. On bytes that are not valid JSON it may return a
 // wrong extent or ok=false, never an index outside b.
 func SkipValue(b []byte, i int) (int, bool) {
-	start, depth := i, 0
-	for i < len(b) {
-		switch b[i] {
-		case '"':
-			for i++; i < len(b) && b[i] != '"'; i++ {
-				if b[i] == '\\' {
-					i++
+	if i >= len(b) {
+		return 0, false
+	}
+	switch b[i] {
+	case '{', '[':
+		return skipContainer(b, i)
+	case '"':
+		for i++; i < len(b) && b[i] != '"'; i++ {
+			if b[i] == '\\' {
+				i++
+			}
+		}
+		if i >= len(b) {
+			return 0, false
+		}
+		return i + 1, true
+	case '}', ']':
+		return i + 1, false
+	default: // number or literal: runs to the next delimiter
+		start := i
+		for i < len(b) && !isDelim(b[i]) {
+			i++
+		}
+		return i, i > start
+	}
+}
+
+// skipContainer is SkipValue for the object or array opening at i. It
+// takes eight bytes at a time: a word with no backslash in it is read
+// as masks — its quotes, and its brackets outside strings, the string
+// state carried over from the word before — and only its brackets are
+// looked at one by one. A word holding a backslash, and the bytes after
+// the last whole word, are stepped through one at a time.
+func skipContainer(b []byte, i int) (int, bool) {
+	depth := 0
+	var inString uint64 // highBits while the scan is inside a string, else 0
+	for i+8 <= len(b) {
+		w := binary.LittleEndian.Uint64(b[i:])
+		if hasByte(w, '\\') {
+			var end int
+			if end, i, depth, inString = stepBytes(b, i, i+8, depth, inString); end > 0 {
+				return end, true
+			}
+			continue
+		}
+		// Each byte's high bit of in: the parity of the quotes up to and
+		// including it, so set inside a string (its opening quote too).
+		// The multiplication sums each byte's quote and every quote below
+		// it into the byte, at most 8: no carry crosses a byte.
+		in := ((bytesEqual(w, '"')>>7)*lowBits)<<7&highBits ^ inString
+		inString = -(in >> 63) & highBits
+		// ORed with 0x20, '[' and ']' are '{' and '}', and no other
+		// byte is.
+		if folded := w | 0x2020202020202020; hasByte(folded, '{') || hasByte(folded, '}') {
+			for br := (bytesEqual(folded, '{') | bytesEqual(folded, '}')) &^ in; br != 0; br &= br - 1 {
+				at := i + bits.TrailingZeros64(br)/8
+				if b[at]|0x20 == '{' {
+					depth++
+				} else if depth--; depth == 0 {
+					return at + 1, true
 				}
 			}
-			if i >= len(b) {
-				return 0, false
+		}
+		i += 8
+	}
+	if end, _, _, _ := stepBytes(b, i, len(b), depth, inString); end > 0 {
+		return end, true
+	}
+	return 0, false
+}
+
+// stepBytes is skipContainer one byte at a time over b[i:stop]. It
+// returns the index one past the container once its depth is back to
+// 0, else 0 and the state at the index it stopped at: stop, or one past
+// it when the last byte was a backslash inside a string.
+func stepBytes(b []byte, i, stop, depth int, inString uint64) (end, next, depthOut int, inStringOut uint64) {
+	for ; i < stop; i++ {
+		c := b[i]
+		if inString != 0 {
+			switch c {
+			case '\\':
+				i++
+			case '"':
+				inString = 0
 			}
+			continue
+		}
+		switch c {
+		case '"':
+			inString = highBits
 		case '{', '[':
 			depth++
 		case '}', ']':
-			depth--
-		default:
-			if depth == 0 { // number or literal: runs to the next delimiter
-				for i < len(b) && !isDelim(b[i]) {
-					i++
-				}
-				return i, i > start
+			if depth--; depth == 0 {
+				return i + 1, 0, 0, 0
 			}
 		}
-		i++
-		if depth <= 0 {
-			return i, depth == 0
-		}
 	}
-	return 0, false
+	return 0, i, depth, inString
+}
+
+// SWAR constants: a one, the low seven bits and the high bit of every
+// byte of a word.
+const (
+	lowBits  = 0x0101010101010101
+	low7     = 0x7f7f7f7f7f7f7f7f
+	highBits = 0x8080808080808080
+)
+
+// bytesEqual sets the high bit of exactly the bytes of w equal to c:
+// adding low7 to a byte's low seven bits carries into its high bit
+// unless they are zero, and never into the next byte.
+func bytesEqual(w uint64, c byte) uint64 {
+	x := w ^ (lowBits * uint64(c))
+	return ^((x&low7 + low7) | x) & highBits
+}
+
+// hasByte reports whether a byte of w equals c, in fewer steps than
+// bytesEqual: the borrow of the subtraction marks no byte below the
+// first match, though it may mark some above it.
+func hasByte(w uint64, c byte) bool {
+	x := w ^ (lowBits * uint64(c))
+	return (x-lowBits)&^x&highBits != 0
 }
 
 func isDelim(c byte) bool {

@@ -75,6 +75,59 @@ func TestSkipValue(t *testing.T) {
 	}
 }
 
+// skipValueRef is SkipValue as a byte-at-a-time loop: the reference
+// FuzzSkipValue holds the word-at-a-time scan to.
+func skipValueRef(b []byte, i int) (int, bool) {
+	start, depth := i, 0
+	for i < len(b) {
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+			if i >= len(b) {
+				return 0, false
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			depth--
+		default:
+			if depth == 0 { // number or literal: runs to the next delimiter
+				for i < len(b) && !isDelim(b[i]) {
+					i++
+				}
+				return i, i > start
+			}
+		}
+		i++
+		if depth <= 0 {
+			return i, depth == 0
+		}
+	}
+	return 0, false
+}
+
+// FuzzSkipValue: on any bytes, from any start, SkipValue returns what
+// the byte-at-a-time loop does.
+func FuzzSkipValue(f *testing.F) {
+	for _, v := range append(append([]string{}, values...), invalid...) {
+		f.Add([]byte(v), uint(0))
+	}
+	f.Add([]byte(`{"a":"x\\\\\"]}\\","b":[1,{"c":"\\"}]}`), uint(0))
+	f.Add([]byte(`[0123456789abcdef"0123456789abcdef\"0123456789"]`), uint(1))
+	f.Fuzz(func(t *testing.T, b []byte, at uint) {
+		i := int(at % uint(len(b)+1))
+		end, ok := SkipValue(b, i)
+		wantEnd, wantOK := skipValueRef(b, i)
+		if end != wantEnd || ok != wantOK {
+			t.Fatalf("SkipValue(%q, %d) = %d, %v; the reference loop %d, %v", b, i, end, ok, wantEnd, wantOK)
+		}
+	})
+}
+
 func TestPlainString(t *testing.T) {
 	for _, c := range []struct {
 		in    string

@@ -51,6 +51,13 @@ const dialTimeout = 5 * time.Second
 // of 64 closed-loop callers) this took the client from 8.1 request
 // frames per socket write to 19.2.
 //
+// A request is sent in one of two forms over one waiter table. Start
+// sends it and returns: the read loop hands the answer to a Callback,
+// for a caller that must not park a goroutine per request, as the
+// router forwarding from its listener's read loop. EstimateBytes (and
+// EstimateRaw, Estimate) sends it and waits for the answer, the same
+// callback delivering it on a channel.
+//
 // The first failure — a read or write error, the server hanging up, a
 // Close — is sticky: in-flight and later calls fail with it, wrapped
 // in ErrConnLost, and Err reports it. Nothing redials; a caller that
@@ -62,13 +69,15 @@ type Client struct {
 
 	// sending queues requests in the order of their hold decisions, so
 	// the wake-up that ends a wave finds the wave's held requests queued.
-	// A sender waiting for room in a full queue holds it; the read loop
-	// never takes it, so answers keep being read meanwhile.
+	// A sender waits for room in a full queue before it takes sending, so
+	// no other sender waits behind one that waits for room, and Start,
+	// which does not wait for room, never waits for long. The read loop
+	// never takes it.
 	sending sync.Mutex
 
 	mu      sync.Mutex
-	waiters map[uint64]chan result // nil once err is set
-	err     error                  // first failure, wrapping ErrConnLost
+	waiters map[uint64]Callback // nil once err is set
+	err     error               // first failure, wrapping ErrConnLost
 
 	// The wave rule's count, under mu.
 	unpaid  int  // answers of the last burst that no request has paid off
@@ -80,19 +89,36 @@ type Client struct {
 	releases atomic.Uint64
 }
 
-// result is one demultiplexed answer.
-type result struct {
-	body  []byte
-	isErr bool
+// Callback takes the outcome of one request sent with Client.Start.
+type Callback interface {
+	// Complete is called once per request: with the answer body and a
+	// nil error, or with a nil body and the request's failure — *Error
+	// for an error frame, the connection's sticky failure (wrapping
+	// ErrConnLost) when it was lost first. It runs on the client's read
+	// loop, or on whichever goroutine found the connection failed, and
+	// must not block: every later answer of the connection waits for it.
+	// The body is the callee's, as EstimateBytes' answer is the caller's.
+	Complete(body []byte, err error)
 }
 
-// chanPool recycles waiter channels across calls; a pipelined caller
-// otherwise allocates one per request. Only channels that completed
-// normally are returned (a canceled waiter's channel may still
-// receive a late send; a failed connection's channels are closed).
-var chanPool = sync.Pool{New: func() any { return make(chan result, 1) }}
+// result is one request's outcome, as a Callback takes it.
+type result struct {
+	body []byte
+	err  error
+}
 
-func resultChan() chan result { return chanPool.Get().(chan result) }
+// waiter is the Callback of a blocking call: it hands the outcome to
+// the caller waiting on the channel, whose one slot keeps the read loop
+// from ever blocking on it.
+type waiter chan result
+
+func (w waiter) Complete(body []byte, err error) { w <- result{body, err} }
+
+// waiterPool recycles waiters across calls; a pipelined caller
+// otherwise allocates one per request. A waiter goes back only once
+// nothing can complete it any more: it was completed and emptied, or
+// taken back from the table before anything completed it.
+var waiterPool = sync.Pool{New: func() any { return make(waiter, 1) }}
 
 // Dial opens a streaming connection to a resserve -stream-addr
 // listener, giving up on the connect after 5 s.
@@ -109,7 +135,7 @@ func newClient(nc net.Conn) *Client {
 	cl := &Client{
 		c:       nc,
 		w:       NewFrameWriter(nc, defaultWriteTimeout, nil),
-		waiters: make(map[uint64]chan result),
+		waiters: make(map[uint64]Callback),
 	}
 	go cl.readLoop()
 	go func() { cl.fail(cl.w.Run()) }()
@@ -153,26 +179,89 @@ func (cl *Client) EstimateRaw(ctx context.Context, req *Request) ([]byte, error)
 // ReadBufferSize (64 KiB) of them alive with it; a caller that keeps
 // answers, as a cache does, keeps a copy.
 func (cl *Client) EstimateBytes(ctx context.Context, body []byte) ([]byte, error) {
+	w := waiterPool.Get().(waiter)
+	seq, err := cl.start(ctx, body, w)
+	if err != nil {
+		waiterPool.Put(w)
+		return nil, err
+	}
+	if ctx.Done() == nil {
+		// Nothing can cancel the call: the answer or the connection's
+		// failure is all there is to wait for.
+		r := <-w
+		waiterPool.Put(w)
+		return r.body, r.err
+	}
+	select {
+	case r := <-w:
+		waiterPool.Put(w)
+		return r.body, r.err
+	case <-ctx.Done():
+		if cl.Cancel(seq) {
+			waiterPool.Put(w)
+		}
+		return nil, ctx.Err()
+	}
+}
+
+// Start sends one request body, as EstimateBytes does, without waiting
+// for the answer: cb is called with it, or with the connection's
+// failure, once the read loop has it (see Callback). It returns the
+// request's sequence ID, which Cancel takes. Start never blocks: with
+// the connection's write queue at its bound it fails with
+// ErrQueueFull. When Start fails, cb is never called.
+func (cl *Client) Start(body []byte, cb Callback) (uint64, error) {
+	return cl.start(nil, body, cb)
+}
+
+// Cancel takes back the request Start sent as seq, and reports whether
+// it did: true means its Callback will not be called, false that it has
+// been or is being called. A late answer to a cancelled request is
+// dropped.
+func (cl *Client) Cancel(seq uint64) bool {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	_, ok := cl.waiters[seq]
+	delete(cl.waiters, seq)
+	return ok
+}
+
+// start files cb in the waiter table under a fresh sequence ID and
+// sends body under it, by the wave rule. While the write queue is full
+// it waits for room until ctx is done; a nil ctx does not wait but
+// fails with ErrQueueFull. Holding sending, it finds room, and appends
+// the request without waiting: every append to the queue holds it.
+func (cl *Client) start(ctx context.Context, body []byte, cb Callback) (uint64, error) {
 	seq := cl.seq.Add(1)
-	ch := resultChan()
 	cl.sending.Lock()
+	for ctx != nil && cl.w.full.Load() {
+		cl.sending.Unlock()
+		if err := cl.w.awaitRoom(ctx); err != nil {
+			if errors.Is(err, ErrConnLost) {
+				cl.fail(err)
+				return 0, cl.Err()
+			}
+			return 0, err // ctx done while the queue was full
+		}
+		cl.sending.Lock()
+	}
 	cl.mu.Lock()
 	if cl.err != nil {
 		err := cl.err
 		cl.mu.Unlock()
 		cl.sending.Unlock()
-		return nil, err
+		return 0, err
 	}
-	cl.waiters[seq] = ch
+	cl.waiters[seq] = cb
 	hold := cl.pay()
 	releases := cl.releases.Load()
 	cl.mu.Unlock()
-	// Send, or for a held request Queue; either gives up on ctx while
-	// the queue is full.
+	// Send, or for a held request Queue.
 	err := cl.w.append(ctx, &Frame{Type: FrameEstimate, Seq: seq, Body: body}, !hold)
 	cl.sending.Unlock()
 	if err != nil {
 		cl.mu.Lock()
+		_, filed := cl.waiters[seq]
 		delete(cl.waiters, seq)
 		if hold && cl.releases.Load() == releases {
 			cl.held--
@@ -183,38 +272,23 @@ func (cl *Client) EstimateBytes(ctx context.Context, body []byte) ([]byte, error
 		if !hold {
 			cl.w.Flush() // the requests held for this one's wake-up
 		}
+		if !filed {
+			// The connection failed meanwhile, and its failure took the
+			// waiter with the rest: cb has the failure.
+			return seq, nil
+		}
 		if errors.Is(err, ErrConnLost) {
 			// The writer is dead, so the connection is: record it here
 			// rather than wait for the writer goroutine to.
 			cl.fail(err)
-			return nil, cl.Err()
+			return 0, cl.Err()
 		}
-		return nil, err // ctx done while the queue was full, or body over the frame limit
+		return 0, err // the queue full (Start only), or body over the frame limit
 	}
 	if hold && cl.releases.Load() != releases {
 		cl.w.Flush() // released by a burst before it was queued: the burst's flush missed it
 	}
-
-	select {
-	case r, ok := <-ch:
-		if !ok {
-			return nil, cl.Err()
-		}
-		chanPool.Put(ch)
-		if r.isErr {
-			var e Error
-			if jerr := json.Unmarshal(r.body, &e); jerr != nil {
-				return nil, fmt.Errorf("stream: undecodable error frame: %v", jerr)
-			}
-			return nil, &e
-		}
-		return r.body, nil
-	case <-ctx.Done():
-		cl.mu.Lock()
-		delete(cl.waiters, seq)
-		cl.mu.Unlock()
-		return nil, ctx.Err()
-	}
+	return seq, nil
 }
 
 // Estimate sends one estimate over the stream and decodes the
@@ -345,23 +419,35 @@ func (cl *Client) readLoop() {
 		}
 		cl.mu.Lock()
 		flush := answers.burst > 0 && cl.startBurst(answers.burst)
-		ch, ok := cl.waiters[f.Seq]
+		cb, ok := cl.waiters[f.Seq]
 		delete(cl.waiters, f.Seq)
 		cl.mu.Unlock()
 		if flush {
 			cl.w.Flush()
 		}
-		if ok {
-			// Buffered (capacity 1): a waiter that gave up on its context
-			// deleted itself, and a late send must not block the reader.
-			ch <- result{body: f.Body, isErr: f.Type == FrameError}
+		if !ok {
+			continue // cancelled: its caller has gone
+		}
+		if f.Type == FrameError {
+			cb.Complete(nil, decodeError(f.Body))
+		} else {
+			cb.Complete(f.Body, nil)
 		}
 	}
 }
 
+// decodeError returns the server error an error frame's body carries.
+func decodeError(body []byte) error {
+	e := new(Error)
+	if err := json.Unmarshal(body, e); err != nil {
+		return fmt.Errorf("stream: undecodable error frame: %v", err)
+	}
+	return e
+}
+
 // fail records the client's first failure, tears the connection down
-// and closes every in-flight waiter's channel (their calls fail fast
-// with the recorded error). Later calls are no-ops.
+// and completes every in-flight request with the recorded error. Later
+// calls are no-ops.
 func (cl *Client) fail(cause error) {
 	if !errors.Is(cause, ErrConnLost) {
 		cause = fmt.Errorf("%w: %w", ErrConnLost, cause)
@@ -377,7 +463,7 @@ func (cl *Client) fail(cause error) {
 	cl.mu.Unlock()
 	cl.w.Close()
 	_ = cl.c.Close()
-	for _, ch := range waiters {
-		close(ch)
+	for _, cb := range waiters {
+		cb.Complete(nil, cause)
 	}
 }

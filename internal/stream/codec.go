@@ -40,6 +40,17 @@
 // answered before, on this transport or over POST /estimate, is
 // answered from the read loop without being decoded. The cache is the
 // service's, not this package's; the server only counts its own frames.
+//
+// The Go client (Client) sends a request in one of two forms, over one
+// table of waiting requests that its read loop completes. EstimateBytes
+// (with EstimateRaw and Estimate over it) sends a body and blocks until
+// the answer, the server's error or the connection's failure. Start
+// sends a body and returns at once; the read loop hands the outcome to
+// the caller's Callback, which must not block, and Cancel takes a
+// request back. Start never waits for room in the write queue (it fails
+// with ErrQueueFull instead), so a caller that must not block — the
+// router forwarding a cache miss from its own listener's read loop —
+// parks no goroutine, channel or context per request.
 package stream
 
 import (

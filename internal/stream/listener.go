@@ -19,7 +19,8 @@ import (
 // place: f.Body lies in the connection's read buffer and is gone once
 // the handler returns, so a handler that keeps it copies it. Answers it
 // queues (Conn.Queue) leave together before the read loop next blocks;
-// answers produced later, on another goroutine, go through Conn.Send.
+// answers produced later, on another goroutine, go through Conn.Send,
+// or Conn.TrySend where that goroutine must not wait for room.
 type Handler func(c *Conn, f *Frame)
 
 // Listener is the accepting side of the stream protocol: the listen
@@ -164,14 +165,24 @@ func (c *Conn) Send(ctx context.Context, f *Frame) error { return c.w.Send(ctx, 
 // FrameWriter.Queue. An error means the connection is already lost.
 func (c *Conn) Queue(f *Frame) error { return c.w.Queue(f) }
 
+// TrySend queues an answer and wakes the writer, or fails at once with
+// ErrQueueFull; see FrameWriter.TrySend.
+func (c *Conn) TrySend(f *Frame) error { return c.w.TrySend(f) }
+
 // Go runs fn on a goroutine of its own that the listener's Close waits
-// for. Only for the handler to call.
-func (c *Conn) Go(fn func()) {
+// for, and reports whether it did: once Close has begun, it does not.
+func (c *Conn) Go(fn func()) bool {
+	c.l.mu.Lock()
+	defer c.l.mu.Unlock()
+	if c.l.closed {
+		return false
+	}
 	c.l.wg.Add(1)
 	go func() {
 		defer c.l.wg.Done()
 		fn()
 	}()
+	return true
 }
 
 // shutdown closes the connection once; both loops exit on it.

@@ -2,10 +2,12 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -44,6 +46,10 @@ type FrameWriter struct {
 	frames  int  // in pending
 	kick    bool // a producer asked for pending to be written
 	err     error
+	// full is len(pending) >= maxPending, written under mu: a producer
+	// that holds its own lock against every other producer can read it
+	// without this one.
+	full atomic.Bool
 }
 
 // NewFrameWriter returns a writer for c. timeout bounds one Write: a
@@ -66,10 +72,51 @@ func (w *FrameWriter) Send(ctx context.Context, f *Frame) error { return w.appen
 // and knows when it is done — the frames go out together.
 func (w *FrameWriter) Queue(f *Frame) error { return w.append(context.Background(), f, false) }
 
+// TrySend is Send that never waits: with the queue at its bound it
+// fails with ErrQueueFull. For a producer that must not block, as a
+// read loop handing on another connection's answer.
+func (w *FrameWriter) TrySend(f *Frame) error { return w.append(nil, f, true) }
+
+// ErrQueueFull is TrySend's and Client.Start's refusal: the
+// connection's write queue is at its bound.
+var ErrQueueFull = errors.New("stream: write queue full")
+
+// append queues f, waking the writer goroutine if wake is set. While
+// the queue is full it waits for room until ctx is done; a nil ctx
+// does not wait but fails with ErrQueueFull.
 func (w *FrameWriter) append(ctx context.Context, f *Frame, wake bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.pending) >= maxPending && ctx.Done() != nil {
+	if ctx != nil {
+		if err := w.roomLocked(ctx); err != nil {
+			return err
+		}
+	} else if len(w.pending) >= maxPending && w.err == nil {
+		w.kick = true // the room is the writer goroutine's to make
+		w.ready.Signal()
+		return ErrQueueFull
+	}
+	if w.err != nil {
+		return w.err
+	}
+	buf, err := AppendFrame(w.pending, f)
+	if err != nil {
+		return err
+	}
+	w.pending = buf
+	w.frames++
+	w.full.Store(len(w.pending) >= maxPending)
+	if wake {
+		w.kick = true
+		w.ready.Signal()
+	}
+	return nil
+}
+
+// roomLocked waits, under mu, until the queue is under its bound or
+// the writer has failed, giving up once ctx is done.
+func (w *FrameWriter) roomLocked(ctx context.Context) error {
+	if len(w.pending) >= maxPending && w.err == nil && ctx.Done() != nil {
 		// A caller that may give up while waiting for room: its
 		// cancellation has to reach the Wait below.
 		defer context.AfterFunc(ctx, func() {
@@ -88,20 +135,18 @@ func (w *FrameWriter) append(ctx context.Context, f *Frame, wake bool) error {
 		w.ready.Signal()
 		w.space.Wait()
 	}
-	if w.err != nil {
-		return w.err
-	}
-	buf, err := AppendFrame(w.pending, f)
-	if err != nil {
+	return nil
+}
+
+// awaitRoom waits until the queue is under its bound, failing once ctx
+// is done or the writer has failed.
+func (w *FrameWriter) awaitRoom(ctx context.Context) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.roomLocked(ctx); err != nil {
 		return err
 	}
-	w.pending = buf
-	w.frames++
-	if wake {
-		w.kick = true
-		w.ready.Signal()
-	}
-	return nil
+	return w.err
 }
 
 // Flush wakes the writer goroutine if frames are queued.
@@ -142,6 +187,7 @@ func (w *FrameWriter) Run() error {
 		}
 		buf, n := w.pending, w.frames
 		w.pending, w.frames, w.kick = spare[:0], 0, false
+		w.full.Store(false)
 		w.space.Broadcast()
 		w.mu.Unlock()
 
