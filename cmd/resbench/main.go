@@ -33,17 +33,9 @@ type experiment struct {
 	run         func(r *experiments.Runner, cfg config) (string, error)
 }
 
-// experimentTable lists the experiments in the order they run.
-var experimentTable = []experiment{
-	{"table4", true, formatted((*experiments.Runner).Table4)},
-	{"table5", true, formatted((*experiments.Runner).Table5)},
-	{"table6", true, formatted((*experiments.Runner).Table6)},
-	{"table7", true, formatted((*experiments.Runner).Table7)},
-	{"table8", true, formatted((*experiments.Runner).Table8)},
-	{"table9", true, formatted((*experiments.Runner).Table9)},
-	{"table10", true, formatted((*experiments.Runner).Table10)},
-	{"table11", true, formatted((*experiments.Runner).Table11)},
-	{"table12", true, formatted((*experiments.Runner).Table12)},
+// experimentTable lists the experiments in the order they run: the
+// grid of Tables 4–12 first.
+var experimentTable = append(gridTables(), []experiment{
 	{"fig1", true, func(r *experiments.Runner, _ config) (string, error) { return r.Figure1().Format(), nil }},
 	{"fig2", true, formatted((*experiments.Runner).Figure2)},
 	{"fig3", true, formatted((*experiments.Runner).Figure3)},
@@ -62,6 +54,17 @@ var experimentTable = []experiment{
 	{"table13", false, func(_ *experiments.Runner, cfg config) (string, error) {
 		return experiments.FormatTable13(experiments.Table13(nil, cfg.t13iters), cfg.t13iters), nil
 	}},
+}...)
+
+// gridTables is one experiment, table4 to table12, per table of the
+// runner's grid.
+func gridTables() []experiment {
+	var out []experiment
+	for n := 4; n <= 12; n++ {
+		out = append(out, experiment{fmt.Sprintf("table%d", n), true,
+			formatted(func(r *experiments.Runner) (*experiments.Table, error) { return r.Table(n) })})
+	}
+	return out
 }
 
 // formatted adapts a runner method returning a table or figure.

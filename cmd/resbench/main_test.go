@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// TestRunExperiments runs one runner-free and one runner-backed
-// experiment at tiny size through the command's own parse and run.
+// TestRunExperiments runs the runner-free experiment, a runner-backed
+// figure and each table of the grid at tiny size through the command's
+// own parse and run, each under its own name and heading.
 func TestRunExperiments(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -16,6 +17,15 @@ func TestRunExperiments(t *testing.T) {
 	}{
 		{[]string{"-exp", "table13", "-t13iters", "5"}, "Table 13 — Training Times (seconds) for M=5 boosting iterations\n"},
 		{[]string{"-exp", "fig1", "-size", "0.05", "-iters", "10"}, "Figure 1 — "},
+		{[]string{"-exp", "table4", "-size", "0.05", "-iters", "10"}, "Table 4 — "},
+		{[]string{"-exp", "table5", "-size", "0.05", "-iters", "10"}, "Table 5 — "},
+		{[]string{"-exp", "table6", "-size", "0.05", "-iters", "10"}, "Table 6 — "},
+		{[]string{"-exp", "table7", "-size", "0.05", "-iters", "10"}, "Table 7 — "},
+		{[]string{"-exp", "table8", "-size", "0.05", "-iters", "10"}, "Table 8 — "},
+		{[]string{"-exp", "table9", "-size", "0.05", "-iters", "10"}, "Table 9 — "},
+		{[]string{"-exp", "table10", "-size", "0.05", "-iters", "10"}, "Table 10 — "},
+		{[]string{"-exp", "table11", "-size", "0.05", "-iters", "10"}, "Table 11 — "},
+		{[]string{"-exp", "table12", "-size", "0.05", "-iters", "10"}, "Table 12 — "},
 	} {
 		cfg, err := parseFlags(tc.args, io.Discard)
 		if err != nil {

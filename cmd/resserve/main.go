@@ -401,9 +401,7 @@ func run(cfg config, stop <-chan os.Signal, ready func(httpAddr, streamAddr stri
 	if cfg.debugAddr != "" {
 		dreg := obs.NewRegistry()
 		dreg.Register(svc.Obs().Collector())
-		sampler := obs.NewRuntimeSampler(10 * time.Second)
-		defer sampler.Stop()
-		dreg.Register(sampler.Collector("resserve_process_"))
+		dreg.Register(obs.RuntimeCollector("resserve_process_"))
 		var extra []obs.DebugHandler
 		routes := "/debug/pprof, /metrics"
 		if loop != nil {

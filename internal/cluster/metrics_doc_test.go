@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/feedback"
 	"repro/internal/obs"
@@ -232,9 +231,7 @@ func populatedReplica(t *testing.T) (served, debug string) {
 	served = getMetricsText(t, hs)
 	dreg := obs.NewRegistry()
 	dreg.Register(svc.Obs().Collector())
-	sampler := obs.NewRuntimeSampler(time.Hour)
-	defer sampler.Stop()
-	dreg.Register(sampler.Collector("resserve_process_"))
+	dreg.Register(obs.RuntimeCollector("resserve_process_"))
 	var b bytes.Buffer
 	if err := dreg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,10 @@ import (
 var (
 	runnerOnce sync.Once
 	testRunner *Runner
+
+	tableOnce [13]sync.Once
+	tables    [13]*Table
+	tableErrs [13]error
 )
 
 // sharedRunner builds one small-scale runner for all tests (workload
@@ -21,6 +25,13 @@ func sharedRunner(t *testing.T) *Runner {
 		testRunner = NewRunner(Setup{Seed: 3, SizeFactor: 0.4, MartIterations: 150, Noise: -1})
 	})
 	return testRunner
+}
+
+// sharedTable is r.Table(n) computed once per test binary; r is always
+// sharedRunner's runner.
+func sharedTable(r *Runner, n int) (*Table, error) {
+	tableOnce[n].Do(func() { tables[n], tableErrs[n] = r.Table(n) })
+	return tables[n], tableErrs[n]
 }
 
 func TestRunnerWorkloadsExecuted(t *testing.T) {
@@ -45,7 +56,7 @@ func TestRunnerWorkloadsExecuted(t *testing.T) {
 
 func TestTable4Shape(t *testing.T) {
 	r := sharedRunner(t)
-	tbl, err := r.Table4()
+	tbl, err := sharedTable(r, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +83,7 @@ func TestTable4Shape(t *testing.T) {
 
 func TestTable5GeneralizationShape(t *testing.T) {
 	r := sharedRunner(t)
-	tbl, err := r.Table5()
+	tbl, err := sharedTable(r, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +125,7 @@ func checkBand(t *testing.T, what string, v, lo, hi float64) {
 
 func TestTable6CrossWorkloadShape(t *testing.T) {
 	r := sharedRunner(t)
-	tbl, err := r.Table6()
+	tbl, err := sharedTable(r, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +145,7 @@ func TestTable6CrossWorkloadShape(t *testing.T) {
 
 func TestTable7IncludesOPT(t *testing.T) {
 	r := sharedRunner(t)
-	tbl, err := r.Table7()
+	tbl, err := sharedTable(r, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +165,7 @@ func TestTable7IncludesOPT(t *testing.T) {
 
 func TestTable10IOShape(t *testing.T) {
 	r := sharedRunner(t)
-	tbl, err := r.Table10()
+	tbl, err := sharedTable(r, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,122 +11,72 @@ import (
 	"repro/internal/xrand"
 )
 
-// Table4 — training and testing on TPC-H with exact features (CPU).
-func (r *Runner) Table4() (*Table, error) {
-	train, test := r.SplitTPCH()
-	return r.runTable("Table 4", "Training and Testing on TPC-H (exact features)",
-		train, map[string][]*plan.Plan{"TPC-H": test},
-		r.cfgFor(plan.CPUTime, features.Exact, cpuTechniques(features.Exact)))
+// tableSetups are the rows of the paper's Tables 4–12 grid: the
+// resource, feature mode and title label of each model setup.
+var tableSetups = [3]struct {
+	resource plan.ResourceKind
+	mode     features.Mode
+	label    string
+}{
+	{plan.CPUTime, features.Exact, "exact features"},
+	{plan.CPUTime, features.Estimated, "optimizer-estimated features"},
+	{plan.LogicalIO, features.Estimated, "I/O operations"}, // the §7.2 setup
 }
 
-// Table5 — train small scale factors / test large and the reverse,
-// exact features (CPU).
-func (r *Runner) Table5() (*Table, error) {
-	small, large := r.SplitBySF()
-	cfg := r.cfgFor(plan.CPUTime, features.Exact, cpuTechniques(features.Exact))
-	t1, err := r.runTable("", "", small, map[string][]*plan.Plan{"Large": large}, cfg)
-	if err != nil {
-		return nil, err
+// Table runs the paper's Table n, for n in 4–12. The nine tables are a
+// 3×3 grid. Row (n−4)/3 is the model setup: CPU on exact features, CPU
+// on optimizer-estimated features (which adds OPT), logical I/O (the
+// four techniques of §7.2). Column (n−4)%3 is the test scenario: the
+// 80/20 TPC-H split; small scale factors against large and the reverse,
+// both runs' rows in one table; TPC-H against TPC-DS, Real-1 and
+// Real-2.
+func (r *Runner) Table(n int) (*Table, error) {
+	if n < 4 || n > 12 {
+		return nil, fmt.Errorf("experiments: no Table %d in the grid of Tables 4–12", n)
 	}
-	t2, err := r.runTable("", "", large, map[string][]*plan.Plan{"Small": small}, cfg)
-	if err != nil {
-		return nil, err
+	setup := tableSetups[(n-4)/3]
+	techs := cpuTechniques(setup.mode)
+	if setup.resource == plan.LogicalIO {
+		techs = ioTechniques()
 	}
-	out := &Table{
-		Name:  "Table 5",
-		Title: "Training on TPC-H, Testing with different Data Distributions (exact features)",
-		Rows:  append(t1.Rows, t2.Rows...),
+	cfg := r.cfgFor(setup.resource, setup.mode, techs)
+
+	// Each run is one training set and the test sets it is scored on.
+	type tableRun struct {
+		train []*plan.Plan
+		tests map[string][]*plan.Plan
+	}
+	var title string
+	var runs []tableRun
+	switch (n - 4) % 3 {
+	case 0:
+		train, test := r.SplitTPCH()
+		title = "Training and Testing on TPC-H"
+		runs = []tableRun{{train, map[string][]*plan.Plan{"TPC-H": test}}}
+	case 1:
+		small, large := r.SplitBySF()
+		title = "Training on TPC-H, Testing with different Data Distributions"
+		runs = []tableRun{
+			{small, map[string][]*plan.Plan{"Large": large}},
+			{large, map[string][]*plan.Plan{"Small": small}},
+		}
+	case 2:
+		title = "Training on TPC-H, Testing on different Workloads/Data"
+		runs = []tableRun{{Plans(r.W.TPCH), map[string][]*plan.Plan{
+			"TPC-DS": Plans(r.W.TPCDS),
+			"Real-1": Plans(r.W.Real1),
+			"Real-2": Plans(r.W.Real2),
+		}}}
+	}
+	out := &Table{Name: fmt.Sprintf("Table %d", n), Title: fmt.Sprintf("%s (%s)", title, setup.label)}
+	for _, run := range runs {
+		t, err := r.runTable("", "", run.train, run.tests, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out.Rows = append(out.Rows, t.Rows...)
 	}
 	return out, nil
-}
-
-// Table6 — train on TPC-H, test on TPC-DS / Real-1 / Real-2, exact
-// features (CPU).
-func (r *Runner) Table6() (*Table, error) {
-	return r.runTable("Table 6", "Training on TPC-H, Testing on different Workloads/Data (exact features)",
-		Plans(r.W.TPCH), map[string][]*plan.Plan{
-			"TPC-DS": Plans(r.W.TPCDS),
-			"Real-1": Plans(r.W.Real1),
-			"Real-2": Plans(r.W.Real2),
-		},
-		r.cfgFor(plan.CPUTime, features.Exact, cpuTechniques(features.Exact)))
-}
-
-// Table7 — Table 4 with optimizer-estimated features (adds OPT).
-func (r *Runner) Table7() (*Table, error) {
-	train, test := r.SplitTPCH()
-	return r.runTable("Table 7", "Training and Testing on TPC-H (optimizer-estimated features)",
-		train, map[string][]*plan.Plan{"TPC-H": test},
-		r.cfgFor(plan.CPUTime, features.Estimated, cpuTechniques(features.Estimated)))
-}
-
-// Table8 — Table 5 with optimizer-estimated features.
-func (r *Runner) Table8() (*Table, error) {
-	small, large := r.SplitBySF()
-	cfg := r.cfgFor(plan.CPUTime, features.Estimated, cpuTechniques(features.Estimated))
-	t1, err := r.runTable("", "", small, map[string][]*plan.Plan{"Large": large}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	t2, err := r.runTable("", "", large, map[string][]*plan.Plan{"Small": small}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		Name:  "Table 8",
-		Title: "Training on TPC-H, Testing with different Data Distributions (optimizer-estimated features)",
-		Rows:  append(t1.Rows, t2.Rows...),
-	}, nil
-}
-
-// Table9 — Table 6 with optimizer-estimated features.
-func (r *Runner) Table9() (*Table, error) {
-	return r.runTable("Table 9", "Training on TPC-H, Testing on different Workloads/Data (optimizer-estimated features)",
-		Plans(r.W.TPCH), map[string][]*plan.Plan{
-			"TPC-DS": Plans(r.W.TPCDS),
-			"Real-1": Plans(r.W.Real1),
-			"Real-2": Plans(r.W.Real2),
-		},
-		r.cfgFor(plan.CPUTime, features.Estimated, cpuTechniques(features.Estimated)))
-}
-
-// Table10 — training and testing on TPC-H, logical I/O (estimated
-// features, the §7.2 setup).
-func (r *Runner) Table10() (*Table, error) {
-	train, test := r.SplitTPCH()
-	return r.runTable("Table 10", "Training and Testing on TPC-H (I/O operations)",
-		train, map[string][]*plan.Plan{"TPC-H": test},
-		r.cfgFor(plan.LogicalIO, features.Estimated, ioTechniques()))
-}
-
-// Table11 — I/O with the small/large data-distribution split.
-func (r *Runner) Table11() (*Table, error) {
-	small, large := r.SplitBySF()
-	cfg := r.cfgFor(plan.LogicalIO, features.Estimated, ioTechniques())
-	t1, err := r.runTable("", "", small, map[string][]*plan.Plan{"Large": large}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	t2, err := r.runTable("", "", large, map[string][]*plan.Plan{"Small": small}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		Name:  "Table 11",
-		Title: "Training on TPC-H, Testing with different Data Distributions (I/O operations)",
-		Rows:  append(t1.Rows, t2.Rows...),
-	}, nil
-}
-
-// Table12 — I/O, cross-workload generalization.
-func (r *Runner) Table12() (*Table, error) {
-	return r.runTable("Table 12", "Training on TPC-H, Testing on different Workloads/Data (I/O operations)",
-		Plans(r.W.TPCH), map[string][]*plan.Plan{
-			"TPC-DS": Plans(r.W.TPCDS),
-			"Real-1": Plans(r.W.Real1),
-			"Real-2": Plans(r.W.Real2),
-		},
-		r.cfgFor(plan.LogicalIO, features.Estimated, ioTechniques()))
 }
 
 // Table13Result is one row of the training-time table.

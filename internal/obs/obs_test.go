@@ -274,24 +274,23 @@ func TestDebugServer(t *testing.T) {
 	}
 }
 
-func TestRuntimeSampler(t *testing.T) {
-	s := NewRuntimeSampler(time.Hour) // one immediate sample
-	defer s.Stop()
-	st := s.Stats()
-	if st.Goroutines <= 0 || st.HeapAllocB == 0 {
-		t.Fatalf("empty runtime sample: %+v", st)
-	}
+func TestRuntimeCollector(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRegistry()
-	r.Register(s.Collector("proc_"))
+	r.Register(RuntimeCollector("proc_"))
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "proc_goroutines") {
-		t.Fatalf("runtime collector output:\n%s", buf.String())
+	out := buf.String()
+	for _, family := range []string{"uptime_seconds", "goroutines", "heap_alloc_bytes", "heap_sys_bytes",
+		"alloc_bytes_total", "gc_cycles_total", "gc_last_pause_seconds", "gc_pause_seconds_total"} {
+		if !strings.Contains(out, "\nproc_"+family+" ") {
+			t.Errorf("runtime collector has no proc_%s sample:\n%s", family, out)
+		}
 	}
-	s.Stop()
-	s.Stop() // idempotent
+	if strings.Contains(out, "proc_goroutines 0\n") || strings.Contains(out, "proc_heap_alloc_bytes 0\n") {
+		t.Fatalf("empty runtime read:\n%s", out)
+	}
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {

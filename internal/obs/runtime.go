@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -15,97 +14,30 @@ import (
 // world briefly, so both live on a separate opt-in listener
 // (-debug-addr) that operators can firewall independently.
 
-// RuntimeStats is one sampled view of the Go runtime.
-type RuntimeStats struct {
-	Goroutines   int
-	HeapAllocB   uint64
-	HeapSysB     uint64
-	TotalAllocB  uint64
-	GCCycles     uint32
-	LastGCPause  time.Duration
-	TotalGCPause time.Duration
-}
+// processStart is when the process started, near enough: package
+// initialisation runs before main.
+var processStart = time.Now()
 
-// RuntimeSampler periodically samples runtime statistics into a cached
-// snapshot, so scrapes and gauges read a recent copy instead of
-// triggering a ReadMemStats (a brief stop-the-world) per caller.
-type RuntimeSampler struct {
-	mu      sync.Mutex
-	stats   RuntimeStats
-	started time.Time
-	stop    chan struct{}
-	once    sync.Once
-}
-
-// NewRuntimeSampler starts a sampler ticking at interval (default 10s
-// when <= 0). Call Stop to release its goroutine.
-func NewRuntimeSampler(interval time.Duration) *RuntimeSampler {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	s := &RuntimeSampler{started: time.Now(), stop: make(chan struct{})}
-	s.sample()
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				s.sample()
-			case <-s.stop:
-				return
-			}
-		}
-	}()
-	return s
-}
-
-func (s *RuntimeSampler) sample() {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	st := RuntimeStats{
-		Goroutines:   runtime.NumGoroutine(),
-		HeapAllocB:   m.HeapAlloc,
-		HeapSysB:     m.HeapSys,
-		TotalAllocB:  m.TotalAlloc,
-		GCCycles:     m.NumGC,
-		TotalGCPause: time.Duration(m.PauseTotalNs),
-	}
-	if m.NumGC > 0 {
-		st.LastGCPause = time.Duration(m.PauseNs[(m.NumGC+255)%256])
-	}
-	s.mu.Lock()
-	s.stats = st
-	s.mu.Unlock()
-}
-
-// Stats returns the latest sample.
-func (s *RuntimeSampler) Stats() RuntimeStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// Uptime is the time since the sampler started — stands in for process
-// uptime when the sampler starts at boot.
-func (s *RuntimeSampler) Uptime() time.Duration { return time.Since(s.started) }
-
-// Stop halts the sampling goroutine. Safe to call twice.
-func (s *RuntimeSampler) Stop() { s.once.Do(func() { close(s.stop) }) }
-
-// Collector returns a collector emitting the sampler's gauges under
-// the given metric-name prefix.
-func (s *RuntimeSampler) Collector(prefix string) Collector {
+// RuntimeCollector returns a collector emitting the Go runtime's gauges
+// under the given metric-name prefix, read when a scrape renders them:
+// one runtime.ReadMemStats, a brief stop-the-world, per scrape.
+func RuntimeCollector(prefix string) Collector {
 	return func(e *Expo) {
-		st := s.Stats()
-		e.Gauge(prefix+"uptime_seconds", "Seconds since process start.", "", s.Uptime().Seconds())
-		e.Gauge(prefix+"goroutines", "Sampled goroutine count.", "", float64(st.Goroutines))
-		e.Gauge(prefix+"heap_alloc_bytes", "Sampled live heap bytes.", "", float64(st.HeapAllocB))
-		e.Gauge(prefix+"heap_sys_bytes", "Sampled heap bytes obtained from the OS.", "", float64(st.HeapSysB))
-		e.Counter(prefix+"alloc_bytes_total", "Cumulative bytes allocated.", "", float64(st.TotalAllocB))
-		e.Counter(prefix+"gc_cycles_total", "Completed GC cycles.", "", float64(st.GCCycles))
-		e.Gauge(prefix+"gc_last_pause_seconds", "Most recent GC stop-the-world pause.", "", st.LastGCPause.Seconds())
-		e.Counter(prefix+"gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "", st.TotalGCPause.Seconds())
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		var lastPause time.Duration
+		if m.NumGC > 0 {
+			lastPause = time.Duration(m.PauseNs[(m.NumGC+255)%256])
+		}
+		e.Gauge(prefix+"uptime_seconds", "Seconds since process start.", "", time.Since(processStart).Seconds())
+		e.Gauge(prefix+"goroutines", "Goroutine count.", "", float64(runtime.NumGoroutine()))
+		e.Gauge(prefix+"heap_alloc_bytes", "Live heap bytes.", "", float64(m.HeapAlloc))
+		e.Gauge(prefix+"heap_sys_bytes", "Heap bytes obtained from the OS.", "", float64(m.HeapSys))
+		e.Counter(prefix+"alloc_bytes_total", "Cumulative bytes allocated.", "", float64(m.TotalAlloc))
+		e.Counter(prefix+"gc_cycles_total", "Completed GC cycles.", "", float64(m.NumGC))
+		e.Gauge(prefix+"gc_last_pause_seconds", "Most recent GC stop-the-world pause.", "", lastPause.Seconds())
+		e.Counter(prefix+"gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "",
+			time.Duration(m.PauseTotalNs).Seconds())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/features"
 	"repro/internal/plan"
@@ -133,7 +132,7 @@ type cacheShard struct {
 	hand int32 // the slot the next eviction walk starts at; 0: the oldest
 	// Per-shard hit/miss tallies, guarded by mu (the lock is already
 	// held at every lookup, so these cost no extra synchronization).
-	// The global atomic counters remain the wire-visible totals.
+	// Stats sums them into the wire-visible totals.
 	hits   uint64
 	misses uint64
 }
@@ -220,12 +219,10 @@ func (s *cacheShard) put(p *probe) {
 }
 
 // Cache is a sharded SIEVE cache of operator predictions with hit/miss
-// counters. Shards bound lock contention under concurrent serving; each
-// shard's capacity bounds memory.
+// counters, kept per shard. Shards bound lock contention under
+// concurrent serving; each shard's capacity bounds memory.
 type Cache struct {
 	shards [cacheShards]cacheShard
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 // CacheStats is a point-in-time counter snapshot.
@@ -308,8 +305,7 @@ func planShards(ps []probe, order []int32) shardPlan {
 // by shard so each shard lock is taken at most once per batch instead
 // of once per key — with two goroutines probing, a lock per key made a
 // 512-key multi-get 2.2x slower and a multi-put 1.5x
-// (BenchmarkCache*/parallel) — and the global counters are bumped once
-// with the batch totals.
+// (BenchmarkCache*/parallel).
 func (c *Cache) GetMulti(ps []probe, order []int32) (int, shardPlan) {
 	if c == nil {
 		for i := range ps {
@@ -333,8 +329,6 @@ func (c *Cache) GetMulti(ps []probe, order []int32) (int, shardPlan) {
 		}
 		s.mu.Unlock()
 	}
-	c.hits.Add(uint64(hits))
-	c.misses.Add(uint64(len(ps) - hits))
 	return hits, sp
 }
 
@@ -397,10 +391,12 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	st := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+	var st CacheStats
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
+		st.Hits += s.hits
+		st.Misses += s.misses
 		st.Entries += len(s.ents) - 1
 		s.mu.Unlock()
 		st.Capacity += s.cap

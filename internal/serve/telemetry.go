@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"log/slog"
-	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -185,23 +184,15 @@ func collectModels(e *obs.Expo, models []ModelInfo) {
 // info-style gauge — one glance at a scrape answers "which build is
 // this" without shell access to the host.
 func collectBuildInfo(e *obs.Expo) {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return
-	}
-	revision, modified := "", ""
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			revision = s.Value
-		case "vcs.modified":
-			modified = s.Value
-		}
+	b := obs.BuildInfo()
+	modified := ""
+	if b.Revision != "" {
+		modified = strconv.FormatBool(b.Dirty)
 	}
 	e.Gauge("resserve_build_info",
 		"Build metadata of the serving binary (value is always 1).",
-		obs.Labels("go_version", bi.GoVersion, "path", bi.Main.Path,
-			"revision", revision, "modified", modified),
+		obs.Labels("go_version", b.GoVersion, "path", b.Main,
+			"revision", b.Revision, "modified", modified),
 		1)
 }
 
