@@ -37,7 +37,6 @@ type CombinedModel struct {
 	// normalizeBy[i] is the scaled-by feature that divides Inputs[i]
 	// (modification 3: dependent-feature normalization), or -1.
 	normalizeBy []features.ID
-	Mart        *mart.Model
 	// noNorm disables dependent-feature normalization (ablation).
 	noNorm bool
 	// Low/High are the training ranges of the transformed inputs,
@@ -56,15 +55,16 @@ type CombinedModel struct {
 	// TrainErr is the mean relative training error, used to pick the
 	// operator's default model.
 	TrainErr float64
-	// compiled is the serving layout of Mart, built by every
-	// constructor (training, JSON load, slab restore) and used by every
-	// prediction path. It is bit-identical to the pointer walk (see
-	// mart.Compile).
+	// compiled is the serving layout of the MART ensemble, built by
+	// every constructor (training, JSON load, slab restore) and used by
+	// every prediction path. It is bit-identical to the pointer walk
+	// (see mart.Compile).
 	compiled *mart.Compiled
-	// martBlob is the model's compact binary encoding (§7.3), retained
-	// by slab restore where Mart itself is never materialized so Save
-	// can still re-emit byte-identical model files.
-	martBlob []byte
+	// blob is the ensemble's compact binary encoding (§7.3), the form
+	// both model files store: encoded once by training, the decoded
+	// "mart" bytes after a JSON load, an alias into the slab's BLOBS
+	// section after a slab restore.
+	blob []byte
 	// scaleFeats lists the ScaleLow/ScaleHigh keys in ascending feature
 	// order. The penalty sum below iterates this slice instead of the
 	// map so selection scores do not depend on map iteration order.
@@ -219,7 +219,9 @@ func TrainCombined(op plan.OpKind, resource plan.ResourceKind, scales []ScaleFn,
 	if err != nil {
 		return nil, fmt.Errorf("core: training %s/%s %v: %w", op, resource, scales, err)
 	}
-	m.Mart = mm
+	if m.blob, err = mm.EncodeBinary(); err != nil {
+		return nil, fmt.Errorf("core: encoding %s/%s %v: %w", op, resource, scales, err)
+	}
 	m.compiled = mart.Compile(mm)
 
 	// fitted[i] is bit for bit what compiled.Predict(xs[i]) would return, so
@@ -349,6 +351,10 @@ func (m *CombinedModel) NumScales() int {
 	}
 	return n
 }
+
+// EncodedSize is the length of the ensemble's compact binary encoding
+// (§7.3), the bytes each model file stores for it.
+func (m *CombinedModel) EncodedSize() int { return len(m.blob) }
 
 // Name renders a short description, e.g. "Sort/CPU[nlogn(CIN1)]".
 func (m *CombinedModel) Name() string {

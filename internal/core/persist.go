@@ -13,7 +13,8 @@ import (
 // The on-disk estimator format is a JSON envelope holding per-model
 // metadata with the MART ensembles embedded in their compact binary
 // encoding (§7.3) as base64. The whole model set for both resources fits
-// in a few megabytes, matching the paper's memory budget.
+// in a few megabytes, matching the paper's memory budget. The same
+// envelope, without the blobs, is a slab's META section (slab.go).
 
 type scaleJSON struct {
 	Kind int `json:"kind"`
@@ -34,7 +35,11 @@ type combinedJSON struct {
 	YHigh       float64     `json:"y_high"`
 	TrainErr    float64     `json:"train_err"`
 	NoNorm      bool        `json:"no_norm,omitempty"`
-	Mart        []byte      `json:"mart"`
+	// Mart is the §7.3 blob. A slab's META section leaves it out and
+	// carries Slab instead: [martOff, martLen, blobOff, blobLen], the
+	// candidate's ranges in the MARTS and BLOBS sections.
+	Mart []byte   `json:"mart,omitempty"`
+	Slab []uint64 `json:"slab,omitempty"`
 }
 
 type opJSON struct {
@@ -66,7 +71,18 @@ const persistVersion = 1
 
 // Save serializes the estimator.
 func (e *Estimator) Save(w io.Writer) error {
-	out := estimatorJSON{
+	out, err := e.envelope(func(c *CombinedModel, cj *combinedJSON) { cj.Mart = c.blob })
+	if err != nil {
+		return err
+	}
+	return json.NewEncoder(w).Encode(out)
+}
+
+// envelope builds the metadata both model files carry: Save's JSON and
+// a slab's META section. ensemble fills in where each candidate's
+// ensemble lives — its §7.3 blob inline, or references into the slab.
+func (e *Estimator) envelope(ensemble func(*CombinedModel, *combinedJSON)) (*estimatorJSON, error) {
+	out := &estimatorJSON{
 		Version:      persistVersion,
 		Resource:     int(e.Resource),
 		Mode:         int(e.Mode),
@@ -86,34 +102,19 @@ func (e *Estimator) Save(w io.Writer) error {
 			if c == om.Default {
 				oj.DefaultIdx = i
 			}
-			cj, err := encodeCombined(c)
-			if err != nil {
-				return fmt.Errorf("core: save %s: %w", kind, err)
-			}
+			cj := encodeCombined(c)
+			ensemble(c, &cj)
 			oj.Candidates = append(oj.Candidates, cj)
 		}
 		if oj.DefaultIdx < 0 {
-			return fmt.Errorf("core: save %s: default model not among candidates", kind)
+			return nil, fmt.Errorf("core: encode %s: default model not among candidates", kind)
 		}
 		out.Ops = append(out.Ops, oj)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&out)
+	return out, nil
 }
 
-func encodeCombined(c *CombinedModel) (combinedJSON, error) {
-	// A slab-restored model never materializes Mart; its retained
-	// compact binary re-emits byte-identical model files.
-	blob := c.martBlob
-	if c.Mart != nil {
-		var err error
-		blob, err = c.Mart.EncodeBinary()
-		if err != nil {
-			return combinedJSON{}, err
-		}
-	} else if blob == nil {
-		return combinedJSON{}, fmt.Errorf("model has neither Mart nor a retained binary blob")
-	}
+func encodeCombined(c *CombinedModel) combinedJSON {
 	cj := combinedJSON{
 		Low:      c.Low,
 		High:     c.High,
@@ -121,7 +122,6 @@ func encodeCombined(c *CombinedModel) (combinedJSON, error) {
 		YHigh:    c.YHigh,
 		TrainErr: c.TrainErr,
 		NoNorm:   c.noNorm,
-		Mart:     blob,
 	}
 	for _, s := range c.Scales {
 		cj.Scales = append(cj.Scales, scaleJSON{Kind: int(s.Kind), F1: int(s.F1), F2: int(s.F2)})
@@ -137,7 +137,7 @@ func encodeCombined(c *CombinedModel) (combinedJSON, error) {
 		cj.ScaleLow = append(cj.ScaleLow, c.ScaleLow[f])
 		cj.ScaleHigh = append(cj.ScaleHigh, c.ScaleHigh[f])
 	}
-	return cj, nil
+	return cj
 }
 
 func sortedScaleFeatures(c *CombinedModel) []features.ID {
@@ -153,12 +153,29 @@ func sortedScaleFeatures(c *CombinedModel) []features.ID {
 // LoadEstimator reads an estimator saved by Save.
 func LoadEstimator(r io.Reader) (*Estimator, error) {
 	var in estimatorJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
+	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
+	e, err := in.estimator(func(cj *combinedJSON) (*mart.Compiled, []byte, error) {
+		m, err := mart.DecodeBinary(cj.Mart)
+		if err != nil {
+			return nil, nil, err
+		}
+		return mart.Compile(m), cj.Mart, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: load: %w", err)
+	}
+	return e, nil
+}
+
+// estimator builds the estimator an envelope describes. Both loaders
+// run it: ensemble supplies each candidate's serving layout and §7.3
+// blob, decoded and compiled from the inline blob by LoadEstimator,
+// aliased out of the MARTS and BLOBS sections by LoadEstimatorSlab.
+func (in *estimatorJSON) estimator(ensemble func(*combinedJSON) (*mart.Compiled, []byte, error)) (*Estimator, error) {
 	if in.Version != persistVersion {
-		return nil, fmt.Errorf("core: load: unsupported version %d", in.Version)
+		return nil, fmt.Errorf("unsupported version %d", in.Version)
 	}
 	e := &Estimator{
 		Resource:     plan.ResourceKind(in.Resource),
@@ -172,15 +189,15 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 	for _, oj := range in.Ops {
 		kind := plan.OpKind(oj.Op)
 		om := &OperatorModels{Op: kind, Resource: e.Resource, NSamples: oj.NSamples}
-		for _, cj := range oj.Candidates {
-			c, err := decodeCombined(kind, e.Resource, cj)
+		for i := range oj.Candidates {
+			c, err := decodeCombined(kind, e.Resource, &oj.Candidates[i], ensemble)
 			if err != nil {
-				return nil, fmt.Errorf("core: load %s: %w", kind, err)
+				return nil, fmt.Errorf("%s candidate %d: %w", kind, i, err)
 			}
 			om.Candidates = append(om.Candidates, c)
 		}
 		if oj.DefaultIdx < 0 || oj.DefaultIdx >= len(om.Candidates) {
-			return nil, fmt.Errorf("core: load %s: bad default index %d", kind, oj.DefaultIdx)
+			return nil, fmt.Errorf("%s: bad default index %d", kind, oj.DefaultIdx)
 		}
 		om.Default = om.Candidates[oj.DefaultIdx]
 		e.Ops[kind] = om
@@ -188,16 +205,12 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 	return e, nil
 }
 
-func decodeCombined(op plan.OpKind, r plan.ResourceKind, cj combinedJSON) (*CombinedModel, error) {
-	m, err := mart.DecodeBinary(cj.Mart)
-	if err != nil {
-		return nil, err
-	}
+func decodeCombined(op plan.OpKind, r plan.ResourceKind, cj *combinedJSON,
+	ensemble func(*combinedJSON) (*mart.Compiled, []byte, error)) (*CombinedModel, error) {
+
 	c := &CombinedModel{
 		Op:        op,
 		Resource:  r,
-		Mart:      m,
-		compiled:  mart.Compile(m),
 		Low:       cj.Low,
 		High:      cj.High,
 		YLow:      cj.YLow,
@@ -226,9 +239,46 @@ func decodeCombined(op plan.OpKind, r plan.ResourceKind, cj combinedJSON) (*Comb
 		c.ScaleLow[features.ID(f)] = cj.ScaleLow[i]
 		c.ScaleHigh[features.ID(f)] = cj.ScaleHigh[i]
 	}
+	var err error
+	if c.compiled, c.blob, err = ensemble(cj); err != nil {
+		return nil, err
+	}
 	if err := validateCandidate(c); err != nil {
 		return nil, err
 	}
 	c.scaleFeats = sortedScaleFeatures(c)
 	return c, nil
+}
+
+// validateCandidate checks the invariants prediction relies on but
+// decode alone cannot guarantee on adversarial input: every feature ID
+// is a real features.ID (Vector.Get indexes a fixed-size array), and
+// scoring never reads past the transformed row the metadata sizes.
+// Both loaders run it on every candidate they decode. A candidate
+// passing here can serve any vector without panicking, whatever the
+// file contained.
+func validateCandidate(c *CombinedModel) error {
+	validID := func(id features.ID) bool { return id >= 0 && id < features.NumFeatures }
+	for _, s := range c.Scales {
+		if !validID(s.F1) || !validID(s.F2) {
+			return fmt.Errorf("scale feature out of range")
+		}
+	}
+	for i, id := range c.Inputs {
+		if !validID(id) {
+			return fmt.Errorf("input %d feature %d out of range", i, id)
+		}
+		if nb := c.normalizeBy[i]; nb != -1 && !validID(nb) {
+			return fmt.Errorf("input %d normalize-by %d out of range", i, nb)
+		}
+	}
+	for f := range c.ScaleLow {
+		if !validID(f) {
+			return fmt.Errorf("scale-range feature %d out of range", f)
+		}
+	}
+	if need := c.compiled.InputsNeeded(); need > len(c.Inputs) {
+		return fmt.Errorf("model reads %d inputs, metadata has %d", need, len(c.Inputs))
+	}
+	return nil
 }

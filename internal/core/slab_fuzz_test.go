@@ -93,10 +93,10 @@ func FuzzSlabDecode(f *testing.F) {
 
 // TestUpdateSlabFuzzCorpus rewrites the committed corpus seeds under
 // testdata/fuzz/FuzzSlabDecode when run with -update (the same switch
-// as the goldens), keeping them in sync with the encoder. The seeds
-// committed today were written by an earlier build and still carry its
-// float32-quantized QMARTS section; they stand for such files, and the
-// seeds above already cover what this encoder writes.
+// as the goldens), keeping them in sync with the encoder. It leaves
+// alone the seed format2, the valid slab a format-2 build wrote (binary
+// META, beside a float32-quantized QMARTS section), which stands for
+// the files earlier builds left in stores.
 func TestUpdateSlabFuzzCorpus(t *testing.T) {
 	if !*updateGolden {
 		t.Skip("corpus regeneration runs only with -update")

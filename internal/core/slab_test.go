@@ -3,11 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -21,7 +22,7 @@ var slabOnce sync.Once
 var slabEst *Estimator
 var slabPlans []*plan.Plan
 
-func slabSetup(t *testing.T) (*Estimator, []*plan.Plan) {
+func slabSetup(t testing.TB) (*Estimator, []*plan.Plan) {
 	t.Helper()
 	slabOnce.Do(func() {
 		plans := execPlans(33, 64)
@@ -134,43 +135,6 @@ func TestEstimatorSlabSaveByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEstimatorSlabQuantized pins the rollout from earlier builds,
-// which wrote a float32-quantized QMARTS section beside the exact one
-// and set flag bit 0. cpu.q.slab is what they wrote for the golden
-// estimator (today's cpu.slab before the section went): it loads, with
-// wantQuantized either way, into the exact layout, and predicts
-// bit-identically to the freshly trained estimator.
-func TestEstimatorSlabQuantized(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("testdata", "golden", "cpu.q.slab"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flags := binary.LittleEndian.Uint16(old[6:]); flags&1 == 0 {
-		t.Fatalf("fixture flags %#x: want the quantized bit set", flags)
-	}
-	est := slabGoldenEstimator(t)
-	kinds, vecs := slabCases(est, execPlans(21, 32)[24:])
-	for _, quant := range []bool{false, true} {
-		dec, usedQ, err := LoadEstimatorSlab(old, quant)
-		if err != nil {
-			t.Fatalf("wantQuantized=%v: %v", quant, err)
-		}
-		if usedQ {
-			t.Fatalf("wantQuantized=%v: load reported the quantized layout", quant)
-		}
-		batch := dec.PredictBatch(kinds, vecs, nil)
-		for i := range kinds {
-			want := est.PredictVector(kinds[i], &vecs[i])
-			if got := dec.PredictVector(kinds[i], &vecs[i]); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("wantQuantized=%v case %d (%s): %v != %v", quant, i, kinds[i], got, want)
-			}
-			if math.Float64bits(batch[i]) != math.Float64bits(want) {
-				t.Fatalf("wantQuantized=%v case %d (%s): batch %v != %v", quant, i, kinds[i], batch[i], want)
-			}
-		}
-	}
-}
-
 // TestEstimatorSlabRejectsCorruption checks that header, section-table
 // and payload mutations all fail decode with an error — never a panic,
 // never a silently wrong estimator. (CRC catches the payload flips;
@@ -230,18 +194,74 @@ func slabGoldenEstimator(t *testing.T) *Estimator {
 }
 
 // TestSlabFormat1Declines pins the rollout contract of a format bump:
-// the bytes the previous format wrote for the golden estimator
-// (cpu.v1.slab, today's cpu.slab before estSlabFormat became 2) are not
-// a usable slab, so the store demotes such a snapshot to its JSON blob.
+// the bytes earlier formats wrote for the golden estimator are not a
+// usable slab, so the store demotes such a snapshot to its JSON blob.
+// cpu.v1.slab is format 1 (root-to-leaf node slabs), cpu.v2.slab format
+// 2 (a binary META section), and cpu.q.slab format 2 as builds wrote it
+// beside a float32-quantized QMARTS section, with flag bit 0 set.
 func TestSlabFormat1Declines(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "golden", "cpu.v1.slab"))
+	for _, name := range []string{"cpu.v1.slab", "cpu.v2.slab", "cpu.q.slab"} {
+		t.Run(name, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := binary.LittleEndian.Uint16(old[4:]); v >= estSlabFormat {
+				t.Fatalf("fixture has format %d, want one below %d", v, estSlabFormat)
+			}
+			for _, quant := range []bool{false, true} {
+				if _, _, err := LoadEstimatorSlab(old, quant); !errors.Is(err, ErrSlab) {
+					t.Fatalf("quantized=%v: LoadEstimatorSlab returned %v, want ErrSlab", quant, err)
+				}
+			}
+		})
+	}
+}
+
+// TestSlabMetaIsSaveEnvelope pins one metadata schema: a slab's META
+// section decodes to exactly the envelope Save writes, once each
+// candidate's "mart" blob (Save) and "slab" references (META) are
+// removed.
+func TestSlabMetaIsSaveEnvelope(t *testing.T) {
+	est, _ := slabSetup(t)
+	data, err := est.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, quant := range []bool{false, true} {
-		if _, _, err := LoadEstimatorSlab(v1, quant); !errors.Is(err, ErrSlab) {
-			t.Fatalf("format-1 slab (quantized=%v): LoadEstimatorSlab returned %v, want ErrSlab", quant, err)
+	le := binary.LittleEndian
+	if kind := le.Uint32(data[estSlabHeaderSize:]); kind != sectMeta {
+		t.Fatalf("first section has kind %d, want META", kind)
+	}
+	off := le.Uint64(data[estSlabHeaderSize+8:])
+	meta := data[off : off+le.Uint64(data[estSlabHeaderSize+16:])]
+	var saved bytes.Buffer
+	if err := est.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	strip := func(what string, b []byte, field string) map[string]any {
+		t.Helper()
+		var doc map[string]any
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
+		n := 0
+		for _, op := range doc["ops"].([]any) {
+			for _, c := range op.(map[string]any)["candidates"].([]any) {
+				c := c.(map[string]any)
+				if _, ok := c[field]; !ok {
+					t.Fatalf("%s: a candidate has no %q", what, field)
+				}
+				delete(c, field)
+				n++
+			}
+		}
+		if n != est.NumModels() {
+			t.Fatalf("%s: %d candidates, want %d", what, n, est.NumModels())
+		}
+		return doc
+	}
+	if got, want := strip("META", meta, "slab"), strip("Save", saved.Bytes(), "mart"); !reflect.DeepEqual(got, want) {
+		t.Fatal("META is not Save's envelope without the blobs")
 	}
 }
 
@@ -285,49 +305,5 @@ func TestSlabGolden(t *testing.T) {
 		if got := dec.PredictVector(kinds[i], &vecs[i]); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("case %d: golden slab prediction %v != %v", i, got, want)
 		}
-	}
-}
-
-// TestSlabNegativeCountRejected pins META counts against a 32-bit int:
-// a candidate whose input count has its top bit set must fail decode
-// with ErrSlab (it is far above the cap), not turn negative and panic
-// in make, which it did under GOARCH=386. The META CRC is recomputed,
-// so the count itself is what the decoder judges.
-func TestSlabNegativeCountRejected(t *testing.T) {
-	data, err := slabGoldenEstimator(t).EncodeSlab()
-	if err != nil {
-		t.Fatal(err)
-	}
-	le := binary.LittleEndian
-	if kind := le.Uint32(data[estSlabHeaderSize:]); kind != sectMeta {
-		t.Fatalf("first section has kind %d, want META", kind)
-	}
-	metaOff := le.Uint64(data[estSlabHeaderSize+8:])
-	metaLen := le.Uint64(data[estSlabHeaderSize+16:])
-	meta := data[metaOff : metaOff+metaLen]
-	// Walk to the first candidate's input count: resource, mode,
-	// fallback mean, baseline, op count, then the first op's kind,
-	// sample count, default index and candidate count, then the
-	// candidate's scales.
-	r := &metaReader{b: meta}
-	r.u32()
-	r.u32()
-	r.f64()
-	if r.u8() == 1 {
-		r.take(32)
-	}
-	r.u32()
-	r.u32()
-	r.u64()
-	r.u32()
-	r.u32()
-	r.take(12 * int(r.u32()))
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	le.PutUint32(meta[r.off:], 1<<31)
-	le.PutUint32(data[estSlabHeaderSize+4:], crc32.Checksum(meta, slabCRC))
-	if _, _, err := LoadEstimatorSlab(data, false); !errors.Is(err, ErrSlab) {
-		t.Fatalf("input count 2^31: LoadEstimatorSlab returned %v, want ErrSlab", err)
 	}
 }

@@ -155,15 +155,7 @@ func TestTrainOperatorBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: %d candidates, want %d", w, len(om.Candidates), len(want.Candidates))
 		}
 		for i := range om.Candidates {
-			a, err := om.Candidates[i].Mart.EncodeBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := want.Candidates[i].Mart.EncodeBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
+			if !bytes.Equal(om.Candidates[i].blob, want.Candidates[i].blob) {
 				t.Fatalf("workers=%d: candidate %d MART bytes differ", w, i)
 			}
 			if om.Candidates[i].TrainErr != want.Candidates[i].TrainErr {

@@ -270,11 +270,7 @@ func (r *Runner) ModelSizeBytes() (int, error) {
 	total := 0
 	for _, om := range est.Ops {
 		for _, c := range om.Candidates {
-			buf, err := c.Mart.EncodeBinary()
-			if err != nil {
-				return 0, err
-			}
-			total += len(buf)
+			total += c.EncodedSize()
 		}
 	}
 	return total, nil

@@ -79,6 +79,16 @@ const (
 	Estimated
 )
 
+// String returns the mode's name in model listings and store
+// manifests: "estimated", or "exact" for every other value, which
+// extraction treats as Exact.
+func (m Mode) String() string {
+	if m == Estimated {
+		return "estimated"
+	}
+	return "exact"
+}
+
 // Vector is a dense feature vector indexed by ID.
 type Vector [NumFeatures]float64
 

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/plan"
 	"repro/internal/store"
 )
@@ -143,13 +142,6 @@ func (r *Registry) Store() *store.Store {
 	return r.store
 }
 
-func modeName(m features.Mode) string {
-	if m == features.Estimated {
-		return "estimated"
-	}
-	return "exact"
-}
-
 // Publish installs est as the current model for (schema, est.Resource),
 // replacing any previous version atomically, and returns the new
 // version's metadata. Publishing under schema "" installs the fallback
@@ -188,7 +180,7 @@ func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool,
 	info := ModelInfo{
 		Schema:       schema,
 		Resource:     est.Resource.String(),
-		Mode:         modeName(est.Mode),
+		Mode:         est.Mode.String(),
 		Version:      r.version.Add(1),
 		NumModels:    est.NumModels(),
 		LoadedAt:     time.Now().UTC(),

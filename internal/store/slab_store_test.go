@@ -105,39 +105,45 @@ func TestSlabCorruptionFallsBackToJSON(t *testing.T) {
 	}
 }
 
-// TestSlabFormat1FallsBackToJSON is a rollout across a slab format bump:
-// a snapshot whose slab file holds the previous format's bytes (core's
-// cpu.v1.slab; the manifest's slab checksum is an audit record no load
-// compares, so the entry stands as published) restores through its JSON
-// blob and answers bit-identically — declined for its format, by name.
+// TestSlabFormat1FallsBackToJSON is a rollout across slab format bumps:
+// a snapshot whose slab file holds an earlier format's bytes (core's
+// cpu.v1.slab and cpu.v2.slab; the manifest's slab checksum is an audit
+// record no load compares, so the entry stands as published) restores
+// through its JSON blob and answers bit-identically — declined for its
+// format, by name.
 func TestSlabFormat1FallsBackToJSON(t *testing.T) {
 	setup(t)
-	v1, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden", "cpu.v1.slab"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logs []string
-	st := openStore(t, t.TempDir(), Options{Logf: func(f string, a ...any) {
-		logs = append(logs, fmt.Sprintf(f, a...))
-	}})
-	man := publishOne(t, st, "tpch", plan.CPUTime, cpuEst)
-	if err := os.WriteFile(filepath.Join(st.versionDir(man.Version), man.Models[0].SlabFile), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := st.LoadVersion(man.Version)
-	if err != nil {
-		t.Fatalf("a format-1 slab must not fail the load: %v", err)
-	}
-	if got := loaded.Layout[plan.CPUTime]; got != "json" {
-		t.Fatalf("layout %q, want json under a format-1 slab", got)
-	}
-	for _, p := range testPlans {
-		if got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("json fallback drifted: %v != %v", got, want)
-		}
-	}
-	if len(logs) != 1 || !strings.Contains(logs[0], "format version 1") {
-		t.Fatalf("want one demotion log naming the format, got %q", logs)
+	for _, format := range []int{1, 2} {
+		name := fmt.Sprintf("cpu.v%d.slab", format)
+		t.Run(name, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var logs []string
+			st := openStore(t, t.TempDir(), Options{Logf: func(f string, a ...any) {
+				logs = append(logs, fmt.Sprintf(f, a...))
+			}})
+			man := publishOne(t, st, "tpch", plan.CPUTime, cpuEst)
+			if err := os.WriteFile(filepath.Join(st.versionDir(man.Version), man.Models[0].SlabFile), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := st.LoadVersion(man.Version)
+			if err != nil {
+				t.Fatalf("a format-%d slab must not fail the load: %v", format, err)
+			}
+			if got := loaded.Layout[plan.CPUTime]; got != "json" {
+				t.Fatalf("layout %q, want json under a format-%d slab", got, format)
+			}
+			for _, p := range testPlans {
+				if got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("json fallback drifted: %v != %v", got, want)
+				}
+			}
+			if want := fmt.Sprintf("format version %d", format); len(logs) != 1 || !strings.Contains(logs[0], want) {
+				t.Fatalf("want one demotion log naming the format, got %q", logs)
+			}
+		})
 	}
 }
 

@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -297,7 +296,7 @@ func (s *Store) encodeModel(r plan.ResourceKind, est *core.Estimator) encodedMod
 		Resource:     r.WireName(),
 		File:         r.WireName() + ".model.json",
 		SHA256:       hex.EncodeToString(sum[:]),
-		Mode:         modeName(est),
+		Mode:         est.Mode.String(),
 		NumModels:    est.NumModels(),
 		Baseline:     est.Baseline,
 		TrainSamples: est.TrainSamples(),
@@ -746,12 +745,4 @@ func wireResource(s string) (plan.ResourceKind, bool) {
 		}
 	}
 	return 0, false
-}
-
-// modeName mirrors the serving registry's mode naming.
-func modeName(e *core.Estimator) string {
-	if e.Mode == features.Estimated {
-		return "estimated"
-	}
-	return "exact"
 }
