@@ -12,13 +12,12 @@ import (
 
 // Estimator slab: the whole estimator — every candidate model's
 // compiled layout plus the metadata around it — serialized as one
-// relocatable binary file the store mmaps at restore. The mart slabs in
-// the file are byte-identical to their in-memory arrays (see
+// relocatable binary file the store reads whole at restore. The mart
+// slabs in the file are byte-identical to their in-memory arrays (see
 // internal/mart/slab.go), so LoadEstimatorSlab reconstructs Compiled
-// views directly over the mapped pages: no blob decode, no recompile,
-// pages shared across co-resident processes. Only the metadata is
-// decoded, and it is Save's JSON envelope, read by the code
-// LoadEstimator runs.
+// views directly over the bytes read: no blob decode, no recompile.
+// Only the metadata is decoded, and it is Save's JSON envelope, read by
+// the code LoadEstimator runs.
 //
 // File layout (little-endian):
 //
@@ -120,9 +119,9 @@ func pad8(b []byte) []byte {
 
 // LoadEstimatorSlab reconstructs an estimator over slab bytes. On a
 // little-endian host the compiled arrays and binary blobs alias
-// data directly — zero copy, so data must stay alive and unmodified for
-// the estimator's lifetime (the store mmaps the file read-only and
-// keeps the mapping for the life of the process).
+// data directly — zero copy, so data must stay unmodified for the
+// estimator's lifetime (the store hands over a heap buffer it never
+// touches again; the GC frees it with the last estimator aliasing it).
 //
 // wantQuantized is ignored and usedQuantized is always false: both stay
 // only because the benchmark calls this signature, and go with

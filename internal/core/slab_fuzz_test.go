@@ -54,7 +54,7 @@ func fuzzSlabVariants() map[string][]byte {
 	}
 }
 
-// FuzzSlabDecode is the never-panic contract over the mmap'd byte
+// FuzzSlabDecode is the never-panic contract over the slab byte
 // format: whatever bytes are on disk, LoadEstimatorSlab either returns
 // an estimator safe to predict with or an error — no panics, no
 // out-of-range walks. Successful decodes are driven through the

@@ -56,7 +56,7 @@ func slabCases(est *Estimator, test []*plan.Plan) ([]plan.OpKind, []features.Vec
 }
 
 // TestEstimatorSlabBitIdentical is the acceptance-criteria test: an
-// estimator restored from its slab — the zero-copy mmap-style path —
+// estimator restored from its slab — the zero-copy aliasing path —
 // predicts bit-identically (Float64bits) to the heap-compiled original,
 // through the single-vector, batch and whole-plan surfaces.
 func TestEstimatorSlabBitIdentical(t *testing.T) {

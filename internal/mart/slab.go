@@ -11,12 +11,12 @@ import (
 // Slab encoding: a compiled layout serialized as a relocatable flat
 // byte range whose four arrays are exactly their in-memory form on a
 // little-endian host. That identity is the whole point — a loader can
-// mmap the file read-only and alias the arrays directly over the mapped
-// pages (CompiledFromSlab), so restore builds nothing: a header parse
-// plus one validation pass, and co-resident processes share the pages.
+// read the file and alias the arrays directly over its bytes
+// (CompiledFromSlab), so restore builds nothing: a header parse plus
+// one validation pass.
 //
 // Layout (all fields little-endian, offsets relative to slab start,
-// which callers must keep 8-byte aligned relative to the mapping base):
+// which callers must keep 8-byte aligned relative to the buffer's base):
 //
 //	off  0  u32  magic "MCS2"
 //	off  4  u32  nTrees
@@ -121,10 +121,9 @@ func (c *Compiled) AppendSlab(dst []byte) []byte {
 
 // CompiledFromSlab reconstructs a Compiled view over the slab bytes.
 // On a little-endian host with an 8-byte-aligned b all four arrays
-// alias b directly — zero copy, so b must stay alive and unmodified for
-// the lifetime of the returned Compiled (an mmap'd read-only file
-// satisfies both). Otherwise the arrays are decoded onto the heap and b
-// may be discarded.
+// alias b directly — zero copy, so b must stay unmodified for the
+// lifetime of the returned Compiled, which keeps it alive. Otherwise
+// the arrays are decoded onto the heap and b may be discarded.
 func CompiledFromSlab(b []byte) (*Compiled, error) {
 	if len(b) < slabHeaderSize {
 		return nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrSlab, len(b), slabHeaderSize)

@@ -393,8 +393,12 @@ func (r *Registry) pushHistory(key ModelKey, old *Model) {
 	for i := len(h) - 1; i > 0 && h[i-1].Info.Version > h[i].Info.Version; i-- {
 		h[i-1], h[i] = h[i], h[i-1]
 	}
-	if len(h) > historyCap {
-		h = h[len(h)-historyCap:]
+	if n := len(h) - historyCap; n > 0 {
+		// The backing array outlives the reslice, and the GC scans all
+		// of it: drop the references to the entries cut off, or each
+		// route keeps up to historyCap more models alive.
+		clear(h[:n])
+		h = h[n:]
 	}
 	r.history[key] = h
 	r.mu.Unlock()
@@ -453,6 +457,7 @@ func (r *Registry) rollbackFromMemory(schema string, resource plan.ResourceKind)
 		return ModelInfo{}, fmt.Errorf("%w: schema %q resource %s", ErrNoHistory, schema, resource)
 	}
 	prev := h[len(h)-1]
+	h[len(h)-1] = nil // the backing array must not keep it alive
 	r.history[key] = h[:len(h)-1]
 	r.mu.Unlock()
 	info, err := r.rollbackTo(schema, prev.Est, 0)

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -41,6 +43,36 @@ func TestPushHistoryOrdersByVersion(t *testing.T) {
 	if h[0].Info.Version != 12 || h[len(h)-1].Info.Version != 19 {
 		t.Fatalf("cap kept versions %d..%d, want 12..19", h[0].Info.Version, h[len(h)-1].Info.Version)
 	}
+}
+
+// TestHistoryReleasesDroppedModels: a model that leaves the rollback
+// history — cut off past historyCap, or popped by a rollback — is
+// garbage once nothing else holds it. The history's backing array,
+// which the GC scans whole, keeps no reference to it.
+func TestHistoryReleasesDroppedModels(t *testing.T) {
+	r := NewRegistry()
+	const publishes = historyCap + 3 // the first two fall off the history
+	var models []weak.Pointer[Model]
+	for range publishes {
+		r.Publish("s", &core.Estimator{Resource: plan.CPUTime})
+		m, _ := r.Lookup("s", plan.CPUTime)
+		models = append(models, weak.Make(m))
+	}
+	// The rollback pops the newest history entry and republishes its
+	// estimator as a new Model; the popped Model is garbage.
+	if _, err := r.Rollback("s", plan.CPUTime); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	for _, i := range []int{0, 1, publishes - 2} {
+		if models[i].Value() != nil {
+			t.Errorf("model %d is still reachable after leaving the history", i+1)
+		}
+	}
+	if models[2].Value() == nil {
+		t.Error("the oldest model the history keeps was collected")
+	}
+	runtime.KeepAlive(r)
 }
 
 // TestRollbackConflictReportsWinner pins the losing-rollback contract:

@@ -1,15 +1,19 @@
 package serve_test
 
 // Tests for how a registry installs models it reads back from the
-// store: a restore that meets a corrupt recorded snapshot, and a
-// follower sync that must leave the shared directory untouched.
+// store: a restore that meets a corrupt recorded snapshot, a follower
+// sync that must leave the shared directory untouched and restore
+// nothing while idle, and a long run of leader publishes a follower
+// keeps up with.
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -27,10 +31,7 @@ import (
 func TestRestoreSkipsCorruptRecordedSnapshot(t *testing.T) {
 	altSetup(t)
 	dir := t.TempDir()
-	// JSON only: with a slab beside it, a tampered model file would be
-	// routed around rather than fail the load.
-	opts := store.Options{Slab: store.SlabDisabled}
-	st, err := store.Open(dir, opts)
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +48,11 @@ func TestRestoreSkipsCorruptRecordedSnapshot(t *testing.T) {
 	if err := st.SetCurrent("tpch", map[string]uint64{"cpu": vs[1], "io": vs[0]}); err != nil {
 		t.Fatal(err)
 	}
+	// The slab goes too: with it beside the tampered model file, the
+	// load would route around the file rather than fail.
+	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("v%010d", vs[1]), "cpu.model.slab")); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, fmt.Sprintf("v%010d", vs[1]), "cpu.model.json")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -57,7 +63,7 @@ func TestRestoreSkipsCorruptRecordedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := store.Open(dir, opts)
+	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,5 +163,148 @@ func TestSyncWritesNothing(t *testing.T) {
 	}
 	if !slices.Equal(snapsAfter, snapsBefore) {
 		t.Fatalf("sync changed the snapshot directories: %v → %v", snapsBefore, snapsAfter)
+	}
+}
+
+// restores is how many snapshot loads st has made.
+func restores(st *store.Store) uint64 {
+	_, restore := st.Timings()
+	return restore.Count
+}
+
+// TestIdleSyncRestoresNothing: once a follower serves the newest
+// snapshot, polls that find nothing newer load nothing — the manifests
+// say so — and a newer leader publish is still installed on the next.
+func TestIdleSyncRestoresNothing(t *testing.T) {
+	altSetup(t)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := serve.NewRegistry()
+	leader.AttachStore(st, t.Logf)
+	leader.PublishAs("tpch", cpuEst, "bootstrap")
+	leader.PublishAs("tpch", ioEst, "bootstrap")
+
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := serve.NewRegistry()
+	follower.AttachStore(st2, t.Logf)
+	if synced, err := follower.SyncFromStore(); err != nil || len(synced) != 2 {
+		t.Fatalf("first sync installed %d models (%v), want 2", len(synced), err)
+	}
+	before := restores(st2)
+	for i := range 50 {
+		synced, err := follower.SyncFromStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(synced) != 0 {
+			t.Fatalf("idle sync %d installed %d models", i, len(synced))
+		}
+	}
+	if got := restores(st2); got != before {
+		t.Fatalf("50 idle syncs made %d restores, want none", got-before)
+	}
+
+	newest := leader.PublishAs("tpch", cpuEst2, "retrain").Snapshot
+	synced, err := follower.SyncFromStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 2 || synced[0].Snapshot != newest || synced[1].Snapshot != newest {
+		t.Fatalf("sync after a publish installed %+v, want both resources from v%d", synced, newest)
+	}
+	if got := restores(st2); got != before+1 {
+		t.Fatalf("sync after a publish made %d restores, want 1", got-before)
+	}
+	p := testPlans[0]
+	if m, _ := follower.Lookup("tpch", plan.CPUTime); math.Float64bits(m.Est.PredictPlan(p)) != math.Float64bits(cpuEst2.PredictPlan(p)) {
+		t.Fatal("follower does not serve the leader's newest cpu model")
+	}
+}
+
+// TestFollowerSoak runs leader publish → follower sync over one store
+// directory for long enough to cross store GC (16 snapshots retained)
+// and the registry's rollback history (8 per route) many times over.
+// Replaced models hold nothing the GC cannot free: the heap at the end
+// is within 2x of the heap at cycle 50, no slab file stays mapped, and
+// the follower loads exactly the snapshots it installs.
+func TestFollowerSoak(t *testing.T) {
+	altSetup(t)
+	const cycles, warm = 200, 50
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := serve.NewRegistry()
+	leader.AttachStore(st, nil)
+	first := leader.PublishAs("tpch", ioEst, "bootstrap").Snapshot
+
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := serve.NewRegistry()
+	follower.AttachStore(st2, t.Logf)
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var warmHeap uint64
+	installed := make(map[uint64]bool)
+	for i := range cycles {
+		est := cpuEst
+		if i%2 == 1 {
+			est = cpuEst2
+		}
+		snap := leader.PublishAs("tpch", est, "retrain").Snapshot
+		synced, err := follower.SyncFromStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(synced) != 2 {
+			t.Fatalf("cycle %d: sync installed %d models, want 2", i, len(synced))
+		}
+		for _, info := range synced {
+			if info.Snapshot != snap {
+				t.Fatalf("cycle %d: sync installed %s from v%d, want v%d", i, info.Resource, info.Snapshot, snap)
+			}
+			installed[info.Snapshot] = true
+		}
+		if i+1 == warm {
+			warmHeap = heap()
+		}
+	}
+	endHeap := heap()
+	t.Logf("heap %d B at cycle %d, %d B at cycle %d", warmHeap, warm, endHeap, cycles)
+	if endHeap > 2*warmHeap {
+		t.Errorf("heap grew from %d B at cycle %d to %d B at cycle %d", warmHeap, warm, endHeap, cycles)
+	}
+	if got := restores(st2); got != uint64(len(installed)) {
+		t.Errorf("follower made %d restores for %d installed snapshots", got, len(installed))
+	}
+	if _, err := st.Manifest(first); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("store GC kept the first snapshot v%d: %v", first, err)
+	}
+	if runtime.GOOS == "linux" {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(maps), ".model.slab"); n != 0 {
+			t.Errorf("%d slab files are still mapped", n)
+		}
+	}
+	p := testPlans[0]
+	if m, _ := follower.Lookup("tpch", plan.CPUTime); math.Float64bits(m.Est.PredictPlan(p)) != math.Float64bits(cpuEst2.PredictPlan(p)) {
+		t.Fatal("follower does not serve the leader's last cpu model")
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/plan"
@@ -124,17 +126,29 @@ func VersionChecksum(vec []RouteVersion) string {
 // Unlike RestoreFromStore this never writes to the store — no
 // serving-cursor records — so any number of read-only followers can
 // share one store directory with a single writing publisher.
+//
+// The manifests decide what to load: a schema's snapshot is restored
+// only when its newest manifest is newer than the snapshot serving one
+// of the resources it carries, so an idle poll reads manifests and
+// restores nothing.
 func (r *Registry) SyncFromStore() ([]ModelInfo, error) {
 	st := r.Store()
 	if st == nil {
 		return nil, errors.New("serve: no store attached")
 	}
-	schemas, err := st.Schemas()
+	mans, err := st.List()
 	if err != nil {
 		return nil, err
 	}
+	newest := make(map[string]*store.Manifest) // List is ascending: the last one wins
+	for _, man := range mans {
+		newest[man.Schema] = man
+	}
 	var out []ModelInfo
-	for _, schema := range schemas {
+	for _, schema := range slices.Sorted(maps.Keys(newest)) {
+		if !r.behind(schema, newest[schema]) {
+			continue
+		}
 		loaded, err := st.LoadLatest(schema)
 		if err != nil {
 			r.logStore("store: sync %q: %v", schema, err)
@@ -157,4 +171,17 @@ func (r *Registry) SyncFromStore() ([]ModelInfo, error) {
 		}
 	}
 	return out, nil
+}
+
+// behind reports whether man, schema's newest snapshot, is newer than
+// the snapshot serving any resource it carries.
+func (r *Registry) behind(schema string, man *store.Manifest) bool {
+	r.storeMu.Lock()
+	defer r.storeMu.Unlock()
+	for _, k := range plan.ResourceKinds() {
+		if _, ok := man.Resource(k.WireName()); ok && man.Version > r.cursor[ModelKey{Schema: schema, Resource: k}] {
+			return true
+		}
+	}
+	return false
 }

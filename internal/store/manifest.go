@@ -64,12 +64,12 @@ type ModelEntry struct {
 	// TrainSamples is the number of per-operator training samples the
 	// model was fitted on (provenance; 0 when unknown).
 	TrainSamples int `json:"train_samples,omitempty"`
-	// SlabFile names the model's compiled-slab sibling (the mmap'd
-	// zero-copy restore format, see core.EncodeSlab), written alongside
-	// File at publish. Optional: snapshots published by older builds
-	// have none and restore via JSON decode; a present-but-corrupt slab
-	// falls back the same way, so the slab is an accelerator, never a
-	// second point of failure.
+	// SlabFile names the model's compiled-slab sibling (the restore
+	// format, see core.EncodeSlab), written alongside File at publish.
+	// Optional: snapshots published by older builds have none and
+	// restore via JSON decode; a missing or corrupt slab falls back the
+	// same way, so the slab is an accelerator, never a second point of
+	// failure.
 	SlabFile string `json:"slab_file,omitempty"`
 	// SlabSHA256 is the hex checksum of the whole slab file — the audit
 	// record for operators and offline integrity sweeps. Loads do not

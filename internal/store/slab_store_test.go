@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ func corruptFile(t *testing.T, path string) {
 }
 
 // TestSlabRestorePreferred: a default-options publish writes slab files,
-// records them in the manifest, and restores through them — zero-copy,
+// records them in the manifest, and restores through them,
 // bit-identical to the heap estimator.
 func TestSlabRestorePreferred(t *testing.T) {
 	setup(t)
@@ -61,7 +62,7 @@ func TestSlabRestorePreferred(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := loaded.Layout[plan.CPUTime]; got != "mmap" {
-		t.Fatalf("layout %q, want mmap (exact mode is the default)", got)
+		t.Fatalf("layout %q, want mmap (the slab layout)", got)
 	}
 	for _, p := range testPlans {
 		if got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p); math.Float64bits(got) != math.Float64bits(want) {
@@ -219,39 +220,105 @@ func TestSlabQuantizedMode(t *testing.T) {
 	}
 }
 
-// TestSlabDisabledAndLegacySnapshots: a SlabDisabled store publishes no
-// slab files, and a default store restores slab-less (legacy) snapshots
-// through JSON without complaint — forward and backward compatible.
-func TestSlabDisabledAndLegacySnapshots(t *testing.T) {
-	setup(t)
-	dir := t.TempDir()
-	off := openStore(t, dir, Options{Slab: SlabDisabled})
-	man := publishOne(t, off, "tpch", plan.CPUTime, cpuEst)
-	if e := man.Models[0]; e.SlabFile != "" || e.SlabSHA256 != "" {
-		t.Fatalf("SlabDisabled publish recorded slab metadata: %+v", e)
+// stripSlabs turns snapshot v under dir into one an older build wrote:
+// its slab files are deleted and its manifest names none.
+func stripSlabs(t *testing.T, dir string, v uint64) {
+	t.Helper()
+	vdir := filepath.Join(dir, fmt.Sprintf(dirFormat, v))
+	path := filepath.Join(vdir, manifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(off.versionDir(man.Version), "cpu.model.slab")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("SlabDisabled publish wrote a slab file: %v", err)
+	man, err := DecodeManifest(data)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := range man.Models {
+		e := &man.Models[i]
+		if err := os.Remove(filepath.Join(vdir, e.SlabFile)); err != nil {
+			t.Fatal(err)
+		}
+		e.SlabFile, e.SlabSHA256 = "", ""
+	}
+	if data, err = man.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	on := openStore(t, dir, Options{})
-	loaded, err := on.LoadVersion(man.Version)
+// TestLegacySnapshotsRestoreThroughJSON: a snapshot an older build
+// published — no slab file, no slab_* fields in its manifest —
+// restores through its JSON blob, bit-identically, without complaint.
+func TestLegacySnapshotsRestoreThroughJSON(t *testing.T) {
+	setup(t)
+	var logs []string
+	st := openStore(t, t.TempDir(), Options{Logf: func(f string, a ...any) {
+		logs = append(logs, fmt.Sprintf(f, a...))
+	}})
+	man := publishOne(t, st, "tpch", plan.CPUTime, cpuEst)
+	stripSlabs(t, st.Dir(), man.Version)
+
+	loaded, err := st.LoadVersion(man.Version)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := loaded.Layout[plan.CPUTime]; got != "json" {
 		t.Fatalf("legacy snapshot layout %q, want json", got)
 	}
+	for _, p := range testPlans {
+		if got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("legacy restore drifted: %v != %v", got, want)
+		}
+	}
+	if len(logs) != 0 {
+		t.Fatalf("a legacy snapshot is not a demotion, yet the store logged %q", logs)
+	}
+}
 
-	// The reverse direction: a SlabDisabled reader ignores slab files a
-	// newer publisher wrote.
-	man2 := publishOne(t, on, "tpch", plan.CPUTime, cpuEstB)
-	loaded2, err := off.LoadVersion(man2.Version)
-	if err != nil {
+// TestSlabRestoreAllocatesLessThanJSON is the clock-free form of the
+// cold-start claim: restoring a snapshot over its slab allocates at
+// most a quarter of the heap bytes the JSON decode + recompile of the
+// same snapshot does, the slab file's own bytes included. The JSON
+// baseline is a copy of the snapshot with its slabs stripped. Restore
+// time itself is the benchmark's core.slab_load_ms, core.json_load_ms
+// and store.restore_ms.
+func TestSlabRestoreAllocatesLessThanJSON(t *testing.T) {
+	setup(t)
+	slab := openStore(t, t.TempDir(), Options{})
+	man := publishOne(t, slab, "tpch", plan.CPUTime, cpuEst)
+
+	legacy := openStore(t, t.TempDir(), Options{})
+	name := fmt.Sprintf(dirFormat, man.Version)
+	if err := os.CopyFS(filepath.Join(legacy.Dir(), name), os.DirFS(filepath.Join(slab.Dir(), name))); err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded2.Layout[plan.CPUTime]; got != "json" {
-		t.Fatalf("SlabDisabled reader layout %q, want json", got)
+	stripSlabs(t, legacy.Dir(), man.Version)
+
+	// restoreBytes is the heap allocated by one restore; nothing else
+	// in the package runs beside it, so the TotalAlloc delta is its own.
+	restoreBytes := func(st *Store, wantLayout string) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		loaded, err := st.LoadVersion(man.Version)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.Layout[plan.CPUTime]; got != wantLayout {
+			t.Fatalf("layout %q, want %q", got, wantLayout)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	slabBytes := restoreBytes(slab, "mmap")
+	jsonBytes := restoreBytes(legacy, "json")
+	t.Logf("restore allocated %d B over the slab, %d B through JSON (%.1fx)",
+		slabBytes, jsonBytes, float64(jsonBytes)/float64(slabBytes))
+	if slabBytes*4 > jsonBytes {
+		t.Errorf("slab restore allocated %d B, more than 1/4 of the JSON restore's %d B", slabBytes, jsonBytes)
 	}
 }
 

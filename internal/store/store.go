@@ -19,7 +19,7 @@
 //	<dir>/v0000000007/cpu.model.json  model blobs (core.Estimator.Save)
 //	<dir>/v0000000007/io.model.json
 //	<dir>/v0000000007/cpu.model.slab  compiled slabs (core.Estimator.EncodeSlab),
-//	<dir>/v0000000007/io.model.slab   mmap'd for zero-copy restore
+//	<dir>/v0000000007/io.model.slab   the layout restores read first
 //	<dir>/.tmp-*                      in-flight publishes (cleaned at Open)
 //
 // A crash mid-publish leaves only a .tmp-* directory, which Open
@@ -57,22 +57,18 @@ var (
 	ErrCorrupt = errors.New("store: corrupt snapshot")
 )
 
-// SlabMode selects how the store uses compiled-slab files — the
-// mmap'd zero-copy sibling written next to each model blob at publish.
+// SlabMode is ignored: every publish writes a compiled slab next to
+// each model blob, and every restore tries it first. The type and its
+// two values stay only because the benchmark passes them; they go with
+// ROADMAP 1(g).
 type SlabMode int
 
 const (
-	// SlabExact (the default) restores from the slab's exact float64
-	// layout when present and intact, bit-identical to the JSON path.
+	// SlabExact is ignored (see SlabMode).
 	SlabExact SlabMode = iota
-	// SlabQuantized restores exactly like SlabExact. It named a
-	// float32-quantized slab section that is no longer written or
-	// read, and stays only because the benchmark passes it; it goes
-	// with ROADMAP 1(g).
+	// SlabQuantized is ignored (see SlabMode). It named a
+	// float32-quantized slab section that is no longer written or read.
 	SlabQuantized
-	// SlabDisabled ignores slab files entirely: publishes write none
-	// and restores always JSON-decode.
-	SlabDisabled
 )
 
 // Options configures a Store.
@@ -81,7 +77,7 @@ type Options struct {
 	// older ones, except those the serving record (SetCurrent) names.
 	// 0 selects the default (16); negative disables GC entirely.
 	Retain int
-	// Slab selects the compiled-slab policy (default SlabExact).
+	// Slab is ignored (see SlabMode).
 	Slab SlabMode
 	// Logf, when set, receives one line per notable event (tmp cleanup,
 	// corrupt snapshot skipped, GC).
@@ -93,7 +89,6 @@ type Options struct {
 type Store struct {
 	dir    string
 	retain int
-	slab   SlabMode
 	logf   func(format string, args ...any)
 
 	mu      sync.Mutex
@@ -127,9 +122,11 @@ type Snapshot struct {
 type Loaded struct {
 	Manifest *Manifest
 	Models   map[plan.ResourceKind]*core.Estimator
-	// Layout records how each model was materialised: "mmap" (zero-copy
-	// over the slab) or "json" (heap decode + recompile). Surfaced so
-	// operators can confirm the fast path actually engaged.
+	// Layout records how each model was materialised: "mmap" names the
+	// slab layout (the file read onto the heap, the compiled views
+	// aliasing it, nothing decoded or recompiled but the metadata), and
+	// "json" the model blob's decode + recompile. Surfaced so operators
+	// can confirm the fast path actually engaged.
 	Layout map[plan.ResourceKind]string
 }
 
@@ -161,7 +158,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:     dir,
 		retain:  opts.Retain,
-		slab:    opts.Slab,
 		logf:    opts.Logf,
 		serving: make(map[string]map[string]uint64),
 	}
@@ -303,15 +299,13 @@ func (s *Store) encodeModel(r plan.ResourceKind, est *core.Estimator) encodedMod
 	}}
 	// The slab is an accelerator, never a publish failure: an encode
 	// error just means this snapshot restores via JSON decode.
-	if s.slab != SlabDisabled {
-		if slab, err := est.EncodeSlab(); err != nil {
-			m.slabErr = err
-		} else {
-			slabSum := sha256.Sum256(slab)
-			m.entry.SlabFile = r.WireName() + ".model.slab"
-			m.entry.SlabSHA256 = hex.EncodeToString(slabSum[:])
-			m.files = append(m.files, namedBlob{name: m.entry.SlabFile, data: slab})
-		}
+	if slab, err := est.EncodeSlab(); err != nil {
+		m.slabErr = err
+	} else {
+		slabSum := sha256.Sum256(slab)
+		m.entry.SlabFile = r.WireName() + ".model.slab"
+		m.entry.SlabSHA256 = hex.EncodeToString(slabSum[:])
+		m.files = append(m.files, namedBlob{name: m.entry.SlabFile, data: slab})
 	}
 	m.files = append(m.files, namedBlob{name: m.entry.File, data: blob})
 	return m
@@ -490,12 +484,11 @@ func (s *Store) Schemas() ([]string, error) {
 // truncated file, tampering — yields ErrCorrupt, never a silently
 // wrong model.
 //
-// When the manifest lists a slab file and the store's slab mode allows
-// it, each model restores zero-copy over the mmap'd slab instead of
-// JSON-decoding; a corrupt or unloadable slab demotes that model to the
-// JSON path (logged), and only if the JSON blob is *also* bad does the
-// snapshot count as corrupt — at which point the caller's
-// latest-intact-version walk takes over.
+// When the manifest lists a slab file, each model restores from the
+// slab instead of JSON-decoding; a missing, corrupt or unloadable slab
+// demotes that model to the JSON path (logged), and only if the JSON
+// blob is *also* bad does the snapshot count as corrupt — at which
+// point the caller's latest-intact-version walk takes over.
 func (s *Store) LoadVersion(v uint64) (*Loaded, error) {
 	start := time.Now()
 	man, err := s.Manifest(v)
@@ -512,11 +505,11 @@ func (s *Store) LoadVersion(v uint64) (*Loaded, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: v%d: unknown resource %q", ErrCorrupt, v, e.Resource)
 		}
-		if e.SlabFile != "" && s.slab != SlabDisabled {
-			est, layout, err := s.loadSlab(v, e, r)
+		if e.SlabFile != "" {
+			est, err := s.loadSlab(v, e, r)
 			if err == nil {
 				out.Models[r] = est
-				out.Layout[r] = layout
+				out.Layout[r] = "mmap"
 				continue
 			}
 			s.logf("store: v%d: %s slab unusable, falling back to JSON: %v", v, e.SlabFile, err)
@@ -543,30 +536,26 @@ func (s *Store) LoadVersion(v uint64) (*Loaded, error) {
 	return out, nil
 }
 
-// loadSlab restores one model zero-copy from its slab file: mmap, then
-// the slab decoder's own header/CRC/structural validation. The decoder
-// checksums exactly the sections this restore reads, so load cost —
-// and the pages faulted in — scale with what is used, not with file
-// size; the manifest's whole-file SHA-256 stays an audit record rather
-// than an eager O(file) scan. On success the mapping stays alive for
-// the life of the process (the estimator's compiled views alias the
-// mapped pages — see mappedFile.Close); on any failure the mapping is
-// released and the caller falls back to the JSON blob.
-func (s *Store) loadSlab(v uint64, e ModelEntry, r plan.ResourceKind) (*core.Estimator, string, error) {
-	m, err := mmapFile(filepath.Join(s.versionDir(v), e.SlabFile))
+// loadSlab restores one model from its slab file: read onto the heap,
+// then the slab decoder's own header/CRC/structural validation. The
+// decoder checksums exactly the sections this restore reads; the
+// manifest's whole-file SHA-256 stays an audit record rather than a
+// second O(file) scan. The estimator's compiled views alias the bytes
+// read, so the GC frees them with the last reference to the estimator.
+// On any failure the caller falls back to the JSON blob.
+func (s *Store) loadSlab(v uint64, e ModelEntry, r plan.ResourceKind) (*core.Estimator, error) {
+	data, err := os.ReadFile(filepath.Join(s.versionDir(v), e.SlabFile))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	est, _, err := core.LoadEstimatorSlab(m.Bytes(), false)
+	est, _, err := core.LoadEstimatorSlab(data, false)
 	if err != nil {
-		m.Close()
-		return nil, "", err
+		return nil, err
 	}
 	if est.Resource != r {
-		m.Close()
-		return nil, "", fmt.Errorf("slab holds a %s model", est.Resource)
+		return nil, fmt.Errorf("slab holds a %s model", est.Resource)
 	}
-	return est, "mmap", nil
+	return est, nil
 }
 
 // LoadLatest loads the newest intact snapshot for schema, skipping

@@ -328,14 +328,17 @@ func TestGCRespectsPinnedCurrent(t *testing.T) {
 
 // TestChecksumTamperDetected flips one byte of a model file; the load
 // must fail with ErrCorrupt rather than serve a silently wrong model.
-// Slabs are disabled to pin the JSON verification path in isolation —
+// The slab is removed to pin the JSON verification path in isolation —
 // with a slab present the tampered JSON would (by design) be routed
 // around; slab_store_test.go covers that matrix.
 func TestChecksumTamperDetected(t *testing.T) {
 	setup(t)
-	st := openStore(t, t.TempDir(), Options{Slab: SlabDisabled})
+	st := openStore(t, t.TempDir(), Options{})
 	man, err := st.Publish(Snapshot{Schema: "tpch", Models: map[plan.ResourceKind]*core.Estimator{plan.CPUTime: cpuEst}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(st.Dir(), "v0000000001", "cpu.model.slab")); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(st.Dir(), "v0000000001", "cpu.model.json")
