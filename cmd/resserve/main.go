@@ -200,7 +200,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.Float64Var(&cfg.feedback.DriftThreshold, "drift-threshold", 2, "retrain when the recent P90 relative error exceeds this multiple of the model's training-time baseline")
 	fs.IntVar(&cfg.feedback.MinObservations, "retrain-min-observations", 256, "minimum logged observations before a drift-triggered retrain (also the cooldown between attempts)")
 	fs.StringVar(&cfg.streamAddr, "stream-addr", "", "streaming estimate listener address: persistent framed TCP with cross-connection micro-batching, responses byte-identical to POST /estimate; empty disables")
-	fs.DurationVar(&cfg.storeSync, "store-sync", 0, "follower mode: poll -store-dir at this interval and publish snapshots newer than what is served, instead of restoring once at startup; the store stays owned by the fleet's retrainer (this replica never writes the serving record or a snapshot)")
+	fs.DurationVar(&cfg.storeSync, "store-sync", 0, "follower mode: poll -store-dir at this interval and publish snapshots newer than what is served, instead of restoring once at startup; the store stays owned by the fleet's retrainer (a poll never writes the serving record or a snapshot, but a POST /models or /models/rollback this replica receives, as from a router fan-out, persists a snapshot and rewrites the serving record, and the next poll reinstalls the newest snapshot over a rollback)")
 	fs.StringVar(&cfg.forwardObs, "forward-observations", "", "base URL of the fleet's designated retrainer; observation-log segments are forwarded to its /observe/segment endpoint and no local retrainer runs (requires -feedback-dir)")
 	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "debug listener address exposing /debug/pprof and Prometheus /metrics (incl. process runtime gauges); empty disables")
 	fs.DurationVar(&cfg.serve.SlowTrace, "slow-trace", 500*time.Millisecond, "log a structured per-stage trace for requests at or above this latency (0 disables)")

@@ -209,11 +209,11 @@ func (rt *Router) handleModelsGet(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if err := proxyVerbatim(w, r, rp, nil); err != nil {
-			rp.errors.Inc()
+			rp.errors.Add(1)
 			rp.setDown(err)
 			continue
 		}
-		rp.requests.Inc()
+		rp.requests.Add(1)
 		return
 	}
 	writeError(w, r, errNoReplica)
@@ -243,12 +243,12 @@ func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 		}
 		status, respBody, err := readReply(send(r.Context(), rp, r.Method, r.URL.RequestURI(), r.Header, body))
 		if err != nil {
-			rp.errors.Inc()
+			rp.errors.Add(1)
 			rp.setDown(err)
 			failed = append(failed, name)
 			continue
 		}
-		rp.requests.Inc()
+		rp.requests.Add(1)
 		if firstBody == nil {
 			firstStatus, firstBody = status, respBody
 		}

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -45,8 +44,8 @@ type replica struct {
 
 	inflight atomic.Int64 // requests currently forwarded to this replica
 
-	requests obs.Counter
-	errors   obs.Counter
+	requests atomic.Uint64
+	errors   atomic.Uint64
 }
 
 func newReplica(name string, poolSize int, httpc *http.Client) *replica {

@@ -104,13 +104,13 @@ type Router struct {
 	clientMu  sync.Mutex
 	perClient map[string]*atomic.Int64
 
-	decAffinity  obs.Counter
-	decSpillover obs.Counter
-	decShed      obs.Counter
+	decAffinity  atomic.Uint64
+	decSpillover atomic.Uint64
+	decShed      atomic.Uint64
 	// Lookups the response cache answered and did not; both stay 0 with
 	// the cache off.
-	cacheHits   obs.Counter
-	cacheMisses obs.Counter
+	cacheHits   atomic.Uint64
+	cacheMisses atomic.Uint64
 
 	framesPerWrite obs.IntHistogram // answer frames per stream-listener write
 
@@ -257,7 +257,7 @@ var errNoReplica = &routeError{
 func (rt *Router) admit(client string) (ctr *atomic.Int64, ok bool) {
 	if rt.inflight.Add(1) > int64(rt.opts.MaxInflight) {
 		rt.inflight.Add(-1)
-		rt.decShed.Inc()
+		rt.decShed.Add(1)
 		return nil, false
 	}
 	rt.clientMu.Lock()
@@ -279,7 +279,7 @@ func (rt *Router) admit(client string) (ctr *atomic.Int64, ok bool) {
 	if ctr.Add(1) > int64(rt.opts.MaxPerClient) {
 		ctr.Add(-1)
 		rt.inflight.Add(-1)
-		rt.decShed.Inc()
+		rt.decShed.Add(1)
 		return nil, false
 	}
 	return ctr, true
@@ -357,9 +357,9 @@ func (rt *Router) cached(body []byte) ([]byte, bool) {
 	}
 	resp, ok := rt.cache.Get(body, rt.primaryServes)
 	if ok {
-		rt.cacheHits.Inc()
+		rt.cacheHits.Add(1)
 	} else {
-		rt.cacheMisses.Inc()
+		rt.cacheMisses.Add(1)
 	}
 	return resp, ok
 }
@@ -380,7 +380,7 @@ func (rt *Router) route(schema string, try func(*replica) error) bool {
 			break
 		}
 		if err := try(rp); err != nil {
-			rp.errors.Inc()
+			rp.errors.Add(1)
 			rp.setDown(err)
 			rt.logger.Warn("replica failed mid-request", "replica", rp.name, "error", err)
 			if skipped == nil {
@@ -392,7 +392,7 @@ func (rt *Router) route(schema string, try func(*replica) error) bool {
 		rt.counted(rp, spill)
 		return true
 	}
-	rt.decShed.Inc()
+	rt.decShed.Add(1)
 	return false
 }
 
@@ -400,11 +400,11 @@ func (rt *Router) route(schema string, try func(*replica) error) bool {
 // rp, affinity or spillover, and the replica's request.
 func (rt *Router) counted(rp *replica, spill bool) {
 	if spill {
-		rt.decSpillover.Inc()
+		rt.decSpillover.Add(1)
 	} else {
-		rt.decAffinity.Inc()
+		rt.decAffinity.Add(1)
 	}
-	rp.requests.Inc()
+	rp.requests.Add(1)
 }
 
 // forward routes body by its schema to a replica and caches the

@@ -6,9 +6,10 @@
 // Design constraints, in order:
 //
 //  1. Near-zero hot-path overhead. Recording a latency is a bucket
-//     computation plus a few uncontended atomic adds; recording a
-//     counter is one atomic add. Nothing on the record path locks,
-//     allocates, or formats strings.
+//     computation plus a few uncontended atomic adds; a counter is a
+//     sync/atomic.Uint64 in the subsystem that counts, read at scrape
+//     time. Nothing on the record path locks, allocates, or formats
+//     strings.
 //  2. Nil-safety. Every record-side method works on a nil receiver as
 //     a no-op, so instrumented subsystems never branch on "is
 //     telemetry enabled" beyond passing a nil handle.
@@ -31,29 +32,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing counter.
-type Counter struct{ v atomic.Uint64 }
-
-// Add increments the counter by n. Nil-safe.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Inc increments the counter by one. Nil-safe.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Load returns the current value; 0 on nil.
-func (c *Counter) Load() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
 
 // Collector emits a group of metric families at scrape time. The
 // registry holds collectors rather than materialized series so gauges

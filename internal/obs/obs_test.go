@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -135,7 +136,7 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestRegistryPrometheus(t *testing.T) {
 	r := NewRegistry()
-	var c Counter
+	var c atomic.Uint64
 	c.Add(42)
 	var h Histogram
 	h.Observe(100 * time.Millisecond)

@@ -98,15 +98,31 @@ type Registry struct {
 	// Store-backed mode (AttachStore): every publish persists a
 	// coherent per-schema snapshot, rollback walks snapshot history
 	// instead of the in-memory stack, and crash recovery restores the
-	// latest snapshots. cursor tracks, per slot, the snapshot version
-	// whose model is currently serving; it is what makes "previous
-	// version" well-defined across restarts.
+	// latest snapshots. cursor tracks, per slot, the snapshot whose
+	// model is currently serving; it is what makes "previous version"
+	// well-defined across restarts.
 	storeMu   sync.Mutex
 	store     *store.Store
-	cursor    map[ModelKey]uint64
-	dirty     map[string]bool            // schemas whose last snapshot persist failed
-	manCache  map[uint64]*store.Manifest // memoized immutable manifests (VersionVector)
+	cursor    map[ModelKey]storeID
+	dirty     map[string]bool // schemas whose last snapshot persist failed
+	failed    map[uint64]bool // listed snapshots that failed to load (installFromStore)
 	storeLogf func(format string, args ...any)
+}
+
+// storeID is where a route's serving model lives in the store: the
+// snapshot it was read from or persisted to, and that snapshot
+// manifest's SHA-256 of the route's model file. It is recorded when the
+// cursor moves, from the manifest already in hand, so reporting it
+// never reads the store.
+type storeID struct {
+	snapshot uint64
+	sha256   string
+}
+
+// idIn is resource k's storeID in snapshot man.
+func idIn(man *store.Manifest, k plan.ResourceKind) storeID {
+	e, _ := man.Resource(k.WireName())
+	return storeID{snapshot: man.Version, sha256: e.SHA256}
 }
 
 // NewRegistry returns an empty registry.
@@ -114,8 +130,9 @@ func NewRegistry() *Registry {
 	return &Registry{
 		slots:   make(map[ModelKey]*atomic.Pointer[Model]),
 		history: make(map[ModelKey][]*Model),
-		cursor:  make(map[ModelKey]uint64),
+		cursor:  make(map[ModelKey]storeID),
 		dirty:   make(map[string]bool),
+		failed:  make(map[uint64]bool),
 	}
 }
 
@@ -156,7 +173,7 @@ func (r *Registry) Publish(schema string, est *core.Estimator) ModelInfo {
 // PublishAs is Publish with the producer recorded in the store
 // manifest ("bootstrap", "upload", "retrain", ...).
 func (r *Registry) PublishAs(schema string, est *core.Estimator, source string) ModelInfo {
-	info, _, installed := r.publish(schema, est, true, source, 0)
+	info, _, installed := r.publish(schema, est, true, source, storeID{})
 	if installed {
 		if snap, err := r.persistSnapshot(schema, source); err != nil {
 			r.logStore("store: persisting %s/%s publish: %v", schema, est.Resource, err)
@@ -173,10 +190,10 @@ func (r *Registry) PublishAs(schema string, est *core.Estimator, source string) 
 // and *Model describe the *winner* — callers can report which version
 // actually serves.
 //
-// A non-zero snapshot names the store snapshot est was read from
-// (restore, follower sync, store rollback): an installed publish stamps
-// it on the returned info and moves the route's cursor to it.
-func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool, source string, snapshot uint64) (ModelInfo, *Model, bool) {
+// A non-zero at names the store snapshot est was read from (restore,
+// follower sync, store rollback): an installed publish stamps its
+// version on the returned info and moves the route's cursor to it.
+func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool, source string, at storeID) (ModelInfo, *Model, bool) {
 	info := ModelInfo{
 		Schema:       schema,
 		Resource:     est.Resource.String(),
@@ -228,13 +245,13 @@ func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool,
 			if old != nil && keepHistory {
 				r.pushHistory(key, old)
 			}
-			if snapshot != 0 {
+			if at.snapshot != 0 {
 				r.storeMu.Lock()
-				r.cursor[key] = snapshot
+				r.cursor[key] = at
 				r.storeMu.Unlock()
 			}
 			info = m.Info
-			info.Snapshot = snapshot
+			info.Snapshot = at.snapshot
 			return info, old, true
 		}
 	}
@@ -294,8 +311,8 @@ func (r *Registry) persistSnapshot(schema, source string) (uint64, error) {
 		// older snapshot, or a restart would restore the loser.
 		// (Rollback moves cursors backwards deliberately, under its own
 		// path.)
-		if man.Version > r.cursor[key] {
-			r.cursor[key] = man.Version
+		if man.Version > r.cursor[key].snapshot {
+			r.cursor[key] = idIn(man, k)
 		}
 	}
 	r.storeMu.Unlock()
@@ -309,76 +326,15 @@ func (r *Registry) persistSnapshot(schema, source string) (uint64, error) {
 func (r *Registry) saveCurrent(st *store.Store, schema string) {
 	r.storeMu.Lock()
 	cursors := make(map[string]uint64)
-	for key, v := range r.cursor {
-		if key.Schema == schema && v != 0 {
-			cursors[key.Resource.WireName()] = v
+	for key, id := range r.cursor {
+		if key.Schema == schema && id.snapshot != 0 {
+			cursors[key.Resource.WireName()] = id.snapshot
 		}
 	}
 	r.storeMu.Unlock()
 	if err := st.SetCurrent(schema, cursors); err != nil {
 		r.logStore("store: recording serving cursors for %q: %v", schema, err)
 	}
-}
-
-// RestoreFromStore republishes the model set every schema in the
-// attached store was last *serving* — crash recovery. Each route's
-// snapshot comes from the durable serving-cursor record (so a route
-// rolled back before the restart resumes on its rolled-back model, not
-// the newest snapshot); routes without a record fall back to the
-// newest intact snapshot, and corrupt snapshots are skipped (logged).
-// Restored publishes do not write new snapshots.
-func (r *Registry) RestoreFromStore() ([]ModelInfo, error) {
-	st := r.Store()
-	if st == nil {
-		return nil, errors.New("serve: no store attached")
-	}
-	schemas, err := st.Schemas()
-	if err != nil {
-		return nil, err
-	}
-	var out []ModelInfo
-	for _, schema := range schemas {
-		cursors := st.Current(schema)
-		// Each snapshot loads at most once per schema, a failure
-		// included (memoized as nil). Version 0 stands for the newest
-		// intact snapshot: the fallback for a route with no record or
-		// whose recorded snapshot no longer loads.
-		loaded := make(map[uint64]*store.Loaded)
-		load := func(v uint64) *store.Loaded {
-			l, ok := loaded[v]
-			if !ok {
-				var err error
-				if v == 0 {
-					l, err = st.LoadLatest(schema)
-				} else {
-					l, err = st.LoadVersion(v)
-				}
-				if err != nil {
-					r.logStore("store: restore %q: %v", schema, err)
-				}
-				loaded[v] = l
-			}
-			return l
-		}
-		for _, k := range plan.ResourceKinds() {
-			l := load(cursors[k.WireName()])
-			if l == nil {
-				l = load(0)
-			}
-			if l == nil {
-				continue
-			}
-			est, ok := l.Models[k]
-			if !ok {
-				continue
-			}
-			if info, _, installed := r.publish(schema, est, true, "restore", l.Manifest.Version); installed {
-				out = append(out, info)
-			}
-		}
-		r.saveCurrent(st, schema)
-	}
-	return out, nil
 }
 
 // pushHistory retains a superseded version for rollback, dropping the
@@ -460,7 +416,7 @@ func (r *Registry) rollbackFromMemory(schema string, resource plan.ResourceKind)
 	h[len(h)-1] = nil // the backing array must not keep it alive
 	r.history[key] = h[:len(h)-1]
 	r.mu.Unlock()
-	info, err := r.rollbackTo(schema, prev.Est, 0)
+	info, err := r.rollbackTo(schema, prev.Est, storeID{})
 	if err != nil {
 		// Our rollback never served: put the entry back for a retry.
 		r.pushHistory(key, prev)
@@ -468,8 +424,8 @@ func (r *Registry) rollbackFromMemory(schema string, resource plan.ResourceKind)
 	return info, err
 }
 
-// rollbackTo installs est as its route's rolled-back model; snapshot is
-// publish's (0 for an in-memory history entry). A publish that
+// rollbackTo installs est as its route's rolled-back model; at is
+// publish's (zero for an in-memory history entry). A publish that
 // allocated a higher version and won the slot yields
 // ErrRollbackConflict, with the winner's info. The model the rollback
 // displaces is normally the one being rolled away from and is
@@ -477,9 +433,9 @@ func (r *Registry) rollbackFromMemory(schema string, resource plan.ResourceKind)
 // slipped in between the caller's choice of target and this install,
 // it displaced a model its publisher was told is serving — retain it
 // for recovery rather than silently discarding it.
-func (r *Registry) rollbackTo(schema string, est *core.Estimator, snapshot uint64) (ModelInfo, error) {
+func (r *Registry) rollbackTo(schema string, est *core.Estimator, at storeID) (ModelInfo, error) {
 	expected, _ := r.Lookup(schema, est.Resource)
-	info, replaced, installed := r.publish(schema, est, false, "rollback", snapshot)
+	info, replaced, installed := r.publish(schema, est, false, "rollback", at)
 	if !installed {
 		return info, fmt.Errorf("%w: version %d is now serving", ErrRollbackConflict, info.Version)
 	}
@@ -504,43 +460,33 @@ func (r *Registry) rollbackFromStore(st *store.Store, schema string, resource pl
 	r.storeMu.Lock()
 	cur := r.cursor[key]
 	r.storeMu.Unlock()
-	var curSha string
-	if cur == 0 {
+	if cur.snapshot == 0 {
 		// No cursor (models published before the store was attached):
 		// the newest schema snapshot carrying the resource stands in
 		// for "currently serving".
 		for i := len(mans) - 1; i >= 0; i-- {
 			if m := mans[i]; m.Schema == schema {
-				if e, ok := m.Resource(wire); ok {
-					cur, curSha = m.Version, e.SHA256
+				if _, ok := m.Resource(wire); ok {
+					cur = idIn(m, resource)
 					break
 				}
 			}
 		}
-		if cur == 0 {
+		if cur.snapshot == 0 {
 			return ModelInfo{}, fmt.Errorf("%w: schema %q resource %s (no snapshots)", ErrNoHistory, schema, resource)
-		}
-	} else {
-		for _, m := range mans {
-			if m.Version == cur {
-				if e, ok := m.Resource(wire); ok {
-					curSha = e.SHA256
-				}
-				break
-			}
 		}
 	}
 	var target uint64
 	for i := len(mans) - 1; i >= 0; i-- {
 		m := mans[i]
-		if m.Version >= cur || m.Schema != schema {
+		if m.Version >= cur.snapshot || m.Schema != schema {
 			continue
 		}
 		e, ok := m.Resource(wire)
 		if !ok {
 			continue
 		}
-		if curSha != "" && e.SHA256 == curSha {
+		if cur.sha256 != "" && e.SHA256 == cur.sha256 {
 			continue
 		}
 		target = m.Version
@@ -557,7 +503,7 @@ func (r *Registry) rollbackFromStore(st *store.Store, schema string, resource pl
 	if !ok {
 		return ModelInfo{}, fmt.Errorf("%w: snapshot v%d lost its %s model", store.ErrCorrupt, target, resource)
 	}
-	info, err := r.rollbackTo(schema, est, target)
+	info, err := r.rollbackTo(schema, est, idIn(loaded.Manifest, resource))
 	if err != nil {
 		return info, err
 	}
@@ -653,7 +599,7 @@ func (r *Registry) Models() []ModelInfo {
 	r.storeMu.Lock()
 	if r.store != nil {
 		for i, key := range keys {
-			out[i].Snapshot = r.cursor[key]
+			out[i].Snapshot = r.cursor[key].snapshot
 		}
 	}
 	r.storeMu.Unlock()

@@ -131,7 +131,7 @@ func TestPersistSnapshotCursorMonotonic(t *testing.T) {
 
 	// Simulate the faster racer having already persisted snapshot 7.
 	r.storeMu.Lock()
-	r.cursor[key] = 7
+	r.cursor[key] = storeID{snapshot: 7}
 	r.storeMu.Unlock()
 
 	// The straggler's persist allocates snapshot v2 (< 7): the cursor
@@ -140,7 +140,7 @@ func TestPersistSnapshotCursorMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.storeMu.Lock()
-	got := r.cursor[key]
+	got := r.cursor[key].snapshot
 	r.storeMu.Unlock()
 	if got != 7 {
 		t.Fatalf("straggler persist moved the cursor to %d, want 7 kept", got)

@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -227,12 +228,145 @@ func TestIdleSyncRestoresNothing(t *testing.T) {
 	}
 }
 
+// TestSyncRemembersUnloadableSnapshot: a leader's newest snapshot that
+// cannot load (both slabs gone, a model file's byte flipped) is tried
+// by one follower poll, reported once, and skipped by the polls after
+// it — no reload of the older snapshot the follower already serves,
+// no repeated log line — while a later good publish still installs.
+func TestSyncRemembersUnloadableSnapshot(t *testing.T) {
+	altSetup(t)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := serve.NewRegistry()
+	leader.AttachStore(st, t.Logf)
+	leader.PublishAs("tpch", cpuEst, "bootstrap")
+	leader.PublishAs("tpch", ioEst, "bootstrap")
+
+	var logged []string // the follower's registry and store log on the polling goroutine
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	st2, err := store.Open(dir, store.Options{Logf: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := serve.NewRegistry()
+	follower.AttachStore(st2, logf)
+	if synced, err := follower.SyncFromStore(); err != nil || len(synced) != 2 {
+		t.Fatalf("first sync installed %d models (%v), want 2", len(synced), err)
+	}
+
+	bad := leader.PublishAs("tpch", cpuEst2, "retrain").Snapshot
+	vdir := filepath.Join(dir, fmt.Sprintf("v%010d", bad))
+	for _, name := range []string{"cpu.model.slab", "io.model.slab"} {
+		if err := os.Remove(filepath.Join(vdir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(vdir, "cpu.model.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := restores(st2)
+	for i := range 10 {
+		synced, err := follower.SyncFromStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(synced) != 0 {
+			t.Fatalf("sync %d past the unloadable v%d installed %d models", i, bad, len(synced))
+		}
+	}
+	if got := restores(st2); got != before {
+		t.Fatalf("10 syncs past the unloadable v%d made %d restores, want none", bad, got-before)
+	}
+	named := regexp.MustCompile(fmt.Sprintf(`\bv%d\b`, bad))
+	if n := len(slices.DeleteFunc(slices.Clone(logged), func(line string) bool { return !named.MatchString(line) })); n > 1 {
+		t.Fatalf("%d log lines name v%d, want at most one: %q", n, bad, logged)
+	}
+	p := testPlans[0]
+	if m, _ := follower.Lookup("tpch", plan.CPUTime); math.Float64bits(m.Est.PredictPlan(p)) != math.Float64bits(cpuEst.PredictPlan(p)) {
+		t.Fatal("follower stopped serving the last good cpu model")
+	}
+
+	good := leader.PublishAs("tpch", cpuEst2, "retrain").Snapshot
+	synced, err := follower.SyncFromStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 2 || synced[0].Snapshot != good || synced[1].Snapshot != good {
+		t.Fatalf("sync after a good publish installed %+v, want both resources from v%d", synced, good)
+	}
+	if m, _ := follower.Lookup("tpch", plan.CPUTime); math.Float64bits(m.Est.PredictPlan(p)) != math.Float64bits(cpuEst2.PredictPlan(p)) {
+		t.Fatal("follower does not serve the leader's good cpu model")
+	}
+}
+
+// TestVersionVectorWithoutManifest: a route's reported checksum is the
+// one recorded when it started serving its snapshot, on the leader that
+// persisted it and on a follower that synced it, so it survives that
+// snapshot's manifest leaving the disk.
+func TestVersionVectorWithoutManifest(t *testing.T) {
+	altSetup(t)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := serve.NewRegistry()
+	leader.AttachStore(st, t.Logf)
+	leader.PublishAs("tpch", cpuEst, "bootstrap")
+	snap := leader.PublishAs("tpch", ioEst, "bootstrap").Snapshot
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := serve.NewRegistry()
+	follower.AttachStore(st2, t.Logf)
+	if synced, err := follower.SyncFromStore(); err != nil || len(synced) != 2 {
+		t.Fatalf("sync installed %d models (%v), want 2", len(synced), err)
+	}
+
+	man, err := st.Manifest(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, e := range man.Models {
+		want[e.Resource] = e.SHA256
+	}
+	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("v%010d", snap), "manifest.json")); err != nil {
+		t.Fatal(err)
+	}
+	for name, reg := range map[string]*serve.Registry{"leader": leader, "follower": follower} {
+		got := make(map[string]string)
+		for _, rv := range reg.VersionVector() {
+			if rv.Snapshot != snap {
+				t.Errorf("%s reports %s/%s at v%d, want v%d", name, rv.Schema, rv.Resource, rv.Snapshot, snap)
+			}
+			got[rv.Resource] = rv.SHA256
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s reports checksums %v, want the manifest's %v", name, got, want)
+		}
+	}
+}
+
 // TestFollowerSoak runs leader publish → follower sync over one store
 // directory for long enough to cross store GC (16 snapshots retained)
 // and the registry's rollback history (8 per route) many times over.
 // Replaced models hold nothing the GC cannot free: the heap at the end
 // is within 2x of the heap at cycle 50, no slab file stays mapped, and
-// the follower loads exactly the snapshots it installs.
+// the follower loads exactly the snapshots it installs. Nor does a
+// cycle leave a goroutine or (on Linux) a file descriptor behind: both
+// counts end within a few of where they stood at cycle 50.
 func TestFollowerSoak(t *testing.T) {
 	altSetup(t)
 	const cycles, warm = 200, 50
@@ -258,7 +392,18 @@ func TestFollowerSoak(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
+	fds := func() int {
+		if runtime.GOOS != "linux" {
+			return 0
+		}
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
 	var warmHeap uint64
+	var warmGoroutines, warmFDs int
 	installed := make(map[uint64]bool)
 	for i := range cycles {
 		est := cpuEst
@@ -281,9 +426,17 @@ func TestFollowerSoak(t *testing.T) {
 		}
 		if i+1 == warm {
 			warmHeap = heap()
+			warmGoroutines, warmFDs = runtime.NumGoroutine(), fds()
 		}
 	}
 	endHeap := heap()
+	const slack = 4
+	if n := runtime.NumGoroutine(); n > warmGoroutines+slack {
+		t.Errorf("goroutines grew from %d at cycle %d to %d at cycle %d", warmGoroutines, warm, n, cycles)
+	}
+	if n := fds(); n > warmFDs+slack {
+		t.Errorf("open file descriptors grew from %d at cycle %d to %d at cycle %d", warmFDs, warm, n, cycles)
+	}
 	t.Logf("heap %d B at cycle %d, %d B at cycle %d", warmHeap, warm, endHeap, cycles)
 	if endHeap > 2*warmHeap {
 		t.Errorf("heap grew from %d B at cycle %d to %d B at cycle %d", warmHeap, warm, endHeap, cycles)

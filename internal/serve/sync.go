@@ -49,19 +49,9 @@ func (r *Registry) VersionVector() []RouteVersion {
 	r.mu.RUnlock()
 
 	r.storeMu.Lock()
-	if r.store != nil {
-		for i, key := range keys {
-			snap := r.cursor[key]
-			if snap == 0 {
-				continue
-			}
-			out[i].Snapshot = snap
-			if man := r.manifestLocked(snap); man != nil {
-				if e, ok := man.Resource(out[i].Resource); ok {
-					out[i].SHA256 = e.SHA256
-				}
-			}
-		}
+	for i, key := range keys {
+		id := r.cursor[key]
+		out[i].Snapshot, out[i].SHA256 = id.snapshot, id.sha256
 	}
 	r.storeMu.Unlock()
 
@@ -72,29 +62,6 @@ func (r *Registry) VersionVector() []RouteVersion {
 		return out[i].Resource < out[j].Resource
 	})
 	return out
-}
-
-// manifestLocked returns the (immutable) manifest for snapshot v,
-// memoized so /healthz polling does not re-read manifest files on
-// every probe. Caller holds storeMu.
-func (r *Registry) manifestLocked(v uint64) *store.Manifest {
-	if man, ok := r.manCache[v]; ok {
-		return man
-	}
-	man, err := r.store.Manifest(v)
-	if err != nil {
-		return nil
-	}
-	if r.manCache == nil {
-		r.manCache = make(map[uint64]*store.Manifest)
-	}
-	// Bound the memo: snapshots are pruned by GC, and a long-lived
-	// process must not accumulate one entry per snapshot it ever served.
-	if len(r.manCache) >= 64 {
-		r.manCache = make(map[uint64]*store.Manifest)
-	}
-	r.manCache[v] = man
-	return man
 }
 
 // VersionChecksum folds a version vector into one comparable hex
@@ -116,6 +83,18 @@ func VersionChecksum(vec []RouteVersion) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// RestoreFromStore republishes the model set every schema in the
+// attached store was last *serving* — crash recovery. Each route's
+// snapshot comes from the durable serving-cursor record (so a route
+// rolled back before the restart resumes on its rolled-back model, not
+// the newest snapshot); routes without a record, or whose recorded
+// snapshot does not load, fall back to the newest snapshot that loads,
+// and corrupt snapshots are skipped (logged). Restored publishes write
+// no snapshot; each schema's record is rewritten to name what serves.
+func (r *Registry) RestoreFromStore() ([]ModelInfo, error) {
+	return r.installFromStore("restore", true)
+}
+
 // SyncFromStore publishes any store snapshot newer than the one each
 // route is serving — the follower half of fleet convergence. A
 // replica that is not the designated retrainer polls this; when the
@@ -125,13 +104,22 @@ func VersionChecksum(vec []RouteVersion) string {
 //
 // Unlike RestoreFromStore this never writes to the store — no
 // serving-cursor records — so any number of read-only followers can
-// share one store directory with a single writing publisher.
-//
-// The manifests decide what to load: a schema's snapshot is restored
-// only when its newest manifest is newer than the snapshot serving one
-// of the resources it carries, so an idle poll reads manifests and
-// restores nothing.
+// share one store directory with a single writing publisher. An idle
+// poll reads the manifests and loads nothing.
 func (r *Registry) SyncFromStore() ([]ModelInfo, error) {
+	return r.installFromStore("sync", false)
+}
+
+// installFromStore is restore's and sync's one walk over the store. It
+// lists the manifests once and, per schema and resource, installs the
+// target snapshot's model when that snapshot is newer than the one
+// serving the route. The target is the newest listed snapshot carrying
+// the resource that loads; with recorded, the snapshot the serving
+// record names is tried first, and the record is rewritten afterwards.
+// Each snapshot loads at most once per walk. One that fails is logged,
+// remembered in r.failed and skipped by later walks for as long as it
+// is listed: a listed snapshot never changes.
+func (r *Registry) installFromStore(source string, recorded bool) ([]ModelInfo, error) {
 	st := r.Store()
 	if st == nil {
 		return nil, errors.New("serve: no store attached")
@@ -140,48 +128,73 @@ func (r *Registry) SyncFromStore() ([]ModelInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	newest := make(map[string]*store.Manifest) // List is ascending: the last one wins
-	for _, man := range mans {
-		newest[man.Schema] = man
+	bySchema := make(map[string][]*store.Manifest) // each newest first
+	listed := make(map[uint64]bool, len(mans))
+	for _, man := range slices.Backward(mans) {
+		bySchema[man.Schema] = append(bySchema[man.Schema], man)
+		listed[man.Version] = true
 	}
-	var out []ModelInfo
-	for _, schema := range slices.Sorted(maps.Keys(newest)) {
-		if !r.behind(schema, newest[schema]) {
-			continue
+	r.storeMu.Lock()
+	maps.DeleteFunc(r.failed, func(v uint64, _ bool) bool { return !listed[v] })
+	r.storeMu.Unlock()
+
+	loaded := make(map[uint64]*store.Loaded)
+	// target walks schema's listing for resource k: the recorded
+	// snapshot rec first, then newest first, skipping what cannot serve
+	// k or is not newer than cur.
+	target := func(mans []*store.Manifest, k plan.ResourceKind, rec, cur uint64) *store.Loaded {
+		if i := slices.IndexFunc(mans, func(m *store.Manifest) bool { return m.Version == rec }); i >= 0 {
+			mans = append([]*store.Manifest{mans[i]}, mans...)
 		}
-		loaded, err := st.LoadLatest(schema)
-		if err != nil {
-			r.logStore("store: sync %q: %v", schema, err)
-			continue
-		}
-		for _, k := range plan.ResourceKinds() {
-			est, ok := loaded.Models[k]
-			if !ok {
+		for _, man := range mans {
+			if _, ok := man.Resource(k.WireName()); !ok || man.Version <= cur {
 				continue
+			}
+			if l := loaded[man.Version]; l != nil {
+				return l
 			}
 			r.storeMu.Lock()
-			cur := r.cursor[ModelKey{Schema: schema, Resource: k}]
+			failed := r.failed[man.Version]
 			r.storeMu.Unlock()
-			if loaded.Manifest.Version <= cur {
+			if failed {
 				continue
 			}
-			if info, _, installed := r.publish(schema, est, true, "sync", loaded.Manifest.Version); installed {
+			l, err := st.LoadVersion(man.Version)
+			if err != nil {
+				r.logStore("store: %s %q: %v", source, man.Schema, err)
+				r.storeMu.Lock()
+				r.failed[man.Version] = true
+				r.storeMu.Unlock()
+				continue
+			}
+			loaded[man.Version] = l
+			return l
+		}
+		return nil
+	}
+
+	var out []ModelInfo
+	for _, schema := range slices.Sorted(maps.Keys(bySchema)) {
+		var rec map[string]uint64
+		if recorded {
+			rec = st.Current(schema)
+		}
+		for _, k := range plan.ResourceKinds() {
+			key := ModelKey{Schema: schema, Resource: k}
+			r.storeMu.Lock()
+			cur := r.cursor[key].snapshot
+			r.storeMu.Unlock()
+			l := target(bySchema[schema], k, rec[k.WireName()], cur)
+			if l == nil {
+				continue
+			}
+			if info, _, installed := r.publish(schema, l.Models[k], true, source, idIn(l.Manifest, k)); installed {
 				out = append(out, info)
 			}
 		}
-	}
-	return out, nil
-}
-
-// behind reports whether man, schema's newest snapshot, is newer than
-// the snapshot serving any resource it carries.
-func (r *Registry) behind(schema string, man *store.Manifest) bool {
-	r.storeMu.Lock()
-	defer r.storeMu.Unlock()
-	for _, k := range plan.ResourceKinds() {
-		if _, ok := man.Resource(k.WireName()); ok && man.Version > r.cursor[ModelKey{Schema: schema, Resource: k}] {
-			return true
+		if recorded {
+			r.saveCurrent(st, schema)
 		}
 	}
-	return false
+	return out, nil
 }

@@ -460,25 +460,6 @@ func (s *Store) List() ([]*Manifest, error) {
 	return out, nil
 }
 
-// Schemas returns the distinct schemas with at least one readable
-// snapshot, sorted.
-func (s *Store) Schemas() ([]string, error) {
-	mans, err := s.List()
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, m := range mans {
-		if !seen[m.Schema] {
-			seen[m.Schema] = true
-			out = append(out, m.Schema)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // LoadVersion loads snapshot v, verifying every model file against the
 // manifest's checksum before decoding it. A mismatch — a torn write, a
 // truncated file, tampering — yields ErrCorrupt, never a silently
@@ -486,9 +467,10 @@ func (s *Store) Schemas() ([]string, error) {
 //
 // When the manifest lists a slab file, each model restores from the
 // slab instead of JSON-decoding; a missing, corrupt or unloadable slab
-// demotes that model to the JSON path (logged), and only if the JSON
-// blob is *also* bad does the snapshot count as corrupt — at which
-// point the caller's latest-intact-version walk takes over.
+// demotes that model to the JSON path (logged once the snapshot has
+// loaded), and only if the JSON blob is *also* bad does the snapshot
+// count as corrupt — at which point the caller's latest-intact-version
+// walk takes over, and the one error it gets names both failures.
 func (s *Store) LoadVersion(v uint64) (*Loaded, error) {
 	start := time.Now()
 	man, err := s.Manifest(v)
@@ -500,11 +482,13 @@ func (s *Store) LoadVersion(v uint64) (*Loaded, error) {
 		Models:   make(map[plan.ResourceKind]*core.Estimator, len(man.Models)),
 		Layout:   make(map[plan.ResourceKind]string, len(man.Models)),
 	}
+	var demoted []string
 	for _, e := range man.Models {
 		r, ok := wireResource(e.Resource)
 		if !ok {
 			return nil, fmt.Errorf("%w: v%d: unknown resource %q", ErrCorrupt, v, e.Resource)
 		}
+		var slabErr error
 		if e.SlabFile != "" {
 			est, err := s.loadSlab(v, e, r)
 			if err == nil {
@@ -512,28 +496,47 @@ func (s *Store) LoadVersion(v uint64) (*Loaded, error) {
 				out.Layout[r] = "mmap"
 				continue
 			}
-			s.logf("store: v%d: %s slab unusable, falling back to JSON: %v", v, e.SlabFile, err)
+			slabErr = fmt.Errorf("%s slab unusable: %v", e.SlabFile, err)
 		}
-		data, err := os.ReadFile(filepath.Join(s.versionDir(v), e.File))
+		est, err := s.loadJSON(v, e, r)
 		if err != nil {
-			return nil, fmt.Errorf("%w: v%d: %v", ErrCorrupt, v, err)
+			if slabErr != nil {
+				err = fmt.Errorf("%w; %v", err, slabErr)
+			}
+			return nil, err
 		}
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != e.SHA256 {
-			return nil, fmt.Errorf("%w: v%d: %s checksum mismatch", ErrCorrupt, v, e.File)
-		}
-		est, err := core.LoadEstimator(strings.NewReader(string(data)))
-		if err != nil {
-			return nil, fmt.Errorf("%w: v%d: %s: %v", ErrCorrupt, v, e.File, err)
-		}
-		if est.Resource != r {
-			return nil, fmt.Errorf("%w: v%d: %s holds a %s model", ErrCorrupt, v, e.File, est.Resource)
+		if slabErr != nil {
+			demoted = append(demoted, fmt.Sprintf("store: v%d: %v, falling back to JSON", v, slabErr))
 		}
 		out.Models[r] = est
 		out.Layout[r] = "json"
 	}
+	for _, line := range demoted {
+		s.logf("%s", line)
+	}
 	s.restoreHist.Observe(time.Since(start))
 	return out, nil
+}
+
+// loadJSON restores one model from its blob, checked against the
+// manifest's SHA-256 before it is decoded.
+func (s *Store) loadJSON(v uint64, e ModelEntry, r plan.ResourceKind) (*core.Estimator, error) {
+	data, err := os.ReadFile(filepath.Join(s.versionDir(v), e.File))
+	if err != nil {
+		return nil, fmt.Errorf("%w: v%d: %v", ErrCorrupt, v, err)
+	}
+	sum := sha256.Sum256(data)
+	if hex.EncodeToString(sum[:]) != e.SHA256 {
+		return nil, fmt.Errorf("%w: v%d: %s checksum mismatch", ErrCorrupt, v, e.File)
+	}
+	est, err := core.LoadEstimator(strings.NewReader(string(data)))
+	if err != nil {
+		return nil, fmt.Errorf("%w: v%d: %s: %v", ErrCorrupt, v, e.File, err)
+	}
+	if est.Resource != r {
+		return nil, fmt.Errorf("%w: v%d: %s holds a %s model", ErrCorrupt, v, e.File, est.Resource)
+	}
+	return est, nil
 }
 
 // loadSlab restores one model from its slab file: read onto the heap,
