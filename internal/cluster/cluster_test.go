@@ -16,6 +16,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -422,6 +424,52 @@ func TestRouterCacheNeverServesStaleModel(t *testing.T) {
 	if resp.Model.Version <= respOld.Model.Version {
 		t.Fatalf("post-roll response still carries model v%d (pre-roll v%d)",
 			resp.Model.Version, respOld.Model.Version)
+	}
+}
+
+// TestRouterCacheDropsUnpersistedRoll: a replica with a store attached
+// publishes a model whose snapshot write fails. That model is in no
+// snapshot, so the replica's version token still moves, and the router
+// answers with what the replica now serves rather than its entry from
+// the replaced model.
+func TestRouterCacheDropsUnpersistedRoll(t *testing.T) {
+	setup(t)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry()
+	reg.AttachStore(st, nil)
+	reg.Publish("", cpuEst)
+	snap := reg.Publish("", ioEst).Snapshot
+	rep := newTestReplicaWith(t, reg)
+	rt, rhs := newRouter(t, []*testReplica{rep}, nil)
+
+	body := estimateBody(t, "tpch", testPlans[0], "cpu")
+	first := postOK(t, rhs.URL, "/estimate", body)
+	if again := postOK(t, rhs.URL, "/estimate", body); !bytes.Equal(again, first) {
+		t.Fatal("cached response differs from original")
+	}
+
+	// A non-empty directory where the next snapshot would be renamed
+	// into place fails its write.
+	if err := os.MkdirAll(filepath.Join(dir, fmt.Sprintf("v%010d", snap+1), "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if info := reg.Publish("", cpuEst); info.Snapshot != 0 {
+		t.Fatalf("publish with a blocked store claimed snapshot v%d", info.Snapshot)
+	}
+	rt.PollNow()
+	// The second serving warms the replica: every later answer for body
+	// is these bytes.
+	postOK(t, rep.hs.URL, "/estimate", body)
+	want := postOK(t, rep.hs.URL, "/estimate", body)
+	if bytes.Equal(want, first) {
+		t.Fatal("the replica still answers as before the publish")
+	}
+	if got := postOK(t, rhs.URL, "/estimate", body); !bytes.Equal(got, want) {
+		t.Fatalf("router answered\n%s\nwant the replica's current\n%s", got, want)
 	}
 }
 

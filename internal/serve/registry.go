@@ -58,9 +58,10 @@ type ModelInfo struct {
 	Version   uint64    `json:"version"`
 	NumModels int       `json:"num_models"`
 	LoadedAt  time.Time `json:"loaded_at"`
-	// Snapshot is the model-store snapshot version this publish was
-	// persisted under (0 when no store is attached, the snapshot write
-	// failed, or the model was restored rather than freshly published).
+	// Snapshot is the model-store snapshot the model was read from or
+	// last persisted to (0 when it is in no snapshot: no store is
+	// attached, its snapshot write failed, or it was published before
+	// the store was attached).
 	Snapshot uint64 `json:"snapshot,omitempty"`
 	// Source is the producer that published this version: "bootstrap",
 	// "upload" (POST /models), "retrain" (the feedback loop), "api"
@@ -82,6 +83,9 @@ type Model struct {
 	// to, built once at publish; nil on a Model built elsewhere, whose
 	// requests build their set per lookup.
 	one *modelSet
+	// storeID is the store snapshot this model lives in, zero for none.
+	// Guarded by the registry's storeMu.
+	storeID storeID
 }
 
 // Registry holds the live model set with per-schema routing and atomic
@@ -98,22 +102,19 @@ type Registry struct {
 	// Store-backed mode (AttachStore): every publish persists a
 	// coherent per-schema snapshot, rollback walks snapshot history
 	// instead of the in-memory stack, and crash recovery restores the
-	// latest snapshots. cursor tracks, per slot, the snapshot whose
-	// model is currently serving; it is what makes "previous version"
-	// well-defined across restarts.
+	// latest snapshots. Which snapshot a route serves is its model's
+	// storeID; it is what makes "previous version" well-defined across
+	// restarts. Where both are held, storeMu is taken after mu.
 	storeMu   sync.Mutex
 	store     *store.Store
-	cursor    map[ModelKey]storeID
-	dirty     map[string]bool // schemas whose last snapshot persist failed
 	failed    map[uint64]bool // listed snapshots that failed to load (installFromStore)
 	storeLogf func(format string, args ...any)
 }
 
-// storeID is where a route's serving model lives in the store: the
-// snapshot it was read from or persisted to, and that snapshot
-// manifest's SHA-256 of the route's model file. It is recorded when the
-// cursor moves, from the manifest already in hand, so reporting it
-// never reads the store.
+// storeID is where a model lives in the store: the snapshot it was
+// read from or persisted to, and that snapshot manifest's SHA-256 of
+// its model file. It is set from the manifest already in hand, so
+// reporting it never reads the store.
 type storeID struct {
 	snapshot uint64
 	sha256   string
@@ -130,8 +131,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		slots:   make(map[ModelKey]*atomic.Pointer[Model]),
 		history: make(map[ModelKey][]*Model),
-		cursor:  make(map[ModelKey]storeID),
-		dirty:   make(map[string]bool),
 		failed:  make(map[uint64]bool),
 	}
 }
@@ -139,9 +138,11 @@ func NewRegistry() *Registry {
 // AttachStore puts the registry in store-backed mode: every subsequent
 // publish — bootstrap, POST /models upload, feedback retrain rollout —
 // persists a coherent snapshot of the schema's full model set through
-// st, Rollback restores previous versions from those snapshots (so it
-// works across process restarts), and RestoreFromStore republishes the
-// latest snapshots at boot. logf (optional) receives store events.
+// st, Rollback of a model that lives in a snapshot restores the
+// previous one from the store (so it works across process restarts),
+// and RestoreFromStore republishes the latest snapshots at boot.
+// Models published before the attach are in no snapshot until a later
+// publish persists them. logf (optional) receives store events.
 func (r *Registry) AttachStore(st *store.Store, logf func(format string, args ...any)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -190,9 +191,10 @@ func (r *Registry) PublishAs(schema string, est *core.Estimator, source string) 
 // and *Model describe the *winner* — callers can report which version
 // actually serves.
 //
-// A non-zero at names the store snapshot est was read from (restore,
-// follower sync, store rollback): an installed publish stamps its
-// version on the returned info and moves the route's cursor to it.
+// at is the store snapshot est lives in (restore, follower sync,
+// rollback), zero for a model in none: it becomes the new Model's
+// storeID, and an installed publish stamps its version on the
+// returned info.
 func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool, source string, at storeID) (ModelInfo, *Model, bool) {
 	info := ModelInfo{
 		Schema:       schema,
@@ -204,7 +206,7 @@ func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool,
 		Source:       source,
 		TrainSamples: est.TrainSamples(),
 	}
-	m := &Model{Info: info, Est: est}
+	m := &Model{Info: info, Est: est, storeID: at}
 	if est.Resource.Valid() {
 		var models [plan.NumResources]*Model
 		models[est.Resource] = m
@@ -245,11 +247,6 @@ func (r *Registry) publish(schema string, est *core.Estimator, keepHistory bool,
 			if old != nil && keepHistory {
 				r.pushHistory(key, old)
 			}
-			if at.snapshot != 0 {
-				r.storeMu.Lock()
-				r.cursor[key] = at
-				r.storeMu.Unlock()
-			}
 			info = m.Info
 			info.Snapshot = at.snapshot
 			return info, old, true
@@ -268,51 +265,38 @@ func (r *Registry) logStore(format string, args ...any) {
 
 // persistSnapshot writes schema's complete current model set (every
 // resource with a live exact-schema slot) to the attached store as one
-// snapshot, then advances the store cursors for the slots the snapshot
-// now backs. A publish of one resource therefore persists a *coherent*
-// multi-resource snapshot — crash recovery restores the exact serving
-// set, not a single orphaned model. No-op without a store.
+// snapshot, then moves each persisted model's storeID to it. A publish
+// of one resource therefore persists a *coherent* multi-resource
+// snapshot — crash recovery restores the exact serving set, not a
+// single orphaned model. No-op without a store.
 func (r *Registry) persistSnapshot(schema, source string) (uint64, error) {
 	st := r.Store()
 	if st == nil {
 		return 0, nil
 	}
-	models := make(map[plan.ResourceKind]*core.Estimator)
-	r.mu.RLock()
+	models := make(map[plan.ResourceKind]*Model)
+	ests := make(map[plan.ResourceKind]*core.Estimator)
 	for _, k := range plan.ResourceKinds() {
-		if slot, ok := r.slots[ModelKey{Schema: schema, Resource: k}]; ok {
-			if m := slot.Load(); m != nil {
-				models[k] = m.Est
-			}
+		if m := r.serving(ModelKey{Schema: schema, Resource: k}); m != nil {
+			models[k], ests[k] = m, m.Est
 		}
 	}
-	r.mu.RUnlock()
 	if len(models) == 0 {
 		return 0, nil
 	}
-	man, err := st.Publish(store.Snapshot{Schema: schema, Source: source, Models: models})
+	man, err := st.Publish(store.Snapshot{Schema: schema, Source: source, Models: ests})
 	if err != nil {
-		r.storeMu.Lock()
-		// The serving set and the store have diverged; stop trusting
-		// snapshot history for this schema until a publish persists
-		// again (Rollback falls back to the in-memory stack).
-		r.dirty[schema] = true
-		r.storeMu.Unlock()
 		return 0, err
 	}
 	r.storeMu.Lock()
-	delete(r.dirty, schema)
-	for k := range models {
-		key := ModelKey{Schema: schema, Resource: k}
+	for k, m := range models {
 		// Advance-only: with two publishes for the same schema racing,
-		// the one that allocated the higher snapshot may persist (and
-		// update cursors) first — the straggler must not drag the
-		// serving cursor and the durable current.json backwards to its
-		// older snapshot, or a restart would restore the loser.
-		// (Rollback moves cursors backwards deliberately, under its own
-		// path.)
-		if man.Version > r.cursor[key].snapshot {
-			r.cursor[key] = idIn(man, k)
+		// the one that allocated the higher snapshot may persist first —
+		// the straggler must not drag the model and the durable
+		// current.json backwards to its older snapshot, or a restart
+		// would restore the loser.
+		if man.Version > m.storeID.snapshot {
+			m.storeID = idIn(man, k)
 		}
 	}
 	r.storeMu.Unlock()
@@ -320,18 +304,40 @@ func (r *Registry) persistSnapshot(schema, source string) (uint64, error) {
 	return man.Version, nil
 }
 
-// saveCurrent records schema's serving cursors in the store, so a
-// restart restores the snapshots that were actually serving — which
-// after a rollback is *not* the newest one — and GC keeps them.
-func (r *Registry) saveCurrent(st *store.Store, schema string) {
+// serving is the model in key's exact slot (no wildcard fallback), or
+// nil.
+func (r *Registry) serving(key ModelKey) *Model {
+	r.mu.RLock()
+	slot := r.slots[key]
+	r.mu.RUnlock()
+	if slot == nil {
+		return nil
+	}
+	return slot.Load()
+}
+
+// storeIDOf reads m's storeID; zero for a nil m.
+func (r *Registry) storeIDOf(m *Model) storeID {
+	if m == nil {
+		return storeID{}
+	}
 	r.storeMu.Lock()
+	defer r.storeMu.Unlock()
+	return m.storeID
+}
+
+// saveCurrent records the snapshots schema's serving models live in,
+// so a restart restores the snapshots that were actually serving —
+// which after a rollback is *not* the newest one — and GC keeps them.
+// A model in no snapshot is left out: a restart restores that route
+// from the newest snapshot.
+func (r *Registry) saveCurrent(st *store.Store, schema string) {
 	cursors := make(map[string]uint64)
-	for key, id := range r.cursor {
-		if key.Schema == schema && id.snapshot != 0 {
-			cursors[key.Resource.WireName()] = id.snapshot
+	for _, k := range plan.ResourceKinds() {
+		if id := r.storeIDOf(r.serving(ModelKey{Schema: schema, Resource: k})); id.snapshot != 0 {
+			cursors[k.WireName()] = id.snapshot
 		}
 	}
-	r.storeMu.Unlock()
 	if err := st.SetCurrent(schema, cursors); err != nil {
 		r.logStore("store: recording serving cursors for %q: %v", schema, err)
 	}
@@ -370,53 +376,43 @@ func (r *Registry) pushHistory(key ModelKey, old *Model) {
 // whose ModelInfo result names the version that won, never a silent
 // no-op reported as success.
 //
-// With a store attached, rollback restores the previous version from
-// the snapshot history on disk instead of the in-memory stack — so it
-// keeps working across process restarts, and what it restores is
-// exactly what was persisted.
+// With a store attached and the serving model in a snapshot, rollback
+// restores the previous version from the snapshot history on disk —
+// so it keeps working across process restarts, and what it restores is
+// exactly what was persisted. Otherwise, or when the store holds no
+// older model (it can lack history the in-memory stack still has),
+// rollback pops the in-memory stack. Either way the rolled-back model
+// keeps the snapshot it lives in, and with a store attached the
+// serving record is rewritten.
 func (r *Registry) Rollback(schema string, resource plan.ResourceKind) (ModelInfo, error) {
-	r.storeMu.Lock()
-	st := r.store
-	dirty := r.dirty[schema]
-	r.storeMu.Unlock()
-	if st != nil && !dirty {
-		info, err := r.rollbackFromStore(st, schema, resource)
-		// The store can lack history the in-memory stack still has:
-		// models published before the store was attached, or whose
-		// snapshot writes failed. Fall back rather than refusing a
-		// rollback the registry can actually perform.
-		if errors.Is(err, ErrNoHistory) && r.hasMemoryHistory(schema, resource) {
-			r.logStore("store: no snapshot history for %s/%s, rolling back from the in-memory stack", schema, resource)
-			return r.rollbackFromMemory(schema, resource)
-		}
-		return info, err
+	key := ModelKey{Schema: schema, Resource: resource}
+	st := r.Store()
+	info, err := ModelInfo{}, ErrNoHistory
+	if cur := r.storeIDOf(r.serving(key)); st != nil && cur.snapshot != 0 {
+		info, err = r.rollbackFromStore(st, key, cur)
 	}
-	if st != nil {
-		r.logStore("store: last snapshot persist for %q failed; rolling back from the in-memory stack", schema)
+	if errors.Is(err, ErrNoHistory) {
+		info, err = r.rollbackFromMemory(key)
 	}
-	return r.rollbackFromMemory(schema, resource)
-}
-
-func (r *Registry) hasMemoryHistory(schema string, resource plan.ResourceKind) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.history[ModelKey{Schema: schema, Resource: resource}]) > 0
+	if err == nil && st != nil {
+		r.saveCurrent(st, schema)
+	}
+	return info, err
 }
 
 // rollbackFromMemory pops the slot's in-memory history stack.
-func (r *Registry) rollbackFromMemory(schema string, resource plan.ResourceKind) (ModelInfo, error) {
-	key := ModelKey{Schema: schema, Resource: resource}
+func (r *Registry) rollbackFromMemory(key ModelKey) (ModelInfo, error) {
 	r.mu.Lock()
 	h := r.history[key]
 	if len(h) == 0 {
 		r.mu.Unlock()
-		return ModelInfo{}, fmt.Errorf("%w: schema %q resource %s", ErrNoHistory, schema, resource)
+		return ModelInfo{}, fmt.Errorf("%w: schema %q resource %s", ErrNoHistory, key.Schema, key.Resource)
 	}
 	prev := h[len(h)-1]
 	h[len(h)-1] = nil // the backing array must not keep it alive
 	r.history[key] = h[:len(h)-1]
 	r.mu.Unlock()
-	info, err := r.rollbackTo(schema, prev.Est, storeID{})
+	info, err := r.rollbackTo(key.Schema, prev.Est, r.storeIDOf(prev))
 	if err != nil {
 		// Our rollback never served: put the entry back for a retry.
 		r.pushHistory(key, prev)
@@ -424,10 +420,10 @@ func (r *Registry) rollbackFromMemory(schema string, resource plan.ResourceKind)
 	return info, err
 }
 
-// rollbackTo installs est as its route's rolled-back model; at is
-// publish's (zero for an in-memory history entry). A publish that
-// allocated a higher version and won the slot yields
-// ErrRollbackConflict, with the winner's info. The model the rollback
+// rollbackTo installs est as its route's rolled-back model; at is the
+// snapshot est lives in, as for publish. A publish that allocated a
+// higher version and won the slot yields ErrRollbackConflict, with the
+// winner's info. The model the rollback
 // displaces is normally the one being rolled away from and is
 // deliberately dropped (no ping-pong). But if a concurrent publish
 // slipped in between the caller's choice of target and this install,
@@ -445,36 +441,18 @@ func (r *Registry) rollbackTo(schema string, est *core.Estimator, at storeID) (M
 	return info, nil
 }
 
-// rollbackFromStore restores the newest snapshot older than the
-// serving one whose model for the resource actually differs in content
-// (consecutive snapshots written by *other* resources' publishes carry
-// the same model file for this resource — skipping by checksum is what
-// makes rollback mean "previous model", not "previous snapshot").
-func (r *Registry) rollbackFromStore(st *store.Store, schema string, resource plan.ResourceKind) (ModelInfo, error) {
-	key := ModelKey{Schema: schema, Resource: resource}
+// rollbackFromStore restores the newest snapshot older than cur, the
+// serving model's, whose model for the resource actually differs in
+// content (consecutive snapshots written by *other* resources'
+// publishes carry the same model file for this resource — skipping by
+// checksum is what makes rollback mean "previous model", not "previous
+// snapshot").
+func (r *Registry) rollbackFromStore(st *store.Store, key ModelKey, cur storeID) (ModelInfo, error) {
+	schema, resource := key.Schema, key.Resource
 	wire := resource.WireName()
 	mans, err := st.List()
 	if err != nil {
 		return ModelInfo{}, err
-	}
-	r.storeMu.Lock()
-	cur := r.cursor[key]
-	r.storeMu.Unlock()
-	if cur.snapshot == 0 {
-		// No cursor (models published before the store was attached):
-		// the newest schema snapshot carrying the resource stands in
-		// for "currently serving".
-		for i := len(mans) - 1; i >= 0; i-- {
-			if m := mans[i]; m.Schema == schema {
-				if _, ok := m.Resource(wire); ok {
-					cur = idIn(m, resource)
-					break
-				}
-			}
-		}
-		if cur.snapshot == 0 {
-			return ModelInfo{}, fmt.Errorf("%w: schema %q resource %s (no snapshots)", ErrNoHistory, schema, resource)
-		}
 	}
 	var target uint64
 	for i := len(mans) - 1; i >= 0; i-- {
@@ -507,7 +485,6 @@ func (r *Registry) rollbackFromStore(st *store.Store, schema string, resource pl
 	if err != nil {
 		return info, err
 	}
-	r.saveCurrent(st, schema)
 	r.logStore("store: rolled %s/%s back to snapshot v%d (registry v%d)", schema, resource, target, info.Version)
 	return info, nil
 }
@@ -583,26 +560,19 @@ func (r *Registry) Serving(schema string, v Versions) bool {
 }
 
 // Models lists the currently published model versions, sorted by
-// version for stable output. In store-backed mode each entry carries
-// the snapshot version currently backing its slot.
+// version for stable output. Each entry's Snapshot is the store
+// snapshot its model lives in (0 for a model in none).
 func (r *Registry) Models() []ModelInfo {
 	r.mu.RLock()
 	out := make([]ModelInfo, 0, len(r.slots))
-	keys := make([]ModelKey, 0, len(r.slots))
-	for key, slot := range r.slots {
+	for _, slot := range r.slots {
 		if m := slot.Load(); m != nil {
-			out = append(out, m.Info)
-			keys = append(keys, key)
+			info := m.Info
+			info.Snapshot = r.storeIDOf(m).snapshot
+			out = append(out, info)
 		}
 	}
 	r.mu.RUnlock()
-	r.storeMu.Lock()
-	if r.store != nil {
-		for i, key := range keys {
-			out[i].Snapshot = r.cursor[key].snapshot
-		}
-	}
-	r.storeMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
 	return out
 }

@@ -130,8 +130,9 @@ func TestPersistSnapshotCursorMonotonic(t *testing.T) {
 	key := ModelKey{Schema: "s", Resource: plan.CPUTime}
 
 	// Simulate the faster racer having already persisted snapshot 7.
+	m := r.serving(key)
 	r.storeMu.Lock()
-	r.cursor[key] = storeID{snapshot: 7}
+	m.storeID = storeID{snapshot: 7}
 	r.storeMu.Unlock()
 
 	// The straggler's persist allocates snapshot v2 (< 7): the cursor
@@ -139,9 +140,7 @@ func TestPersistSnapshotCursorMonotonic(t *testing.T) {
 	if _, err := r.persistSnapshot("s", "test"); err != nil {
 		t.Fatal(err)
 	}
-	r.storeMu.Lock()
-	got := r.cursor[key].snapshot
-	r.storeMu.Unlock()
+	got := r.storeIDOf(m).snapshot
 	if got != 7 {
 		t.Fatalf("straggler persist moved the cursor to %d, want 7 kept", got)
 	}

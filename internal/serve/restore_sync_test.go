@@ -3,8 +3,9 @@ package serve_test
 // Tests for how a registry installs models it reads back from the
 // store: a restore that meets a corrupt recorded snapshot, a follower
 // sync that must leave the shared directory untouched and restore
-// nothing while idle, and a long run of leader publishes a follower
-// keeps up with.
+// nothing while idle, the identity a route reports for a model that is
+// in no snapshot, and a long run of leader publishes a follower keeps
+// up with.
 
 import (
 	"errors"
@@ -356,6 +357,148 @@ func TestVersionVectorWithoutManifest(t *testing.T) {
 		if !maps.Equal(got, want) {
 			t.Errorf("%s reports checksums %v, want the manifest's %v", name, got, want)
 		}
+	}
+}
+
+// blockSnapshot makes the store's next publish fail after v: a
+// non-empty directory where snapshot v+1 would be renamed into place.
+func blockSnapshot(t *testing.T, dir string, v uint64) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, fmt.Sprintf("v%010d", v+1), "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// route is reg's one route for (schema, resource) in its version
+// vector.
+func route(t *testing.T, reg *serve.Registry, schema string, resource plan.ResourceKind) serve.RouteVersion {
+	t.Helper()
+	for _, rv := range reg.VersionVector() {
+		if rv.Schema == schema && rv.Resource == resource.WireName() {
+			return rv
+		}
+	}
+	t.Fatalf("no route %s/%s in %+v", schema, resource.WireName(), reg.VersionVector())
+	return serve.RouteVersion{}
+}
+
+// TestFailedPersistMovesVersionChecksum: a publish whose snapshot
+// write fails serves a model that is in no snapshot, so the route
+// reports no snapshot and no checksum and the version checksum moves
+// with the install. Rolling back to the persisted model reports its
+// snapshot and checksum again, and the serving record names it.
+func TestFailedPersistMovesVersionChecksum(t *testing.T) {
+	altSetup(t)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry()
+	reg.AttachStore(st, t.Logf)
+	snap := reg.PublishAs("tpch", cpuEst, "bootstrap").Snapshot
+	man, err := st.Manifest(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := man.Resource("cpu")
+	if rv := route(t, reg, "tpch", plan.CPUTime); rv.Snapshot != snap || rv.SHA256 != e.SHA256 {
+		t.Fatalf("persisted publish reports %+v, want v%d with its manifest's checksum", rv, snap)
+	}
+	before := serve.VersionChecksum(reg.VersionVector())
+
+	blockSnapshot(t, dir, snap)
+	if info := reg.PublishAs("tpch", cpuEst2, "upload"); info.Snapshot != 0 {
+		t.Fatalf("publish with a blocked store claimed snapshot v%d", info.Snapshot)
+	}
+	if rv := route(t, reg, "tpch", plan.CPUTime); rv.Snapshot != 0 || rv.SHA256 != "" {
+		t.Fatalf("unpersisted model reports %+v, want no snapshot and no checksum", rv)
+	}
+	if after := serve.VersionChecksum(reg.VersionVector()); after == before {
+		t.Fatal("version checksum did not move when an unpersisted model replaced the persisted one")
+	}
+
+	if _, err := reg.Rollback("tpch", plan.CPUTime); err != nil {
+		t.Fatal(err)
+	}
+	if rv := route(t, reg, "tpch", plan.CPUTime); rv.Snapshot != snap || rv.SHA256 != e.SHA256 {
+		t.Fatalf("rollback to the persisted model reports %+v, want v%d with its manifest's checksum", rv, snap)
+	}
+	if cur := st.Current("tpch"); cur["cpu"] != snap {
+		t.Fatalf("serving record after rollback = %v, want cpu v%d", cur, snap)
+	}
+}
+
+// TestMemoryRollbackMovesVersionChecksum: a rollback from the
+// in-memory history to a model published before the store was attached
+// serves a model that is in no snapshot, so the version checksum moves
+// and the route reports neither the rolled-away snapshot nor its
+// checksum.
+func TestMemoryRollbackMovesVersionChecksum(t *testing.T) {
+	altSetup(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry()
+	reg.Publish("tpch", cpuEst)
+	reg.AttachStore(st, t.Logf)
+	if snap := reg.PublishAs("tpch", cpuEst2, "upload").Snapshot; snap == 0 {
+		t.Fatal("publish after the attach did not persist")
+	}
+	before := serve.VersionChecksum(reg.VersionVector())
+	if _, err := reg.Rollback("tpch", plan.CPUTime); err != nil {
+		t.Fatal(err)
+	}
+	if after := serve.VersionChecksum(reg.VersionVector()); after == before {
+		t.Fatal("version checksum did not move on an in-memory rollback")
+	}
+	if rv := route(t, reg, "tpch", plan.CPUTime); rv.Snapshot != 0 || rv.SHA256 != "" {
+		t.Fatalf("model from before the attach reports %+v, want no snapshot and no checksum", rv)
+	}
+	if cur := st.Current("tpch"); cur["cpu"] != 0 {
+		t.Fatalf("serving record after the rollback = %v, want no cpu entry", cur)
+	}
+}
+
+// TestSyncLogsUnreadableManifestOnce: a leader's newest snapshot whose
+// manifest does not parse is left out of every listing; over ten
+// follower polls at most one log line names it.
+func TestSyncLogsUnreadableManifestOnce(t *testing.T) {
+	altSetup(t)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := serve.NewRegistry()
+	leader.AttachStore(st, t.Logf)
+	leader.PublishAs("tpch", cpuEst, "bootstrap")
+
+	var logged []string // the follower's registry and store log on the polling goroutine
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	st2, err := store.Open(dir, store.Options{Logf: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := serve.NewRegistry()
+	follower.AttachStore(st2, logf)
+	if synced, err := follower.SyncFromStore(); err != nil || len(synced) != 1 {
+		t.Fatalf("first sync installed %d models (%v), want 1", len(synced), err)
+	}
+
+	bad := leader.PublishAs("tpch", cpuEst2, "retrain").Snapshot
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("v%010d", bad), "manifest.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 10 {
+		if synced, err := follower.SyncFromStore(); err != nil || len(synced) != 0 {
+			t.Fatalf("sync %d past v%d's broken manifest installed %d models (%v)", i, bad, len(synced), err)
+		}
+	}
+	named := regexp.MustCompile(fmt.Sprintf(`\bv%d\b`, bad))
+	if n := len(slices.DeleteFunc(slices.Clone(logged), func(line string) bool { return !named.MatchString(line) })); n > 1 {
+		t.Fatalf("%d log lines name v%d, want at most one: %q", n, bad, logged)
 	}
 }
 

@@ -26,34 +26,30 @@ type RouteVersion struct {
 	Version  uint64 `json:"version"`
 	Snapshot uint64 `json:"snapshot,omitempty"`
 	// SHA256 is the serving model file's content checksum from the
-	// snapshot manifest ("" without a store).
+	// snapshot manifest ("" for a model in no snapshot).
 	SHA256 string `json:"sha256,omitempty"`
 }
 
 // VersionVector reports every live route's model identity, sorted by
 // (schema, resource) for deterministic output. /healthz publishes it.
+// Snapshot and SHA256 are those of the snapshot the serving model
+// lives in, and empty for a model in none.
 func (r *Registry) VersionVector() []RouteVersion {
 	r.mu.RLock()
 	out := make([]RouteVersion, 0, len(r.slots))
-	keys := make([]ModelKey, 0, len(r.slots))
 	for key, slot := range r.slots {
 		if m := slot.Load(); m != nil {
+			id := r.storeIDOf(m)
 			out = append(out, RouteVersion{
 				Schema:   key.Schema,
 				Resource: key.Resource.WireName(),
 				Version:  m.Info.Version,
+				Snapshot: id.snapshot,
+				SHA256:   id.sha256,
 			})
-			keys = append(keys, key)
 		}
 	}
 	r.mu.RUnlock()
-
-	r.storeMu.Lock()
-	for i, key := range keys {
-		id := r.cursor[key]
-		out[i].Snapshot, out[i].SHA256 = id.snapshot, id.sha256
-	}
-	r.storeMu.Unlock()
 
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Schema != out[j].Schema {
@@ -65,12 +61,12 @@ func (r *Registry) VersionVector() []RouteVersion {
 }
 
 // VersionChecksum folds a version vector into one comparable hex
-// digest. Routes backed by a store snapshot contribute their model
-// file's content checksum, so the digest is equal across replicas
-// serving the same models from a shared store; routes without a store
-// contribute the process-local version, making the digest meaningful
-// only within one process (documented in the README's version-skew
-// section).
+// digest. Routes whose model lives in a store snapshot contribute their
+// model file's content checksum, so the digest is equal across
+// replicas serving the same models from a shared store; any other
+// route contributes the process-local version, so the digest moves on
+// every install and is meaningful only within one process (documented
+// in the README's version-skew section).
 func VersionChecksum(vec []RouteVersion) string {
 	h := sha256.New()
 	for _, rv := range vec {
@@ -96,7 +92,8 @@ func (r *Registry) RestoreFromStore() ([]ModelInfo, error) {
 }
 
 // SyncFromStore publishes any store snapshot newer than the one each
-// route is serving — the follower half of fleet convergence. A
+// route's model lives in — the follower half of fleet convergence; a
+// route whose model is in no snapshot takes the newest. A
 // replica that is not the designated retrainer polls this; when the
 // retrainer publishes a retrained snapshot through the shared store,
 // the follower picks it up here and its version-keyed prediction
@@ -112,8 +109,9 @@ func (r *Registry) SyncFromStore() ([]ModelInfo, error) {
 
 // installFromStore is restore's and sync's one walk over the store. It
 // lists the manifests once and, per schema and resource, installs the
-// target snapshot's model when that snapshot is newer than the one
-// serving the route. The target is the newest listed snapshot carrying
+// target snapshot's model when that snapshot is newer than the one the
+// route's serving model lives in (any snapshot is, for a model in
+// none). The target is the newest listed snapshot carrying
 // the resource that loads; with recorded, the snapshot the serving
 // record names is tried first, and the record is rewritten afterwards.
 // Each snapshot loads at most once per walk. One that fails is logged,
@@ -180,10 +178,7 @@ func (r *Registry) installFromStore(source string, recorded bool) ([]ModelInfo, 
 			rec = st.Current(schema)
 		}
 		for _, k := range plan.ResourceKinds() {
-			key := ModelKey{Schema: schema, Resource: k}
-			r.storeMu.Lock()
-			cur := r.cursor[key].snapshot
-			r.storeMu.Unlock()
+			cur := r.storeIDOf(r.serving(ModelKey{Schema: schema, Resource: k})).snapshot
 			l := target(bySchema[schema], k, rec[k.WireName()], cur)
 			if l == nil {
 				continue

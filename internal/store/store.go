@@ -94,6 +94,7 @@ type Store struct {
 	mu      sync.Mutex
 	next    uint64                       // next snapshot version to assign
 	serving map[string]map[string]uint64 // SetCurrent's record, as last given
+	skipped map[uint64]bool              // unreadable versions the last List met, already logged
 
 	// Timing histograms of successful publishes (encode + write + fsync
 	// + rename) and snapshot loads (read + checksum + decode), surfaced
@@ -442,21 +443,32 @@ func (s *Store) Manifest(v uint64) (*Manifest, error) {
 }
 
 // List returns the manifests of every readable snapshot, ascending by
-// version. Corrupt snapshots are skipped (and logged).
+// version. Corrupt snapshots are skipped, each logged once while it
+// stays in the directory: a follower lists on every poll.
 func (s *Store) List() ([]*Manifest, error) {
 	vs, err := s.versions()
 	if err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
+	logged := s.skipped // replaced, never written, so read unlocked below
+	s.mu.Unlock()
+	skipped := make(map[uint64]bool)
 	out := make([]*Manifest, 0, len(vs))
 	for _, v := range vs {
 		man, err := s.Manifest(v)
 		if err != nil {
-			s.logf("store: skipping v%d: %v", v, err)
+			if !logged[v] {
+				s.logf("store: skipping v%d: %v", v, err)
+			}
+			skipped[v] = true
 			continue
 		}
 		out = append(out, man)
 	}
+	s.mu.Lock()
+	s.skipped = skipped
+	s.mu.Unlock()
 	return out, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -352,5 +353,52 @@ func TestChecksumTamperDetected(t *testing.T) {
 	}
 	if _, err := st.LoadVersion(man.Version); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("tampered load yielded %v, want ErrCorrupt", err)
+	}
+}
+
+// TestListLogsUnreadableManifestOnce: a follower lists the store on
+// every poll, so an unreadable manifest is logged by the first List
+// that meets it and by none after, for as long as its version stays in
+// the directory; a version that leaves and comes back broken is logged
+// again.
+func TestListLogsUnreadableManifestOnce(t *testing.T) {
+	dir := t.TempDir()
+	var logged []string
+	st := openStore(t, dir, Options{Logf: func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	vdir := filepath.Join(dir, fmt.Sprintf(dirFormat, 3))
+	breakManifest := func() {
+		t.Helper()
+		if err := os.MkdirAll(vdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(vdir, manifestName), []byte("{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := func() {
+		t.Helper()
+		if mans, err := st.List(); err != nil || len(mans) != 0 {
+			t.Fatalf("List = %d manifests, %v; want none", len(mans), err)
+		}
+	}
+
+	breakManifest()
+	for range 10 {
+		list()
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], "skipping v3") {
+		t.Fatalf("10 Lists logged %q, want one line skipping v3", logged)
+	}
+	if err := os.RemoveAll(vdir); err != nil {
+		t.Fatal(err)
+	}
+	list()
+	breakManifest()
+	list()
+	list()
+	if len(logged) != 2 || !strings.Contains(logged[1], "skipping v3") {
+		t.Fatalf("a v3 that left and came back broken logged %q, want a second line skipping it", logged)
 	}
 }
