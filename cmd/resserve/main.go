@@ -18,13 +18,14 @@
 // any worker count — parallelism only moves wall-clock.
 //
 // With -store-dir the versioned model store is enabled and becomes the
-// single durable source of truth: every publish — bootstrap training, a
-// POST /models upload, a feedback retrain — persists an atomic snapshot
-// (model files + checksummed manifest) in that directory, the server
-// restores the latest intact snapshots at startup (so a restart resumes
-// serving exactly what it last persisted, and -bootstrap is skipped for
-// restored schemas), and POST /models/rollback walks snapshot history —
-// rollback keeps working across restarts:
+// single durable source of truth: every publish — bootstrap training
+// (one snapshot per schema), a POST /models upload (500 if its write
+// fails), a feedback retrain — persists an atomic snapshot (model files
+// + checksummed manifest) in that directory, the server restores the
+// latest intact snapshots at startup (so a restart resumes serving
+// exactly what it last persisted, and -bootstrap is skipped for
+// restored schemas), and POST /models/rollback returns to the newest
+// older snapshot that loads — rollback keeps working across restarts:
 //
 //	resserve -bootstrap tpch -store-dir ./models-store
 //
@@ -497,11 +498,12 @@ func run(cfg config, stop <-chan os.Signal, ready func(httpAddr, streamAddr stri
 
 // bootstrapSchema trains quick estimators for the given resources of a
 // schema and publishes them — a self-contained serving setup with no
-// model files. All resources train in one parallel pass: every
-// (resource, operator, candidate scale-set) fit is an independent job
-// on the training pool, so bootstrap wall-clock scales with
-// -train-workers while producing models bit-identical to sequential
-// training.
+// model files. With a store attached they persist as one snapshot, and
+// a failed write fails the bootstrap. All resources train in one
+// parallel pass: every (resource, operator, candidate scale-set) fit is
+// an independent job on the training pool, so bootstrap wall-clock
+// scales with -train-workers while producing models bit-identical to
+// sequential training.
 //
 // Served models get an out-of-sample drift baseline, so the feedback
 // loop's detector is calibrated rather than hair-triggered: one more
@@ -544,17 +546,21 @@ func bootstrapSchema(reg *serve.Registry, schema string, n, iters, workers int, 
 	if len(hold) >= 2 {
 		probes, _ = core.TrainSet(rest, resources, nil, cfg)
 	}
-	for _, r := range resources {
-		est := ests[r]
+	set := make([]*core.Estimator, len(resources))
+	for i, r := range resources {
+		set[i] = ests[r]
 		if probe := probes[r]; probe != nil {
 			b := probe.EvalPlans(hold)
-			est.Baseline = &b
+			set[i].Baseline = &b
 		} else {
-			est.SetBaseline(plans)
+			set[i].SetBaseline(plans)
 		}
-		logModel("trained", reg.PublishAs(schema, est, "bootstrap"), "")
 	}
-	return nil
+	infos, err := reg.PublishSet(schema, "bootstrap", set...)
+	for _, info := range infos {
+		logModel("trained", info, "")
+	}
+	return err
 }
 
 // startStoreSync polls the attached model store and publishes snapshots

@@ -187,6 +187,9 @@ func TestRunBootstrapsThenRestores(t *testing.T) {
 		t.Fatalf("first run serves %d models, want cpu and io", len(booted))
 	}
 	snaps := snapshotDirs(t, dir)
+	if len(snaps) != 1 {
+		t.Fatalf("bootstrap left snapshots %v, want one holding cpu and io", snaps)
+	}
 
 	httpAddr, _, stop = startRun(t, args...)
 	restored := servedModels(t, httpAddr)

@@ -10,8 +10,8 @@ import (
 // unrestored returns the resources of schema that did not come back
 // from the model store at startup, in resource order — the set a
 // startup bootstrap must still train; empty means the store covers the
-// schema. A crash between a schema's CPU and IO publishes can leave a
-// one-resource snapshot behind: skipping bootstrap for the whole schema
+// schema. A one-resource snapshot (repro.SaveSnapshot of one model)
+// restores only that resource: skipping bootstrap for the whole schema
 // would wedge the missing resource on the zero model, while a full
 // re-bootstrap would silently revert whatever retrained or uploaded
 // models the restored resources carry. So the decision is made per

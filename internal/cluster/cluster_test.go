@@ -473,6 +473,52 @@ func TestRouterCacheDropsUnpersistedRoll(t *testing.T) {
 	}
 }
 
+// TestRouterFanoutCountsUnpersistedPublish: a POST /models fan-out
+// over two store-attached replicas, one of whose snapshot writes fails,
+// is a conflict — that replica serves the upload in no snapshot and
+// answers 500, so the router does not count it as applied.
+func TestRouterFanoutCountsUnpersistedPublish(t *testing.T) {
+	setup(t)
+	models := t.TempDir()
+	f, err := os.Create(filepath.Join(models, "cpu.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cpuEst.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var reps []*testReplica
+	for i := range 2 {
+		dir := t.TempDir()
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := serve.NewRegistry()
+		reg.AttachStore(st, nil)
+		reg.Publish("", cpuEst)
+		snap := reg.Publish("", ioEst).Snapshot
+		if i == 1 {
+			// A non-empty directory where the next snapshot would be
+			// renamed into place fails its write.
+			if err := os.MkdirAll(filepath.Join(dir, fmt.Sprintf("v%010d", snap+1), "blocker"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc := serve.New(serve.Options{Registry: reg, ModelDir: models})
+		tr := &testReplica{svc: svc, hs: httptest.NewServer(svc.Handler())}
+		t.Cleanup(tr.kill)
+		reps = append(reps, tr)
+	}
+	_, rhs := newRouter(t, reps, nil)
+	if r := postRefused(t, rhs.URL, "/models", "", []byte(`{"schema":"","path":"cpu.json"}`)); r.status != http.StatusConflict || r.Code != "conflict" {
+		t.Fatalf("fan-out with one unpersisted replica answered %d %q: %s", r.status, r.Code, r.Error)
+	}
+}
+
 // TestRouterCacheKeepsItsOwnCopy: the bytes a forward returns are its
 // caller's — off a replica stream they share one allocation with the
 // rest of their read burst — so the router cache files a copy of them.

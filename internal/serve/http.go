@@ -610,7 +610,8 @@ func planErrCode(err error) string {
 // configured ModelDir without downtime: in-flight requests finish on
 // the version they routed to, subsequent ones see the new model. The
 // endpoint is disabled when no ModelDir is configured, and requested
-// paths may not escape it.
+// paths may not escape it. A snapshot write that fails answers 500,
+// naming the version that serves regardless.
 func (s *Service) handlePublish(w http.ResponseWriter, r *http.Request) {
 	if s.opts.ModelDir == "" {
 		writeError(w, r, http.StatusForbidden,
@@ -633,7 +634,12 @@ func (s *Service) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.reg.PublishFile(req.Schema, filepath.Join(s.opts.ModelDir, req.Path))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, jsonError(err.Error(), errCodeBadRequest, -1))
+		status, code := http.StatusBadRequest, errCodeBadRequest
+		if errors.Is(err, errUnpersisted) {
+			status, code = http.StatusInternalServerError, errCodeInternal
+			err = fmt.Errorf("version %d serves in no snapshot: %w", info.Version, err)
+		}
+		writeError(w, r, status, jsonError(err.Error(), code, -1))
 		return
 	}
 	writeJSON(w, http.StatusOK, info)

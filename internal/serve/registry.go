@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -107,7 +108,7 @@ type Registry struct {
 	// restarts. Where both are held, storeMu is taken after mu.
 	storeMu   sync.Mutex
 	store     *store.Store
-	failed    map[uint64]bool // listed snapshots that failed to load (installFromStore)
+	failed    map[uint64]bool // listed snapshots that failed to load (pick)
 	storeLogf func(format string, args ...any)
 }
 
@@ -172,17 +173,37 @@ func (r *Registry) Publish(schema string, est *core.Estimator) ModelInfo {
 }
 
 // PublishAs is Publish with the producer recorded in the store
-// manifest ("bootstrap", "upload", "retrain", ...).
+// manifest ("bootstrap", "upload", "retrain", ...). A snapshot write
+// that fails is logged; the model serves either way.
 func (r *Registry) PublishAs(schema string, est *core.Estimator, source string) ModelInfo {
-	info, _, installed := r.publish(schema, est, true, source, storeID{})
-	if installed {
-		if snap, err := r.persistSnapshot(schema, source); err != nil {
-			r.logStore("store: persisting %s/%s publish: %v", schema, est.Resource, err)
-		} else {
-			info.Snapshot = snap
+	infos, _ := r.PublishSet(schema, source, est)
+	return infos[0]
+}
+
+// errUnpersisted wraps the error of a snapshot write that failed after
+// its models installed.
+var errUnpersisted = errors.New("serve: snapshot not written")
+
+// PublishSet installs every estimator in ests for schema, as Publish
+// does one, then — with a store attached and one of them installed —
+// persists one snapshot of the schema's model set and returns that
+// write's error; the models serve either way.
+func (r *Registry) PublishSet(schema, source string, ests ...*core.Estimator) ([]ModelInfo, error) {
+	infos := make([]ModelInfo, len(ests))
+	installed := make([]bool, len(ests))
+	for i, est := range ests {
+		infos[i], _, installed[i] = r.publish(schema, est, true, source, storeID{})
+	}
+	if !slices.Contains(installed, true) {
+		return infos, nil
+	}
+	snap, err := r.persistSnapshot(schema, source)
+	for i := range infos {
+		if installed[i] {
+			infos[i].Snapshot = snap
 		}
 	}
-	return info
+	return infos, err
 }
 
 // publish additionally returns the model it replaced and whether this
@@ -268,7 +289,8 @@ func (r *Registry) logStore(format string, args ...any) {
 // snapshot, then moves each persisted model's storeID to it. A publish
 // of one resource therefore persists a *coherent* multi-resource
 // snapshot — crash recovery restores the exact serving set, not a
-// single orphaned model. No-op without a store.
+// single orphaned model. No-op without a store. A write that fails is
+// logged and returned wrapping errUnpersisted.
 func (r *Registry) persistSnapshot(schema, source string) (uint64, error) {
 	st := r.Store()
 	if st == nil {
@@ -286,7 +308,8 @@ func (r *Registry) persistSnapshot(schema, source string) (uint64, error) {
 	}
 	man, err := st.Publish(store.Snapshot{Schema: schema, Source: source, Models: ests})
 	if err != nil {
-		return 0, err
+		r.logStore("store: persisting %q %s: %v", schema, source, err)
+		return 0, fmt.Errorf("%w: %w", errUnpersisted, err)
 	}
 	r.storeMu.Lock()
 	for k, m := range models {
@@ -377,13 +400,15 @@ func (r *Registry) pushHistory(key ModelKey, old *Model) {
 // no-op reported as success.
 //
 // With a store attached and the serving model in a snapshot, rollback
-// restores the previous version from the snapshot history on disk —
-// so it keeps working across process restarts, and what it restores is
-// exactly what was persisted. Otherwise, or when the store holds no
-// older model (it can lack history the in-memory stack still has),
+// restores the newest older snapshot that loads and holds a different
+// model for the route — so it keeps working across process restarts,
+// and what it restores is exactly what was persisted. Otherwise, or
+// when no older snapshot qualifies (the store can lack history the
+// in-memory stack still has, or hold only damaged copies of it),
 // rollback pops the in-memory stack. Either way the rolled-back model
-// keeps the snapshot it lives in, and with a store attached the
-// serving record is rewritten.
+// keeps the snapshot it lives in, unless that snapshot failed to load:
+// then it is written to a new one. With a store attached the serving
+// record is rewritten.
 func (r *Registry) Rollback(schema string, resource plan.ResourceKind) (ModelInfo, error) {
 	key := ModelKey{Schema: schema, Resource: resource}
 	st := r.Store()
@@ -412,10 +437,19 @@ func (r *Registry) rollbackFromMemory(key ModelKey) (ModelInfo, error) {
 	h[len(h)-1] = nil // the backing array must not keep it alive
 	r.history[key] = h[:len(h)-1]
 	r.mu.Unlock()
-	info, err := r.rollbackTo(key.Schema, prev.Est, r.storeIDOf(prev))
+	at := r.storeIDOf(prev)
+	r.storeMu.Lock()
+	damaged := r.failed[at.snapshot]
+	r.storeMu.Unlock()
+	if damaged {
+		at = storeID{} // a restart could not restore it from there
+	}
+	info, err := r.rollbackTo(key.Schema, prev.Est, at)
 	if err != nil {
 		// Our rollback never served: put the entry back for a retry.
 		r.pushHistory(key, prev)
+	} else if damaged {
+		info.Snapshot, _ = r.persistSnapshot(key.Schema, "rollback")
 	}
 	return info, err
 }
@@ -442,50 +476,28 @@ func (r *Registry) rollbackTo(schema string, est *core.Estimator, at storeID) (M
 }
 
 // rollbackFromStore restores the newest snapshot older than cur, the
-// serving model's, whose model for the resource actually differs in
-// content (consecutive snapshots written by *other* resources'
+// serving model's, that loads and whose model for the resource differs
+// in content (consecutive snapshots written by *other* resources'
 // publishes carry the same model file for this resource — skipping by
 // checksum is what makes rollback mean "previous model", not "previous
-// snapshot").
+// snapshot"). ErrNoHistory when none does.
 func (r *Registry) rollbackFromStore(st *store.Store, key ModelKey, cur storeID) (ModelInfo, error) {
-	schema, resource := key.Schema, key.Resource
-	wire := resource.WireName()
-	mans, err := st.List()
+	bySchema, err := r.listing(st)
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	var target uint64
-	for i := len(mans) - 1; i >= 0; i-- {
-		m := mans[i]
-		if m.Version >= cur.snapshot || m.Schema != schema {
-			continue
-		}
-		e, ok := m.Resource(wire)
-		if !ok {
-			continue
-		}
-		if cur.sha256 != "" && e.SHA256 == cur.sha256 {
-			continue
-		}
-		target = m.Version
-		break
+	l := r.pick(st, "rollback", bySchema[key.Schema], key.Resource, make(map[uint64]*store.Loaded), func(m *store.Manifest) bool {
+		e, _ := m.Resource(key.Resource.WireName())
+		return m.Version < cur.snapshot && e.SHA256 != cur.sha256
+	})
+	if l == nil {
+		return ModelInfo{}, fmt.Errorf("%w: schema %q resource %s", ErrNoHistory, key.Schema, key.Resource)
 	}
-	if target == 0 {
-		return ModelInfo{}, fmt.Errorf("%w: schema %q resource %s", ErrNoHistory, schema, resource)
-	}
-	loaded, err := st.LoadVersion(target)
-	if err != nil {
-		return ModelInfo{}, err
-	}
-	est, ok := loaded.Models[resource]
-	if !ok {
-		return ModelInfo{}, fmt.Errorf("%w: snapshot v%d lost its %s model", store.ErrCorrupt, target, resource)
-	}
-	info, err := r.rollbackTo(schema, est, idIn(loaded.Manifest, resource))
+	info, err := r.rollbackTo(key.Schema, l.Models[key.Resource], idIn(l.Manifest, key.Resource))
 	if err != nil {
 		return info, err
 	}
-	r.logStore("store: rolled %s/%s back to snapshot v%d (registry v%d)", schema, resource, target, info.Version)
+	r.logStore("store: rolled %s/%s back to snapshot v%d (registry v%d)", key.Schema, key.Resource, l.Manifest.Version, info.Version)
 	return info, nil
 }
 
@@ -510,7 +522,7 @@ func (r *Registry) PublishEstimator(schema string, est *core.Estimator) uint64 {
 }
 
 // PublishFile loads an estimator saved by core (*Estimator).Save and
-// publishes it under schema.
+// publishes it under schema as PublishSet does.
 func (r *Registry) PublishFile(schema, path string) (ModelInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -521,7 +533,8 @@ func (r *Registry) PublishFile(schema, path string) (ModelInfo, error) {
 	if err != nil {
 		return ModelInfo{}, fmt.Errorf("serve: load %s: %w", path, err)
 	}
-	return r.PublishAs(schema, est, "upload"), nil
+	infos, err := r.PublishSet(schema, "upload", est)
+	return infos[0], err
 }
 
 // Lookup returns the current model for (schema, resource), falling back

@@ -4,14 +4,19 @@ package serve_test
 // store: a restore that meets a corrupt recorded snapshot, a follower
 // sync that must leave the shared directory untouched and restore
 // nothing while idle, the identity a route reports for a model that is
-// in no snapshot, and a long run of leader publishes a follower keeps
-// up with.
+// in no snapshot, a long run of leader publishes a follower keeps up
+// with, a rollback over snapshots that do not load, and a publish
+// whose snapshot is not written.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -602,5 +607,193 @@ func TestFollowerSoak(t *testing.T) {
 	p := testPlans[0]
 	if m, _ := follower.Lookup("tpch", plan.CPUTime); math.Float64bits(m.Est.PredictPlan(p)) != math.Float64bits(cpuEst2.PredictPlan(p)) {
 		t.Fatal("follower does not serve the leader's last cpu model")
+	}
+}
+
+// damageCPU makes snapshot v's cpu model fail to load: its slab goes
+// (with it beside the tampered file, the load would route around the
+// file) and one byte of its model file flips.
+func damageCPU(t *testing.T, dir string, v uint64) {
+	t.Helper()
+	vdir := filepath.Join(dir, fmt.Sprintf("v%010d", v))
+	if err := os.Remove(filepath.Join(vdir, "cpu.model.slab")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(vdir, "cpu.model.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storeService is a service over a registry attached to a fresh store
+// in dir, with its HTTP handler listening.
+func storeService(t *testing.T, dir string, opts serve.Options) (*serve.Registry, *store.Store, *httptest.Server) {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry()
+	reg.AttachStore(st, t.Logf)
+	opts.Registry = reg
+	ts := httptest.NewServer(newService(t, opts).Handler())
+	t.Cleanup(ts.Close)
+	return reg, st, ts
+}
+
+// TestRollbackSkipsCorruptSnapshot: rolling back from v3 over a v2
+// whose cpu model does not load lands on v1, the newest older snapshot
+// that loads, and the route reports v1 and v1's model checksum.
+func TestRollbackSkipsCorruptSnapshot(t *testing.T) {
+	altSetup(t)
+	dir := t.TempDir()
+	reg, st, ts := storeService(t, dir, serve.Options{})
+	// v3's model predicts as v2's does but is saved with another
+	// baseline, so its checksum differs from both older snapshots'.
+	var buf bytes.Buffer
+	if err := cpuEst2.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cpuEst3, err := core.LoadEstimator(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpuEst3.SetBaseline(testPlans)
+	var vs []uint64
+	for _, est := range []*core.Estimator{cpuEst, cpuEst2, cpuEst3} {
+		vs = append(vs, reg.PublishAs("tpch", est, "upload").Snapshot)
+	}
+	sums := make([]string, len(vs))
+	for i, v := range vs {
+		man, err := st.Manifest(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := man.Resource("cpu")
+		sums[i] = e.SHA256
+	}
+	if sums[1] == sums[2] {
+		t.Fatal("v2 and v3 hold the same cpu model file")
+	}
+	damageCPU(t, dir, vs[1])
+
+	resp, body := postJSON(t, ts.URL+"/models/rollback", map[string]string{"schema": "tpch", "resource": "cpu"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rollback over the corrupt v%d: %s: %s", vs[1], resp.Status, body)
+	}
+	var info serve.ModelInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Snapshot != vs[0] {
+		t.Fatalf("rollback reports snapshot v%d, want v%d", info.Snapshot, vs[0])
+	}
+	if rv := route(t, reg, "tpch", plan.CPUTime); rv.Snapshot != vs[0] || rv.SHA256 != sums[0] {
+		t.Fatalf("rolled-back route reports %+v, want v%d with checksum %s", rv, vs[0], sums[0])
+	}
+	p := testPlans[0]
+	if m, _ := reg.Lookup("tpch", plan.CPUTime); math.Float64bits(m.Est.PredictPlan(p)) != math.Float64bits(cpuEst.PredictPlan(p)) {
+		t.Fatal("rollback does not serve v1's model")
+	}
+	if cur := st.Current("tpch"); cur["cpu"] != vs[0] {
+		t.Fatalf("serving record after rollback = %v, want cpu v%d", cur, vs[0])
+	}
+}
+
+// TestRollbackCorruptStoreFallsBackToMemory: when no older snapshot
+// loads, rollback pops the in-memory history instead of failing, and
+// writes the popped model to a new snapshot that the serving record
+// names, so a restart serves it rather than the model rolled away
+// from.
+func TestRollbackCorruptStoreFallsBackToMemory(t *testing.T) {
+	altSetup(t)
+	dir := t.TempDir()
+	reg, st, ts := storeService(t, dir, serve.Options{})
+	first := reg.PublishAs("tpch", cpuEst, "upload").Snapshot
+	second := reg.PublishAs("tpch", cpuEst2, "upload").Snapshot
+	if second == 0 {
+		t.Fatal("second publish did not persist")
+	}
+	damageCPU(t, dir, first)
+
+	resp, body := postJSON(t, ts.URL+"/models/rollback", map[string]string{"schema": "tpch", "resource": "cpu"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rollback with no intact older snapshot: %s: %s", resp.Status, body)
+	}
+	var info serve.ModelInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	p := testPlans[0]
+	if m, _ := reg.Lookup("tpch", plan.CPUTime); math.Float64bits(m.Est.PredictPlan(p)) != math.Float64bits(cpuEst.PredictPlan(p)) {
+		t.Fatal("rollback does not serve the model from the in-memory history")
+	}
+	if info.Snapshot <= second {
+		t.Fatalf("rollback reports snapshot v%d, want a new one after v%d", info.Snapshot, second)
+	}
+	man, err := st.Manifest(info.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := man.Resource("cpu")
+	if rv := route(t, reg, "tpch", plan.CPUTime); rv.Snapshot != info.Snapshot || rv.SHA256 != e.SHA256 {
+		t.Fatalf("rolled-back route reports %+v, want v%d with checksum %s", rv, info.Snapshot, e.SHA256)
+	}
+	if cur := st.Current("tpch"); cur["cpu"] != info.Snapshot {
+		t.Fatalf("serving record after rollback = %v, want cpu v%d", cur, info.Snapshot)
+	}
+
+	restarted := serve.NewRegistry()
+	restarted.AttachStore(st, t.Logf)
+	if _, err := restarted.RestoreFromStore(); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := restarted.Lookup("tpch", plan.CPUTime); m == nil || math.Float64bits(m.Est.PredictPlan(p)) != math.Float64bits(cpuEst.PredictPlan(p)) {
+		t.Fatal("a restart does not serve the rolled-back model")
+	}
+}
+
+// TestPublishUnpersistedAnswers500: POST /models whose snapshot write
+// fails answers 500 naming the version that serves regardless, in no
+// snapshot.
+func TestPublishUnpersistedAnswers500(t *testing.T) {
+	altSetup(t)
+	dir, models := t.TempDir(), t.TempDir()
+	f, err := os.Create(filepath.Join(models, "cpu.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cpuEst2.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg, _, ts := storeService(t, dir, serve.Options{ModelDir: models})
+	blockSnapshot(t, dir, reg.PublishAs("tpch", cpuEst, "bootstrap").Snapshot)
+
+	resp, body := postJSON(t, ts.URL+"/models", map[string]string{"schema": "tpch", "path": "cpu.json"})
+	var e struct{ Error, Code string }
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatal(err)
+	}
+	rv := route(t, reg, "tpch", plan.CPUTime)
+	if resp.StatusCode != http.StatusInternalServerError || e.Code != "internal" {
+		t.Fatalf("publish with a blocked store: %s: %s", resp.Status, body)
+	}
+	if !strings.Contains(e.Error, fmt.Sprintf("version %d ", rv.Version)) {
+		t.Fatalf("error %q does not name the serving version %d", e.Error, rv.Version)
+	}
+	if rv.Snapshot != 0 {
+		t.Fatalf("unpersisted upload reports snapshot v%d", rv.Snapshot)
+	}
+	p := testPlans[0]
+	if m, _ := reg.Lookup("tpch", plan.CPUTime); math.Float64bits(m.Est.PredictPlan(p)) != math.Float64bits(cpuEst2.PredictPlan(p)) {
+		t.Fatal("the uploaded model does not serve")
 	}
 }

@@ -109,68 +109,20 @@ func (r *Registry) SyncFromStore() ([]ModelInfo, error) {
 
 // installFromStore is restore's and sync's one walk over the store. It
 // lists the manifests once and, per schema and resource, installs the
-// target snapshot's model when that snapshot is newer than the one the
-// route's serving model lives in (any snapshot is, for a model in
-// none). The target is the newest listed snapshot carrying
-// the resource that loads; with recorded, the snapshot the serving
-// record names is tried first, and the record is rewritten afterwards.
-// Each snapshot loads at most once per walk. One that fails is logged,
-// remembered in r.failed and skipped by later walks for as long as it
-// is listed: a listed snapshot never changes.
+// snapshot pick chooses among those newer than the one the route's
+// serving model lives in (any snapshot is, for a model in none):
+// newest first, and with recorded, the snapshot the serving record
+// names before the rest; the record is rewritten afterwards.
 func (r *Registry) installFromStore(source string, recorded bool) ([]ModelInfo, error) {
 	st := r.Store()
 	if st == nil {
 		return nil, errors.New("serve: no store attached")
 	}
-	mans, err := st.List()
+	bySchema, err := r.listing(st)
 	if err != nil {
 		return nil, err
 	}
-	bySchema := make(map[string][]*store.Manifest) // each newest first
-	listed := make(map[uint64]bool, len(mans))
-	for _, man := range slices.Backward(mans) {
-		bySchema[man.Schema] = append(bySchema[man.Schema], man)
-		listed[man.Version] = true
-	}
-	r.storeMu.Lock()
-	maps.DeleteFunc(r.failed, func(v uint64, _ bool) bool { return !listed[v] })
-	r.storeMu.Unlock()
-
 	loaded := make(map[uint64]*store.Loaded)
-	// target walks schema's listing for resource k: the recorded
-	// snapshot rec first, then newest first, skipping what cannot serve
-	// k or is not newer than cur.
-	target := func(mans []*store.Manifest, k plan.ResourceKind, rec, cur uint64) *store.Loaded {
-		if i := slices.IndexFunc(mans, func(m *store.Manifest) bool { return m.Version == rec }); i >= 0 {
-			mans = append([]*store.Manifest{mans[i]}, mans...)
-		}
-		for _, man := range mans {
-			if _, ok := man.Resource(k.WireName()); !ok || man.Version <= cur {
-				continue
-			}
-			if l := loaded[man.Version]; l != nil {
-				return l
-			}
-			r.storeMu.Lock()
-			failed := r.failed[man.Version]
-			r.storeMu.Unlock()
-			if failed {
-				continue
-			}
-			l, err := st.LoadVersion(man.Version)
-			if err != nil {
-				r.logStore("store: %s %q: %v", source, man.Schema, err)
-				r.storeMu.Lock()
-				r.failed[man.Version] = true
-				r.storeMu.Unlock()
-				continue
-			}
-			loaded[man.Version] = l
-			return l
-		}
-		return nil
-	}
-
 	var out []ModelInfo
 	for _, schema := range slices.Sorted(maps.Keys(bySchema)) {
 		var rec map[string]uint64
@@ -178,8 +130,12 @@ func (r *Registry) installFromStore(source string, recorded bool) ([]ModelInfo, 
 			rec = st.Current(schema)
 		}
 		for _, k := range plan.ResourceKinds() {
+			mans := bySchema[schema]
+			if i := slices.IndexFunc(mans, func(m *store.Manifest) bool { return m.Version == rec[k.WireName()] }); i >= 0 {
+				mans = append([]*store.Manifest{mans[i]}, mans...)
+			}
 			cur := r.storeIDOf(r.serving(ModelKey{Schema: schema, Resource: k})).snapshot
-			l := target(bySchema[schema], k, rec[k.WireName()], cur)
+			l := r.pick(st, source, mans, k, loaded, func(m *store.Manifest) bool { return m.Version > cur })
 			if l == nil {
 				continue
 			}
@@ -192,4 +148,58 @@ func (r *Registry) installFromStore(source string, recorded bool) ([]ModelInfo, 
 		}
 	}
 	return out, nil
+}
+
+// listing lists st's manifests by schema, each newest first, and
+// forgets the load failures of snapshots no longer listed.
+func (r *Registry) listing(st *store.Store) (map[string][]*store.Manifest, error) {
+	mans, err := st.List()
+	if err != nil {
+		return nil, err
+	}
+	bySchema := make(map[string][]*store.Manifest)
+	for _, man := range slices.Backward(mans) {
+		bySchema[man.Schema] = append(bySchema[man.Schema], man)
+	}
+	r.storeMu.Lock()
+	maps.DeleteFunc(r.failed, func(v uint64, _ bool) bool {
+		return !slices.ContainsFunc(mans, func(m *store.Manifest) bool { return m.Version == v })
+	})
+	r.storeMu.Unlock()
+	return bySchema, nil
+}
+
+// pick is the one choice of which snapshot a route loads, for restore,
+// sync and rollback alike: the first of mans, tried in order, that
+// carries resource k, is accepted and loads. Each snapshot loads at
+// most once per walk (loaded holds the walk's loads). One that fails is
+// logged under source, remembered in r.failed and skipped by later
+// walks for as long as it is listed: a listed snapshot never changes.
+func (r *Registry) pick(st *store.Store, source string, mans []*store.Manifest, k plan.ResourceKind,
+	loaded map[uint64]*store.Loaded, accept func(*store.Manifest) bool) *store.Loaded {
+	for _, man := range mans {
+		if _, ok := man.Resource(k.WireName()); !ok || !accept(man) {
+			continue
+		}
+		if l := loaded[man.Version]; l != nil {
+			return l
+		}
+		r.storeMu.Lock()
+		failed := r.failed[man.Version]
+		r.storeMu.Unlock()
+		if failed {
+			continue
+		}
+		l, err := st.LoadVersion(man.Version)
+		if err != nil {
+			r.logStore("store: %s %q: %v", source, man.Schema, err)
+			r.storeMu.Lock()
+			r.failed[man.Version] = true
+			r.storeMu.Unlock()
+			continue
+		}
+		loaded[man.Version] = l
+		return l
+	}
+	return nil
 }

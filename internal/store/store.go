@@ -30,6 +30,7 @@
 package store
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,7 +39,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -94,7 +95,7 @@ type Store struct {
 	mu      sync.Mutex
 	next    uint64                       // next snapshot version to assign
 	serving map[string]map[string]uint64 // SetCurrent's record, as last given
-	skipped map[uint64]bool              // unreadable versions the last List met, already logged
+	skipped map[uint64]error             // unreadable versions the last List met, already logged
 
 	// Timing histograms of successful publishes (encode + write + fsync
 	// + rename) and snapshot loads (read + checksum + decode), surfaced
@@ -314,24 +315,13 @@ func (s *Store) encodeModel(r plan.ResourceKind, est *core.Estimator) encodedMod
 
 // parentVersion returns schema's newest snapshot version below v — the
 // provenance pointer each new manifest records. Best-effort: an
-// unreadable directory or manifest simply yields 0 rather than failing
-// the publish over an informational field.
+// unreadable manifest is passed over and an unreadable directory yields
+// 0, rather than failing the publish over an informational field.
 func (s *Store) parentVersion(schema string, below uint64) uint64 {
-	vs, err := s.versions()
-	if err != nil {
-		return 0
-	}
-	for i := len(vs) - 1; i >= 0; i-- {
-		v := vs[i]
-		if v >= below {
-			continue
-		}
-		man, err := s.Manifest(v)
-		if err != nil {
-			continue
-		}
-		if man.Schema == schema {
-			return v
+	mans, _, _ := s.scan()
+	for _, man := range slices.Backward(mans) {
+		if man.Version < below && man.Schema == schema {
+			return man.Version
 		}
 	}
 	return 0
@@ -405,21 +395,29 @@ func syncDir(path string) error {
 	return err
 }
 
-// versions lists the snapshot version numbers present on disk,
-// ascending.
-func (s *Store) versions() ([]uint64, error) {
+// scan reads the store's directory: the manifest of every snapshot in
+// it, ascending by version, and the error of each snapshot whose
+// manifest does not read.
+func (s *Store) scan() ([]*Manifest, map[uint64]error, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	var out []uint64
+	var mans []*Manifest
+	bad := make(map[uint64]error)
 	for _, e := range entries {
-		if v, ok := parseVersionDir(e.Name()); ok {
-			out = append(out, v)
+		v, ok := parseVersionDir(e.Name())
+		if !ok {
+			continue
+		}
+		if man, err := s.Manifest(v); err != nil {
+			bad[v] = err
+		} else {
+			mans = append(mans, man)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	slices.SortFunc(mans, func(a, b *Manifest) int { return cmp.Compare(a.Version, b.Version) })
+	return mans, bad, nil
 }
 
 // Manifest reads and validates snapshot v's manifest (checksums are
@@ -443,33 +441,24 @@ func (s *Store) Manifest(v uint64) (*Manifest, error) {
 }
 
 // List returns the manifests of every readable snapshot, ascending by
-// version. Corrupt snapshots are skipped, each logged once while it
-// stays in the directory: a follower lists on every poll.
+// version. A snapshot whose manifest does not read is left out, and
+// logged once while it stays in the directory: a follower lists on
+// every poll.
 func (s *Store) List() ([]*Manifest, error) {
-	vs, err := s.versions()
+	mans, bad, err := s.scan()
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	logged := s.skipped // replaced, never written, so read unlocked below
+	s.skipped = bad
 	s.mu.Unlock()
-	skipped := make(map[uint64]bool)
-	out := make([]*Manifest, 0, len(vs))
-	for _, v := range vs {
-		man, err := s.Manifest(v)
-		if err != nil {
-			if !logged[v] {
-				s.logf("store: skipping v%d: %v", v, err)
-			}
-			skipped[v] = true
-			continue
+	for _, v := range slices.Sorted(maps.Keys(bad)) {
+		if _, ok := logged[v]; !ok {
+			s.logf("store: skipping v%d: %v", v, bad[v])
 		}
-		out = append(out, man)
 	}
-	s.mu.Lock()
-	s.skipped = skipped
-	s.mu.Unlock()
-	return out, nil
+	return mans, nil
 }
 
 // LoadVersion loads snapshot v, verifying every model file against the
@@ -577,33 +566,23 @@ func (s *Store) loadSlab(v uint64, e ModelEntry, r plan.ResourceKind) (*core.Est
 // corrupt ones (each skip is logged). ErrNotFound when the schema has
 // no snapshot at all; ErrCorrupt when snapshots exist but none loads.
 func (s *Store) LoadLatest(schema string) (*Loaded, error) {
-	vs, err := s.versions()
+	mans, err := s.List()
 	if err != nil {
 		return nil, err
 	}
-	found := false
 	var lastErr error
-	for i := len(vs) - 1; i >= 0; i-- {
-		v := vs[i]
-		man, err := s.Manifest(v)
-		if err != nil {
-			lastErr = err
-			s.logf("store: skipping v%d: %v", v, err)
-			continue
-		}
+	for _, man := range slices.Backward(mans) {
 		if man.Schema != schema {
 			continue
 		}
-		found = true
-		loaded, err := s.LoadVersion(v)
-		if err != nil {
-			lastErr = err
-			s.logf("store: skipping v%d: %v", v, err)
-			continue
+		loaded, err := s.LoadVersion(man.Version)
+		if err == nil {
+			return loaded, nil
 		}
-		return loaded, nil
+		lastErr = err
+		s.logf("store: skipping v%d: %v", man.Version, err)
 	}
-	if found {
+	if lastErr != nil {
 		return nil, fmt.Errorf("%w: no intact snapshot for schema %q (last error: %v)", ErrCorrupt, schema, lastErr)
 	}
 	return nil, fmt.Errorf("%w: schema %q", ErrNotFound, schema)
@@ -679,31 +658,20 @@ func (s *Store) GC() ([]uint64, error) {
 	if s.retain < 0 {
 		return nil, nil
 	}
-	vs, err := s.versions()
+	mans, bad, err := s.scan()
 	if err != nil {
 		return nil, err
 	}
-	perSchema := make(map[string][]uint64) // ascending per schema
-	var unreadable []uint64
-	for _, v := range vs {
-		man, err := s.Manifest(v)
-		if err != nil {
-			unreadable = append(unreadable, v)
-			continue
-		}
-		perSchema[man.Schema] = append(perSchema[man.Schema], v)
-	}
-
 	keep := make(map[uint64]bool)
-	for _, svs := range perSchema {
-		start := len(svs) - s.retain
-		if start < 0 {
-			start = 0
+	kept := make(map[string]int) // per schema, counted newest first
+	vs := slices.Collect(maps.Keys(bad))
+	for _, man := range slices.Backward(mans) {
+		if kept[man.Schema]++; kept[man.Schema] <= s.retain {
+			keep[man.Version] = true
 		}
-		for _, v := range svs[start:] {
-			keep[v] = true
-		}
+		vs = append(vs, man.Version)
 	}
+	slices.Sort(vs)
 	// Never remove a snapshot the serving record names. The in-memory
 	// copy covers a current.json this process failed to write or that
 	// was corrupted since; the durable one covers what another process
@@ -725,13 +693,8 @@ func (s *Store) GC() ([]uint64, error) {
 		cutoff = vs[len(vs)-s.retain]
 	}
 	var removed []uint64
-	for _, v := range unreadable {
-		if v >= cutoff {
-			keep[v] = true
-		}
-	}
 	for _, v := range vs {
-		if keep[v] {
+		if _, unreadable := bad[v]; keep[v] || unreadable && v >= cutoff {
 			continue
 		}
 		if err := os.RemoveAll(s.versionDir(v)); err != nil {
