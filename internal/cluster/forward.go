@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -114,11 +115,10 @@ func (f *Forwarder) loop() {
 func (f *Forwarder) ForwardNow() (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	segs, err := filepath.Glob(filepath.Join(f.opts.Dir, "obs-*.seg"))
-	if err != nil {
+	segs, err := feedback.Segments(f.opts.Dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) { // no directory yet: nothing to forward
 		return 0, err
 	}
-	sort.Strings(segs)
 	present := make(map[string]bool, len(segs))
 	total := 0
 	for _, seg := range segs {
@@ -151,7 +151,7 @@ func (f *Forwarder) forwardFile(seg string) (int64, int, error) {
 	fh, err := os.Open(seg)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, 0, nil // pruned between glob and open
+			return 0, 0, nil // pruned between listing and open
 		}
 		return 0, 0, err
 	}

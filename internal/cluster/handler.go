@@ -48,15 +48,6 @@ func (rt *Router) Handler() http.Handler {
 	return serve.WithRequestID(mux)
 }
 
-// writeError answers r with rerr in serve's error envelope, so clients
-// see one error shape whether the router or a replica refused.
-func writeError(w http.ResponseWriter, r *http.Request, rerr *routeError) {
-	if rerr.retryAfter {
-		w.Header().Set("Retry-After", "1")
-	}
-	serve.WriteError(w, r, rerr.status, rerr.msg, rerr.code)
-}
-
 // clientIDHeader names a client for per-client admission, and goes on
 // with the request to a replica. Canonical, so net/http neither
 // rewrites nor allocates for it.
@@ -139,10 +130,10 @@ func scanSchema(b []byte) (schema string, ok bool) {
 	}
 }
 
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *routeError) {
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *serve.Error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
 	if err != nil {
-		return nil, &routeError{status: http.StatusBadRequest, code: "bad_request", msg: "bad request body: " + err.Error()}
+		return nil, serve.BadBody(err)
 	}
 	return body, nil
 }
@@ -150,13 +141,13 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *rou
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	ctr, ok := rt.admit(clientKey(r))
 	if !ok {
-		writeError(w, r, errShed)
+		serve.WriteError(w, r, errShed)
 		return
 	}
 	defer rt.release(ctr)
 	body, rerr := rt.readBody(w, r)
 	if rerr != nil {
-		writeError(w, r, rerr)
+		serve.WriteError(w, r, rerr)
 		return
 	}
 	if r.URL.RawQuery != "" {
@@ -168,7 +159,7 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, rerr := rt.estimate(r.Context(), body)
 	if rerr != nil {
-		writeError(w, r, rerr)
+		serve.WriteError(w, r, rerr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -180,13 +171,13 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleProxyBySchema(w http.ResponseWriter, r *http.Request) {
 	ctr, ok := rt.admit(clientKey(r))
 	if !ok {
-		writeError(w, r, errShed)
+		serve.WriteError(w, r, errShed)
 		return
 	}
 	defer rt.release(ctr)
 	body, rerr := rt.readBody(w, r)
 	if rerr != nil {
-		writeError(w, r, rerr)
+		serve.WriteError(w, r, rerr)
 		return
 	}
 	rt.proxyRouted(w, r, peekSchema(body), body)
@@ -196,7 +187,7 @@ func (rt *Router) handleProxyBySchema(w http.ResponseWriter, r *http.Request) {
 // the failover ladder route holds.
 func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, schema string, body []byte) {
 	if !rt.route(schema, func(rp *replica) error { return proxyVerbatim(w, r, rp, body) }) {
-		writeError(w, r, errNoReplica)
+		serve.WriteError(w, r, errNoReplica)
 	}
 }
 
@@ -216,7 +207,7 @@ func (rt *Router) handleModelsGet(w http.ResponseWriter, r *http.Request) {
 		rp.requests.Add(1)
 		return
 	}
-	writeError(w, r, errNoReplica)
+	serve.WriteError(w, r, errNoReplica)
 }
 
 // handleFanout applies a model mutation (publish, rollback) to every
@@ -226,7 +217,7 @@ func (rt *Router) handleModelsGet(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 	body, rerr := rt.readBody(w, r)
 	if rerr != nil {
-		writeError(w, r, rerr)
+		serve.WriteError(w, r, rerr)
 		return
 	}
 	var (
@@ -259,15 +250,15 @@ func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if firstBody == nil {
-		writeError(w, r, errNoReplica)
+		serve.WriteError(w, r, errNoReplica)
 		return
 	}
 	if len(failed) > 0 && len(applied) > 0 {
 		rt.logger.Warn("partial model fanout", "applied", applied, "failed", failed)
-		writeError(w, r, &routeError{
-			status: http.StatusConflict, code: "conflict",
-			msg: "model change applied to " + strconv.Itoa(len(applied)) + "/" +
+		serve.WriteError(w, r, &serve.Error{
+			Message: "model change applied to " + strconv.Itoa(len(applied)) + "/" +
 				strconv.Itoa(len(applied)+len(failed)) + " replicas; fleet inconsistent until next poll",
+			Code: serve.CodeConflict,
 		})
 		return
 	}

@@ -145,6 +145,62 @@ func TestRouterHTTPEstimateFallback(t *testing.T) {
 	}
 }
 
+// TestRouterRelaysReplicaRefusals pins how the router answers a
+// replica's refusal over HTTP. One without an envelope is 500 internal
+// on both router surfaces, whatever status the replica used; a
+// replica's own 503 unavailable reaches the client with Retry-After: 1,
+// forwarded or proxied.
+func TestRouterRelaysReplicaRefusals(t *testing.T) {
+	setup(t)
+	body := estimateBody(t, "tpch", testPlans[0], "cpu")
+
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"status":"ok"}`)
+	})
+	mux.HandleFunc("POST /estimate", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "upstream gone", http.StatusBadGateway)
+	})
+	bare := httptest.NewServer(mux)
+	defer bare.Close()
+	rt, rhs := newRouter(t, []*testReplica{{hs: bare}}, nil)
+	raddr, err := rt.StartStream("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := stream.Dial(raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	want := answer{status: http.StatusInternalServerError, code: "internal", message: "replica error: 502 Bad Gateway"}
+	if r := postRefused(t, rhs.URL, "/estimate", "", body); r.status != want.status || r.Code != want.code || r.Error != want.message {
+		t.Errorf("router HTTP relayed a bare 502 as %d %s %q, want %v", r.status, r.Code, r.Error, want)
+	}
+	if got := streamAnswer(t, cl, body); got != want {
+		t.Errorf("router stream relayed a bare 502 as %v, want %v", got, want)
+	}
+
+	reg := serve.NewRegistry()
+	reg.Publish("tpch", cpuEst)
+	rep := newHTTPReplica(t, reg)
+	_, rhs = newRouter(t, []*testReplica{rep}, func(o *cluster.Options) { o.CacheEntries = -1 })
+	rep.svc.Close() // its HTTP listener stays up, answering 503 unavailable
+	for _, c := range []struct {
+		path string
+		body []byte
+	}{
+		{"/estimate", body},
+		{"/estimate/batch", batchBody(t, "tpch", testPlans[:1])},
+	} {
+		r := postRefused(t, rhs.URL, c.path, "", c.body)
+		if r.status != http.StatusServiceUnavailable || r.Code != "unavailable" || r.retryAfter != "1" {
+			t.Errorf("%s on a closed replica: status %d code %q Retry-After %q, want 503 unavailable 1",
+				c.path, r.status, r.Code, r.retryAfter)
+		}
+	}
+}
+
 // TestRouterFailoverMidRequest pins the failover ladder both routed
 // paths share. A replica that dies between polls fails the request sent
 // to it at once; it is marked down on the spot and the request is

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"testing"
@@ -67,6 +68,39 @@ func streamAnswer(t *testing.T, cl *stream.Client, body []byte) answer {
 	return answer{}
 }
 
+// overflowWire is testPlans[0] with its row and page counts scaled so
+// the largest is 1e306: a finite, valid plan whose CPU estimate
+// overflows to +Inf, an answer no surface can encode.
+func overflowWire(t *testing.T) string {
+	t.Helper()
+	wire, err := plan.EncodeJSON(testPlans[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.DecodeJSON(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest float64
+	p.Walk(func(n *plan.Node) {
+		largest = max(largest, n.TableRows, n.TablePages, n.Out.Rows, n.EstOut.Rows)
+	})
+	f := 1e306 / largest
+	p.Walk(func(n *plan.Node) {
+		n.TableRows *= f
+		n.TablePages *= f
+		n.Out.Rows *= f
+		n.EstOut.Rows *= f
+	})
+	if total := cpuEst.PredictPlan(p); !math.IsInf(total, 1) {
+		t.Fatalf("scaled plan's CPU estimate is %v, want +Inf", total)
+	}
+	if wire, err = plan.EncodeJSON(p); err != nil {
+		t.Fatal(err)
+	}
+	return string(wire)
+}
+
 // TestSurfaceParity pins the rule that every surface reads a
 // single-estimate body as POST /estimate does: a replica's stream
 // listener and the router, over HTTP and over the stream, answer each
@@ -75,7 +109,9 @@ func streamAnswer(t *testing.T, cl *stream.Client, body []byte) answer {
 // bodies are the canonical one and the shapes the envelope walker
 // declines, each of which the encoding/json fallback reads its own way:
 // bytes after the object, a second object, a body cut short, an escaped
-// or unknown key, a null plan, an empty resource set. Every surface is
+// or unknown key, a null plan, an empty resource set — and a plan whose
+// estimate overflows, which every surface refuses as 500 internal
+// rather than encode. Every surface is
 // asked each body in turn, streams first and then HTTP first, on a fresh
 // replica and router each time, so an answer one surface filed in a
 // response cache cannot stand in for what another would have said. The
@@ -100,6 +136,7 @@ func TestSurfaceParity(t *testing.T) {
 		{"unknown key", `{"schema":"tpch","resource":"cpu","priority":3,"plan":` + string(wire) + `}`, http.StatusOK},
 		{"null plan", `{"schema":"tpch","resource":"cpu","plan":null}`, http.StatusBadRequest},
 		{"empty resource set", `{"schema":"tpch","resources":[],"plan":` + string(wire) + `}`, http.StatusBadRequest},
+		{"estimate overflows", `{"schema":"tpch","resource":"cpu","plan":` + overflowWire(t) + `}`, http.StatusInternalServerError},
 	}
 	for _, order := range []string{"streams first", "HTTP first"} {
 		t.Run(order, func(t *testing.T) {

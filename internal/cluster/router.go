@@ -231,26 +231,12 @@ func (rt *Router) FleetConsistent() bool {
 	return true
 }
 
-// routeError is a forwarding failure in wire terms: the HTTP status
-// and the stable error code both surfaces translate to their envelope.
-type routeError struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter bool // sets Retry-After: 1 on the HTTP surface
-}
-
-func (e *routeError) Error() string { return e.msg }
-
-var errShed = &routeError{
-	status: http.StatusServiceUnavailable, code: "unavailable",
-	msg: "router overloaded, retry later", retryAfter: true,
-}
-
-var errNoReplica = &routeError{
-	status: http.StatusServiceUnavailable, code: "unavailable",
-	msg: "no healthy version-consistent replica available", retryAfter: true,
-}
+// The router's own refusals, in serve's envelope: an unavailable code
+// is answered 503 with Retry-After on the HTTP surface.
+var (
+	errShed      = &serve.Error{Message: "router overloaded, retry later", Code: serve.CodeUnavailable}
+	errNoReplica = &serve.Error{Message: "no healthy version-consistent replica available", Code: serve.CodeUnavailable}
+)
 
 // admit acquires admission for one request from client. The returned
 // counter must be handed to release exactly once. ok=false means shed.
@@ -341,7 +327,7 @@ func (rt *Router) pick(schema string, skipped map[string]bool) (rp *replica, spi
 // response bytes — byte-identical to what the replica's own HTTP
 // endpoint would have written — from the router cache when it can,
 // else by forwarding.
-func (rt *Router) estimate(ctx context.Context, body []byte) ([]byte, *routeError) {
+func (rt *Router) estimate(ctx context.Context, body []byte) ([]byte, *serve.Error) {
 	if resp, ok := rt.cached(body); ok {
 		return resp, nil
 	}
@@ -409,11 +395,11 @@ func (rt *Router) counted(rp *replica, spill bool) {
 
 // forward routes body by its schema to a replica and caches the
 // answer. body is retained past the call only as a copy.
-func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *routeError) {
+func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *serve.Error) {
 	schema := peekSchema(body)
 	var (
 		resp []byte
-		rerr *routeError
+		rerr *serve.Error
 	)
 	answered := rt.route(schema, func(rp *replica) error {
 		// The token the answer is filed under is the one rp reported
@@ -441,10 +427,10 @@ func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *routeError
 // forwardOnce sends body to rp over its stream pool, or to its POST
 // /estimate when the replica advertises no stream listener or the
 // pooled connection is lost (the next poll replaces it). A non-nil
-// transport error means rp never answered; a *routeError means it
-// answered with a structured error. A 200's bytes are the replica's,
-// verbatim.
-func (rt *Router) forwardOnce(ctx context.Context, rp *replica, body []byte) ([]byte, *routeError, error) {
+// transport error means rp never answered; a *serve.Error means it
+// answered with a structured error — a refusal with no envelope is an
+// internal one. A 200's bytes are the replica's, verbatim.
+func (rt *Router) forwardOnce(ctx context.Context, rp *replica, body []byte) ([]byte, *serve.Error, error) {
 	rp.inflight.Add(1)
 	defer rp.inflight.Add(-1)
 	ctx, cancel := context.WithTimeout(ctx, rt.opts.RequestTimeout)
@@ -454,15 +440,15 @@ func (rt *Router) forwardOnce(ctx context.Context, rp *replica, body []byte) ([]
 		if err == nil {
 			return resp, nil, nil
 		}
-		var se *stream.Error
+		var se *serve.Error
 		switch {
 		case errors.As(err, &se):
-			return nil, &routeError{status: serve.StatusForCode(se.Code), code: se.Code, msg: se.Message}, nil
+			return nil, se, nil
 		case errors.Is(err, stream.ErrConnLost):
 			// The connection is gone, not necessarily the replica: ask
 			// it over HTTP, which fails at once if it is dead too.
 		case ctx.Err() != nil:
-			return nil, &routeError{status: http.StatusGatewayTimeout, code: "timeout", msg: err.Error()}, nil
+			return nil, &serve.Error{Message: err.Error(), Code: serve.CodeTimeout}, nil
 		default:
 			return nil, nil, err
 		}
@@ -474,9 +460,9 @@ func (rt *Router) forwardOnce(ctx context.Context, rp *replica, body []byte) ([]
 	if status == http.StatusOK {
 		return out, nil, nil
 	}
-	var env struct{ Error, Code string }
-	if json.Unmarshal(out, &env) != nil || env.Code == "" {
-		env.Error, env.Code = fmt.Sprintf("replica error: %d %s", status, http.StatusText(status)), "internal"
+	e := new(serve.Error)
+	if json.Unmarshal(out, e) != nil || e.Code == "" {
+		e = &serve.Error{Message: fmt.Sprintf("replica error: %d %s", status, http.StatusText(status)), Code: serve.CodeInternal}
 	}
-	return nil, &routeError{status: status, code: env.Code, msg: env.Error}, nil
+	return nil, e, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/stream"
 )
 
@@ -55,7 +56,7 @@ func (rt *Router) StreamAddr() string {
 func (rt *Router) handleFrame(c *stream.Conn, f *stream.Frame) {
 	ctr, ok := rt.admit(c.RemoteHost())
 	if !ok {
-		_ = c.Queue(stream.ErrorFrame(f.Seq, errShed.msg, errShed.code))
+		_ = c.Queue(stream.ErrorFrame(f.Seq, errShed.Message, errShed.Code))
 		return
 	}
 	if resp, ok := rt.cached(f.Body); ok {
@@ -141,7 +142,7 @@ func (m *miss) Complete(resp []byte, err error) {
 			m.rt.cache.Put(string(m.body), m.schema, m.tok, bytes.Clone(resp), m.rp.reports)
 		}
 		m.answer = stream.Frame{Type: stream.FrameResponse, Seq: m.seq, Body: resp}
-	} else if se, ok := err.(*stream.Error); ok {
+	} else if se, ok := err.(*serve.Error); ok {
 		m.answer = *stream.ErrorFrame(m.seq, se.Message, se.Code)
 	} else {
 		// The connection is lost, not necessarily the replica, or its
@@ -162,7 +163,7 @@ func (m *miss) timeout() {
 		return
 	}
 	m.rp.inflight.Add(-1)
-	m.answer = *stream.ErrorFrame(m.seq, context.DeadlineExceeded.Error(), "timeout")
+	m.answer = *stream.ErrorFrame(m.seq, context.DeadlineExceeded.Error(), serve.CodeTimeout)
 	m.reply()
 }
 
@@ -199,9 +200,9 @@ func (m *miss) forward() {
 	resp, rerr := m.rt.forward(ctx, m.body)
 	answer := &stream.Frame{Type: stream.FrameResponse, Seq: m.seq, Body: resp}
 	if rerr != nil {
-		answer = stream.ErrorFrame(m.seq, rerr.msg, rerr.code)
+		answer = stream.ErrorFrame(m.seq, rerr.Message, rerr.Code)
 	}
 	if err := m.c.Send(ctx, answer); err != nil && !errors.Is(err, stream.ErrConnLost) {
-		_ = m.c.Send(ctx, stream.ErrorFrame(m.seq, "frame response: "+err.Error(), "internal"))
+		_ = m.c.Send(ctx, stream.ErrorFrame(m.seq, "frame response: "+err.Error(), serve.CodeInternal))
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -65,6 +64,24 @@ func parseSegmentName(name string) (writer, seg int, ok bool) {
 	return writer, seg, name == segmentName(writer, seg)
 }
 
+// Segments lists the paths of dir's observation-log segments in replay
+// order: by writer index, then by segment index — the order of their
+// fixed-width names. Files not named as the log names its segments are
+// left out.
+func Segments(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		return nil, fmt.Errorf("feedback: %w", err)
+	}
+	var paths []string
+	for _, e := range entries {
+		if _, _, ok := parseSegmentName(e.Name()); ok {
+			paths = append(paths, filepath.Join(dir, e.Name()))
+		}
+	}
+	return paths, nil
+}
+
 // OpenLog opens (or creates) the log in opts.Dir, recovering the tail
 // segment: it is scanned record by record and truncated after the last
 // one whose CRC checks out.
@@ -75,13 +92,13 @@ func OpenLog(opts LogOptions) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("feedback: %w", err)
 	}
-	entries, err := os.ReadDir(opts.Dir)
+	segs, err := Segments(opts.Dir)
 	if err != nil {
-		return nil, fmt.Errorf("feedback: %w", err)
+		return nil, err
 	}
 	l := &Log{opts: opts, seg: 1}
-	for _, e := range entries {
-		if writer, seg, ok := parseSegmentName(e.Name()); ok && writer == logWriter && seg > l.seg {
+	for _, path := range segs {
+		if writer, seg, _ := parseSegmentName(filepath.Base(path)); writer == logWriter && seg > l.seg {
 			l.seg = seg
 		}
 	}
@@ -215,26 +232,13 @@ func (l *Log) Replay(fn func(*Observation) error) (int, error) {
 // ReplayDir replays an observation-log directory without opening it for
 // writing — e.g. offline inspection of a live server's log.
 func ReplayDir(dir string, fn func(*Observation) error) (int, error) {
-	entries, err := os.ReadDir(dir)
+	segs, err := Segments(dir)
 	if err != nil {
-		return 0, fmt.Errorf("feedback: %w", err)
+		return 0, err
 	}
-	type segFile struct{ writer, seg int }
-	var segs []segFile
-	for _, e := range entries {
-		if writer, seg, ok := parseSegmentName(e.Name()); ok {
-			segs = append(segs, segFile{writer, seg})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].writer != segs[j].writer {
-			return segs[i].writer < segs[j].writer
-		}
-		return segs[i].seg < segs[j].seg
-	})
 	total := 0
-	for _, sf := range segs {
-		_, n, err := scanSegment(filepath.Join(dir, segmentName(sf.writer, sf.seg)), fn)
+	for _, path := range segs {
+		_, n, err := scanSegment(path, fn)
 		total += n
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return total, err

@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -365,5 +366,36 @@ func TestLogRetention(t *testing.T) {
 	}
 	if !slices.Equal(kept, want) {
 		t.Fatalf("after open with %d segments: %v, want the newest %d: %v", retainSegments+2, kept, retainSegments, want)
+	}
+}
+
+// TestSegmentsReplayOrder lists a directory holding two writers'
+// segments and files named otherwise (a writer or segment index not of
+// the log's width among them): the segments come back by writer, then
+// by index, and nothing else.
+func TestSegmentsReplayOrder(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{
+		"obs-01-00000001.seg", "obs-00-100000000.seg", "obs-00-00000002.seg",
+		"obs-00-00000010.seg", "obs-0-00000003.seg", "obs-00-00000004.tmp", "notes.txt",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, p := range got {
+		names = append(names, filepath.Base(p))
+	}
+	want := []string{"obs-00-00000002.seg", "obs-00-00000010.seg", "obs-01-00000001.seg"}
+	if !slices.Equal(names, want) {
+		t.Errorf("Segments = %v, want %v", names, want)
+	}
+	if _, err := Segments(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Segments of a missing directory: %v, want a not-exist error", err)
 	}
 }

@@ -254,7 +254,10 @@ func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 		st.seenVersion = version
 	}
 	staleResolve := version != 0 && version < st.seenVersion
-	scored := predicted > 0 && !staleResolve
+	// A prediction that overflowed has no relative error: scored, it
+	// would put a NaN in the window and disarm drift, which is what
+	// Observation.validate keeps a client-sent prediction from doing.
+	scored := predicted > 0 && !math.IsInf(predicted, 1) && !staleResolve
 	if scored {
 		st.window.Add(stats.L1RelErr(predicted, actual))
 		// Accuracy telemetry: the signed log-ratio histogram and the
@@ -272,6 +275,9 @@ func (l *Loop) ingest(obs *Observation, served Served, check bool) {
 	}
 	if !staleResolve {
 		for _, s := range opErrs {
+			if math.IsInf(s.pred, 0) || math.IsNaN(s.pred) {
+				continue
+			}
 			w, ok := st.perOp[s.kind]
 			if !ok {
 				w = stats.NewRolling(perOpWindowSize)

@@ -459,3 +459,50 @@ func TestReplayBoundsRoutes(t *testing.T) {
 		t.Fatalf("observe for the dropped route: %v, want ErrInvalid", err)
 	}
 }
+
+// TestLoopSkipsNonFinitePredictions serves a plan whose first operator
+// was predicted +Inf, so its total is +Inf too: the observation is
+// logged and buffered, but neither the plan nor that operator is
+// scored, and the operators predicted finitely still are.
+func TestLoopSkipsNonFinitePredictions(t *testing.T) {
+	plans := executedPlans(t, 5, 4)
+	pub := &stubPublisher{}
+	trainStale(t, pub, plans)
+	dir := t.TempDir()
+	l, err := New(Options{Dir: dir, Publisher: pub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	p := plans[0]
+	_, version := pub.current()
+	var preds []float64
+	p.Walk(func(n *plan.Node) { preds = append(preds, 1) })
+	preds[0] = math.Inf(1)
+	if err := l.ObserveServed(&Observation{Schema: "tpch", Resource: plan.CPUTime, Plan: p},
+		Served{Version: version, Operators: preds}); err != nil {
+		t.Fatal(err)
+	}
+	routes := l.Snapshot()
+	if _, err := json.Marshal(routes); err != nil {
+		t.Fatalf("snapshot does not encode: %v", err)
+	}
+	r := routes[0]
+	if r.Observations != 1 || r.Buffered != 1 {
+		t.Errorf("%d observations, %d buffered; want the one, buffered", r.Observations, r.Buffered)
+	}
+	if r.Window.Count != 0 || r.Coverage != nil || r.ErrorLogRatio != nil || len(l.Exemplars()) != 0 {
+		t.Errorf("a +Inf total was scored: window %+v, coverage %+v, histogram %+v, %d exemplars",
+			r.Window, r.Coverage, r.ErrorLogRatio, len(l.Exemplars()))
+	}
+	samples := 0
+	for _, op := range r.PerOperator {
+		samples += op.Count
+	}
+	if want := len(preds) - 1; samples != want {
+		t.Errorf("%d per-operator samples, want the %d finite ones", samples, want)
+	}
+	if n, err := ReplayDir(dir, func(*Observation) error { return nil }); n != 1 || err != nil {
+		t.Errorf("log replays %d observations (%v), want 1", n, err)
+	}
+}

@@ -7,13 +7,16 @@ import (
 )
 
 // The halves of the request decode and of the response encode, exposed
-// so the external test package can run them against each other, and
-// the body pool so it can scribble over what the handlers hand back.
+// so the external test package can run them against each other, the
+// code→status table README's error table is held to, and the body pool
+// so it can scribble over what the handlers hand back.
 var (
 	DecodeRequestStd = decodeRequestStd
 	AppendWire       = appendWire
-	MarshalStd       = marshalStd
+	CodeStatus       = codeStatus
 )
+
+func MarshalStd(v any) ([]byte, error) { return appendStd(nil, v) }
 
 const (
 	BatchKeys      = batchKeys

@@ -19,47 +19,6 @@ import (
 	"repro/internal/plan"
 )
 
-// errorJSON is the structured error envelope every endpoint returns on
-// failure: a human-readable message plus a stable machine-readable code
-// (see the errCode* constants). Batch endpoints additionally set Plan
-// to the index of the offending plan. RequestID echoes the request's
-// X-Request-ID (client-supplied or generated), the handle that joins a
-// failure response to the server's slow-trace and error logs.
-type errorJSON struct {
-	Error     string `json:"error"`
-	Code      string `json:"code"`
-	Plan      *int   `json:"plan,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-// Stable error codes for the wire. Clients should branch on these, not
-// on message text.
-const (
-	errCodeBadRequest      = "bad_request"
-	errCodeUnknownResource = "unknown_resource"
-	errCodeUnknownOperator = "unknown_operator"
-	errCodeBadPlan         = "bad_plan"
-	errCodeUnknownSchema   = "unknown_schema"
-	errCodeNoHistory       = "no_history"
-	errCodeConflict        = "conflict"
-	errCodeModeMismatch    = "mode_mismatch"
-	errCodeUnavailable     = "unavailable"
-	errCodeTimeout         = "timeout"
-	errCodeForbidden       = "forbidden"
-	errCodeBatchTooLarge   = "batch_too_large"
-	errCodeInternal        = "internal"
-)
-
-// jsonError builds the envelope; planIdx < 0 omits the plan index.
-func jsonError(msg, code string, planIdx int) errorJSON {
-	e := errorJSON{Error: msg, Code: code}
-	if planIdx >= 0 {
-		idx := planIdx
-		e.Plan = &idx
-	}
-	return e
-}
-
 // ParseResource maps the wire resource names to plan.ResourceKind.
 // Unknown names yield an error wrapping ErrUnknownResource, which the
 // HTTP layer maps to the structured {error, code, plan} envelope with
@@ -159,7 +118,7 @@ const (
 //	                       stream address, build info) once at least
 //	                       one model is published
 //
-// Failures return the structured errorJSON envelope: a message, a
+// Failures return the structured Error envelope: a message, a
 // stable machine-readable code, the request's X-Request-ID, and — on
 // batch requests — the index of the offending plan.
 //
@@ -173,7 +132,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /estimate/batch", s.handleEstimateBatch)
 	mux.HandleFunc("POST /observe", s.handleObserve)
 	mux.HandleFunc("GET /models", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.reg.Models())
+		writeJSON(w, r, http.StatusOK, s.reg.Models())
 	})
 	mux.HandleFunc("POST /models", s.handlePublish)
 	mux.HandleFunc("POST /models/rollback", s.handleRollback)
@@ -212,11 +171,10 @@ type healthJSON struct {
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	vec := s.reg.VersionVector()
 	if len(vec) == 0 {
-		writeError(w, r, http.StatusServiceUnavailable,
-			jsonError("no models published", errCodeUnavailable, -1))
+		WriteError(w, r, &Error{Message: "no models published", Code: CodeUnavailable})
 		return
 	}
-	writeJSON(w, http.StatusOK, healthJSON{
+	writeJSON(w, r, http.StatusOK, healthJSON{
 		Status:        "ok",
 		Models:        vec,
 		StoreChecksum: VersionChecksum(vec),
@@ -249,7 +207,7 @@ func WriteMetrics(w http.ResponseWriter, r *http.Request, reg *obs.Registry, sna
 		_ = reg.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshot())
+	writeJSON(w, r, http.StatusOK, snapshot())
 }
 
 // wantsPrometheus decides the /metrics representation: an explicit
@@ -334,7 +292,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffe
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		releaseBody(buf)
-		writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
+		WriteError(w, r, BadBody(err))
 		return nil, false
 	}
 	return buf, true
@@ -348,9 +306,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, body []byte, keys Envelo
 	case err == nil:
 		return env, true
 	case errors.Is(err, errTooManyPlans):
-		writeError(w, r, http.StatusRequestEntityTooLarge, jsonError(err.Error(), errCodeBatchTooLarge, -1))
+		WriteError(w, r, &Error{Message: err.Error(), Code: CodeBatchTooLarge})
 	default:
-		writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
+		WriteError(w, r, BadBody(err))
 	}
 	return Envelope{}, false
 }
@@ -381,27 +339,28 @@ func releaseBody(buf *bytes.Buffer) {
 // walker or still wire bytes — into what Estimate takes: the resource
 // kinds and the decoded, validated plan. Every transport that takes the
 // envelope (POST /estimate, POST /observe, the stream's estimate frame)
-// resolves it here, so they refuse the same requests in the same words:
-// on failure, err is the message and code the stable wire code to
-// answer with — an unknown resource, a missing plan (the key absent, or
-// null: bad_request rather than a decode error about wire version 0), a
-// plan that does not decode (unknown_operator told apart from
-// bad_plan). All are the client's fault, HTTP status 400.
-func ResolveEstimate(env *Envelope) (kinds []plan.ResourceKind, p *plan.Plan, code string, err error) {
-	if kinds, err = env.Resources.Kinds(env.Resource); err != nil {
-		_, code = ErrorCode(err)
-		return nil, nil, code, err
+// resolves it here, so they refuse the same requests in the same words,
+// with the envelope it returns on failure: an unknown resource, a
+// missing plan (the key absent, or null: bad_request rather than a
+// decode error about wire version 0), a plan that does not decode
+// (unknown_operator told apart from bad_plan). All are the client's
+// fault, HTTP status 400.
+func ResolveEstimate(env *Envelope) ([]plan.ResourceKind, *plan.Plan, *Error) {
+	kinds, err := env.Resources.Kinds(env.Resource)
+	if err != nil {
+		return nil, nil, ErrorFor(err)
 	}
 	if env.Built != nil {
-		return kinds, env.Built, "", nil
+		return kinds, env.Built, nil
 	}
 	if len(env.Plan) == 0 || string(env.Plan) == "null" {
-		return nil, nil, errCodeBadRequest, errors.New("missing plan")
+		return nil, nil, &Error{Message: "missing plan", Code: CodeBadRequest}
 	}
-	if p, err = plan.DecodeJSON(env.Plan); err != nil {
-		return nil, nil, planErrCode(err), err
+	p, err := plan.DecodeJSON(env.Plan)
+	if err != nil {
+		return nil, nil, &Error{Message: err.Error(), Code: planErrCode(err)}
 	}
-	return kinds, p, "", nil
+	return kinds, p, nil
 }
 
 // estimateCall is what POST /estimate and POST /estimate/batch share
@@ -439,11 +398,8 @@ func (s *Service) newCall(w http.ResponseWriter, r *http.Request, ep int) estima
 	return c
 }
 
-// reject answers 400 with the structured envelope; planIdx < 0 omits
-// the plan index.
-func (c *estimateCall) reject(msg, code string, planIdx int) {
-	writeError(c.w, c.r, http.StatusBadRequest, jsonError(msg, code, planIdx))
-}
+// reject answers a request the envelope condemns.
+func (c *estimateCall) reject(e *Error) { WriteError(c.w, c.r, e) }
 
 // decoded records the decode stage and returns the context the service
 // call runs under, carrying the trace.
@@ -460,8 +416,7 @@ func (c *estimateCall) finish(resp any, err error) {
 	attrs := buf[:0]
 	switch {
 	case err != nil:
-		status, body := errorFor(err)
-		writeError(c.w, c.r, status, body)
+		WriteError(c.w, c.r, ErrorFor(err))
 		attrs = append(attrs, slog.String("error", err.Error()))
 	case tel == nil:
 		c.write(resp)
@@ -483,8 +438,8 @@ func (c *estimateCall) finish(resp any, err error) {
 // encoded once and filed before any of it reaches the client, so a
 // client holding its answer that asks again is replayed — the stream's
 // rule, and its sequence: MarshalWire, FileReplay, send. A response
-// that does not encode (a NaN or infinite number) is left to writeJSON
-// to fail as it always has, and is never filed.
+// that does not encode (a NaN or infinite number) is never filed; it
+// is left to writeJSON to refuse.
 func (c *estimateCall) write(resp any) {
 	if r, ok := resp.(*Response); ok && c.key != "" {
 		if wire, err := MarshalWire(r); err == nil {
@@ -493,7 +448,7 @@ func (c *estimateCall) write(resp any) {
 			return
 		}
 	}
-	writeJSON(c.w, http.StatusOK, resp)
+	writeJSON(c.w, c.r, http.StatusOK, resp)
 }
 
 // handleEstimate answers a body it has answered before from the
@@ -527,9 +482,9 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if c.env, ok = decodeBody(w, r, buf.Bytes(), EstimateKeys); !ok {
 		return
 	}
-	kinds, p, code, err := ResolveEstimate(&c.env)
-	if err != nil {
-		c.reject(err.Error(), code, -1)
+	kinds, p, e := ResolveEstimate(&c.env)
+	if e != nil {
+		c.reject(e)
 		return
 	}
 	if cached { // copied only once the body is known to be a request
@@ -575,16 +530,16 @@ func (s *Service) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	c.env = env
 	kinds, err := c.env.Resources.Kinds(c.env.Resource)
 	if err != nil {
-		_, code := ErrorCode(err)
-		c.reject(err.Error(), code, -1)
+		c.reject(ErrorFor(err))
 		return
 	}
 	if len(c.env.Plans) == 0 {
-		c.reject("missing plans", errCodeBadRequest, -1)
+		c.reject(&Error{Message: "missing plans", Code: CodeBadRequest})
 		return
 	}
 	if err := c.env.badPlanErr; err != nil {
-		c.reject(fmt.Sprintf("plan %d: %v", c.env.badPlan, err), planErrCode(err), c.env.badPlan)
+		idx := c.env.badPlan
+		c.reject(&Error{Message: fmt.Sprintf("plan %d: %v", idx, err), Code: planErrCode(err), Plan: &idx})
 		return
 	}
 	c.plans = len(c.env.Plans)
@@ -596,16 +551,6 @@ func (s *Service) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	}))
 }
 
-// planErrCode classifies a plan.DecodeJSON failure: a plan naming an
-// operator this build does not know is distinguished from structurally
-// bad plans so clients can react (e.g. strip unsupported operators).
-func planErrCode(err error) string {
-	if errors.Is(err, plan.ErrUnknownOp) {
-		return errCodeUnknownOperator
-	}
-	return errCodeBadPlan
-}
-
 // handlePublish rolls out a new model version from a file under the
 // configured ModelDir without downtime: in-flight requests finish on
 // the version they routed to, subsequent ones see the new model. The
@@ -614,36 +559,37 @@ func planErrCode(err error) string {
 // naming the version that serves regardless.
 func (s *Service) handlePublish(w http.ResponseWriter, r *http.Request) {
 	if s.opts.ModelDir == "" {
-		writeError(w, r, http.StatusForbidden,
-			jsonError("model publishing disabled (no model directory configured)", errCodeForbidden, -1))
+		WriteError(w, r, &Error{Message: "model publishing disabled (no model directory configured)", Code: CodeForbidden})
 		return
 	}
 	var req publishRequestJSON
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPublishBody)).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
+		WriteError(w, r, BadBody(err))
 		return
 	}
 	if req.Path == "" {
-		writeError(w, r, http.StatusBadRequest, jsonError("missing path", errCodeBadRequest, -1))
+		WriteError(w, r, &Error{Message: "missing path", Code: CodeBadRequest})
 		return
 	}
 	if !filepath.IsLocal(req.Path) {
-		writeError(w, r, http.StatusBadRequest,
-			jsonError("path must be relative to the model directory", errCodeBadRequest, -1))
+		WriteError(w, r, &Error{Message: "path must be relative to the model directory", Code: CodeBadRequest})
 		return
 	}
 	info, err := s.reg.PublishFile(req.Schema, filepath.Join(s.opts.ModelDir, req.Path))
 	if err != nil {
-		status, code := http.StatusBadRequest, errCodeBadRequest
+		e := &Error{Message: err.Error(), Code: CodeBadRequest}
 		if errors.Is(err, errUnpersisted) {
-			status, code = http.StatusInternalServerError, errCodeInternal
-			err = fmt.Errorf("version %d serves in no snapshot: %w", info.Version, err)
+			e = &Error{Message: fmt.Sprintf("version %d serves in no snapshot: %v", info.Version, err), Code: CodeInternal}
 		}
-		writeError(w, r, status, jsonError(err.Error(), code, -1))
+		WriteError(w, r, e)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(w, r, http.StatusOK, info)
 }
+
+// errNoFeedback refuses an observation on a service with no feedback
+// loop attached.
+var errNoFeedback = &Error{Message: "observation ingest disabled (no feedback loop attached)", Code: CodeForbidden}
 
 // handleObserve ingests one (plan, predicted, actual) observation into
 // the feedback loop — the entry point of the serve → observe → retrain
@@ -651,8 +597,7 @@ func (s *Service) handlePublish(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 	loop := s.opts.Feedback
 	if loop == nil {
-		writeError(w, r, http.StatusForbidden,
-			jsonError("observation ingest disabled (no feedback loop attached)", errCodeForbidden, -1))
+		WriteError(w, r, errNoFeedback)
 		return
 	}
 	env, buf, ok := readRequest(w, r, maxEstimateBody, observeKeys)
@@ -660,9 +605,9 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseBody(buf)
-	kinds, p, code, err := ResolveEstimate(&env)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, jsonError(err.Error(), code, -1))
+	kinds, p, e := ResolveEstimate(&env)
+	if e != nil {
+		WriteError(w, r, e)
 		return
 	}
 	// The estimate this observation reports on left the plan's
@@ -675,7 +620,7 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 	defer putScratch(sc)
 	served := s.servedPredictions(env.Schema, kinds, p, sc)
 	served.Wire = env.Plan
-	err = loop.ObserveServed(&feedback.Observation{
+	err := loop.ObserveServed(&feedback.Observation{
 		Schema:       env.Schema,
 		Resource:     kinds[0],
 		ModelVersion: env.ModelVersion,
@@ -690,14 +635,14 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 		// Malformed observations are the client's fault; anything else
 		// (log I/O, shutdown) is a server-side failure — never a 4xx
 		// that would teach clients to drop valid reports.
-		status, code := http.StatusInternalServerError, errCodeInternal
+		e := &Error{Message: err.Error(), Code: CodeInternal}
 		switch {
 		case errors.Is(err, feedback.ErrInvalid):
-			status, code = http.StatusBadRequest, errCodeBadRequest
+			e.Code = CodeBadRequest
 		case errors.Is(err, feedback.ErrClosed):
-			status, code = http.StatusServiceUnavailable, errCodeUnavailable
+			e.Code = CodeUnavailable
 		}
-		writeError(w, r, status, jsonError(err.Error(), code, -1))
+		WriteError(w, r, e)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -715,8 +660,7 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleObserveSegment(w http.ResponseWriter, r *http.Request) {
 	loop := s.opts.Feedback
 	if loop == nil {
-		writeError(w, r, http.StatusForbidden,
-			jsonError("observation ingest disabled (no feedback loop attached)", errCodeForbidden, -1))
+		WriteError(w, r, errNoFeedback)
 		return
 	}
 	var accepted, rejected int
@@ -735,14 +679,14 @@ func (s *Service) handleObserveSegment(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		status, code := http.StatusBadRequest, errCodeBadRequest
+		e := &Error{Message: err.Error(), Code: CodeBadRequest}
 		if errors.Is(err, feedback.ErrClosed) {
-			status, code = http.StatusServiceUnavailable, errCodeUnavailable
+			e.Code = CodeUnavailable
 		}
-		writeError(w, r, status, jsonError(err.Error(), code, -1))
+		WriteError(w, r, e)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": accepted, "rejected": rejected})
+	writeJSON(w, r, http.StatusAccepted, map[string]int{"accepted": accepted, "rejected": rejected})
 }
 
 type rollbackRequestJSON struct {
@@ -756,94 +700,20 @@ type rollbackRequestJSON struct {
 func (s *Service) handleRollback(w http.ResponseWriter, r *http.Request) {
 	var req rollbackRequestJSON
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPublishBody)).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, jsonError("bad request body: "+err.Error(), errCodeBadRequest, -1))
+		WriteError(w, r, BadBody(err))
 		return
 	}
 	resource, err := ParseResource(req.Resource)
 	if err != nil {
-		status, body := errorFor(err)
-		writeError(w, r, status, body)
+		WriteError(w, r, ErrorFor(err))
 		return
 	}
 	info, err := s.reg.Rollback(req.Schema, resource)
 	if err != nil {
-		status, body := errorFor(err)
-		writeError(w, r, status, body)
+		WriteError(w, r, ErrorFor(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-// errorFor maps a service-layer error to its HTTP status and structured
-// wire envelope.
-func errorFor(err error) (int, errorJSON) {
-	status, code := http.StatusBadRequest, errCodeBadRequest
-	switch {
-	case errors.Is(err, ErrUnknownResource):
-		status, code = http.StatusBadRequest, errCodeUnknownResource
-	case errors.Is(err, ErrModeMismatch):
-		status, code = http.StatusConflict, errCodeModeMismatch
-	case errors.Is(err, ErrNoModel):
-		status, code = http.StatusNotFound, errCodeUnknownSchema
-	case errors.Is(err, ErrNoHistory):
-		status, code = http.StatusNotFound, errCodeNoHistory
-	case errors.Is(err, ErrRollbackConflict):
-		status, code = http.StatusConflict, errCodeConflict
-	case errors.Is(err, ErrClosed), errors.Is(err, feedback.ErrClosed):
-		status, code = http.StatusServiceUnavailable, errCodeUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		status, code = http.StatusGatewayTimeout, errCodeTimeout
-	case errors.Is(err, plan.ErrUnknownOp):
-		status, code = http.StatusBadRequest, errCodeUnknownOperator
-	}
-	return status, jsonError(err.Error(), code, -1)
-}
-
-// ErrorCode maps a service-layer error to its HTTP status and stable
-// machine-readable wire code — the exact mapping the HTTP handlers
-// use. The streaming transport reuses it so both transports speak
-// identical error envelopes and clients can branch on one code set.
-func ErrorCode(err error) (status int, code string) {
-	status, e := errorFor(err)
-	return status, e.Code
-}
-
-// StatusForCode maps a stable wire error code back to the HTTP status
-// the handlers pair it with — the inverse of ErrorCode, for proxies
-// that receive a stream error envelope and must answer over HTTP.
-// Unknown codes map to 500.
-func StatusForCode(code string) int {
-	switch code {
-	case errCodeBadRequest, errCodeUnknownResource, errCodeBadPlan, errCodeUnknownOperator:
-		return http.StatusBadRequest
-	case errCodeUnknownSchema, errCodeNoHistory:
-		return http.StatusNotFound
-	case errCodeConflict, errCodeModeMismatch:
-		return http.StatusConflict
-	case errCodeForbidden:
-		return http.StatusForbidden
-	case errCodeBatchTooLarge:
-		return http.StatusRequestEntityTooLarge
-	case errCodeUnavailable:
-		return http.StatusServiceUnavailable
-	case errCodeTimeout:
-		return http.StatusGatewayTimeout
-	}
-	return http.StatusInternalServerError
-}
-
-// writeError stamps the request's ID into the error envelope before
-// writing it.
-func writeError(w http.ResponseWriter, r *http.Request, status int, e errorJSON) {
-	e.RequestID = RequestIDFrom(r.Context())
-	writeJSON(w, status, e)
-}
-
-// WriteError answers r with the error envelope every endpoint uses —
-// msg, the stable code, the request's ID — so a proxy in front of the
-// service refuses in the same shape.
-func WriteError(w http.ResponseWriter, r *http.Request, status int, msg, code string) {
-	writeError(w, r, status, errorJSON{Error: msg, Code: code})
+	writeJSON(w, r, http.StatusOK, info)
 }
 
 // NewHTTPServer is the http.Server resserve and resrouter listen with:

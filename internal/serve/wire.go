@@ -34,7 +34,7 @@ func MarshalWire(v any) ([]byte, error) {
 	defer wirePool.Put(buf)
 	b, ok := appendWire((*buf)[:0], v)
 	if !ok {
-		return marshalStd(v)
+		return appendStd(nil, v)
 	}
 	if cap(b) <= maxPooledWire {
 		*buf = b
@@ -42,11 +42,12 @@ func MarshalWire(v any) ([]byte, error) {
 	return bytes.Clone(b), nil
 }
 
-// marshalStd is the encoding/json encode: the fallback for values the
-// append encoders decline, and the reference they are tested against.
-func marshalStd(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+// appendStd appends the encoding/json encode of v to dst: the fallback
+// for values the append encoders decline, and the reference they are
+// tested against.
+func appendStd(dst []byte, v any) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
 		return nil, err
@@ -77,17 +78,20 @@ var wirePool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledWire = 1 << 20
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON answers r with v's wire encoding at status. The whole body
+// is encoded before the status goes out, so a value that does not
+// encode (a NaN or infinite number) is refused with EncodeFailed's 500
+// rather than a success with no body.
+func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	buf := wirePool.Get().(*[]byte)
 	defer wirePool.Put(buf)
 	b, ok := appendWire((*buf)[:0], v)
 	if !ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		enc := json.NewEncoder(w)
-		enc.SetEscapeHTML(false)
-		_ = enc.Encode(v)
-		return
+		var err error
+		if b, err = appendStd((*buf)[:0], v); err != nil {
+			WriteError(w, r, EncodeFailed(err))
+			return
+		}
 	}
 	if cap(b) <= maxPooledWire {
 		*buf = b
@@ -338,7 +342,7 @@ func (e *wireEncoder) modelInfo(info *ModelInfo) {
 	modelInfoJSON.RUnlock()
 	if !ok {
 		var err error
-		if b, err = marshalStd(info); err != nil {
+		if b, err = appendStd(nil, info); err != nil {
 			e.ok = false
 			return
 		}

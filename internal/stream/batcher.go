@@ -153,10 +153,10 @@ func (b *batcher) dispatch(g *group, members []pending) {
 	if err != nil {
 		// The whole group shares routing and deadline, so a lookup or
 		// timeout failure is every member's failure; fan the same
-		// envelope — HTTP status codes and all — to each.
-		_, code := serve.ErrorCode(err)
+		// envelope — the HTTP endpoints' code and all — to each.
+		e := serve.ErrorFor(err)
 		for _, m := range members {
-			srv.sendError(m.conn, m.seq, err.Error(), code)
+			srv.sendError(m.conn, m.seq, e)
 		}
 		return
 	}

@@ -61,6 +61,7 @@ import (
 	"fmt"
 
 	"repro/internal/frame"
+	"repro/internal/serve"
 )
 
 // Frame types.
@@ -122,16 +123,10 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	return dst, nil
 }
 
-// Error is the decoded FrameError body: the same {error, code}
-// envelope — with the same stable codes — the HTTP endpoints return.
-type Error struct {
-	Message string `json:"error"`
-	Code    string `json:"code"`
-}
-
-func (e *Error) Error() string {
-	return fmt.Sprintf("stream: server error (%s): %s", e.Code, e.Message)
-}
+// Error is the decoded FrameError body: serve's envelope, the one the
+// HTTP endpoints refuse with, with the same stable codes. A frame
+// carries only the message and the code.
+type Error = serve.Error
 
 // ErrorFrame builds the FrameError that answers seq.
 func ErrorFrame(seq uint64, msg, code string) *Frame {

@@ -177,12 +177,12 @@ func (s *Server) handleEstimate(c *Conn, f *Frame) {
 	}
 	req, err := serve.DecodeRequest(f.Body, serve.EstimateKeys)
 	if err != nil {
-		s.sendError(c, f.Seq, "bad request body: "+err.Error(), "bad_request")
+		s.sendError(c, f.Seq, serve.BadBody(err))
 		return
 	}
-	kinds, p, code, err := serve.ResolveEstimate(&req)
-	if err != nil {
-		s.sendError(c, f.Seq, err.Error(), code)
+	kinds, p, e := serve.ResolveEstimate(&req)
+	if e != nil {
+		s.sendError(c, f.Seq, e)
 		return
 	}
 	var key string
@@ -202,7 +202,7 @@ func (s *Server) sendResponse(m *pending, schema string, resp *serve.Response) {
 	start := time.Now()
 	body, err := serve.MarshalWire(resp)
 	if err != nil {
-		s.sendError(m.conn, m.seq, "encode response: "+err.Error(), "internal")
+		s.sendError(m.conn, m.seq, serve.EncodeFailed(err))
 		return
 	}
 	// Counted and filed before the frame can reach the peer, so a client
@@ -213,17 +213,17 @@ func (s *Server) sendResponse(m *pending, schema string, resp *serve.Response) {
 	err = m.conn.Send(context.Background(), &Frame{Type: FrameResponse, Seq: m.seq, Body: body})
 	if err != nil && !errors.Is(err, ErrConnLost) { // body over the frame limit
 		s.responses.Add(^uint64(0))
-		s.sendError(m.conn, m.seq, "frame response: "+err.Error(), "internal")
+		s.sendError(m.conn, m.seq, &serve.Error{Message: "frame response: " + err.Error(), Code: serve.CodeInternal})
 		return
 	}
 	s.opts.Service.RecordStreamStage(obs.StageEncode, time.Since(start))
 }
 
-// sendError answers one sequence ID with the structured error
-// envelope. Like sendResponse it blocks while the writer's queue is
-// full; the queue bound plus defaultWriteTimeout limit how long a
-// non-reading peer can stall a dispatch goroutine.
-func (s *Server) sendError(c *Conn, seq uint64, msg, code string) {
+// sendError answers one sequence ID with e. Like sendResponse it
+// blocks while the writer's queue is full; the queue bound plus
+// defaultWriteTimeout limit how long a non-reading peer can stall a
+// dispatch goroutine.
+func (s *Server) sendError(c *Conn, seq uint64, e *serve.Error) {
 	s.sendErrors.Add(1)
-	_ = c.Send(context.Background(), ErrorFrame(seq, msg, code)) // fails only on a dead connection
+	_ = c.Send(context.Background(), ErrorFrame(seq, e.Message, e.Code)) // fails only on a dead connection
 }
