@@ -630,20 +630,27 @@ func TestRouterKillReplicaDegradesGracefully(t *testing.T) {
 		o.DialTimeout = 500 * time.Millisecond
 	})
 
-	// Cover both replicas with a spread of schemas.
-	bodies := make([][]byte, 8)
-	for s := range bodies {
-		bodies[s] = estimateBody(t, fmt.Sprintf("w%03d", s), testPlans[s%len(testPlans)], "cpu")
-		postOK(t, rhs.URL, "/estimate", bodies[s])
+	// Cover both replicas: four schemas each replica is primary for.
+	// The ring is keyed by the replicas' addresses, which change from
+	// run to run, so the schemas are picked by placement, not fixed.
+	var bodies [][]byte
+	perReplica := map[string]int{}
+	for s := 0; len(bodies) < 8; s++ {
+		schema := fmt.Sprintf("w%03d", s)
+		if primary := rt.Primary(schema); perReplica[primary] < 4 {
+			perReplica[primary]++
+			bodies = append(bodies, estimateBody(t, schema, testPlans[s%len(testPlans)], "cpu"))
+			postOK(t, rhs.URL, "/estimate", bodies[len(bodies)-1])
+		}
 	}
 
 	fleet[1].kill()
 	rt.PollNow()
 
-	for s, body := range bodies {
+	for _, body := range bodies {
 		status, out := post(t, rhs.URL, "/estimate", body)
 		if status != http.StatusOK {
-			t.Errorf("schema w%03d after replica kill: status %d: %s", s, status, out)
+			t.Errorf("%.40s after replica kill: status %d: %s", body, status, out)
 		}
 	}
 	m := rt.Metrics()

@@ -14,11 +14,8 @@ import (
 	"time"
 
 	"repro/internal/feedback"
+	"repro/internal/serve"
 )
-
-// forwardChunk bounds one segment push. Large backlogs drain over
-// multiple requests rather than one unbounded body.
-const forwardChunk = 4 << 20
 
 // ForwarderOptions configures a Forwarder.
 type ForwarderOptions struct {
@@ -144,8 +141,10 @@ func (f *Forwarder) ForwardNow() (int, error) {
 	return total, nil
 }
 
-// forwardFile pushes up to one chunk of seg's unforwarded bytes,
-// returning how many bytes were acknowledged.
+// forwardFile pushes seg's unforwarded bytes, as many whole records as
+// the retrainer's POST /observe/segment takes (serve.MaxBatchBody), and
+// returns how many bytes were acknowledged. A push carries the bytes
+// of one segment at most.
 func (f *Forwarder) forwardFile(seg string) (int64, int, error) {
 	offset := f.offsets[seg]
 	fh, err := os.Open(seg)
@@ -159,7 +158,7 @@ func (f *Forwarder) forwardFile(seg string) (int64, int, error) {
 	if _, err := fh.Seek(offset, io.SeekStart); err != nil {
 		return 0, 0, err
 	}
-	buf, err := io.ReadAll(io.LimitReader(fh, forwardChunk))
+	buf, err := io.ReadAll(io.LimitReader(fh, serve.MaxBatchBody))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -167,15 +166,13 @@ func (f *Forwarder) forwardFile(seg string) (int64, int, error) {
 	if size == 0 {
 		return 0, 0, nil // nothing intact yet (torn tail or no news)
 	}
-	resp, err := f.httpc.Post(f.opts.Target+"/observe/segment",
-		"application/octet-stream", bytes.NewReader(buf[:size]))
+	status, _, err := readReply(f.httpc.Post(f.opts.Target+"/observe/segment",
+		"application/octet-stream", bytes.NewReader(buf[:size])))
 	if err != nil {
 		return 0, 0, err
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return 0, 0, fmt.Errorf("cluster: forward %s: %s", filepath.Base(seg), resp.Status)
+	if status < 200 || status > 299 {
+		return 0, 0, fmt.Errorf("cluster: forward %s: %d %s", filepath.Base(seg), status, http.StatusText(status))
 	}
 	f.offsets[seg] = offset + size
 	return size, count, nil

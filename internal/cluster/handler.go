@@ -1,23 +1,15 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"strconv"
 
-	"repro/internal/jsonscan"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/stream"
 )
-
-// maxRouterBody bounds request bodies at the router — matching the
-// stream transport's frame bound, so nothing the router accepts is
-// unforwardable.
-const maxRouterBody = 8 << 20
 
 // Handler returns the router's HTTP surface — the same endpoints as a
 // single resserve, fronted by affinity routing:
@@ -32,9 +24,9 @@ const maxRouterBody = 8 << 20
 //	GET  /metrics          router metrics (JSON or Prometheus)
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /estimate", rt.handleEstimate)
-	mux.HandleFunc("POST /estimate/batch", rt.handleProxyBySchema)
-	mux.HandleFunc("POST /observe", rt.handleProxyBySchema)
+	mux.HandleFunc("POST /estimate", rt.routed(serve.MaxEstimateBody, rt.handleEstimate))
+	mux.HandleFunc("POST /estimate/batch", rt.routed(serve.MaxBatchBody, rt.proxyRouted))
+	mux.HandleFunc("POST /observe", rt.routed(serve.MaxEstimateBody, rt.proxyRouted))
 	mux.HandleFunc("GET /models", rt.handleModelsGet)
 	mux.HandleFunc("POST /models", rt.handleFanout)
 	mux.HandleFunc("POST /models/rollback", rt.handleFanout)
@@ -66,95 +58,42 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// peekSchema extracts the routing key from a request body. It runs
-// only for bodies that have to be forwarded — a cache hit never gets
-// here — and the replica decodes the body again, so it reads the key
-// with scanSchema, and with serve's one request decoder (building
-// nothing) only for a body the scan declines. A body the router cannot
-// parse routes by the empty schema, or by the schema the scan found,
-// and the replica it reaches produces the canonical error.
-func peekSchema(body []byte) string {
-	if schema, ok := scanSchema(body); ok {
-		return schema
-	}
-	var req stream.Request
-	if err := stream.DecodeRequest(body, &req); err != nil {
-		return ""
-	}
-	return req.Schema
-}
-
-// scanSchema reads the top-level "schema" of a JSON object body,
-// stepping over every other value unvalidated, and reports whether it
-// could. It declines what it cannot read as encoding/json would: a body
-// that is not an object, an escape in a key or in the schema, a
-// repeated "schema", a key encoding/json would match to it
-// case-insensitively, a schema that is not a plain string, and
-// malformed bytes it notices. When serve.DecodeRequest accepts a body,
-// the scan returns that decode's Schema or declines (FuzzSchemaScan).
-// It may return a schema for a body the decode refuses; such a body is
-// an error on every replica.
-func scanSchema(b []byte) (schema string, ok bool) {
-	i := jsonscan.SkipWS(b, 0)
-	if i >= len(b) || b[i] != '{' {
-		return "", false
-	}
-	i = jsonscan.SkipWS(b, i+1)
-	found := false
-	for {
-		name, at, ok := jsonscan.Key(b, i)
-		if !ok {
-			return "", false
-		}
-		switch {
-		case string(name) == "schema":
-			s, end, ok := jsonscan.PlainString(b, at)
-			if !ok || found {
-				return "", false
-			}
-			schema, found, i = string(s), true, end
-		case bytes.EqualFold(name, []byte("schema")):
-			return "", false
-		default:
-			if i, ok = jsonscan.SkipValue(b, at); !ok {
-				return "", false
-			}
-		}
-		var last bool
-		if i, last, ok = jsonscan.Next(b, i, '}'); !ok {
-			return "", false
-		}
-		if last {
-			return schema, true
-		}
-	}
-}
-
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *serve.Error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
+// readBody reads a request body whole, under limit: the endpoint's
+// serve.Max*Body, so the router refuses the bodies a replica would,
+// answering the request itself. The body is never from serve's pool:
+// the HTTP transport may still read a forwarded body after the replica
+// has answered.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		return nil, serve.BadBody(err)
+		serve.WriteError(w, r, serve.BadBody(err))
+		return nil, false
 	}
-	return body, nil
+	return body, true
 }
 
-func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	ctr, ok := rt.admit(clientKey(r))
-	if !ok {
-		serve.WriteError(w, r, errShed)
-		return
+// routed is the handler of an endpoint whose body, at most limit bytes,
+// is routed by its schema: admission first, then the body, then answer.
+func (rt *Router) routed(limit int64, answer func(http.ResponseWriter, *http.Request, []byte)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctr, ok := rt.admit(clientKey(r))
+		if !ok {
+			serve.WriteError(w, r, errShed)
+			return
+		}
+		defer rt.release(ctr)
+		if body, ok := readBody(w, r, limit); ok {
+			answer(w, r, body)
+		}
 	}
-	defer rt.release(ctr)
-	body, rerr := rt.readBody(w, r)
-	if rerr != nil {
-		serve.WriteError(w, r, rerr)
-		return
-	}
+}
+
+func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request, body []byte) {
 	if r.URL.RawQuery != "" {
 		// Explain (and any future query switch) changes the response
 		// shape, so it bypasses the body-keyed cache and the stream
 		// transport: proxy it to the affinity replica verbatim.
-		rt.proxyRouted(w, r, peekSchema(body), body)
+		rt.proxyRouted(w, r, body)
 		return
 	}
 	resp, rerr := rt.estimate(r.Context(), body)
@@ -166,28 +105,12 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	w.Write(resp)
 }
 
-// handleProxyBySchema forwards batch and observe traffic to the
-// schema's affinity replica over HTTP, response copied verbatim.
-func (rt *Router) handleProxyBySchema(w http.ResponseWriter, r *http.Request) {
-	ctr, ok := rt.admit(clientKey(r))
-	if !ok {
-		serve.WriteError(w, r, errShed)
-		return
-	}
-	defer rt.release(ctr)
-	body, rerr := rt.readBody(w, r)
-	if rerr != nil {
+// proxyRouted proxies the request verbatim to its schema's replica,
+// over the failover ladder route holds.
+func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, body []byte) {
+	try := func(rp *replica) error { return proxyVerbatim(w, r, rp, body) }
+	if rerr := rt.route(r.Context(), serve.PeekSchema(body), try); rerr != nil {
 		serve.WriteError(w, r, rerr)
-		return
-	}
-	rt.proxyRouted(w, r, peekSchema(body), body)
-}
-
-// proxyRouted proxies the request verbatim to schema's replica, over
-// the failover ladder route holds.
-func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, schema string, body []byte) {
-	if !rt.route(schema, func(rp *replica) error { return proxyVerbatim(w, r, rp, body) }) {
-		serve.WriteError(w, r, errNoReplica)
 	}
 }
 
@@ -200,8 +123,10 @@ func (rt *Router) handleModelsGet(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if err := proxyVerbatim(w, r, rp, nil); err != nil {
-			rp.errors.Add(1)
-			rp.setDown(err)
+			if !rp.blame(r.Context(), err) {
+				serve.WriteError(w, r, serve.ErrorFor(r.Context().Err()))
+				return
+			}
 			continue
 		}
 		rp.requests.Add(1)
@@ -215,9 +140,8 @@ func (rt *Router) handleModelsGet(w http.ResponseWriter, r *http.Request) {
 // response is the client's answer; any later failure surfaces as a
 // conflict naming the replicas left behind.
 func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
-	body, rerr := rt.readBody(w, r)
-	if rerr != nil {
-		serve.WriteError(w, r, rerr)
+	body, ok := readBody(w, r, serve.MaxPublishBody)
+	if !ok {
 		return
 	}
 	var (
@@ -234,8 +158,11 @@ func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 		}
 		status, respBody, err := readReply(send(r.Context(), rp, r.Method, r.URL.RequestURI(), r.Header, body))
 		if err != nil {
-			rp.errors.Add(1)
-			rp.setDown(err)
+			if !rp.blame(r.Context(), err) { // the replicas left are neither asked nor blamed
+				rt.logger.Warn("model fanout cancelled", "applied", applied, "error", err)
+				serve.WriteError(w, r, serve.ErrorFor(r.Context().Err()))
+				return
+			}
 			failed = append(failed, name)
 			continue
 		}

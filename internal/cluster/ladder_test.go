@@ -378,3 +378,102 @@ func TestRouterRequestIDThroughProxy(t *testing.T) {
 	check("router shed, client ID", "client-8", http.StatusServiceUnavailable)
 	check("router shed, minted ID", "", http.StatusServiceUnavailable)
 }
+
+// newSlowReplica is newHTTPReplica whose answers on path take 300 ms,
+// unless the request ends first.
+func newSlowReplica(t testing.TB, reg *serve.Registry, path string) *testReplica {
+	t.Helper()
+	setup(t)
+	svc := serve.New(serve.Options{Registry: reg})
+	h := svc.Handler()
+	tr := &testReplica{svc: svc, hs: httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == path {
+			select {
+			case <-time.After(300 * time.Millisecond):
+			case <-r.Context().Done():
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))}
+	t.Cleanup(tr.kill)
+	return tr
+}
+
+// abandoned posts body to rt's HTTP surface under a client deadline of
+// 50 ms, which must pass before the answer comes, and returns once the
+// router's handler has returned too.
+func abandoned(t *testing.T, rt *cluster.Router, path string, body []byte) {
+	t.Helper()
+	done := make(chan struct{}, 1)
+	h := rt.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() { done <- struct{}{} }()
+		h.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("POST %s answered %s within the client's deadline, want the deadline to pass first", path, resp.Status)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the router's handler for POST %s still running 5 s after its client gave up", path)
+	}
+}
+
+// blameless fails unless every replica of rt is healthy with no errors
+// counted.
+func blameless(t *testing.T, rt *cluster.Router, what string) {
+	t.Helper()
+	for _, r := range rt.Metrics().Replicas {
+		if !r.Healthy || r.Errors != 0 {
+			t.Errorf("%s: replica %+v, want healthy with no errors", what, r)
+		}
+	}
+}
+
+// TestRouterDeadlineBlamesNoReplica: a client whose deadline passes
+// while both replicas are still working on its proxied batch ended its
+// own request. Neither replica is marked down or charged an error,
+// nothing is counted as a routing decision or a shed, and the next
+// request is answered.
+func TestRouterDeadlineBlamesNoReplica(t *testing.T) {
+	setup(t)
+	reg := serve.NewRegistry()
+	reg.Publish("", cpuEst)
+	fleet := []*testReplica{newSlowReplica(t, reg, "/estimate/batch"), newSlowReplica(t, reg, "/estimate/batch")}
+	rt, rhs := newRouter(t, fleet, func(o *cluster.Options) { o.CacheEntries = -1 })
+	body := batchBody(t, "tpch", testPlans[:2])
+
+	abandoned(t, rt, "/estimate/batch", body)
+	blameless(t, rt, "after the client's deadline passed")
+	if d := rt.Metrics().Decisions; d != (cluster.DecisionMetrics{}) {
+		t.Errorf("decisions after a request its client gave up: %+v, want none", d)
+	}
+	postOK(t, rhs.URL, "/estimate/batch", body)
+}
+
+// TestRouterFanoutCancelBlamesNoReplica: a model fan-out whose client
+// gives up after the first replica has answered and while the second
+// is working leaves both in rotation with no errors counted.
+func TestRouterFanoutCancelBlamesNoReplica(t *testing.T) {
+	setup(t)
+	reg := serve.NewRegistry()
+	reg.Publish("", cpuEst)
+	fleet := []*testReplica{newHTTPReplica(t, reg), newSlowReplica(t, reg, "/models/rollback")}
+	rt, _ := newRouter(t, fleet, nil)
+
+	abandoned(t, rt, "/models/rollback", []byte(`{"resource":"cpu"}`))
+	blameless(t, rt, "after a fan-out its client gave up")
+	if m := rt.Metrics(); m.Replicas[0].Requests != 1 || m.Replicas[1].Requests != 0 {
+		t.Errorf("replica requests %d and %d, want the first replica's answer counted and nothing for the second",
+			m.Replicas[0].Requests, m.Replicas[1].Requests)
+	}
+}

@@ -39,14 +39,14 @@ func send(ctx context.Context, rp *replica, method, pathQuery string, hdr http.H
 }
 
 // readReply takes send's results and reads the replica's status and
-// whole body, bounded by maxRouterBody: readReply(send(...)). Any error
-// is transport-only.
+// whole body, bounded by serve.MaxEstimateBody: readReply(send(...)).
+// Any error is transport-only.
 func readReply(resp *http.Response, err error) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRouterBody))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxEstimateBody))
 	return resp.StatusCode, body, err
 }
 

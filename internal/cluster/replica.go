@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -65,24 +64,13 @@ func newReplica(name string, poolSize int, httpc *http.Client) *replica {
 // GET /healthz round trip, then refreshes the stream pool of a replica
 // that advertises a stream address.
 func (rp *replica) poll(ctx context.Context) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rp.base+"/healthz", nil)
+	status, body, err := readReply(send(ctx, rp, http.MethodGet, "/healthz", nil, nil))
 	if err != nil {
 		rp.setDown(err)
 		return
 	}
-	resp, err := rp.httpc.Do(req)
-	if err != nil {
-		rp.setDown(err)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil {
-		rp.setDown(err)
-		return
-	}
-	if resp.StatusCode != http.StatusOK {
-		rp.setDown(fmt.Errorf("cluster: %s /healthz: %s", rp.name, resp.Status))
+	if status != http.StatusOK {
+		rp.setDown(fmt.Errorf("cluster: %s /healthz: %d %s", rp.name, status, http.StatusText(status)))
 		return
 	}
 	// The fields routing reads of serve's healthJSON.
@@ -107,6 +95,18 @@ func (rp *replica) poll(ctx context.Context) {
 	if h.StreamAddr != "" {
 		rp.refreshPool(h.StreamAddr, moved)
 	}
+}
+
+// blame counts err, the transport failure of a request made under ctx,
+// against rp and marks rp down — unless ctx has ended, when the request
+// failed, not rp, and blame records nothing and reports false.
+func (rp *replica) blame(ctx context.Context, err error) bool {
+	if ctx.Err() != nil {
+		return false
+	}
+	rp.errors.Add(1)
+	rp.setDown(err)
+	return true
 }
 
 func (rp *replica) setDown(err error) {

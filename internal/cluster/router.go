@@ -350,36 +350,38 @@ func (rt *Router) cached(body []byte) ([]byte, bool) {
 	return resp, ok
 }
 
-// route is the failover ladder of every routed request: try runs
-// against schema's replica (pick: affinity, then version-consistent
-// spillover). A try error is transport-only — the replica died
-// mid-request — so the replica is marked down, moving routing at once
-// instead of waiting out a poll, and one successor is tried. route
-// counts the routing decision and the replica's request for the try
-// that answered, or one shed when none did; false tells the caller to
-// refuse with errNoReplica.
-func (rt *Router) route(schema string, try func(*replica) error) bool {
+// route is the failover ladder of every routed request made under ctx:
+// try runs against schema's replica (pick: affinity, then
+// version-consistent spillover). A try error is transport-only: the
+// replica died mid-request, so it is marked down, moving routing at
+// once instead of waiting out a poll, and one successor is tried —
+// unless ctx has ended, when the request failed, not the replica, and
+// the timeout is the answer. route counts the routing decision and the
+// replica's request for the try that answered, or one shed when no
+// replica did; errNoReplica is the refusal then.
+func (rt *Router) route(ctx context.Context, schema string, try func(*replica) error) *serve.Error {
 	var skipped map[string]bool
 	for attempt := 0; attempt < 2; attempt++ {
 		rp, spill := rt.pick(schema, skipped)
 		if rp == nil {
 			break
 		}
-		if err := try(rp); err != nil {
-			rp.errors.Add(1)
-			rp.setDown(err)
-			rt.logger.Warn("replica failed mid-request", "replica", rp.name, "error", err)
-			if skipped == nil {
-				skipped = make(map[string]bool, 2)
-			}
-			skipped[rp.name] = true
-			continue
+		err := try(rp)
+		if err == nil {
+			rt.counted(rp, spill)
+			return nil
 		}
-		rt.counted(rp, spill)
-		return true
+		if !rp.blame(ctx, err) {
+			return serve.ErrorFor(ctx.Err())
+		}
+		rt.logger.Warn("replica failed mid-request", "replica", rp.name, "error", err)
+		if skipped == nil {
+			skipped = make(map[string]bool, 2)
+		}
+		skipped[rp.name] = true
 	}
 	rt.decShed.Add(1)
-	return false
+	return errNoReplica
 }
 
 // counted counts a request rp answered: the routing decision that chose
@@ -396,32 +398,30 @@ func (rt *Router) counted(rp *replica, spill bool) {
 // forward routes body by its schema to a replica and caches the
 // answer. body is retained past the call only as a copy.
 func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *serve.Error) {
-	schema := peekSchema(body)
+	schema := serve.PeekSchema(body)
 	var (
-		resp []byte
-		rerr *serve.Error
+		resp    []byte
+		refusal *serve.Error // the replica's
 	)
-	answered := rt.route(schema, func(rp *replica) error {
+	if rerr := rt.route(ctx, schema, func(rp *replica) error {
 		// The token the answer is filed under is the one rp reported
 		// before it was asked: a poll landing mid-forward moves it, and
 		// the fill is then dropped rather than guessed at.
 		_, tok := rp.state()
 		var err error
-		resp, rerr, err = rt.forwardOnce(ctx, rp, body)
-		if err == nil && rerr == nil && rt.cache != nil {
+		resp, refusal, err = rt.forwardOnce(ctx, rp, body)
+		if err == nil && refusal == nil && rt.cache != nil {
 			// A stream answer shares its allocation with the rest of its
 			// read burst; the cache keeps only the answer.
 			rt.cache.Put(string(body), schema, tok, bytes.Clone(resp), rp.reports)
 		}
 		return err
-	})
-	if !answered {
-		// No forwardable replica, and the cache — consulted before
-		// anything was forwarded — had no live entry: refuse with
-		// Retry-After.
-		return nil, errNoReplica
+	}); rerr != nil {
+		// No replica answered, and the cache — consulted before anything
+		// was forwarded — had no live entry.
+		return nil, rerr
 	}
-	return resp, rerr
+	return resp, refusal
 }
 
 // forwardOnce sends body to rp over its stream pool, or to its POST
@@ -429,7 +429,8 @@ func (rt *Router) forward(ctx context.Context, body []byte) ([]byte, *serve.Erro
 // pooled connection is lost (the next poll replaces it). A non-nil
 // transport error means rp never answered; a *serve.Error means it
 // answered with a structured error — a refusal with no envelope is an
-// internal one. A 200's bytes are the replica's, verbatim.
+// internal one — or that ctx ended first: a timeout. A 200's bytes are
+// the replica's, verbatim.
 func (rt *Router) forwardOnce(ctx context.Context, rp *replica, body []byte) ([]byte, *serve.Error, error) {
 	rp.inflight.Add(1)
 	defer rp.inflight.Add(-1)
@@ -448,13 +449,17 @@ func (rt *Router) forwardOnce(ctx context.Context, rp *replica, body []byte) ([]
 			// The connection is gone, not necessarily the replica: ask
 			// it over HTTP, which fails at once if it is dead too.
 		case ctx.Err() != nil:
-			return nil, &serve.Error{Message: err.Error(), Code: serve.CodeTimeout}, nil
+			return nil, serve.ErrorFor(ctx.Err()), nil
 		default:
 			return nil, nil, err
 		}
 	}
 	status, out, err := readReply(send(ctx, rp, http.MethodPost, "/estimate", jsonHeader, body))
-	if err != nil {
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		return nil, serve.ErrorFor(ctx.Err()), nil
+	default:
 		return nil, nil, err
 	}
 	if status == http.StatusOK {

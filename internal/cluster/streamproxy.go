@@ -103,7 +103,7 @@ type miss struct {
 // send picks the replica and its token as forward does, and starts the
 // request on one of the replica's stream connections.
 func (m *miss) send() {
-	m.schema = peekSchema(m.body)
+	m.schema = serve.PeekSchema(m.body)
 	rp, spill := m.rt.pick(m.schema, nil)
 	var cl *stream.Client
 	if rp != nil {

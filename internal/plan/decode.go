@@ -7,7 +7,7 @@ import "repro/internal/jsonscan"
 // scan, a reflective decode into Wire/WireNode and a second tree of
 // Node copied out of it. fastDecode instead walks the wire bytes once
 // and builds the validated plan directly, under the contract of the
-// stream envelope decoder (internal/stream/request.go): it handles the
+// request envelope walker (internal/serve/envelope.go): it handles the
 // canonical shape only and declines — returns false, never an error —
 // on anything else: an unknown, case-folded or duplicate key; an
 // escape or invalid UTF-8 in a string; null; "children":[]; a fraction

@@ -91,7 +91,7 @@ const (
 	// the stream transport's estimate frame.
 	EstimateKeys = keySchema | keyResource | keyResources | keyTimeoutMS | keyPlan
 	// ForwardKeys is the same envelope to a caller that passes the plan
-	// on undecoded: the router's schema peek.
+	// on undecoded: PeekSchema's fallback.
 	ForwardKeys = EstimateKeys&^keyPlan | keyRawPlan
 	batchKeys   = keySchema | keyResource | keyResources | keyTimeoutMS | keyPlans
 	observeKeys = keySchema | keyResource | keyModelVersion | keyPredicted | keyPlan
@@ -127,7 +127,8 @@ type Envelope struct {
 // walker, or — for a body it declines — the endpoint's encoding/json
 // struct. It is the one decoder of a single-estimate body on every
 // surface: POST /estimate and the stream's estimate frame with
-// EstimateKeys, the router's schema peek with ForwardKeys.
+// EstimateKeys; ForwardKeys reads the envelope without building the
+// plan.
 func DecodeRequest(body []byte, keys EnvelopeKeys) (Envelope, error) {
 	var env Envelope
 	if DecodeEnvelope(body, keys, &env) {
@@ -159,6 +160,68 @@ func decodeRequestStd(body []byte, keys EnvelopeKeys) (Envelope, error) {
 		err := dec.Decode(&req)
 		return Envelope{Schema: req.Schema, Resource: req.Resource, Resources: req.Resources,
 			TimeoutMS: req.TimeoutMS, Plan: req.Plan}, err
+	}
+}
+
+// PeekSchema reads the routing key of a single-estimate body the router
+// forwards, which the replica decodes again: with scanSchema, and with
+// DecodeRequest's encoding/json fallback (building nothing) only for a
+// body the scan declines. A body that does not parse routes by the
+// empty schema, or by the schema the scan found, and the replica it
+// reaches produces the canonical error.
+func PeekSchema(body []byte) string {
+	if schema, ok := scanSchema(body); ok {
+		return schema
+	}
+	env, err := decodeRequestStd(body, ForwardKeys)
+	if err != nil {
+		return ""
+	}
+	return env.Schema
+}
+
+// scanSchema reads the top-level "schema" of a JSON object body,
+// stepping over every other value unvalidated, and reports whether it
+// could. Like the walker, it declines a body that is not an object, an
+// escape in a key or in the schema, a repeated "schema", a key
+// encoding/json would match to it case-insensitively, a schema that is
+// not a plain string, and malformed bytes it notices. When
+// DecodeRequest accepts a body, the scan returns that decode's Schema
+// or declines (FuzzSchemaScan). It may return a schema for a body the
+// decode refuses; such a body is an error on every replica.
+func scanSchema(b []byte) (schema string, ok bool) {
+	i := jsonscan.SkipWS(b, 0)
+	if i >= len(b) || b[i] != '{' {
+		return "", false
+	}
+	i = jsonscan.SkipWS(b, i+1)
+	found := false
+	for {
+		name, at, ok := jsonscan.Key(b, i)
+		if !ok {
+			return "", false
+		}
+		switch {
+		case string(name) == "schema":
+			s, end, ok := jsonscan.PlainString(b, at)
+			if !ok || found {
+				return "", false
+			}
+			schema, found, i = string(s), true, end
+		case bytes.EqualFold(name, []byte("schema")):
+			return "", false
+		default:
+			if i, ok = jsonscan.SkipValue(b, at); !ok {
+				return "", false
+			}
+		}
+		var last bool
+		if i, last, ok = jsonscan.Next(b, i, '}'); !ok {
+			return "", false
+		}
+		if last {
+			return schema, true
+		}
 	}
 }
 
@@ -366,7 +429,7 @@ var (
 // batchPlans is a decoded plans array. Its decode splits the array and
 // hands each element to plan.DecodeJSON, with the count cap enforced
 // *during* decoding — a flat []json.RawMessage would materialize every
-// element of a maxBatchBody-sized request (millions of tiny entries)
+// element of a MaxBatchBody-sized request (millions of tiny entries)
 // before the handler could count them; this stops at maxBatchPlans+1
 // with the rest of the array unparsed.
 type batchPlans struct {

@@ -331,8 +331,8 @@ func TestOverLimitBodyRefused(t *testing.T) {
 		pad    int
 		status int
 	}{
-		{"trailing whitespace to the limit", serve.MaxEstimateLen - len(body), http.StatusOK},
-		{"trailing whitespace past the limit", serve.MaxEstimateLen - len(body) + 1, http.StatusBadRequest},
+		{"trailing whitespace to the limit", serve.MaxEstimateBody - len(body), http.StatusOK},
+		{"trailing whitespace past the limit", serve.MaxEstimateBody - len(body) + 1, http.StatusBadRequest},
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/estimate",

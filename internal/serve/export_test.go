@@ -8,21 +8,22 @@ import (
 
 // The halves of the request decode and of the response encode, exposed
 // so the external test package can run them against each other, the
-// code→status table README's error table is held to, and the body pool
-// so it can scribble over what the handlers hand back.
+// schema scan PeekSchema tries first, the code→status table README's
+// error table is held to, and the body pool so it can scribble over
+// what the handlers hand back.
 var (
 	DecodeRequestStd = decodeRequestStd
 	AppendWire       = appendWire
 	CodeStatus       = codeStatus
+	ScanSchema       = scanSchema
 )
 
 func MarshalStd(v any) ([]byte, error) { return appendStd(nil, v) }
 
 const (
-	BatchKeys      = batchKeys
-	ObserveKeys    = observeKeys
-	MaxBatchPlans  = maxBatchPlans
-	MaxEstimateLen = maxEstimateBody
+	BatchKeys     = batchKeys
+	ObserveKeys   = observeKeys
+	MaxBatchPlans = maxBatchPlans
 )
 
 // BadPlan returns the first batch plan the encoding/json path could not

@@ -67,14 +67,18 @@ type publishRequestJSON struct {
 	Path string `json:"path"`
 }
 
-// Request body bounds: a plan tree is small (operators, not data), and
-// the publish body is just a schema and a path. Batches get a larger
-// envelope plus a plan-count cap so a single request cannot hold a
-// compute slot for unbounded time.
+// Request body bounds, the same on every surface: MaxEstimateBody for
+// POST /estimate and /observe (so a stream frame's body too),
+// MaxBatchBody for /estimate/batch and /observe/segment, MaxPublishBody
+// for /models and /models/rollback; the router reads each under the
+// bound its replicas apply. A plan tree is small (operators, not data),
+// and the publish body is just a schema and a path. Batches get a
+// larger envelope plus a plan-count cap so a single request cannot hold
+// a compute slot for unbounded time.
 const (
-	maxEstimateBody = 8 << 20
-	maxPublishBody  = 4 << 10
-	maxBatchBody    = 64 << 20
+	MaxEstimateBody = 8 << 20
+	MaxBatchBody    = 64 << 20
+	MaxPublishBody  = 4 << 10
 	maxBatchPlans   = 1024
 )
 
@@ -328,6 +332,22 @@ func readRequest(w http.ResponseWriter, r *http.Request, limit int64, keys Envel
 	return env, buf, true
 }
 
+// readModelChange decodes the first JSON value of a model-change body,
+// read whole under MaxPublishBody as the router reads it before its
+// fan-out, answering the request itself when either fails.
+func readModelChange(w http.ResponseWriter, r *http.Request, v any) bool {
+	buf, ok := readBody(w, r, MaxPublishBody)
+	if !ok {
+		return false
+	}
+	defer releaseBody(buf)
+	if err := json.NewDecoder(buf).Decode(v); err != nil {
+		WriteError(w, r, BadBody(err))
+		return false
+	}
+	return true
+}
+
 func releaseBody(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBody {
 		bodyPool.Put(buf)
@@ -469,7 +489,7 @@ func (c *estimateCall) write(resp any) {
 // meant to show; an observation is a write.
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	c := s.newCall(w, r, epEstimate)
-	buf, ok := readBody(w, r, maxEstimateBody)
+	buf, ok := readBody(w, r, MaxEstimateBody)
 	if !ok {
 		return
 	}
@@ -522,7 +542,7 @@ func (c *estimateCall) replay(body []byte) bool {
 
 func (s *Service) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	c := s.newCall(w, r, epBatch)
-	env, buf, ok := readRequest(w, r, maxBatchBody, batchKeys)
+	env, buf, ok := readRequest(w, r, MaxBatchBody, batchKeys)
 	if !ok {
 		return
 	}
@@ -563,8 +583,7 @@ func (s *Service) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req publishRequestJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPublishBody)).Decode(&req); err != nil {
-		WriteError(w, r, BadBody(err))
+	if !readModelChange(w, r, &req) {
 		return
 	}
 	if req.Path == "" {
@@ -600,7 +619,7 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, r, errNoFeedback)
 		return
 	}
-	env, buf, ok := readRequest(w, r, maxEstimateBody, observeKeys)
+	env, buf, ok := readRequest(w, r, MaxEstimateBody, observeKeys)
 	if !ok {
 		return
 	}
@@ -664,7 +683,7 @@ func (s *Service) handleObserveSegment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var accepted, rejected int
-	_, err := feedback.DecodeRecords(http.MaxBytesReader(w, r.Body, maxBatchBody), func(o *feedback.Observation) error {
+	_, err := feedback.DecodeRecords(http.MaxBytesReader(w, r.Body, MaxBatchBody), func(o *feedback.Observation) error {
 		err := loop.Observe(o)
 		switch {
 		case err == nil:
@@ -699,8 +718,7 @@ type rollbackRequestJSON struct {
 // so cache entries keyed to the rolled-back version can never serve.
 func (s *Service) handleRollback(w http.ResponseWriter, r *http.Request) {
 	var req rollbackRequestJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPublishBody)).Decode(&req); err != nil {
-		WriteError(w, r, BadBody(err))
+	if !readModelChange(w, r, &req) {
 		return
 	}
 	resource, err := ParseResource(req.Resource)

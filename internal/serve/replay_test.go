@@ -343,7 +343,7 @@ func TestHTTPReplayNeverFilesErrors(t *testing.T) {
 	svc.Registry().Publish("tpch", cpuEst) // no fallback, no IO model
 	p := newHTTPProbe(t, svc)
 	good := estimateBody(t, "tpch", "cpu", testPlans[0])
-	overLimit := append(bytes.Clone(good), bytes.Repeat([]byte{' '}, serve.MaxEstimateLen)...)
+	overLimit := append(bytes.Clone(good), bytes.Repeat([]byte{' '}, serve.MaxEstimateBody)...)
 
 	for _, tc := range []struct {
 		name   string

@@ -1,4 +1,4 @@
-package cluster
+package serve_test
 
 import (
 	"testing"
@@ -37,15 +37,15 @@ func TestSchemaScan(t *testing.T) {
 		{`[{"schema":"tpch"}]`, "", false},
 		{`{"schema":"tpch","plan":{`, "", false},
 	} {
-		schema, ok := scanSchema([]byte(c.body))
+		schema, ok := serve.ScanSchema([]byte(c.body))
 		if schema != c.schema || ok != c.ok {
-			t.Errorf("scanSchema(%s) = %q, %v; want %q, %v", c.body, schema, ok, c.schema, c.ok)
+			t.Errorf("ScanSchema(%s) = %q, %v; want %q, %v", c.body, schema, ok, c.schema, c.ok)
 		}
 	}
 }
 
-// FuzzSchemaScan: whenever serve's decoder accepts a body as the router
-// peeks it, the scan returns the schema that decode read, or declines.
+// FuzzSchemaScan: whenever the decoder accepts a body as PeekSchema
+// reads it, the scan returns the schema that decode read, or declines.
 func FuzzSchemaScan(f *testing.F) {
 	for _, seed := range []string{
 		`{"schema":"tpch","resource":"cpu","plan":` + scanPlan + `,"timeout_ms":250}`,
@@ -64,7 +64,7 @@ func FuzzSchemaScan(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		schema, ok := scanSchema(body) // must never panic
+		schema, ok := serve.ScanSchema(body) // must never panic
 		env, err := serve.DecodeRequest(body, serve.ForwardKeys)
 		if err == nil && ok && schema != env.Schema {
 			t.Fatalf("scan read schema %q, the decode %q", schema, env.Schema)
@@ -73,8 +73,8 @@ func FuzzSchemaScan(f *testing.F) {
 }
 
 // BenchmarkScanSchema reads the schema of the /estimate bodies of a
-// generated TPC-H workload, as the router does for every miss; one op
-// is the whole set, ns/body the cost of one.
+// generated TPC-H workload, as PeekSchema does for every router miss;
+// one op is the whole set, ns/body the cost of one.
 func BenchmarkScanSchema(b *testing.B) {
 	cfg := workload.DefaultConfig()
 	cfg.N = 64
@@ -95,7 +95,7 @@ func BenchmarkScanSchema(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, body := range bodies {
-			if schema, ok := scanSchema(body); !ok || schema != "tpch" {
+			if schema, ok := serve.ScanSchema(body); !ok || schema != "tpch" {
 				b.Fatalf("scanSchema read %q, %v", schema, ok)
 			}
 		}

@@ -27,7 +27,9 @@
 // Request bodies are POST /estimate bodies ({schema,
 // resource|resources, timeout_ms, plan}) — serve's request type, decoded
 // by serve's decoder, so every body is accepted or refused, in the same
-// words, as POST /estimate does (request.go). Response bodies are
+// words, as POST /estimate does; FuzzEnvelopeDecode in internal/serve
+// pins the decoder's walker against its encoding/json fallback for the
+// key sets used here. Response bodies are
 // byte-identical to the corresponding /estimate response body, and
 // error bodies are the {error, code} envelope with the same stable
 // codes. This package keeps framing, connections and coalescing; it
@@ -80,9 +82,9 @@ const (
 	frameHeader = frame.HeaderSize
 	// payload = type byte + sequence ID + body.
 	framePrefix = 1 + 8
-	// maxFrameSize bounds a frame payload — same budget as the HTTP
-	// endpoint's request body (maxEstimateBody).
-	maxFrameSize = 8 << 20
+	// maxFrameSize bounds a frame payload: a frame carries exactly the
+	// bodies POST /estimate accepts.
+	maxFrameSize = framePrefix + serve.MaxEstimateBody
 )
 
 // ErrCorrupt marks framing damage: bad magic, implausible length, CRC
@@ -127,6 +129,20 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 // HTTP endpoints refuse with, with the same stable codes. A frame
 // carries only the message and the code.
 type Error = serve.Error
+
+// Request is the wire body of a FrameEstimate: serve's POST /estimate
+// request. The server decodes it with serve.DecodeRequest and
+// serve.EstimateKeys, building the plan in the same pass.
+type Request = serve.EstimateRequest
+
+// DecodeRequest decodes one request body into req as POST /estimate
+// does, its plan left as validated wire bytes (serve.ForwardKeys).
+func DecodeRequest(body []byte, req *Request) error {
+	env, err := serve.DecodeRequest(body, serve.ForwardKeys)
+	*req = Request{Schema: env.Schema, Resource: env.Resource, Resources: env.Resources,
+		TimeoutMS: env.TimeoutMS, Plan: env.Plan}
+	return err
+}
 
 // ErrorFrame builds the FrameError that answers seq.
 func ErrorFrame(seq uint64, msg, code string) *Frame {
